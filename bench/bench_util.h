@@ -9,10 +9,9 @@
 // Observability (see docs/OBSERVABILITY.md):
 //   --metrics-out=<file>.json  (or IDF_METRICS_OUT=<file>)
 //       dump the global metrics registry as JSON on exit
-//   --trace-out=<file>.json    (or IDF_TRACE_OUT=<file>)
-//       enable span tracing and write a Chrome trace_event file on exit
 //   --events-out=<file>.jsonl  (or IDF_EVENTS_OUT=<file>)
-//       dump the flight-recorder journal (decode with tools/idf_events.py)
+//       dump the flight-recorder journal (decode with tools/idf_events.py;
+//       its --chrome flag turns the journal into a Chrome trace_event file)
 //   --hold-seconds=<n>         (or IDF_HOLD_SECONDS=<n>)
 //       sleep n seconds before exporting/exiting, so an external scraper
 //       (curl against IDF_OBS_PORT) can observe the finished run
@@ -30,20 +29,17 @@
 #include "common/timer.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics_registry.h"
-#include "obs/trace.h"
 #include "sql/session.h"
 
 namespace idf::bench {
 
 /// Declared at the top of a bench's main(): parses --metrics-out= /
-/// --trace-out= (and the matching env vars), enables tracing when a trace
-/// sink is requested, and exports both files from its destructor — after
-/// the bench body has run.
+/// --events-out= (and the matching env vars) and exports both files from
+/// its destructor — after the bench body has run.
 class ObsGuard {
  public:
   ObsGuard(int argc, char** argv) {
     if (const char* env = std::getenv("IDF_METRICS_OUT")) metrics_path_ = env;
-    if (const char* env = std::getenv("IDF_TRACE_OUT")) trace_path_ = env;
     if (const char* env = std::getenv("IDF_EVENTS_OUT")) events_path_ = env;
     if (const char* env = std::getenv("IDF_HOLD_SECONDS")) {
       hold_seconds_ = std::atoi(env);
@@ -52,15 +48,12 @@ class ObsGuard {
       const char* arg = argv[i];
       if (std::strncmp(arg, "--metrics-out=", 14) == 0) {
         metrics_path_ = arg + 14;
-      } else if (std::strncmp(arg, "--trace-out=", 12) == 0) {
-        trace_path_ = arg + 12;
       } else if (std::strncmp(arg, "--events-out=", 13) == 0) {
         events_path_ = arg + 13;
       } else if (std::strncmp(arg, "--hold-seconds=", 15) == 0) {
         hold_seconds_ = std::atoi(arg + 15);
       }
     }
-    if (!trace_path_.empty()) obs::Tracer::Global().SetEnabled(true);
   }
 
   ~ObsGuard() {
@@ -91,15 +84,6 @@ class ObsGuard {
                      s.message().c_str());
       }
     }
-    if (!trace_path_.empty()) {
-      const Status s = obs::Tracer::Global().WriteChromeJson(trace_path_);
-      if (s.ok()) {
-        std::printf("chrome trace written to %s (load in ui.perfetto.dev)\n",
-                    trace_path_.c_str());
-      } else {
-        std::fprintf(stderr, "trace export failed: %s\n", s.message().c_str());
-      }
-    }
   }
 
   ObsGuard(const ObsGuard&) = delete;
@@ -107,7 +91,6 @@ class ObsGuard {
 
  private:
   std::string metrics_path_;
-  std::string trace_path_;
   std::string events_path_;
   int hold_seconds_ = 0;
 };

@@ -1,7 +1,7 @@
-// Streaming statistics and benchmark reporting helpers.
+// Sample statistics and benchmark reporting helpers.
 //
 // The paper reports "averages of performance metrics over many runs" and IQR
-// boxplots (Fig. 4); RunningStat and Sample cover both.
+// boxplots (Fig. 4); Sample covers both.
 #pragma once
 
 #include <algorithm>
@@ -11,33 +11,6 @@
 #include <vector>
 
 namespace idf {
-
-/// Welford-style streaming mean/variance plus min/max.
-class RunningStat {
- public:
-  void Add(double x) {
-    ++n_;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-
-  uint64_t count() const { return n_; }
-  double mean() const { return n_ ? mean_ : 0.0; }
-  double variance() const { return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0; }
-  double stddev() const { return std::sqrt(variance()); }
-  double min() const { return n_ ? min_ : 0.0; }
-  double max() const { return n_ ? max_ : 0.0; }
-
- private:
-  uint64_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-};
 
 /// A batch of observations with quantile queries (for boxplots).
 class Sample {

@@ -1,7 +1,5 @@
 #include "common/threadpool.h"
 
-#include <atomic>
-
 #include "common/status.h"
 
 namespace idf {
@@ -38,10 +36,6 @@ void ThreadPool::WorkerLoop() {
       queue_.pop_front();
     }
     task();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++completed_;
-    }
   }
 }
 
@@ -54,11 +48,6 @@ void ThreadPool::ParallelFor(size_t count,
     futures.push_back(Submit([&fn, i] { fn(i); }));
   }
   for (auto& f : futures) f.get();  // rethrows worker exceptions here
-}
-
-size_t ThreadPool::completed_tasks() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return completed_;
 }
 
 }  // namespace idf

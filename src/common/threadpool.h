@@ -45,9 +45,6 @@ class ThreadPool {
 
   size_t num_threads() const { return workers_.size(); }
 
-  /// Tasks executed since construction (for scheduler accounting tests).
-  size_t completed_tasks() const;
-
  private:
   void IDF_CHECK_POOL_OPEN() const;  // asserts not shut down (mutex held)
   void WorkerLoop();
@@ -56,7 +53,6 @@ class ThreadPool {
   std::condition_variable cv_;
   std::deque<std::function<void()>> queue_;
   std::vector<std::thread> workers_;
-  size_t completed_ = 0;
   bool shutdown_ = false;
 };
 

@@ -18,7 +18,6 @@
 #include "obs/introspect.h"
 #include "obs/metrics_registry.h"
 #include "obs/query_profile.h"
-#include "obs/trace.h"
 #include "testing/chaos.h"
 
 namespace idf {
@@ -133,6 +132,19 @@ void WireIntrospectionOnce() {
   });
 }
 
+/// Records a finished stage under the query id its tasks carry, so the
+/// stage's trace slice groups with its task slices (tools/idf_events.py
+/// --chrome). Recorded right after the wall clock stops: the event's
+/// timestamp minus its wall micros covers every task event of the stage.
+void RecordStageFinish(uint64_t query_id, uint32_t name_id,
+                       const StageMetrics& metrics) {
+  obs::QueryScope query_scope(query_id);
+  obs::FlightRecorder::Global().Record(
+      obs::EventType::kStageFinish, name_id, metrics.num_tasks,
+      static_cast<uint64_t>(metrics.simulated_seconds * 1e6),
+      static_cast<uint64_t>(metrics.wall_seconds * 1e6));
+}
+
 }  // namespace
 
 /// Outcome slot for one task, written by whichever host thread ran it and
@@ -154,7 +166,6 @@ struct Cluster::PipelineContext {
   const StagePlan* map_plan = nullptr;
   TaskLanes* map_lanes = nullptr;
   std::vector<TaskResult>* map_results = nullptr;
-  uint64_t stage_span_id = 0;
   uint32_t map_name_id = 0;
   QueryControl* control = nullptr;  // owning query's token (may be null)
   std::atomic<bool>* cancelled = nullptr;
@@ -182,7 +193,7 @@ struct Cluster::PipelineContext {
     }
     TaskResult& out = (*map_results)[index];
     cluster->ExecuteTask(*map_stage, index, map_plan->assigned[index],
-                         stage_span_id, map_name_id, control, out);
+                         map_name_id, control, out);
     if (map_plan->have_residency) {
       (map_plan->resident[index] ? em.resident_hits : em.resident_misses)
           .Increment();
@@ -268,9 +279,8 @@ void Cluster::ApplyTaskChaos(const StageSpec& stage, uint32_t index,
 }
 
 void Cluster::ExecuteTask(const StageSpec& stage, uint32_t index,
-                          ExecutorId executor, uint64_t stage_span_id,
-                          uint32_t stage_name_id, QueryControl* control,
-                          TaskResult& out) {
+                          ExecutorId executor, uint32_t stage_name_id,
+                          QueryControl* control, TaskResult& out) {
   EngineMetrics& em = EngineMetrics::Get();
   obs::FlightRecorder& fr = obs::FlightRecorder::Global();
   // Per-query attribution for everything this task does — the start/finish
@@ -298,11 +308,6 @@ void Cluster::ExecuteTask(const StageSpec& stage, uint32_t index,
   // duration: nested in-line stages and polling bodies pick it up via
   // CurrentQueryControl().
   ScopedQueryControl scoped_control(control);
-  // Explicit parent: on a pool thread the stage span lives on the driver's
-  // stack, so the implicit thread-local link would miss it.
-  obs::Span task_span("task", stage.name + " #" + std::to_string(index),
-                      stage_span_id);
-  task_span.AddArgInt("executor", executor);
   TaskContext ctx(this, executor);
   const bool was_in_task = t_in_stage_task;
   t_in_stage_task = true;
@@ -342,17 +347,6 @@ void Cluster::ExecuteTask(const StageSpec& stage, uint32_t index,
   if (!out.status.ok()) return;
 
   ctx.metrics().compute_seconds += out.elapsed;
-  if (task_span.active()) {
-    task_span.AddArgInt("rows_read", ctx.metrics().rows_read);
-    task_span.AddArgInt("rows_written", ctx.metrics().rows_written);
-    if (ctx.metrics().index_probes > 0) {
-      task_span.AddArgInt("index_probes", ctx.metrics().index_probes);
-      task_span.AddArgInt("index_hits", ctx.metrics().index_hits);
-    }
-    if (ctx.metrics().recovery_seconds > 0) {
-      task_span.AddArgNum("recovery_s", ctx.metrics().recovery_seconds);
-    }
-  }
   out.metrics = ctx.metrics();
   out.reads = ctx.reads();
 }
@@ -456,7 +450,6 @@ Result<StageMetrics> Cluster::RunStage(const StageSpec& stage) {
   // Interned once per stage (cold); tasks reuse the id on their hot path.
   const uint32_t stage_name_id =
       fr.enabled() ? fr.InternName(stage.name) : 0;
-  obs::Span stage_span("stage", stage.name);
   Stopwatch stage_timer;
   StageMetrics metrics;
   metrics.num_tasks = static_cast<uint32_t>(stage.tasks.size());
@@ -481,7 +474,6 @@ Result<StageMetrics> Cluster::RunStage(const StageSpec& stage) {
   // to spare; in-line sequential otherwise, and always in-line for a stage
   // launched from inside a task body (re-entrancy guard above).
   std::vector<TaskResult> results(n);
-  const uint64_t stage_span_id = stage_span.id();
   const size_t workers = std::min<size_t>(scheduler_threads_, n);
   if (workers <= 1 || t_in_stage_task) {
     for (size_t k = 0; k < n; ++k) {
@@ -490,8 +482,7 @@ Result<StageMetrics> Cluster::RunStage(const StageSpec& stage) {
       if (have_residency && k + 1 < n && !resident[order[k + 1]]) {
         prefetch_inputs(order[k + 1]);
       }
-      ExecuteTask(stage, i, assigned[i], stage_span_id, stage_name_id,
-                  control, results[i]);
+      ExecuteTask(stage, i, assigned[i], stage_name_id, control, results[i]);
       if (have_residency) {
         (resident[i] ? em.resident_hits : em.resident_misses).Increment();
         fr.Record(resident[i] ? obs::EventType::kResidentHit
@@ -527,8 +518,8 @@ Result<StageMetrics> Cluster::RunStage(const StageSpec& stage) {
               !resident[next_in_lane]) {
             prefetch_inputs(next_in_lane);
           }
-          ExecuteTask(stage, index, assigned[index], stage_span_id,
-                      stage_name_id, control, results[index]);
+          ExecuteTask(stage, index, assigned[index], stage_name_id, control,
+                      results[index]);
           if (have_residency) {
             (resident[index] ? em.resident_hits : em.resident_misses)
                 .Increment();
@@ -574,6 +565,7 @@ Result<StageMetrics> Cluster::RunStage(const StageSpec& stage) {
   metrics.simulated_seconds = outcome.makespan_seconds;
   metrics.network_seconds = outcome.network_seconds;
   metrics.wall_seconds = stage_timer.ElapsedSeconds();
+  RecordStageFinish(query_id, stage_name_id, metrics);
   em.stages.Increment();
   em.stage_real_seconds.Observe(metrics.real_seconds);
   em.stage_wall_seconds.Observe(metrics.wall_seconds);
@@ -582,15 +574,6 @@ Result<StageMetrics> Cluster::RunStage(const StageSpec& stage) {
       .GetHistogram(obs::TaggedName("engine.stage.seconds",
                                     {{"stage", stage.name}}))
       .Observe(metrics.real_seconds);
-  if (stage_span.active()) {
-    // Real vs simulated clocks on the same span: the DES verdict for this
-    // stage rides along with the measured host time.
-    stage_span.AddArgInt("tasks", metrics.num_tasks);
-    stage_span.AddArgNum("real_s", metrics.real_seconds);
-    stage_span.AddArgNum("wall_s", metrics.wall_seconds);
-    stage_span.AddArgNum("simulated_s", metrics.simulated_seconds);
-    stage_span.AddArgNum("network_s", metrics.network_seconds);
-  }
   IDF_LOG_DEBUG("stage '%s': %u tasks, real %.3fs, wall %.3fs, "
                 "simulated %.3fs",
                 stage.name.c_str(), metrics.num_tasks, metrics.real_seconds,
@@ -616,7 +599,7 @@ Result<StageMetrics> Cluster::RunPipelinedStages(const StageSpec& map_stage,
       fr.enabled() ? fr.InternName(map_stage.name) : 0;
   const uint32_t reduce_name_id =
       fr.enabled() ? fr.InternName(reduce_stage.name) : 0;
-  obs::Span stage_span("stage", fused_name);
+  const uint32_t fused_name_id = fr.enabled() ? fr.InternName(fused_name) : 0;
   Stopwatch stage_timer;
   const size_t num_map = map_stage.tasks.size();
   const size_t num_reduce = reduce_stage.tasks.size();
@@ -633,7 +616,6 @@ Result<StageMetrics> Cluster::RunPipelinedStages(const StageSpec& map_stage,
 
   std::vector<TaskResult> map_results(num_map);
   std::vector<TaskResult> reduce_results(num_reduce);
-  const uint64_t stage_span_id = stage_span.id();
   const size_t workers =
       std::min<size_t>(scheduler_threads_, num_map + num_reduce);
   std::atomic<bool> cancelled{false};
@@ -651,15 +633,15 @@ Result<StageMetrics> Cluster::RunPipelinedStages(const StageSpec& map_stage,
     for (size_t k = 0;
          k < num_map && !cancelled.load(std::memory_order_relaxed); ++k) {
       const uint32_t i = map_plan.order[k];
-      ExecuteTask(map_stage, i, map_plan.assigned[i], stage_span_id,
-                  map_name_id, control, map_results[i]);
+      ExecuteTask(map_stage, i, map_plan.assigned[i], map_name_id, control,
+                  map_results[i]);
       if (!map_results[i].status.ok()) fail();
     }
     for (size_t k = 0;
          k < num_reduce && !cancelled.load(std::memory_order_relaxed); ++k) {
       const uint32_t i = reduce_plan.order[k];
-      ExecuteTask(reduce_stage, i, reduce_plan.assigned[i], stage_span_id,
-                  reduce_name_id, control, reduce_results[i]);
+      ExecuteTask(reduce_stage, i, reduce_plan.assigned[i], reduce_name_id,
+                  control, reduce_results[i]);
       if (!reduce_results[i].status.ok()) fail();
     }
   } else {
@@ -672,7 +654,6 @@ Result<StageMetrics> Cluster::RunPipelinedStages(const StageSpec& map_stage,
     pctx.map_plan = &map_plan;
     pctx.map_lanes = &map_lanes;
     pctx.map_results = &map_results;
-    pctx.stage_span_id = stage_span_id;
     pctx.map_name_id = map_name_id;
     pctx.control = control;
     pctx.cancelled = &cancelled;
@@ -701,8 +682,7 @@ Result<StageMetrics> Cluster::RunPipelinedStages(const StageSpec& map_stage,
         }
       }
       ExecuteTask(reduce_stage, index, reduce_plan.assigned[index],
-                  stage_span_id, reduce_name_id, control,
-                  reduce_results[index]);
+                  reduce_name_id, control, reduce_results[index]);
       if (reduce_plan.have_residency) {
         (reduce_plan.resident[index] ? em.resident_hits : em.resident_misses)
             .Increment();
@@ -795,6 +775,7 @@ Result<StageMetrics> Cluster::RunPipelinedStages(const StageSpec& map_stage,
   metrics.simulated_seconds = outcome.makespan_seconds;
   metrics.network_seconds = outcome.network_seconds;
   metrics.wall_seconds = stage_timer.ElapsedSeconds();
+  RecordStageFinish(query_id, fused_name_id, metrics);
   em.stages.Increment();
   em.stage_real_seconds.Observe(metrics.real_seconds);
   em.stage_wall_seconds.Observe(metrics.wall_seconds);
@@ -803,13 +784,6 @@ Result<StageMetrics> Cluster::RunPipelinedStages(const StageSpec& map_stage,
       .GetHistogram(obs::TaggedName("engine.stage.seconds",
                                     {{"stage", fused_name}}))
       .Observe(metrics.real_seconds);
-  if (stage_span.active()) {
-    stage_span.AddArgInt("tasks", metrics.num_tasks);
-    stage_span.AddArgNum("real_s", metrics.real_seconds);
-    stage_span.AddArgNum("wall_s", metrics.wall_seconds);
-    stage_span.AddArgNum("simulated_s", metrics.simulated_seconds);
-    stage_span.AddArgNum("network_s", metrics.network_seconds);
-  }
   IDF_LOG_DEBUG("fused stage '%s': %u tasks, real %.3fs, wall %.3fs, "
                 "simulated %.3fs",
                 fused_name.c_str(), metrics.num_tasks, metrics.real_seconds,
@@ -976,8 +950,6 @@ Result<BlockPtr> Cluster::GetOrCompute(const BlockId& id, TaskContext& ctx) {
 
   IDF_LOG_INFO("recomputing %s from lineage on executor %u",
                id.ToString().c_str(), ctx.executor());
-  obs::Span span("recovery", "recompute " + id.ToString());
-  span.AddArgInt("executor", ctx.executor());
   Stopwatch timer;
   Result<BlockPtr> recomputed = fn(id.partition, id.version, ctx);
   IDF_RETURN_IF_ERROR(recomputed.status());

@@ -223,7 +223,7 @@ class Cluster {
   StagePlan BuildStagePlan(const StageSpec& stage,
                            const std::vector<ExecutorId>& alive);
 
-  /// Executes one task body: span, context, timing, global counters, flight-
+  /// Executes one task body: context, timing, global counters, flight-
   /// recorder task events (stage_name_id is the stage name interned once by
   /// RunStage). The outcome lands in `out`; merging happens later, on the
   /// driver, in task-index order. `control` is the owning query's
@@ -231,8 +231,8 @@ class Cluster {
   /// the body runs and installed on this thread for the body's duration so
   /// nested stages and polling bodies observe it.
   void ExecuteTask(const StageSpec& stage, uint32_t index, ExecutorId executor,
-                   uint64_t stage_span_id, uint32_t stage_name_id,
-                   QueryControl* control, TaskResult& out);
+                   uint32_t stage_name_id, QueryControl* control,
+                   TaskResult& out);
 
   /// Task-boundary chaos site: consults the chaos engine (scripted hooks +
   /// armed probability faults) and applies the returned TaskAction with

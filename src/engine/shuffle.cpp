@@ -57,10 +57,6 @@ bool ShufflePipelineEnabled() {
 
 uint64_t ShuffleWindowBytes() {
   constexpr uint64_t kDefaultWindow = 64ull << 20;
-  if (const char* env = std::getenv("IDF_SHUFFLE_WINDOW")) {
-    auto parsed = mem::ParseByteSize(env);
-    if (parsed.ok()) return parsed.value();
-  }
   if (mem::MemoryGovernor::Engaged()) {
     const uint64_t budget = mem::MemoryGovernor::Global().budget_bytes();
     if (budget > 0) return std::min(kDefaultWindow, budget / 4);

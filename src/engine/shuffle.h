@@ -49,9 +49,8 @@ inline uint32_t HashPartition(uint64_t key_code, uint32_t num_partitions) {
 /// every shuffle so tests and benches can A/B without a new process.
 bool ShufflePipelineEnabled();
 
-/// Backpressure window for streaming shuffles: IDF_SHUFFLE_WINDOW when set
-/// (mem::ParseByteSize syntax; 0 disables enforcement), else a quarter of the
-/// memory governor's budget capped at 64 MB, else 64 MB.
+/// Backpressure window for streaming shuffles: a quarter of the memory
+/// governor's budget capped at 64 MB, else 64 MB.
 uint64_t ShuffleWindowBytes();
 
 /// The Status a streaming producer/consumer unblocks with when the shuffle

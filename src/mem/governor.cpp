@@ -11,7 +11,6 @@
 #include "obs/flight_recorder.h"
 #include "obs/metrics_registry.h"
 #include "obs/query_profile.h"
-#include "obs/trace.h"
 #include "testing/chaos.h"
 
 namespace idf::mem {
@@ -307,7 +306,6 @@ bool MemoryGovernor::EvictLocked(Evictable* victim) {
     return true;  // not an error; the enforcement loop picks another victim
   }
   if (victim->spill_file_ == nullptr) {
-    obs::Span span("mem", "spill");
     // Pid-qualified so concurrent processes pointed at one IDF_SPILL_DIR
     // (e.g. parallel ctest under $RUNNER_TEMP) never clobber each other.
     const std::string path = SpillDirLocked() + "/seg-" +
@@ -322,7 +320,6 @@ bool MemoryGovernor::EvictLocked(Evictable* victim) {
     }
     victim->spill_bytes_ = *written;
     victim->spill_file_ = std::make_shared<SpillFile>(path);
-    span.AddArgInt("bytes", *written);
     mm.spill_write_bytes.Add(*written);
     obs::FlightRecorder::Global().Record(obs::EventType::kSpillWrite, 0,
                                          *written, victim->identity_.owner,
@@ -368,7 +365,6 @@ Status MemoryGovernor::FaultIn(Evictable* e) {
   if (e->state_.load(std::memory_order_seq_cst) == Evictable::kResident) {
     return Status::OK();  // raced with another reloader (or evict aborted)
   }
-  obs::Span span("mem", "reload");
   IDF_CHECK_MSG(e->spill_file_ != nullptr, "evicted payload has no spill file");
   IDF_RETURN_IF_ERROR(RunReloadChaos(e->identity_, /*prefetch=*/false));
   IDF_RETURN_IF_ERROR(e->ReloadPayload(e->spill_file_->path()));
@@ -381,7 +377,6 @@ Status MemoryGovernor::FaultIn(Evictable* e) {
   mm.reload_read_bytes.Add(e->spill_bytes_);
   mm.resident.Set(static_cast<double>(resident_bytes()));
   mm.spilled.Set(static_cast<double>(spilled_bytes()));
-  span.AddArgInt("bytes", e->spill_bytes_);
   obs::FlightRecorder::Global().Record(obs::EventType::kReloadDemand, 0,
                                        e->spill_bytes_, e->identity_.owner,
                                        e->identity_.shard);
@@ -515,9 +510,6 @@ void MemoryGovernor::DrainPrefetchForTesting() {
 }
 
 void MemoryGovernor::PrefetchPartitionSync(uint64_t owner, uint32_t shard) {
-  obs::Span span("mem", "prefetch");
-  span.AddArgInt("owner", static_cast<int64_t>(owner));
-  span.AddArgInt("shard", shard);
   MemMetrics& mm = MemMetrics::Get();
   uint64_t reloads = 0;
   uint64_t bytes = 0;
@@ -566,8 +558,6 @@ void MemoryGovernor::PrefetchPartitionSync(uint64_t owner, uint32_t shard) {
     mm.resident.Set(static_cast<double>(resident_bytes()));
     mm.spilled.Set(static_cast<double>(spilled_bytes()));
   }
-  span.AddArgInt("reloads", static_cast<int64_t>(reloads));
-  span.AddArgInt("bytes", static_cast<int64_t>(bytes));
 }
 
 std::vector<SalvageSegment> MemoryGovernor::SalvagePrefix(uint64_t owner,

@@ -205,6 +205,7 @@ const char* EventTypeName(EventType type) {
     case EventType::kChaosArm: return "chaos_arm";
     case EventType::kChaosFault: return "chaos_fault";
     case EventType::kBuildInfo: return "build_info";
+    case EventType::kStageFinish: return "stage_finish";
   }
   return "event";
 }

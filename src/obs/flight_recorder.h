@@ -5,10 +5,11 @@
 //
 // Why a ring and not the metrics registry: counters tell you *how many*
 // evictions happened over the process lifetime; a memory-pressure bug needs
-// to know *which* eviction ran between which two tasks. Why not spans: the
-// tracer allocates per event and is off by default; the recorder is cheap
-// enough (one relaxed fetch_add plus five relaxed word stores) to stay on
-// permanently, even in benches measuring the scheduler itself.
+// to know *which* eviction ran between which two tasks. The recorder is
+// cheap enough (one relaxed fetch_add plus five relaxed word stores) to stay
+// on permanently, even in benches measuring the scheduler itself, and it is
+// the process's only span source: events whose c (or a) word is a duration
+// become Chrome trace slices offline (tools/idf_events.py --chrome).
 //
 // Writers never block and never allocate. Each ring slot is a small seqlock:
 // a writer claims a ticket with one fetch_add, writes the five payload words
@@ -92,6 +93,9 @@ enum class EventType : uint8_t {
   // Recorded once at construction and again by the crash handler so every
   // journal — however lapped — says which binary wrote it.
   kBuildInfo = 28,     //             a=uptime secs b=0            c=0
+  // One per successful RunStage / RunPipelinedStages (name = the fused
+  // "map+reduce" name there), recorded as the stage's wall clock stops.
+  kStageFinish = 29,   // name=stage  a=task count  b=DES micros   c=wall micros
 };
 
 /// Stable wire name for an event type ("task_start", "evict", ...); used by

@@ -1,5 +1,5 @@
-// Engine-wide metrics registry (observability layer, part 1 of 2 — spans
-// live in obs/trace.h).
+// Engine-wide metrics registry (observability layer; timestamped events
+// live in obs/flight_recorder.h).
 //
 // Named, typed counters / gauges / histograms with cheap atomic updates.
 // Hot paths obtain a metric reference once (a function-local static or a

@@ -407,18 +407,6 @@ QueryHandle QueryService::Submit(QueryWork work, QueryOptions options) {
   return QueryHandle(std::move(rec));
 }
 
-QueryHandle QueryService::SubmitSql(const std::string& sql,
-                                    QueryOptions options) {
-  if (options.label.empty()) options.label = sql.substr(0, 48);
-  return Submit(
-      [sql](QueryContext& ctx) -> Status {
-        IDF_ASSIGN_OR_RETURN(DataFrame df, ctx.session.Sql(sql));
-        IDF_ASSIGN_OR_RETURN(ctx.result, df.Collect());
-        return Status::OK();
-      },
-      std::move(options));
-}
-
 std::shared_ptr<QueryRecord> QueryService::PopLocked() {
   // Highest priority first; FIFO (submit order) within a priority. The
   // queue is small (max_queue bounded), so a linear scan beats maintaining

@@ -183,10 +183,6 @@ class QueryService {
   /// kResourceExhausted reason).
   QueryHandle Submit(QueryWork work, QueryOptions options = {});
 
-  /// Convenience: submit a SQL text; the result of Collect() lands in the
-  /// handle (TakeResult).
-  QueryHandle SubmitSql(const std::string& sql, QueryOptions options = {});
-
   /// Stops accepting work and joins the drivers. cancel_pending=false
   /// drains the queue first; true cancels queued queries (kCancelled) and
   /// cooperatively cancels running ones. Idempotent.

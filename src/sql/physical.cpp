@@ -6,7 +6,6 @@
 
 #include "common/timer.h"
 #include "mem/governor.h"
-#include "obs/trace.h"
 #include "sql/agg_internal.h"
 #include "sql/session.h"
 #include "storage/row_layout.h"
@@ -23,11 +22,7 @@ std::string PhysicalOp::Explain(int indent) const {
 
 Result<TableHandle> PhysicalOp::Execute(Session& session,
                                         QueryMetrics& metrics) const {
-  obs::Span span("op", Describe());
-  if (metrics.op_profile == nullptr) {
-    // Regular execution: just the trace span (a no-op unless tracing is on).
-    return ExecuteImpl(session, metrics);
-  }
+  if (metrics.op_profile == nullptr) return ExecuteImpl(session, metrics);
 
   // EXPLAIN ANALYZE: attribute the query-total delta across this subtree to
   // this node (inclusively; the renderer subtracts children for self time).
@@ -46,10 +41,6 @@ Result<TableHandle> PhysicalOp::Execute(Session& session,
   if (result.ok()) {
     prof.rows_out += result->num_rows;
     prof.bytes_out += result->total_bytes;
-    if (span.active()) {
-      span.AddArgInt("rows_out", result->num_rows);
-      span.AddArgInt("bytes_out", result->total_bytes);
-    }
   }
   return result;
 }

@@ -28,10 +28,10 @@ class PhysicalOp {
   virtual ~PhysicalOp() = default;
 
   /// Runs this operator (and its inputs), returning the materialized output.
-  /// Non-virtual: wraps the operator's ExecuteImpl with an "op" trace span
-  /// and, when `metrics.op_profile` is set (EXPLAIN ANALYZE), per-operator
-  /// accounting — rows/bytes out, wall time, and the inclusive TaskMetrics
-  /// delta attributed to this subtree.
+  /// Non-virtual: when `metrics.op_profile` is set (EXPLAIN ANALYZE), wraps
+  /// the operator's ExecuteImpl with per-operator accounting — rows/bytes
+  /// out, wall time, and the inclusive TaskMetrics delta attributed to this
+  /// subtree.
   Result<TableHandle> Execute(Session& session, QueryMetrics& metrics) const;
 
   virtual std::string Describe() const = 0;

@@ -7,7 +7,6 @@
 
 #include "mem/governor.h"
 #include "obs/query_profile.h"
-#include "obs/trace.h"
 #include "sql/parser.h"
 
 namespace idf {
@@ -238,26 +237,16 @@ Result<TableHandle> DataFrame::Execute(QueryMetrics* metrics) const {
   IDF_CHECK_MSG(valid(), "Execute on an empty DataFrame");
   QueryMetrics local;
   QueryMetrics& m = metrics != nullptr ? *metrics : local;
-  obs::Span span("query", plan_->Describe());
   IDF_ASSIGN_OR_RETURN(PhysOpPtr op, session_->planner().Plan(plan_));
-  Result<TableHandle> result = [&]() -> Result<TableHandle> {
-    try {
-      return op->Execute(*session_, m);
-    } catch (const mem::ReloadFault& fault) {
-      // Driver-side reads (broadcast hash builds, inline chunk walks) pin
-      // payloads outside any stage task, so a failed reload unwinds to here
-      // rather than to ExecuteTask's catch. Same contract: the query fails
-      // with the reload's kUnavailable status, the process does not.
-      return fault.status();
-    }
-  }();
-  if (span.active()) {
-    span.AddArgInt("stages", m.num_stages);
-    span.AddArgNum("real_s", m.real_seconds);
-    span.AddArgNum("simulated_s", m.simulated_seconds);
-    if (result.ok()) span.AddArgInt("rows_out", result->num_rows);
+  try {
+    return op->Execute(*session_, m);
+  } catch (const mem::ReloadFault& fault) {
+    // Driver-side reads (broadcast hash builds, inline chunk walks) pin
+    // payloads outside any stage task, so a failed reload unwinds to here
+    // rather than to ExecuteTask's catch. Same contract: the query fails
+    // with the reload's kUnavailable status, the process does not.
+    return fault.status();
   }
-  return result;
 }
 
 Result<std::string> DataFrame::ExplainAnalyze(QueryMetrics* metrics) const {
@@ -272,7 +261,6 @@ Result<std::string> DataFrame::ExplainAnalyze(QueryMetrics* metrics) const {
                                 ? obs::CurrentQueryId()
                                 : obs::AllocateQueryId();
   obs::QueryScope query_scope(query_id);
-  obs::Span span("query", "EXPLAIN ANALYZE " + plan_->Describe());
   // Plan once and execute that exact tree: the profile is keyed by the
   // physical nodes' addresses.
   IDF_ASSIGN_OR_RETURN(PhysOpPtr op, session_->planner().Plan(plan_));

@@ -101,17 +101,8 @@ class Session {
   Result<CollectedTable> Collect(const TableHandle& handle);
 
   /// Extension registry: lets add-on libraries (e.g. the Indexed DataFrame
-  /// rules) install themselves into this session exactly once.
-  bool HasExtension(const std::string& name) const {
-    std::lock_guard<std::mutex> lock(catalog_mutex_);
-    return extensions_.count(name) > 0;
-  }
-  void MarkExtension(const std::string& name) {
-    std::lock_guard<std::mutex> lock(catalog_mutex_);
-    extensions_.insert(name);
-  }
-  /// Atomic check-and-mark: true exactly once per name per session. The
-  /// install path for extensions shared by concurrent queries — two threads
+  /// rules) install themselves into this session exactly once. Atomic
+  /// check-and-mark: true exactly once per name per session — two threads
   /// racing to install the same extension must not both PrependStrategy.
   bool TryMarkExtension(const std::string& name) {
     std::lock_guard<std::mutex> lock(catalog_mutex_);

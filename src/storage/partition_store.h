@@ -83,23 +83,6 @@ class PartitionStore {
   /// Fig. 9). Full-batch opens and first-ever batches are not counted.
   uint64_t cow_batch_opens() const { return cow_batch_opens_; }
 
-  /// Residency report for spill-aware scheduling: how many of this
-  /// partition's batches are currently in memory vs. evicted to spill.
-  /// Point-in-time (the governor may evict concurrently); callers treat it
-  /// as a dispatch hint, not a guarantee.
-  void CountResidency(size_t* resident, size_t* evicted) const {
-    *resident = 0;
-    *evicted = 0;
-    for (const std::shared_ptr<RowBatch>& b : flat_) {
-      if (b == nullptr) continue;
-      if (b->resident()) {
-        ++*resident;
-      } else {
-        ++*evicted;
-      }
-    }
-  }
-
   /// Seals the open tail batch, making it immutable and therefore evictable
   /// by the memory governor. Called when a version finishes building (base
   /// shuffle, append, recompute, load): the finished version is never

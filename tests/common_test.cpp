@@ -266,12 +266,6 @@ TEST(ThreadPoolTest, ParallelForZeroIsNoop) {
   pool.ParallelFor(0, [](size_t) { FAIL(); });
 }
 
-TEST(ThreadPoolTest, CountsCompletedTasks) {
-  ThreadPool pool(2);
-  pool.ParallelFor(10, [](size_t) {});
-  EXPECT_EQ(pool.completed_tasks(), 10u);
-}
-
 TEST(ThreadPoolTest, ManyConcurrentIncrements) {
   ThreadPool pool(8);
   std::atomic<int> counter{0};
@@ -286,23 +280,6 @@ TEST(ThreadPoolTest, ExceptionPropagatesThroughFuture) {
 }
 
 // ---- Stats ------------------------------------------------------------------
-
-TEST(StatsTest, RunningStatBasics) {
-  RunningStat s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.Add(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.stddev(), 2.138, 1e-3);  // sample stddev
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-}
-
-TEST(StatsTest, RunningStatEmpty) {
-  RunningStat s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
-}
 
 TEST(StatsTest, SampleQuantiles) {
   Sample s;

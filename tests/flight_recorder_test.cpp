@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "core/indexed_dataframe.h"
+#include "engine/cluster.h"
 #include "mem/governor.h"
 #include "obs/flight_recorder.h"
 #include "obs/build_info.h"
@@ -208,6 +209,21 @@ TEST(FlightRecorderTest, SignalSafeDumpMatchesToJsonl) {
   std::remove(path.c_str());
 }
 
+/// Converts `journal` with tools/idf_events.py --chrome and validates the
+/// trace with tests/check_chrome_trace.py: valid JSON, no negative
+/// duration, and every stage slice holding its own task events.
+void ExpectChromeRoundTrip(const std::string& journal,
+                           const std::string& trace) {
+  const std::string src = IDF_SOURCE_DIR;
+  const std::string convert = "python3 " + src +
+                              "/tools/idf_events.py --strict '" + journal +
+                              "' --chrome '" + trace + "' >/dev/null";
+  ASSERT_EQ(std::system(convert.c_str()), 0) << "--chrome failed: " << journal;
+  const std::string check =
+      "python3 " + src + "/tests/check_chrome_trace.py '" + trace + "'";
+  EXPECT_EQ(std::system(check.c_str()), 0) << "bad chrome trace: " << trace;
+}
+
 TEST(FlightRecorderDeathTest, CrashHandlerDumpsDecodableJournal) {
   // Default ("fast") death-test style: the child is forked right here, so it
   // shares `dir` with the parent. Threadsafe style would re-execute the test
@@ -265,6 +281,7 @@ TEST(FlightRecorderDeathTest, CrashHandlerDumpsDecodableJournal) {
     std::stringstream report;
     report << decoded.rdbuf();
     EXPECT_NE(report.str().find("crash"), std::string::npos) << report.str();
+    ExpectChromeRoundTrip(journal, dir + "/crash.trace.json");
   }
 }
 
@@ -450,6 +467,90 @@ TEST(RegistryDeltaTest, CountersAndHistogramsDiff) {
 
   delta.Reset();
   EXPECT_EQ(delta.Counter("fr_test.delta_counter"), 0u);
+}
+
+// ---- stage_finish and the Chrome trace export ----------------------------
+
+/// Events recorded since ticket `first_seq` whose type is `type`.
+std::vector<FlightEvent> EventsSince(uint64_t first_seq, EventType type) {
+  std::vector<FlightEvent> out;
+  for (FlightEvent& e : FlightRecorder::Global().Snapshot()) {
+    if (e.seq >= first_seq && e.type == type) out.push_back(std::move(e));
+  }
+  return out;
+}
+
+TEST(FlightRecorderTest, StageFinishOncePerStageAndChromeRoundTrip) {
+  FlightRecorder& fr = FlightRecorder::Global();
+  fr.SetEnabled(true);
+  const uint64_t first_seq = fr.total_recorded();
+
+  // A plain stage on the pool: one stage_finish carrying its task count.
+  ClusterConfig config;
+  config.num_workers = 2;
+  config.executors_per_worker = 2;
+  config.scheduler_threads = 4;
+  Cluster cluster(config);
+  StageSpec stage;
+  stage.name = "fr-finish-stage";
+  for (int i = 0; i < 6; ++i) {
+    stage.tasks.push_back(TaskSpec{
+        kAnyExecutor, {}, 0, [](TaskContext&) { return Status::OK(); }, {}});
+  }
+  ASSERT_TRUE(cluster.RunStage(stage).ok());
+  std::vector<FlightEvent> finishes =
+      EventsSince(first_seq, EventType::kStageFinish);
+  ASSERT_EQ(finishes.size(), 1u);
+  EXPECT_EQ(finishes[0].name, "fr-finish-stage");
+  EXPECT_EQ(finishes[0].a, 6u);
+  EXPECT_LE(finishes[0].c, finishes[0].ts_us);
+
+  // A pipelined shuffle (createIndex): map and reduce fuse into one stage,
+  // so exactly one stage_finish, under the fused name, counting both halves.
+  const uint64_t shuffle_seq = fr.total_recorded();
+  ::setenv("IDF_SHUFFLE_PIPELINE", "1", 1);
+  {
+    Session session(BudgetedOptions(0));
+    std::vector<RowVec> rows;
+    for (int64_t i = 0; i < 2000; ++i) {
+      rows.push_back({Value::Int64(i % 97), Value::Int64(i),
+                      Value::Float64(0.5 * static_cast<double>(i))});
+    }
+    auto edges = *session.CreateTable("edges", EdgeSchema(), rows);
+    ASSERT_TRUE(IndexedDataFrame::Create(edges, "src").ok());
+  }
+  ::unsetenv("IDF_SHUFFLE_PIPELINE");
+  size_t shuffle_tasks = 0;
+  for (const FlightEvent& e :
+       EventsSince(shuffle_seq, EventType::kTaskFinish)) {
+    shuffle_tasks += e.name == "createIndex (shuffle)" ||
+                     e.name == "createIndex (insert)";
+  }
+  EXPECT_GT(shuffle_tasks, 0u);
+  size_t fused = 0;
+  for (const FlightEvent& e :
+       EventsSince(shuffle_seq, EventType::kStageFinish)) {
+    EXPECT_NE(e.name, "createIndex (shuffle)") << "ran as a barrier stage";
+    if (e.name == "createIndex (shuffle)+createIndex (insert)") {
+      ++fused;
+      EXPECT_EQ(e.a, shuffle_tasks);
+    }
+  }
+  EXPECT_EQ(fused, 1u);
+
+  // Round trip: this test's events as a journal, then --chrome.
+  if (std::system("python3 -c '' >/dev/null 2>&1") != 0) return;
+  const std::string base = ::testing::TempDir() + "/fr_chrome_" +
+                           std::to_string(::getpid());
+  {
+    std::ofstream journal(base + ".events.jsonl");
+    for (const FlightEvent& e : fr.Snapshot()) {
+      if (e.seq >= first_seq) journal << obs::EventJson(e) << "\n";
+    }
+  }
+  ExpectChromeRoundTrip(base + ".events.jsonl", base + ".trace.json");
+  std::remove((base + ".events.jsonl").c_str());
+  std::remove((base + ".trace.json").c_str());
 }
 
 // ---- query-id stamping, ring sizing, build identity -----------------------

@@ -1,6 +1,5 @@
 // Tests for the observability layer: metrics registry (concurrent updates,
-// JSON export), span tracing (nesting, Chrome trace well-formedness),
-// logging sinks, the new TaskMetrics fields, and EXPLAIN ANALYZE — including
+// JSON export), logging sinks, the new TaskMetrics fields, and EXPLAIN ANALYZE — including
 // the acceptance check that an indexed equi-join's reported per-operator
 // rows, probe/hit counts, and COW/snapshot work match a known-cardinality
 // input.
@@ -8,7 +7,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -17,7 +15,6 @@
 #include "core/indexed_dataframe.h"
 #include "core/indexed_partition.h"
 #include "obs/metrics_registry.h"
-#include "obs/trace.h"
 
 namespace idf {
 namespace {
@@ -237,94 +234,6 @@ TEST(MetricsRegistryTest, SnapshotSortedByName) {
   ASSERT_EQ(snap.size(), 2u);
   EXPECT_EQ(snap[0].name, "aa");
   EXPECT_EQ(snap[1].name, "zz");
-}
-
-// ---- tracing --------------------------------------------------------------
-
-class TracerTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    obs::Tracer::Global().Clear();
-    obs::Tracer::Global().SetEnabled(true);
-  }
-  void TearDown() override {
-    obs::Tracer::Global().SetEnabled(false);
-    obs::Tracer::Global().Clear();
-  }
-};
-
-TEST_F(TracerTest, SpansNestViaThreadLocalStack) {
-  uint64_t outer_id = 0, inner_id = 0;
-  {
-    obs::Span outer("test", "outer");
-    ASSERT_TRUE(outer.active());
-    outer_id = obs::Span::CurrentId();
-    EXPECT_NE(outer_id, 0u);
-    {
-      obs::Span inner("test", "inner");
-      inner_id = obs::Span::CurrentId();
-      EXPECT_NE(inner_id, outer_id);
-      inner.AddArgInt("rows", 42);
-    }
-    EXPECT_EQ(obs::Span::CurrentId(), outer_id);
-  }
-  EXPECT_EQ(obs::Span::CurrentId(), 0u);
-
-  const auto events = obs::Tracer::Global().Snapshot();
-  ASSERT_EQ(events.size(), 2u);
-  // Snapshot is ordered by start time: outer starts first.
-  EXPECT_EQ(events[0].name, "outer");
-  EXPECT_EQ(events[0].parent_id, 0u);
-  EXPECT_EQ(events[1].name, "inner");
-  EXPECT_EQ(events[1].parent_id, outer_id);
-  EXPECT_EQ(events[1].span_id, inner_id);
-  EXPECT_GE(events[0].dur_us, events[1].dur_us);
-}
-
-TEST_F(TracerTest, DisabledSpansRecordNothing) {
-  obs::Tracer::Global().SetEnabled(false);
-  {
-    obs::Span span("test", "ghost");
-    EXPECT_FALSE(span.active());
-    EXPECT_EQ(obs::Span::CurrentId(), 0u);
-  }
-  EXPECT_TRUE(obs::Tracer::Global().Snapshot().empty());
-}
-
-TEST_F(TracerTest, EventsFromPoolThreadsAllLand) {
-  constexpr size_t kThreads = 4;
-  constexpr int kSpansPerThread = 50;
-  ThreadPool pool(kThreads);
-  pool.ParallelFor(kThreads, [&](size_t t) {
-    for (int i = 0; i < kSpansPerThread; ++i) {
-      obs::Span span("test", "t" + std::to_string(t));
-    }
-  });
-  const auto events = obs::Tracer::Global().Snapshot();
-  EXPECT_EQ(events.size(), kThreads * kSpansPerThread);
-}
-
-TEST_F(TracerTest, ChromeTraceJsonIsWellFormed) {
-  {
-    obs::Span outer("query", "q");
-    outer.AddArg("sql", "SELECT \"quoted\"\nnewline");
-    outer.AddArgNum("seconds", 0.25);
-    obs::Span inner("stage", "s");
-  }
-  const std::string chrome = obs::Tracer::Global().ToChromeJson();
-  EXPECT_TRUE(JsonChecker::Valid(chrome)) << chrome;
-  EXPECT_NE(chrome.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(chrome.find("\"ph\":\"X\""), std::string::npos);
-
-  const std::string jsonl = obs::Tracer::Global().ToJsonl();
-  std::istringstream lines(jsonl);
-  std::string line;
-  int count = 0;
-  while (std::getline(lines, line)) {
-    EXPECT_TRUE(JsonChecker::Valid(line)) << line;
-    ++count;
-  }
-  EXPECT_EQ(count, 2);
 }
 
 // ---- logging sinks --------------------------------------------------------

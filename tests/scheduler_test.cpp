@@ -1,7 +1,7 @@
 // Stress tests for the parallel stage scheduler (engine/scheduler.h +
 // Cluster::RunStage): sequential/parallel result and accounting parity,
 // concurrent sessions, concurrent queries against one cached indexed table,
-// and task-span parent propagation across pool threads.
+// and task events from pool threads nesting inside their stage's interval.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,8 +17,8 @@
 #include "core/indexed_dataframe.h"
 #include "engine/cluster.h"
 #include "mem/governor.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics_registry.h"
-#include "obs/trace.h"
 #include "sql/columnar.h"
 #include "sql/session.h"
 
@@ -214,12 +214,14 @@ TEST(SchedulerStressTest, ConcurrentQueriesOnSharedCachedIndexedTable) {
   EXPECT_EQ(t2 - before, 2ull * kIters * per_iter);
 }
 
-// Task spans created on pool threads must still nest under the stage span
-// that lives on the driver's stack.
+// Task events recorded on pool threads must nest inside the stage's
+// stage_finish interval, which the driver records: that interval (event
+// time minus wall micros) is the stage slice tools/idf_events.py --chrome
+// draws around the task slices.
 TEST(SchedulerStressTest, TaskSpansNestUnderStageAcrossThreads) {
-  obs::Tracer& tracer = obs::Tracer::Global();
-  tracer.SetEnabled(true);
-  tracer.Clear();
+  obs::FlightRecorder& fr = obs::FlightRecorder::Global();
+  fr.SetEnabled(true);
+  const uint64_t first_seq = fr.total_recorded();
   ClusterConfig config;
   config.num_workers = 2;
   config.executors_per_worker = 2;
@@ -240,25 +242,33 @@ TEST(SchedulerStressTest, TaskSpansNestUnderStageAcrossThreads) {
                                    {}});
   }
   ASSERT_TRUE(cluster.RunStage(stage).ok());
-  tracer.SetEnabled(false);
-  const std::vector<obs::TraceEvent> events = tracer.Snapshot();
-  uint64_t stage_id = 0;
-  for (const obs::TraceEvent& ev : events) {
-    if (std::string(ev.category) == "stage" && ev.name == "traced-stage") {
-      stage_id = ev.span_id;
+  std::vector<obs::FlightEvent> events;
+  for (obs::FlightEvent& ev : fr.Snapshot()) {
+    if (ev.seq >= first_seq && ev.name == "traced-stage") {
+      events.push_back(std::move(ev));
     }
   }
-  ASSERT_NE(stage_id, 0u);
+  const obs::FlightEvent* finish = nullptr;
+  for (const obs::FlightEvent& ev : events) {
+    if (ev.type == obs::EventType::kStageFinish) finish = &ev;
+  }
+  ASSERT_NE(finish, nullptr);
+  EXPECT_EQ(finish->a, 8u);
+  const uint64_t stage_start = finish->ts_us - finish->c;
   int task_events = 0;
-  for (const obs::TraceEvent& ev : events) {
-    if (std::string(ev.category) == "task" &&
-        ev.name.rfind("traced-stage #", 0) == 0) {
-      EXPECT_EQ(ev.parent_id, stage_id) << ev.name;
-      ++task_events;
+  for (const obs::FlightEvent& ev : events) {
+    if (ev.type != obs::EventType::kTaskStart &&
+        ev.type != obs::EventType::kTaskFinish) {
+      continue;
     }
+    if (cluster.scheduler_threads() > 1) {
+      EXPECT_NE(ev.tid, finish->tid) << "task ran on the driver thread";
+    }
+    EXPECT_GE(ev.ts_us, stage_start);
+    EXPECT_LE(ev.ts_us, finish->ts_us);
+    ++task_events;
   }
-  EXPECT_EQ(task_events, 8);
-  tracer.Clear();
+  EXPECT_EQ(task_events, 16);
 }
 
 // ---- spill-aware scheduling (residency map x dispatch order) ---------------

@@ -12,12 +12,18 @@ Every event carries a `q` field: the id of the query whose work produced
 it (0 = unattributed background work). `--query N` narrows every view to
 one query; the summary always ends with a per-query attribution table.
 
+`--chrome OUT.json` writes the journal as Chrome `trace_event` JSON (load it
+in chrome://tracing or ui.perfetto.dev): events whose payload carries a
+duration become complete slices ending at their timestamp, everything else
+an instant.
+
 Usage:
   tools/idf_events.py journal.jsonl              # per-stage timeline
   tools/idf_events.py journal.jsonl --summary    # counts only
   tools/idf_events.py journal.jsonl --raw        # normalized event dump
   tools/idf_events.py journal.jsonl --query 7    # one query's events only
   tools/idf_events.py journal.jsonl --strict     # nonzero exit on bad input
+  tools/idf_events.py journal.jsonl --chrome run.trace.json
 
 Malformed (truncated) lines and unknown event kinds are skipped and
 counted; they fail the run (exit 2) only under --strict, so a journal from
@@ -36,7 +42,7 @@ TASK_EVENTS = {"task_start", "task_finish", "task_fail", "steal",
                "resident_hit", "resident_miss"}
 GOVERNOR_EVENTS = {"evict", "spill_write", "reload_demand", "reload_prefetch",
                    "prefetch_skip", "batch_seal"}
-ENGINE_EVENTS = {"recovery_block", "executor_kill"}
+ENGINE_EVENTS = {"stage_finish", "recovery_block", "executor_kill"}
 SHUFFLE_EVENTS = {"shuffle_push", "shuffle_drain", "shuffle_stall"}
 QUERY_EVENTS = {"query_submit", "query_admit", "query_reject", "query_start",
                 "query_finish", "query_cancel", "query_deadline"}
@@ -45,6 +51,12 @@ META_EVENTS = {"crash", "build_info"}
 
 KNOWN_EVENTS = (TASK_EVENTS | GOVERNOR_EVENTS | ENGINE_EVENTS |
                 SHUFFLE_EVENTS | QUERY_EVENTS | CHAOS_EVENTS | META_EVENTS)
+
+# Events recorded as an interval ends, and the payload field holding its
+# length in micros: the Chrome slice spans [ts_us - duration, ts_us].
+DURATION_FIELD = {"task_finish": "c", "task_fail": "c", "stage_finish": "c",
+                  "query_finish": "c", "recovery_block": "c",
+                  "shuffle_stall": "a"}
 
 # chaos_fault packs a = site << 8 | kind (see idf::chaos::Site / Fault).
 CHAOS_SITES = {1: "task", 2: "reload", 3: "shuffle-push", 4: "shuffle-pull",
@@ -147,6 +159,9 @@ def describe(ev):
         phase = "while queued" if b == 0 else "while running"
         return (f"query {a} deadline expired {phase} "
                 f"({c / 1000.0:.1f}ms after submit)")
+    if t == "stage_finish":
+        return (f"stage finish, {a} tasks ({c / 1000.0:.1f}ms wall, "
+                f"{b / 1000.0:.1f}ms simulated)")
     if t == "recovery_block":
         return f"recovery: recomputed rdd={a} partition={b} ({c} us)"
     if t == "executor_kill":
@@ -179,7 +194,9 @@ def build_stages(events):
 
     Task events carry the stage name; governor/storage events carry none, so
     they are attributed to whichever stages are live at their timestamp
-    (between the stage's first task_start and last task end)."""
+    (between the stage's first task_start and last task end). A stage_finish
+    joins the stage of its name; a fused "map+reduce" one is placed by
+    timestamp like governor events."""
     stages = {}  # name -> dict(first_ts, last_ts, events)
     order = []
     for ev in events:
@@ -196,6 +213,9 @@ def build_stages(events):
     unattributed = []
     for ev in events:
         if ev["type"] in TASK_EVENTS and ev.get("name"):
+            continue
+        if ev["type"] == "stage_finish" and ev.get("name") in stages:
+            stages[ev["name"]]["events"].append(ev)
             continue
         ts = ev.get("ts_us", 0)
         hosts = [n for n in order
@@ -337,6 +357,29 @@ def print_query_table(events, out=sys.stdout):
         print(f"    q={q:<4} {', '.join(parts)} {who}".rstrip(), file=out)
 
 
+def chrome_trace(events):
+    """The journal as a Chrome trace_event document: an X slice per event
+    that carries a duration, an instant per other event, on the recording
+    thread's track, with q, the raw payload and its decoding in args."""
+    trace = []
+    for ev in events:
+        t = ev["type"]
+        name = ev.get("name") or t
+        args = {k: ev.get(k, 0) for k in ("q", "a", "b", "c")}
+        args["event"] = describe(ev)
+        slice_ = {"name": name, "cat": t, "pid": 1, "tid": ev.get("tid", 0),
+                  "args": args}
+        ts = ev.get("ts_us", 0)
+        field = DURATION_FIELD.get(t)
+        if field:
+            dur = ev.get(field, 0)
+            slice_.update(ph="X", ts=ts - dur, dur=dur)
+        else:
+            slice_.update(ph="i", s="t", ts=ts)
+        trace.append(slice_)
+    return {"traceEvents": trace, "displayTimeUnit": "ms"}
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("journal", help="flight-recorder JSONL journal")
@@ -346,6 +389,8 @@ def main():
                         help="print every event, decoded, in time order")
     parser.add_argument("--query", type=int, metavar="ID",
                         help="only events attributed to this query id")
+    parser.add_argument("--chrome", metavar="OUT",
+                        help="write the events as Chrome trace_event JSON")
     parser.add_argument("--strict", action="store_true",
                         help="exit 2 when any line was malformed or any "
                              "event kind was unknown")
@@ -370,7 +415,12 @@ def main():
         print("no events in journal", file=sys.stderr)
         return 1
 
-    if args.summary:
+    if args.chrome:
+        with open(args.chrome, "w", encoding="utf-8") as f:
+            json.dump(chrome_trace(events), f)
+        print(f"chrome trace of {len(events)} events written to "
+              f"{args.chrome} (load in ui.perfetto.dev)")
+    elif args.summary:
         print_summary(events)
     elif args.raw:
         base_ts = events[0]["ts_us"]
