@@ -1,7 +1,10 @@
 // Micro-benchmarks (google-benchmark) for the cTrie: the index structure's
 // raw insert / lookup / snapshot / miss costs that underpin every indexed
-// operation in the paper.
+// operation in the paper, lookup scaling across threads on one shared trie,
+// and the index-build pattern (Lookup + Put per row).
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "common/rng.h"
 #include "ctrie/ctrie.h"
@@ -46,6 +49,61 @@ void BM_CTrieLookupMiss(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_CTrieLookupMiss)->Arg(100000);
+
+// One trie shared by every thread of the threaded rung; built once, never
+// freed (benchmark threads may still be reading when the process exits).
+const CTrie<uint64_t, uint64_t>& SharedTrie100k() {
+  static const auto* trie = [] {
+    auto* t = new CTrie<uint64_t, uint64_t>;
+    for (uint64_t i = 0; i < 100000; ++i) t->Put(i, i);
+    return t;
+  }();
+  return *trie;
+}
+
+void BM_CTrieLookupThreaded(benchmark::State& state) {
+  // Aggregate items/s across threads: reads must scale, not contend.
+  const auto& trie = SharedTrie100k();
+  Rng rng(11 + static_cast<uint64_t>(state.thread_index()));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(trie.Lookup(rng.Below(100000)));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_CTrieLookupThreaded)
+    ->Threads(1)
+    ->Threads(2)
+    ->Threads(4)
+    ->UseRealTime();
+
+void BM_CTrieIndexBuild(benchmark::State& state) {
+  // createIndex's per-row pattern (IndexedPartition::InsertEncoded): fetch
+  // the key's previous row pointer, then overwrite it, spread over 8 tries
+  // (partitions) of about 1250 distinct keys each.
+  constexpr int kTries = 8;
+  constexpr uint64_t kKeysPerTrie = 1250;
+  const auto rows = static_cast<uint64_t>(state.range(0));
+  Rng rng(13);
+  std::vector<uint64_t> keys(rows);
+  for (uint64_t& k : keys) k = rng.Below(kTries * kKeysPerTrie);
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::vector<CTrie<uint64_t, uint64_t>> tries(kTries);
+    state.ResumeTiming();
+    for (uint64_t i = 0; i < rows; ++i) {
+      auto& trie = tries[keys[i] % kTries];
+      const std::optional<uint64_t> prev = trie.Lookup(keys[i]);
+      trie.Put(keys[i], prev.value_or(0) + i);
+    }
+    benchmark::DoNotOptimize(tries.data());
+    state.PauseTiming();
+    tries.clear();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(rows));
+}
+BENCHMARK(BM_CTrieIndexBuild)->Arg(100000);
 
 void BM_CTrieSnapshot(benchmark::State& state) {
   // The paper's O(1) snapshot claim: cost must not grow with trie size.

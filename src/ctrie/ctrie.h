@@ -14,12 +14,20 @@
 //   - RDCSS-style double-compare-single-swap on the root for snapshots,
 //   - lazy generational copying after a snapshot (copy-on-gen-mismatch).
 //
-// Memory reclamation: nodes are managed with std::shared_ptr and published
-// through std::atomic<std::shared_ptr<...>>. The *algorithm* is the lock-free
-// CTrie; the C++ standard library may implement atomic<shared_ptr> with an
-// internal spinlock, which preserves linearizability and progress in practice
-// but is not formally lock-free. Structural sharing across snapshots falls
-// out of reference counting.
+// Memory reclamation: the algorithm assumes a garbage collector; here every
+// node carries an intrusive atomic reference count, one reference per link
+// that points at it (a CNode slot, an INode's main, a main node's GCAS
+// `prev`, a TNode/LNode entry, the root slot, an RDCSS descriptor). Copying
+// a CNode takes a reference on each child, so snapshots share structure
+// exactly as before. The links themselves are plain std::atomic<T*>.
+//
+// Readers never touch a reference count: each public operation holds one
+// epoch guard (ctrie/epoch.h) and follows raw pointers. A node unlinked by
+// a successful GCAS or RDCSS, a rolled-back GCAS's node and a finished
+// descriptor are retired, not released: their reference is dropped (and
+// the node freed, recursively, at zero) only after every guard that could
+// have seen them has closed. Destroying a CTrie retires its root. Nodes
+// that were never published are released at once.
 //
 // Hashing consumes 64-bit hashes 6 bits per level (branching factor 64);
 // full-hash collisions beyond the deepest level fall back to LNode lists.
@@ -29,12 +37,13 @@
 #include <bit>
 #include <cstdint>
 #include <functional>
-#include <memory>
+#include <new>
 #include <optional>
 #include <vector>
 
 #include "common/hash.h"
 #include "common/status.h"
+#include "ctrie/epoch.h"
 
 namespace idf {
 
@@ -53,6 +62,10 @@ struct DefaultHash {
   }
 };
 
+/// Generation stamps are process-unique integers, so a stamp is never
+/// reused while an INode still carries it.
+inline std::atomic<uint64_t> g_next_gen{1};
+
 }  // namespace ctrie_detail
 
 template <typename K, typename V,
@@ -65,165 +78,152 @@ class CTrie {
 
   // ---- node kinds -----------------------------------------------------
 
-  struct Gen {};  // identity-only generation stamp
-  using GenPtr = std::shared_ptr<Gen>;
-
-  struct CNode;
-  struct TNode;
-  struct LNode;
-
-  // A "main node" is what an INode points at.
-  struct MainNode {
-    enum class Kind : uint8_t { kCNode, kTNode, kLNode, kFailed } kind;
-    // GCAS bookkeeping: non-null while the swap that installed this node is
-    // uncommitted; a Failed main node signals the swap must be rolled back.
-    std::atomic<std::shared_ptr<MainNode>> prev{nullptr};
-
-    explicit MainNode(Kind k) : kind(k) {}
-    virtual ~MainNode() = default;
+  enum class Kind : uint8_t {
+    kSNode,
+    kINode,
+    kCNode,
+    kTNode,
+    kLNode,
+    kFailed,
+    kDescriptor,
   };
-  using MainPtr = std::shared_ptr<MainNode>;
 
+  struct Node {
+    std::atomic<uint32_t> refs{1};
+    const Kind kind;
+    explicit Node(Kind k) : kind(k) {}
+  };
+
+  // A "main node" is what an INode points at. GCAS bookkeeping: `prev` is
+  // non-null while the swap that installed this node is uncommitted (it
+  // owns the replaced main node); a Failed node there means the swap must
+  // be rolled back.
+  struct MainNode : Node {
+    std::atomic<MainNode*> prev{nullptr};
+    explicit MainNode(Kind k) : Node(k) {}
+  };
+
+  // Holds (and owns) the main node a failed GCAS rolls back to.
   struct FailedNode final : MainNode {
-    explicit FailedNode(MainPtr p) : MainNode(MainNode::Kind::kFailed) {
-      this->prev.store(std::move(p), std::memory_order_relaxed);
+    explicit FailedNode(MainNode* rollback) : MainNode(Kind::kFailed) {
+      this->prev.store(rollback, std::memory_order_relaxed);
     }
   };
 
-  // A "branch" is an element of a CNode's array.
-  struct Branch {
-    enum class Kind : uint8_t { kINode, kSNode } kind;
-    explicit Branch(Kind k) : kind(k) {}
-    virtual ~Branch() = default;
-  };
-  using BranchPtr = std::shared_ptr<Branch>;
-
-  struct SNode final : Branch {
+  // The elements of a CNode's array ("branches") are SNodes and INodes.
+  struct SNode final : Node {
     K key;
     V value;
     uint64_t hash;
     SNode(K k, V v, uint64_t h)
-        : Branch(Branch::Kind::kSNode),
-          key(std::move(k)),
-          value(std::move(v)),
-          hash(h) {}
+        : Node(Kind::kSNode), key(std::move(k)), value(std::move(v)), hash(h) {}
   };
-  using SNodePtr = std::shared_ptr<SNode>;
 
-  struct INode final : Branch {
-    std::atomic<MainPtr> main;
-    GenPtr gen;
-    INode(MainPtr m, GenPtr g)
-        : Branch(Branch::Kind::kINode), main(std::move(m)), gen(std::move(g)) {}
+  struct INode final : Node {
+    std::atomic<MainNode*> main;
+    const uint64_t gen;
+    INode(MainNode* m, uint64_t g) : Node(Kind::kINode), main(m), gen(g) {}
   };
-  using INodePtr = std::shared_ptr<INode>;
 
+  // Branch array stored inline after the header: one allocation per CNode.
+  // A CNode is only ever the main node of INodes of one generation, so it
+  // needs no generation stamp of its own.
   struct CNode final : MainNode {
-    uint64_t bmp = 0;
-    std::vector<BranchPtr> array;
-    GenPtr gen;
-    CNode(uint64_t b, std::vector<BranchPtr> a, GenPtr g)
-        : MainNode(MainNode::Kind::kCNode),
-          bmp(b),
-          array(std::move(a)),
-          gen(std::move(g)) {}
+    const uint64_t bmp;
+    const uint32_t size;
+
+    static CNode* Make(uint64_t bmp, uint32_t size) {
+      void* mem = ::operator new(sizeof(CNode) + size * sizeof(Node*));
+      return new (mem) CNode(bmp, size);
+    }
+    static void Destroy(CNode* cn) {
+      cn->~CNode();
+      ::operator delete(cn);
+    }
+    Node** array() { return reinterpret_cast<Node**>(this + 1); }
+    Node* const* array() const {
+      return reinterpret_cast<Node* const*>(this + 1);
+    }
+
+   private:
+    CNode(uint64_t b, uint32_t n) : MainNode(Kind::kCNode), bmp(b), size(n) {}
   };
-  using CNodePtr = std::shared_ptr<CNode>;
+  static_assert(sizeof(CNode) % alignof(Node*) == 0);
 
   // Tombed singleton: marks a one-entry CNode pending contraction.
   struct TNode final : MainNode {
-    SNodePtr sn;
-    explicit TNode(SNodePtr s)
-        : MainNode(MainNode::Kind::kTNode), sn(std::move(s)) {}
+    SNode* const sn;
+    explicit TNode(SNode* s) : MainNode(Kind::kTNode), sn(s) {}
   };
 
-  // Collision list for keys whose 64-bit hashes fully coincide.
+  // Collision list for keys whose 64-bit hashes fully coincide. Lists are
+  // persistent: updates prepend or rebuild, sharing the tail.
   struct LNode final : MainNode {
-    SNodePtr sn;
-    std::shared_ptr<const LNode> next;
-    LNode(SNodePtr s, std::shared_ptr<const LNode> n)
-        : MainNode(MainNode::Kind::kLNode),
-          sn(std::move(s)),
-          next(std::move(n)) {}
+    SNode* const sn;
+    LNode* const next;
+    LNode(SNode* s, LNode* n) : MainNode(Kind::kLNode), sn(s), next(n) {}
   };
-  using LNodePtr = std::shared_ptr<const LNode>;
 
-  // ---- root holder (RDCSS) --------------------------------------------
+  // ---- root slot (RDCSS) ----------------------------------------------
 
   // The root slot holds either the root INode or an in-flight snapshot
   // descriptor (RDCSS). A descriptor is completed (rolled forward or back)
-  // by any thread that observes it.
-  struct RootEntry {
-    enum class Kind : uint8_t { kINode, kDescriptor } kind;
-    explicit RootEntry(Kind k) : kind(k) {}
-    virtual ~RootEntry() = default;
-  };
-  using RootPtr = std::shared_ptr<RootEntry>;
-
-  struct RootINode final : RootEntry {
-    INodePtr inode;
-    explicit RootINode(INodePtr i)
-        : RootEntry(RootEntry::Kind::kINode), inode(std::move(i)) {}
-  };
-
-  struct Descriptor final : RootEntry {
-    std::shared_ptr<RootINode> old_root;
-    MainPtr expected_main;
-    std::shared_ptr<RootINode> new_root;
-    std::atomic<bool> committed{false};
-    Descriptor(std::shared_ptr<RootINode> o, MainPtr em,
-               std::shared_ptr<RootINode> n)
-        : RootEntry(RootEntry::Kind::kDescriptor),
-          old_root(std::move(o)),
-          expected_main(std::move(em)),
-          new_root(std::move(n)) {}
+  // by any thread that observes it; the first completer's decision wins.
+  enum Outcome : int { kUndecided, kCommitted, kAborted };
+  struct Descriptor final : Node {
+    INode* const old_root;  // owned (taken over from the root slot)
+    MainNode* const expected_main;
+    INode* const new_root;  // owned
+    std::atomic<int> outcome{kUndecided};
+    Descriptor(INode* o, MainNode* em, INode* n)
+        : Node(Kind::kDescriptor), old_root(o), expected_main(em), new_root(n) {}
   };
 
  public:
-  CTrie()
-      : root_(std::make_shared<RootINode>(NewRootINode())),
-        read_only_(false) {}
+  CTrie() : root_(NewRootINode()), read_only_(false) {}
+
+  ~CTrie() {
+    if (Node* r = root_.load(std::memory_order_relaxed)) Retire(r);
+  }
 
   CTrie(const CTrie&) = delete;
   CTrie& operator=(const CTrie&) = delete;
-  CTrie(CTrie&&) = default;
-  CTrie& operator=(CTrie&&) = default;
+  CTrie(CTrie&& other) noexcept
+      : root_(other.root_.exchange(nullptr)),
+        read_only_(other.read_only_),
+        hash_(std::move(other.hash_)),
+        eq_(std::move(other.eq_)) {}
+  CTrie& operator=(CTrie&& other) noexcept {
+    if (this != &other) {
+      if (Node* old = root_.exchange(other.root_.exchange(nullptr))) {
+        Retire(old);
+      }
+      read_only_ = other.read_only_;
+      hash_ = std::move(other.hash_);
+      eq_ = std::move(other.eq_);
+    }
+    return *this;
+  }
 
   /// Inserts or overwrites; returns the previous value if the key existed.
   /// This "return the old pointer" behaviour is what builds the backward-
   /// pointer chains in IndexedPartition (§III-C, Non-unique Keys).
   std::optional<V> Put(const K& key, V value) {
-    AssertWritable();
-    const uint64_t h = hash_(key);
-    while (true) {
-      INodePtr r = ReadRoot();
-      auto res = Insert(r, key, value, h, 0, nullptr, r->gen,
-                        /*only_if_absent=*/false);
-      if (res.restart) continue;
-      return res.old_value;
-    }
+    return DoInsert(key, value, /*only_if_absent=*/false);
   }
 
   /// Inserts only if absent; returns the existing value otherwise.
   std::optional<V> PutIfAbsent(const K& key, V value) {
-    AssertWritable();
-    const uint64_t h = hash_(key);
-    while (true) {
-      INodePtr r = ReadRoot();
-      auto res = Insert(r, key, value, h, 0, nullptr, r->gen,
-                        /*only_if_absent=*/true);
-      if (res.restart) continue;
-      return res.old_value;
-    }
+    return DoInsert(key, value, /*only_if_absent=*/true);
   }
 
   std::optional<V> Lookup(const K& key) const {
     const uint64_t h = hash_(key);
+    epoch::Guard guard;
     while (true) {
-      INodePtr r = ReadRoot();
-      auto res = DoLookup(r, key, h, 0, nullptr, r->gen);
-      if (res.restart) continue;
-      return res.old_value;
+      INode* r = RdcssReadRoot();
+      OpResult res = DoLookup(r, key, h, 0, nullptr, r->gen);
+      if (!res.restart) return std::move(res.old_value);
     }
   }
 
@@ -233,11 +233,11 @@ class CTrie {
   std::optional<V> Remove(const K& key) {
     AssertWritable();
     const uint64_t h = hash_(key);
+    epoch::Guard guard;
     while (true) {
-      INodePtr r = ReadRoot();
-      auto res = DoRemove(r, key, h, 0, nullptr, r->gen);
-      if (res.restart) continue;
-      return res.old_value;
+      INode* r = RdcssReadRoot();
+      OpResult res = DoRemove(r, key, h, 0, nullptr, r->gen);
+      if (!res.restart) return std::move(res.old_value);
     }
   }
 
@@ -246,35 +246,30 @@ class CTrie {
   /// writes (copy-on-gen-mismatch).
   CTrie Snapshot() {
     AssertWritable();
+    epoch::Guard guard;
     while (true) {
-      std::shared_ptr<RootINode> r = RdcssReadRoot();
-      MainPtr expmain = GcasRead(r->inode);
+      INode* r = RdcssReadRoot();
+      MainNode* expmain = GcasRead(r);
       // Install a fresh-gen copy of the root into *this* trie ...
-      auto renewed = std::make_shared<RootINode>(
-          CopyRootToNewGen(r->inode, expmain));
-      if (RdcssRootSwap(r, expmain, renewed)) {
+      if (RdcssRootSwap(r, expmain, CopyToNewGen(expmain))) {
         // ... and hand the snapshot its own fresh-gen copy of the old root.
-        CTrie snap(std::make_shared<RootINode>(
-                       CopyRootToNewGen(r->inode, expmain)),
-                   /*read_only=*/false, hash_, eq_);
-        return snap;
+        return CTrie(CopyToNewGen(expmain), /*read_only=*/false, hash_, eq_);
       }
     }
   }
 
   /// O(1) read-only snapshot: mutation through it aborts; reads never copy.
   CTrie ReadOnlySnapshot() const {
+    epoch::Guard guard;
     if (read_only_) {
-      return CTrie(std::atomic_load(&root_), true, hash_, eq_);
+      INode* r = static_cast<INode*>(root_.load());
+      return CTrie(Shared(r), true, hash_, eq_);
     }
-    auto* self = const_cast<CTrie*>(this);
     while (true) {
-      std::shared_ptr<RootINode> r = self->RdcssReadRoot();
-      MainPtr expmain = self->GcasRead(r->inode);
-      auto renewed = std::make_shared<RootINode>(
-          self->CopyRootToNewGen(r->inode, expmain));
-      if (self->RdcssRootSwap(r, expmain, renewed)) {
-        return CTrie(r, /*read_only=*/true, hash_, eq_);
+      INode* r = RdcssReadRoot();
+      MainNode* expmain = GcasRead(r);
+      if (RdcssRootSwap(r, expmain, CopyToNewGen(expmain))) {
+        return CTrie(Shared(r), /*read_only=*/true, hash_, eq_);
       }
     }
   }
@@ -288,8 +283,8 @@ class CTrie {
       ReadOnlySnapshot().ForEach(fn);
       return;
     }
-    INodePtr r = ReadRoot();
-    Traverse(r, fn);
+    epoch::Guard guard;
+    Traverse(RdcssReadRoot(), fn);
   }
 
   /// Number of entries. O(n): walks a read-only snapshot.
@@ -300,17 +295,11 @@ class CTrie {
   }
 
   bool Empty() const {
-    bool any = false;
     // Cheap check: inspect root CNode bitmap on a snapshot-consistent read.
     if (!read_only_) return ReadOnlySnapshot().Empty();
-    INodePtr r = ReadRoot();
-    MainPtr m = const_cast<CTrie*>(this)->GcasRead(r);
-    if (m->kind == MainNode::Kind::kCNode) {
-      any = static_cast<const CNode*>(m.get())->bmp != 0;
-    } else {
-      any = true;
-    }
-    return !any;
+    epoch::Guard guard;
+    const MainNode* m = GcasRead(RdcssReadRoot());
+    return m->kind == Kind::kCNode && static_cast<const CNode*>(m)->bmp == 0;
   }
 
   /// Structural memory statistics for the memory-overhead experiment
@@ -326,8 +315,8 @@ class CTrie {
   MemoryStats ComputeMemoryStats() const {
     if (!read_only_) return ReadOnlySnapshot().ComputeMemoryStats();
     MemoryStats stats;
-    INodePtr r = ReadRoot();
-    StatsWalkINode(r, stats);
+    epoch::Guard guard;
+    StatsWalkINode(RdcssReadRoot(), stats);
     return stats;
   }
 
@@ -341,130 +330,238 @@ class CTrie {
     }
   };
 
-  CTrie(RootPtr root, bool read_only, HashFn hash, EqFn eq)
-      : root_(std::move(root)), read_only_(read_only), hash_(hash), eq_(eq) {}
+  CTrie(INode* root, bool read_only, HashFn hash, EqFn eq)
+      : root_(root), read_only_(read_only), hash_(hash), eq_(eq) {}
 
   void AssertWritable() const {
     IDF_CHECK_MSG(!read_only_, "mutation of a read-only CTrie snapshot");
   }
 
-  INodePtr NewRootINode() {
-    auto gen = std::make_shared<Gen>();
-    auto cn = std::make_shared<CNode>(0, std::vector<BranchPtr>{}, gen);
-    return std::make_shared<INode>(cn, gen);
-  }
-
-  /// Copies an INode (given its committed main) into a brand-new generation.
-  INodePtr CopyRootToNewGen(const INodePtr& /*root*/, const MainPtr& main) {
-    auto gen = std::make_shared<Gen>();
-    return std::make_shared<INode>(RegenerateMain(main, gen), gen);
-  }
-
-  /// A main node adopted into generation `gen` (CNodes get their gen field
-  /// re-stamped; TNode/LNode carry no generation).
-  MainPtr RegenerateMain(const MainPtr& m, const GenPtr& gen) {
-    if (m->kind == MainNode::Kind::kCNode) {
-      const auto* cn = static_cast<const CNode*>(m.get());
-      return std::make_shared<CNode>(cn->bmp, cn->array, gen);
+  std::optional<V> DoInsert(const K& key, const V& value,
+                            bool only_if_absent) {
+    AssertWritable();
+    const uint64_t h = hash_(key);
+    epoch::Guard guard;
+    while (true) {
+      INode* r = RdcssReadRoot();
+      OpResult res =
+          Insert(r, key, value, h, 0, nullptr, r->gen, only_if_absent);
+      if (!res.restart) return std::move(res.old_value);
     }
-    return m;
+  }
+
+  // ---- ownership ------------------------------------------------------
+
+  /// Takes one more reference on `n` (held by the caller's new link).
+  template <typename T>
+  static T* Shared(T* n) {
+    n->refs.fetch_add(1, std::memory_order_relaxed);
+    return n;
+  }
+
+  /// Gives back a reference the caller took while another owner still
+  /// holds one, so the count cannot reach zero here.
+  static void Unshare(Node* n) {
+    n->refs.fetch_sub(1, std::memory_order_relaxed);
+  }
+
+  /// Drops a reference no open guard can still be following through: a
+  /// never-published node, or (from the reclaimer) a node already retired.
+  static void Release(Node* n) {
+    if (n->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) Free(n);
+  }
+
+  /// Drops a reference to a node just unlinked from shared memory, once
+  /// every guard open now has closed.
+  static void Retire(Node* n) {
+    epoch::Retire(n, [](void* p) { Release(static_cast<Node*>(p)); });
+  }
+
+  static void ReleasePrev(MainNode* m) {
+    if (MainNode* p = m->prev.load(std::memory_order_relaxed)) Release(p);
+  }
+
+  static void Free(Node* n) {
+    switch (n->kind) {
+      case Kind::kSNode:
+        delete static_cast<SNode*>(n);
+        return;
+      case Kind::kINode: {
+        auto* in = static_cast<INode*>(n);
+        Release(in->main.load(std::memory_order_relaxed));
+        delete in;
+        return;
+      }
+      case Kind::kCNode: {
+        auto* cn = static_cast<CNode*>(n);
+        for (uint32_t i = 0; i < cn->size; ++i) Release(cn->array()[i]);
+        ReleasePrev(cn);
+        CNode::Destroy(cn);
+        return;
+      }
+      case Kind::kTNode: {
+        auto* tn = static_cast<TNode*>(n);
+        Release(tn->sn);
+        ReleasePrev(tn);
+        delete tn;
+        return;
+      }
+      case Kind::kLNode: {
+        auto* ln = static_cast<LNode*>(n);
+        Release(ln->sn);
+        if (ln->next != nullptr) Release(ln->next);
+        ReleasePrev(ln);
+        delete ln;
+        return;
+      }
+      case Kind::kFailed: {
+        auto* fn = static_cast<FailedNode*>(n);
+        ReleasePrev(fn);
+        delete fn;
+        return;
+      }
+      case Kind::kDescriptor: {
+        auto* d = static_cast<Descriptor*>(n);
+        Release(d->old_root);
+        Release(d->new_root);
+        delete d;
+        return;
+      }
+    }
+  }
+
+  static uint64_t NewGen() {
+    return ctrie_detail::g_next_gen.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  static INode* NewRootINode() {
+    const uint64_t gen = NewGen();
+    return new INode(CNode::Make(0, 0), gen);
+  }
+
+  /// A new INode holding `main` adopted into a brand-new generation.
+  INode* CopyToNewGen(MainNode* main) const {
+    const uint64_t gen = NewGen();
+    return new INode(RegenerateMain(main), gen);
+  }
+
+  /// A main node for an INode of another generation: CNodes are copied
+  /// (sharing their branches); TNode/LNode are immutable and shared.
+  MainNode* RegenerateMain(MainNode* m) const {
+    if (m->kind == Kind::kCNode) {
+      const auto* cn = static_cast<const CNode*>(m);
+      CNode* out = CNode::Make(cn->bmp, cn->size);
+      for (uint32_t i = 0; i < cn->size; ++i) {
+        out->array()[i] = Shared(cn->array()[i]);
+      }
+      return out;
+    }
+    return Shared(m);
   }
 
   // ---- RDCSS root access ------------------------------------------------
 
-  std::shared_ptr<RootINode> RdcssReadRoot(bool abort = false) {
+  INode* RdcssReadRoot(bool abort = false) const {
     while (true) {
-      RootPtr r = std::atomic_load(&root_);
-      if (r->kind == RootEntry::Kind::kINode) {
-        return std::static_pointer_cast<RootINode>(r);
-      }
-      RdcssComplete(std::static_pointer_cast<Descriptor>(r), abort);
+      Node* r = root_.load();
+      if (r->kind == Kind::kINode) return static_cast<INode*>(r);
+      RdcssComplete(static_cast<Descriptor*>(r), abort);
     }
   }
 
-  void RdcssComplete(const std::shared_ptr<Descriptor>& d, bool abort) {
-    RootPtr expected = d;
-    if (abort) {
-      std::atomic_compare_exchange_strong(&root_, &expected,
-                                          RootPtr(d->old_root));
-      return;
-    }
-    MainPtr old_main = GcasRead(d->old_root->inode);
-    if (old_main == d->expected_main) {
-      if (std::atomic_compare_exchange_strong(&root_, &expected,
-                                              RootPtr(d->new_root))) {
-        d->committed.store(true, std::memory_order_release);
+  void RdcssComplete(Descriptor* d, bool abort) const {
+    int outcome = d->outcome.load();
+    if (outcome == kUndecided) {
+      const int proposal =
+          !abort && GcasRead(d->old_root) == d->expected_main ? kCommitted
+                                                               : kAborted;
+      if (d->outcome.compare_exchange_strong(outcome, proposal)) {
+        outcome = proposal;
       }
+    }
+    INode* target =
+        Shared(outcome == kCommitted ? d->new_root : d->old_root);
+    Node* expected = d;
+    if (root_.compare_exchange_strong(expected, target)) {
+      Retire(d);
     } else {
-      std::atomic_compare_exchange_strong(&root_, &expected,
-                                          RootPtr(d->old_root));
+      Unshare(target);  // another completer swung the root; d still owns it
     }
   }
 
-  bool RdcssRootSwap(const std::shared_ptr<RootINode>& old_root,
-                     const MainPtr& expected_main,
-                     const std::shared_ptr<RootINode>& new_root) {
-    auto d = std::make_shared<Descriptor>(old_root, expected_main, new_root);
-    RootPtr expected = old_root;
-    if (std::atomic_compare_exchange_strong(&root_, &expected, RootPtr(d))) {
-      RdcssComplete(d, /*abort=*/false);
-      return d->committed.load(std::memory_order_acquire);
+  /// Swaps `old_root` for `new_root` if `old_root`'s main is still
+  /// `expected_main`. Takes ownership of `new_root`.
+  bool RdcssRootSwap(INode* old_root, MainNode* expected_main,
+                     INode* new_root) const {
+    auto* d = new Descriptor(old_root, expected_main, new_root);
+    Node* expected = old_root;
+    if (!root_.compare_exchange_strong(expected, d)) {
+      Release(new_root);  // never published; d never owned old_root
+      delete d;
+      return false;
     }
-    return false;
-  }
-
-  INodePtr ReadRoot(bool abort = false) const {
-    return const_cast<CTrie*>(this)->RdcssReadRoot(abort)->inode;
+    RdcssComplete(d, /*abort=*/false);
+    return d->outcome.load() == kCommitted;
   }
 
   // ---- GCAS ---------------------------------------------------------------
 
-  MainPtr GcasRead(const INodePtr& in) {
-    MainPtr m = in->main.load(std::memory_order_acquire);
-    if (m == nullptr || m->prev.load(std::memory_order_acquire) == nullptr) {
-      return m;
-    }
+  MainNode* GcasRead(INode* in) const {
+    MainNode* m = in->main.load();
+    if (m->prev.load() == nullptr) return m;
     return GcasCommit(in, m);
   }
 
-  MainPtr GcasCommit(const INodePtr& in, MainPtr m) {
+  MainNode* GcasCommit(INode* in, MainNode* m) const {
     while (true) {
-      MainPtr p = m->prev.load(std::memory_order_acquire);
-      std::shared_ptr<RootINode> r = RdcssReadRoot(/*abort=*/true);
+      MainNode* p = m->prev.load();
+      INode* r = RdcssReadRoot(/*abort=*/true);
       if (p == nullptr) return m;
-      if (p->kind == MainNode::Kind::kFailed) {
+      if (p->kind == Kind::kFailed) {
         // The swap failed; roll the INode back to the pre-swap main node.
-        MainPtr rollback = p->prev.load(std::memory_order_acquire);
-        MainPtr expected = m;
+        MainNode* rollback = Shared(p->prev.load());
+        MainNode* expected = m;
         if (in->main.compare_exchange_strong(expected, rollback)) {
+          Retire(m);
           return rollback;
         }
-        m = in->main.load(std::memory_order_acquire);
+        Unshare(rollback);  // someone else rolled back; p still owns it
+        m = in->main.load();
         continue;
       }
       // Commit if the trie's generation still matches this INode's.
-      if (r->inode->gen == in->gen && !read_only_) {
-        MainPtr expected_prev = p;
+      if (r->gen == in->gen && !read_only_) {
+        MainNode* expected_prev = p;
         if (m->prev.compare_exchange_strong(expected_prev, nullptr)) {
+          Retire(p);
           return m;
         }
         continue;  // somebody else moved prev; re-inspect
       }
-      // Generation changed mid-swap: mark failed and retry from main.
-      MainPtr expected_prev = p;
-      m->prev.compare_exchange_strong(expected_prev,
-                                      std::make_shared<FailedNode>(p));
-      m = in->main.load(std::memory_order_acquire);
+      // Generation changed mid-swap: mark failed and retry from main. The
+      // failed node takes over prev's reference on p.
+      auto* failed = new FailedNode(p);
+      MainNode* expected_prev = p;
+      if (!m->prev.compare_exchange_strong(expected_prev, failed)) {
+        failed->prev.store(nullptr, std::memory_order_relaxed);
+        delete failed;
+      }
+      m = in->main.load();
     }
   }
 
-  bool Gcas(const INodePtr& in, const MainPtr& old_main, MainPtr new_main) {
-    new_main->prev.store(old_main, std::memory_order_release);
-    MainPtr expected = old_main;
+  /// Installs `new_main` (owned by the caller) over `old_main`. On success
+  /// the INode owns it; on failure it is released.
+  bool Gcas(INode* in, MainNode* old_main, MainNode* new_main) const {
+    new_main->prev.store(old_main, std::memory_order_relaxed);
+    MainNode* expected = old_main;
     if (in->main.compare_exchange_strong(expected, new_main)) {
+      // The INode's reference on old_main now belongs to new_main->prev.
       GcasCommit(in, new_main);
-      return new_main->prev.load(std::memory_order_acquire) == nullptr;
+      return new_main->prev.load() == nullptr;
     }
+    new_main->prev.store(nullptr, std::memory_order_relaxed);
+    Release(new_main);
     return false;
   }
 
@@ -477,132 +574,133 @@ class CTrie {
     *pos = std::popcount(bmp & (*flag - 1));
   }
 
-  CNodePtr CNodeInserted(const CNode& cn, int pos, uint64_t flag,
-                         BranchPtr branch, const GenPtr& gen) {
-    std::vector<BranchPtr> arr;
-    arr.reserve(cn.array.size() + 1);
-    arr.insert(arr.end(), cn.array.begin(), cn.array.begin() + pos);
-    arr.push_back(std::move(branch));
-    arr.insert(arr.end(), cn.array.begin() + pos, cn.array.end());
-    return std::make_shared<CNode>(cn.bmp | flag, std::move(arr), gen);
+  // The copies below share every branch of `cn` (one reference each) and
+  // take over the caller's reference on `branch`. A copy replaces `cn` in
+  // the same INode, so generations need no handling here.
+
+  CNode* CNodeInserted(const CNode& cn, int pos, uint64_t flag,
+                       Node* branch) const {
+    CNode* out = CNode::Make(cn.bmp | flag, cn.size + 1);
+    const auto at = static_cast<uint32_t>(pos);
+    for (uint32_t i = 0; i < at; ++i) out->array()[i] = Shared(cn.array()[i]);
+    out->array()[at] = branch;
+    for (uint32_t i = at; i < cn.size; ++i) {
+      out->array()[i + 1] = Shared(cn.array()[i]);
+    }
+    return out;
   }
 
-  CNodePtr CNodeUpdated(const CNode& cn, int pos, BranchPtr branch,
-                        const GenPtr& gen) {
-    std::vector<BranchPtr> arr = cn.array;
-    arr[static_cast<size_t>(pos)] = std::move(branch);
-    return std::make_shared<CNode>(cn.bmp, std::move(arr), gen);
+  CNode* CNodeUpdated(const CNode& cn, int pos, Node* branch) const {
+    CNode* out = CNode::Make(cn.bmp, cn.size);
+    const auto at = static_cast<uint32_t>(pos);
+    for (uint32_t i = 0; i < cn.size; ++i) {
+      out->array()[i] = i == at ? branch : Shared(cn.array()[i]);
+    }
+    return out;
   }
 
-  CNodePtr CNodeRemoved(const CNode& cn, int pos, uint64_t flag,
-                        const GenPtr& gen) {
-    std::vector<BranchPtr> arr;
-    arr.reserve(cn.array.size() - 1);
-    arr.insert(arr.end(), cn.array.begin(), cn.array.begin() + pos);
-    arr.insert(arr.end(), cn.array.begin() + pos + 1, cn.array.end());
-    return std::make_shared<CNode>(cn.bmp & ~flag, std::move(arr), gen);
+  CNode* CNodeRemoved(const CNode& cn, int pos, uint64_t flag) const {
+    CNode* out = CNode::Make(cn.bmp & ~flag, cn.size - 1);
+    const auto at = static_cast<uint32_t>(pos);
+    for (uint32_t i = 0, j = 0; i < cn.size; ++i) {
+      if (i != at) out->array()[j++] = Shared(cn.array()[i]);
+    }
+    return out;
   }
 
   /// A CNode whose INode children are re-stamped to `gen` (lazy snapshot
   /// propagation — shared subtrees are copied only along written paths).
-  CNodePtr RenewCNode(const CNode& cn, const GenPtr& gen) {
-    std::vector<BranchPtr> arr;
-    arr.reserve(cn.array.size());
-    for (const BranchPtr& b : cn.array) {
-      if (b->kind == Branch::Kind::kINode) {
-        auto in = std::static_pointer_cast<INode>(b);
-        MainPtr m = GcasRead(in);
-        arr.push_back(std::make_shared<INode>(RegenerateMain(m, gen), gen));
+  /// Children already in `gen` are kept, not copied: a writer of this
+  /// generation may be committing into one right now, and a copy would
+  /// detach its update. (A CNode can mix generations: RegenerateMain copies
+  /// a CNode without renewing its children, and a new INode can then be
+  /// added beside them.)
+  CNode* RenewCNode(const CNode& cn, uint64_t gen) const {
+    CNode* out = CNode::Make(cn.bmp, cn.size);
+    for (uint32_t i = 0; i < cn.size; ++i) {
+      Node* b = cn.array()[i];
+      if (b->kind == Kind::kINode && static_cast<INode*>(b)->gen != gen) {
+        MainNode* m = GcasRead(static_cast<INode*>(b));
+        out->array()[i] = new INode(RegenerateMain(m), gen);
       } else {
-        arr.push_back(b);
+        out->array()[i] = Shared(b);
       }
     }
-    return std::make_shared<CNode>(cn.bmp, std::move(arr), gen);
+    return out;
   }
 
   /// Builds the two-entry subtree distinguishing x and y below `level`.
-  MainPtr DualBranch(SNodePtr x, SNodePtr y, int level, const GenPtr& gen) {
-    if (level > kMaxLevel) {
-      auto tail = std::make_shared<LNode>(std::move(y), nullptr);
-      return std::make_shared<LNode>(std::move(x), std::move(tail));
-    }
+  /// Takes over the caller's references on x and y.
+  MainNode* DualBranch(SNode* x, SNode* y, int level, uint64_t gen) const {
+    if (level > kMaxLevel) return new LNode(x, new LNode(y, nullptr));
     const uint64_t xidx = (x->hash >> level) & kLevelMask;
     const uint64_t yidx = (y->hash >> level) & kLevelMask;
     if (xidx == yidx) {
-      MainPtr sub = DualBranch(std::move(x), std::move(y),
-                               level + kBitsPerLevel, gen);
-      auto in = std::make_shared<INode>(std::move(sub), gen);
-      std::vector<BranchPtr> arr{in};
-      return std::make_shared<CNode>(1ULL << xidx, std::move(arr), gen);
+      auto* in = new INode(DualBranch(x, y, level + kBitsPerLevel, gen), gen);
+      CNode* cn = CNode::Make(1ULL << xidx, 1);
+      cn->array()[0] = in;
+      return cn;
     }
-    std::vector<BranchPtr> arr;
-    if (xidx < yidx) {
-      arr = {std::move(x), std::move(y)};
-    } else {
-      arr = {std::move(y), std::move(x)};
-    }
-    return std::make_shared<CNode>((1ULL << xidx) | (1ULL << yidx),
-                                   std::move(arr), gen);
+    CNode* cn = CNode::Make((1ULL << xidx) | (1ULL << yidx), 2);
+    cn->array()[0] = xidx < yidx ? x : y;
+    cn->array()[1] = xidx < yidx ? y : x;
+    return cn;
   }
 
   // ---- entombment / compression -------------------------------------------
 
-  BranchPtr Resurrect(const BranchPtr& b) {
-    if (b->kind == Branch::Kind::kINode) {
-      auto in = std::static_pointer_cast<INode>(b);
-      MainPtr m = GcasRead(in);
-      if (m != nullptr && m->kind == MainNode::Kind::kTNode) {
-        return static_cast<const TNode*>(m.get())->sn;
-      }
+  /// A new reference on `b`, or on the entry of its tomb.
+  Node* Resurrect(Node* b) const {
+    if (b->kind == Kind::kINode) {
+      MainNode* m = GcasRead(static_cast<INode*>(b));
+      if (m->kind == Kind::kTNode) return Shared(static_cast<TNode*>(m)->sn);
     }
-    return b;
+    return Shared(b);
   }
 
-  MainPtr ToContracted(const CNodePtr& cn, int level) {
-    if (level > 0 && cn->array.size() == 1 &&
-        cn->array[0]->kind == Branch::Kind::kSNode) {
-      return std::make_shared<TNode>(
-          std::static_pointer_cast<SNode>(cn->array[0]));
+  /// Takes over `cn` (never published).
+  MainNode* ToContracted(CNode* cn, int level) const {
+    if (level > 0 && cn->size == 1 && cn->array()[0]->kind == Kind::kSNode) {
+      auto* sn = static_cast<SNode*>(Shared(cn->array()[0]));
+      Release(cn);
+      return new TNode(sn);
     }
     return cn;
   }
 
-  MainPtr ToCompressed(const CNode& cn, int level, const GenPtr& gen) {
-    std::vector<BranchPtr> arr;
-    arr.reserve(cn.array.size());
-    for (const BranchPtr& b : cn.array) arr.push_back(Resurrect(b));
-    auto compressed =
-        std::make_shared<CNode>(cn.bmp, std::move(arr), gen);
+  MainNode* ToCompressed(const CNode& cn, int level) const {
+    CNode* compressed = CNode::Make(cn.bmp, cn.size);
+    for (uint32_t i = 0; i < cn.size; ++i) {
+      compressed->array()[i] = Resurrect(cn.array()[i]);
+    }
     return ToContracted(compressed, level);
   }
 
-  void Clean(const INodePtr& in, int level) {
-    MainPtr m = GcasRead(in);
-    if (m != nullptr && m->kind == MainNode::Kind::kCNode) {
-      const auto* cn = static_cast<const CNode*>(m.get());
-      Gcas(in, m, ToCompressed(*cn, level, in->gen));
+  void Clean(INode* in, int level) const {
+    MainNode* m = GcasRead(in);
+    if (m->kind == Kind::kCNode) {
+      Gcas(in, m, ToCompressed(*static_cast<const CNode*>(m), level));
     }
   }
 
-  void CleanParent(const INodePtr& parent, const INodePtr& in, uint64_t hash,
-                   int parent_level, const GenPtr& start_gen) {
+  void CleanParent(INode* parent, INode* in, uint64_t hash, int parent_level,
+                   uint64_t start_gen) const {
     while (true) {
-      MainPtr pm = GcasRead(parent);
-      if (pm == nullptr || pm->kind != MainNode::Kind::kCNode) return;
-      const auto* cn = static_cast<const CNode*>(pm.get());
+      MainNode* pm = GcasRead(parent);
+      if (pm->kind != Kind::kCNode) return;
+      const auto* cn = static_cast<const CNode*>(pm);
       uint64_t flag;
       int pos;
       FlagPos(hash, parent_level, cn->bmp, &flag, &pos);
       if ((cn->bmp & flag) == 0) return;
-      BranchPtr sub = cn->array[static_cast<size_t>(pos)];
-      if (sub.get() != in.get()) return;
-      MainPtr m = GcasRead(in);
-      if (m != nullptr && m->kind == MainNode::Kind::kTNode) {
-        auto tn = static_cast<const TNode*>(m.get());
-        CNodePtr updated = CNodeUpdated(*cn, pos, tn->sn, parent->gen);
-        MainPtr contracted = ToContracted(updated, parent_level);
+      if (cn->array()[pos] != in) return;
+      MainNode* m = GcasRead(in);
+      if (m->kind == Kind::kTNode) {
+        SNode* sn = Shared(static_cast<TNode*>(m)->sn);
+        MainNode* contracted = ToContracted(
+            CNodeUpdated(*cn, pos, sn), parent_level);
         if (!Gcas(parent, pm, contracted)) {
-          if (ReadRoot()->gen == start_gen) continue;  // retry
+          if (RdcssReadRoot()->gen == start_gen) continue;  // retry
         }
       }
       return;
@@ -612,53 +710,46 @@ class CTrie {
   // ---- LNode helpers --------------------------------------------------
 
   std::optional<V> LNodeLookup(const LNode* ln, const K& key) const {
-    for (const LNode* p = ln; p != nullptr; p = p->next.get()) {
+    for (const LNode* p = ln; p != nullptr; p = p->next) {
       if (eq_(p->sn->key, key)) return p->sn->value;
     }
     return std::nullopt;
   }
 
-  LNodePtr LNodeRemoved(const LNode* ln, const K& key) const {
-    // Rebuild the list without `key` (persistent removal).
-    std::vector<SNodePtr> keep;
-    for (const LNode* p = ln; p != nullptr; p = p->next.get()) {
+  /// The list without `key` (persistent removal); null if nothing is left.
+  LNode* LNodeRemoved(const LNode* ln, const K& key) const {
+    std::vector<SNode*> keep;
+    for (const LNode* p = ln; p != nullptr; p = p->next) {
       if (!eq_(p->sn->key, key)) keep.push_back(p->sn);
     }
-    LNodePtr out = nullptr;
+    LNode* out = nullptr;
     for (auto it = keep.rbegin(); it != keep.rend(); ++it) {
-      out = std::make_shared<LNode>(*it, out);
+      out = new LNode(Shared(*it), out);
     }
     return out;
   }
 
   // ---- core recursive operations ----------------------------------------
 
-  OpResult Insert(const INodePtr& in, const K& key, const V& value,
-                  uint64_t h, int level, const INodePtr& parent,
-                  const GenPtr& start_gen, bool only_if_absent) {
-    MainPtr m = GcasRead(in);
-    IDF_CHECK(m != nullptr);
-
+  OpResult Insert(INode* in, const K& key, const V& value, uint64_t h,
+                  int level, INode* parent, uint64_t start_gen,
+                  bool only_if_absent) {
+    MainNode* m = GcasRead(in);
     switch (m->kind) {
-      case MainNode::Kind::kCNode: {
-        const auto* cn = static_cast<const CNode*>(m.get());
+      case Kind::kCNode: {
+        const auto* cn = static_cast<const CNode*>(m);
         uint64_t flag;
         int pos;
         FlagPos(h, level, cn->bmp, &flag, &pos);
         if ((cn->bmp & flag) == 0) {
           // Empty slot: insert a fresh SNode here.
-          CNodePtr renewed = (cn->gen == in->gen)
-                                 ? nullptr
-                                 : RenewCNode(*cn, in->gen);
-          const CNode& base = renewed ? *renewed : *cn;
-          CNodePtr updated = CNodeInserted(
-              base, pos, flag, std::make_shared<SNode>(key, value, h),
-              in->gen);
+          CNode* updated =
+              CNodeInserted(*cn, pos, flag, new SNode(key, value, h));
           return Gcas(in, m, updated) ? OpResult::Done() : OpResult::Restart();
         }
-        BranchPtr b = cn->array[static_cast<size_t>(pos)];
-        if (b->kind == Branch::Kind::kINode) {
-          auto child = std::static_pointer_cast<INode>(b);
+        Node* b = cn->array()[pos];
+        if (b->kind == Kind::kINode) {
+          auto* child = static_cast<INode*>(b);
           if (start_gen == child->gen) {
             return Insert(child, key, value, h, level + kBitsPerLevel, in,
                           start_gen, only_if_absent);
@@ -671,120 +762,106 @@ class CTrie {
           return OpResult::Restart();
         }
         // SNode in the slot.
-        auto sn = std::static_pointer_cast<SNode>(b);
+        auto* sn = static_cast<SNode*>(b);
         if (sn->hash == h && eq_(sn->key, key)) {
           if (only_if_absent) return OpResult::Done(sn->value);
-          CNodePtr renewed = (cn->gen == in->gen)
-                                 ? nullptr
-                                 : RenewCNode(*cn, in->gen);
-          const CNode& base = renewed ? *renewed : *cn;
-          CNodePtr updated = CNodeUpdated(
-              base, pos, std::make_shared<SNode>(key, value, h), in->gen);
+          CNode* updated = CNodeUpdated(*cn, pos, new SNode(key, value, h));
+          // sn stays readable until this guard closes, even once replaced.
           return Gcas(in, m, updated) ? OpResult::Done(sn->value)
                                       : OpResult::Restart();
         }
         // Different key: grow a level.
-        CNodePtr renewed =
-            (cn->gen == in->gen) ? nullptr : RenewCNode(*cn, in->gen);
-        const CNode& base = renewed ? *renewed : *cn;
-        MainPtr sub = DualBranch(sn, std::make_shared<SNode>(key, value, h),
-                                 level + kBitsPerLevel, in->gen);
-        auto nin = std::make_shared<INode>(std::move(sub), in->gen);
-        CNodePtr updated = CNodeUpdated(base, pos, nin, in->gen);
+        MainNode* sub = DualBranch(Shared(sn), new SNode(key, value, h),
+                                   level + kBitsPerLevel, in->gen);
+        CNode* updated = CNodeUpdated(*cn, pos, new INode(sub, in->gen));
         return Gcas(in, m, updated) ? OpResult::Done() : OpResult::Restart();
       }
-      case MainNode::Kind::kTNode: {
+      case Kind::kTNode: {
         if (parent != nullptr) Clean(parent, level - kBitsPerLevel);
         return OpResult::Restart();
       }
-      case MainNode::Kind::kLNode: {
-        const auto* ln = static_cast<const LNode*>(m.get());
+      case Kind::kLNode: {
+        auto* ln = static_cast<LNode*>(m);
         std::optional<V> existing = LNodeLookup(ln, key);
         if (existing.has_value() && only_if_absent) {
           return OpResult::Done(existing);
         }
-        LNodePtr base = existing.has_value()
-                            ? LNodeRemoved(ln, key)
-                            : std::static_pointer_cast<const LNode>(m);
-        auto updated = std::make_shared<LNode>(
-            std::make_shared<SNode>(key, value, h), base);
+        LNode* rest = existing.has_value() ? LNodeRemoved(ln, key) : Shared(ln);
+        auto* updated = new LNode(new SNode(key, value, h), rest);
         return Gcas(in, m, updated) ? OpResult::Done(existing)
                                     : OpResult::Restart();
       }
-      case MainNode::Kind::kFailed:
+      case Kind::kFailed:
         return OpResult::Restart();
+      default:
+        IDF_CHECK_MSG(false, "corrupt CTrie main node");
     }
     return OpResult::Restart();
   }
 
-  OpResult DoLookup(const INodePtr& in, const K& key, uint64_t h, int level,
-                    const INodePtr& parent, const GenPtr& start_gen) const {
-    auto* self = const_cast<CTrie*>(this);
-    MainPtr m = self->GcasRead(in);
-    IDF_CHECK(m != nullptr);
-
+  OpResult DoLookup(INode* in, const K& key, uint64_t h, int level,
+                    INode* parent, uint64_t start_gen) const {
+    MainNode* m = GcasRead(in);
     switch (m->kind) {
-      case MainNode::Kind::kCNode: {
-        const auto* cn = static_cast<const CNode*>(m.get());
+      case Kind::kCNode: {
+        const auto* cn = static_cast<const CNode*>(m);
         uint64_t flag;
         int pos;
         FlagPos(h, level, cn->bmp, &flag, &pos);
         if ((cn->bmp & flag) == 0) return OpResult::Done();
-        BranchPtr b = cn->array[static_cast<size_t>(pos)];
-        if (b->kind == Branch::Kind::kINode) {
-          auto child = std::static_pointer_cast<INode>(b);
+        Node* b = cn->array()[pos];
+        if (b->kind == Kind::kINode) {
+          auto* child = static_cast<INode*>(b);
           if (read_only_ || start_gen == child->gen) {
             return DoLookup(child, key, h, level + kBitsPerLevel, in,
                             start_gen);
           }
-          if (self->Gcas(in, m, self->RenewCNode(*cn, in->gen))) {
+          if (Gcas(in, m, RenewCNode(*cn, in->gen))) {
             return DoLookup(in, key, h, level, parent, start_gen);
           }
           return OpResult::Restart();
         }
-        auto sn = std::static_pointer_cast<SNode>(b);
+        const auto* sn = static_cast<const SNode*>(b);
         if (sn->hash == h && eq_(sn->key, key)) return OpResult::Done(sn->value);
         return OpResult::Done();
       }
-      case MainNode::Kind::kTNode: {
+      case Kind::kTNode: {
         // Read-only views may simply look through the tomb.
-        const auto* tn = static_cast<const TNode*>(m.get());
+        const SNode* sn = static_cast<const TNode*>(m)->sn;
         if (read_only_) {
-          if (tn->sn->hash == h && eq_(tn->sn->key, key)) {
-            return OpResult::Done(tn->sn->value);
+          if (sn->hash == h && eq_(sn->key, key)) {
+            return OpResult::Done(sn->value);
           }
           return OpResult::Done();
         }
-        if (parent != nullptr) self->Clean(parent, level - kBitsPerLevel);
+        if (parent != nullptr) Clean(parent, level - kBitsPerLevel);
         return OpResult::Restart();
       }
-      case MainNode::Kind::kLNode: {
-        const auto* ln = static_cast<const LNode*>(m.get());
-        return OpResult::Done(LNodeLookup(ln, key));
-      }
-      case MainNode::Kind::kFailed:
+      case Kind::kLNode:
+        return OpResult::Done(LNodeLookup(static_cast<const LNode*>(m), key));
+      case Kind::kFailed:
         return OpResult::Restart();
+      default:
+        IDF_CHECK_MSG(false, "corrupt CTrie main node");
     }
     return OpResult::Restart();
   }
 
-  OpResult DoRemove(const INodePtr& in, const K& key, uint64_t h, int level,
-                    const INodePtr& parent, const GenPtr& start_gen) {
-    MainPtr m = GcasRead(in);
-    IDF_CHECK(m != nullptr);
-
+  OpResult DoRemove(INode* in, const K& key, uint64_t h, int level,
+                    INode* parent, uint64_t start_gen) {
+    MainNode* m = GcasRead(in);
     switch (m->kind) {
-      case MainNode::Kind::kCNode: {
-        const auto* cn = static_cast<const CNode*>(m.get());
+      case Kind::kCNode: {
+        const auto* cn = static_cast<const CNode*>(m);
         uint64_t flag;
         int pos;
         FlagPos(h, level, cn->bmp, &flag, &pos);
         if ((cn->bmp & flag) == 0) return OpResult::Done();
 
-        BranchPtr b = cn->array[static_cast<size_t>(pos)];
+        Node* b = cn->array()[pos];
         OpResult res;
-        if (b->kind == Branch::Kind::kINode) {
-          auto child = std::static_pointer_cast<INode>(b);
+        if (b->kind == Kind::kINode) {
+          auto* child = static_cast<INode*>(b);
           if (start_gen == child->gen) {
             res = DoRemove(child, key, h, level + kBitsPerLevel, in,
                            start_gen);
@@ -796,106 +873,98 @@ class CTrie {
             }
           }
         } else {
-          auto sn = std::static_pointer_cast<SNode>(b);
+          const auto* sn = static_cast<const SNode*>(b);
           if (sn->hash != h || !eq_(sn->key, key)) {
             return OpResult::Done();
           }
-          CNodePtr renewed =
-              (cn->gen == in->gen) ? nullptr : RenewCNode(*cn, in->gen);
-          const CNode& base = renewed ? *renewed : *cn;
-          CNodePtr removed = CNodeRemoved(base, pos, flag, in->gen);
-          MainPtr contracted = ToContracted(removed, level);
+          MainNode* contracted =
+              ToContracted(CNodeRemoved(*cn, pos, flag), level);
           if (!Gcas(in, m, contracted)) return OpResult::Restart();
           res = OpResult::Done(sn->value);
         }
 
         if (res.restart || !res.old_value.has_value()) return res;
         // Contraction may have entombed this INode; fix the parent link.
-        if (parent != nullptr) {
-          MainPtr now = GcasRead(in);
-          if (now != nullptr && now->kind == MainNode::Kind::kTNode) {
-            CleanParent(parent, in, h, level - kBitsPerLevel, start_gen);
-          }
+        if (parent != nullptr && GcasRead(in)->kind == Kind::kTNode) {
+          CleanParent(parent, in, h, level - kBitsPerLevel, start_gen);
         }
         return res;
       }
-      case MainNode::Kind::kTNode: {
+      case Kind::kTNode: {
         if (parent != nullptr) Clean(parent, level - kBitsPerLevel);
         return OpResult::Restart();
       }
-      case MainNode::Kind::kLNode: {
-        const auto* ln = static_cast<const LNode*>(m.get());
+      case Kind::kLNode: {
+        const auto* ln = static_cast<const LNode*>(m);
         std::optional<V> existing = LNodeLookup(ln, key);
         if (!existing.has_value()) return OpResult::Done();
-        LNodePtr remaining = LNodeRemoved(ln, key);
-        MainPtr replacement;
-        if (remaining == nullptr) {
-          // Empty list is impossible here (list had >=2 or we entomb).
-          replacement = std::make_shared<TNode>(nullptr);
-        } else if (remaining->next == nullptr) {
-          replacement = std::make_shared<TNode>(remaining->sn);
-        } else {
-          replacement = std::const_pointer_cast<LNode>(remaining);
+        // A collision list holds at least two keys, so one is left.
+        LNode* remaining = LNodeRemoved(ln, key);
+        IDF_CHECK(remaining != nullptr);
+        MainNode* replacement = remaining;
+        if (remaining->next == nullptr) {
+          replacement = new TNode(Shared(remaining->sn));
+          Release(remaining);
         }
         return Gcas(in, m, replacement) ? OpResult::Done(existing)
                                         : OpResult::Restart();
       }
-      case MainNode::Kind::kFailed:
+      case Kind::kFailed:
         return OpResult::Restart();
+      default:
+        IDF_CHECK_MSG(false, "corrupt CTrie main node");
     }
     return OpResult::Restart();
   }
 
   // ---- traversal (read-only views) ---------------------------------------
 
-  void Traverse(const INodePtr& in,
+  void Traverse(INode* in,
                 const std::function<void(const K&, const V&)>& fn) const {
-    MainPtr m = const_cast<CTrie*>(this)->GcasRead(in);
-    if (m == nullptr) return;
+    const MainNode* m = GcasRead(in);
     switch (m->kind) {
-      case MainNode::Kind::kCNode: {
-        const auto* cn = static_cast<const CNode*>(m.get());
-        for (const BranchPtr& b : cn->array) {
-          if (b->kind == Branch::Kind::kINode) {
-            Traverse(std::static_pointer_cast<INode>(b), fn);
+      case Kind::kCNode: {
+        const auto* cn = static_cast<const CNode*>(m);
+        for (uint32_t i = 0; i < cn->size; ++i) {
+          Node* b = cn->array()[i];
+          if (b->kind == Kind::kINode) {
+            Traverse(static_cast<INode*>(b), fn);
           } else {
-            const auto* sn = static_cast<const SNode*>(b.get());
+            const auto* sn = static_cast<const SNode*>(b);
             fn(sn->key, sn->value);
           }
         }
         break;
       }
-      case MainNode::Kind::kTNode: {
-        const auto* tn = static_cast<const TNode*>(m.get());
-        if (tn->sn) fn(tn->sn->key, tn->sn->value);
+      case Kind::kTNode: {
+        const SNode* sn = static_cast<const TNode*>(m)->sn;
+        fn(sn->key, sn->value);
         break;
       }
-      case MainNode::Kind::kLNode: {
-        for (const LNode* p = static_cast<const LNode*>(m.get()); p != nullptr;
-             p = p->next.get()) {
+      case Kind::kLNode:
+        for (const auto* p = static_cast<const LNode*>(m); p != nullptr;
+             p = p->next) {
           fn(p->sn->key, p->sn->value);
         }
         break;
-      }
-      case MainNode::Kind::kFailed:
+      default:
         break;
     }
   }
 
-  void StatsWalkINode(const INodePtr& in, MemoryStats& stats) const {
+  void StatsWalkINode(INode* in, MemoryStats& stats) const {
     ++stats.inodes;
     stats.approx_bytes += sizeof(INode);
-    MainPtr m = const_cast<CTrie*>(this)->GcasRead(in);
-    if (m == nullptr) return;
+    const MainNode* m = GcasRead(in);
     switch (m->kind) {
-      case MainNode::Kind::kCNode: {
-        const auto* cn = static_cast<const CNode*>(m.get());
+      case Kind::kCNode: {
+        const auto* cn = static_cast<const CNode*>(m);
         ++stats.cnodes;
-        stats.approx_bytes +=
-            sizeof(CNode) + cn->array.size() * sizeof(BranchPtr);
-        for (const BranchPtr& b : cn->array) {
-          if (b->kind == Branch::Kind::kINode) {
-            StatsWalkINode(std::static_pointer_cast<INode>(b), stats);
+        stats.approx_bytes += sizeof(CNode) + cn->size * sizeof(Node*);
+        for (uint32_t i = 0; i < cn->size; ++i) {
+          Node* b = cn->array()[i];
+          if (b->kind == Kind::kINode) {
+            StatsWalkINode(static_cast<INode*>(b), stats);
           } else {
             ++stats.snodes;
             stats.approx_bytes += sizeof(SNode);
@@ -903,25 +972,25 @@ class CTrie {
         }
         break;
       }
-      case MainNode::Kind::kTNode:
+      case Kind::kTNode:
         ++stats.snodes;
         stats.approx_bytes += sizeof(TNode) + sizeof(SNode);
         break;
-      case MainNode::Kind::kLNode:
-        for (const LNode* p = static_cast<const LNode*>(m.get()); p != nullptr;
-             p = p->next.get()) {
+      case Kind::kLNode:
+        for (const auto* p = static_cast<const LNode*>(m); p != nullptr;
+             p = p->next) {
           ++stats.lnodes;
           stats.approx_bytes += sizeof(LNode) + sizeof(SNode);
         }
         break;
-      case MainNode::Kind::kFailed:
+      default:
         break;
     }
   }
 
-  // Root slot; accessed with std::atomic_* shared_ptr free functions because
-  // the member itself must be replaceable under RDCSS.
-  RootPtr root_;
+  // Root slot: the root INode, or an RDCSS descriptor in flight. Owns one
+  // reference. Mutable because readers help complete descriptors and GCAS.
+  mutable std::atomic<Node*> root_;
   bool read_only_;
   HashFn hash_{};
   EqFn eq_{};

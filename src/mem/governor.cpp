@@ -84,6 +84,7 @@ Evictable::~Evictable() {
   // entry still registered here would let the governor call pure-virtual
   // payload hooks on a half-destroyed object.
   IDF_CHECK_MSG(!registered_, "Evictable destroyed without retiring");
+  AccessScope::ForgetDying(this);
 }
 
 void Evictable::SealForGovernor(uint64_t rows) {
@@ -621,6 +622,15 @@ AccessScope::~AccessScope() {
     e->pins_.fetch_sub(1, std::memory_order_seq_cst);
   }
   if (profile_ != nullptr) profile_->ReleasePinned(profile_pinned_bytes_);
+}
+
+void AccessScope::ForgetDying(Evictable* e) {
+  AccessScope* scope = t_current_scope;
+  if (scope == nullptr || e->pins_.load(std::memory_order_seq_cst) == 0) {
+    return;
+  }
+  std::vector<Evictable*>& pinned = scope->pinned_;
+  pinned.erase(std::remove(pinned.begin(), pinned.end(), e), pinned.end());
 }
 
 void AccessScope::PinSlow(Evictable* e) {

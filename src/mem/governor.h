@@ -424,7 +424,13 @@ class AccessScope {
   }
 
  private:
+  friend class Evictable;
+
   static void PinSlow(Evictable* e);
+  /// Called by a dying payload: drops it from this thread's open scope, so
+  /// a scope that outlives the payload's last owner (declared before it)
+  /// never unpins freed memory.
+  static void ForgetDying(Evictable* e);
 
   bool owner_ = false;
   uint64_t id_ = 0;

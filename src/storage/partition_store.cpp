@@ -39,7 +39,6 @@ PartitionStore::PartitionStore(uint32_t batch_capacity)
 
 PartitionStore PartitionStore::Snapshot() {
   PartitionStore snap(batch_capacity_);
-  snap.directory_ = directory_.Snapshot();
   snap.flat_ = flat_;
   snap.num_batches_ = num_batches_;
   snap.num_rows_ = num_rows_;
@@ -104,7 +103,6 @@ Result<std::shared_ptr<RowBatch>> PartitionStore::WritableTail(uint32_t len) {
   sm.batches_opened.Increment();
   sm.batch_bytes.Add(capacity);
   tail_exclusive_ = true;
-  directory_.Put(num_batches_, tail_);
   flat_.push_back(tail_);
   ++num_batches_;
   return tail_;
@@ -162,10 +160,9 @@ const uint8_t* PartitionStore::RowAt(PackedRowPtr ptr) const {
 }
 
 std::shared_ptr<RowBatch> PartitionStore::batch(uint32_t index) const {
-  auto found = directory_.Lookup(index);
-  IDF_CHECK_MSG(found.has_value(), "batch index out of range");
-  (*found)->EnsureReadable();
-  return *found;
+  IDF_CHECK_MSG(index < flat_.size(), "batch index out of range");
+  flat_[index]->EnsureReadable();
+  return flat_[index];
 }
 
 void PartitionStore::ClearSpillTag() {

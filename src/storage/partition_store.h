@@ -1,12 +1,14 @@
 // PartitionStore: the row-batch collection of one Indexed Batch RDD partition,
 // with snapshot-based multi-versioning (§III-C, §III-E).
 //
-// The batch *directory* is a cTrie mapping batch index -> RowBatch pointer —
-// the paper's "secondary cTrie that stores pointers to the row batches".
-// Taking a version snapshot is O(1): the directory is snapshotted, sealed
-// batches are shared by pointer, and the open tail batch is copied lazily
-// the first time a divergent version appends into it (COW at 4 MB
-// granularity, not full-data copies).
+// The batch *directory* maps batch index -> RowBatch pointer. The paper
+// keeps it in a "secondary cTrie that stores pointers to the row batches";
+// here it is a plain pointer vector that a version snapshot copies. Batch
+// indexes are dense and only ever appended, so the vector is the whole
+// directory, and a snapshot costs O(#batches) pointer copies (no row data):
+// sealed batches are shared by pointer, and the tail batch is sealed so
+// each divergent version's next append opens a batch of its own (COW at
+// 4 MB granularity, not full-data copies).
 //
 // Threading model, as in the paper: one writer per partition ("transformations
 // within a partition are sequentially executed on a single core", §III-C);
@@ -15,8 +17,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
-#include "ctrie/ctrie.h"
 #include "storage/packed_ptr.h"
 #include "storage/row_batch.h"
 #include "storage/row_layout.h"
@@ -33,7 +35,8 @@ class PartitionStore {
   PartitionStore(PartitionStore&&) = default;
   PartitionStore& operator=(PartitionStore&&) = default;
 
-  /// O(1) version snapshot: shares all batches. The open tail batch is
+  /// Version snapshot: shares all batches (O(#batches) pointer copies, no
+  /// row data). The open tail batch is
   /// *sealed* by the snapshot — each version's next append opens a fresh
   /// batch of its own, so no data is ever copied (§III-E: divergent versions
   /// "share the parent data and only store the deltas").
@@ -120,11 +123,7 @@ class PartitionStore {
   Result<PackedRowPtr> FinishAppend(RowBatch& tail, uint32_t offset,
                                     PackedRowPtr back_ptr, uint32_t len);
 
-  CTrie<uint32_t, std::shared_ptr<RowBatch>> directory_;
-  // Read cache mirroring the directory: RowAt() is on the join/lookup hot
-  // path (one call per backward-chain step), so it must not pay a cTrie
-  // lookup per row. The directory remains the versioning/sharing mechanism;
-  // this vector is rebuilt O(#batches) on snapshot (pointer copies only).
+  // The batch directory: batch i is flat_[i]. Copied by Snapshot().
   std::vector<std::shared_ptr<RowBatch>> flat_;
   uint32_t batch_capacity_;
   uint32_t num_batches_ = 0;
@@ -136,7 +135,7 @@ class PartitionStore {
   uint64_t spill_owner_ = 0;  // 0 = batches are not salvage-tagged
   uint32_t spill_shard_ = 0;
   uint64_t spill_instance_ = 0;
-  std::shared_ptr<RowBatch> tail_;  // == directory_[num_batches_-1]
+  std::shared_ptr<RowBatch> tail_;  // == flat_[num_batches_-1]
   bool tail_exclusive_ = false;     // false after a snapshot (tail sealed)
 };
 

@@ -474,7 +474,9 @@ TEST(ChaosTest, AdmissionChurnStormLeavesNoReservationAndDrainsQueue) {
                    chaos::ChaosEngine::Global().faults_injected()));
 
   // The shared state survived the storm: the same queries, clean, still
-  // return the reference bytes.
+  // return the reference bytes. Disarm first — an armed engine may still
+  // (legitimately, retryably) fail a demand reload here.
+  chaos::ChaosEngine::Global().Disarm();
   EXPECT_EQ(indexed.GetRows(Value::Int64(29)).value().rows.size(),
             expected_hits);
   EXPECT_EQ(indexed.Join(probe, "src").Collect()->SortedRowStrings(),

@@ -1,9 +1,11 @@
 // Tests for the concurrent hash trie (CTrie) — the Indexed DataFrame's index
 // structure. Covers single-threaded semantics, hash-collision paths (LNode),
-// entombment/contraction after removals, O(1) snapshots with isolation, and
-// multi-threaded stress.
+// entombment/contraction after removals, O(1) snapshots with isolation,
+// epoch-based reclamation of replaced nodes, and multi-threaded stress.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <map>
 #include <set>
 #include <string>
@@ -394,6 +396,59 @@ TEST(CTrieConcurrencyTest, SnapshotsDuringWrites) {
   snapshotter.join();
 }
 
+TEST(CTrieConcurrencyTest, ReadersWriterAndSnapshotterShareNodes) {
+  // Four readers follow raw pointers while a writer replaces (and retires)
+  // nodes under them and a third thread keeps taking snapshots of both
+  // kinds, so reclamation races every read path. Run under TSan/ASan.
+  constexpr uint64_t kKeys = 1000;
+  CTrie<uint64_t, uint64_t> trie;
+  for (uint64_t k = 0; k < kKeys; ++k) trie.Put(k, k);
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(static_cast<uint64_t>(t) + 1);
+      while (!stop.load(std::memory_order_relaxed)) {
+        const uint64_t k = rng.Below(kKeys);
+        auto v = trie.Lookup(k);
+        ASSERT_TRUE(v.has_value());
+        EXPECT_EQ(*v % kKeys, k);
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      auto frozen = trie.ReadOnlySnapshot();
+      size_t n = 0;
+      frozen.ForEach([&](const uint64_t& k, const uint64_t& v) {
+        if (k < kKeys) {
+          ++n;
+          EXPECT_EQ(v % kKeys, k);
+        }
+      });
+      EXPECT_EQ(n, kKeys);
+      auto fork = trie.Snapshot();  // writable: diverges lazily
+      fork.Put(0, kKeys);
+      EXPECT_EQ(*fork.Lookup(0), kKeys);
+    }
+  });
+  // The writer overwrites the stable keys and churns a second range through
+  // insert/remove, which exercises tombing and contraction as well.
+  for (uint64_t round = 1; round <= 20; ++round) {
+    for (uint64_t k = 0; k < kKeys; ++k) {
+      trie.Put(k, k + round * kKeys);
+      if (round % 2 == 1) {
+        trie.Put(kKeys + k, k);
+      } else {
+        EXPECT_TRUE(trie.Remove(kKeys + k).has_value());
+      }
+    }
+  }
+  stop.store(true);
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(trie.Size(), kKeys);
+}
+
 TEST(CTrieConcurrencyTest, ConcurrentInsertAndRemoveDisjointRanges) {
   CTrie<uint64_t, uint64_t> trie;
   for (uint64_t i = 0; i < 10000; ++i) trie.Put(i, i);
@@ -408,6 +463,71 @@ TEST(CTrieConcurrencyTest, ConcurrentInsertAndRemoveDisjointRanges) {
   EXPECT_EQ(trie.Size(), 10000u);
   for (uint64_t i = 10000; i < 20000; i += 501) {
     EXPECT_TRUE(trie.Contains(i));
+  }
+}
+
+// ---- reclamation -------------------------------------------------------------
+
+/// A value that counts its live instances, to observe when the trie
+/// releases replaced nodes.
+struct Counted {
+  static inline std::atomic<int64_t> live{0};
+  uint64_t v = 0;
+  explicit Counted(uint64_t x) : v(x) { live.fetch_add(1); }
+  Counted(const Counted& other) : v(other.v) { live.fetch_add(1); }
+  ~Counted() { live.fetch_sub(1); }
+};
+
+TEST(CTrieReclamationTest, OverwritesReclaimAsTheWriterGoes) {
+  // Replaced values are freed in bounded batches while the writer runs (no
+  // reader is open), and the writer's exit drains what is left.
+  constexpr uint64_t kKeys = 1000;
+  constexpr int64_t kSlack = 512;  // retired but not yet reclaimed
+  const int64_t base = Counted::live.load();
+  CTrie<uint64_t, Counted> trie;
+  int64_t peak = 0;
+  std::thread writer([&] {
+    for (uint64_t i = 0; i < 200000; ++i) {
+      trie.Put(i % kKeys, Counted(i));
+      if (i % 1000 == 999) peak = std::max(peak, Counted::live.load() - base);
+    }
+  });
+  writer.join();
+  EXPECT_LE(peak, static_cast<int64_t>(kKeys) + kSlack);
+  EXPECT_GE(Counted::live.load() - base, static_cast<int64_t>(kKeys));
+  EXPECT_LE(Counted::live.load() - base, static_cast<int64_t>(kKeys) + kSlack);
+  for (uint64_t k = 0; k < kKeys; k += 37) {
+    EXPECT_EQ(trie.Lookup(k)->v, 199000 + k);
+  }
+}
+
+TEST(CTrieReclamationTest, SnapshotHeldValuesSurviveOverwrites) {
+  constexpr uint64_t kKeys = 100;
+  const int64_t base = Counted::live.load();
+  CTrie<uint64_t, Counted> trie;
+  // All writes happen on the worker, so its exit drains every retirement
+  // (a retired CNode still references the SNodes it shared).
+  std::thread worker([&] {
+    for (uint64_t k = 0; k < kKeys; ++k) trie.Put(k, Counted(k));
+    CTrie<uint64_t, Counted> snap = trie.Snapshot();
+    CTrie<uint64_t, Counted> frozen = trie.ReadOnlySnapshot();
+    for (uint64_t round = 1; round <= 50; ++round) {
+      for (uint64_t k = 0; k < kKeys; ++k) {
+        trie.Put(k, Counted(round * 1000 + k));
+      }
+    }
+    // The originals are only reachable from the snapshots now, and still
+    // intact after thousands of retirements.
+    for (uint64_t k = 0; k < kKeys; ++k) {
+      EXPECT_EQ(snap.Lookup(k)->v, k);
+      EXPECT_EQ(frozen.Lookup(k)->v, k);
+    }
+    EXPECT_GE(Counted::live.load() - base, static_cast<int64_t>(2 * kKeys));
+  });  // both snapshots die here; the thread's exit drains its retirements
+  worker.join();
+  EXPECT_EQ(Counted::live.load() - base, static_cast<int64_t>(kKeys));
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    EXPECT_EQ(trie.Lookup(k)->v, 50000 + k);
   }
 }
 

@@ -145,6 +145,26 @@ TEST(MemGovernorTest, PinnedBatchesAreNeverEvicted) {
   EXPECT_FALSE(batch->resident());
 }
 
+TEST(MemGovernorTest, PayloadDyingInsideItsPinningScopeIsForgotten) {
+  // The last owner of a pinned payload may die while the scope that pinned
+  // it is still open (a scope declared before the owning pointer). Closing
+  // the scope must not unpin the freed payload (under ASan: no
+  // heap-use-after-free) and must still release its other pins.
+  mem::MemoryGovernor& gov = mem::MemoryGovernor::Global();
+  auto survivor = PatternBatch(64 << 10, 8);
+  mem::ScopedBudget roomy(gov.resident_bytes() + (1 << 20));
+  {
+    mem::AccessScope scope;
+    auto doomed = PatternBatch(64 << 10, 9);
+    doomed->EnsureReadable();
+    survivor->EnsureReadable();
+    EXPECT_TRUE(PatternIntact(*doomed, 9));
+    doomed.reset();  // last owner dies; the scope is still open
+  }
+  mem::ScopedBudget tight(1);
+  EXPECT_FALSE(survivor->resident());
+}
+
 TEST(MemGovernorTest, ScopelessAccessTakesTransientPin) {
   // Access without an AccessScope must still protect the pointer the caller
   // is reading: a transient pin — held until the thread's next scope-less
@@ -341,6 +361,10 @@ TEST(MemSalvageTest, RecoveryReloadsSpilledBatchesAfterExecutorLoss) {
 
   const auto before = indexed.GetRows(Value::Int64(29)).value();
   ASSERT_FALSE(before.rows.empty());
+  // Drain: spill every sealed batch. The salvage prefix starts at batch 0,
+  // which concurrent build tasks can keep pinned (and so never spilled)
+  // under the budget alone, depending on thread timing.
+  { mem::ScopedBudget drain(1); }
 
   const uint64_t salvaged_before = CounterValue("mem.salvage.segments");
   session.cluster().KillExecutor(1);

@@ -35,12 +35,6 @@ case "$SANITIZE" in
   *) echo "error: IDF_SANITIZE must be 'thread' or 'address'" >&2; exit 2 ;;
 esac
 
-if [[ "$SANITIZE" == thread ]]; then
-  # Silence the libstdc++ atomic<shared_ptr> artifact (see tools/tsan.supp);
-  # user-provided TSAN_OPTIONS still apply.
-  export TSAN_OPTIONS="suppressions=$PWD/tools/tsan.supp ${TSAN_OPTIONS:-}"
-fi
-
 cmake -B "$BUILD_DIR" -S . -DIDF_SANITIZE="$SANITIZE"
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 if [[ "$CHAOS" == 1 ]]; then
