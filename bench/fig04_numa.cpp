@@ -80,11 +80,9 @@ int main(int argc, char** argv) {
           inst.generator->EdgeSample(*inst.session, probe_rows, 1000 + r)
               .value();
       QueryMetrics metrics;
-      TableHandle out =
-          inst.indexed->Join(probe, "edge_source").Execute(&metrics).value();
+      // The (large) join output is released when its handle drops here.
+      inst.indexed->Join(probe, "edge_source").Execute(&metrics).value();
       inst.sim_seconds.Add(metrics.simulated_seconds);
-      // Release the (large) join output so memory churn stays bounded.
-      inst.session->cluster().blocks().DropRdd(out.rdd_id);
     }
   }
 

@@ -81,10 +81,36 @@ struct PointResult {
   double seconds = 0;
   double qps = 0;
   double p50_ms = 0, p95_ms = 0, p99_ms = 0;
-  /// Per-query resource profiles of this point's queries (obs/
-  /// query_profile.h), heaviest task-wall first.
+  /// Per-query resource profiles of this point's queries still in the
+  /// registry (obs/query_profile.h), heaviest task-wall first.
   std::vector<obs::QueryProfileSnapshot> profiles;
+  /// Summed attribution across every query of the point: the profiles
+  /// above plus those the query service already retired.
+  obs::QueryProfileSnapshot totals;
 };
+
+/// Adds (sign > 0) or subtracts `p`'s summable counters into `into`; the
+/// pinned-byte peak takes the max.
+void AddCounters(obs::QueryProfileSnapshot& into,
+                 const obs::QueryProfileSnapshot& p, int sign) {
+  auto add = [sign](uint64_t& a, uint64_t b) {
+    a = sign > 0 ? a + b : a - b;
+  };
+  add(into.tasks, p.tasks);
+  add(into.task_wall_us, p.task_wall_us);
+  add(into.steals, p.steals);
+  add(into.resident_hits, p.resident_hits);
+  add(into.resident_misses, p.resident_misses);
+  add(into.bytes_spilled, p.bytes_spilled);
+  add(into.evictions, p.evictions);
+  add(into.bytes_reloaded, p.bytes_reloaded);
+  add(into.bytes_prefetched, p.bytes_prefetched);
+  add(into.shuffle_stall_us, p.shuffle_stall_us);
+  add(into.shuffle_pushed_bytes, p.shuffle_pushed_bytes);
+  add(into.admission_wait_us, p.admission_wait_us);
+  into.peak_pinned_bytes =
+      std::max(into.peak_pinned_bytes, p.peak_pinned_bytes);
+}
 
 PointResult RunPoint(Session& session, IndexedDataFrame& indexed,
                      const DataFrame& probe, const DataFrame& append_rows,
@@ -94,8 +120,10 @@ PointResult RunPoint(Session& session, IndexedDataFrame& indexed,
   // Profile ids allocated before this point belong to earlier points (or
   // the ground-truth EXPLAINs); diffing the registry afterwards isolates
   // this point's queries.
-  const std::vector<uint64_t> prior_ids =
-      obs::QueryProfileRegistry::Global().Ids();
+  obs::QueryProfileRegistry& registry = obs::QueryProfileRegistry::Global();
+  const std::vector<uint64_t> prior_ids = registry.Ids();
+  obs::QueryProfileSnapshot retired_before;  // zeros until a query retires
+  registry.Snapshot(obs::kRetiredQueryId, &retired_before);
   server::QueryService service(session);
   std::atomic<uint64_t> mismatches{0};
   std::atomic<uint64_t> rejected{0};
@@ -203,9 +231,14 @@ PointResult RunPoint(Session& session, IndexedDataFrame& indexed,
   out.p95_ms = all.Quantile(0.95);
   out.p99_ms = all.Quantile(0.99);
   const std::unordered_set<uint64_t> seen(prior_ids.begin(), prior_ids.end());
-  for (obs::QueryProfileSnapshot& snap :
-       obs::QueryProfileRegistry::Global().SnapshotAll()) {
+  for (obs::QueryProfileSnapshot& snap : registry.SnapshotAll()) {
+    if (snap.id == obs::kRetiredQueryId) {
+      AddCounters(out.totals, snap, +1);
+      AddCounters(out.totals, retired_before, -1);
+      continue;
+    }
     if (snap.id == 0 || seen.count(snap.id) != 0) continue;
+    AddCounters(out.totals, snap, +1);
     out.profiles.push_back(std::move(snap));
   }
   std::sort(out.profiles.begin(), out.profiles.end(),
@@ -341,25 +374,8 @@ int main(int argc, char** argv) {
       // Summed attribution across every query of the point, then the
       // heaviest few individual profiles (the full set can be thousands of
       // one-lookup queries; the sum is what conservation checks need).
-      obs::QueryProfileSnapshot totals;
-      for (const obs::QueryProfileSnapshot& p : r.profiles) {
-        totals.tasks += p.tasks;
-        totals.task_wall_us += p.task_wall_us;
-        totals.steals += p.steals;
-        totals.resident_hits += p.resident_hits;
-        totals.resident_misses += p.resident_misses;
-        totals.bytes_spilled += p.bytes_spilled;
-        totals.evictions += p.evictions;
-        totals.bytes_reloaded += p.bytes_reloaded;
-        totals.bytes_prefetched += p.bytes_prefetched;
-        totals.shuffle_stall_us += p.shuffle_stall_us;
-        totals.shuffle_pushed_bytes += p.shuffle_pushed_bytes;
-        totals.admission_wait_us += p.admission_wait_us;
-        totals.peak_pinned_bytes =
-            std::max(totals.peak_pinned_bytes, p.peak_pinned_bytes);
-      }
       std::fprintf(f, ", \"profiled_queries\": %zu, \"profile_totals\": %s",
-                   r.profiles.size(), obs::QueryProfileJson(totals).c_str());
+                   r.profiles.size(), obs::QueryProfileJson(r.totals).c_str());
       std::fprintf(f, ", \"profiles\": [");
       const size_t top = std::min<size_t>(r.profiles.size(), 8);
       for (size_t j = 0; j < top; ++j) {

@@ -133,7 +133,8 @@ IndexedRdd::~IndexedRdd() {
 IndexedRdd::IndexedRdd(Session& session, TableHandle base, size_t key_column,
                        uint32_t num_partitions, uint32_t batch_capacity)
     : session_(&session),
-      rdd_id_(session.cluster().NewRddId()),
+      lease_(session.cluster().NewRdd()),
+      rdd_id_(lease_->rdd()),
       base_(std::move(base)),
       schema_(base_.schema),
       key_column_(key_column),

@@ -122,7 +122,10 @@ class IndexedRdd : public std::enable_shared_from_this<IndexedRdd> {
                           uint64_t skip_rows = 0) const;
 
   Session* session_;
+  RddLeasePtr lease_;           // this RDD's own blocks, every version
   uint64_t rdd_id_;
+  // Lineage replays base_ and each version's append_source, so their
+  // handles (and leases) live as long as this RDD.
   TableHandle base_;            // shuffle-built RDDs
   PartitionLoader loader_;      // restored (out-of-core) RDDs
   SchemaPtr schema_;

@@ -127,16 +127,23 @@ class BlockManager {
     return dropped;
   }
 
-  /// Removes all versions of one RDD (uncache).
-  void DropRdd(uint64_t rdd) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (auto it = blocks_.begin(); it != blocks_.end();) {
-      if (it->first.rdd == rdd) {
-        it = blocks_.erase(it);
-      } else {
-        ++it;
+  /// Removes every partition and version of one RDD (the last RddLease
+  /// going away). Proportional to that RDD's blocks: one range erase. The
+  /// erased blocks die after the lock is released — a chunk's destructor
+  /// takes the governor mutex and may delete its spill file, neither of
+  /// which belongs under this lock. Returns blocks dropped.
+  size_t DropRdd(uint64_t rdd) {
+    std::vector<BlockPtr> doomed;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      const auto first = blocks_.lower_bound(BlockId{rdd, 0, 0});
+      const auto last = blocks_.lower_bound(BlockId{rdd + 1, 0, 0});
+      for (auto it = first; it != last; ++it) {
+        doomed.push_back(std::move(it->second.block));
       }
+      blocks_.erase(first, last);
     }
+    return doomed.size();
   }
 
   size_t NumBlocks() const {

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <future>
+#include <mutex>
 #include <numeric>
 #include <thread>
 
@@ -209,10 +210,26 @@ struct Cluster::PipelineContext {
 thread_local Cluster::PipelineContext* Cluster::t_pipeline_ = nullptr;
 thread_local size_t Cluster::t_pipeline_home_ = 0;
 
+/// Leases reach their cluster through this cell. The mutex orders a
+/// release against the cluster's destruction; it is recursive because what
+/// a release destroys (a lineage closure) may hold the last lease of
+/// another RDD.
+struct RddLease::Anchor {
+  std::recursive_mutex mutex;
+  Cluster* cluster;  // null once the cluster is gone
+};
+
+RddLease::~RddLease() {
+  std::lock_guard<std::recursive_mutex> lock(anchor_->mutex);
+  if (anchor_->cluster != nullptr) anchor_->cluster->ReleaseRdd(rdd_);
+}
+
 Cluster::Cluster(ClusterConfig config)
     : config_(config),
       simulator_(config),
-      alive_(config.total_executors(), true) {
+      alive_(config.total_executors(), true),
+      anchor_(std::make_shared<RddLease::Anchor>()) {
+  anchor_->cluster = this;
   IDF_CHECK_OK(config_.Validate());
   scheduler_threads_ = ResolveSchedulerThreads(config_);
 
@@ -922,6 +939,25 @@ void Cluster::ReviveExecutor(ExecutorId e) {
 void Cluster::RegisterLineage(uint64_t rdd, PartitionComputeFn fn) {
   std::lock_guard<std::mutex> lock(lineage_mutex_);
   lineage_[rdd] = std::move(fn);
+}
+
+Cluster::~Cluster() {
+  std::lock_guard<std::recursive_mutex> lock(anchor_->mutex);
+  anchor_->cluster = nullptr;
+}
+
+RddLeasePtr Cluster::NewRdd() {
+  return RddLeasePtr(new RddLease(anchor_, NewRddId()));
+}
+
+void Cluster::ReleaseRdd(uint64_t rdd) {
+  blocks_.DropRdd(rdd);
+  PartitionComputeFn fn;  // destroyed after lineage_mutex_ is released
+  std::lock_guard<std::mutex> lock(lineage_mutex_);
+  auto it = lineage_.find(rdd);
+  if (it == lineage_.end()) return;
+  fn = std::move(it->second);
+  lineage_.erase(it);
 }
 
 Result<BlockPtr> Cluster::GetOrCompute(const BlockId& id, TaskContext& ctx) {

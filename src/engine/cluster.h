@@ -94,9 +94,35 @@ using PartitionComputeFn =
     std::function<Result<BlockPtr>(uint32_t partition, uint64_t version,
                                    TaskContext& ctx)>;
 
+/// Shared ownership of one RDD's blocks. Every holder that can still reach
+/// the RDD (a TableHandle copy, an IndexedRdd) shares one lease; when the
+/// last copy goes, Cluster::ReleaseRdd erases the RDD's blocks and lineage.
+/// A lease may outlive its Cluster: released after the cluster is gone, it
+/// does nothing (the cluster's blocks died with it).
+class RddLease {
+ public:
+  ~RddLease();
+  RddLease(const RddLease&) = delete;
+  RddLease& operator=(const RddLease&) = delete;
+
+  uint64_t rdd() const { return rdd_; }
+
+ private:
+  friend class Cluster;
+  struct Anchor;  // the cluster's liveness cell, shared with its leases
+  RddLease(std::shared_ptr<Anchor> anchor, uint64_t rdd)
+      : anchor_(std::move(anchor)), rdd_(rdd) {}
+
+  std::shared_ptr<Anchor> anchor_;
+  uint64_t rdd_;
+};
+using RddLeasePtr = std::shared_ptr<const RddLease>;
+
 class Cluster {
  public:
   explicit Cluster(ClusterConfig config);
+  /// Detaches outstanding leases before the blocks die.
+  ~Cluster();
 
   const ClusterConfig& config() const { return config_; }
   BlockManager& blocks() { return blocks_; }
@@ -200,12 +226,24 @@ class Cluster {
 
   void RegisterLineage(uint64_t rdd, PartitionComputeFn fn);
 
+  /// Allocates a fresh RDD id and the lease on its blocks. Producers take
+  /// it before they Put the RDD's first block, so a producer that fails
+  /// midway releases what it already wrote.
+  RddLeasePtr NewRdd();
+
   /// Fetches a block, recomputing it from lineage when missing (lost
   /// executor, never materialized). Recompute time lands in
   /// ctx.metrics().recovery_seconds, reproducing the Fig. 12 spike.
   Result<BlockPtr> GetOrCompute(const BlockId& id, TaskContext& ctx);
 
  private:
+  friend class RddLease;
+
+  /// Erases every block of `rdd` (all partitions, all versions) and its
+  /// lineage entry: what the last lease does. The erased blocks' governor
+  /// registrations and spill files go with them.
+  void ReleaseRdd(uint64_t rdd);
+
   struct TaskResult;       // per-task outcome slot (cluster.cpp)
   struct PipelineContext;  // fused-stage shared state (cluster.cpp)
 
@@ -272,6 +310,8 @@ class Cluster {
 
   std::mutex lineage_mutex_;
   std::map<uint64_t, PartitionComputeFn> lineage_;
+
+  std::shared_ptr<RddLease::Anchor> anchor_;
 };
 
 /// Opens the routed-buffer stream a reduce task drains, matching the

@@ -23,13 +23,17 @@ void QueryProfile::OnTaskDone(uint32_t name_id, uint64_t wall_us,
   task_wall_us.fetch_add(wall_us, std::memory_order_relaxed);
   if (failed) task_fails.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(stages_mu_);
+  AddStageLocked(StageTotals{name_id, 1, wall_us});
+}
+
+void QueryProfile::AddStageLocked(const StageTotals& totals) {
   for (StageTotals& s : stages_) {
-    if (s.name_id != name_id) continue;
-    ++s.tasks;
-    s.wall_us += wall_us;
+    if (s.name_id != totals.name_id) continue;
+    s.tasks += totals.tasks;
+    s.wall_us += totals.wall_us;
     return;
   }
-  stages_.push_back(StageTotals{name_id, 1, wall_us});
+  stages_.push_back(totals);
 }
 
 void QueryProfile::AddPinned(uint64_t bytes) {
@@ -50,36 +54,102 @@ std::vector<QueryProfile::StageTotals> QueryProfile::Stages() const {
   return stages_;
 }
 
+void QueryProfile::Absorb(const QueryProfile& other) {
+  auto add = [](std::atomic<uint64_t>& into,
+                const std::atomic<uint64_t>& from) {
+    into.fetch_add(from.load(std::memory_order_relaxed),
+                   std::memory_order_relaxed);
+  };
+  add(tasks, other.tasks);
+  add(task_fails, other.task_fails);
+  add(task_wall_us, other.task_wall_us);
+  add(steals, other.steals);
+  add(resident_hits, other.resident_hits);
+  add(resident_misses, other.resident_misses);
+  add(bytes_spilled, other.bytes_spilled);
+  add(evictions, other.evictions);
+  add(bytes_reloaded, other.bytes_reloaded);
+  add(bytes_prefetched, other.bytes_prefetched);
+  add(prefetch_skips, other.prefetch_skips);
+  add(shuffle_stall_us, other.shuffle_stall_us);
+  add(shuffle_pushed_bytes, other.shuffle_pushed_bytes);
+  add(admission_wait_us, other.admission_wait_us);
+  add(current_pinned_bytes, other.current_pinned_bytes);
+  // The bucket is never installed by a scope, so only Absorb (under the
+  // registry mutex) writes its peak.
+  peak_pinned_bytes.store(
+      std::max(peak_pinned_bytes.load(std::memory_order_relaxed),
+               other.peak_pinned_bytes.load(std::memory_order_relaxed)),
+      std::memory_order_relaxed);
+  const std::vector<StageTotals> stages = other.Stages();
+  std::lock_guard<std::mutex> lock(stages_mu_);
+  for (const StageTotals& s : stages) AddStageLocked(s);
+}
+
 QueryProfileRegistry& QueryProfileRegistry::Global() {
   static QueryProfileRegistry* registry = new QueryProfileRegistry();
   return *registry;
 }
 
-QueryProfile* QueryProfileRegistry::Get(uint64_t id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::unique_ptr<QueryProfile>& slot = profiles_[id];
-  if (slot == nullptr) slot = std::make_unique<QueryProfile>(id);
-  return slot.get();
+QueryProfileRegistry::Entry& QueryProfileRegistry::EntryLocked(uint64_t id) {
+  Entry& entry = profiles_[id];
+  if (entry.profile == nullptr) {
+    entry.profile = std::make_unique<QueryProfile>(id);
+  }
+  return entry;
 }
 
-QueryProfile* QueryProfileRegistry::Find(uint64_t id) const {
+QueryProfile* QueryProfileRegistry::Get(uint64_t id) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return EntryLocked(id).profile.get();
+}
+
+QueryProfile* QueryProfileRegistry::Acquire(uint64_t id) {
+  std::lock_guard<std::mutex> lock(mu_);
+  Entry& entry = EntryLocked(id);
+  ++entry.scopes;
+  return entry.profile.get();
+}
+
+void QueryProfileRegistry::ReleaseScope(uint64_t id) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = profiles_.find(id);
-  return it != profiles_.end() ? it->second.get() : nullptr;
+  if (it == profiles_.end()) return;
+  if (--it->second.scopes == 0 && it->second.retired) FoldLocked(it);
+}
+
+void QueryProfileRegistry::Retire(uint64_t id) {
+  if (id == 0 || id == kRetiredQueryId) return;
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = profiles_.find(id);
+  if (it == profiles_.end()) return;
+  it->second.retired = true;
+  if (it->second.scopes == 0) FoldLocked(it);
+}
+
+void QueryProfileRegistry::FoldLocked(
+    std::unordered_map<uint64_t, Entry>::iterator it) {
+  std::unique_ptr<QueryProfile> retired = std::move(it->second.profile);
+  profiles_.erase(it);
+  EntryLocked(kRetiredQueryId).profile->Absorb(*retired);
 }
 
 std::vector<uint64_t> QueryProfileRegistry::Ids() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<uint64_t> ids;
   ids.reserve(profiles_.size());
-  for (const auto& [id, profile] : profiles_) ids.push_back(id);
+  for (const auto& [id, entry] : profiles_) ids.push_back(id);
   std::sort(ids.begin(), ids.end());
   return ids;
 }
 
 namespace {
 
-QueryProfileSnapshot SnapshotOf(const QueryProfile& p) {
+/// Copies one profile's counters; `stages` receives its stage table, still
+/// keyed by interned name id. Called with the registry mutex held, so the
+/// profile cannot be retired mid-copy.
+QueryProfileSnapshot CopyCounters(
+    const QueryProfile& p, std::vector<QueryProfile::StageTotals>* stages) {
   QueryProfileSnapshot out;
   out.id = p.id;
   out.tasks = p.tasks.load(std::memory_order_relaxed);
@@ -100,33 +170,57 @@ QueryProfileSnapshot SnapshotOf(const QueryProfile& p) {
   out.current_pinned_bytes =
       p.current_pinned_bytes.load(std::memory_order_relaxed);
   out.peak_pinned_bytes = p.peak_pinned_bytes.load(std::memory_order_relaxed);
+  *stages = p.Stages();
+  return out;
+}
+
+/// Resolves the stage names (outside the registry mutex: the recorder's
+/// name table has its own lock).
+void NameStages(const std::vector<QueryProfile::StageTotals>& stages,
+                QueryProfileSnapshot* out) {
   FlightRecorder& fr = FlightRecorder::Global();
-  for (const QueryProfile::StageTotals& s : p.Stages()) {
+  for (const QueryProfile::StageTotals& s : stages) {
     QueryProfileSnapshot::Stage stage;
     stage.name = fr.NameForId(s.name_id);
     stage.tasks = s.tasks;
     stage.wall_us = s.wall_us;
-    out.stages.push_back(std::move(stage));
+    out->stages.push_back(std::move(stage));
   }
-  return out;
 }
 
 }  // namespace
 
 bool QueryProfileRegistry::Snapshot(uint64_t id,
                                     QueryProfileSnapshot* out) const {
-  QueryProfile* profile = Find(id);
-  if (profile == nullptr) return false;
-  *out = SnapshotOf(*profile);
+  std::vector<QueryProfile::StageTotals> stages;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = profiles_.find(id);
+    if (it == profiles_.end()) return false;
+    *out = CopyCounters(*it->second.profile, &stages);
+  }
+  NameStages(stages, out);
   return true;
 }
 
 std::vector<QueryProfileSnapshot> QueryProfileRegistry::SnapshotAll() const {
   std::vector<QueryProfileSnapshot> out;
-  for (const uint64_t id : Ids()) {
-    QueryProfile* profile = Find(id);
-    if (profile != nullptr) out.push_back(SnapshotOf(*profile));
+  std::vector<std::vector<QueryProfile::StageTotals>> stages;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    out.resize(profiles_.size());
+    stages.resize(profiles_.size());
+    size_t i = 0;
+    for (const auto& [id, entry] : profiles_) {
+      out[i] = CopyCounters(*entry.profile, &stages[i]);
+      ++i;
+    }
   }
+  for (size_t i = 0; i < out.size(); ++i) NameStages(stages[i], &out[i]);
+  std::sort(out.begin(), out.end(),
+            [](const QueryProfileSnapshot& a, const QueryProfileSnapshot& b) {
+              return a.id < b.id;
+            });
   return out;
 }
 
@@ -175,18 +269,21 @@ QueryProfile* CurrentQueryProfile() {
 }
 
 QueryScope::QueryScope(uint64_t id)
-    : previous_id_(t_query_id), previous_profile_(t_profile) {
+    : id_(id), previous_id_(t_query_id), previous_profile_(t_profile) {
   t_query_id = id;
   // Resolve eagerly only on an id change: re-installing the ambient id
-  // (nested scopes on the same lane) keeps the cached pointer.
+  // (nested scopes on the same lane) keeps the cached pointer, which the
+  // outer scope already pins.
   if (id != previous_id_ || t_profile == nullptr) {
-    t_profile = QueryProfileRegistry::Global().Get(id);
+    t_profile = QueryProfileRegistry::Global().Acquire(id);
+    acquired_ = true;
   }
 }
 
 QueryScope::~QueryScope() {
   t_query_id = previous_id_;
   t_profile = previous_profile_;
+  if (acquired_) QueryProfileRegistry::Global().ReleaseScope(id_);
 }
 
 }  // namespace idf::obs

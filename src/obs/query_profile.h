@@ -32,9 +32,11 @@
 // event-fed attribution too — that is the documented A/B lever.
 //
 // Everything here is allocation-free and lock-free on the hot path: profile
-// fields are relaxed atomics, scope install is two thread-local writes plus
-// a per-thread (id -> profile) cache that only touches the registry mutex
-// on a cache miss.
+// fields are relaxed atomics, and feeds go through a per-thread cached
+// profile pointer. Only a scope that changes the thread's query id touches
+// the registry mutex, once to install (pinning the profile) and once to
+// close. Pinning is what lets the registry stay bounded: a retired query's
+// profile is freed when its last scope closes, never under a live pointer.
 #pragma once
 
 #include <atomic>
@@ -48,8 +50,9 @@
 namespace idf::obs {
 
 /// Accumulating totals for one query. All counters are relaxed atomics —
-/// many worker threads feed one profile concurrently. Leaky-owned by the
-/// registry; pointers remain valid for the process lifetime.
+/// many worker threads feed one profile concurrently. Owned by the
+/// registry: a pointer stays valid while any QueryScope for its id is
+/// installed, and until the query is retired (QueryProfileRegistry::Retire).
 struct QueryProfile {
   explicit QueryProfile(uint64_t query_id) : id(query_id) {}
 
@@ -96,7 +99,15 @@ struct QueryProfile {
   /// Copies the stage table (short; guarded by stages_mu_).
   std::vector<StageTotals> Stages() const;
 
+  /// Adds every counter and stage of `other` into this profile (the
+  /// retired-totals bucket absorbing a retired query).
+  void Absorb(const QueryProfile& other);
+
  private:
+  /// Adds `totals` to its stage's row, appending one if new (stages_mu_
+  /// held).
+  void AddStageLocked(const StageTotals& totals);
+
   mutable std::mutex stages_mu_;
   std::vector<StageTotals> stages_;
 };
@@ -128,9 +139,15 @@ struct QueryProfileSnapshot {
   std::vector<Stage> stages;
 };
 
-/// Process-wide id -> profile map. Get() is get-or-create; profiles are
-/// never removed (a finished query's profile stays inspectable, mirroring
-/// the service's finished-queries tail).
+/// Id of the bucket that holds the summed counters of every retired query,
+/// so the registry's profiles still add up to the global counters.
+inline constexpr uint64_t kRetiredQueryId = ~uint64_t{0};
+
+/// Process-wide id -> profile map. Get() is get-or-create. A finished
+/// query's profile stays inspectable until its owner retires it — the query
+/// service does so when the query leaves its finished-queries tail — and
+/// is then folded into the kRetiredQueryId bucket, which bounds the map to
+/// live and recent queries.
 class QueryProfileRegistry {
  public:
   static QueryProfileRegistry& Global();
@@ -138,8 +155,10 @@ class QueryProfileRegistry {
   /// The profile for `id`, created on first use. Never null.
   QueryProfile* Get(uint64_t id);
 
-  /// The profile for `id`, or nullptr when none exists yet.
-  QueryProfile* Find(uint64_t id) const;
+  /// Folds `id`'s profile into the retired bucket and frees it; deferred
+  /// until the last QueryScope for `id` closes. Unknown ids, bucket 0 and
+  /// the retired bucket itself are left alone.
+  void Retire(uint64_t id);
 
   /// All known ids (including 0 once anything unattributed was recorded).
   std::vector<uint64_t> Ids() const;
@@ -154,10 +173,27 @@ class QueryProfileRegistry {
   QueryProfileRegistry& operator=(const QueryProfileRegistry&) = delete;
 
  private:
+  friend class QueryScope;
+
   QueryProfileRegistry() = default;
 
+  struct Entry {
+    std::unique_ptr<QueryProfile> profile;
+    uint32_t scopes = 0;   // installed QueryScopes that resolved this entry
+    bool retired = false;  // Retire() called; free once scopes drops to 0
+  };
+
+  /// The entry for `id`, its profile created on first use (mu_ held).
+  Entry& EntryLocked(uint64_t id);
+  /// Get() for a QueryScope: pins the profile until ReleaseScope(id).
+  QueryProfile* Acquire(uint64_t id);
+  void ReleaseScope(uint64_t id);
+
+  /// Folds the entry into the retired bucket and erases it (mu_ held).
+  void FoldLocked(std::unordered_map<uint64_t, Entry>::iterator it);
+
   mutable std::mutex mu_;
-  std::unordered_map<uint64_t, std::unique_ptr<QueryProfile>> profiles_;
+  std::unordered_map<uint64_t, Entry> profiles_;
 };
 
 /// Renders one snapshot as a JSON object (the schema served by
@@ -178,7 +214,8 @@ uint64_t CurrentQueryId();
 QueryProfile* CurrentQueryProfile();
 
 /// RAII install of a query identity on the current thread. Nestable;
-/// restores the previous id (and cached profile) on destruction.
+/// restores the previous id (and cached profile) on destruction. A scope
+/// that resolves its profile pins it against retirement until it closes.
 class QueryScope {
  public:
   explicit QueryScope(uint64_t id);
@@ -187,8 +224,10 @@ class QueryScope {
   QueryScope& operator=(const QueryScope&) = delete;
 
  private:
+  uint64_t id_;
   uint64_t previous_id_;
   QueryProfile* previous_profile_;
+  bool acquired_ = false;  // resolved (and pinned) a profile of its own
 };
 
 }  // namespace idf::obs

@@ -89,6 +89,7 @@ struct QueryRecord {
   CollectedTable result;
   int64_t start_us = 0;
   int64_t finish_us = 0;
+  bool slow = false;  // logged as slow: its profile outlives the tail
 };
 
 }  // namespace detail
@@ -598,6 +599,7 @@ void QueryService::RunQuery(const std::shared_ptr<QueryRecord>& rec) {
   if (slow_ms >= 0 && run_us >= static_cast<uint64_t>(slow_ms) * 1000) {
     // One structured line per slow query: grep for `slow_query ` and the
     // rest of the line is a JSON object (docs/OBSERVABILITY.md).
+    rec->slow = true;
     obs::QueryProfileSnapshot snap;
     const std::string profile =
         obs::QueryProfileRegistry::Global().Snapshot(rec->id, &snap)
@@ -643,12 +645,20 @@ void QueryService::Finish(const std::shared_ptr<QueryRecord>& rec,
     case QueryState::kRejected: sm.rejected.Increment(); break;
     default: break;
   }
+  std::vector<uint64_t> retired;
   {
     std::lock_guard<std::mutex> lk(mu_);
     live_.erase(std::remove(live_.begin(), live_.end(), rec), live_.end());
     finished_.push_back(rec);
-    // Bounded recent-history tail for /queries.
-    while (finished_.size() > 64) finished_.pop_front();
+    // Bounded recent-history tail for /queries. A query leaving it takes
+    // its profile along, unless the slow-query log pointed at it.
+    while (finished_.size() > 64) {
+      if (!finished_.front()->slow) retired.push_back(finished_.front()->id);
+      finished_.pop_front();
+    }
+  }
+  for (const uint64_t id : retired) {
+    obs::QueryProfileRegistry::Global().Retire(id);
   }
   rec->cv.notify_all();
 }

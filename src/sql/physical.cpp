@@ -130,7 +130,8 @@ TableSink::TableSink(Session& session, SchemaPtr schema,
     : session_(session),
       schema_(std::move(schema)),
       num_partitions_(num_partitions),
-      rdd_id_(session.cluster().NewRddId()) {}
+      lease_(session.cluster().NewRdd()),
+      rdd_id_(lease_->rdd()) {}
 
 void TableSink::Emit(TaskContext& ctx, uint32_t partition, ChunkPtr chunk) {
   rows_ += chunk->num_rows();
@@ -148,6 +149,7 @@ TableHandle TableSink::Finish() {
   TableHandle handle;
   handle.schema = schema_;
   handle.rdd_id = rdd_id_;
+  handle.lease = lease_;
   handle.num_partitions = num_partitions_;
   handle.version = 0;
   handle.num_rows = rows_.load();

@@ -232,6 +232,9 @@ class TableSink {
   Session& session_;
   SchemaPtr schema_;
   uint32_t num_partitions_;
+  // Taken before the first Emit: a sink dropped without Finish (a failed
+  // stage) releases the blocks its finished tasks already stored.
+  std::shared_ptr<const RddLease> lease_;
   uint64_t rdd_id_;
   std::atomic<uint64_t> rows_{0};
   std::atomic<uint64_t> bytes_{0};

@@ -65,7 +65,8 @@ Result<DataFrame> Session::CreateTableImpl(const std::string& name,
                                            bool register_in_catalog) {
   IDF_CHECK(partitions > 0);
   IDF_CHECK(generator != nullptr);
-  const uint64_t rdd_id = cluster_->NewRddId();
+  RddLeasePtr lease = cluster_->NewRdd();
+  const uint64_t rdd_id = lease->rdd();
 
   auto build_chunk = [schema, generator](uint32_t partition) -> ChunkPtr {
     auto chunk = std::make_shared<ColumnarChunk>(schema);
@@ -116,6 +117,7 @@ Result<DataFrame> Session::CreateTableImpl(const std::string& name,
   TableHandle handle;
   handle.schema = schema;
   handle.rdd_id = rdd_id;
+  handle.lease = std::move(lease);
   handle.num_partitions = partitions;
   handle.version = 0;
   handle.num_rows = total_rows;

@@ -2,11 +2,15 @@
 //
 // A TableHandle names a materialized distributed table: `num_partitions`
 // ColumnarChunk blocks registered in the cluster's BlockManager under
-// (rdd_id, partition, version). A Dataset is anything a Scan node can read —
-// a cached vanilla table, or (from src/core) an Indexed Batch RDD, which
-// index-aware strategies recognize and everything else treats through the
-// row-to-columnar fallback (§III-B: "An Indexed Batch RDD can always fall
-// back to a regular Spark Row RDD").
+// (rdd_id, partition, version). Copies of a handle share a lease on those
+// blocks: when the last copy goes, the blocks, their spill files and the
+// RDD's lineage go with it (docs/MEMORY.md, "Block lifetime").
+//
+// A Dataset is anything a Scan node can read — a cached vanilla table, or
+// (from src/core) an Indexed Batch RDD, which index-aware strategies
+// recognize and everything else treats through the row-to-columnar fallback
+// (§III-B: "An Indexed Batch RDD can always fall back to a regular Spark Row
+// RDD").
 #pragma once
 
 #include <memory>
@@ -18,11 +22,15 @@
 
 namespace idf {
 
+class RddLease;
 class Session;
 
 struct TableHandle {
   SchemaPtr schema;
   uint64_t rdd_id = 0;
+  /// Keeps rdd_id's blocks alive while any copy of this handle exists. Null
+  /// only for handles that own no blocks (schema-only placeholders).
+  std::shared_ptr<const RddLease> lease;
   uint32_t num_partitions = 0;
   uint64_t version = 0;
   uint64_t num_rows = 0;     // filled at materialization

@@ -140,10 +140,16 @@ TEST(BlockManagerTest, DropRddRemovesAllVersions) {
   BlockManager bm;
   bm.Put(BlockId{1, 0, 0}, 0, std::make_shared<TestBlock>(10));
   bm.Put(BlockId{1, 0, 1}, 0, std::make_shared<TestBlock>(10));
+  bm.Put(BlockId{1, 3, 7}, 1, std::make_shared<TestBlock>(10));
+  bm.Put(BlockId{0, 9, 4}, 0, std::make_shared<TestBlock>(10));
   bm.Put(BlockId{2, 0, 0}, 0, std::make_shared<TestBlock>(10));
-  bm.DropRdd(1);
-  EXPECT_EQ(bm.NumBlocks(), 1u);
+  EXPECT_EQ(bm.DropRdd(1), 3u);
+  // The neighbours on both sides of the erased range survive.
+  EXPECT_EQ(bm.NumBlocks(), 2u);
+  EXPECT_TRUE(bm.Get(BlockId{0, 9, 4}).ok());
   EXPECT_TRUE(bm.Get(BlockId{2, 0, 0}).ok());
+  EXPECT_TRUE(bm.VersionsOf(1, 0).empty());
+  EXPECT_EQ(bm.DropRdd(1), 0u);
 }
 
 TEST(BlockManagerTest, TotalBytesSums) {

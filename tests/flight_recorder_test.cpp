@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -230,6 +231,8 @@ TEST(FlightRecorderDeathTest, CrashHandlerDumpsDecodableJournal) {
   // from the top in the child, which would recompute a pid-based dir.
   const std::string dir =
       ::testing::TempDir() + "/fr_crash_" + std::to_string(::getpid());
+  // An earlier process with the same pid may have left its dir behind.
+  std::filesystem::remove_all(dir);
   ASSERT_EQ(::mkdir(dir.c_str(), 0755), 0);
 
   // The child installs the handler, records some context, then aborts. The
@@ -283,6 +286,7 @@ TEST(FlightRecorderDeathTest, CrashHandlerDumpsDecodableJournal) {
     EXPECT_NE(report.str().find("crash"), std::string::npos) << report.str();
     ExpectChromeRoundTrip(journal, dir + "/crash.trace.json");
   }
+  std::filesystem::remove_all(dir);
 }
 
 // ---- introspection endpoint ----------------------------------------------

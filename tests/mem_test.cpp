@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <set>
 #include <thread>
 
 #include "core/indexed_dataframe.h"
@@ -343,6 +344,56 @@ TEST(MemBudgetedSessionTest, HalfBudgetProducesIdenticalResults) {
 
   mem::MemoryGovernor::Global().EnforceBudget();
   EXPECT_LE(GaugeValue("mem.resident_bytes"), static_cast<double>(budget));
+}
+
+TEST(MemBudgetedSessionTest, DroppedResultTakesItsSpillFilesAndRegistrations) {
+  // A query result forced out to disk: once its handle drops, the chunks
+  // retire from the governor and their seg-*.spill files are deleted.
+  Session session(ClusterOptions(64 << 20));
+  auto edges = *session.CreateTable("edges", EdgeSchema(), DenseEdges(4000));
+  mem::MemoryGovernor& gov = mem::MemoryGovernor::Global();
+  auto spill_files = [&gov] {
+    std::set<std::string> files;
+    for (const auto& entry :
+         std::filesystem::directory_iterator(gov.spill_dir())) {
+      if (entry.path().extension() == ".spill") {
+        files.insert(entry.path().string());
+      }
+    }
+    return files;
+  };
+  auto registered = [&gov](uint64_t rdd) {
+    size_t shards = 0;
+    for (const auto& [key, info] : gov.ResidencySnapshot()) {
+      if (key.first == rdd) ++shards;
+    }
+    return shards;
+  };
+
+  uint64_t rdd = 0;
+  std::set<std::string> result_files;
+  {
+    const TableHandle result =
+        *edges.Filter(Gt(Col("weight"), Lit(100.0))).Execute();
+    rdd = result.rdd_id;
+    ASSERT_GT(registered(rdd), 0u);
+    const std::set<std::string> before = spill_files();
+    size_t evicted = 0;
+    for (uint32_t p = 0; p < result.num_partitions; ++p) {
+      evicted += gov.EvictPartition(rdd, p);
+    }
+    ASSERT_GT(evicted, 0u);
+    for (const std::string& file : spill_files()) {
+      if (before.count(file) == 0) result_files.insert(file);
+    }
+    ASSERT_EQ(result_files.size(), evicted);
+  }
+  EXPECT_EQ(registered(rdd), 0u);
+  for (const std::string& file : result_files) {
+    EXPECT_FALSE(std::filesystem::exists(file)) << file;
+  }
+  // The cached table the result came from is untouched.
+  EXPECT_EQ(*edges.Count(), 4000u);
 }
 
 TEST(MemSalvageTest, RecoveryReloadsSpilledBatchesAfterExecutorLoss) {

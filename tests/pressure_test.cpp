@@ -290,6 +290,33 @@ TEST(PressureTest, DoubleExecutorLossWithForcedEvictionStillRecovers) {
   const auto before = indexed.GetRows(Value::Int64(29)).value();
   ASSERT_FALSE(before.rows.empty());
 
+  // Precondition for `forced`: a partition homed on an executor that
+  // survives the kills is resident when the recovery task starts. A lookup
+  // on one of its keys (every key has rows in every batch of its
+  // partition) faults its batches in as the most recently used payloads.
+  const uint64_t rdd = indexed.rdd()->rdd_id();
+  const uint32_t lost_partition =
+      indexed.rdd()->PartitionOf(IndexKeyCode(Value::Int64(29)));
+  int64_t survivor_key = -1;
+  uint32_t survivor_partition = 0;
+  for (int64_t key = 0; key < 97 && survivor_key < 0; ++key) {
+    const uint32_t p =
+        indexed.rdd()->PartitionOf(IndexKeyCode(Value::Int64(key)));
+    const auto home =
+        session.cluster().blocks().LocationOf(BlockId{rdd, p, 0});
+    if (p != lost_partition && home.has_value() && *home != 1 && *home != 2) {
+      survivor_key = key;
+      survivor_partition = p;
+    }
+  }
+  ASSERT_GE(survivor_key, 0);
+  ASSERT_FALSE(
+      indexed.GetRows(Value::Int64(survivor_key)).value().rows.empty());
+  const auto residency = mem::MemoryGovernor::Global().ResidencySnapshot();
+  const auto survivor = residency.find({rdd, survivor_partition});
+  ASSERT_NE(survivor, residency.end());
+  ASSERT_GT(survivor->second.resident_bytes, 0u);
+
   std::atomic<uint64_t> forced{0};
   chaos::ChaosHooks hooks;
   hooks.on_task_start = [&forced] { forced += EvictEverything(); };

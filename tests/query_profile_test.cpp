@@ -180,6 +180,51 @@ TEST(QueryProfileTest, ScopeInstallsNestsAndRestores) {
   EXPECT_EQ(obs::CurrentQueryProfile()->id, 0u);
 }
 
+TEST(QueryProfileTest, RetiredProfileFoldsIntoBucketOnceItsLastScopeCloses) {
+  obs::QueryProfileRegistry& registry = obs::QueryProfileRegistry::Global();
+  auto retired_tasks = [&registry] {
+    obs::QueryProfileSnapshot snap;
+    return registry.Snapshot(obs::kRetiredQueryId, &snap) ? snap.tasks : 0;
+  };
+  const uint64_t id = obs::AllocateQueryId();
+  const uint64_t bucket_before = retired_tasks();
+  {
+    obs::QueryScope scope(id);
+    obs::QueryProfile* profile = obs::CurrentQueryProfile();
+    profile->tasks.fetch_add(5);
+    {
+      obs::QueryScope nested(id);  // same id: shares the outer pin
+      obs::CurrentQueryProfile()->tasks.fetch_add(2);
+    }
+    // Retired while installed: the profile stays live, and still counts.
+    registry.Retire(id);
+    profile->tasks.fetch_add(1);
+    obs::QueryProfileSnapshot snap;
+    ASSERT_TRUE(registry.Snapshot(id, &snap));
+    EXPECT_EQ(snap.tasks, 8u);
+    EXPECT_EQ(retired_tasks(), bucket_before);
+  }
+  // The scope closed: the profile is gone and its counters moved over.
+  obs::QueryProfileSnapshot snap;
+  EXPECT_FALSE(registry.Snapshot(id, &snap));
+  EXPECT_EQ(retired_tasks(), bucket_before + 8);
+
+  // Retiring an idle profile folds it at once; unknown ids, bucket 0 and
+  // the bucket itself are left alone.
+  const uint64_t idle = obs::AllocateQueryId();
+  registry.Get(idle)->tasks.fetch_add(3);
+  registry.Get(0);
+  const size_t size = registry.Ids().size();
+  registry.Retire(idle);
+  EXPECT_EQ(registry.Ids().size(), size - 1);
+  EXPECT_EQ(retired_tasks(), bucket_before + 11);
+  registry.Retire(idle);
+  registry.Retire(0);
+  registry.Retire(obs::kRetiredQueryId);
+  EXPECT_EQ(registry.Ids().size(), size - 1);
+  EXPECT_TRUE(registry.Snapshot(0, &snap));
+}
+
 TEST(QueryProfileTest, ProfileJsonCarriesEveryField) {
   obs::QueryProfileSnapshot snap;
   snap.id = 42;

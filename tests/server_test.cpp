@@ -21,6 +21,7 @@
 #include "core/indexed_dataframe.h"
 #include "mem/governor.h"
 #include "obs/metrics_registry.h"
+#include "obs/query_profile.h"
 #include "server/query_service.h"
 #include "sql/columnar.h"
 #include "sql/session.h"
@@ -206,6 +207,47 @@ TEST(ServerTest, ConcurrentMixedQueriesMatchSerialUnderBudget) {
   }
   service.Shutdown(/*cancel_pending=*/false);
   EXPECT_EQ(gov.reserved_bytes(), 0u);
+}
+
+// ---- block and profile lifetime ---------------------------------------------
+
+TEST(ServerTest, ServedLookupJoinsLeaveNoBlocksOrProfilesBehind) {
+  // SNB SQ3's shape: an index lookup on the source, joined to a second
+  // table and projected. Each request's intermediate and result blocks go
+  // when its handles drop; its profile retires once the query leaves the
+  // service's finished tail. A steady stream of requests therefore holds
+  // both the block manager and the profile registry at a fixed size.
+  Session session(ServeClusterOptions());
+  auto edges = *session.CreateTable("edges", EdgeSchema(), DenseEdges(4000));
+  auto dests = *session.CreateTable("dests", EdgeSchema(), DenseEdges(300, 5));
+  auto indexed = *IndexedDataFrame::Create(edges, "src");
+  auto sq3 = [&](int64_t person) {
+    return [&, person](server::QueryContext& ctx) -> Status {
+      const DataFrame q = indexed.AsDataFrame()
+                              .Filter(Eq(Col("src"), Lit(person)))
+                              .Join(dests, "dst", "src")
+                              .Select({"dst", "weight"});
+      IDF_ASSIGN_OR_RETURN(ctx.result, q.Collect());
+      return Status::OK();
+    };
+  };
+  QueryService service(session,
+                       ServeConfig(/*workers=*/2, AdmitPolicy::kQueue));
+  auto serve = [&](int requests) {
+    for (int i = 0; i < requests; ++i) {
+      QueryHandle h = service.Submit(sq3(i % 97));
+      ASSERT_TRUE(h.Wait().ok()) << h.status().ToString();
+    }
+  };
+  serve(100);  // fills the 64-entry finished tail
+  const BlockManager& blocks = session.cluster().blocks();
+  const size_t steady_blocks = blocks.NumBlocks();
+  obs::QueryProfileRegistry& profiles = obs::QueryProfileRegistry::Global();
+  const size_t steady_profiles = profiles.Ids().size();
+  serve(1000);
+  EXPECT_EQ(blocks.NumBlocks(), steady_blocks);
+  EXPECT_EQ(profiles.Ids().size(), steady_profiles);
+  service.Shutdown(/*cancel_pending=*/false);
 }
 
 // ---- admission control ------------------------------------------------------
