@@ -5,8 +5,6 @@
 // latency to a factor of 6X" — still well under vanilla Spark's per-query
 // cost (Fig. 7), which tolerates no appends at all.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "bench/bench_util.h"
 #include "core/indexed_dataframe.h"
@@ -47,10 +45,6 @@ double MeanReadLatency(Session& session, const SnbGenerator& generator,
 
 int main(int argc, char** argv) {
   idf::bench::ObsGuard obs(argc, argv);
-  bool pipelined_ab = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--pipelined") == 0) pipelined_ab = true;
-  }
   const double scale = bench::ScaleEnv();
   const int queries = bench::RepsEnv(0) > 0 ? bench::RepsEnv(0) : 100;
   SessionOptions options = bench::PrivateCluster();
@@ -58,34 +52,6 @@ int main(int argc, char** argv) {
                      "appends <=100K rows: ~3x read slowdown; 1M-row "
                      "appends: ~6x — all cheaper than vanilla joins",
                      options);
-  if (pipelined_ab) {
-    // A/B the streaming shuffle on the interleaved read/append mix: appends
-    // take the fused pipeline, reads measure whether overlap disturbs (or
-    // helps) the read path. Same generator seeds both runs.
-    if (options.cluster.scheduler_threads == 0) {
-      options.cluster.scheduler_threads = 8;
-    }
-    const SnbConfig snb = SnbConfig::ScaleFactor(0.2 * scale, 32);
-    const uint64_t append_rows = std::max<uint64_t>(100, snb.num_edges / 100);
-    std::printf("--- streaming shuffle A/B: mean S-join latency with an "
-                "append every 5 queries ---\n");
-    double latency[2];
-    for (int mode = 0; mode < 2; ++mode) {
-      ::setenv("IDF_SHUFFLE_PIPELINE", mode == 0 ? "0" : "1", 1);
-      Session session(options);
-      SnbGenerator generator(snb);
-      latency[mode] =
-          MeanReadLatency(session, generator, snb, append_rows, queries);
-    }
-    ::unsetenv("IDF_SHUFFLE_PIPELINE");
-    std::printf("%-12s %-20s\n", "transport", "mean read (ms)");
-    std::printf("%-12s %-20.2f\n", "barrier", latency[0] * 1e3);
-    std::printf("%-12s %-20.2f\n", "pipelined", latency[1] * 1e3);
-    std::printf("read-latency ratio pipelined/barrier: %.2f\n",
-                latency[1] / latency[0]);
-    bench::PrintFooter();
-    return 0;
-  }
   Session session(options);
 
   const SnbConfig snb = SnbConfig::ScaleFactor(1.0 * scale, 32);

@@ -7,153 +7,15 @@
 // below 7 seconds on their cluster.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <string>
 
 #include "bench/bench_util.h"
 #include "core/indexed_dataframe.h"
-#include "engine/shuffle.h"
-#include "obs/metrics_registry.h"
 #include "workload/snb.h"
 
 using namespace idf;
 
-namespace {
-
-/// One appendRows series: cumulative AppendRows wall time (row generation
-/// excluded) plus the determinism fingerprint the A/B compares.
-struct AppendSeries {
-  double seconds = 0;
-  uint64_t final_rows = 0;
-  uint64_t batch_copies = 0;
-  uint64_t ctrie_snapshots = 0;
-};
-
-AppendSeries RunAppendSeries(const SessionOptions& options,
-                             const SnbGenerator& generator,
-                             uint64_t rows_per_append, int appends) {
-  Session session(options);
-  DataFrame edges = generator.Edges(session).value();
-  IndexedDataFrame current =
-      IndexedDataFrame::Create(edges, "edge_source").value();
-  AppendSeries out;
-  for (int a = 0; a < appends; ++a) {
-    DataFrame extra =
-        generator.EdgeSample(session, rows_per_append, 9000 + a).value();
-    QueryMetrics metrics;
-    Stopwatch timer;
-    current = current.AppendRows(extra, &metrics).value();
-    out.seconds += timer.ElapsedSeconds();
-    out.batch_copies += metrics.totals.batch_copies;
-    out.ctrie_snapshots += metrics.totals.ctrie_snapshots;
-  }
-  out.final_rows = current.num_rows();
-  return out;
-}
-
-/// --pipelined: A/B the streaming transport against the barrier path on the
-/// append series (same data, same seeds), verify the determinism contract,
-/// and optionally emit BENCH_shuffle.json for CI.
-int RunPipelinedAb(SessionOptions options, double scale, int appends,
-                   const std::string& shuffle_out) {
-  if (options.cluster.scheduler_threads == 0) {
-    // The overlap needs real host parallelism: 4 threads matches the
-    // smallest topology the speedup target is defined over (and the CI
-    // runner's vCPU count). IDF_PARALLEL still overrides inside Cluster.
-    options.cluster.scheduler_threads = 4;
-  }
-  const uint64_t rows_per_append =
-      std::max<uint64_t>(1000, static_cast<uint64_t>(50000 * scale));
-  const SnbConfig snb = SnbConfig::ScaleFactor(0.1 * scale, 32);
-  SnbGenerator generator(snb);
-
-  std::printf("--- streaming shuffle A/B: %d appends x %llu rows, %u "
-              "scheduler threads ---\n",
-              appends, static_cast<unsigned long long>(rows_per_append),
-              options.cluster.scheduler_threads);
-  ::setenv("IDF_SHUFFLE_PIPELINE", "0", 1);
-  const AppendSeries barrier =
-      RunAppendSeries(options, generator, rows_per_append, appends);
-  ::setenv("IDF_SHUFFLE_PIPELINE", "1", 1);
-  const AppendSeries pipelined =
-      RunAppendSeries(options, generator, rows_per_append, appends);
-  ::unsetenv("IDF_SHUFFLE_PIPELINE");
-
-  if (pipelined.final_rows != barrier.final_rows ||
-      pipelined.batch_copies != barrier.batch_copies ||
-      pipelined.ctrie_snapshots != barrier.ctrie_snapshots) {
-    std::fprintf(stderr,
-                 "determinism violation: rows %llu/%llu copies %llu/%llu "
-                 "snapshots %llu/%llu (pipelined/barrier)\n",
-                 static_cast<unsigned long long>(pipelined.final_rows),
-                 static_cast<unsigned long long>(barrier.final_rows),
-                 static_cast<unsigned long long>(pipelined.batch_copies),
-                 static_cast<unsigned long long>(barrier.batch_copies),
-                 static_cast<unsigned long long>(pipelined.ctrie_snapshots),
-                 static_cast<unsigned long long>(barrier.ctrie_snapshots));
-    return 1;
-  }
-
-  const uint64_t total_rows = rows_per_append * appends;
-  const double barrier_rps = total_rows / barrier.seconds;
-  const double pipelined_rps = total_rows / pipelined.seconds;
-  const double speedup = pipelined_rps / barrier_rps;
-  const uint64_t window = ShuffleWindowBytes();
-  const uint64_t peak = static_cast<uint64_t>(
-      obs::Registry::Global()
-          .GetGauge("engine.shuffle.inflight_peak_bytes")
-          .value());
-  std::printf("%-12s %-16s %-16s\n", "transport", "total time (s)", "rows/s");
-  std::printf("%-12s %-16.2f %-16.0f\n", "barrier", barrier.seconds,
-              barrier_rps);
-  std::printf("%-12s %-16.2f %-16.0f\n", "pipelined", pipelined.seconds,
-              pipelined_rps);
-  std::printf("speedup %.2fx; results byte-identical (%llu rows, %llu COW "
-              "copies, %llu snapshots); inflight peak %llu of %llu window\n",
-              speedup, static_cast<unsigned long long>(pipelined.final_rows),
-              static_cast<unsigned long long>(pipelined.batch_copies),
-              static_cast<unsigned long long>(pipelined.ctrie_snapshots),
-              static_cast<unsigned long long>(peak),
-              static_cast<unsigned long long>(window));
-
-  if (!shuffle_out.empty()) {
-    FILE* f = std::fopen(shuffle_out.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", shuffle_out.c_str());
-      return 1;
-    }
-    std::fprintf(
-        f,
-        "{\"bench\": \"fig10_append\", \"threads\": %u, "
-        "\"rows_per_append\": %llu, \"appends\": %d, "
-        "\"barrier_rows_per_s\": %.0f, \"pipelined_rows_per_s\": %.0f, "
-        "\"speedup\": %.4f, \"window_bytes\": %llu, "
-        "\"inflight_peak_bytes\": %llu}\n",
-        options.cluster.scheduler_threads,
-        static_cast<unsigned long long>(rows_per_append), appends,
-        barrier_rps, pipelined_rps, speedup,
-        static_cast<unsigned long long>(window),
-        static_cast<unsigned long long>(peak));
-    std::fclose(f);
-    std::printf("A/B result written to %s\n", shuffle_out.c_str());
-  }
-  bench::PrintFooter();
-  return 0;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   idf::bench::ObsGuard obs(argc, argv);
-  bool pipelined_ab = false;
-  std::string shuffle_out;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--pipelined") == 0) pipelined_ab = true;
-    if (std::strncmp(argv[i], "--shuffle-out=", 14) == 0) {
-      shuffle_out = argv[i] + 14;
-    }
-  }
   const double scale = bench::ScaleEnv();
   const int appends = bench::RepsEnv(0) > 0 ? bench::RepsEnv(0) : 200;
   SessionOptions options = bench::PrivateCluster();
@@ -161,9 +23,6 @@ int main(int argc, char** argv) {
                      "throughput dominated by the shuffle; larger append "
                      "batches amortize better; append == createIndex",
                      options);
-  if (pipelined_ab) {
-    return RunPipelinedAb(options, scale, appends, shuffle_out);
-  }
   Session session(options);
 
   const SnbConfig snb = SnbConfig::ScaleFactor(0.1 * scale, 32);

@@ -168,12 +168,9 @@ Result<TableHandle> IndexedJoinExec::ExecuteImpl(Session& session,
 
   // Shuffle path: route probe rows to the indexed partitions (§III-C: "the
   // rows of the latter are shuffled according to the hash partitioning
-  // scheme of the former"). Under the streaming transport the build side
-  // starts probing routed buffers while upstream probe partitions are still
-  // encoding (fused map+reduce stage).
+  // scheme of the former").
   const uint64_t shuffle_id =
       cluster.shuffle().NewShuffle(probe.num_partitions, P);
-  const bool pipelined = ShufflePipelineEnabled();
   StageSpec map_stage;
   map_stage.name = "indexed join (probe shuffle)";
   for (uint32_t p = 0; p < probe.num_partitions; ++p) {
@@ -190,19 +187,18 @@ Result<TableHandle> IndexedJoinExec::ExecuteImpl(Session& session,
           const ColumnVector& key_vec = input.column(probe_key);
           ctx.metrics().rows_read += input.num_rows();
           ShuffleWriter writer(cluster.shuffle(), shuffle_id, p, P,
-                               ctx.executor(), pipelined, input.num_rows());
+                               ctx.executor(), input.num_rows());
           std::vector<uint8_t> scratch;  // reused across rows
-          Status routed = Status::OK();
-          for (size_t i = 0; i < input.num_rows() && routed.ok(); ++i) {
+          for (size_t i = 0; i < input.num_rows(); ++i) {
             if (key_vec.IsNull(i)) continue;
             const uint32_t target = rdd->PartitionOf(key_vec.KeyCodeAt(i));
             input.EncodeRowTo(probe_layout, i, scratch);
-            routed = writer.Append(target, scratch.data(),
-                                   static_cast<uint32_t>(scratch.size()));
+            writer.Append(target, scratch.data(),
+                          static_cast<uint32_t>(scratch.size()));
           }
-          const Status finished = writer.Finish();
+          writer.Finish();
           ctx.metrics().shuffle_bytes_written += writer.bytes_written();
-          return routed.ok() ? finished : routed;
+          return Status::OK();
         },
         {{probe.rdd_id, p}}});
   }
@@ -215,23 +211,17 @@ Result<TableHandle> IndexedJoinExec::ExecuteImpl(Session& session,
         {},
         0,
         [&, p](TaskContext& ctx) -> Status {
-          // Stream opened before the build partition is fetched so the
-          // barrier transport declares its per-map network reads in the
-          // classic order (reads before the GetPartition transfer).
-          std::unique_ptr<RoutedBufferStream> in =
-              OpenReduceStream(ctx, shuffle_id, p, pipelined);
+          // Inputs fetched before the build partition, so the per-map
+          // network reads precede the GetPartition transfer in the DES.
+          const ShuffleInputs inputs = ctx.FetchShuffleInputs(shuffle_id, p);
           IDF_ASSIGN_OR_RETURN(std::shared_ptr<const IndexedPartition> part,
                                rdd->GetPartition(p, version, ctx));
           const RowLayout& indexed_layout = part->layout();
           auto out = std::make_shared<ColumnarChunk>(out_schema);
-          for (;;) {
-            IDF_ASSIGN_OR_RETURN(std::shared_ptr<const ShuffleBuffer> buf,
-                                 in->Next());
-            if (buf == nullptr) break;
+          for (const auto& buf : inputs) {
             ctx.metrics().rows_read += buf->num_rows;
             // Per-buffer pin scope: probed chain batches stay resident
-            // across this buffer's rows, and the task's peak footprint is
-            // one routed buffer instead of the whole partition's input.
+            // across this buffer's rows.
             mem::AccessScope probe_scope;
             ShuffleBufferReader reader(*buf);
             while (reader.HasNext()) {
@@ -254,11 +244,13 @@ Result<TableHandle> IndexedJoinExec::ExecuteImpl(Session& session,
         },
         {{rdd->rdd_id(), p}}});
   }
-  Result<std::vector<StageMetrics>> stage_metrics =
-      cluster.RunShuffleStages(shuffle_id, map_stage, reduce_stage, pipelined);
+  Result<StageMetrics> map_metrics = cluster.RunStage(map_stage);
+  Result<StageMetrics> reduce_metrics =
+      map_metrics.ok() ? cluster.RunStage(reduce_stage) : map_metrics.status();
   cluster.shuffle().Release(shuffle_id);
-  IDF_RETURN_IF_ERROR(stage_metrics.status());
-  for (const StageMetrics& sm : *stage_metrics) metrics.MergeStage(sm);
+  IDF_RETURN_IF_ERROR(reduce_metrics.status());
+  metrics.MergeStage(*map_metrics);
+  metrics.MergeStage(*reduce_metrics);
   return sink.Finish();
 }
 

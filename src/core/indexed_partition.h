@@ -100,13 +100,7 @@ class IndexedPartition final : public Block {
   uint32_t num_batches() const { return store_.num_batches(); }
 
   /// Total batch capacity granted so far (PartitionStore::allocated_bytes).
-  /// The streaming shuffle's insert gate measures ReserveHint consumption
-  /// against this to keep batch layouts byte-identical to a single up-front
-  /// hint (docs/SHUFFLE.md).
   uint64_t allocated_bytes() const { return store_.allocated_bytes(); }
-
-  /// Configured full-size batch capacity (the hint gate's threshold).
-  uint32_t batch_capacity() const { return store_.batch_capacity(); }
 
   /// COW batch opens charged to this partition (see
   /// PartitionStore::cow_batch_opens). A freshly snapshotted partition

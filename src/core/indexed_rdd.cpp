@@ -1,6 +1,5 @@
 #include "core/indexed_rdd.h"
 
-#include <deque>
 #include <fstream>
 
 #include "common/logging.h"
@@ -11,82 +10,21 @@ namespace idf {
 
 namespace {
 
-/// Streams routed shuffle buffers into an IndexedPartition while keeping
-/// the row-batch layout byte-identical to the classic barrier path, which
-/// issued ONE ReserveHint(total_routed_bytes) before inserting anything.
-///
-/// Batch opens consume the store's hint: capacity = clamp(hint, row, cap)
-/// (see PartitionStore). With one big up-front hint, every open grants the
-/// full batch capacity until the hint remainder drops below it. Streaming
-/// delivers hints per buffer, so the naive order (hint, insert, hint, ...)
-/// would open under-sized batches mid-stream and change num_batches /
-/// cow_batch_opens. The gate restores the invariant: rows are inserted only
-/// while the undelivered hint credit (hinted - capacity granted since this
-/// inserter started) covers a full batch, or once the stream is complete —
-/// so every open sees either hint >= cap (grants cap, like the big-hint
-/// path) or the exact final remainder (like the big-hint tail).
-class GatedRowInserter {
- public:
-  explicit GatedRowInserter(IndexedPartition& part)
-      : part_(part),
-        cap_(part.batch_capacity()),
-        baseline_(part.allocated_bytes()) {}
-
-  /// Accounts one routed buffer's hint and queues its rows for insertion.
-  void Deliver(std::shared_ptr<const ShuffleBuffer> buf) {
-    hinted_ += buf->bytes.size();
-    part_.ReserveHint(buf->bytes.size());
-    queue_.push_back(std::move(buf));
-  }
-
-  /// Inserts queued rows while the gate allows. Call with stream_done =
-  /// false after each Deliver (overlap), then once with true at end of
-  /// stream (flushes the tail under the exact-remainder hint).
-  Status Drain(bool stream_done) {
-    while (!queue_.empty()) {
-      const ShuffleBuffer& buf = *queue_.front();
-      while (cursor_ < buf.bytes.size()) {
-        if (!stream_done) {
-          const int64_t credit =
-              static_cast<int64_t>(hinted_) -
-              static_cast<int64_t>(part_.allocated_bytes() - baseline_);
-          if (credit < static_cast<int64_t>(cap_)) return Status::OK();
-        }
-        const uint8_t* row = buf.bytes.data() + cursor_;
-        const uint32_t size = RowLayout::RowSize(row);
-        IDF_CHECK_MSG(size >= 16 && cursor_ + size <= buf.bytes.size(),
-                      "corrupt shuffle buffer");
-        IDF_RETURN_IF_ERROR(part_.InsertEncoded(row, size));
-        cursor_ += size;
-        ++rows_inserted_;
-      }
-      cursor_ = 0;
-      queue_.pop_front();
+/// Inserts a reduce task's routed rows into `part`, after one ReserveHint
+/// for all of their bytes so batch opens size off the whole input.
+Status InsertShuffleInputs(const ShuffleInputs& inputs,
+                           IndexedPartition& part) {
+  uint64_t routed_bytes = 0;
+  for (const auto& buf : inputs) routed_bytes += buf->bytes.size();
+  part.ReserveHint(routed_bytes);
+  for (const auto& buf : inputs) {
+    ShuffleBufferReader reader(*buf);
+    while (reader.HasNext()) {
+      const uint8_t* row = reader.Next();
+      IDF_RETURN_IF_ERROR(part.InsertEncoded(row, RowLayout::RowSize(row)));
     }
-    return Status::OK();
   }
-
-  uint64_t rows_inserted() const { return rows_inserted_; }
-
- private:
-  IndexedPartition& part_;
-  const uint32_t cap_;       // full batch capacity (gate threshold)
-  const uint64_t baseline_;  // allocated_bytes at construction
-  uint64_t hinted_ = 0;
-  uint64_t rows_inserted_ = 0;
-  size_t cursor_ = 0;  // byte offset into queue_.front()
-  std::deque<std::shared_ptr<const ShuffleBuffer>> queue_;
-};
-
-/// Drives a GatedRowInserter from a routed-buffer stream to exhaustion.
-Status InsertRoutedStream(RoutedBufferStream& in, GatedRowInserter& inserter) {
-  for (;;) {
-    IDF_ASSIGN_OR_RETURN(std::shared_ptr<const ShuffleBuffer> buf, in.Next());
-    if (buf == nullptr) break;
-    inserter.Deliver(std::move(buf));
-    IDF_RETURN_IF_ERROR(inserter.Drain(/*stream_done=*/false));
-  }
-  return inserter.Drain(/*stream_done=*/true);
+  return Status::OK();
 }
 
 /// Replays one salvaged spill segment into `target`: the file holds the
@@ -232,7 +170,7 @@ Result<std::shared_ptr<IndexedRdd>> IndexedRdd::Create(
 Status IndexedRdd::ShuffleToPartitions(
     const TableHandle& source, const std::string& stage_name,
     QueryMetrics& metrics,
-    const std::function<Status(TaskContext&, uint32_t, RoutedBufferStream&)>&
+    const std::function<Status(TaskContext&, uint32_t, const ShuffleInputs&)>&
         consume) {
   Cluster& cluster = session_->cluster();
   if (*source.schema != *schema_) {
@@ -243,14 +181,9 @@ Status IndexedRdd::ShuffleToPartitions(
   RowLayout layout(schema_);
   const uint64_t shuffle_id =
       cluster.shuffle().NewShuffle(source.num_partitions, num_partitions_);
-  // Sampled once per shuffle so the map tasks, reduce tasks, and stage
-  // scheduling below always agree on the transport.
-  const bool pipelined = ShufflePipelineEnabled();
 
   // Map: route rows to their indexed partitions by key-code hash (§III-C
-  // "its rows are shuffled based on the hash partitioning scheme"). Under
-  // the streaming transport each per-target buffer is pushed into its
-  // channel as it seals, so consumers start inserting mid-encode.
+  // "its rows are shuffled based on the hash partitioning scheme").
   StageSpec map_stage;
   map_stage.name = stage_name + " (shuffle)";
   for (uint32_t p = 0; p < source.num_partitions; ++p) {
@@ -269,28 +202,25 @@ Status IndexedRdd::ShuffleToPartitions(
           ctx.metrics().rows_read += input.num_rows();
 
           ShuffleWriter writer(cluster.shuffle(), shuffle_id, p,
-                               num_partitions_, ctx.executor(), pipelined,
+                               num_partitions_, ctx.executor(),
                                input.num_rows());
           std::vector<uint8_t> scratch;  // reused across rows
-          Status routed = Status::OK();
-          for (size_t i = 0; i < input.num_rows() && routed.ok(); ++i) {
+          for (size_t i = 0; i < input.num_rows(); ++i) {
             // Null keys go to partition 0 (stored, never indexed).
             const uint32_t target =
                 key_col.IsNull(i) ? 0 : PartitionOf(key_col.KeyCodeAt(i));
             input.EncodeRowTo(layout, i, scratch);
-            routed = writer.Append(target, scratch.data(),
-                                   static_cast<uint32_t>(scratch.size()));
+            writer.Append(target, scratch.data(),
+                          static_cast<uint32_t>(scratch.size()));
           }
-          // Finish unconditionally: it publishes remainders and (streaming)
-          // marks this map task done so ordered consumers can advance.
-          const Status finished = writer.Finish();
+          writer.Finish();
           ctx.metrics().shuffle_bytes_written += writer.bytes_written();
-          return routed.ok() ? finished : routed;
+          return Status::OK();
         },
         {{source.rdd_id, p}}});
   }
 
-  // Reduce: each partition drains its ordered routed-buffer stream.
+  // Reduce: each partition consumes everything routed to it.
   StageSpec reduce_stage;
   reduce_stage.name = stage_name + " (insert)";
   for (uint32_t t = 0; t < num_partitions_; ++t) {
@@ -299,18 +229,18 @@ Status IndexedRdd::ShuffleToPartitions(
         {},
         0,
         [&, t](TaskContext& ctx) -> Status {
-          std::unique_ptr<RoutedBufferStream> in =
-              OpenReduceStream(ctx, shuffle_id, t, pipelined);
-          return consume(ctx, t, *in);
+          return consume(ctx, t, ctx.FetchShuffleInputs(shuffle_id, t));
         },
         {{rdd_id_, t}}});
   }
 
-  Result<std::vector<StageMetrics>> stage_metrics =
-      cluster.RunShuffleStages(shuffle_id, map_stage, reduce_stage, pipelined);
+  Result<StageMetrics> map_metrics = cluster.RunStage(map_stage);
+  Result<StageMetrics> reduce_metrics =
+      map_metrics.ok() ? cluster.RunStage(reduce_stage) : map_metrics.status();
   cluster.shuffle().Release(shuffle_id);
-  IDF_RETURN_IF_ERROR(stage_metrics.status());
-  for (const StageMetrics& sm : *stage_metrics) metrics.MergeStage(sm);
+  IDF_RETURN_IF_ERROR(reduce_metrics.status());
+  metrics.MergeStage(*map_metrics);
+  metrics.MergeStage(*reduce_metrics);
   return Status::OK();
 }
 
@@ -319,16 +249,13 @@ Status IndexedRdd::BuildBase(QueryMetrics& metrics) {
   IDF_RETURN_IF_ERROR(ShuffleToPartitions(
       base_, "createIndex", metrics,
       [&](TaskContext& ctx, uint32_t partition,
-          RoutedBufferStream& in) -> Status {
+          const ShuffleInputs& inputs) -> Status {
         auto part = std::make_shared<IndexedPartition>(schema_, key_column_,
                                                        batch_capacity_);
         // Version-0 batches are salvageable: if they spill, recovery can
         // reload the spill files instead of re-routing the base table.
         part->SetSpillTag(rdd_id_, partition);
-        // Insert as buffers arrive; the gate keeps the batch layout
-        // identical to a single up-front routed-bytes hint.
-        GatedRowInserter inserter(*part);
-        IDF_RETURN_IF_ERROR(InsertRoutedStream(in, inserter));
+        IDF_RETURN_IF_ERROR(InsertShuffleInputs(inputs, *part));
         total_rows += part->num_rows();
         ctx.metrics().rows_written += part->num_rows();
         part->SealStorage();  // built: evictable from here on
@@ -361,22 +288,22 @@ Result<uint64_t> IndexedRdd::Append(uint64_t parent_version,
   Status status = ShuffleToPartitions(
       rows, "appendRows", metrics,
       [&](TaskContext& ctx, uint32_t partition,
-          RoutedBufferStream& in) -> Status {
+          const ShuffleInputs& inputs) -> Status {
         // Fetch the parent partition, snapshot it (O(1), shared state), and
-        // insert the routed rows into the snapshot (§III-E) as their
-        // buffers stream in.
+        // insert the routed rows into the snapshot (§III-E).
         IDF_ASSIGN_OR_RETURN(
             std::shared_ptr<const IndexedPartition> parent,
             GetPartition(partition, parent_version, ctx));
         std::shared_ptr<IndexedPartition> next = parent->Snapshot();
         ++ctx.metrics().ctrie_snapshots;
-        GatedRowInserter inserter(*next);
-        IDF_RETURN_IF_ERROR(InsertRoutedStream(in, inserter));
+        IDF_RETURN_IF_ERROR(InsertShuffleInputs(inputs, *next));
         // `next` starts with zero COW opens, so this is exactly the number
         // of sealed-tail divergences caused by this append (Fig. 9).
         ctx.metrics().batch_copies += next->cow_batch_opens();
-        appended += inserter.rows_inserted();
-        ctx.metrics().rows_written += inserter.rows_inserted();
+        uint64_t inserted = 0;
+        for (const auto& buf : inputs) inserted += buf->num_rows;
+        appended += inserted;
+        ctx.metrics().rows_written += inserted;
         next->SealStorage();  // built: evictable from here on
         ctx.cluster().blocks().Put(BlockId{rdd_id_, partition, new_version},
                                    ctx.executor(), std::move(next));

@@ -93,17 +93,14 @@ class IndexedRdd : public std::enable_shared_from_this<IndexedRdd> {
   /// Builds version 0 with a real shuffle (map: route rows; reduce: insert).
   Status BuildBase(QueryMetrics& metrics);
 
-  /// Shuffles `source` rows to their indexed partitions; `consume` runs per
-  /// partition, draining its routed buffers from an ordered stream. Under
-  /// the streaming transport (IDF_SHUFFLE_PIPELINE, default on) the map and
-  /// insert stages run fused, so consumers insert while upstream partitions
-  /// are still encoding; buffers always arrive in (map task, seal sequence)
-  /// order, so what a consumer sees is byte-identical across transports.
+  /// Shuffles `source` rows to their indexed partitions: a map stage routes
+  /// them, then a reduce stage runs `consume` per partition over the
+  /// buffers routed to it, in map-task order.
   Status ShuffleToPartitions(
       const TableHandle& source, const std::string& stage_name,
       QueryMetrics& metrics,
       const std::function<Status(TaskContext&, uint32_t partition,
-                                 RoutedBufferStream& in)>& consume);
+                                 const ShuffleInputs& inputs)>& consume);
 
   /// Lineage recomputation: rebuild partition `p` at `version` by routing the
   /// base rows and replaying appends along the version chain (§III-D: "if

@@ -4,20 +4,18 @@
 // engine: a cancel flag, an optional absolute deadline, and a count of
 // stages the query has completed. The query driver thread installs it with
 // a ScopedQueryControl before executing the query's plan; Cluster::RunStage
-// and RunPipelinedStages pick it up from the thread-local, re-install it on
-// every pool worker for the duration of each task (so nested stages and
-// task bodies see it too), and consult Check() at every task boundary:
+// picks it up from the thread-local, re-installs it on every pool worker for
+// the duration of each task (so nested stages and task bodies see it too),
+// and consults Check() at every task boundary:
 //
 //  - at stage entry, before any task is dispatched;
 //  - in ExecuteTask, immediately before each task body runs.
 //
 // A non-OK Check() fails the task with kCancelled / kDeadlineExceeded and
 // the existing first-error-wins machinery unwinds the stage: remaining
-// tasks are cancelled unstarted, a fused pipelined stage fires its on_cancel
-// hook (ShuffleService::AbortStreaming) so producers and consumers blocked
-// on streaming channels wake, and the status propagates to the driver. Task
-// bodies themselves are never interrupted — granularity is the task, which
-// keeps every invariant (pins released by scope exit, shuffle buffers
+// tasks are cancelled unstarted and the status propagates to the driver.
+// Task bodies themselves are never interrupted — granularity is the task,
+// which keeps every invariant (pins released by scope exit, shuffle buffers
 // released by the operator's error path) intact. Long-running task bodies
 // may poll CurrentQueryControl()->Check() to unwind sooner.
 #pragma once

@@ -158,58 +158,6 @@ struct Cluster::TaskResult {
   std::vector<SimRead> reads;
 };
 
-/// Shared state of one RunPipelinedStages invocation, published to its
-/// worker threads through t_pipeline_ so a starved shuffle consumer
-/// (ReduceInputStream's idle hook) can claim pending map work.
-struct Cluster::PipelineContext {
-  Cluster* cluster = nullptr;
-  const StageSpec* map_stage = nullptr;
-  const StagePlan* map_plan = nullptr;
-  TaskLanes* map_lanes = nullptr;
-  std::vector<TaskResult>* map_results = nullptr;
-  uint32_t map_name_id = 0;
-  QueryControl* control = nullptr;  // owning query's token (may be null)
-  std::atomic<bool>* cancelled = nullptr;
-  const std::function<void()>* fail = nullptr;
-
-  /// Claims and runs one pending map task on behalf of `home`'s lane.
-  /// Returns false when the map lanes are drained (or the stage cancelled).
-  bool RunOneMapTask(size_t home, bool helper) {
-    if (cancelled->load(std::memory_order_relaxed)) return false;
-    uint32_t index = 0;
-    bool stolen = false;
-    uint32_t next_in_lane = TaskLanes::kNoTask;
-    if (!map_lanes->Pop(home, &index, &stolen, &next_in_lane)) return false;
-    EngineMetrics& em = EngineMetrics::Get();
-    obs::FlightRecorder& fr = obs::FlightRecorder::Global();
-    if (stolen || helper) {
-      em.steals.Increment();
-      fr.Record(obs::EventType::kSteal, map_name_id, index, home, 0);
-    }
-    if (map_plan->have_residency && next_in_lane != TaskLanes::kNoTask &&
-        !map_plan->resident[next_in_lane]) {
-      for (const PartitionInput& in : map_stage->tasks[next_in_lane].inputs) {
-        mem::MemoryGovernor::Global().PrefetchPartition(in.rdd, in.partition);
-      }
-    }
-    TaskResult& out = (*map_results)[index];
-    cluster->ExecuteTask(*map_stage, index, map_plan->assigned[index],
-                         map_name_id, control, out);
-    if (map_plan->have_residency) {
-      (map_plan->resident[index] ? em.resident_hits : em.resident_misses)
-          .Increment();
-      fr.Record(map_plan->resident[index] ? obs::EventType::kResidentHit
-                                          : obs::EventType::kResidentMiss,
-                map_name_id, index, 0, 0);
-    }
-    if (!out.status.ok()) (*fail)();
-    return true;
-  }
-};
-
-thread_local Cluster::PipelineContext* Cluster::t_pipeline_ = nullptr;
-thread_local size_t Cluster::t_pipeline_home_ = 0;
-
 /// Leases reach their cluster through this cell. The mutex orders a
 /// release against the cluster's destruction; it is recursive because what
 /// a release destroys (a lineage closure) may hold the last lease of
@@ -473,43 +421,46 @@ Result<StageMetrics> Cluster::RunStage(const StageSpec& stage) {
   const size_t n = stage.tasks.size();
 
   // Phases 1 + 1.5 (driver): executor assignment and residency-preferred
-  // claim order (BuildStagePlan — shared with the fused path).
+  // claim order.
   const std::vector<ExecutorId> alive = AliveExecutors();
   IDF_CHECK_MSG(!alive.empty(), "no alive executors");
   const StagePlan plan = BuildStagePlan(stage, alive);
-  const std::vector<ExecutorId>& assigned = plan.assigned;
-  const std::vector<uint32_t>& order = plan.order;
-  const std::vector<char>& resident = plan.resident;
-  const bool have_residency = plan.have_residency;
-  auto prefetch_inputs = [&stage](uint32_t t) {
-    for (const PartitionInput& in : stage.tasks[t].inputs) {
-      mem::MemoryGovernor::Global().PrefetchPartition(in.rdd, in.partition);
+  std::vector<TaskResult> results(n);
+
+  // Runs one claimed task. `next` is the task that runs after it on the
+  // same lane (kNoTask at the end): its spilled inputs are faulted in while
+  // this task executes (prefetch spends only budget headroom, so it can
+  // never evict this task's pins). Returns false when the task failed.
+  auto run_task = [&](uint32_t index, uint32_t next) {
+    if (plan.have_residency && next != TaskLanes::kNoTask &&
+        !plan.resident[next]) {
+      for (const PartitionInput& in : stage.tasks[next].inputs) {
+        mem::MemoryGovernor::Global().PrefetchPartition(in.rdd, in.partition);
+      }
     }
+    ExecuteTask(stage, index, plan.assigned[index], stage_name_id, control,
+                results[index]);
+    if (plan.have_residency) {
+      const bool hit = plan.resident[index];
+      (hit ? em.resident_hits : em.resident_misses).Increment();
+      fr.Record(hit ? obs::EventType::kResidentHit
+                    : obs::EventType::kResidentMiss,
+                stage_name_id, index, 0, 0);
+    }
+    return results[index].status.ok();
   };
 
   // Phase 2: execute. Parallel on the pool when the scheduler has threads
   // to spare; in-line sequential otherwise, and always in-line for a stage
   // launched from inside a task body (re-entrancy guard above).
-  std::vector<TaskResult> results(n);
   const size_t workers = std::min<size_t>(scheduler_threads_, n);
   if (workers <= 1 || t_in_stage_task) {
     for (size_t k = 0; k < n; ++k) {
-      const uint32_t i = order[k];
-      // Fault the next task's spilled inputs in while this one runs.
-      if (have_residency && k + 1 < n && !resident[order[k + 1]]) {
-        prefetch_inputs(order[k + 1]);
-      }
-      ExecuteTask(stage, i, assigned[i], stage_name_id, control, results[i]);
-      if (have_residency) {
-        (resident[i] ? em.resident_hits : em.resident_misses).Increment();
-        fr.Record(resident[i] ? obs::EventType::kResidentHit
-                              : obs::EventType::kResidentMiss,
-                  stage_name_id, i, 0, 0);
-      }
-      if (!results[i].status.ok()) break;
+      const uint32_t next = k + 1 < n ? plan.order[k + 1] : TaskLanes::kNoTask;
+      if (!run_task(plan.order[k], next)) break;
     }
   } else {
-    TaskLanes lanes(plan.lane_of, alive.size(), order);
+    TaskLanes lanes(plan.lane_of, alive.size(), plan.order);
     std::atomic<bool> cancelled{false};
     std::vector<std::future<void>> done;
     done.reserve(workers);
@@ -527,24 +478,7 @@ Result<StageMetrics> Cluster::RunStage(const StageSpec& stage) {
             em.steals.Increment();
             fr.Record(obs::EventType::kSteal, stage_name_id, index, w, 0);
           }
-          // Per-lane prefetch: the task now at the head of the lane this
-          // claim came from runs next there — fault its spilled inputs in
-          // (bounded by budget headroom, so it can never evict this task's
-          // pins) while the claimed task executes.
-          if (have_residency && next_in_lane != TaskLanes::kNoTask &&
-              !resident[next_in_lane]) {
-            prefetch_inputs(next_in_lane);
-          }
-          ExecuteTask(stage, index, assigned[index], stage_name_id, control,
-                      results[index]);
-          if (have_residency) {
-            (resident[index] ? em.resident_hits : em.resident_misses)
-                .Increment();
-            fr.Record(resident[index] ? obs::EventType::kResidentHit
-                                      : obs::EventType::kResidentMiss,
-                      stage_name_id, index, 0, 0);
-          }
-          if (!results[index].status.ok()) {
+          if (!run_task(index, next_in_lane)) {
             cancelled.store(true, std::memory_order_relaxed);
           }
         }
@@ -572,7 +506,7 @@ Result<StageMetrics> Cluster::RunStage(const StageSpec& stage) {
 
     SimTask sim;
     sim.compute_seconds = r.elapsed + stage.tasks[i].extra_sim_seconds;
-    sim.preferred = assigned[i];
+    sim.preferred = plan.assigned[i];
     sim.reads = stage.tasks[i].static_reads;
     sim.reads.insert(sim.reads.end(), r.reads.begin(), r.reads.end());
     sim_tasks.push_back(std::move(sim));
@@ -599,277 +533,12 @@ Result<StageMetrics> Cluster::RunStage(const StageSpec& stage) {
   return metrics;
 }
 
-Result<StageMetrics> Cluster::RunPipelinedStages(const StageSpec& map_stage,
-                                                 const StageSpec& reduce_stage,
-                                                 const PipelineHooks& hooks) {
-  QueryControl* const control = CurrentQueryControl();
-  if (control != nullptr) IDF_RETURN_IF_ERROR(control->Check());
-  EngineMetrics& em = EngineMetrics::Get();
-  obs::FlightRecorder& fr = obs::FlightRecorder::Global();
-  const uint64_t query_id = control != nullptr && control->query_id() != 0
-                                ? control->query_id()
-                                : obs::CurrentQueryId();
-  const std::string fused_name = map_stage.name + "+" + reduce_stage.name;
-  // Sub-stage names intern separately: the journal still groups task events
-  // by which half of the fused stage they belong to.
-  const uint32_t map_name_id =
-      fr.enabled() ? fr.InternName(map_stage.name) : 0;
-  const uint32_t reduce_name_id =
-      fr.enabled() ? fr.InternName(reduce_stage.name) : 0;
-  const uint32_t fused_name_id = fr.enabled() ? fr.InternName(fused_name) : 0;
-  Stopwatch stage_timer;
-  const size_t num_map = map_stage.tasks.size();
-  const size_t num_reduce = reduce_stage.tasks.size();
-  StageMetrics metrics;
-  metrics.num_tasks = static_cast<uint32_t>(num_map + num_reduce);
-
-  // One alive snapshot for both halves; each half gets the same per-stage
-  // assignment (round-robin restarting at 0) it would get from its own
-  // RunStage call, so DES placement and block homes match the barrier path.
-  const std::vector<ExecutorId> alive = AliveExecutors();
-  IDF_CHECK_MSG(!alive.empty(), "no alive executors");
-  const StagePlan map_plan = BuildStagePlan(map_stage, alive);
-  const StagePlan reduce_plan = BuildStagePlan(reduce_stage, alive);
-
-  std::vector<TaskResult> map_results(num_map);
-  std::vector<TaskResult> reduce_results(num_reduce);
-  const size_t workers =
-      std::min<size_t>(scheduler_threads_, num_map + num_reduce);
-  std::atomic<bool> cancelled{false};
-  const std::function<void()> fail = [&] {
-    if (!cancelled.exchange(true, std::memory_order_relaxed) &&
-        hooks.on_cancel) {
-      hooks.on_cancel();
-    }
-  };
-
-  if (workers <= 1 || t_in_stage_task) {
-    // Sequential fallback: maps fully, then reduces — the barrier schedule
-    // in one stage. Reachable only when the caller did not enforce a
-    // backpressure window (RunShuffleStages), so nothing can block.
-    for (size_t k = 0;
-         k < num_map && !cancelled.load(std::memory_order_relaxed); ++k) {
-      const uint32_t i = map_plan.order[k];
-      ExecuteTask(map_stage, i, map_plan.assigned[i], map_name_id, control,
-                  map_results[i]);
-      if (!map_results[i].status.ok()) fail();
-    }
-    for (size_t k = 0;
-         k < num_reduce && !cancelled.load(std::memory_order_relaxed); ++k) {
-      const uint32_t i = reduce_plan.order[k];
-      ExecuteTask(reduce_stage, i, reduce_plan.assigned[i], reduce_name_id,
-                  control, reduce_results[i]);
-      if (!reduce_results[i].status.ok()) fail();
-    }
-  } else {
-    TaskLanes map_lanes(map_plan.lane_of, alive.size(), map_plan.order);
-    TaskLanes reduce_lanes(reduce_plan.lane_of, alive.size(),
-                           reduce_plan.order);
-    PipelineContext pctx;
-    pctx.cluster = this;
-    pctx.map_stage = &map_stage;
-    pctx.map_plan = &map_plan;
-    pctx.map_lanes = &map_lanes;
-    pctx.map_results = &map_results;
-    pctx.map_name_id = map_name_id;
-    pctx.control = control;
-    pctx.cancelled = &cancelled;
-    pctx.fail = &fail;
-
-    // Runs one pending reduce task for `home`'s lane; false when drained.
-    auto run_one_reduce = [&](size_t home) -> bool {
-      if (cancelled.load(std::memory_order_relaxed)) return false;
-      uint32_t index = 0;
-      bool stolen = false;
-      uint32_t next_in_lane = TaskLanes::kNoTask;
-      if (!reduce_lanes.Pop(home, &index, &stolen, &next_in_lane)) {
-        return false;
-      }
-      if (stolen) {
-        em.steals.Increment();
-        fr.Record(obs::EventType::kSteal, reduce_name_id, index, home, 0);
-      }
-      if (reduce_plan.have_residency &&
-          next_in_lane != TaskLanes::kNoTask &&
-          !reduce_plan.resident[next_in_lane]) {
-        for (const PartitionInput& in :
-             reduce_stage.tasks[next_in_lane].inputs) {
-          mem::MemoryGovernor::Global().PrefetchPartition(in.rdd,
-                                                          in.partition);
-        }
-      }
-      ExecuteTask(reduce_stage, index, reduce_plan.assigned[index],
-                  reduce_name_id, control, reduce_results[index]);
-      if (reduce_plan.have_residency) {
-        (reduce_plan.resident[index] ? em.resident_hits : em.resident_misses)
-            .Increment();
-        fr.Record(reduce_plan.resident[index]
-                      ? obs::EventType::kResidentHit
-                      : obs::EventType::kResidentMiss,
-                  reduce_name_id, index, 0, 0);
-      }
-      if (!reduce_results[index].status.ok()) fail();
-      return true;
-    };
-
-    std::vector<std::future<void>> done;
-    done.reserve(workers);
-    for (size_t w = 0; w < workers; ++w) {
-      done.push_back(pool().Submit([&, w] {
-        obs::QueryScope query_scope(query_id);
-        const size_t home = w % alive.size();
-        PipelineContext* const prev_ctx = t_pipeline_;
-        const size_t prev_home = t_pipeline_home_;
-        t_pipeline_ = &pctx;
-        t_pipeline_home_ = home;
-        // Alternating claim preference: odd workers drain reduce lanes
-        // first so consumers come up while even workers feed the channels.
-        // A reduce task that outpaces its producers steals map work through
-        // the idle hook (TryHelpPipelinedMapTask) rather than sleeping.
-        const bool reduce_first = (w % 2 == 1);
-        while (!cancelled.load(std::memory_order_relaxed)) {
-          bool ran;
-          if (reduce_first) {
-            ran = run_one_reduce(home) || pctx.RunOneMapTask(home, false);
-          } else {
-            ran = pctx.RunOneMapTask(home, false) || run_one_reduce(home);
-          }
-          if (!ran) break;
-        }
-        t_pipeline_ = prev_ctx;
-        t_pipeline_home_ = prev_home;
-      }));
-    }
-    for (std::future<void>& f : done) f.get();
-  }
-
-  // Merge in combined task-index order: maps, then reduces — exactly the
-  // accounting order of the two-stage barrier path. Failure selection
-  // prefers the first root-cause failure; statuses the cancellation itself
-  // induced (hooks.is_abort, e.g. "shuffle aborted") only surface when no
-  // primary failure exists.
-  const TaskResult* primary = nullptr;
-  const TaskResult* secondary = nullptr;
-  auto scan_failures = [&](const std::vector<TaskResult>& results) {
-    for (const TaskResult& tr : results) {
-      if (!tr.ran || tr.status.ok()) continue;
-      const bool induced = hooks.is_abort && hooks.is_abort(tr.status);
-      if (!induced && primary == nullptr) primary = &tr;
-      if (secondary == nullptr) secondary = &tr;
-    }
-  };
-  scan_failures(map_results);
-  scan_failures(reduce_results);
-  const TaskResult* failed = primary != nullptr ? primary : secondary;
-  if (failed != nullptr) {
-    return Status(failed->status.code(), "stage '" + fused_name +
-                                             "' task failed: " +
-                                             failed->status.message());
-  }
-
-  std::vector<SimTask> sim_tasks;
-  sim_tasks.reserve(num_map + num_reduce);
-  auto merge_stage = [&](const StageSpec& stage, const StagePlan& plan,
-                         std::vector<TaskResult>& results) {
-    for (uint32_t i = 0; i < results.size(); ++i) {
-      TaskResult& tr = results[i];
-      IDF_CHECK(tr.ran);
-      metrics.totals.MergeFrom(tr.metrics);
-      metrics.real_seconds += tr.elapsed;
-      if (tr.metrics.recovery_seconds > 0) ++metrics.recovered_tasks;
-      SimTask sim;
-      sim.compute_seconds = tr.elapsed + stage.tasks[i].extra_sim_seconds;
-      sim.preferred = plan.assigned[i];
-      sim.reads = stage.tasks[i].static_reads;
-      sim.reads.insert(sim.reads.end(), tr.reads.begin(), tr.reads.end());
-      sim_tasks.push_back(std::move(sim));
-    }
-  };
-  merge_stage(map_stage, map_plan, map_results);
-  merge_stage(reduce_stage, reduce_plan, reduce_results);
-
-  const SimOutcome outcome = simulator_.RunStage(sim_tasks);
-  metrics.simulated_seconds = outcome.makespan_seconds;
-  metrics.network_seconds = outcome.network_seconds;
-  metrics.wall_seconds = stage_timer.ElapsedSeconds();
-  RecordStageFinish(query_id, fused_name_id, metrics);
-  em.stages.Increment();
-  em.stage_real_seconds.Observe(metrics.real_seconds);
-  em.stage_wall_seconds.Observe(metrics.wall_seconds);
-  em.stage_simulated_seconds.Observe(metrics.simulated_seconds);
-  obs::Registry::Global()
-      .GetHistogram(obs::TaggedName("engine.stage.seconds",
-                                    {{"stage", fused_name}}))
-      .Observe(metrics.real_seconds);
-  IDF_LOG_DEBUG("fused stage '%s': %u tasks, real %.3fs, wall %.3fs, "
-                "simulated %.3fs",
-                fused_name.c_str(), metrics.num_tasks, metrics.real_seconds,
-                metrics.wall_seconds, metrics.simulated_seconds);
-  if (control != nullptr) control->OnStageComplete();
-  return metrics;
-}
-
-bool Cluster::TryHelpPipelinedMapTask() {
-  PipelineContext* pctx = t_pipeline_;
-  if (pctx == nullptr || pctx->cluster != this) return false;
-  return pctx->RunOneMapTask(t_pipeline_home_, /*helper=*/true);
-}
-
-Result<std::vector<StageMetrics>> Cluster::RunShuffleStages(
-    uint64_t shuffle_id, const StageSpec& map_stage,
-    const StageSpec& reduce_stage, bool pipelined) {
-  std::vector<StageMetrics> out;
-  if (!pipelined) {
-    Result<StageMetrics> map_metrics = RunStage(map_stage);
-    IDF_RETURN_IF_ERROR(map_metrics.status());
-    Result<StageMetrics> reduce_metrics = RunStage(reduce_stage);
-    IDF_RETURN_IF_ERROR(reduce_metrics.status());
-    out.push_back(*map_metrics);
-    out.push_back(*reduce_metrics);
-    return out;
-  }
-  // Enforce the window only when the fused stage will actually run
-  // parallel: a sequential run pushes every buffer before any consumer
-  // exists and would deadlock against its own window.
-  const size_t workers = std::min<size_t>(
-      scheduler_threads_, map_stage.tasks.size() + reduce_stage.tasks.size());
-  const bool parallel = workers > 1 && !t_in_stage_task;
-  shuffle_.StartStreaming(shuffle_id, ShuffleWindowBytes(),
-                          /*enforce_window=*/parallel);
-  PipelineHooks hooks;
-  hooks.on_cancel = [this, shuffle_id] { shuffle_.AbortStreaming(shuffle_id); };
-  hooks.is_abort = [](const Status& s) { return IsShuffleAborted(s); };
-  Result<StageMetrics> fused =
-      RunPipelinedStages(map_stage, reduce_stage, hooks);
-  IDF_RETURN_IF_ERROR(fused.status());
-  out.push_back(*fused);
-  return out;
-}
-
-std::unique_ptr<RoutedBufferStream> OpenReduceStream(TaskContext& ctx,
-                                                     uint64_t shuffle_id,
-                                                     uint32_t reduce_part,
-                                                     bool pipelined) {
-  ShuffleService& service = ctx.cluster().shuffle();
-  if (!pipelined) {
-    // Declare every per-map network read before the consumer touches a row,
-    // in map-task-id order — the classic path's exact read order, which the
-    // DES's NIC-queue interleaving is sensitive to.
-    auto buffers = service.FetchReduceInputs(shuffle_id, reduce_part);
-    for (const auto& buf : buffers) {
-      ctx.AddRead(buf->source, buf->bytes.size());
-    }
-    return std::make_unique<BarrierReduceInput>(std::move(buffers));
-  }
-  Cluster* cluster = &ctx.cluster();
-  TaskContext* ctx_ptr = &ctx;
-  return std::make_unique<ReduceInputStream>(
-      service, shuffle_id, reduce_part,
-      /*idle=*/[cluster] { return cluster->TryHelpPipelinedMapTask(); },
-      /*on_map_read=*/
-      [ctx_ptr](ExecutorId source, uint64_t bytes) {
-        ctx_ptr->AddRead(source, bytes);
-      });
+ShuffleInputs TaskContext::FetchShuffleInputs(uint64_t shuffle,
+                                              uint32_t reduce_part) {
+  ShuffleInputs inputs =
+      cluster_->shuffle().FetchReduceInputs(shuffle, reduce_part);
+  for (const auto& buf : inputs) AddRead(buf->source, buf->bytes.size());
+  return inputs;
 }
 
 ExecutorId Cluster::HomeExecutorFor(uint64_t rdd, uint32_t partition) const {

@@ -53,6 +53,10 @@ class TaskContext {
 
   const std::vector<SimRead>& reads() const { return reads_; }
 
+  /// Everything the map stage routed to `reduce_part` of `shuffle`, in
+  /// map-task order, with one AddRead per buffer from its source executor.
+  ShuffleInputs FetchShuffleInputs(uint64_t shuffle, uint32_t reduce_part);
+
  private:
   Cluster* cluster_;
   ExecutorId executor_;
@@ -154,47 +158,6 @@ class Cluster {
   /// error/success paths (engine/cancel.h).
   Result<StageMetrics> RunStage(const StageSpec& stage);
 
-  /// Cancellation hooks for RunPipelinedStages, coordinating the scheduler
-  /// with a streaming transport (docs/SHUFFLE.md).
-  struct PipelineHooks {
-    /// Fired exactly once, on the first task failure: wake anything blocked
-    /// on the transport (ShuffleService::AbortStreaming).
-    std::function<void()> on_cancel;
-    /// True for the secondary statuses cancellation itself induced
-    /// (IsShuffleAborted): the merge prefers the root-cause failure.
-    std::function<bool(const Status&)> is_abort;
-  };
-
-  /// Fused-stage mode: runs `map_stage` and `reduce_stage` as ONE stage so
-  /// reduce tasks start concurrently with map tasks — consumers of a
-  /// streaming shuffle begin inserting while upstream partitions are still
-  /// encoding. Both sub-stages get the same per-stage executor assignment
-  /// they would get from back-to-back RunStage calls; workers alternate
-  /// claim preference between the two lane sets (odd workers reduce-first)
-  /// and merge/DES accounting runs maps-then-reduces in task-index order,
-  /// so totals match the two-stage path exactly. Falls back to in-line
-  /// maps-then-reduces when sequential (1 thread, or nested in a task).
-  Result<StageMetrics> RunPipelinedStages(const StageSpec& map_stage,
-                                          const StageSpec& reduce_stage,
-                                          const PipelineHooks& hooks = {});
-
-  /// Runs a shuffle's map and reduce stages. Barrier mode: two RunStage
-  /// calls (two StageMetrics). Pipelined: arms the streaming channels
-  /// (window = ShuffleWindowBytes(), enforced only when actually parallel —
-  /// a sequential run blocking on its own window would deadlock) and runs
-  /// one fused stage (one StageMetrics). Callers must Release the shuffle
-  /// themselves, on success and on error.
-  Result<std::vector<StageMetrics>> RunShuffleStages(
-      uint64_t shuffle_id, const StageSpec& map_stage,
-      const StageSpec& reduce_stage, bool pipelined);
-
-  /// Work-stealing hook for starved shuffle consumers: when the calling
-  /// thread is a fused-stage worker and pending map tasks exist, claims and
-  /// runs one instead of letting the lane sleep on its channel. Returns
-  /// true when it ran a task (retries the channel next), false when there
-  /// is nothing to steal (caller blocks).
-  bool TryHelpPipelinedMapTask();
-
   /// Host threads RunStage may use (resolved once at construction from
   /// ClusterConfig::scheduler_threads and IDF_PARALLEL). 1 = sequential.
   uint32_t scheduler_threads() const { return scheduler_threads_; }
@@ -244,13 +207,11 @@ class Cluster {
   /// registrations and spill files go with them.
   void ReleaseRdd(uint64_t rdd);
 
-  struct TaskResult;       // per-task outcome slot (cluster.cpp)
-  struct PipelineContext;  // fused-stage shared state (cluster.cpp)
+  struct TaskResult;  // per-task outcome slot (cluster.cpp)
 
   /// The driver-side plan for one stage: executor assignment (task-index
   /// order, determinism-bearing), lanes, and the residency-preferred claim
-  /// order. Factored out of RunStage so the fused path can plan its two
-  /// sub-stages against one shared alive snapshot.
+  /// order.
   struct StagePlan {
     std::vector<ExecutorId> assigned;
     std::vector<uint32_t> lane_of;
@@ -285,11 +246,6 @@ class Cluster {
   /// number of blocks lost.
   size_t DropKilledExecutor(ExecutorId e);
 
-  /// Fused-stage state for the calling worker thread, consulted by
-  /// TryHelpPipelinedMapTask (null outside RunPipelinedStages workers).
-  static thread_local PipelineContext* t_pipeline_;
-  static thread_local size_t t_pipeline_home_;
-
   /// Lazily started pool of scheduler_threads() workers, shared by every
   /// stage this cluster runs.
   ThreadPool& pool();
@@ -313,16 +269,5 @@ class Cluster {
 
   std::shared_ptr<RddLease::Anchor> anchor_;
 };
-
-/// Opens the routed-buffer stream a reduce task drains, matching the
-/// transport RunShuffleStages selected. Barrier: fetches everything and
-/// declares the per-map network reads up front (preserving the classic
-/// path's read order for the DES). Pipelined: an ordered channel stream
-/// whose idle hook steals pending map work and whose per-map reads are
-/// declared as each map's contribution finishes.
-std::unique_ptr<RoutedBufferStream> OpenReduceStream(TaskContext& ctx,
-                                                     uint64_t shuffle_id,
-                                                     uint32_t reduce_part,
-                                                     bool pipelined);
 
 }  // namespace idf

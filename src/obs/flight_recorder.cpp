@@ -193,8 +193,6 @@ const char* EventTypeName(EventType type) {
     case EventType::kExecutorKill: return "executor_kill";
     case EventType::kCrash: return "crash";
     case EventType::kShufflePush: return "shuffle_push";
-    case EventType::kShuffleDrain: return "shuffle_drain";
-    case EventType::kShuffleStall: return "shuffle_stall";
     case EventType::kQuerySubmit: return "query_submit";
     case EventType::kQueryAdmit: return "query_admit";
     case EventType::kQueryReject: return "query_reject";
@@ -349,10 +347,6 @@ void FlightRecorder::Record(EventType type, uint32_t name_id, uint64_t a,
     case EventType::kPrefetchSkip:
       CurrentQueryProfile()->prefetch_skips.fetch_add(
           1, std::memory_order_relaxed);
-      break;
-    case EventType::kShuffleStall:
-      CurrentQueryProfile()->shuffle_stall_us.fetch_add(
-          a, std::memory_order_relaxed);
       break;
     case EventType::kShufflePush:
       CurrentQueryProfile()->shuffle_pushed_bytes.fetch_add(

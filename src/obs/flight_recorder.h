@@ -72,8 +72,7 @@ enum class EventType : uint8_t {
   kExecutorKill = 14,  //             a=executor    b=blocks lost  c=0
   kCrash = 15,         //             a=signal      b=0            c=0
   kShufflePush = 16,   //             a=bytes       b=map task     c=reduce part
-  kShuffleDrain = 17,  //             a=bytes       b=map task     c=reduce part
-  kShuffleStall = 18,  //             a=micros      b=task index   c=0 push / 1 drain
+  // 17 and 18 are retired; they stay unused so older journals decode.
   // Query-service lifecycle (src/server/query_service.h). a=query id for
   // all of them; name = the query's label when one was given.
   kQuerySubmit = 19,   //             a=query id    b=reserved B   c=queue depth
@@ -93,8 +92,7 @@ enum class EventType : uint8_t {
   // Recorded once at construction and again by the crash handler so every
   // journal — however lapped — says which binary wrote it.
   kBuildInfo = 28,     //             a=uptime secs b=0            c=0
-  // One per successful RunStage / RunPipelinedStages (name = the fused
-  // "map+reduce" name there), recorded as the stage's wall clock stops.
+  // One per successful RunStage, recorded as the stage's wall clock stops.
   kStageFinish = 29,   // name=stage  a=task count  b=DES micros   c=wall micros
 };
 
@@ -151,7 +149,7 @@ class FlightRecorder {
   /// fetch_add to claim a slot plus relaxed stores. Safe from any thread.
   /// The event is stamped with the thread's current query id and, for
   /// cost-shaped types (steal, residency, spill/reload bytes, shuffle
-  /// stalls, task finish), also folded into the thread's QueryProfile —
+  /// pushes, task finish), also folded into the thread's QueryProfile —
   /// attribution rides the existing event stream instead of a second set
   /// of instrumentation sites.
   void Record(EventType type, uint32_t name_id, uint64_t a, uint64_t b,

@@ -8,9 +8,9 @@
 //
 // Identity: QueryScope installs a query id on the current thread (RAII,
 // nestable, save/restore). The query service installs it around each
-// driver's work; the engine re-installs it on every scheduler worker lane,
-// pipelined shuffle lane, and the governor's background prefetcher (the
-// prefetch queue carries the id of the query that enqueued the request).
+// driver's work; the engine re-installs it on every scheduler worker lane
+// and the governor's background prefetcher (the prefetch queue carries the
+// id of the query that enqueued the request).
 // Everything recorded while a scope is active — flight-recorder events and
 // the profile feeds below — is attributed to that query. Id 0 is the
 // "unattributed" bucket: work done outside any query (table builds, bench
@@ -23,7 +23,7 @@
 //
 // Accumulation: FlightRecorder::Record() feeds the current thread's profile
 // as a side effect of recording (steals, residency, spill/reload bytes,
-// shuffle stalls — every fed field has a 1:1 co-located metric increment,
+// shuffle pushes — every fed field has a 1:1 co-located metric increment,
 // which is what the conservation gate in tests/query_profile_test.cpp
 // checks). Task counts are fed directly by the engine next to the
 // `engine.tasks` counter (the one site where events and the metric
@@ -72,7 +72,6 @@ struct QueryProfile {
   std::atomic<uint64_t> bytes_reloaded{0};    // demand fault-ins
   std::atomic<uint64_t> bytes_prefetched{0};  // prefetcher reloads it enqueued
   std::atomic<uint64_t> prefetch_skips{0};
-  std::atomic<uint64_t> shuffle_stall_us{0};
   std::atomic<uint64_t> shuffle_pushed_bytes{0};
 
   // Fed directly by the query service / governor access scopes.
@@ -126,7 +125,6 @@ struct QueryProfileSnapshot {
   uint64_t bytes_reloaded = 0;
   uint64_t bytes_prefetched = 0;
   uint64_t prefetch_skips = 0;
-  uint64_t shuffle_stall_us = 0;
   uint64_t shuffle_pushed_bytes = 0;
   uint64_t admission_wait_us = 0;
   uint64_t current_pinned_bytes = 0;

@@ -230,30 +230,12 @@ QueryServiceConfig QueryServiceConfig::FromEnv() {
       IDF_LOG_WARN("ignoring unparsable IDF_SERVE_WORKERS='%s'", env);
     }
   }
-  if (const char* env = std::getenv("IDF_ADMIT_QUEUE_DEPTH")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v > 0) {
-      config.max_queue = static_cast<uint32_t>(v);
-    } else {
-      IDF_LOG_WARN("ignoring unparsable IDF_ADMIT_QUEUE_DEPTH='%s'", env);
-    }
-  }
   if (const char* env = std::getenv("IDF_ADMIT_RESERVATION")) {
     Result<uint64_t> parsed = mem::ParseByteSize(env);
     if (parsed.ok()) {
       config.default_reservation_bytes = *parsed;
     } else {
       IDF_LOG_WARN("ignoring unparsable IDF_ADMIT_RESERVATION='%s'", env);
-    }
-  }
-  if (const char* env = std::getenv("IDF_ADMIT_POLICY")) {
-    const std::string policy = env;
-    if (policy == "reject") {
-      config.policy = AdmitPolicy::kReject;
-    } else if (policy == "queue") {
-      config.policy = AdmitPolicy::kQueue;
-    } else {
-      IDF_LOG_WARN("ignoring unknown IDF_ADMIT_POLICY='%s'", env);
     }
   }
   return config;

@@ -25,24 +25,22 @@
 //  - Completion (any path) releases the reservation and wakes waiters.
 //
 // Deadlines & cancellation: each query owns a QueryControl (engine/
-// cancel.h) installed around its execution; Cluster::RunStage and
-// RunPipelinedStages check it at every task boundary, so Cancel() or an
-// expired deadline unwinds the query with kCancelled / kDeadlineExceeded
-// through the engine's first-error-wins machinery — pins, reservations, and
-// streaming shuffles all release through their normal error paths, and
-// shared state (catalog, versions, block manager) is never poisoned.
+// cancel.h) installed around its execution; Cluster::RunStage checks it at
+// every task boundary, so Cancel() or an expired deadline unwinds the query
+// with kCancelled / kDeadlineExceeded through the engine's first-error-wins
+// machinery — pins, reservations, and shuffle buffers all release through
+// their normal error paths, and shared state (catalog, versions, block
+// manager) is never poisoned.
 //
 // Knobs (environment, read by QueryServiceConfig::FromEnv):
 //   IDF_SERVE_WORKERS      query driver threads            (default 4)
-//   IDF_ADMIT_QUEUE_DEPTH  max queued queries              (default 64)
 //   IDF_ADMIT_RESERVATION  default per-query reservation   (default 16m)
-//   IDF_ADMIT_POLICY       queue | reject                  (default queue)
 //   IDF_SLOW_QUERY_MS      slow-query log threshold        (default off)
 //
 // Attribution: every query gets a process-unique id (obs::AllocateQueryId)
 // carried by its QueryControl; the engine re-installs it on pool workers so
-// per-query profiles (obs/query_profile.h) charge spills, reloads, stalls,
-// and task time to the triggering query. /queries rows embed a profile
+// per-query profiles (obs/query_profile.h) charge spills, reloads, shuffle
+// bytes and task time to the triggering query. /queries rows embed a profile
 // summary; /queries/<id> serves the record, the full profile, and the
 // query's slice of the flight-recorder ring; queries running longer than
 // IDF_SLOW_QUERY_MS emit a structured `slow_query {...}` WARN line.
@@ -76,8 +74,8 @@ struct QueryServiceConfig {
   uint64_t default_reservation_bytes = 16ull << 20;
   AdmitPolicy policy = AdmitPolicy::kQueue;
 
-  /// Applies the IDF_SERVE_WORKERS / IDF_ADMIT_* environment overrides on
-  /// top of the defaults above.
+  /// Applies the IDF_SERVE_WORKERS / IDF_ADMIT_RESERVATION environment
+  /// overrides on top of the defaults above.
   static QueryServiceConfig FromEnv();
 };
 

@@ -695,15 +695,8 @@ Result<TableHandle> JoinExec::ShuffledJoin(Session& session,
         {},
         0,
         [&, rp](TaskContext& ctx) -> Status {
-          auto fetch = [&](uint64_t shuffle_id) {
-            auto inputs = cluster.shuffle().FetchReduceInputs(shuffle_id, rp);
-            for (const auto& buf : inputs) {
-              ctx.AddRead(buf->source, buf->bytes.size());
-            }
-            return inputs;
-          };
-          auto linputs = fetch(lshuffle);
-          auto rinputs = fetch(rshuffle);
+          const ShuffleInputs linputs = ctx.FetchShuffleInputs(lshuffle, rp);
+          const ShuffleInputs rinputs = ctx.FetchShuffleInputs(rshuffle, rp);
 
           // Collect row pointers per side.
           auto rows_of = [](const auto& inputs) {
@@ -967,10 +960,8 @@ Result<TableHandle> FinalizeAggregation(
         {},
         0,
         [&, rp](TaskContext& ctx) -> Status {
-          auto inputs = cluster.shuffle().FetchReduceInputs(shuffle_id, rp);
           GroupMap groups;
-          for (const auto& buf : inputs) {
-            ctx.AddRead(buf->source, buf->bytes.size());
+          for (const auto& buf : ctx.FetchShuffleInputs(shuffle_id, rp)) {
             ShuffleBufferReader reader(*buf);
             while (reader.HasNext()) {
               const uint8_t* row = reader.Next();

@@ -258,10 +258,17 @@ Result<std::string> DataFrame::ExplainAnalyze(QueryMetrics* metrics) const {
   m.op_profile = std::make_shared<std::map<const void*, OpProfile>>();
   // Inside a query service the run keeps the service's query id; standalone
   // runs get an ephemeral id of their own, so the profile footer below
-  // reports this execution rather than the unattributed bucket.
-  const uint64_t query_id = obs::CurrentQueryId() != 0
-                                ? obs::CurrentQueryId()
-                                : obs::AllocateQueryId();
+  // reports this execution rather than the unattributed bucket. An id this
+  // call allocated is retired once the footer has read it.
+  const bool standalone = obs::CurrentQueryId() == 0;
+  const uint64_t query_id =
+      standalone ? obs::AllocateQueryId() : obs::CurrentQueryId();
+  struct RetireOwnId {
+    uint64_t id;
+    ~RetireOwnId() {
+      if (id != 0) obs::QueryProfileRegistry::Global().Retire(id);
+    }
+  } retire{standalone ? query_id : 0};
   obs::QueryScope query_scope(query_id);
   // Plan once and execute that exact tree: the profile is keyed by the
   // physical nodes' addresses.

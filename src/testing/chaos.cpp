@@ -75,8 +75,6 @@ ChaosConfig ChaosConfig::FromEnv() {
   config.reload_delay_p = EnvProbability("IDF_CHAOS_RELOAD_DELAY_P", 0);
   config.prefetch_fail_p = EnvProbability("IDF_CHAOS_PREFETCH_FAIL_P", 0);
   config.reload_fail_nth = EnvUint64("IDF_CHAOS_RELOAD_FAIL_NTH", 0);
-  config.shuffle_delay_p = EnvProbability("IDF_CHAOS_SHUFFLE_DELAY_P", 0);
-  config.shuffle_abort_p = EnvProbability("IDF_CHAOS_SHUFFLE_ABORT_P", 0);
   config.admit_delay_p = EnvProbability("IDF_CHAOS_ADMIT_DELAY_P", 0);
   config.max_delay_us = static_cast<uint32_t>(
       EnvUint64("IDF_CHAOS_MAX_DELAY_US", config.max_delay_us));
@@ -97,8 +95,6 @@ ChaosConfig ChaosConfig::Mixed(uint64_t seed) {
   config.reload_fail_p = 0.03;
   config.reload_delay_p = 0.10;
   config.prefetch_fail_p = 0.10;
-  config.shuffle_delay_p = 0.05;
-  config.shuffle_abort_p = 0.01;
   config.admit_delay_p = 0.10;
   config.max_delay_us = 300;
   return config;
@@ -318,46 +314,6 @@ Status ChaosEngine::OnReload(uint64_t owner, uint32_t shard, uint32_t index,
     return Status::Unavailable("chaos: demand reload failed");
   }
   return Status::OK();
-}
-
-ShuffleAction ChaosEngine::OnShufflePush(uint64_t shuffle, uint32_t map_task,
-                                         uint32_t reduce_part) {
-  ShuffleAction action;
-  if (!armed()) return action;
-  ChaosConfig config;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    config = config_;
-  }
-  const uint64_t key =
-      HashCombine(HashCombine(Mix64(shuffle), map_task), reduce_part);
-  const uint64_t h = VisitHash(Site::kShufflePush, key);
-  if (Roll(h, Fault::kShuffleDelay, config.shuffle_delay_p)) {
-    action.delay_us = RollDelayUs(h, Fault::kShuffleDelay);
-    RecordFault(Site::kShufflePush, Fault::kShuffleDelay, key,
-                action.delay_us);
-  }
-  if (Roll(h, Fault::kShuffleAbort, config.shuffle_abort_p)) {
-    action.abort = true;
-    RecordFault(Site::kShufflePush, Fault::kShuffleAbort, key, 0);
-  }
-  return action;
-}
-
-uint32_t ChaosEngine::OnShufflePullDelayUs(uint64_t shuffle,
-                                           uint32_t reduce_part) {
-  if (!armed()) return 0;
-  ChaosConfig config;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    config = config_;
-  }
-  const uint64_t key = HashCombine(Mix64(shuffle), reduce_part);
-  const uint64_t h = VisitHash(Site::kShufflePull, key);
-  if (!Roll(h, Fault::kShuffleDelay, config.shuffle_delay_p)) return 0;
-  const uint32_t delay_us = RollDelayUs(h, Fault::kShuffleDelay);
-  RecordFault(Site::kShufflePull, Fault::kShuffleDelay, key, delay_us);
-  return delay_us;
 }
 
 uint32_t ChaosEngine::OnAdmissionDelayUs(uint64_t query_id) {

@@ -10,8 +10,6 @@
 //   - the memory governor (FaultIn / PrefetchPartitionSync): fail or delay
 //     a payload reload — demand and prefetch distinguished — including
 //     "exactly the Nth reload fails";
-//   - the shuffle pipeline (PushMapOutput / PullNext): stall a channel,
-//     delay a seal-push, abort the stream mid-flight;
 //   - the query service (WorkerLoop): admission-queue churn delays.
 //
 // Determinism contract: every fault decision is a pure function of
@@ -45,9 +43,9 @@
 // Layering: this library sits below mem/engine/server (links only
 // idf_common + idf_obs). It *decides* faults; each site applies them with
 // its own layer's facilities (the governor fails the reload, the cluster
-// kills the executor, the shuffle service aborts the stream). The one
-// upward call it needs — "evict every governed payload" for the background
-// evictor — is injected by the engine at startup via SetEvictWorldActuator.
+// kills the executor). The one upward call it needs — "evict every
+// governed payload" for the background evictor — is injected by the engine
+// at startup via SetEvictWorldActuator.
 #pragma once
 
 #include <atomic>
@@ -63,15 +61,15 @@
 namespace idf::chaos {
 
 /// Injection sites (flight-recorder payload `a` of chaos_fault events).
+/// Values are journal-stable: 3 and 4 are retired and stay unused.
 enum class Site : uint8_t {
   kTask = 1,         // Cluster::ExecuteTask, before the task body
   kReload = 2,       // MemoryGovernor reload (demand fault-in or prefetch)
-  kShufflePush = 3,  // ShuffleService::PushMapOutput
-  kShufflePull = 4,  // ShuffleService::PullNext
   kAdmission = 5,    // QueryService::WorkerLoop, after dequeue
 };
 
-/// Fault kinds (flight-recorder payload `b` of chaos_fault events).
+/// Fault kinds (flight-recorder payload `b` of chaos_fault events). Values
+/// are journal-stable: 10 and 11 are retired and stay unused.
 enum class Fault : uint8_t {
   kTaskDelay = 1,      // sleep before the task body (forces steals)
   kEvictWorld = 2,     // force-evict every governed payload
@@ -82,8 +80,6 @@ enum class Fault : uint8_t {
   kReloadFail = 7,     // fail a demand reload (kUnavailable)
   kReloadDelay = 8,    // sleep inside the reload (governor lock held)
   kPrefetchFail = 9,   // fail a prefetch reload (demand path retries)
-  kShuffleDelay = 10,  // delay a seal-push / stall a channel pull
-  kShuffleAbort = 11,  // abort the stream mid-flight
   kAdmitDelay = 12,    // admission-queue churn delay
   kMaxFault = 13,
 };
@@ -108,10 +104,6 @@ struct ChaosConfig {
   double prefetch_fail_p = 0;  // prefetch reloads
   uint64_t reload_fail_nth = 0;  // exactly the Nth reload fails (0 = off)
 
-  // Shuffle pipeline.
-  double shuffle_delay_p = 0;  // push and pull sides
-  double shuffle_abort_p = 0;  // push side only
-
   // Query service admission.
   double admit_delay_p = 0;
 
@@ -125,8 +117,8 @@ struct ChaosConfig {
   /// Reads IDF_CHAOS_SEED plus the IDF_CHAOS_* knobs (see docs/TESTING.md):
   /// TASK_DELAY_P, TASK_EVICT_P, TASK_KILL_P, TASK_CANCEL_P,
   /// TASK_DEADLINE_P, SQUEEZE_P, RELOAD_FAIL_P, RELOAD_DELAY_P,
-  /// PREFETCH_FAIL_P, RELOAD_FAIL_NTH, SHUFFLE_DELAY_P, SHUFFLE_ABORT_P,
-  /// ADMIT_DELAY_P, MAX_DELAY_US, EVICTOR_PERIOD_US. Unset knobs keep the
+  /// PREFETCH_FAIL_P, RELOAD_FAIL_NTH, ADMIT_DELAY_P, MAX_DELAY_US,
+  /// EVICTOR_PERIOD_US. Unset knobs keep the
   /// defaults above (all faults off).
   static ChaosConfig FromEnv();
 
@@ -146,11 +138,6 @@ struct TaskAction {
   bool cancel_query = false;
   bool expire_query = false;
   bool squeeze_budget = false;
-};
-
-struct ShuffleAction {
-  uint32_t delay_us = 0;
-  bool abort = false;
 };
 
 /// Deterministic scripted callbacks on the same bus (successor of the old
@@ -210,9 +197,6 @@ class ChaosEngine {
   Status OnReload(uint64_t owner, uint32_t shard, uint32_t index,
                   bool prefetch);
 
-  ShuffleAction OnShufflePush(uint64_t shuffle, uint32_t map_task,
-                              uint32_t reduce_part);
-  uint32_t OnShufflePullDelayUs(uint64_t shuffle, uint32_t reduce_part);
   uint32_t OnAdmissionDelayUs(uint64_t query_id);
 
   // ---- actuators & accounting -------------------------------------------

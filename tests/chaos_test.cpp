@@ -10,8 +10,8 @@
 // seeds (default 20) of ChaosConfig::Mixed — every fault class armed:
 // task delays (forced steals), forced world evictions between AND during
 // tasks (background evictor on every 4th seed), executor kills mid-stage,
-// budget squeezes, demand/prefetch reload failures and delays, shuffle
-// stalls and aborts. Every failing expectation names the seed; export
+// budget squeezes, demand/prefetch reload failures and delays, admission
+// delays. Every failing expectation names the seed; export
 // IDF_CHAOS_SEED=<seed> to replay exactly that schedule (the sweep then
 // runs only that seed), and the flight-recorder journal of the failing run
 // is dumped to $IDF_EVENTS_DIR for post-mortem (tools/idf_events.py).
@@ -265,10 +265,6 @@ TEST(ChaosTest, DecisionScheduleIsAPureFunctionOfTheSeed) {
       trace.push_back(static_cast<uint64_t>(
           engine.OnReload(42, i % 8, i % 3, /*prefetch=*/(i % 5) == 0)
               .code()));
-      const chaos::ShuffleAction push = engine.OnShufflePush(7, i % 6, i % 4);
-      trace.push_back((static_cast<uint64_t>(push.delay_us) << 1) |
-                      (push.abort ? 1u : 0u));
-      trace.push_back(engine.OnShufflePullDelayUs(7, i % 4));
       trace.push_back(engine.OnAdmissionDelayUs(1000 + i % 10));
     }
     engine.Disarm();
@@ -292,14 +288,13 @@ TEST(ChaosTest, DecisionScheduleIsAPureFunctionOfTheSeed) {
 
 // ---- fig12 fault tolerance under chaos --------------------------------------
 
-TEST(ChaosTest, DoubleExecutorLossDuringPipelinedShuffleSalvagesExactly) {
+TEST(ChaosTest, DoubleExecutorLossDuringShuffledJoinSalvagesExactly) {
   // The fig12_fault_tolerance scenario with the screws tightened: two
-  // executors die at task boundaries *inside* a pipelined shuffled join,
+  // executors die at task boundaries *inside* a shuffled join,
   // under a ~25% budget, with an append the recovery must replay. Salvage
   // (spill files co-owned by the catalog) plus lineage recompute must hand
   // back byte-identical rows — at worst after one clean retry.
   constexpr int64_t kRows = 20000;
-  ::setenv("IDF_SHUFFLE_PIPELINE", "1", 1);
   IndexOptions index_options;
   index_options.batch_capacity = 16 << 10;
   mem::MemoryGovernor& gov = mem::MemoryGovernor::Global();
@@ -368,7 +363,6 @@ TEST(ChaosTest, DoubleExecutorLossDuringPipelinedShuffleSalvagesExactly) {
   ASSERT_TRUE(retried.ok()) << retried.status().ToString();
   EXPECT_EQ(retried->SortedRowStrings(), expected);
   EXPECT_GT(CounterValue("mem.salvage.segments"), salvaged_before);
-  ::unsetenv("IDF_SHUFFLE_PIPELINE");
 }
 
 // ---- admission-queue churn storm --------------------------------------------

@@ -672,6 +672,12 @@ TEST(SchedulerTest, TaskLanesHomeFirstThenStealOldestFromLongest) {
 }
 
 TEST(SchedulerTest, ResolveSchedulerThreadsHonorsConfigAndEnv) {
+  // An ambient IDF_PARALLEL (an IDF_PARALLEL=0 ctest run) would override
+  // the config knob this test exercises: clear it here, restore it at exit.
+  const char* ambient = std::getenv("IDF_PARALLEL");
+  const std::string saved = ambient != nullptr ? ambient : "";
+  const bool had_ambient = ambient != nullptr;
+  unsetenv("IDF_PARALLEL");
   ClusterConfig c = SmallCluster(2, 2, 1);
   c.scheduler_threads = 3;
   EXPECT_EQ(ResolveSchedulerThreads(c), 3u);
@@ -685,7 +691,11 @@ TEST(SchedulerTest, ResolveSchedulerThreadsHonorsConfigAndEnv) {
   EXPECT_EQ(ResolveSchedulerThreads(c), 1u);
   setenv("IDF_PARALLEL", "6", 1);
   EXPECT_EQ(ResolveSchedulerThreads(c), 6u);
-  unsetenv("IDF_PARALLEL");
+  if (had_ambient) {
+    setenv("IDF_PARALLEL", saved.c_str(), 1);
+  } else {
+    unsetenv("IDF_PARALLEL");
+  }
 }
 
 TEST(ClusterTest, StaleVersionNeverServed) {

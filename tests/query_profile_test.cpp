@@ -225,6 +225,30 @@ TEST(QueryProfileTest, RetiredProfileFoldsIntoBucketOnceItsLastScopeCloses) {
   EXPECT_TRUE(registry.Snapshot(0, &snap));
 }
 
+TEST(QueryProfileTest, StandaloneExplainAnalyzeRetiresItsProfile) {
+  // A standalone EXPLAIN ANALYZE allocates a query id for its profile
+  // footer and retires it once the footer is written, so repeated runs
+  // leave the number of live profiles unchanged.
+  obs::QueryProfileRegistry& registry = obs::QueryProfileRegistry::Global();
+  auto live_profiles = [&registry] {
+    size_t live = 0;
+    for (uint64_t id : registry.Ids()) {
+      live += id != 0 && id != obs::kRetiredQueryId;
+    }
+    return live;
+  };
+  Session session(ServeClusterOptions());
+  auto edges = *session.CreateTable("edges", EdgeSchema(), DenseEdges(400));
+  const DataFrame query = edges.Filter(Ge(Col("weight"), Lit(10.0)));
+  const size_t before = live_profiles();
+  for (int run = 0; run < 100; ++run) {
+    Result<std::string> text = query.ExplainAnalyze();
+    ASSERT_TRUE(text.ok()) << text.status().ToString();
+    ASSERT_NE(text->find("-- query "), std::string::npos) << *text;
+  }
+  EXPECT_EQ(live_profiles(), before);
+}
+
 TEST(QueryProfileTest, ProfileJsonCarriesEveryField) {
   obs::QueryProfileSnapshot snap;
   snap.id = 42;
@@ -234,7 +258,7 @@ TEST(QueryProfileTest, ProfileJsonCarriesEveryField) {
        {"\"query_id\":42", "\"tasks\":7", "\"task_wall_us\"", "\"steals\"",
         "\"resident_hits\"", "\"resident_misses\"", "\"bytes_spilled\"",
         "\"evictions\"", "\"bytes_reloaded\"", "\"bytes_prefetched\"",
-        "\"shuffle_stall_us\"", "\"shuffle_pushed_bytes\"",
+        "\"shuffle_pushed_bytes\"",
         "\"admission_wait_us\"", "\"peak_pinned_bytes\"", "\"stages\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << key << " in " << json;
   }

@@ -1,7 +1,8 @@
 // Stress tests for the parallel stage scheduler (engine/scheduler.h +
 // Cluster::RunStage): sequential/parallel result and accounting parity,
 // concurrent sessions, concurrent queries against one cached indexed table,
-// and task events from pool threads nesting inside their stage's interval.
+// task events from pool threads nesting inside their stage's interval, and
+// the shuffle's byte identity across every scheduler thread count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,12 +16,14 @@
 #include <vector>
 
 #include "core/indexed_dataframe.h"
+#include "core/indexed_partition.h"
 #include "engine/cluster.h"
 #include "mem/governor.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics_registry.h"
 #include "sql/columnar.h"
 #include "sql/session.h"
+#include "workload/snb.h"
 
 namespace idf {
 namespace {
@@ -411,6 +414,218 @@ TEST(ResidencySchedulingTest, QuarterBudgetParallelMatchesSequential) {
   ::unsetenv("IDF_PARALLEL");
   EXPECT_EQ(par_budgeted.filter_rows, reference.filter_rows);
   EXPECT_EQ(par_budgeted.join_rows, reference.join_rows);
+}
+
+// ---- shuffle under every scheduler thread count ------------------------------
+
+TEST(SchedulerDeadlockTest, CreateIndexWithFewerThreadsThanExecutorsFinishes) {
+  // An index build must finish with fewer scheduler threads than
+  // executors, under a budget tight enough to spill. The test's ctest
+  // TIMEOUT turns a hang into a failure.
+  ::unsetenv("IDF_MEMORY_BUDGET");
+  SessionOptions opts = Options(/*scheduler_threads=*/2);
+  opts.default_partitions = 8;
+  Session session(opts);
+  mem::ScopedBudget tight(8 << 20);
+  SnbGenerator generator(SnbConfig::ScaleFactor(0.1));
+  DataFrame edges = generator.Edges(session).value();
+  IndexedDataFrame indexed =
+      IndexedDataFrame::Create(edges, "edge_source").value();
+  EXPECT_EQ(indexed.num_rows(), 100000u);
+}
+
+/// The thread counts the sweep runs: 1 (the reference) through one more
+/// thread than the 2x2 topology has executors.
+constexpr uint32_t kSweepMaxThreads = 5;
+
+SchemaPtr SweepSchema() {
+  return std::make_shared<Schema>(Schema({
+      {"user", TypeId::kInt64, false},
+      {"event", TypeId::kInt64, false},
+      {"score", TypeId::kFloat64, true},
+  }));
+}
+
+std::vector<RowVec> SweepRows(int64_t n, int64_t salt = 0) {
+  std::vector<RowVec> rows;
+  rows.reserve(n);
+  for (int64_t i = 0; i < n; ++i) {
+    rows.push_back({Value::Int64((i * 7 + salt) % 131),
+                    Value::Int64(i + salt * 1000000),
+                    Value::Float64(0.5 * static_cast<double>(i))});
+  }
+  return rows;
+}
+
+SessionOptions SweepOptions(uint32_t scheduler_threads, uint64_t budget) {
+  ::unsetenv("IDF_MEMORY_BUDGET");
+  SessionOptions opts = Options(scheduler_threads);
+  opts.cluster.memory_budget_bytes = budget;
+  return opts;
+}
+
+/// One partition's physical layout: rows, batches and bytes.
+struct PartitionShape {
+  uint64_t num_rows;
+  uint32_t num_batches;
+  uint64_t data_bytes;
+  uint64_t allocated_bytes;
+
+  bool operator==(const PartitionShape&) const = default;
+};
+
+std::vector<PartitionShape> ShapesOf(Session& session,
+                                     const IndexedDataFrame& idf) {
+  std::vector<PartitionShape> shapes;
+  TaskContext ctx(&session.cluster(), 0);
+  for (uint32_t p = 0; p < idf.num_partitions(); ++p) {
+    auto part = idf.rdd()->GetPartition(p, idf.version(), ctx);
+    IDF_CHECK_OK(part.status());
+    shapes.push_back({(*part)->num_rows(), (*part)->num_batches(),
+                      (*part)->data_bytes(), (*part)->allocated_bytes()});
+  }
+  return shapes;
+}
+
+/// The TaskMetrics totals that must not depend on the thread count (timing
+/// fields legitimately do).
+struct InvariantTotals {
+  uint64_t rows_read, rows_written, shuffle_read, shuffle_written;
+  uint64_t index_probes, index_hits, batch_copies, ctrie_snapshots;
+  uint32_t num_stages;
+
+  static InvariantTotals Of(const QueryMetrics& m) {
+    return {m.totals.rows_read,          m.totals.rows_written,
+            m.totals.shuffle_bytes_read, m.totals.shuffle_bytes_written,
+            m.totals.index_probes,       m.totals.index_hits,
+            m.totals.batch_copies,       m.totals.ctrie_snapshots,
+            m.num_stages};
+  }
+  bool operator==(const InvariantTotals&) const = default;
+};
+
+struct IndexBuild {
+  std::vector<std::string> scan;  // full scan, in scan order
+  std::vector<PartitionShape> shapes;
+  InvariantTotals totals;
+};
+
+IndexBuild BuildIndex(uint32_t scheduler_threads, uint64_t budget) {
+  Session session(SweepOptions(scheduler_threads, budget));
+  auto events = *session.CreateTable("events", SweepSchema(), SweepRows(12000));
+  IndexOptions options;
+  options.batch_capacity = 16 << 10;
+  QueryMetrics metrics;
+  auto indexed = *IndexedDataFrame::Create(events, "user", options, &metrics);
+  IndexBuild out;
+  const CollectedTable scan = *indexed.AsDataFrame().Collect();
+  for (const RowVec& row : scan.rows) {
+    std::string line;
+    for (const Value& v : row) line += v.ToString() + "|";
+    out.scan.push_back(std::move(line));
+  }
+  out.shapes = ShapesOf(session, indexed);
+  out.totals = InvariantTotals::Of(metrics);
+  return out;
+}
+
+void ExpectSameBuild(const IndexBuild& got, const IndexBuild& want,
+                     uint32_t threads) {
+  EXPECT_EQ(got.scan, want.scan) << threads << " threads: scan order";
+  EXPECT_EQ(got.shapes, want.shapes) << threads << " threads: batch layout";
+  EXPECT_TRUE(got.totals == want.totals) << threads << " threads: metrics";
+}
+
+TEST(ShuffleThreadSweepTest, CreateIndexIsByteIdenticalAtEveryThreadCount) {
+  const IndexBuild reference = BuildIndex(1, 0);
+  ASSERT_EQ(reference.scan.size(), 12000u);
+  for (uint32_t threads = 2; threads <= kSweepMaxThreads; ++threads) {
+    ExpectSameBuild(BuildIndex(threads, 0), reference, threads);
+  }
+}
+
+TEST(ShuffleThreadSweepTest, CreateIndexIsByteIdenticalUnderTightBudget) {
+  // A 512 KiB budget makes the governor spill mid-build.
+  const IndexBuild reference = BuildIndex(1, 512 << 10);
+  EXPECT_EQ(reference.scan, BuildIndex(1, 0).scan);
+  for (uint32_t threads = 2; threads <= kSweepMaxThreads; ++threads) {
+    ExpectSameBuild(BuildIndex(threads, 512 << 10), reference, threads);
+  }
+}
+
+struct AppendChain {
+  std::vector<std::string> final_scan;
+  uint64_t final_rows;
+  std::vector<InvariantTotals> per_append;
+};
+
+AppendChain RunAppendChain(uint32_t scheduler_threads) {
+  Session session(SweepOptions(scheduler_threads, 0));
+  auto base = *session.CreateTable("base", SweepSchema(), SweepRows(6000));
+  IndexOptions options;
+  options.batch_capacity = 16 << 10;
+  IndexedDataFrame head = *IndexedDataFrame::Create(base, "user", options);
+  AppendChain out;
+  for (int64_t step = 1; step <= 3; ++step) {
+    auto delta = *session.CreateTable("delta" + std::to_string(step),
+                                      SweepSchema(), SweepRows(1500, step));
+    QueryMetrics metrics;
+    head = *head.AppendRows(delta, &metrics);
+    out.per_append.push_back(InvariantTotals::Of(metrics));
+  }
+  out.final_scan = head.AsDataFrame().Collect()->SortedRowStrings();
+  out.final_rows = head.num_rows();
+  return out;
+}
+
+TEST(ShuffleThreadSweepTest, ThreeDeepAppendChainIsIdenticalAtEveryThreadCount) {
+  const AppendChain reference = RunAppendChain(1);
+  ASSERT_EQ(reference.final_rows, 6000u + 3 * 1500u);
+  for (uint32_t threads = 2; threads <= kSweepMaxThreads; ++threads) {
+    const AppendChain got = RunAppendChain(threads);
+    EXPECT_EQ(got.final_rows, reference.final_rows) << threads << " threads";
+    EXPECT_EQ(got.final_scan, reference.final_scan) << threads << " threads";
+    ASSERT_EQ(got.per_append.size(), reference.per_append.size());
+    for (size_t i = 0; i < reference.per_append.size(); ++i) {
+      // COW batch opens and cTrie snapshots are the Fig. 9 costs.
+      EXPECT_TRUE(got.per_append[i] == reference.per_append[i])
+          << threads << " threads: append " << i << " metrics diverged";
+    }
+  }
+}
+
+struct ShuffledJoin {
+  std::vector<std::string> rows;
+  InvariantTotals totals;
+};
+
+ShuffledJoin RunShuffledJoin(uint32_t scheduler_threads, uint64_t budget) {
+  SessionOptions opts = SweepOptions(scheduler_threads, budget);
+  opts.broadcast_threshold_bytes = 0;  // force the shuffled probe path
+  Session session(opts);
+  auto build = *session.CreateTable("build", SweepSchema(), SweepRows(8000));
+  auto probe = *session.CreateTable("probe", SweepSchema(), SweepRows(900, 7));
+  IndexOptions options;
+  options.batch_capacity = 16 << 10;
+  auto indexed = *IndexedDataFrame::Create(build, "user", options);
+  QueryMetrics metrics;
+  auto joined = indexed.Join(probe, "user").Collect(&metrics);
+  IDF_CHECK_OK(joined.status());
+  return {joined->SortedRowStrings(), InvariantTotals::Of(metrics)};
+}
+
+TEST(ShuffleThreadSweepTest, ShuffledJoinIsIdenticalAtEveryThreadCount) {
+  const ShuffledJoin reference = RunShuffledJoin(1, 0);
+  // Proof this exercised the shuffle path at all.
+  EXPECT_GT(reference.totals.index_probes, 0u);
+  EXPECT_GT(reference.totals.shuffle_written, 0u);
+  EXPECT_EQ(RunShuffledJoin(1, 512 << 10).rows, reference.rows);
+  EXPECT_EQ(RunShuffledJoin(kSweepMaxThreads, 512 << 10).rows, reference.rows);
+  for (uint32_t threads = 2; threads <= kSweepMaxThreads; ++threads) {
+    const ShuffledJoin got = RunShuffledJoin(threads, 0);
+    EXPECT_EQ(got.rows, reference.rows) << threads << " threads";
+    EXPECT_TRUE(got.totals == reference.totals) << threads << " threads";
+  }
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 // a 25% memory budget — must produce byte-identical per-query results to
 // the same queries run serially. Plus: admission control (queue / reject /
 // queue-overflow), cooperative cancellation and deadline expiry mid-stage
-// and mid-pipelined-shuffle, and the invariant that a cancelled query
+// and mid-shuffle, and the invariant that a cancelled query
 // releases its reservation, leaks no pins or orphan blocks, and leaves
 // shared state usable for every later query.
 #include <gtest/gtest.h>
@@ -420,9 +420,8 @@ TEST(ServerTest, CancelMidStageReleasesEverythingAndSparesNeighbors) {
   service.Shutdown(/*cancel_pending=*/false);
 }
 
-TEST(ServerTest, CancelMidPipelinedAppendLeavesNoOrphanVersion) {
+TEST(ServerTest, CancelMidAppendLeavesNoOrphanVersion) {
   constexpr int64_t kRows = 6000;
-  ::setenv("IDF_SHUFFLE_PIPELINE", "1", 1);
   Session session(ServeClusterOptions());
   IndexOptions index_options;
   index_options.batch_capacity = 4 << 10;
@@ -438,9 +437,8 @@ TEST(ServerTest, CancelMidPipelinedAppendLeavesNoOrphanVersion) {
   QueryService service(session,
                        ServeConfig(/*workers=*/2, AdmitPolicy::kQueue));
 
-  // Cancel lands mid-append: inside the fused map+reduce shuffle stage, so
-  // the unwind path exercises AbortStreaming (blocked producers/consumers
-  // wake) and the orphan-version cleanup in IndexedRdd::Append.
+  // Cancel lands mid-append, at a task boundary of its shuffle, so the
+  // unwind path exercises the orphan-version cleanup in IndexedRdd::Append.
   Gate gate;
   QueryHandle victim;
   std::mutex handle_mu;

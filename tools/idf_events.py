@@ -43,7 +43,7 @@ TASK_EVENTS = {"task_start", "task_finish", "task_fail", "steal",
 GOVERNOR_EVENTS = {"evict", "spill_write", "reload_demand", "reload_prefetch",
                    "prefetch_skip", "batch_seal"}
 ENGINE_EVENTS = {"stage_finish", "recovery_block", "executor_kill"}
-SHUFFLE_EVENTS = {"shuffle_push", "shuffle_drain", "shuffle_stall"}
+SHUFFLE_EVENTS = {"shuffle_push"}
 QUERY_EVENTS = {"query_submit", "query_admit", "query_reject", "query_start",
                 "query_finish", "query_cancel", "query_deadline"}
 CHAOS_EVENTS = {"chaos_arm", "chaos_fault"}
@@ -55,16 +55,14 @@ KNOWN_EVENTS = (TASK_EVENTS | GOVERNOR_EVENTS | ENGINE_EVENTS |
 # Events recorded as an interval ends, and the payload field holding its
 # length in micros: the Chrome slice spans [ts_us - duration, ts_us].
 DURATION_FIELD = {"task_finish": "c", "task_fail": "c", "stage_finish": "c",
-                  "query_finish": "c", "recovery_block": "c",
-                  "shuffle_stall": "a"}
+                  "query_finish": "c", "recovery_block": "c"}
 
 # chaos_fault packs a = site << 8 | kind (see idf::chaos::Site / Fault).
-CHAOS_SITES = {1: "task", 2: "reload", 3: "shuffle-push", 4: "shuffle-pull",
-               5: "admission"}
+CHAOS_SITES = {1: "task", 2: "reload", 5: "admission"}
 CHAOS_FAULTS = {1: "task-delay", 2: "evict-world", 3: "kill-executor",
                 4: "cancel-query", 5: "expire-query", 6: "budget-squeeze",
                 7: "reload-fail", 8: "reload-delay", 9: "prefetch-fail",
-                10: "shuffle-delay", 11: "shuffle-abort", 12: "admit-delay"}
+                12: "admit-delay"}
 
 
 def load_events(path):
@@ -133,11 +131,6 @@ def describe(ev):
         return f"batch sealed {fmt_bytes(a)} rdd={b} shard={c}"
     if t == "shuffle_push":
         return f"shuffle push {fmt_bytes(a)} map={b} -> reduce={c}"
-    if t == "shuffle_drain":
-        return f"shuffle drain {fmt_bytes(a)} map={b} -> reduce={c}"
-    if t == "shuffle_stall":
-        side = "push (window full)" if c == 0 else "drain (waiting for data)"
-        return f"shuffle stall {a / 1000.0:.1f}ms on task {b}, {side}"
     if t == "query_submit":
         return (f"query {a} submitted (reservation {fmt_bytes(b)}, "
                 f"queue depth {c})")
@@ -172,8 +165,7 @@ def describe(ev):
         site = CHAOS_SITES.get(a >> 8, f"site-{a >> 8}")
         kind = CHAOS_FAULTS.get(a & 0xFF, f"kind-{a & 0xFF}")
         aux = ""
-        if kind in ("task-delay", "reload-delay", "shuffle-delay",
-                    "admit-delay"):
+        if kind in ("task-delay", "reload-delay", "admit-delay"):
             aux = f" ({c} us)"
         elif kind == "evict-world":
             aux = f" ({c} evicted)"
@@ -280,11 +272,8 @@ def print_summary(events, out=sys.stdout):
         print(f"  bytes spilled={fmt_bytes(spilled)} "
               f"reloaded={fmt_bytes(reloaded)}", file=out)
     pushed = sum(e.get("a", 0) for e in events if e["type"] == "shuffle_push")
-    stalled_us = sum(e.get("a", 0) for e in events
-                     if e["type"] == "shuffle_stall")
-    if pushed or stalled_us:
-        print(f"  shuffle pushed={fmt_bytes(pushed)} "
-              f"stalled={stalled_us / 1000.0:.1f}ms", file=out)
+    if pushed:
+        print(f"  shuffle pushed={fmt_bytes(pushed)}", file=out)
     submits = by_type.get("query_submit", 0)
     if submits:
         finishes = [e for e in events if e["type"] == "query_finish"]
@@ -335,8 +324,6 @@ def print_query_table(events, out=sys.stdout):
             by_q[q]["spilled_bytes"] += e.get("a", 0)
         elif t in ("reload_demand", "reload_prefetch"):
             by_q[q]["reloaded_bytes"] += e.get("a", 0)
-        elif t == "shuffle_stall":
-            by_q[q]["stall_us"] += e.get("a", 0)
     if set(by_q) <= {0}:
         return
     print("  per-query attribution:", file=out)
@@ -352,8 +339,6 @@ def print_query_table(events, out=sys.stdout):
             parts.append(f"spilled {fmt_bytes(c['spilled_bytes'])}")
         if c["reloaded_bytes"]:
             parts.append(f"reloaded {fmt_bytes(c['reloaded_bytes'])}")
-        if c["stall_us"]:
-            parts.append(f"stalled {c['stall_us'] / 1000.0:.1f}ms")
         print(f"    q={q:<4} {', '.join(parts)} {who}".rstrip(), file=out)
 
 
