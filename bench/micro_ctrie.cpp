@@ -77,9 +77,10 @@ BENCHMARK(BM_CTrieLookupThreaded)
     ->UseRealTime();
 
 void BM_CTrieIndexBuild(benchmark::State& state) {
-  // createIndex's per-row pattern (IndexedPartition::InsertEncoded): fetch
-  // the key's previous row pointer, then overwrite it, spread over 8 tries
-  // (partitions) of about 1250 distinct keys each.
+  // The per-row insert pattern (IndexedPartition::InsertRow): fetch the
+  // key's previous row pointer, then overwrite it, spread over 8 tries
+  // (partitions) of about 1250 distinct keys each. createIndex's grouped
+  // insert does this once per key instead of once per row.
   constexpr int kTries = 8;
   constexpr uint64_t kKeysPerTrie = 1250;
   const auto rows = static_cast<uint64_t>(state.range(0));

@@ -1,6 +1,82 @@
 #include "core/indexed_partition.h"
 
+#include <algorithm>
+
+#include "common/hash.h"
+
 namespace idf {
+
+namespace {
+
+/// Groups rows by key code for InsertEncodedRows: an open-addressing table
+/// from code to a dense group id, plus each group's code and row count.
+/// Group 0 is the NULL-key group; key groups are numbered from 1 in order
+/// of first appearance. Slots hold only the id (0 = empty), so the table
+/// costs 4 bytes per slot at a load factor of at most one half.
+class KeyGroups {
+ public:
+  static constexpr uint32_t kNullGroup = 0;
+
+  KeyGroups() : slots_(kMinSlots, 0), codes_{0}, counts_{0} {}
+
+  /// Counts one NULL-key row.
+  uint32_t AddNull() {
+    ++counts_[kNullGroup];
+    return kNullGroup;
+  }
+
+  /// Counts one row with key `code`; returns its group id.
+  uint32_t Add(uint64_t code) {
+    size_t i = SlotOf(code);
+    while (slots_[i] != 0) {
+      const uint32_t g = slots_[i];
+      if (codes_[g] == code) {
+        ++counts_[g];
+        return g;
+      }
+      i = (i + 1) & (slots_.size() - 1);
+    }
+    const uint32_t g = static_cast<uint32_t>(codes_.size());
+    slots_[i] = g;
+    codes_.push_back(code);
+    counts_.push_back(1);
+    if (2 * codes_.size() > slots_.size()) Grow();
+    return g;
+  }
+
+  uint64_t code(uint32_t group) const { return codes_[group]; }
+
+  /// Each group's first position in grouped order (NULL group first).
+  std::vector<uint32_t> ExclusiveStarts() const {
+    std::vector<uint32_t> starts(counts_.size());
+    uint32_t next = 0;
+    for (size_t g = 0; g < counts_.size(); ++g) {
+      starts[g] = next;
+      next += counts_[g];
+    }
+    return starts;
+  }
+
+ private:
+  static constexpr size_t kMinSlots = 64;
+
+  size_t SlotOf(uint64_t code) const { return Mix64(code) & (slots_.size() - 1); }
+
+  void Grow() {
+    slots_.assign(2 * slots_.size(), 0);
+    for (uint32_t g = 1; g < codes_.size(); ++g) {
+      size_t i = SlotOf(codes_[g]);
+      while (slots_[i] != 0) i = (i + 1) & (slots_.size() - 1);
+      slots_[i] = g;
+    }
+  }
+
+  std::vector<uint32_t> slots_;
+  std::vector<uint64_t> codes_;
+  std::vector<uint32_t> counts_;
+};
+
+}  // namespace
 
 IndexedPartition::IndexedPartition(SchemaPtr schema, size_t key_column,
                                    uint32_t batch_capacity)
@@ -40,20 +116,66 @@ Status IndexedPartition::InsertRow(const RowVec& row) {
   return Status::OK();
 }
 
-Status IndexedPartition::InsertEncoded(const uint8_t* row, uint32_t len) {
-  mem::AccessScope scope;
-  if (layout_.IsNull(row, key_column_)) {
-    IDF_RETURN_IF_ERROR(
-        store_.AppendEncoded(row, len, PackedRowPtr::Null()).status());
-    return Status::OK();
+Status IndexedPartition::InsertEncodedRows(std::span<const uint8_t*> rows,
+                                           uint64_t skip) {
+  IDF_CHECK_MSG(rows.size() < UINT32_MAX, "too many rows in one insert");
+  const uint32_t n = static_cast<uint32_t>(rows.size());
+  if (skip >= n) return Status::OK();
+
+  // Count pass: the key group of every row, in order of first appearance.
+  KeyGroups groups;
+  std::vector<uint32_t> dest(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    dest[i] = layout_.IsNull(rows[i], key_column_)
+                  ? groups.AddNull()
+                  : groups.Add(layout_.KeyCode(rows[i], key_column_));
   }
-  const uint64_t code = layout_.KeyCode(row, key_column_);
-  const std::optional<uint64_t> prev = index_.Lookup(code);
-  const PackedRowPtr back_ptr =
-      prev.has_value() ? PackedRowPtr::FromBits(*prev) : PackedRowPtr::Null();
-  IDF_ASSIGN_OR_RETURN(PackedRowPtr ptr,
-                       store_.AppendEncoded(row, len, back_ptr));
-  index_.Put(code, ptr.bits());
+  // dest[i] becomes row i's position in grouped order, and ends[g] one
+  // past group g's last position. Then permute rows into grouped order in
+  // place, one cycle at a time: each swap puts one row where it belongs.
+  std::vector<uint32_t> ends = groups.ExclusiveStarts();
+  for (uint32_t i = 0; i < n; ++i) dest[i] = ends[dest[i]]++;
+  for (uint32_t i = 0; i < n; ++i) {
+    while (dest[i] != i) {
+      const uint32_t j = dest[i];
+      std::swap(rows[i], rows[j]);
+      std::swap(dest[i], dest[j]);
+    }
+  }
+  std::vector<uint32_t>().swap(dest);
+
+  uint32_t begin = 0;
+  for (uint32_t g = 0; g < ends.size(); ++g) {
+    const uint32_t end = ends[g];
+    const uint32_t first =
+        static_cast<uint32_t>(std::max<uint64_t>(begin, skip));
+    begin = end;
+    if (first >= end) continue;
+    // The run's head may sit in an older, possibly spilled batch; keep what
+    // it touches pinned until the run is written.
+    mem::AccessScope scope;
+    if (g == KeyGroups::kNullGroup) {
+      // Unindexed storage: reachable by scans, invisible to lookups.
+      for (uint32_t p = first; p < end; ++p) {
+        const uint8_t* row = rows[p];
+        IDF_RETURN_IF_ERROR(
+            store_.AppendEncoded(row, RowLayout::RowSize(row),
+                                 PackedRowPtr::Null())
+                .status());
+      }
+      continue;
+    }
+    const uint64_t code = groups.code(g);
+    const std::optional<uint64_t> head = index_.Lookup(code);
+    PackedRowPtr back =
+        head.has_value() ? PackedRowPtr::FromBits(*head) : PackedRowPtr::Null();
+    for (uint32_t p = first; p < end; ++p) {
+      const uint8_t* row = rows[p];
+      IDF_ASSIGN_OR_RETURN(
+          back, store_.AppendEncoded(row, RowLayout::RowSize(row), back));
+    }
+    index_.Put(code, back.bits());
+  }
   return Status::OK();
 }
 
@@ -88,19 +210,26 @@ std::vector<RowVec> IndexedPartition::LookupRows(const Value& key) const {
 
 void IndexedPartition::ForEachRow(
     const std::function<void(const uint8_t*)>& fn) const {
-  for (uint32_t b = 0; b < store_.num_batches(); ++b) {
-    // One scope per batch: a full scan's working set is the current batch,
-    // not the whole partition — earlier batches may be evicted behind us.
-    mem::AccessScope scope;
-    const std::shared_ptr<RowBatch> batch = store_.batch(b);
-    const uint8_t* cursor = batch->data();
-    const uint8_t* end = batch->data() + batch->used();
+  ForEachBatch([&](const uint8_t* data, uint32_t used) {
+    const uint8_t* cursor = data;
+    const uint8_t* end = data + used;
     while (cursor < end) {
       const uint32_t size = RowLayout::RowSize(cursor);
       IDF_CHECK_MSG(size >= 16 && cursor + size <= end, "corrupt row batch");
       fn(cursor);
       cursor += size;
     }
+  });
+}
+
+void IndexedPartition::ForEachBatch(
+    const std::function<void(const uint8_t*, uint32_t)>& fn) const {
+  for (uint32_t b = 0; b < store_.num_batches(); ++b) {
+    // One scope per batch: a full scan's working set is the current batch,
+    // not the whole partition — earlier batches may be evicted behind us.
+    mem::AccessScope scope;
+    const std::shared_ptr<RowBatch> batch = store_.batch(b);
+    fn(batch->data(), batch->used());
   }
 }
 

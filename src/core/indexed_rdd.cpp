@@ -10,26 +10,35 @@ namespace idf {
 
 namespace {
 
-/// Inserts a reduce task's routed rows into `part`, after one ReserveHint
-/// for all of their bytes so batch opens size off the whole input.
+/// The rows of `inputs`, in map-task order.
+std::vector<const uint8_t*> RowPointers(const ShuffleInputs& inputs) {
+  size_t num_rows = 0;
+  for (const auto& buf : inputs) num_rows += buf->num_rows;
+  std::vector<const uint8_t*> rows;
+  rows.reserve(num_rows);
+  for (const auto& buf : inputs) {
+    ShuffleBufferReader reader(*buf);
+    while (reader.HasNext()) rows.push_back(reader.Next());
+  }
+  return rows;
+}
+
+/// Inserts a reduce task's routed rows into `part` as one grouped insert,
+/// after one ReserveHint for all of their bytes so batch opens size off the
+/// whole input.
 Status InsertShuffleInputs(const ShuffleInputs& inputs,
                            IndexedPartition& part) {
   uint64_t routed_bytes = 0;
   for (const auto& buf : inputs) routed_bytes += buf->bytes.size();
   part.ReserveHint(routed_bytes);
-  for (const auto& buf : inputs) {
-    ShuffleBufferReader reader(*buf);
-    while (reader.HasNext()) {
-      const uint8_t* row = reader.Next();
-      IDF_RETURN_IF_ERROR(part.InsertEncoded(row, RowLayout::RowSize(row)));
-    }
-  }
-  return Status::OK();
+  std::vector<const uint8_t*> rows = RowPointers(inputs);
+  return part.InsertEncodedRows(rows);
 }
 
 /// Replays one salvaged spill segment into `target`: the file holds the
-/// batch's verbatim self-delimiting rows, and InsertEncoded re-derives the
-/// index entries and back-pointer chains.
+/// batch's verbatim self-delimiting rows, already in grouped order, so the
+/// grouped insert re-derives the index entries and back-pointer chains and
+/// lays the rows out as they were.
 Status ReplaySalvageSegment(const mem::SalvageSegment& segment,
                             IndexedPartition& target) {
   std::ifstream in(segment.path, std::ios::binary);
@@ -44,22 +53,15 @@ Status ReplaySalvageSegment(const mem::SalvageSegment& segment,
     return Status::Unavailable("short read from salvaged spill file '" +
                                segment.path + "'");
   }
-  uint64_t rows = 0;
-  size_t cursor = 0;
-  while (cursor < bytes.size()) {
-    const uint32_t size = RowLayout::RowSize(bytes.data() + cursor);
-    if (size < 16 || cursor + size > bytes.size()) {
-      return Status::Internal("corrupt salvaged spill file '" + segment.path +
-                              "'");
-    }
-    IDF_RETURN_IF_ERROR(target.InsertEncoded(bytes.data() + cursor, size));
-    cursor += size;
-    ++rows;
+  std::vector<const uint8_t*> rows;
+  if (!RowLayout::SplitRows(bytes.data(), bytes.size(), rows)) {
+    return Status::Internal("corrupt salvaged spill file '" + segment.path +
+                            "'");
   }
-  if (rows != segment.rows) {
+  if (rows.size() != segment.rows) {
     return Status::Internal("salvaged spill file row count mismatch");
   }
-  return Status::OK();
+  return target.InsertEncodedRows(rows);
 }
 
 }  // namespace
@@ -350,12 +352,11 @@ std::vector<uint64_t> IndexedRdd::Versions() const {
   return out;
 }
 
-Status IndexedRdd::InsertRoutedRows(const TableHandle& table,
-                                    uint32_t partition,
-                                    IndexedPartition& target,
-                                    TaskContext& ctx,
-                                    uint64_t skip_rows) const {
+Result<ShuffleInputs> IndexedRdd::RouteRows(const TableHandle& table,
+                                            uint32_t partition,
+                                            TaskContext& ctx) const {
   RowLayout layout(schema_);
+  auto routed = std::make_shared<ShuffleBuffer>();
   std::vector<uint8_t> scratch;
   for (uint32_t p = 0; p < table.num_partitions; ++p) {
     // Per-chunk scope: pins at most one source chunk at a time, so a tight
@@ -367,16 +368,11 @@ Status IndexedRdd::InsertRoutedRows(const TableHandle& table,
       const uint32_t t =
           key_col.IsNull(i) ? 0 : PartitionOf(key_col.KeyCodeAt(i));
       if (t != partition) continue;
-      if (skip_rows > 0) {
-        --skip_rows;
-        continue;
-      }
       chunk->EncodeRowTo(layout, i, scratch);
-      IDF_RETURN_IF_ERROR(target.InsertEncoded(
-          scratch.data(), static_cast<uint32_t>(scratch.size())));
+      routed->AppendRow(scratch.data(), static_cast<uint32_t>(scratch.size()));
     }
   }
-  return Status::OK();
+  return ShuffleInputs{std::move(routed)};
 }
 
 Result<BlockPtr> IndexedRdd::Recompute(uint32_t partition, uint64_t version,
@@ -411,20 +407,19 @@ Result<BlockPtr> IndexedRdd::Recompute(uint32_t partition, uint64_t version,
     part = std::make_shared<IndexedPartition>(schema_, key_column_,
                                               batch_capacity_);
     part->SetSpillTag(rdd_id_, partition);
-    // Before re-routing the base table, check the governor's salvage
-    // catalog: batches of the lost partition that were spilled to local
-    // disk survive the block loss, and replaying their files is a
-    // sequential read instead of a full base-table scan. Only a contiguous
-    // prefix is usable — routing order is deterministic, so after reloading
-    // the first M routed rows from spill we resume the re-route at row M.
+    // The build's reduce task held every routed row before its one grouped
+    // insert; holding them here too reproduces its batch layout exactly.
+    IDF_ASSIGN_OR_RETURN(ShuffleInputs routed,
+                         RouteRows(base_, partition, ctx));
+    part->ReserveHint(routed.front()->bytes.size());
+    // Before inserting, replay the governor's salvage catalog: batches of
+    // the lost partition that were spilled to local disk survive the block
+    // loss. Only a contiguous prefix is usable — grouped order is
+    // deterministic, so after reloading the first M rows of it from spill
+    // the grouped insert skips those M rows, even mid-run.
     uint64_t salvaged_rows = 0;
-    uint64_t salvaged_bytes = 0;
     const std::vector<mem::SalvageSegment> segments =
         mem::MemoryGovernor::Global().SalvagePrefix(rdd_id_, partition);
-    for (const mem::SalvageSegment& segment : segments) {
-      salvaged_bytes += segment.bytes;
-    }
-    part->ReserveHint(salvaged_bytes);
     for (const mem::SalvageSegment& segment : segments) {
       IDF_RETURN_IF_ERROR(ReplaySalvageSegment(segment, *part));
       salvaged_rows += segment.rows;
@@ -436,16 +431,19 @@ Result<BlockPtr> IndexedRdd::Recompute(uint32_t partition, uint64_t version,
                    static_cast<unsigned long long>(rdd_id_), partition,
                    segments.size());
     }
-    IDF_RETURN_IF_ERROR(
-        InsertRoutedRows(base_, partition, *part, ctx, salvaged_rows));
+    std::vector<const uint8_t*> rows = RowPointers(routed);
+    IDF_RETURN_IF_ERROR(part->InsertEncodedRows(rows, salvaged_rows));
     // The append replay below writes into this same store. Salvage maps a
-    // catalog prefix 1:1 onto base routing order, so batches holding append
-    // rows (or a base/append mix in the tail) must never register: seal the
-    // base-only tail and stop tagging before the first append row lands.
+    // catalog prefix 1:1 onto the base's grouped order, so batches holding
+    // append rows (or a base/append mix in the tail) must never register:
+    // seal the base-only tail and stop tagging before the first append row
+    // lands.
     part->ClearSpillTag();
   }
   for (const TableHandle& append : appends) {
-    IDF_RETURN_IF_ERROR(InsertRoutedRows(append, partition, *part, ctx));
+    IDF_ASSIGN_OR_RETURN(ShuffleInputs routed,
+                         RouteRows(append, partition, ctx));
+    IDF_RETURN_IF_ERROR(InsertShuffleInputs(routed, *part));
   }
   part->SealStorage();  // rebuilt: evictable from here on
   return BlockPtr(part);

@@ -109,14 +109,12 @@ class IndexedRdd : public std::enable_shared_from_this<IndexedRdd> {
   Result<BlockPtr> Recompute(uint32_t partition, uint64_t version,
                              TaskContext& ctx) const;
 
-  /// Inserts every row of `table` that routes to `partition` (driver of the
-  /// recompute path; scans the full table like Spark's re-shuffle would).
-  /// The first `skip_rows` routed rows are skipped — routing order is
-  /// deterministic, so recovery that salvaged the first M rows from spill
-  /// files resumes the insert exactly where those left off.
-  Status InsertRoutedRows(const TableHandle& table, uint32_t partition,
-                          IndexedPartition& target, TaskContext& ctx,
-                          uint64_t skip_rows = 0) const;
+  /// Encodes every row of `table` that routes to `partition`, in routing
+  /// order, into one buffer: the reduce input the shuffle would deliver
+  /// (driver of the recompute path; scans the full table like Spark's
+  /// re-shuffle would).
+  Result<ShuffleInputs> RouteRows(const TableHandle& table,
+                                  uint32_t partition, TaskContext& ctx) const;
 
   Session* session_;
   RddLeasePtr lease_;           // this RDD's own blocks, every version

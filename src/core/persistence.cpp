@@ -1,5 +1,6 @@
 #include "core/persistence.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -63,14 +64,14 @@ Status SavePartition(const IndexedPartition& partition,
   WritePod(out, partition.data_bytes());
   // Rows are self-delimiting; write them in storage order. Backward-pointer
   // headers are rewritten on load, so the raw bytes round-trip safely even
-  // though batch boundaries may differ.
-  Status status = Status::OK();
-  partition.ForEachRow([&](const uint8_t* row) {
-    out.write(reinterpret_cast<const char*>(row), RowLayout::RowSize(row));
+  // though batch boundaries may differ (and a version with appends loads
+  // with each key's rows regrouped into one run, chain order unchanged).
+  partition.ForEachBatch([&](const uint8_t* data, uint32_t used) {
+    out.write(reinterpret_cast<const char*>(data), used);
   });
   out.flush();
   if (!out) return Status::Unavailable("short write to '" + path + "'");
-  return status;
+  return Status::OK();
 }
 
 Result<std::shared_ptr<IndexedPartition>> LoadPartition(
@@ -117,20 +118,15 @@ Result<std::shared_ptr<IndexedPartition>> LoadPartition(
   in.read(buffer.data(), static_cast<std::streamsize>(data_bytes));
   if (!in) return Corrupt(path, "truncated row data");
 
-  size_t cursor = 0;
-  uint64_t rows = 0;
-  while (cursor < data_bytes) {
-    const uint8_t* row = reinterpret_cast<const uint8_t*>(buffer.data()) + cursor;
-    if (cursor + 16 > data_bytes) return Corrupt(path, "dangling row header");
-    const uint32_t size = RowLayout::RowSize(row);
-    if (size < 16 || cursor + size > data_bytes) {
-      return Corrupt(path, "row overruns file");
-    }
-    IDF_RETURN_IF_ERROR(partition->InsertEncoded(row, size));
-    cursor += size;
-    ++rows;
+  std::vector<const uint8_t*> rows;
+  rows.reserve(std::min<uint64_t>(num_rows, data_bytes / 16));
+  if (!RowLayout::SplitRows(reinterpret_cast<const uint8_t*>(buffer.data()),
+                            buffer.size(), rows)) {
+    return Corrupt(path, "row overruns file");
   }
-  if (rows != num_rows) return Corrupt(path, "row count mismatch");
+  if (rows.size() != num_rows) return Corrupt(path, "row count mismatch");
+  // A saved base is in grouped order already, so this reproduces its layout.
+  IDF_RETURN_IF_ERROR(partition->InsertEncodedRows(rows));
   partition->SealStorage();  // loaded: evictable from here on
   return partition;
 }

@@ -51,6 +51,21 @@ class RowLayout {
     std::memcpy(&s, src, sizeof(s));
     return s;
   }
+  /// Appends to `rows` a pointer to each row of a buffer of back-to-back
+  /// encoded rows. Returns false if a row is shorter than its header or
+  /// overruns the buffer.
+  static bool SplitRows(const uint8_t* data, size_t size,
+                        std::vector<const uint8_t*>& rows) {
+    size_t cursor = 0;
+    while (cursor < size) {
+      if (size - cursor < 16) return false;
+      const uint32_t row_size = RowSize(data + cursor);
+      if (row_size < 16 || row_size > size - cursor) return false;
+      rows.push_back(data + cursor);
+      cursor += row_size;
+    }
+    return true;
+  }
   static PackedRowPtr BackPtr(const uint8_t* src) {
     uint64_t bits;
     std::memcpy(&bits, src + 8, sizeof(bits));

@@ -144,6 +144,103 @@ TEST(IndexedPartitionTest, ScanSeesAllRowsInInsertionOrder) {
   for (int64_t i = 0; i < 500; ++i) EXPECT_EQ(seen[static_cast<size_t>(i)], i);
 }
 
+/// Encodes `rows` back to back into `buffer`; returns a pointer to each.
+std::vector<const uint8_t*> EncodeRows(const RowLayout& layout,
+                                       const std::vector<RowVec>& rows,
+                                       std::vector<uint8_t>& buffer) {
+  std::vector<size_t> offsets;
+  for (const RowVec& row : rows) {
+    offsets.push_back(buffer.size());
+    buffer.resize(buffer.size() + *layout.ComputeRowSize(row));
+    layout.EncodeRow(row, buffer.data() + offsets.back(),
+                     PackedRowPtr::Null());
+  }
+  std::vector<const uint8_t*> encoded;
+  for (size_t offset : offsets) encoded.push_back(buffer.data() + offset);
+  return encoded;
+}
+
+TEST(IndexedPartitionTest, GroupedInsertStoresNullsFirstThenOneRunPerKey) {
+  IndexedPartition part(EdgeSchema(), 2, 2048);  // weight is nullable
+  std::vector<RowVec> rows;
+  for (int64_t i = 0; i < 300; ++i) {
+    rows.push_back({Value::Int64(i), Value::Int64(i),
+                    i % 5 == 0 ? Value::Null(TypeId::kFloat64)
+                               : Value::Float64(0.5 * (i % 7))});
+  }
+  std::vector<uint8_t> buffer;
+  std::vector<const uint8_t*> encoded = EncodeRows(part.layout(), rows, buffer);
+  IDF_CHECK_OK(part.InsertEncodedRows(encoded));
+  ASSERT_EQ(part.num_rows(), 300u);
+
+  // Storage order: the 60 NULL-key rows, then each key's rows as one run,
+  // keys in order of first appearance, rows in input order.
+  // (Row strings, since NULL never compares equal to NULL.)
+  auto row_string = [](const RowVec& row) {
+    std::string out;
+    for (const Value& v : row) out += v.ToString() + "|";
+    return out;
+  };
+  std::vector<std::string> expected;
+  for (const RowVec& row : rows) {
+    if (row[2].is_null()) expected.push_back(row_string(row));
+  }
+  for (int64_t k : {1, 2, 3, 4, 6, 0, 5}) {
+    for (const RowVec& row : rows) {
+      if (!row[2].is_null() && row[2] == Value::Float64(0.5 * k)) {
+        expected.push_back(row_string(row));
+      }
+    }
+  }
+  std::vector<std::string> stored;
+  part.ForEachRow([&](const uint8_t* row) {
+    stored.push_back(row_string(part.layout().DecodeRow(row)));
+  });
+  EXPECT_EQ(stored, expected);
+
+  // NULL-key rows are scanned but reachable by no lookup.
+  EXPECT_TRUE(part.LookupRows(Value::Null(TypeId::kFloat64)).empty());
+  size_t looked_up = 0;
+  for (int64_t k = 0; k < 7; ++k) {
+    looked_up += part.LookupRows(Value::Float64(0.5 * k)).size();
+  }
+  EXPECT_EQ(looked_up, 240u);
+}
+
+TEST(IndexedPartitionTest, GroupedInsertSkipsAPrefixOfGroupedOrder) {
+  // Inserting a prefix of the grouped order, then the whole input with that
+  // prefix skipped, lays out the same bytes as one grouped insert, even
+  // when the prefix ends inside a key's run.
+  std::vector<RowVec> rows;
+  for (int64_t i = 0; i < 400; ++i) rows.push_back(Edge(i % 3, i));
+  IndexedPartition whole(EdgeSchema(), 0, 2048);
+  std::vector<uint8_t> buffer;
+  const std::vector<const uint8_t*> encoded =
+      EncodeRows(whole.layout(), rows, buffer);
+  std::vector<const uint8_t*> scratch = encoded;  // the insert permutes it
+  IDF_CHECK_OK(whole.InsertEncodedRows(scratch));
+
+  std::vector<uint8_t> stored;
+  whole.ForEachRow([&](const uint8_t* row) {
+    stored.insert(stored.end(), row, row + RowLayout::RowSize(row));
+  });
+  std::vector<const uint8_t*> prefix;
+  ASSERT_TRUE(RowLayout::SplitRows(stored.data(), stored.size(), prefix));
+  prefix.resize(150);  // key 0 has 134 rows: the prefix splits key 1's run
+
+  IndexedPartition resumed(EdgeSchema(), 0, 2048);
+  IDF_CHECK_OK(resumed.InsertEncodedRows(prefix));
+  scratch = encoded;
+  IDF_CHECK_OK(resumed.InsertEncodedRows(scratch, prefix.size()));
+  std::vector<uint8_t> resumed_bytes;
+  resumed.ForEachRow([&](const uint8_t* row) {
+    resumed_bytes.insert(resumed_bytes.end(), row,
+                         row + RowLayout::RowSize(row));
+  });
+  EXPECT_EQ(resumed_bytes, stored);
+  EXPECT_EQ(resumed.num_batches(), whole.num_batches());
+}
+
 // ---- IndexedDataFrame: create/lookup ------------------------------------------
 
 std::vector<RowVec> PowerLawEdges(int n, uint64_t seed, int64_t key_domain) {
@@ -182,6 +279,83 @@ TEST(IndexedDataFrameTest, CreateAndGetRows) {
   }
   // A key outside the domain misses.
   EXPECT_TRUE(indexed->GetRows(Value::Int64(10'000'000)).value().rows.empty());
+}
+
+TEST(IndexedDataFrameTest, BackPointersAddressThePreviouslyStoredRow) {
+  // Create inserts each key's rows back to back: every back pointer is
+  // null (a key's oldest row) or addresses the row stored just before it,
+  // in the same batch or, at a batch rollover, the previous batch's last.
+  Session session(SmallOptions());
+  auto edges = *session.CreateTable("e", EdgeSchema(),
+                                    PowerLawEdges(6000, 3, 400));
+  IndexOptions index_options;
+  index_options.batch_capacity = 2048;  // many rollovers
+  auto indexed = *IndexedDataFrame::Create(edges, "src", index_options);
+  TaskContext ctx(&session.cluster(), session.cluster().AliveExecutors()[0]);
+  uint64_t rows = 0;
+  for (uint32_t p = 0; p < indexed.rdd()->num_partitions(); ++p) {
+    auto part = *indexed.rdd()->GetPartition(p, indexed.version(), ctx);
+    std::set<int64_t> keys;
+    uint64_t chain_starts = 0;
+    uint32_t batch = 0;
+    PackedRowPtr previous = PackedRowPtr::Null();
+    part->ForEachBatch([&](const uint8_t* data, uint32_t used) {
+      for (uint32_t offset = 0; offset < used;
+           offset += RowLayout::RowSize(data + offset)) {
+        const PackedRowPtr back = RowLayout::BackPtr(data + offset);
+        if (back.is_null()) {
+          ++chain_starts;
+        } else {
+          ASSERT_FALSE(previous.is_null());
+          EXPECT_EQ(back.batch(), previous.batch());
+          EXPECT_EQ(back.offset(), previous.offset());
+        }
+        keys.insert(part->layout().GetInt64(data + offset, 0));
+        previous = PackedRowPtr::Make(batch, offset, 0);
+        ++rows;
+      }
+      ++batch;
+    });
+    EXPECT_GT(batch, 1u);
+    EXPECT_EQ(chain_starts, keys.size());
+  }
+  EXPECT_EQ(rows, 6000u);
+}
+
+TEST(IndexedDataFrameTest, GroupedGetRowsMatchesPerRowInsertReference) {
+  // A reference partition built one InsertRow at a time, in routing order
+  // (table partition by table partition; CreateTable deals rows round
+  // robin), holds each key's chain in the order the parent layout did.
+  Session session(SmallOptions());
+  const std::vector<RowVec> base_rows = PowerLawEdges(3000, 11, 200);
+  const std::vector<RowVec> append_rows = PowerLawEdges(500, 12, 250);
+  auto base = *session.CreateTable("b", EdgeSchema(), base_rows);
+  auto extra = *session.CreateTable("x", EdgeSchema(), append_rows);
+  IndexOptions index_options;
+  index_options.batch_capacity = 4096;
+  auto indexed = *IndexedDataFrame::Create(base, "src", index_options);
+  auto appended = *indexed.AppendRows(extra);
+
+  const uint32_t parts = SmallOptions().default_partitions;
+  auto insert_in_routing_order = [&](const std::vector<RowVec>& rows,
+                                     IndexedPartition& target) {
+    for (uint32_t tp = 0; tp < parts; ++tp) {
+      for (size_t i = tp; i < rows.size(); i += parts) {
+        IDF_CHECK_OK(target.InsertRow(rows[i]));
+      }
+    }
+  };
+  IndexedPartition reference(EdgeSchema(), 0);
+  insert_in_routing_order(base_rows, reference);
+  std::shared_ptr<IndexedPartition> reference_appended = reference.Snapshot();
+  insert_in_routing_order(append_rows, *reference_appended);
+
+  for (int64_t key = 0; key < 260; ++key) {
+    const Value k = Value::Int64(key);
+    EXPECT_EQ(indexed.GetRows(k)->rows, reference.LookupRows(k)) << key;
+    EXPECT_EQ(appended.GetRows(k)->rows, reference_appended->LookupRows(k))
+        << key;
+  }
 }
 
 TEST(IndexedDataFrameTest, GetRowsOnStringColumn) {

@@ -478,6 +478,65 @@ TEST(MemSalvageTest, RecomputeAfterAppendKeepsSalvageCatalogBaseOnly) {
   EXPECT_GT(CounterValue("mem.salvage.segments"), salvaged_before);
 }
 
+/// Each row batch of `part`, as bytes (back-pointer headers included).
+std::vector<std::vector<uint8_t>> BatchBytes(const IndexedPartition& part) {
+  std::vector<std::vector<uint8_t>> batches;
+  part.ForEachBatch([&](const uint8_t* data, uint32_t used) {
+    batches.emplace_back(data, data + used);
+  });
+  return batches;
+}
+
+TEST(MemSalvageTest, RecomputeFromPrefixSplittingAKeyRunIsByteIdentical) {
+  // A salvaged prefix ends at a batch boundary, and with each key's rows
+  // stored as one run that boundary can fall inside a run. Recompute
+  // replays the prefix, then skips that many rows of the re-routed grouped
+  // order: the rebuilt batches must equal the original build's byte for
+  // byte, back pointers included.
+  IndexOptions index_options;
+  index_options.batch_capacity = 16 << 10;
+  Session session(ClusterOptions(64 << 20));  // engaged; the build never spills
+  std::vector<RowVec> rows;
+  for (int64_t i = 0; i < 12000; ++i) rows.push_back(Edge(i % 13, i, 0.5 * i));
+  auto edges = *session.CreateTable("edges", EdgeSchema(), rows);
+  auto indexed = *IndexedDataFrame::Create(edges, "src", index_options);
+  ASSERT_EQ(CounterValue("mem.evictions"), 0u);
+
+  const uint64_t rdd = indexed.rdd()->rdd_id();
+  constexpr uint32_t kPartition = 1;
+  std::vector<std::vector<uint8_t>> original;
+  uint64_t allocated = 0;
+  {
+    TaskContext ctx(&session.cluster(), session.cluster().AliveExecutors()[0]);
+    auto part = *indexed.rdd()->GetPartition(kPartition, 0, ctx);
+    // Reading the batches in order makes the last one the most recently
+    // used payload in the process.
+    original = BatchBytes(*part);
+    allocated = part->allocated_bytes();
+  }
+  ASSERT_GE(original.size(), 6u);
+  // Spill everything but the newest third of the partition: LRU takes the
+  // table and the other partitions first, then this one oldest-first.
+  { mem::ScopedBudget spill_older(allocated / 3); }
+  const std::vector<mem::SalvageSegment> prefix =
+      mem::MemoryGovernor::Global().SalvagePrefix(rdd, kPartition);
+  ASSERT_GT(prefix.size(), 0u);
+  ASSERT_LT(prefix.size(), original.size());
+  // The first row after the prefix continues a key's run.
+  ASSERT_FALSE(RowLayout::BackPtr(original[prefix.size()].data()).is_null());
+
+  const auto home = session.cluster().blocks().LocationOf(
+      BlockId{rdd, kPartition, 0});
+  ASSERT_TRUE(home.has_value());
+  session.cluster().KillExecutor(*home);
+  const uint64_t salvaged_before = CounterValue("mem.salvage.segments");
+  TaskContext ctx(&session.cluster(), session.cluster().AliveExecutors()[0]);
+  auto rebuilt = *indexed.rdd()->GetPartition(kPartition, 0, ctx);
+  EXPECT_EQ(CounterValue("mem.salvage.segments") - salvaged_before,
+            prefix.size());
+  EXPECT_EQ(BatchBytes(*rebuilt), original);
+}
+
 TEST(MemSalvageTest, LostSpillFileFailsTheQueryInsteadOfAborting) {
   // An external tmp cleaner (or disk fault) removing spill files must not
   // crash the process: the reload failure unwinds as mem::ReloadFault, the

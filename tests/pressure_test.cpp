@@ -292,8 +292,8 @@ TEST(PressureTest, DoubleExecutorLossWithForcedEvictionStillRecovers) {
 
   // Precondition for `forced`: a partition homed on an executor that
   // survives the kills is resident when the recovery task starts. A lookup
-  // on one of its keys (every key has rows in every batch of its
-  // partition) faults its batches in as the most recently used payloads.
+  // on one of its keys faults the batch holding that key's rows in as the
+  // most recently used payload.
   const uint64_t rdd = indexed.rdd()->rdd_id();
   const uint32_t lost_partition =
       indexed.rdd()->PartitionOf(IndexKeyCode(Value::Int64(29)));
@@ -322,6 +322,11 @@ TEST(PressureTest, DoubleExecutorLossWithForcedEvictionStillRecovers) {
   hooks.on_task_start = [&forced] { forced += EvictEverything(); };
   ScopedHooks guard(std::move(hooks));
 
+  // Precondition for salvage: the lost partition's batches are on disk.
+  // The lookup of key 29 above faulted in the batch holding that key's
+  // rows, and a resident first batch leaves no salvageable prefix.
+  ASSERT_GT(mem::MemoryGovernor::Global().EvictPartition(rdd, lost_partition),
+            0u);
   const uint64_t salvaged_before = CounterValue("mem.salvage.segments");
   session.cluster().KillExecutor(1);
   session.cluster().KillExecutor(2);
