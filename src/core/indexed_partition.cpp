@@ -116,11 +116,10 @@ Status IndexedPartition::InsertRow(const RowVec& row) {
   return Status::OK();
 }
 
-Status IndexedPartition::InsertEncodedRows(std::span<const uint8_t*> rows,
-                                           uint64_t skip) {
+Status IndexedPartition::InsertEncodedRows(std::span<const uint8_t*> rows) {
   IDF_CHECK_MSG(rows.size() < UINT32_MAX, "too many rows in one insert");
   const uint32_t n = static_cast<uint32_t>(rows.size());
-  if (skip >= n) return Status::OK();
+  if (n == 0) return Status::OK();
 
   // Count pass: the key group of every row, in order of first appearance.
   KeyGroups groups;
@@ -144,13 +143,9 @@ Status IndexedPartition::InsertEncodedRows(std::span<const uint8_t*> rows,
   }
   std::vector<uint32_t>().swap(dest);
 
-  uint32_t begin = 0;
-  for (uint32_t g = 0; g < ends.size(); ++g) {
+  for (uint32_t g = 0, first = 0; g < ends.size(); first = ends[g++]) {
     const uint32_t end = ends[g];
-    const uint32_t first =
-        static_cast<uint32_t>(std::max<uint64_t>(begin, skip));
-    begin = end;
-    if (first >= end) continue;
+    if (first == end) continue;
     // The run's head may sit in an older, possibly spilled batch; keep what
     // it touches pinned until the run is written.
     mem::AccessScope scope;

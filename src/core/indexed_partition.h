@@ -44,36 +44,29 @@ class IndexedPartition final : public Block {
   /// indexed (they are unreachable via lookups, like Spark's null join keys).
   Status InsertRow(const RowVec& row);
 
-  /// Indexes and stores already-encoded rows (one reduce input, a salvaged
-  /// spill segment, a loaded file), clustered by key: NULL-key rows first,
-  /// stored but not indexed; then one contiguous run per key code, keys in
-  /// order of first appearance and each key's rows in input order, every
-  /// row's back pointer addressing the row before it. Each key costs one
-  /// trie Lookup (for the current head) and one Put, not one of each per
-  /// row. Chains read the same as inserting the rows one at a time: newest
-  /// first. Input that is already grouped keeps its order, so replaying a
-  /// partition's stored rows reproduces its layout. The first `skip` rows of
-  /// the grouped order are left out (a salvaged prefix already inserted).
-  /// `rows` doubles as scratch: the call permutes it into grouped order, so
-  /// grouping costs 4 bytes per row beyond the pointers.
-  Status InsertEncodedRows(std::span<const uint8_t*> rows,
-                           uint64_t skip = 0);
+  /// Indexes and stores already-encoded rows (one reduce input, a loaded
+  /// file), clustered by key: NULL-key rows first, stored but not indexed;
+  /// then one contiguous run per key code, keys in order of first appearance
+  /// and each key's rows in input order, every row's back pointer addressing
+  /// the row before it. Each key costs one trie Lookup (for the current
+  /// head) and one Put, not one of each per row. Chains read the same as
+  /// inserting the rows one at a time: newest first. Input that is already
+  /// grouped keeps its order, so replaying a partition's stored rows
+  /// reproduces its layout. `rows` doubles as scratch: the call permutes it
+  /// into grouped order, so grouping costs 4 bytes per row beyond the
+  /// pointers.
+  Status InsertEncodedRows(std::span<const uint8_t*> rows);
 
   /// Hints how many bytes of rows are about to be inserted, so freshly
   /// opened row batches are right-sized (important after snapshots, whose
   /// sealing would otherwise force a full-size batch per tiny append).
   void ReserveHint(uint64_t bytes) { store_.ReserveHint(bytes); }
 
-  /// Tags this partition's row batches for the memory governor's salvage
-  /// catalog, enabling recovery from spill files after an executor loss
-  /// (see PartitionStore::SetSpillTag).
+  /// Tags this partition's row batches as (owner, shard) for the memory
+  /// governor (see PartitionStore::SetSpillTag).
   void SetSpillTag(uint64_t owner, uint32_t shard) {
     store_.SetSpillTag(owner, shard);
   }
-
-  /// Ends salvage-tagging: rows inserted after this call never enter the
-  /// salvage catalog (see PartitionStore::ClearSpillTag).
-  void ClearSpillTag() { store_.ClearSpillTag(); }
 
   /// Declares this version fully built: seals the open tail batch so the
   /// whole partition is evictable under memory pressure. Every later write

@@ -1,7 +1,5 @@
 #include "core/indexed_rdd.h"
 
-#include <fstream>
-
 #include "common/logging.h"
 #include "mem/governor.h"
 #include "sql/physical.h"
@@ -10,65 +8,28 @@ namespace idf {
 
 namespace {
 
-/// The rows of `inputs`, in map-task order.
-std::vector<const uint8_t*> RowPointers(const ShuffleInputs& inputs) {
+/// Inserts a reduce task's routed rows, in map-task order, into `part` as one
+/// grouped insert, after one ReserveHint for all of their bytes so batch
+/// opens size off the whole input.
+Status InsertShuffleInputs(const ShuffleInputs& inputs,
+                           IndexedPartition& part) {
   size_t num_rows = 0;
-  for (const auto& buf : inputs) num_rows += buf->num_rows;
+  uint64_t routed_bytes = 0;
+  for (const auto& buf : inputs) {
+    num_rows += buf->num_rows;
+    routed_bytes += buf->bytes.size();
+  }
+  part.ReserveHint(routed_bytes);
   std::vector<const uint8_t*> rows;
   rows.reserve(num_rows);
   for (const auto& buf : inputs) {
     ShuffleBufferReader reader(*buf);
     while (reader.HasNext()) rows.push_back(reader.Next());
   }
-  return rows;
-}
-
-/// Inserts a reduce task's routed rows into `part` as one grouped insert,
-/// after one ReserveHint for all of their bytes so batch opens size off the
-/// whole input.
-Status InsertShuffleInputs(const ShuffleInputs& inputs,
-                           IndexedPartition& part) {
-  uint64_t routed_bytes = 0;
-  for (const auto& buf : inputs) routed_bytes += buf->bytes.size();
-  part.ReserveHint(routed_bytes);
-  std::vector<const uint8_t*> rows = RowPointers(inputs);
   return part.InsertEncodedRows(rows);
 }
 
-/// Replays one salvaged spill segment into `target`: the file holds the
-/// batch's verbatim self-delimiting rows, already in grouped order, so the
-/// grouped insert re-derives the index entries and back-pointer chains and
-/// lays the rows out as they were.
-Status ReplaySalvageSegment(const mem::SalvageSegment& segment,
-                            IndexedPartition& target) {
-  std::ifstream in(segment.path, std::ios::binary);
-  if (!in) {
-    return Status::Unavailable("cannot open salvaged spill file '" +
-                               segment.path + "'");
-  }
-  std::vector<uint8_t> bytes(segment.bytes);
-  in.read(reinterpret_cast<char*>(bytes.data()),
-          static_cast<std::streamsize>(bytes.size()));
-  if (!in || in.gcount() != static_cast<std::streamsize>(bytes.size())) {
-    return Status::Unavailable("short read from salvaged spill file '" +
-                               segment.path + "'");
-  }
-  std::vector<const uint8_t*> rows;
-  if (!RowLayout::SplitRows(bytes.data(), bytes.size(), rows)) {
-    return Status::Internal("corrupt salvaged spill file '" + segment.path +
-                            "'");
-  }
-  if (rows.size() != segment.rows) {
-    return Status::Internal("salvaged spill file row count mismatch");
-  }
-  return target.InsertEncodedRows(rows);
-}
-
 }  // namespace
-
-IndexedRdd::~IndexedRdd() {
-  mem::MemoryGovernor::Global().DropSalvage(rdd_id_);
-}
 
 IndexedRdd::IndexedRdd(Session& session, TableHandle base, size_t key_column,
                        uint32_t num_partitions, uint32_t batch_capacity)
@@ -254,8 +215,6 @@ Status IndexedRdd::BuildBase(QueryMetrics& metrics) {
           const ShuffleInputs& inputs) -> Status {
         auto part = std::make_shared<IndexedPartition>(schema_, key_column_,
                                                        batch_capacity_);
-        // Version-0 batches are salvageable: if they spill, recovery can
-        // reload the spill files instead of re-routing the base table.
         part->SetSpillTag(rdd_id_, partition);
         IDF_RETURN_IF_ERROR(InsertShuffleInputs(inputs, *part));
         total_rows += part->num_rows();
@@ -411,34 +370,10 @@ Result<BlockPtr> IndexedRdd::Recompute(uint32_t partition, uint64_t version,
     // insert; holding them here too reproduces its batch layout exactly.
     IDF_ASSIGN_OR_RETURN(ShuffleInputs routed,
                          RouteRows(base_, partition, ctx));
-    part->ReserveHint(routed.front()->bytes.size());
-    // Before inserting, replay the governor's salvage catalog: batches of
-    // the lost partition that were spilled to local disk survive the block
-    // loss. Only a contiguous prefix is usable — grouped order is
-    // deterministic, so after reloading the first M rows of it from spill
-    // the grouped insert skips those M rows, even mid-run.
-    uint64_t salvaged_rows = 0;
-    const std::vector<mem::SalvageSegment> segments =
-        mem::MemoryGovernor::Global().SalvagePrefix(rdd_id_, partition);
-    for (const mem::SalvageSegment& segment : segments) {
-      IDF_RETURN_IF_ERROR(ReplaySalvageSegment(segment, *part));
-      salvaged_rows += segment.rows;
-    }
-    if (!segments.empty()) {
-      IDF_LOG_INFO("salvaged %llu rows of rdd %llu partition %u from %zu "
-                   "spill files",
-                   static_cast<unsigned long long>(salvaged_rows),
-                   static_cast<unsigned long long>(rdd_id_), partition,
-                   segments.size());
-    }
-    std::vector<const uint8_t*> rows = RowPointers(routed);
-    IDF_RETURN_IF_ERROR(part->InsertEncodedRows(rows, salvaged_rows));
-    // The append replay below writes into this same store. Salvage maps a
-    // catalog prefix 1:1 onto the base's grouped order, so batches holding
-    // append rows (or a base/append mix in the tail) must never register:
-    // seal the base-only tail and stop tagging before the first append row
-    // lands.
-    part->ClearSpillTag();
+    IDF_RETURN_IF_ERROR(InsertShuffleInputs(routed, *part));
+    // The build sealed version 0 before any append landed: seal here too,
+    // so no replayed append row shares a batch with base rows.
+    part->SealStorage();
   }
   for (const TableHandle& append : appends) {
     IDF_ASSIGN_OR_RETURN(ShuffleInputs routed,

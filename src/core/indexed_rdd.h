@@ -51,10 +51,6 @@ class IndexedRdd : public std::enable_shared_from_this<IndexedRdd> {
       uint32_t num_partitions, uint32_t batch_capacity,
       PartitionLoader loader, QueryMetrics& metrics);
 
-  /// Drops this RDD's spill-salvage catalog entries (and with them the last
-  /// references to orphaned spill files).
-  ~IndexedRdd();
-
   uint64_t rdd_id() const { return rdd_id_; }
   const SchemaPtr& schema() const { return schema_; }
   size_t key_column() const { return key_column_; }

@@ -31,8 +31,6 @@ struct MemMetrics {
       obs::Registry::Global().GetCounter("mem.spill.write_bytes");
   obs::Counter& reload_read_bytes =
       obs::Registry::Global().GetCounter("mem.reload.read_bytes");
-  obs::Counter& salvaged_segments =
-      obs::Registry::Global().GetCounter("mem.salvage.segments");
   obs::Counter& prefetch_requests =
       obs::Registry::Global().GetCounter("mem.prefetch.requests");
   obs::Counter& prefetch_reloads =
@@ -87,9 +85,8 @@ Evictable::~Evictable() {
   AccessScope::ForgetDying(this);
 }
 
-void Evictable::SealForGovernor(uint64_t rows) {
+void Evictable::SealForGovernor() {
   if (sealed_.exchange(true, std::memory_order_acq_rel)) return;
-  rows_ = rows;
   MemoryGovernor::Global().OnSealed(this);
 }
 
@@ -186,11 +183,6 @@ void MemoryGovernor::ReleaseReservation(uint64_t bytes) {
   }
 }
 
-uint64_t MemoryGovernor::NewInstanceId() {
-  static std::atomic<uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
-
 void MemoryGovernor::SetCurrentExecutor(int32_t executor) {
   t_current_executor = executor;
 }
@@ -229,9 +221,8 @@ void MemoryGovernor::OnRetired(Evictable* e) {
   for (auto& [tid, pinned] : transient_pins_) {
     if (pinned == e) pinned = nullptr;
   }
-  // Final accounting: a resident payload frees RAM; a spill file may live
-  // on in the salvage catalog (shared ownership), but this payload's claim
-  // on the spilled-byte gauge ends here.
+  // Final accounting: a resident payload frees RAM, a spilled one its
+  // spilled bytes; its spill file is removed with it.
   if (e->state_.load(std::memory_order_seq_cst) == Evictable::kResident) {
     resident_bytes_.fetch_sub(e->PayloadBytes(), std::memory_order_relaxed);
   } else {
@@ -320,23 +311,11 @@ bool MemoryGovernor::EvictLocked(Evictable* victim) {
       return false;
     }
     victim->spill_bytes_ = *written;
-    victim->spill_file_ = std::make_shared<SpillFile>(path);
+    victim->spill_file_ = std::make_unique<SpillFile>(path);
     mm.spill_write_bytes.Add(*written);
     obs::FlightRecorder::Global().Record(obs::EventType::kSpillWrite, 0,
                                          *written, victim->identity_.owner,
                                          victim->identity_.shard);
-    // Salvageable payloads register with the catalog so recovery can read
-    // them back even after the owning block is dropped.
-    if (victim->identity_.salvageable()) {
-      std::lock_guard<std::mutex> lock(catalog_mutex_);
-      auto& entries =
-          catalog_[CatalogKey{victim->identity_.owner,
-                              victim->identity_.shard}];
-      entries.push_back(CatalogEntry{
-          victim->identity_.instance,
-          SalvageSegment{victim->identity_.index, victim->rows_,
-                         victim->spill_bytes_, path, victim->spill_file_}});
-    }
   }
   // Sealed payloads are immutable, so the spill file stays valid forever: a
   // re-eviction after a reload frees the buffer without rewriting the file.
@@ -558,50 +537,6 @@ void MemoryGovernor::PrefetchPartitionSync(uint64_t owner, uint32_t shard) {
     mm.prefetch_read_bytes.Add(bytes);
     mm.resident.Set(static_cast<double>(resident_bytes()));
     mm.spilled.Set(static_cast<double>(spilled_bytes()));
-  }
-}
-
-std::vector<SalvageSegment> MemoryGovernor::SalvagePrefix(uint64_t owner,
-                                                          uint32_t shard) {
-  std::lock_guard<std::mutex> lock(catalog_mutex_);
-  auto it = catalog_.find(CatalogKey{owner, shard});
-  if (it == catalog_.end()) return {};
-  // Group by store instance; different incarnations (original build vs. a
-  // recompute) may slice the same rows into different batch boundaries, so
-  // segments must never be mixed across instances.
-  std::map<uint64_t, std::map<uint32_t, const SalvageSegment*>> by_instance;
-  for (const CatalogEntry& entry : it->second) {
-    by_instance[entry.instance].emplace(entry.segment.index, &entry.segment);
-  }
-  std::vector<SalvageSegment> best;
-  uint64_t best_rows = 0;
-  for (const auto& [instance, segments] : by_instance) {
-    std::vector<SalvageSegment> prefix;
-    uint64_t rows = 0;
-    uint32_t expect = 0;
-    for (const auto& [index, segment] : segments) {
-      if (index != expect) break;  // gap: prefix ends
-      prefix.push_back(*segment);
-      rows += segment->rows;
-      ++expect;
-    }
-    if (rows > best_rows) {
-      best_rows = rows;
-      best = std::move(prefix);
-    }
-  }
-  MemMetrics::Get().salvaged_segments.Add(best.size());
-  return best;
-}
-
-void MemoryGovernor::DropSalvage(uint64_t owner) {
-  std::lock_guard<std::mutex> lock(catalog_mutex_);
-  for (auto it = catalog_.begin(); it != catalog_.end();) {
-    if (it->first.owner == owner) {
-      it = catalog_.erase(it);
-    } else {
-      ++it;
-    }
   }
 }
 

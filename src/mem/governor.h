@@ -61,9 +61,8 @@ namespace idf::mem {
 class MemoryGovernor;
 class AccessScope;
 
-/// A spill file on disk, removed when the last owner lets go. Both the
-/// evicted payload and the salvage catalog (fault-tolerance) co-own files,
-/// so a dropped block's spill survives for recovery.
+/// A spill file on disk, owned by the payload it holds and removed with it:
+/// a spill file dies with its batch.
 class SpillFile {
  public:
   explicit SpillFile(std::string path) : path_(std::move(path)) {}
@@ -95,21 +94,13 @@ class ReloadFault : public std::exception {
   std::string message_;
 };
 
-/// Identity of a governed payload inside a replayable store, used by the
-/// salvage catalog: a spilled batch of (owner rdd, shard partition) at
-/// position `index` within store instance `instance`. Recovery can reload
-/// a contiguous index prefix of one instance instead of recomputing it.
+/// Identity of a governed payload: batch `index` of (owner rdd, shard
+/// partition). The residency map, prefetch, the flight recorder and the
+/// chaos reload key read it.
 struct SpillIdentity {
-  uint64_t owner = 0;     // e.g. rdd id; 0 = anonymous (not salvageable)
-  uint32_t shard = 0;     // e.g. partition number
-  uint64_t instance = 0;  // store incarnation (recomputes get a fresh one)
-  uint32_t index = 0;     // position within the store, dense from 0
-  // Columnar chunks tag (owner, shard) for the residency map but opt out of
-  // the salvage catalog: their spill format is column vectors, not the
-  // self-delimiting row encoding salvage replay parses.
-  bool salvage = true;
-
-  bool salvageable() const { return owner != 0 && salvage; }
+  uint64_t owner = 0;  // e.g. rdd id; 0 = anonymous
+  uint32_t shard = 0;  // e.g. partition number
+  uint32_t index = 0;  // position within the store, dense from 0
 };
 
 /// Aggregate residency of one (owner rdd, shard partition) — the scheduler's
@@ -144,8 +135,7 @@ class Evictable {
   Evictable() = default;
 
   /// Declares the payload immutable and evictable from now on. Idempotent.
-  /// `rows` is the logical unit count recorded in the salvage catalog.
-  void SealForGovernor(uint64_t rows);
+  void SealForGovernor();
 
   /// Must be the first statement of the most-derived destructor: blocks
   /// until any in-flight eviction of this payload finishes, then removes it
@@ -186,19 +176,9 @@ class Evictable {
   std::atomic<bool> sealed_{false};
 
   SpillIdentity identity_;
-  uint64_t rows_ = 0;              // set at seal
   uint64_t spill_bytes_ = 0;       // set at first spill
-  std::shared_ptr<SpillFile> spill_file_;  // immutable payload: write once
+  std::unique_ptr<SpillFile> spill_file_;  // immutable payload: write once
   bool registered_ = false;        // guarded by the governor mutex
-};
-
-/// One salvageable spill segment: `rows` rows of payload at `path`.
-struct SalvageSegment {
-  uint32_t index = 0;
-  uint64_t rows = 0;
-  uint64_t bytes = 0;
-  std::string path;
-  std::shared_ptr<SpillFile> file;  // keeps the file alive while held
 };
 
 class MemoryGovernor {
@@ -300,20 +280,6 @@ class MemoryGovernor {
   /// release.
   size_t ScrubTransientPinsForTesting();
 
-  // ---- salvage catalog (fault tolerance) --------------------------------
-
-  /// Longest contiguous index prefix (0..k-1) of spilled segments for one
-  /// (owner, shard), all from the same store instance — the instance with
-  /// the most salvageable rows wins. Segments co-own their files, so they
-  /// stay readable even after the owning blocks were dropped.
-  std::vector<SalvageSegment> SalvagePrefix(uint64_t owner, uint32_t shard);
-
-  /// Drops every catalog entry of `owner` (e.g. when an RDD dies).
-  void DropSalvage(uint64_t owner);
-
-  /// Fresh store-instance id for SpillIdentity.
-  static uint64_t NewInstanceId();
-
   /// Executor attribution for mem.* metrics: tasks set this around their
   /// body so evictions/reloads they trigger are tagged per executor.
   static void SetCurrentExecutor(int32_t executor);
@@ -365,20 +331,6 @@ class MemoryGovernor {
   std::atomic<uint64_t> spilled_bytes_{0};
   std::atomic<uint64_t> reserved_bytes_{0};  // admission reservations
   std::atomic<uint64_t> clock_{1};  // LRU tick, bumped per pin
-
-  struct CatalogKey {
-    uint64_t owner;
-    uint32_t shard;
-    bool operator<(const CatalogKey& o) const {
-      return owner != o.owner ? owner < o.owner : shard < o.shard;
-    }
-  };
-  struct CatalogEntry {
-    uint64_t instance;
-    SalvageSegment segment;
-  };
-  std::mutex catalog_mutex_;
-  std::map<CatalogKey, std::vector<CatalogEntry>> catalog_;
 
   // Prefetch queue, drained by a lazily-started detached thread. The thread
   // is never joined: the governor is a leaky singleton and the thread parks

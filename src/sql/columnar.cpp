@@ -304,13 +304,9 @@ void ColumnarChunk::SealForCache(uint64_t owner_rdd, uint32_t partition) const {
   for (const ColumnVector& c : columns_) bytes += c.ByteSize();
   if (bytes == 0) return;
   self->sealed_bytes_ = bytes;
-  mem::SpillIdentity id;
-  id.owner = owner_rdd;
-  id.shard = partition;
-  id.salvage = false;  // columnar spill files are not salvage-replayable
-  self->SetSpillIdentity(id);
+  self->SetSpillIdentity({owner_rdd, partition, 0});
   self->AccountAllocated(bytes);
-  self->SealForGovernor(num_rows_);
+  self->SealForGovernor();
 }
 
 Result<uint64_t> ColumnarChunk::SpillPayload(const std::string& path) {

@@ -96,8 +96,7 @@ Result<std::shared_ptr<RowBatch>> PartitionStore::WritableTail(uint32_t len) {
   }
   tail_ = RowBatch::Create(capacity);
   if (spill_owner_ != 0) {
-    tail_->SetSpillIdentity(
-        {spill_owner_, spill_shard_, spill_instance_, num_batches_});
+    tail_->SetSpillIdentity({spill_owner_, spill_shard_, num_batches_});
   }
   allocated_bytes_ += capacity;
   sm.batches_opened.Increment();
@@ -165,17 +164,11 @@ std::shared_ptr<RowBatch> PartitionStore::batch(uint32_t index) const {
   return flat_[index];
 }
 
-void PartitionStore::ClearSpillTag() {
-  SealTail();
-  spill_owner_ = 0;
-}
-
 void PartitionStore::SetSpillTag(uint64_t owner, uint32_t shard) {
   spill_owner_ = owner;
   spill_shard_ = shard;
-  spill_instance_ = mem::MemoryGovernor::NewInstanceId();
   for (uint32_t i = 0; i < num_batches_; ++i) {
-    flat_[i]->SetSpillIdentity({spill_owner_, spill_shard_, spill_instance_, i});
+    flat_[i]->SetSpillIdentity({spill_owner_, spill_shard_, i});
   }
 }
 

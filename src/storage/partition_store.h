@@ -98,22 +98,13 @@ class PartitionStore {
     tail_exclusive_ = false;
   }
 
-  /// Registers this store's batches with the memory governor's salvage
-  /// catalog: batch i is tagged SpillIdentity{owner, shard, instance, i}, so
-  /// if it spills, the spill file can seed recovery of (owner, shard) after
-  /// an executor loss. Applied retroactively to existing batches and to every
-  /// batch opened later. Snapshots deliberately do NOT inherit the tag:
-  /// divergent-version batches are not part of the base contiguous prefix
-  /// that recovery replays.
+  /// Tags this store's batches for the memory governor: batch i is tagged
+  /// SpillIdentity{owner, shard, i}, the key of the residency map, prefetch,
+  /// reload events and the chaos reload site. Applied retroactively to
+  /// existing batches and to every batch opened later. Snapshots do NOT
+  /// inherit the tag: divergent versions of one partition would number
+  /// their own batches alike, so the tag stays on the batches they share.
   void SetSpillTag(uint64_t owner, uint32_t shard);
-
-  /// Ends salvage-tagging: seals the open tail batch (so every tagged batch
-  /// holds exclusively rows inserted before this call) and leaves batches
-  /// opened from here on untagged. Recompute calls this between re-routing
-  /// the base table and replaying the append chain — the salvage catalog's
-  /// contract is "a contiguous prefix of base routing order", so a batch
-  /// holding replayed append rows must never register in it.
-  void ClearSpillTag();
 
  private:
   /// Ensures the tail batch is exclusively owned and has room for `len`
@@ -132,9 +123,8 @@ class PartitionStore {
   uint64_t allocated_bytes_ = 0;
   uint64_t next_batch_hint_ = 0;
   uint64_t cow_batch_opens_ = 0;
-  uint64_t spill_owner_ = 0;  // 0 = batches are not salvage-tagged
+  uint64_t spill_owner_ = 0;  // 0 = batches are not tagged
   uint32_t spill_shard_ = 0;
-  uint64_t spill_instance_ = 0;
   std::shared_ptr<RowBatch> tail_;  // == flat_[num_batches_-1]
   bool tail_exclusive_ = false;     // false after a snapshot (tail sealed)
 };

@@ -93,16 +93,15 @@ std::shared_ptr<RowBatch> RowBatch::Clone() const {
   return copy;
 }
 
-void RowBatch::Seal() { SealForGovernor(num_rows_); }
+void RowBatch::Seal() { SealForGovernor(); }
 
 Result<uint64_t> RowBatch::SpillPayload(const std::string& path) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) {
     return Status::Unavailable("cannot open spill file '" + path + "'");
   }
-  // Rows are self-delimiting encoded bytes — the same verbatim encoding
-  // core/persistence.cpp writes into part-<N>.bin files, which is what lets
-  // lineage recovery salvage spill segments directly.
+  // Rows are self-delimiting encoded bytes, written verbatim: a reload is
+  // one read straight back into the buffer.
   out.write(reinterpret_cast<const char*>(data_), used_);
   out.flush();
   if (!out) return Status::Unavailable("short write to '" + path + "'");

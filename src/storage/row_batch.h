@@ -56,8 +56,8 @@ class RowBatch final : public mem::Evictable {
   /// scope's lifetime. Near-free until a memory budget is first engaged.
   void EnsureReadable() const { mem::AccessScope::Pin(const_cast<RowBatch*>(this)); }
 
-  /// Tags this batch for the governor's salvage catalog (fault tolerance):
-  /// if it spills, the spill file is recoverable by (owner, shard, index).
+  /// Tags this batch as batch `index` of (owner, shard) for the governor's
+  /// residency map, prefetch and reload events.
   void SetSpillIdentity(const mem::SpillIdentity& id) {
     mem::Evictable::SetSpillIdentity(id);
   }

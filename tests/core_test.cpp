@@ -207,40 +207,6 @@ TEST(IndexedPartitionTest, GroupedInsertStoresNullsFirstThenOneRunPerKey) {
   EXPECT_EQ(looked_up, 240u);
 }
 
-TEST(IndexedPartitionTest, GroupedInsertSkipsAPrefixOfGroupedOrder) {
-  // Inserting a prefix of the grouped order, then the whole input with that
-  // prefix skipped, lays out the same bytes as one grouped insert, even
-  // when the prefix ends inside a key's run.
-  std::vector<RowVec> rows;
-  for (int64_t i = 0; i < 400; ++i) rows.push_back(Edge(i % 3, i));
-  IndexedPartition whole(EdgeSchema(), 0, 2048);
-  std::vector<uint8_t> buffer;
-  const std::vector<const uint8_t*> encoded =
-      EncodeRows(whole.layout(), rows, buffer);
-  std::vector<const uint8_t*> scratch = encoded;  // the insert permutes it
-  IDF_CHECK_OK(whole.InsertEncodedRows(scratch));
-
-  std::vector<uint8_t> stored;
-  whole.ForEachRow([&](const uint8_t* row) {
-    stored.insert(stored.end(), row, row + RowLayout::RowSize(row));
-  });
-  std::vector<const uint8_t*> prefix;
-  ASSERT_TRUE(RowLayout::SplitRows(stored.data(), stored.size(), prefix));
-  prefix.resize(150);  // key 0 has 134 rows: the prefix splits key 1's run
-
-  IndexedPartition resumed(EdgeSchema(), 0, 2048);
-  IDF_CHECK_OK(resumed.InsertEncodedRows(prefix));
-  scratch = encoded;
-  IDF_CHECK_OK(resumed.InsertEncodedRows(scratch, prefix.size()));
-  std::vector<uint8_t> resumed_bytes;
-  resumed.ForEachRow([&](const uint8_t* row) {
-    resumed_bytes.insert(resumed_bytes.end(), row,
-                         row + RowLayout::RowSize(row));
-  });
-  EXPECT_EQ(resumed_bytes, stored);
-  EXPECT_EQ(resumed.num_batches(), whole.num_batches());
-}
-
 // ---- IndexedDataFrame: create/lookup ------------------------------------------
 
 std::vector<RowVec> PowerLawEdges(int n, uint64_t seed, int64_t key_domain) {

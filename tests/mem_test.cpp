@@ -1,8 +1,9 @@
 // Tests for the memory governor (src/mem/governor.h): budget parsing,
 // cost-aware LRU eviction ordering, transparent spill/reload, pinning under
 // concurrent scans, COW-shared batches spilling once, per-session budgets
-// producing identical query results, and lineage recovery salvaging spilled
-// batches after an executor loss.
+// producing identical query results, and lineage recovery after an executor
+// loss reproducing rows and batch bytes while spill files die with their
+// batches.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -396,11 +397,19 @@ TEST(MemBudgetedSessionTest, DroppedResultTakesItsSpillFilesAndRegistrations) {
   EXPECT_EQ(*edges.Count(), 4000u);
 }
 
-TEST(MemSalvageTest, RecoveryReloadsSpilledBatchesAfterExecutorLoss) {
-  // Build under a budget so version-0 batches spill; their spill files are
-  // registered in the salvage catalog. Killing an executor drops its blocks,
-  // but recovery replays the salvaged prefix from disk before re-routing the
-  // remainder of the base table.
+size_t SpillFileCount() {
+  size_t files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           mem::MemoryGovernor::Global().spill_dir())) {
+    if (entry.path().extension() == ".spill") ++files;
+  }
+  return files;
+}
+
+TEST(MemGovernorTest, ExecutorLossCyclesKeepSpillDirFlat) {
+  // A spill file dies with its batch: a lost partition recomputes from
+  // lineage, so the lost instance's spill files go with its blocks, and
+  // kill/revive cycles leave the spill directory no larger than the build.
   constexpr int64_t kRows = 20000;
   IndexOptions index_options;
   index_options.batch_capacity = 16 << 10;
@@ -408,35 +417,30 @@ TEST(MemSalvageTest, RecoveryReloadsSpilledBatchesAfterExecutorLoss) {
   Session session(ClusterOptions(256 << 10));
   auto edges = *session.CreateTable("edges", EdgeSchema(), DenseEdges(kRows));
   auto indexed = *IndexedDataFrame::Create(edges, "src", index_options);
-  ASSERT_GT(CounterValue("mem.evictions"), 0u);
-
-  const auto before = indexed.GetRows(Value::Int64(29)).value();
-  ASSERT_FALSE(before.rows.empty());
-  // Drain: spill every sealed batch. The salvage prefix starts at batch 0,
-  // which concurrent build tasks can keep pinned (and so never spilled)
-  // under the budget alone, depending on thread timing.
+  const std::vector<std::string> clean =
+      indexed.AsDataFrame().Collect()->SortedRowStrings();
   { mem::ScopedBudget drain(1); }
+  const size_t after_build = SpillFileCount();
+  ASSERT_GT(after_build, 0u);
 
-  const uint64_t salvaged_before = CounterValue("mem.salvage.segments");
-  session.cluster().KillExecutor(1);
-  session.cluster().KillExecutor(2);
-  const auto after = indexed.GetRows(Value::Int64(29)).value();
-
-  ASSERT_EQ(after.rows.size(), before.rows.size());
-  for (size_t i = 0; i < after.rows.size(); ++i) {
-    EXPECT_EQ(after.rows[i], before.rows[i]);
+  for (int cycle = 0; cycle < 6; ++cycle) {
+    const std::vector<ExecutorId> lost =
+        cycle % 2 == 0 ? std::vector<ExecutorId>{1, 2}
+                       : std::vector<ExecutorId>{0, 3};
+    for (ExecutorId e : lost) session.cluster().KillExecutor(e);
+    EXPECT_EQ(indexed.AsDataFrame().Collect()->SortedRowStrings(), clean)
+        << "cycle " << cycle;
+    { mem::ScopedBudget drain(1); }
+    for (ExecutorId e : lost) session.cluster().ReviveExecutor(e);
+    EXPECT_LE(SpillFileCount(), after_build) << "cycle " << cycle;
   }
-  // At least one lost partition recovered through spilled segments.
-  EXPECT_GT(CounterValue("mem.salvage.segments"), salvaged_before);
 }
 
-TEST(MemSalvageTest, RecomputeAfterAppendKeepsSalvageCatalogBaseOnly) {
+TEST(MemGovernorTest, RepeatedRecomputeAfterAppendKeepsRowsExact) {
   // Recompute replays the append chain into the same store as the re-routed
-  // base rows. Salvage-tagging must stop at the base/append boundary: if
-  // batches holding replayed append rows registered in the catalog, a second
-  // loss of the same partition would salvage them as "base prefix", skip
-  // that many real base rows, and then replay the appends again —
-  // duplicating append rows and dropping base rows.
+  // base rows. A partition rebuilt that way, spilled, and lost again must
+  // recompute to the same rows: no append row duplicated, no base row
+  // dropped.
   constexpr int64_t kRows = 12000;
   IndexOptions index_options;
   index_options.batch_capacity = 16 << 10;
@@ -458,24 +462,18 @@ TEST(MemSalvageTest, RecomputeAfterAppendKeepsSalvageCatalogBaseOnly) {
       appended.AsDataFrame().Collect()->SortedRowStrings();
 
   // First loss: every lost partition recomputes (base re-route + append
-  // replay); under the budget the rebuilt batches spill, feeding the
-  // salvage catalog with recompute-instance segments.
+  // replay), and the rebuilt batches spill.
   session.cluster().KillExecutor(1);
   EXPECT_EQ(appended.AsDataFrame().Collect()->SortedRowStrings(), expected);
-  // Drain: spill every sealed batch, so the rebuilt stores' full batch range
-  // — including the base/append boundary — lands in the salvage catalog.
   { mem::ScopedBudget drain(1); }
 
   // Second loss, aimed at the executor the first round's recomputed blocks
-  // landed on: recovery now salvages segments that the *first* recompute
-  // spilled. Those must hold base rows only, or the replay double-counts.
+  // landed on.
   session.cluster().ReviveExecutor(1);
-  const uint64_t salvaged_before = CounterValue("mem.salvage.segments");
   session.cluster().KillExecutor(0);
   session.cluster().KillExecutor(2);
   session.cluster().KillExecutor(3);
   EXPECT_EQ(appended.AsDataFrame().Collect()->SortedRowStrings(), expected);
-  EXPECT_GT(CounterValue("mem.salvage.segments"), salvaged_before);
 }
 
 /// Each row batch of `part`, as bytes (back-pointer headers included).
@@ -487,57 +485,63 @@ std::vector<std::vector<uint8_t>> BatchBytes(const IndexedPartition& part) {
   return batches;
 }
 
-TEST(MemSalvageTest, RecomputeFromPrefixSplittingAKeyRunIsByteIdentical) {
-  // A salvaged prefix ends at a batch boundary, and with each key's rows
-  // stored as one run that boundary can fall inside a run. Recompute
-  // replays the prefix, then skips that many rows of the re-routed grouped
-  // order: the rebuilt batches must equal the original build's byte for
-  // byte, back pointers included.
+TEST(MemGovernorTest, RecomputeRebuildsBaseAndAppendedBatchesByteIdentical) {
+  // Recompute reproduces the build's batch layout byte for byte, back
+  // pointers included, at version 0 and at an appended version: the base
+  // rows are inserted as the build's reduce task inserted them, and the
+  // tail is sealed before the first replayed append row lands.
   IndexOptions index_options;
   index_options.batch_capacity = 16 << 10;
-  Session session(ClusterOptions(64 << 20));  // engaged; the build never spills
+  Session session(ClusterOptions(64 << 20));  // engaged; nothing spills
   std::vector<RowVec> rows;
   for (int64_t i = 0; i < 12000; ++i) rows.push_back(Edge(i % 13, i, 0.5 * i));
+  std::vector<RowVec> appends;
+  for (int64_t i = 0; i < 3000; ++i) {
+    appends.push_back(Edge(1000 + i, (1 << 20) + i, 0.5));
+  }
   auto edges = *session.CreateTable("edges", EdgeSchema(), rows);
-  auto indexed = *IndexedDataFrame::Create(edges, "src", index_options);
+  auto extra = *session.CreateTable("extra", EdgeSchema(), appends);
+  auto base = *IndexedDataFrame::Create(edges, "src", index_options);
+  auto appended = *base.AppendRows(extra);
   ASSERT_EQ(CounterValue("mem.evictions"), 0u);
 
-  const uint64_t rdd = indexed.rdd()->rdd_id();
-  constexpr uint32_t kPartition = 1;
-  std::vector<std::vector<uint8_t>> original;
-  uint64_t allocated = 0;
-  {
+  const std::shared_ptr<IndexedRdd>& rdd = base.rdd();
+  const std::vector<uint64_t> versions = {base.version(), appended.version()};
+  // Batch bytes of every (version, partition), in that order.
+  auto snapshot = [&] {
+    std::vector<std::vector<std::vector<uint8_t>>> bytes;
     TaskContext ctx(&session.cluster(), session.cluster().AliveExecutors()[0]);
-    auto part = *indexed.rdd()->GetPartition(kPartition, 0, ctx);
-    // Reading the batches in order makes the last one the most recently
-    // used payload in the process.
-    original = BatchBytes(*part);
-    allocated = part->allocated_bytes();
+    for (uint64_t version : versions) {
+      for (uint32_t p = 0; p < rdd->num_partitions(); ++p) {
+        bytes.push_back(BatchBytes(**rdd->GetPartition(p, version, ctx)));
+      }
+    }
+    return bytes;
+  };
+  const auto original = snapshot();
+  size_t lost = 0;
+  for (uint64_t version : versions) {
+    for (uint32_t p = 0; p < rdd->num_partitions(); ++p) {
+      const auto home = session.cluster().blocks().LocationOf(
+          BlockId{rdd->rdd_id(), p, version});
+      ASSERT_TRUE(home.has_value());
+      if (*home == 1 || *home == 2) ++lost;
+    }
   }
-  ASSERT_GE(original.size(), 6u);
-  // Spill everything but the newest third of the partition: LRU takes the
-  // table and the other partitions first, then this one oldest-first.
-  { mem::ScopedBudget spill_older(allocated / 3); }
-  const std::vector<mem::SalvageSegment> prefix =
-      mem::MemoryGovernor::Global().SalvagePrefix(rdd, kPartition);
-  ASSERT_GT(prefix.size(), 0u);
-  ASSERT_LT(prefix.size(), original.size());
-  // The first row after the prefix continues a key's run.
-  ASSERT_FALSE(RowLayout::BackPtr(original[prefix.size()].data()).is_null());
+  ASSERT_GT(lost, 0u);
 
-  const auto home = session.cluster().blocks().LocationOf(
-      BlockId{rdd, kPartition, 0});
-  ASSERT_TRUE(home.has_value());
-  session.cluster().KillExecutor(*home);
-  const uint64_t salvaged_before = CounterValue("mem.salvage.segments");
-  TaskContext ctx(&session.cluster(), session.cluster().AliveExecutors()[0]);
-  auto rebuilt = *indexed.rdd()->GetPartition(kPartition, 0, ctx);
-  EXPECT_EQ(CounterValue("mem.salvage.segments") - salvaged_before,
-            prefix.size());
-  EXPECT_EQ(BatchBytes(*rebuilt), original);
+  session.cluster().KillExecutor(1);
+  session.cluster().KillExecutor(2);
+  const auto rebuilt = snapshot();
+  ASSERT_EQ(rebuilt.size(), original.size());
+  for (size_t i = 0; i < rebuilt.size(); ++i) {
+    EXPECT_TRUE(rebuilt[i] == original[i])
+        << "version " << versions[i / rdd->num_partitions()] << " partition "
+        << i % rdd->num_partitions();
+  }
 }
 
-TEST(MemSalvageTest, LostSpillFileFailsTheQueryInsteadOfAborting) {
+TEST(MemGovernorTest, LostSpillFileFailsTheQueryInsteadOfAborting) {
   // An external tmp cleaner (or disk fault) removing spill files must not
   // crash the process: the reload failure unwinds as mem::ReloadFault, the
   // task boundary converts it to a kUnavailable status, and the query

@@ -14,7 +14,7 @@
 // prefetch (demand path recovers), Nth-reload demand failure (query fails
 // kUnavailable, then succeeds once the fault passes), delayed fault-in
 // under concurrent scans, and double executor loss with forced eviction
-// (the salvage path under maximum pressure).
+// (lineage recompute under maximum pressure).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -174,7 +174,7 @@ TEST(PressureTest, PrefetchReloadFailureFallsBackToDemandPath) {
 }
 
 TEST(PressureTest, NthDemandReloadFailureFailsQueryThenRecovers) {
-  // Port of MemSalvageTest.LostSpillFileFailsTheQueryInsteadOfAborting onto
+  // Port of MemGovernorTest.LostSpillFileFailsTheQueryInsteadOfAborting onto
   // the harness: instead of truncating spill files on disk, fail one demand
   // reload by ordinal. The query must fail kUnavailable (ReloadFault caught
   // at the task boundary) — and succeed once the fault has passed, because
@@ -273,11 +273,10 @@ TEST(PressureTest, DelayedFaultInUnderConcurrentScansStaysCorrect) {
 }
 
 TEST(PressureTest, DoubleExecutorLossWithForcedEvictionStillRecovers) {
-  // Port of MemSalvageTest.RecoveryReloadsSpilledBatchesAfterExecutorLoss
-  // onto the harness, with the screws tightened: every task boundary of the
+  // Executor loss with the screws tightened: every task boundary of the
   // recovery itself force-evicts everything, so recompute runs against a
-  // cache that keeps vanishing under it. Salvage (spill files co-owned by
-  // the catalog) plus demand fault-in must still reproduce the exact rows.
+  // cache that keeps vanishing under it. Lineage recompute plus demand
+  // fault-in must still reproduce the exact rows.
   constexpr int64_t kRows = 20000;
   IndexOptions index_options;
   index_options.batch_capacity = 16 << 10;
@@ -322,12 +321,10 @@ TEST(PressureTest, DoubleExecutorLossWithForcedEvictionStillRecovers) {
   hooks.on_task_start = [&forced] { forced += EvictEverything(); };
   ScopedHooks guard(std::move(hooks));
 
-  // Precondition for salvage: the lost partition's batches are on disk.
-  // The lookup of key 29 above faulted in the batch holding that key's
-  // rows, and a resident first batch leaves no salvageable prefix.
+  // The lost partition's batches are on disk when its executor dies (the
+  // lookup of key 29 above faulted in the batch holding that key's rows).
   ASSERT_GT(mem::MemoryGovernor::Global().EvictPartition(rdd, lost_partition),
             0u);
-  const uint64_t salvaged_before = CounterValue("mem.salvage.segments");
   session.cluster().KillExecutor(1);
   session.cluster().KillExecutor(2);
   const auto after = indexed.GetRows(Value::Int64(29)).value();
@@ -336,7 +333,6 @@ TEST(PressureTest, DoubleExecutorLossWithForcedEvictionStillRecovers) {
   for (size_t i = 0; i < after.rows.size(); ++i) {
     EXPECT_EQ(after.rows[i], before.rows[i]);
   }
-  EXPECT_GT(CounterValue("mem.salvage.segments"), salvaged_before);
   EXPECT_GT(forced.load(), 0u);
 }
 
