@@ -119,18 +119,6 @@ void BM_CTrieSnapshot(benchmark::State& state) {
 }
 BENCHMARK(BM_CTrieSnapshot)->Arg(1000)->Arg(100000)->Arg(1000000);
 
-void BM_CTrieReadOnlySnapshotLookup(benchmark::State& state) {
-  CTrie<uint64_t, uint64_t> trie;
-  for (uint64_t i = 0; i < 100000; ++i) trie.Put(i, i);
-  auto snap = trie.ReadOnlySnapshot();
-  Rng rng(3);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(snap.Lookup(rng.Below(100000)));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-}
-BENCHMARK(BM_CTrieReadOnlySnapshotLookup);
-
 void BM_CTrieInsertAfterSnapshot(benchmark::State& state) {
   // Lazy generational copying: the first writes after a snapshot re-stamp
   // their path; steady-state inserts stay close to plain insert cost.

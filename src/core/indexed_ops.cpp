@@ -127,8 +127,9 @@ Result<TableHandle> IndexedJoinExec::ExecuteImpl(Session& session,
     for (uint32_t p = 0; p < probe.num_partitions; ++p) {
       // Per-chunk pin scope: the row loop reads the chunk many times and
       // must not re-fault it between rows under a tight budget.
+      ChunkPtr chunk;  // outlives the scope, which unpins it
       mem::AccessScope bucket_scope;
-      IDF_ASSIGN_OR_RETURN(ChunkPtr chunk, FetchChunk(driver_ctx, probe, p));
+      IDF_ASSIGN_OR_RETURN(chunk, FetchChunk(driver_ctx, probe, p));
       std::vector<uint8_t> scratch;
       for (size_t i = 0; i < chunk->num_rows(); ++i) {
         if (chunk->column(probe_key).IsNull(i)) continue;
@@ -180,10 +181,10 @@ Result<TableHandle> IndexedJoinExec::ExecuteImpl(Session& session,
         0,
         [&, p](TaskContext& ctx) -> Status {
           // `key_vec` is held across per-row encodes of the same chunk.
+          ChunkPtr chunk;  // outlives the scope, which unpins it
           mem::AccessScope scope;
-          Result<ChunkPtr> chunk = FetchChunk(ctx, probe, p);
-          IDF_RETURN_IF_ERROR(chunk.status());
-          const ColumnarChunk& input = **chunk;
+          IDF_ASSIGN_OR_RETURN(chunk, FetchChunk(ctx, probe, p));
+          const ColumnarChunk& input = *chunk;
           const ColumnVector& key_vec = input.column(probe_key);
           ctx.metrics().rows_read += input.num_rows();
           ShuffleWriter writer(cluster.shuffle(), shuffle_id, p, P,

@@ -128,8 +128,6 @@ class IndexedPartition final : public Block {
   IndexedPartition(SchemaPtr schema, size_t key_column,
                    CTrie<uint64_t, uint64_t> index, PartitionStore store);
 
-  Status CheckInsertable(const RowVec& row) const;
-
   RowLayout layout_;
   size_t key_column_;
   CTrie<uint64_t, uint64_t> index_;  // key code -> PackedRowPtr bits

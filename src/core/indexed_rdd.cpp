@@ -157,10 +157,10 @@ Status IndexedRdd::ShuffleToPartitions(
         [&, p](TaskContext& ctx) -> Status {
           // Scope: key_col stays valid across the encode loop even if the
           // budget enforcer runs while routed buffers allocate.
+          ChunkPtr chunk;  // outlives the scope, which unpins it
           mem::AccessScope scope;
-          Result<ChunkPtr> chunk = FetchChunk(ctx, source, p);
-          IDF_RETURN_IF_ERROR(chunk.status());
-          const ColumnarChunk& input = **chunk;
+          IDF_ASSIGN_OR_RETURN(chunk, FetchChunk(ctx, source, p));
+          const ColumnarChunk& input = *chunk;
           const ColumnVector& key_col = input.column(key_column_);
           ctx.metrics().rows_read += input.num_rows();
 
@@ -320,8 +320,9 @@ Result<ShuffleInputs> IndexedRdd::RouteRows(const TableHandle& table,
   for (uint32_t p = 0; p < table.num_partitions; ++p) {
     // Per-chunk scope: pins at most one source chunk at a time, so a tight
     // budget never needs the whole table resident to rebuild one partition.
+    ChunkPtr chunk;  // outlives the scope, which unpins it
     mem::AccessScope chunk_scope;
-    IDF_ASSIGN_OR_RETURN(ChunkPtr chunk, FetchChunk(ctx, table, p));
+    IDF_ASSIGN_OR_RETURN(chunk, FetchChunk(ctx, table, p));
     const ColumnVector& key_col = chunk->column(key_column_);
     for (size_t i = 0; i < chunk->num_rows(); ++i) {
       const uint32_t t =

@@ -8,8 +8,12 @@
 // overhead and only stores differences to the previous version."
 //
 // The implementation follows Prokopec, Bronson, Bagwell, Odersky,
-// "Concurrent Tries with Efficient Non-Blocking Snapshots" (PPoPP 2012):
-//   - CNode/SNode/INode/TNode/LNode node kinds,
+// "Concurrent Tries with Efficient Non-Blocking Snapshots" (PPoPP 2012),
+// restricted to what an append-only index needs: insert, lookup and O(1)
+// writable snapshots. Keys are never removed, so the paper's removal,
+// tomb nodes and contraction, read-only snapshots and iteration are left
+// out.
+//   - CNode/SNode/INode/LNode node kinds,
 //   - GCAS (generation-compare-and-swap) for main-node updates,
 //   - RDCSS-style double-compare-single-swap on the root for snapshots,
 //   - lazy generational copying after a snapshot (copy-on-gen-mismatch).
@@ -17,7 +21,7 @@
 // Memory reclamation: the algorithm assumes a garbage collector; here every
 // node carries an intrusive atomic reference count, one reference per link
 // that points at it (a CNode slot, an INode's main, a main node's GCAS
-// `prev`, a TNode/LNode entry, the root slot, an RDCSS descriptor). Copying
+// `prev`, an LNode entry, the root slot, an RDCSS descriptor). Copying
 // a CNode takes a reference on each child, so snapshots share structure
 // exactly as before. The links themselves are plain std::atomic<T*>.
 //
@@ -82,7 +86,6 @@ class CTrie {
     kSNode,
     kINode,
     kCNode,
-    kTNode,
     kLNode,
     kFailed,
     kDescriptor,
@@ -150,12 +153,6 @@ class CTrie {
   };
   static_assert(sizeof(CNode) % alignof(Node*) == 0);
 
-  // Tombed singleton: marks a one-entry CNode pending contraction.
-  struct TNode final : MainNode {
-    SNode* const sn;
-    explicit TNode(SNode* s) : MainNode(Kind::kTNode), sn(s) {}
-  };
-
   // Collision list for keys whose 64-bit hashes fully coincide. Lists are
   // persistent: updates prepend or rebuild, sharing the tail.
   struct LNode final : MainNode {
@@ -180,7 +177,7 @@ class CTrie {
   };
 
  public:
-  CTrie() : root_(NewRootINode()), read_only_(false) {}
+  CTrie() : root_(NewRootINode()) {}
 
   ~CTrie() {
     if (Node* r = root_.load(std::memory_order_relaxed)) Retire(r);
@@ -190,7 +187,6 @@ class CTrie {
   CTrie& operator=(const CTrie&) = delete;
   CTrie(CTrie&& other) noexcept
       : root_(other.root_.exchange(nullptr)),
-        read_only_(other.read_only_),
         hash_(std::move(other.hash_)),
         eq_(std::move(other.eq_)) {}
   CTrie& operator=(CTrie&& other) noexcept {
@@ -198,7 +194,6 @@ class CTrie {
       if (Node* old = root_.exchange(other.root_.exchange(nullptr))) {
         Retire(old);
       }
-      read_only_ = other.read_only_;
       hash_ = std::move(other.hash_);
       eq_ = std::move(other.eq_);
     }
@@ -209,12 +204,13 @@ class CTrie {
   /// This "return the old pointer" behaviour is what builds the backward-
   /// pointer chains in IndexedPartition (§III-C, Non-unique Keys).
   std::optional<V> Put(const K& key, V value) {
-    return DoInsert(key, value, /*only_if_absent=*/false);
-  }
-
-  /// Inserts only if absent; returns the existing value otherwise.
-  std::optional<V> PutIfAbsent(const K& key, V value) {
-    return DoInsert(key, value, /*only_if_absent=*/true);
+    const uint64_t h = hash_(key);
+    epoch::Guard guard;
+    while (true) {
+      INode* r = RdcssReadRoot();
+      OpResult res = Insert(r, key, value, h, 0, r->gen);
+      if (!res.restart) return std::move(res.old_value);
+    }
   }
 
   std::optional<V> Lookup(const K& key) const {
@@ -222,21 +218,7 @@ class CTrie {
     epoch::Guard guard;
     while (true) {
       INode* r = RdcssReadRoot();
-      OpResult res = DoLookup(r, key, h, 0, nullptr, r->gen);
-      if (!res.restart) return std::move(res.old_value);
-    }
-  }
-
-  bool Contains(const K& key) const { return Lookup(key).has_value(); }
-
-  /// Removes the key; returns its value if it was present.
-  std::optional<V> Remove(const K& key) {
-    AssertWritable();
-    const uint64_t h = hash_(key);
-    epoch::Guard guard;
-    while (true) {
-      INode* r = RdcssReadRoot();
-      OpResult res = DoRemove(r, key, h, 0, nullptr, r->gen);
+      OpResult res = DoLookup(r, key, h, 0, r->gen);
       if (!res.restart) return std::move(res.old_value);
     }
   }
@@ -245,7 +227,6 @@ class CTrie {
   /// all current nodes; each lazily re-generates the path it subsequently
   /// writes (copy-on-gen-mismatch).
   CTrie Snapshot() {
-    AssertWritable();
     epoch::Guard guard;
     while (true) {
       INode* r = RdcssReadRoot();
@@ -253,58 +234,17 @@ class CTrie {
       // Install a fresh-gen copy of the root into *this* trie ...
       if (RdcssRootSwap(r, expmain, CopyToNewGen(expmain))) {
         // ... and hand the snapshot its own fresh-gen copy of the old root.
-        return CTrie(CopyToNewGen(expmain), /*read_only=*/false, hash_, eq_);
+        return CTrie(CopyToNewGen(expmain), hash_, eq_);
       }
     }
-  }
-
-  /// O(1) read-only snapshot: mutation through it aborts; reads never copy.
-  CTrie ReadOnlySnapshot() const {
-    epoch::Guard guard;
-    if (read_only_) {
-      INode* r = static_cast<INode*>(root_.load());
-      return CTrie(Shared(r), true, hash_, eq_);
-    }
-    while (true) {
-      INode* r = RdcssReadRoot();
-      MainNode* expmain = GcasRead(r);
-      if (RdcssRootSwap(r, expmain, CopyToNewGen(expmain))) {
-        return CTrie(Shared(r), /*read_only=*/true, hash_, eq_);
-      }
-    }
-  }
-
-  bool read_only() const { return read_only_; }
-
-  /// Visits every (key, value); takes an implicit read-only snapshot first,
-  /// so iteration is consistent even under concurrent writes.
-  void ForEach(const std::function<void(const K&, const V&)>& fn) const {
-    if (!read_only_) {
-      ReadOnlySnapshot().ForEach(fn);
-      return;
-    }
-    epoch::Guard guard;
-    Traverse(RdcssReadRoot(), fn);
-  }
-
-  /// Number of entries. O(n): walks a read-only snapshot.
-  size_t Size() const {
-    size_t n = 0;
-    ForEach([&n](const K&, const V&) { ++n; });
-    return n;
-  }
-
-  bool Empty() const {
-    // Cheap check: inspect root CNode bitmap on a snapshot-consistent read.
-    if (!read_only_) return ReadOnlySnapshot().Empty();
-    epoch::Guard guard;
-    const MainNode* m = GcasRead(RdcssReadRoot());
-    return m->kind == Kind::kCNode && static_cast<const CNode*>(m)->bmp == 0;
   }
 
   /// Structural memory statistics for the memory-overhead experiment
   /// (Fig. 11). Counts nodes reachable from the current root; shared
-  /// snapshot structure is counted once per trie that walks it.
+  /// snapshot structure is counted once per trie that walks it. The walk
+  /// reads each main node once and never re-stamps a path, so under
+  /// concurrent Puts it counts every entry present when it started and
+  /// none that a Put had not yet added when it finished.
   struct MemoryStats {
     size_t cnodes = 0;
     size_t snodes = 0;
@@ -313,7 +253,6 @@ class CTrie {
     size_t approx_bytes = 0;
   };
   MemoryStats ComputeMemoryStats() const {
-    if (!read_only_) return ReadOnlySnapshot().ComputeMemoryStats();
     MemoryStats stats;
     epoch::Guard guard;
     StatsWalkINode(RdcssReadRoot(), stats);
@@ -330,25 +269,8 @@ class CTrie {
     }
   };
 
-  CTrie(INode* root, bool read_only, HashFn hash, EqFn eq)
-      : root_(root), read_only_(read_only), hash_(hash), eq_(eq) {}
-
-  void AssertWritable() const {
-    IDF_CHECK_MSG(!read_only_, "mutation of a read-only CTrie snapshot");
-  }
-
-  std::optional<V> DoInsert(const K& key, const V& value,
-                            bool only_if_absent) {
-    AssertWritable();
-    const uint64_t h = hash_(key);
-    epoch::Guard guard;
-    while (true) {
-      INode* r = RdcssReadRoot();
-      OpResult res =
-          Insert(r, key, value, h, 0, nullptr, r->gen, only_if_absent);
-      if (!res.restart) return std::move(res.old_value);
-    }
-  }
+  CTrie(INode* root, HashFn hash, EqFn eq)
+      : root_(root), hash_(hash), eq_(eq) {}
 
   // ---- ownership ------------------------------------------------------
 
@@ -399,13 +321,6 @@ class CTrie {
         CNode::Destroy(cn);
         return;
       }
-      case Kind::kTNode: {
-        auto* tn = static_cast<TNode*>(n);
-        Release(tn->sn);
-        ReleasePrev(tn);
-        delete tn;
-        return;
-      }
       case Kind::kLNode: {
         auto* ln = static_cast<LNode*>(n);
         Release(ln->sn);
@@ -446,7 +361,7 @@ class CTrie {
   }
 
   /// A main node for an INode of another generation: CNodes are copied
-  /// (sharing their branches); TNode/LNode are immutable and shared.
+  /// (sharing their branches); LNodes are immutable and shared.
   MainNode* RegenerateMain(MainNode* m) const {
     if (m->kind == Kind::kCNode) {
       const auto* cn = static_cast<const CNode*>(m);
@@ -530,7 +445,7 @@ class CTrie {
         continue;
       }
       // Commit if the trie's generation still matches this INode's.
-      if (r->gen == in->gen && !read_only_) {
+      if (r->gen == in->gen) {
         MainNode* expected_prev = p;
         if (m->prev.compare_exchange_strong(expected_prev, nullptr)) {
           Retire(p);
@@ -599,15 +514,6 @@ class CTrie {
     return out;
   }
 
-  CNode* CNodeRemoved(const CNode& cn, int pos, uint64_t flag) const {
-    CNode* out = CNode::Make(cn.bmp & ~flag, cn.size - 1);
-    const auto at = static_cast<uint32_t>(pos);
-    for (uint32_t i = 0, j = 0; i < cn.size; ++i) {
-      if (i != at) out->array()[j++] = Shared(cn.array()[i]);
-    }
-    return out;
-  }
-
   /// A CNode whose INode children are re-stamped to `gen` (lazy snapshot
   /// propagation — shared subtrees are copied only along written paths).
   /// Children already in `gen` are kept, not copied: a writer of this
@@ -647,66 +553,6 @@ class CTrie {
     return cn;
   }
 
-  // ---- entombment / compression -------------------------------------------
-
-  /// A new reference on `b`, or on the entry of its tomb.
-  Node* Resurrect(Node* b) const {
-    if (b->kind == Kind::kINode) {
-      MainNode* m = GcasRead(static_cast<INode*>(b));
-      if (m->kind == Kind::kTNode) return Shared(static_cast<TNode*>(m)->sn);
-    }
-    return Shared(b);
-  }
-
-  /// Takes over `cn` (never published).
-  MainNode* ToContracted(CNode* cn, int level) const {
-    if (level > 0 && cn->size == 1 && cn->array()[0]->kind == Kind::kSNode) {
-      auto* sn = static_cast<SNode*>(Shared(cn->array()[0]));
-      Release(cn);
-      return new TNode(sn);
-    }
-    return cn;
-  }
-
-  MainNode* ToCompressed(const CNode& cn, int level) const {
-    CNode* compressed = CNode::Make(cn.bmp, cn.size);
-    for (uint32_t i = 0; i < cn.size; ++i) {
-      compressed->array()[i] = Resurrect(cn.array()[i]);
-    }
-    return ToContracted(compressed, level);
-  }
-
-  void Clean(INode* in, int level) const {
-    MainNode* m = GcasRead(in);
-    if (m->kind == Kind::kCNode) {
-      Gcas(in, m, ToCompressed(*static_cast<const CNode*>(m), level));
-    }
-  }
-
-  void CleanParent(INode* parent, INode* in, uint64_t hash, int parent_level,
-                   uint64_t start_gen) const {
-    while (true) {
-      MainNode* pm = GcasRead(parent);
-      if (pm->kind != Kind::kCNode) return;
-      const auto* cn = static_cast<const CNode*>(pm);
-      uint64_t flag;
-      int pos;
-      FlagPos(hash, parent_level, cn->bmp, &flag, &pos);
-      if ((cn->bmp & flag) == 0) return;
-      if (cn->array()[pos] != in) return;
-      MainNode* m = GcasRead(in);
-      if (m->kind == Kind::kTNode) {
-        SNode* sn = Shared(static_cast<TNode*>(m)->sn);
-        MainNode* contracted = ToContracted(
-            CNodeUpdated(*cn, pos, sn), parent_level);
-        if (!Gcas(parent, pm, contracted)) {
-          if (RdcssReadRoot()->gen == start_gen) continue;  // retry
-        }
-      }
-      return;
-    }
-  }
-
   // ---- LNode helpers --------------------------------------------------
 
   std::optional<V> LNodeLookup(const LNode* ln, const K& key) const {
@@ -716,7 +562,8 @@ class CTrie {
     return std::nullopt;
   }
 
-  /// The list without `key` (persistent removal); null if nothing is left.
+  /// A copy of the list without `key`; Insert prepends the key's new SNode
+  /// to it to overwrite the key.
   LNode* LNodeRemoved(const LNode* ln, const K& key) const {
     std::vector<SNode*> keep;
     for (const LNode* p = ln; p != nullptr; p = p->next) {
@@ -732,8 +579,7 @@ class CTrie {
   // ---- core recursive operations ----------------------------------------
 
   OpResult Insert(INode* in, const K& key, const V& value, uint64_t h,
-                  int level, INode* parent, uint64_t start_gen,
-                  bool only_if_absent) {
+                  int level, uint64_t start_gen) {
     MainNode* m = GcasRead(in);
     switch (m->kind) {
       case Kind::kCNode: {
@@ -742,7 +588,7 @@ class CTrie {
         int pos;
         FlagPos(h, level, cn->bmp, &flag, &pos);
         if ((cn->bmp & flag) == 0) {
-          // Empty slot: insert a fresh SNode here.
+          // Free slot: insert a fresh SNode here.
           CNode* updated =
               CNodeInserted(*cn, pos, flag, new SNode(key, value, h));
           return Gcas(in, m, updated) ? OpResult::Done() : OpResult::Restart();
@@ -751,20 +597,18 @@ class CTrie {
         if (b->kind == Kind::kINode) {
           auto* child = static_cast<INode*>(b);
           if (start_gen == child->gen) {
-            return Insert(child, key, value, h, level + kBitsPerLevel, in,
-                          start_gen, only_if_absent);
+            return Insert(child, key, value, h, level + kBitsPerLevel,
+                          start_gen);
           }
           // Generation mismatch: renew this CNode's children, then retry.
           if (Gcas(in, m, RenewCNode(*cn, in->gen))) {
-            return Insert(in, key, value, h, level, parent, start_gen,
-                          only_if_absent);
+            return Insert(in, key, value, h, level, start_gen);
           }
           return OpResult::Restart();
         }
         // SNode in the slot.
         auto* sn = static_cast<SNode*>(b);
         if (sn->hash == h && eq_(sn->key, key)) {
-          if (only_if_absent) return OpResult::Done(sn->value);
           CNode* updated = CNodeUpdated(*cn, pos, new SNode(key, value, h));
           // sn stays readable until this guard closes, even once replaced.
           return Gcas(in, m, updated) ? OpResult::Done(sn->value)
@@ -776,16 +620,9 @@ class CTrie {
         CNode* updated = CNodeUpdated(*cn, pos, new INode(sub, in->gen));
         return Gcas(in, m, updated) ? OpResult::Done() : OpResult::Restart();
       }
-      case Kind::kTNode: {
-        if (parent != nullptr) Clean(parent, level - kBitsPerLevel);
-        return OpResult::Restart();
-      }
       case Kind::kLNode: {
         auto* ln = static_cast<LNode*>(m);
         std::optional<V> existing = LNodeLookup(ln, key);
-        if (existing.has_value() && only_if_absent) {
-          return OpResult::Done(existing);
-        }
         LNode* rest = existing.has_value() ? LNodeRemoved(ln, key) : Shared(ln);
         auto* updated = new LNode(new SNode(key, value, h), rest);
         return Gcas(in, m, updated) ? OpResult::Done(existing)
@@ -800,7 +637,7 @@ class CTrie {
   }
 
   OpResult DoLookup(INode* in, const K& key, uint64_t h, int level,
-                    INode* parent, uint64_t start_gen) const {
+                    uint64_t start_gen) const {
     MainNode* m = GcasRead(in);
     switch (m->kind) {
       case Kind::kCNode: {
@@ -812,30 +649,17 @@ class CTrie {
         Node* b = cn->array()[pos];
         if (b->kind == Kind::kINode) {
           auto* child = static_cast<INode*>(b);
-          if (read_only_ || start_gen == child->gen) {
-            return DoLookup(child, key, h, level + kBitsPerLevel, in,
-                            start_gen);
+          if (start_gen == child->gen) {
+            return DoLookup(child, key, h, level + kBitsPerLevel, start_gen);
           }
           if (Gcas(in, m, RenewCNode(*cn, in->gen))) {
-            return DoLookup(in, key, h, level, parent, start_gen);
+            return DoLookup(in, key, h, level, start_gen);
           }
           return OpResult::Restart();
         }
         const auto* sn = static_cast<const SNode*>(b);
         if (sn->hash == h && eq_(sn->key, key)) return OpResult::Done(sn->value);
         return OpResult::Done();
-      }
-      case Kind::kTNode: {
-        // Read-only views may simply look through the tomb.
-        const SNode* sn = static_cast<const TNode*>(m)->sn;
-        if (read_only_) {
-          if (sn->hash == h && eq_(sn->key, key)) {
-            return OpResult::Done(sn->value);
-          }
-          return OpResult::Done();
-        }
-        if (parent != nullptr) Clean(parent, level - kBitsPerLevel);
-        return OpResult::Restart();
       }
       case Kind::kLNode:
         return OpResult::Done(LNodeLookup(static_cast<const LNode*>(m), key));
@@ -845,111 +669,6 @@ class CTrie {
         IDF_CHECK_MSG(false, "corrupt CTrie main node");
     }
     return OpResult::Restart();
-  }
-
-  OpResult DoRemove(INode* in, const K& key, uint64_t h, int level,
-                    INode* parent, uint64_t start_gen) {
-    MainNode* m = GcasRead(in);
-    switch (m->kind) {
-      case Kind::kCNode: {
-        const auto* cn = static_cast<const CNode*>(m);
-        uint64_t flag;
-        int pos;
-        FlagPos(h, level, cn->bmp, &flag, &pos);
-        if ((cn->bmp & flag) == 0) return OpResult::Done();
-
-        Node* b = cn->array()[pos];
-        OpResult res;
-        if (b->kind == Kind::kINode) {
-          auto* child = static_cast<INode*>(b);
-          if (start_gen == child->gen) {
-            res = DoRemove(child, key, h, level + kBitsPerLevel, in,
-                           start_gen);
-          } else {
-            if (Gcas(in, m, RenewCNode(*cn, in->gen))) {
-              res = DoRemove(in, key, h, level, parent, start_gen);
-            } else {
-              return OpResult::Restart();
-            }
-          }
-        } else {
-          const auto* sn = static_cast<const SNode*>(b);
-          if (sn->hash != h || !eq_(sn->key, key)) {
-            return OpResult::Done();
-          }
-          MainNode* contracted =
-              ToContracted(CNodeRemoved(*cn, pos, flag), level);
-          if (!Gcas(in, m, contracted)) return OpResult::Restart();
-          res = OpResult::Done(sn->value);
-        }
-
-        if (res.restart || !res.old_value.has_value()) return res;
-        // Contraction may have entombed this INode; fix the parent link.
-        if (parent != nullptr && GcasRead(in)->kind == Kind::kTNode) {
-          CleanParent(parent, in, h, level - kBitsPerLevel, start_gen);
-        }
-        return res;
-      }
-      case Kind::kTNode: {
-        if (parent != nullptr) Clean(parent, level - kBitsPerLevel);
-        return OpResult::Restart();
-      }
-      case Kind::kLNode: {
-        const auto* ln = static_cast<const LNode*>(m);
-        std::optional<V> existing = LNodeLookup(ln, key);
-        if (!existing.has_value()) return OpResult::Done();
-        // A collision list holds at least two keys, so one is left.
-        LNode* remaining = LNodeRemoved(ln, key);
-        IDF_CHECK(remaining != nullptr);
-        MainNode* replacement = remaining;
-        if (remaining->next == nullptr) {
-          replacement = new TNode(Shared(remaining->sn));
-          Release(remaining);
-        }
-        return Gcas(in, m, replacement) ? OpResult::Done(existing)
-                                        : OpResult::Restart();
-      }
-      case Kind::kFailed:
-        return OpResult::Restart();
-      default:
-        IDF_CHECK_MSG(false, "corrupt CTrie main node");
-    }
-    return OpResult::Restart();
-  }
-
-  // ---- traversal (read-only views) ---------------------------------------
-
-  void Traverse(INode* in,
-                const std::function<void(const K&, const V&)>& fn) const {
-    const MainNode* m = GcasRead(in);
-    switch (m->kind) {
-      case Kind::kCNode: {
-        const auto* cn = static_cast<const CNode*>(m);
-        for (uint32_t i = 0; i < cn->size; ++i) {
-          Node* b = cn->array()[i];
-          if (b->kind == Kind::kINode) {
-            Traverse(static_cast<INode*>(b), fn);
-          } else {
-            const auto* sn = static_cast<const SNode*>(b);
-            fn(sn->key, sn->value);
-          }
-        }
-        break;
-      }
-      case Kind::kTNode: {
-        const SNode* sn = static_cast<const TNode*>(m)->sn;
-        fn(sn->key, sn->value);
-        break;
-      }
-      case Kind::kLNode:
-        for (const auto* p = static_cast<const LNode*>(m); p != nullptr;
-             p = p->next) {
-          fn(p->sn->key, p->sn->value);
-        }
-        break;
-      default:
-        break;
-    }
   }
 
   void StatsWalkINode(INode* in, MemoryStats& stats) const {
@@ -972,10 +691,6 @@ class CTrie {
         }
         break;
       }
-      case Kind::kTNode:
-        ++stats.snodes;
-        stats.approx_bytes += sizeof(TNode) + sizeof(SNode);
-        break;
       case Kind::kLNode:
         for (const auto* p = static_cast<const LNode*>(m); p != nullptr;
              p = p->next) {
@@ -991,7 +706,6 @@ class CTrie {
   // Root slot: the root INode, or an RDCSS descriptor in flight. Owns one
   // reference. Mutable because readers help complete descriptors and GCAS.
   mutable std::atomic<Node*> root_;
-  bool read_only_;
   HashFn hash_{};
   EqFn eq_{};
 };

@@ -355,7 +355,9 @@ class MemoryGovernor {
 /// are inert (pins accumulate in the outermost one, so an operator-level
 /// scope keeps its working set pinned across helper calls). Construction
 /// is a thread-local check plus one branch when the governor has never
-/// been engaged.
+/// been engaged. Declare whatever owns a pinned payload before the scope:
+/// another thread may drop the payload's other owners, and the scope must
+/// unpin it before the last owner frees it.
 class AccessScope {
  public:
   AccessScope();

@@ -343,10 +343,10 @@ Result<TableHandle> FilterExec::ExecuteImpl(Session& session,
         [&, p](TaskContext& ctx) -> Status {
           // Keep the input chunk pinned for the whole body: column
           // references are held across appends that may trigger eviction.
+          ChunkPtr chunk;  // outlives the scope, which unpins it
           mem::AccessScope scope;
-          Result<ChunkPtr> chunk = FetchChunk(ctx, in, p);
-          IDF_RETURN_IF_ERROR(chunk.status());
-          const ColumnarChunk& input = **chunk;
+          IDF_ASSIGN_OR_RETURN(chunk, FetchChunk(ctx, in, p));
+          const ColumnarChunk& input = *chunk;
           ctx.metrics().rows_read += input.num_rows();
 
           auto out = std::make_shared<ColumnarChunk>(in.schema);
@@ -405,10 +405,10 @@ Result<TableHandle> ProjectExec::ExecuteImpl(Session& session,
         {},
         0,
         [&, p](TaskContext& ctx) -> Status {
+          ChunkPtr chunk;  // outlives the scope, which unpins it
           mem::AccessScope scope;
-          Result<ChunkPtr> chunk = FetchChunk(ctx, in, p);
-          IDF_RETURN_IF_ERROR(chunk.status());
-          const ColumnarChunk& input = **chunk;
+          IDF_ASSIGN_OR_RETURN(chunk, FetchChunk(ctx, in, p));
+          const ColumnarChunk& input = *chunk;
           ctx.metrics().rows_read += input.num_rows();
 
           // Columnar projection: copy whole column vectors — no row work.
@@ -552,10 +552,10 @@ Result<TableHandle> JoinExec::BroadcastHashJoin(
           // Pins the probe chunk AND every build chunk touched below — the
           // body holds `key_col` across reads of other chunks, so transient
           // pins alone would not keep the probe chunk resident.
+          ChunkPtr chunk;  // outlives the scope, which unpins it
           mem::AccessScope scope;
-          Result<ChunkPtr> chunk = FetchChunk(ctx, probe, p);
-          IDF_RETURN_IF_ERROR(chunk.status());
-          const ColumnarChunk& probe_chunk = **chunk;
+          IDF_ASSIGN_OR_RETURN(chunk, FetchChunk(ctx, probe, p));
+          const ColumnarChunk& probe_chunk = *chunk;
           const ColumnVector& key_col = probe_chunk.column(probe_key);
           ctx.metrics().rows_read += probe_chunk.num_rows();
 
@@ -641,10 +641,10 @@ Result<TableHandle> JoinExec::ShuffledJoin(Session& session,
           [&, p, shuffle_id, key](TaskContext& ctx) -> Status {
             // `key_col` is held across per-row encodes; keep the chunk
             // pinned for the whole map task.
+            ChunkPtr chunk;  // outlives the scope, which unpins it
             mem::AccessScope scope;
-            Result<ChunkPtr> chunk = FetchChunk(ctx, table, p);
-            IDF_RETURN_IF_ERROR(chunk.status());
-            const ColumnarChunk& input = **chunk;
+            IDF_ASSIGN_OR_RETURN(chunk, FetchChunk(ctx, table, p));
+            const ColumnarChunk& input = *chunk;
             const ColumnVector& key_col = input.column(key);
             ctx.metrics().rows_read += input.num_rows();
 
@@ -863,10 +863,10 @@ Result<TableHandle> HashAggExec::ExecuteImpl(Session& session,
         {},
         0,
         [&, p](TaskContext& ctx) -> Status {
+          ChunkPtr chunk;  // outlives the scope, which unpins it
           mem::AccessScope scope;
-          Result<ChunkPtr> chunk = FetchChunk(ctx, in, p);
-          IDF_RETURN_IF_ERROR(chunk.status());
-          const ColumnarChunk& input = **chunk;
+          IDF_ASSIGN_OR_RETURN(chunk, FetchChunk(ctx, in, p));
+          const ColumnarChunk& input = *chunk;
           ctx.metrics().rows_read += input.num_rows();
 
           GroupMap groups;
@@ -1080,10 +1080,11 @@ Result<TableHandle> SortExec::ExecuteImpl(Session& session,
       {},
       0,
       [&](TaskContext& ctx) -> Status {
+        // Gather (chunk, row) references across all partitions, then sort.
+        // The chunks outlive the scope, so it unpins them while they live.
+        std::vector<ChunkPtr> chunks;
         // One task touches every partition; pin them all for the sort.
         mem::AccessScope scope;
-        // Gather (chunk, row) references across all partitions, then sort.
-        std::vector<ChunkPtr> chunks;
         std::vector<std::pair<uint32_t, uint32_t>> refs;
         for (uint32_t p = 0; p < in.num_partitions; ++p) {
           Result<ChunkPtr> chunk = FetchChunk(ctx, in, p);
@@ -1141,13 +1142,13 @@ Result<TableHandle> LimitExec::ExecuteImpl(Session& session,
       {},
       0,
       [&](TaskContext& ctx) -> Status {
-        mem::AccessScope scope;
         auto out = std::make_shared<ColumnarChunk>(in.schema);
         uint64_t taken = 0;
         for (uint32_t p = 0; p < in.num_partitions && taken < limit_; ++p) {
-          Result<ChunkPtr> chunk = FetchChunk(ctx, in, p);
-          IDF_RETURN_IF_ERROR(chunk.status());
-          const ColumnarChunk& input = **chunk;
+          ChunkPtr chunk;  // outlives the scope, which unpins it
+          mem::AccessScope scope;
+          IDF_ASSIGN_OR_RETURN(chunk, FetchChunk(ctx, in, p));
+          const ColumnarChunk& input = *chunk;
           for (size_t i = 0; i < input.num_rows() && taken < limit_;
                ++i, ++taken) {
             AppendRowCopy(*out, input, i);

@@ -215,9 +215,10 @@ Result<CollectedTable> Session::Collect(const TableHandle& handle) {
   for (uint32_t p = 0; p < handle.num_partitions; ++p) {
     // Per-partition scope: the chunk stays pinned for its row loop, then
     // unpins so a tight budget never has to hold the whole result resident.
+    BlockPtr block;  // outlives the scope, which unpins it
     mem::AccessScope scope;
     IDF_ASSIGN_OR_RETURN(
-        BlockPtr block,
+        block,
         cluster_->GetOrCompute(BlockId{handle.rdd_id, p, handle.version}, ctx));
     const auto& chunk = static_cast<const ColumnarChunk&>(*block);
     try {

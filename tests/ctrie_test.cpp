@@ -1,13 +1,12 @@
 // Tests for the concurrent hash trie (CTrie) — the Indexed DataFrame's index
 // structure. Covers single-threaded semantics, hash-collision paths (LNode),
-// entombment/contraction after removals, O(1) snapshots with isolation,
+// O(1) snapshots with isolation, the memory-stats walk of a live trie,
 // epoch-based reclamation of replaced nodes, and multi-threaded stress.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <map>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,12 +17,17 @@
 namespace idf {
 namespace {
 
+/// Number of entries, counted by the memory-stats walk.
+template <typename Trie>
+size_t Entries(const Trie& trie) {
+  const auto stats = trie.ComputeMemoryStats();
+  return stats.snodes + stats.lnodes;
+}
+
 TEST(CTrieTest, EmptyLookupMisses) {
   CTrie<uint64_t, uint64_t> trie;
   EXPECT_FALSE(trie.Lookup(42).has_value());
-  EXPECT_FALSE(trie.Contains(42));
-  EXPECT_EQ(trie.Size(), 0u);
-  EXPECT_TRUE(trie.Empty());
+  EXPECT_EQ(Entries(trie), 0u);
 }
 
 TEST(CTrieTest, PutThenLookup) {
@@ -32,7 +36,7 @@ TEST(CTrieTest, PutThenLookup) {
   auto v = trie.Lookup(1);
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(*v, 100u);
-  EXPECT_FALSE(trie.Empty());
+  EXPECT_EQ(Entries(trie), 1u);
 }
 
 TEST(CTrieTest, PutReturnsPreviousValue) {
@@ -49,30 +53,11 @@ TEST(CTrieTest, PutReturnsPreviousValue) {
   EXPECT_EQ(*trie.Lookup(7), 3u);
 }
 
-TEST(CTrieTest, PutIfAbsentKeepsExisting) {
-  CTrie<uint64_t, uint64_t> trie;
-  EXPECT_FALSE(trie.PutIfAbsent(5, 50).has_value());
-  auto existing = trie.PutIfAbsent(5, 99);
-  ASSERT_TRUE(existing.has_value());
-  EXPECT_EQ(*existing, 50u);
-  EXPECT_EQ(*trie.Lookup(5), 50u);
-}
-
-TEST(CTrieTest, RemoveReturnsValue) {
-  CTrie<uint64_t, uint64_t> trie;
-  trie.Put(3, 30);
-  auto removed = trie.Remove(3);
-  ASSERT_TRUE(removed.has_value());
-  EXPECT_EQ(*removed, 30u);
-  EXPECT_FALSE(trie.Lookup(3).has_value());
-  EXPECT_FALSE(trie.Remove(3).has_value());
-}
-
 TEST(CTrieTest, ManyKeysRoundTrip) {
   CTrie<uint64_t, uint64_t> trie;
   constexpr uint64_t kN = 50000;
   for (uint64_t i = 0; i < kN; ++i) trie.Put(i, i * 2);
-  EXPECT_EQ(trie.Size(), kN);
+  EXPECT_EQ(Entries(trie), kN);
   for (uint64_t i = 0; i < kN; ++i) {
     auto v = trie.Lookup(i);
     ASSERT_TRUE(v.has_value()) << i;
@@ -81,40 +66,25 @@ TEST(CTrieTest, ManyKeysRoundTrip) {
   EXPECT_FALSE(trie.Lookup(kN + 1).has_value());
 }
 
-TEST(CTrieTest, RemoveAllContractsTrie) {
-  CTrie<uint64_t, uint64_t> trie;
-  constexpr uint64_t kN = 2000;
-  for (uint64_t i = 0; i < kN; ++i) trie.Put(i, i);
-  for (uint64_t i = 0; i < kN; ++i) {
-    ASSERT_TRUE(trie.Remove(i).has_value()) << i;
-  }
-  EXPECT_EQ(trie.Size(), 0u);
-  // After mass removal, re-insertion still works (no tombstone leaks).
-  trie.Put(1, 11);
-  EXPECT_EQ(*trie.Lookup(1), 11u);
-}
-
 TEST(CTrieTest, InterleavedInsertRemove) {
+  // Model check against std::map: random Puts (inserts and overwrites)
+  // interleaved with Lookups.
   CTrie<uint64_t, uint64_t> trie;
   std::map<uint64_t, uint64_t> model;
   Rng rng(2024);
   for (int step = 0; step < 20000; ++step) {
     uint64_t key = rng.Below(500);
+    auto expected = model.count(key) ? std::optional<uint64_t>(model[key])
+                                     : std::nullopt;
     if (rng.Chance(0.6)) {
-      auto expected = model.count(key) ? std::optional<uint64_t>(model[key])
-                                       : std::nullopt;
       auto old = trie.Put(key, step);
       EXPECT_EQ(old, expected);
       model[key] = step;
     } else {
-      auto expected = model.count(key) ? std::optional<uint64_t>(model[key])
-                                       : std::nullopt;
-      auto old = trie.Remove(key);
-      EXPECT_EQ(old, expected);
-      model.erase(key);
+      EXPECT_EQ(trie.Lookup(key), expected);
     }
   }
-  EXPECT_EQ(trie.Size(), model.size());
+  EXPECT_EQ(Entries(trie), model.size());
   for (const auto& [k, v] : model) {
     auto found = trie.Lookup(k);
     ASSERT_TRUE(found.has_value());
@@ -144,7 +114,7 @@ TEST(CTrieTest, FullHashCollisionsUseLNodes) {
   CTrie<uint64_t, uint64_t, CollidingHash> trie;
   constexpr uint64_t kN = 64;
   for (uint64_t i = 0; i < kN; ++i) trie.Put(i, i + 1000);
-  EXPECT_EQ(trie.Size(), kN);
+  EXPECT_EQ(Entries(trie), kN);
   for (uint64_t i = 0; i < kN; ++i) {
     auto v = trie.Lookup(i);
     ASSERT_TRUE(v.has_value()) << i;
@@ -159,30 +129,7 @@ TEST(CTrieTest, CollidingUpdateReturnsOld) {
   ASSERT_TRUE(old.has_value());
   EXPECT_EQ(*old, 6u);
   EXPECT_EQ(*trie.Lookup(6), 999u);
-  EXPECT_EQ(trie.Size(), 16u);
-}
-
-TEST(CTrieTest, CollidingRemove) {
-  CTrie<uint64_t, uint64_t, CollidingHash> trie;
-  for (uint64_t i = 0; i < 16; ++i) trie.Put(i, i);
-  for (uint64_t i = 0; i < 16; i += 2) {
-    auto removed = trie.Remove(i);
-    ASSERT_TRUE(removed.has_value()) << i;
-  }
-  EXPECT_EQ(trie.Size(), 8u);
-  for (uint64_t i = 1; i < 16; i += 2) EXPECT_TRUE(trie.Contains(i));
-  for (uint64_t i = 0; i < 16; i += 2) EXPECT_FALSE(trie.Contains(i));
-}
-
-TEST(CTrieTest, CollidingPutIfAbsent) {
-  CTrie<uint64_t, uint64_t, CollidingHash> trie;
-  trie.Put(2, 20);
-  trie.Put(4, 40);
-  auto existing = trie.PutIfAbsent(2, 99);
-  ASSERT_TRUE(existing.has_value());
-  EXPECT_EQ(*existing, 20u);
-  EXPECT_FALSE(trie.PutIfAbsent(8, 80).has_value());
-  EXPECT_EQ(*trie.Lookup(8), 80u);
+  EXPECT_EQ(Entries(trie), 16u);
 }
 
 // ---- snapshots -------------------------------------------------------------
@@ -191,18 +138,18 @@ TEST(CTrieSnapshotTest, ReadOnlySnapshotSeesStateAtCreation) {
   CTrie<uint64_t, uint64_t> trie;
   trie.Put(1, 10);
   trie.Put(2, 20);
-  auto snap = trie.ReadOnlySnapshot();
+  auto snap = trie.Snapshot();
   trie.Put(3, 30);
   trie.Put(1, 11);
-  trie.Remove(2);
+  trie.Put(2, 21);
 
   EXPECT_EQ(*snap.Lookup(1), 10u);
   EXPECT_EQ(*snap.Lookup(2), 20u);
   EXPECT_FALSE(snap.Lookup(3).has_value());
-  EXPECT_EQ(snap.Size(), 2u);
+  EXPECT_EQ(Entries(snap), 2u);
 
   EXPECT_EQ(*trie.Lookup(1), 11u);
-  EXPECT_FALSE(trie.Lookup(2).has_value());
+  EXPECT_EQ(*trie.Lookup(2), 21u);
   EXPECT_EQ(*trie.Lookup(3), 30u);
 }
 
@@ -217,15 +164,15 @@ TEST(CTrieSnapshotTest, WritableSnapshotDiverges) {
   child_b.Put(2000, 2);
   child_a.Put(5, 555);
 
-  EXPECT_TRUE(child_a.Contains(1000));
-  EXPECT_FALSE(child_a.Contains(2000));
-  EXPECT_FALSE(child_b.Contains(1000));
-  EXPECT_TRUE(child_b.Contains(2000));
+  EXPECT_TRUE(child_a.Lookup(1000).has_value());
+  EXPECT_FALSE(child_a.Lookup(2000).has_value());
+  EXPECT_FALSE(child_b.Lookup(1000).has_value());
+  EXPECT_TRUE(child_b.Lookup(2000).has_value());
   EXPECT_EQ(*child_a.Lookup(5), 555u);
   EXPECT_EQ(*child_b.Lookup(5), 5u);
   EXPECT_EQ(*parent.Lookup(5), 5u);
-  EXPECT_FALSE(parent.Contains(1000));
-  EXPECT_FALSE(parent.Contains(2000));
+  EXPECT_FALSE(parent.Lookup(1000).has_value());
+  EXPECT_FALSE(parent.Lookup(2000).has_value());
 
   // Shared ancestry is still readable everywhere.
   for (uint64_t i = 0; i < 100; ++i) {
@@ -243,9 +190,9 @@ TEST(CTrieSnapshotTest, SnapshotOfSnapshot) {
   s1.Put(2, 2);
   auto s2 = s1.Snapshot();
   s2.Put(3, 3);
-  EXPECT_EQ(trie.Size(), 1u);
-  EXPECT_EQ(s1.Size(), 2u);
-  EXPECT_EQ(s2.Size(), 3u);
+  EXPECT_EQ(Entries(trie), 1u);
+  EXPECT_EQ(Entries(s1), 2u);
+  EXPECT_EQ(Entries(s2), 3u);
 }
 
 TEST(CTrieSnapshotTest, SnapshotIsCheapStructurally) {
@@ -267,30 +214,20 @@ TEST(CTrieSnapshotTest, SnapshotIsCheapStructurally) {
   EXPECT_LT(after_child.cnodes, before.cnodes + 200);
 }
 
-TEST(CTrieSnapshotTest, MutatingReadOnlySnapshotAborts) {
-  CTrie<uint64_t, uint64_t> trie;
-  trie.Put(1, 1);
-  auto snap = trie.ReadOnlySnapshot();
-  EXPECT_TRUE(snap.read_only());
-  EXPECT_DEATH(snap.Put(2, 2), "read-only");
-}
-
 TEST(CTrieSnapshotTest, ForEachIsConsistent) {
+  // Every entry of a snapshot reads back as it was when the snapshot was
+  // taken, whatever the trie writes afterwards.
   CTrie<uint64_t, uint64_t> trie;
   for (uint64_t i = 0; i < 1000; ++i) trie.Put(i, i * 3);
+  auto snap = trie.Snapshot();
+  for (uint64_t i = 0; i < 1000; ++i) trie.Put(i, 0);
   std::map<uint64_t, uint64_t> seen;
-  trie.ForEach([&](const uint64_t& k, const uint64_t& v) { seen[k] = v; });
+  for (uint64_t k = 0; k < 1000; ++k) {
+    if (auto v = snap.Lookup(k)) seen[k] = *v;
+  }
   EXPECT_EQ(seen.size(), 1000u);
+  EXPECT_EQ(Entries(snap), 1000u);
   for (const auto& [k, v] : seen) EXPECT_EQ(v, k * 3);
-}
-
-TEST(CTrieSnapshotTest, ReadOnlySnapshotOfReadOnlySnapshot) {
-  CTrie<uint64_t, uint64_t> trie;
-  trie.Put(1, 10);
-  auto s1 = trie.ReadOnlySnapshot();
-  auto s2 = s1.ReadOnlySnapshot();
-  EXPECT_EQ(*s2.Lookup(1), 10u);
-  EXPECT_TRUE(s2.read_only());
 }
 
 TEST(CTrieSnapshotTest, MemoryStatsCountEntries) {
@@ -317,7 +254,7 @@ TEST(CTrieConcurrencyTest, ParallelDisjointInserts) {
     });
   }
   for (auto& th : threads) th.join();
-  EXPECT_EQ(trie.Size(), kThreads * kPerThread);
+  EXPECT_EQ(Entries(trie), kThreads * kPerThread);
   for (int t = 0; t < kThreads; ++t) {
     for (uint64_t i = 0; i < kPerThread; i += 97) {
       auto v = trie.Lookup(static_cast<uint64_t>(t) * kPerThread + i);
@@ -340,7 +277,7 @@ TEST(CTrieConcurrencyTest, ParallelOverlappingPutsConverge) {
     });
   }
   for (auto& th : threads) th.join();
-  EXPECT_EQ(trie.Size(), kKeys);
+  EXPECT_EQ(Entries(trie), kKeys);
   for (uint64_t k = 0; k < kKeys; ++k) {
     auto v = trie.Lookup(k);
     ASSERT_TRUE(v.has_value());
@@ -381,12 +318,10 @@ TEST(CTrieConcurrencyTest, SnapshotsDuringWrites) {
   std::atomic<bool> stop{false};
   std::thread snapshotter([&] {
     while (!stop.load(std::memory_order_relaxed)) {
-      auto snap = trie.ReadOnlySnapshot();
+      auto snap = trie.Snapshot();
       // Within one snapshot all values must come from the same "round" or
       // the one in flight — but critically each key must still be present.
-      size_t n = 0;
-      snap.ForEach([&n](const uint64_t&, const uint64_t&) { ++n; });
-      EXPECT_EQ(n, 500u);
+      EXPECT_EQ(Entries(snap), 500u);
     }
   });
   for (uint64_t round = 1; round <= 50; ++round) {
@@ -398,8 +333,9 @@ TEST(CTrieConcurrencyTest, SnapshotsDuringWrites) {
 
 TEST(CTrieConcurrencyTest, ReadersWriterAndSnapshotterShareNodes) {
   // Four readers follow raw pointers while a writer replaces (and retires)
-  // nodes under them and a third thread keeps taking snapshots of both
-  // kinds, so reclamation races every read path. Run under TSan/ASan.
+  // nodes under them and a third thread keeps taking snapshots and writing
+  // through them, so reclamation races every read path. Run under
+  // TSan/ASan.
   constexpr uint64_t kKeys = 1000;
   CTrie<uint64_t, uint64_t> trie;
   for (uint64_t k = 0; k < kKeys; ++k) trie.Put(k, k);
@@ -418,52 +354,72 @@ TEST(CTrieConcurrencyTest, ReadersWriterAndSnapshotterShareNodes) {
   }
   threads.emplace_back([&] {
     while (!stop.load(std::memory_order_relaxed)) {
-      auto frozen = trie.ReadOnlySnapshot();
+      auto frozen = trie.Snapshot();
       size_t n = 0;
-      frozen.ForEach([&](const uint64_t& k, const uint64_t& v) {
-        if (k < kKeys) {
+      for (uint64_t k = 0; k < kKeys; ++k) {
+        if (auto v = frozen.Lookup(k)) {
           ++n;
-          EXPECT_EQ(v % kKeys, k);
+          EXPECT_EQ(*v % kKeys, k);
         }
-      });
+      }
       EXPECT_EQ(n, kKeys);
       auto fork = trie.Snapshot();  // writable: diverges lazily
       fork.Put(0, kKeys);
       EXPECT_EQ(*fork.Lookup(0), kKeys);
     }
   });
-  // The writer overwrites the stable keys and churns a second range through
-  // insert/remove, which exercises tombing and contraction as well.
-  for (uint64_t round = 1; round <= 20; ++round) {
+  // The writer overwrites the stable keys and inserts a fresh key range
+  // each round, so levels keep growing under the readers.
+  constexpr uint64_t kRounds = 20;
+  for (uint64_t round = 1; round <= kRounds; ++round) {
     for (uint64_t k = 0; k < kKeys; ++k) {
       trie.Put(k, k + round * kKeys);
-      if (round % 2 == 1) {
-        trie.Put(kKeys + k, k);
-      } else {
-        EXPECT_TRUE(trie.Remove(kKeys + k).has_value());
-      }
+      trie.Put(round * kKeys + k, k);
     }
   }
   stop.store(true);
   for (auto& th : threads) th.join();
-  EXPECT_EQ(trie.Size(), kKeys);
+  EXPECT_EQ(Entries(trie), (kRounds + 1) * kKeys);
 }
 
-TEST(CTrieConcurrencyTest, ConcurrentInsertAndRemoveDisjointRanges) {
+TEST(CTrieConcurrencyTest, MemoryStatsWalkTheLiveRootUnderWrites) {
+  // The stats walk reads the live root while one thread Puts fresh keys and
+  // another takes snapshots: every walk counts at least the keys whose Put
+  // had returned when it started, at most those whose Put had begun when
+  // it finished, and nothing twice.
+  constexpr uint64_t kBase = 2000;
+  constexpr uint64_t kAdded = 20000;
   CTrie<uint64_t, uint64_t> trie;
-  for (uint64_t i = 0; i < 10000; ++i) trie.Put(i, i);
-  std::thread remover([&] {
-    for (uint64_t i = 0; i < 10000; ++i) ASSERT_TRUE(trie.Remove(i));
+  for (uint64_t k = 0; k < kBase; ++k) trie.Put(k, k);
+  ASSERT_EQ(Entries(trie), kBase);
+  std::atomic<uint64_t> done{0};  // Puts returned
+  std::atomic<bool> writing{true};
+  std::thread writer([&] {
+    for (uint64_t i = 0; i < kAdded; ++i) {
+      trie.Put(kBase + i, i);
+      done.store(i + 1);
+    }
+    writing.store(false);
   });
-  std::thread inserter([&] {
-    for (uint64_t i = 10000; i < 20000; ++i) trie.Put(i, i);
+  std::thread snapshotter([&] {
+    while (writing.load()) {
+      auto snap = trie.Snapshot();
+      EXPECT_GE(Entries(snap), kBase);
+    }
   });
-  remover.join();
-  inserter.join();
-  EXPECT_EQ(trie.Size(), 10000u);
-  for (uint64_t i = 10000; i < 20000; i += 501) {
-    EXPECT_TRUE(trie.Contains(i));
-  }
+  uint64_t walks = 0;
+  do {
+    const uint64_t lower = kBase + done.load();
+    const size_t n = Entries(trie);
+    const uint64_t upper = std::min(kBase + done.load() + 1, kBase + kAdded);
+    EXPECT_GE(n, lower);
+    EXPECT_LE(n, upper);
+    ++walks;
+  } while (writing.load());
+  writer.join();
+  snapshotter.join();
+  EXPECT_GT(walks, 0u);
+  EXPECT_EQ(Entries(trie), kBase + kAdded);
 }
 
 // ---- reclamation -------------------------------------------------------------
@@ -510,7 +466,7 @@ TEST(CTrieReclamationTest, SnapshotHeldValuesSurviveOverwrites) {
   std::thread worker([&] {
     for (uint64_t k = 0; k < kKeys; ++k) trie.Put(k, Counted(k));
     CTrie<uint64_t, Counted> snap = trie.Snapshot();
-    CTrie<uint64_t, Counted> frozen = trie.ReadOnlySnapshot();
+    CTrie<uint64_t, Counted> frozen = trie.Snapshot();
     for (uint64_t round = 1; round <= 50; ++round) {
       for (uint64_t k = 0; k < kKeys; ++k) {
         trie.Put(k, Counted(round * 1000 + k));
@@ -543,19 +499,20 @@ TEST_P(CTrieSizeSweep, InsertLookupRemoveAtScale) {
   keys.reserve(n);
   for (uint64_t i = 0; i < n; ++i) keys.push_back(rng.Next());
   for (uint64_t i = 0; i < n; ++i) trie.Put(keys[i], i);
-  EXPECT_LE(trie.Size(), n);  // random keys may repeat
+  const size_t entries = Entries(trie);
+  EXPECT_LE(entries, n);  // random keys may repeat
   for (uint64_t i = 0; i < n; ++i) {
-    EXPECT_TRUE(trie.Contains(keys[i]));
+    EXPECT_TRUE(trie.Lookup(keys[i]).has_value());
   }
-  for (uint64_t i = 0; i < n; i += 2) trie.Remove(keys[i]);
+  // Overwrite the even-index keys (value n + i): no key may be lost, and
+  // each key reads back the value of a write to that same key.
+  for (uint64_t i = 0; i < n; i += 2) trie.Put(keys[i], n + i);
+  EXPECT_EQ(Entries(trie), entries);
   for (uint64_t i = 1; i < n; i += 2) {
-    // Odd-index keys survive unless they collided with a removed duplicate.
-    if (trie.Contains(keys[i])) continue;
-    bool removed_as_duplicate = false;
-    for (uint64_t j = 0; j < n; j += 2) {
-      if (keys[j] == keys[i]) removed_as_duplicate = true;
-    }
-    EXPECT_TRUE(removed_as_duplicate) << "lost key at index " << i;
+    const std::optional<uint64_t> v = trie.Lookup(keys[i]);
+    ASSERT_TRUE(v.has_value()) << "lost key at index " << i;
+    const uint64_t writer = *v < n ? *v : *v - n;
+    EXPECT_EQ(keys[writer], keys[i]) << "foreign value at index " << i;
   }
 }
 
@@ -577,7 +534,7 @@ TEST_P(CTrieThreadSweep, ConcurrentPutsAllLand) {
     });
   }
   for (auto& th : pool) th.join();
-  EXPECT_EQ(trie.Size(), static_cast<size_t>(threads) * kPerThread);
+  EXPECT_EQ(Entries(trie), static_cast<size_t>(threads) * kPerThread);
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, CTrieThreadSweep,
