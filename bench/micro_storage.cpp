@@ -1,9 +1,11 @@
 // Micro-benchmarks (google-benchmark) for the storage layer: binary row
 // encode/decode, packed pointers, partition-store appends and row access,
-// and the point-lookup path through an IndexedPartition.
+// the point-lookup path through an IndexedPartition, and partial
+// aggregation over columnar chunks and row batches.
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
+#include "core/indexed_dataframe.h"
 #include "core/indexed_partition.h"
 #include "storage/partition_store.h"
 #include "storage/row_layout.h"
@@ -156,6 +158,73 @@ void BM_IndexedPartitionSnapshot(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_IndexedPartitionSnapshot);
+
+// Partial-aggregation rung: COUNT/SUM/AVG over kAggRows rows, global and
+// grouped by one 64-value column, through HashAggExec (columnar chunks,
+// state.range(0) == 0) and RowAggExec (an indexed table's row batches,
+// state.range(0) == 1) on one scheduler thread. Items are input rows; the
+// final merge of at most 64 groups per partition is noise beside the
+// partial pass.
+constexpr int64_t kAggRows = 400000;
+
+struct AggBenchTables {
+  std::unique_ptr<Session> session;
+  DataFrame columnar;
+  IndexedDataFrame indexed;
+};
+
+const AggBenchTables& AggTables() {
+  static const AggBenchTables* tables = [] {
+    SessionOptions options;
+    options.cluster.num_workers = 1;
+    options.cluster.executors_per_worker = 1;
+    options.cluster.scheduler_threads = 1;
+    options.default_partitions = 4;
+    auto* t = new AggBenchTables;
+    t->session = std::make_unique<Session>(options);
+    auto schema = std::make_shared<Schema>(Schema({
+        {"id", TypeId::kInt64, false},
+        {"grp", TypeId::kInt32, false},
+        {"qty", TypeId::kInt64, true},
+        {"price", TypeId::kFloat64, true},
+    }));
+    Rng rng(42);
+    std::vector<RowVec> rows;
+    for (int64_t i = 0; i < kAggRows; ++i) {
+      rows.push_back({Value::Int64(i),
+                      Value::Int32(static_cast<int32_t>(rng.Below(64))),
+                      Value::Int64(static_cast<int64_t>(rng.Below(1000))),
+                      Value::Float64(static_cast<double>(rng.Below(10000)) /
+                                     100.0)});
+    }
+    t->columnar = *t->session->CreateTable("agg_bench", schema, rows);
+    t->indexed = *IndexedDataFrame::Create(t->columnar, "id");
+    return t;
+  }();
+  return *tables;
+}
+
+void BM_PartialAggregate(benchmark::State& state) {
+  const AggBenchTables& t = AggTables();
+  const DataFrame input =
+      state.range(0) == 0 ? t.columnar : t.indexed.AsDataFrame();
+  std::vector<std::string> group_by;
+  if (state.range(1) == 1) group_by.push_back("grp");
+  const DataFrame query =
+      input.Agg(group_by, {AggSpec::Count("n"), AggSpec::Sum("qty"),
+                           AggSpec::Avg("price")});
+  for (auto _ : state) {
+    auto result = query.Collect();
+    IDF_CHECK_OK(result.status());
+    benchmark::DoNotOptimize(result->rows.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * kAggRows);
+  state.SetLabel(std::string(state.range(0) == 0 ? "columnar" : "row batches") +
+                 (state.range(1) == 0 ? ", global" : ", group by 1 key"));
+}
+BENCHMARK(BM_PartialAggregate)
+    ->ArgsProduct({{0, 1}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace idf

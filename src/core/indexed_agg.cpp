@@ -1,6 +1,5 @@
 #include "core/indexed_agg.h"
 
-#include "mem/governor.h"
 #include "sql/agg_internal.h"
 #include "sql/session.h"
 
@@ -8,17 +7,14 @@ namespace idf {
 
 Result<TableHandle> RowAggExec::ExecuteImpl(Session& session,
                                             QueryMetrics& metrics) const {
-  using agg_internal::FindOrCreateGroup;
-  using agg_internal::GroupMap;
-  using agg_internal::GroupState;
+  using agg_internal::PartialAggregator;
   using agg_internal::ResolvedAggs;
+  using agg_internal::RowRun;
 
   Cluster& cluster = session.cluster();
   const std::shared_ptr<IndexedRdd>& rdd = indexed_->rdd();
-  const Schema& in_schema = *rdd->schema();
   IDF_ASSIGN_OR_RETURN(ResolvedAggs resolved,
-                       ResolvedAggs::Resolve(in_schema, group_by_, aggs_));
-  RowLayout partial_layout(resolved.partial_schema);
+                       ResolvedAggs::Resolve(*rdd->schema(), group_by_, aggs_));
 
   const uint32_t P = rdd->num_partitions();
   const uint32_t R = resolved.group_idx.empty() ? 1 : P;
@@ -34,54 +30,20 @@ Result<TableHandle> RowAggExec::ExecuteImpl(Session& session,
         [&, p](TaskContext& ctx) -> Status {
           IDF_ASSIGN_OR_RETURN(std::shared_ptr<const IndexedPartition> part,
                                rdd->GetPartition(p, indexed_->version(), ctx));
-          // Pin the partition's batches for the whole aggregation scan.
-          mem::AccessScope scan_scope;
-          const RowLayout& layout = part->layout();
           ctx.metrics().rows_read += part->num_rows();
 
-          // Aggregate straight off the binary rows — no columnar detour.
-          GroupMap groups;
-          part->ForEachRow([&](const uint8_t* row) {
-            RowVec key;
-            key.reserve(resolved.group_idx.size());
-            for (size_t g : resolved.group_idx) {
-              key.push_back(layout.GetValue(row, g));
-            }
-            GroupState& state =
-                FindOrCreateGroup(groups, std::move(key), aggs_.size());
-            for (size_t a = 0; a < aggs_.size(); ++a) {
-              const Value v =
-                  resolved.agg_idx[a] < 0
-                      ? Value::Int64(1)
-                      : layout.GetValue(
-                            row, static_cast<size_t>(resolved.agg_idx[a]));
-              state.accums[a].AddValue(aggs_[a], v);
-            }
+          // Aggregate straight off the binary rows — no columnar detour:
+          // each row batch is split at its row headers and folded as one
+          // run while ForEachBatch keeps it pinned.
+          PartialAggregator partials(resolved, aggs_);
+          std::vector<const uint8_t*> rows;
+          part->ForEachBatch([&](const uint8_t* data, uint32_t used) {
+            rows.clear();
+            IDF_CHECK_MSG(RowLayout::SplitRows(data, used, rows),
+                          "corrupt row batch");
+            partials.Add(RowRun(part->layout(), rows));
           });
-
-          std::vector<ShuffleBuffer> buffers(R);
-          std::vector<uint8_t> scratch;
-          for (const auto& [code, bucket] : groups) {
-            const uint32_t rp =
-                resolved.group_idx.empty() ? 0 : HashPartition(code, R);
-            for (const GroupState& state : bucket) {
-              RowVec row = resolved.EncodePartial(state, aggs_);
-              Result<uint32_t> size = partial_layout.ComputeRowSize(row);
-              IDF_RETURN_IF_ERROR(size.status());
-              scratch.resize(*size);
-              partial_layout.EncodeRow(row, scratch.data(),
-                                       PackedRowPtr::Null());
-              buffers[rp].AppendRow(scratch.data(), *size);
-            }
-          }
-          for (uint32_t rp = 0; rp < R; ++rp) {
-            if (buffers[rp].num_rows == 0) continue;
-            buffers[rp].source = ctx.executor();
-            ctx.metrics().shuffle_bytes_written += buffers[rp].bytes.size();
-            cluster.shuffle().PutMapOutput(shuffle_id, p, rp,
-                                           std::move(buffers[rp]));
-          }
-          return Status::OK();
+          return ShufflePartials(ctx, shuffle_id, p, R, partials);
         },
         {{rdd->rdd_id(), p}}});
   }
@@ -90,8 +52,7 @@ Result<TableHandle> RowAggExec::ExecuteImpl(Session& session,
 
   IDF_ASSIGN_OR_RETURN(
       TableHandle out,
-      FinalizeAggregation(session, metrics, shuffle_id, R, rdd->schema(),
-                          group_by_, aggs_, resolved));
+      FinalizeAggregation(session, metrics, shuffle_id, R, aggs_, resolved));
   cluster.shuffle().Release(shuffle_id);
   return out;
 }

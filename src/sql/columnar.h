@@ -14,6 +14,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
@@ -46,6 +47,8 @@ class ColumnVector {
   bool IsNull(size_t i) const {
     return i < nulls_.size() * 8 && ((nulls_[i / 8] >> (i % 8)) & 1);
   }
+  /// Bit i set = row i is null; rows past the end are non-null.
+  const std::vector<uint8_t>& null_bitmap() const { return nulls_; }
   bool BoolAt(size_t i) const { return Data<BoolData>().values[i] != 0; }
   int32_t Int32At(size_t i) const { return Data<Int32Data>().values[i]; }
   int64_t Int64At(size_t i) const { return Data<Int64Data>().values[i]; }
@@ -55,6 +58,22 @@ class ColumnVector {
     const uint32_t begin = d.offsets[i];
     const uint32_t end = d.offsets[i + 1];
     return std::string_view(d.arena.data() + begin, end - begin);
+  }
+
+  /// Typed storage for kernels that loop over the column: T is uint8_t
+  /// (bool, 0/1), int32_t, int64_t or double. Null rows hold 0.
+  template <typename T>
+  const T* values() const {
+    if constexpr (std::is_same_v<T, uint8_t>) {
+      return Data<BoolData>().values.data();
+    } else if constexpr (std::is_same_v<T, int32_t>) {
+      return Data<Int32Data>().values.data();
+    } else if constexpr (std::is_same_v<T, int64_t>) {
+      return Data<Int64Data>().values.data();
+    } else {
+      static_assert(std::is_same_v<T, double>);
+      return Data<Float64Data>().values.data();
+    }
   }
 
   Value ValueAt(size_t i) const;

@@ -837,18 +837,14 @@ Result<TableHandle> JoinExec::ShuffledJoin(Session& session,
 
 Result<TableHandle> HashAggExec::ExecuteImpl(Session& session,
                                              QueryMetrics& metrics) const {
-  using agg_internal::Accum;
-  using agg_internal::FindOrCreateGroup;
-  using agg_internal::GroupCode;
-  using agg_internal::GroupMap;
-  using agg_internal::GroupState;
+  using agg_internal::ChunkRun;
+  using agg_internal::PartialAggregator;
   using agg_internal::ResolvedAggs;
 
   Cluster& cluster = session.cluster();
   IDF_ASSIGN_OR_RETURN(TableHandle in, child()->Execute(session, metrics));
   IDF_ASSIGN_OR_RETURN(ResolvedAggs resolved,
                        ResolvedAggs::Resolve(*in.schema, group_by_, aggs_));
-  RowLayout partial_layout(resolved.partial_schema);
 
   const uint32_t R = resolved.group_idx.empty() ? 1 : in.num_partitions;
   const uint64_t shuffle_id =
@@ -866,52 +862,11 @@ Result<TableHandle> HashAggExec::ExecuteImpl(Session& session,
           ChunkPtr chunk;  // outlives the scope, which unpins it
           mem::AccessScope scope;
           IDF_ASSIGN_OR_RETURN(chunk, FetchChunk(ctx, in, p));
-          const ColumnarChunk& input = *chunk;
-          ctx.metrics().rows_read += input.num_rows();
+          ctx.metrics().rows_read += chunk->num_rows();
 
-          GroupMap groups;
-          for (size_t i = 0; i < input.num_rows(); ++i) {
-            RowVec key;
-            key.reserve(resolved.group_idx.size());
-            for (size_t g : resolved.group_idx) {
-              key.push_back(input.ValueAt(i, g));
-            }
-            GroupState& state =
-                FindOrCreateGroup(groups, std::move(key), aggs_.size());
-            for (size_t a = 0; a < aggs_.size(); ++a) {
-              const Value v =
-                  resolved.agg_idx[a] < 0
-                      ? Value::Int64(1)
-                      : input.ValueAt(
-                            i, static_cast<size_t>(resolved.agg_idx[a]));
-              state.accums[a].AddValue(aggs_[a], v);
-            }
-          }
-
-          // Serialize partial rows to the shuffle.
-          std::vector<ShuffleBuffer> buffers(R);
-          std::vector<uint8_t> scratch;
-          for (const auto& [code, bucket] : groups) {
-            const uint32_t rp =
-                resolved.group_idx.empty() ? 0 : HashPartition(code, R);
-            for (const GroupState& state : bucket) {
-              RowVec row = resolved.EncodePartial(state, aggs_);
-              Result<uint32_t> size = partial_layout.ComputeRowSize(row);
-              IDF_RETURN_IF_ERROR(size.status());
-              scratch.resize(*size);
-              partial_layout.EncodeRow(row, scratch.data(),
-                                       PackedRowPtr::Null());
-              buffers[rp].AppendRow(scratch.data(), *size);
-            }
-          }
-          for (uint32_t rp = 0; rp < R; ++rp) {
-            if (buffers[rp].num_rows == 0) continue;
-            buffers[rp].source = ctx.executor();
-            ctx.metrics().shuffle_bytes_written += buffers[rp].bytes.size();
-            cluster.shuffle().PutMapOutput(shuffle_id, p, rp,
-                                           std::move(buffers[rp]));
-          }
-          return Status::OK();
+          PartialAggregator partials(resolved, aggs_);
+          partials.Add(ChunkRun(*chunk));
+          return ShufflePartials(ctx, shuffle_id, p, R, partials);
         },
         {{in.rdd_id, p}}});
   }
@@ -920,15 +875,41 @@ Result<TableHandle> HashAggExec::ExecuteImpl(Session& session,
 
   IDF_ASSIGN_OR_RETURN(
       TableHandle out,
-      FinalizeAggregation(session, metrics, shuffle_id, R, in.schema,
-                          group_by_, aggs_, resolved));
+      FinalizeAggregation(session, metrics, shuffle_id, R, aggs_, resolved));
   cluster.shuffle().Release(shuffle_id);
   return out;
 }
 
+Status ShufflePartials(TaskContext& ctx, uint64_t shuffle_id,
+                       uint32_t map_partition, uint32_t R,
+                       const agg_internal::PartialAggregator& partials) {
+  const agg_internal::ResolvedAggs& resolved = partials.resolved();
+  const RowLayout partial_layout(resolved.partial_schema);
+  std::vector<ShuffleBuffer> buffers(R);
+  std::vector<uint8_t> scratch;
+  IDF_RETURN_IF_ERROR(partials.ForEachPartial(
+      [&](uint64_t code, const RowVec& row) -> Status {
+        const uint32_t rp =
+            resolved.group_idx.empty() ? 0 : HashPartition(code, R);
+        IDF_ASSIGN_OR_RETURN(uint32_t size,
+                             partial_layout.ComputeRowSize(row));
+        scratch.resize(size);
+        partial_layout.EncodeRow(row, scratch.data(), PackedRowPtr::Null());
+        buffers[rp].AppendRow(scratch.data(), size);
+        return Status::OK();
+      }));
+  for (uint32_t rp = 0; rp < R; ++rp) {
+    if (buffers[rp].num_rows == 0) continue;
+    buffers[rp].source = ctx.executor();
+    ctx.metrics().shuffle_bytes_written += buffers[rp].bytes.size();
+    ctx.cluster().shuffle().PutMapOutput(shuffle_id, map_partition, rp,
+                                         std::move(buffers[rp]));
+  }
+  return Status::OK();
+}
+
 Result<TableHandle> FinalizeAggregation(
     Session& session, QueryMetrics& metrics, uint64_t shuffle_id, uint32_t R,
-    const SchemaPtr& input_schema, const std::vector<std::string>& group_by,
     const std::vector<AggSpec>& aggs,
     const agg_internal::ResolvedAggs& resolved) {
   using agg_internal::Accum;
@@ -938,18 +919,7 @@ Result<TableHandle> FinalizeAggregation(
 
   Cluster& cluster = session.cluster();
   RowLayout partial_layout(resolved.partial_schema);
-
-  // Output schema comes from the logical Aggregate node semantics.
-  TableHandle fake;
-  fake.schema = input_schema;
-  fake.rdd_id = 0;
-  fake.num_partitions = 1;
-  auto schema_node = std::make_shared<AggregateNode>(
-      PlanPtr(std::make_shared<ScanNode>(
-          std::make_shared<CachedTable>(fake, "agg-input"))),
-      group_by, aggs);
-  IDF_ASSIGN_OR_RETURN(Schema out_schema_val, schema_node->OutputSchema());
-  auto out_schema = std::make_shared<Schema>(std::move(out_schema_val));
+  const SchemaPtr& out_schema = resolved.output_schema;
 
   TableSink sink(session, out_schema, R);
   StageSpec final_stage;

@@ -247,15 +247,22 @@ void AppendJoinedRow(ColumnarChunk& out, const ColumnarChunk& left, size_t li,
 
 namespace agg_internal {
 struct ResolvedAggs;
-}
+class PartialAggregator;
+}  // namespace agg_internal
+
+/// Map side of a two-phase aggregation: encodes each group of `partials` as
+/// a partial row and writes it to its reduce partition (of R) of
+/// `shuffle_id`. Shared by HashAggExec and the Indexed DataFrame's
+/// row-direct aggregation.
+Status ShufflePartials(class TaskContext& ctx, uint64_t shuffle_id,
+                       uint32_t map_partition, uint32_t R,
+                       const agg_internal::PartialAggregator& partials);
 
 /// Final-merge phase of a two-phase aggregation: consumes the partial rows
 /// written to `shuffle_id` (R reduce partitions, schema per `resolved`) and
-/// materializes the aggregate output. Shared by HashAggExec and the Indexed
-/// DataFrame's row-direct aggregation.
+/// materializes the aggregate output.
 Result<TableHandle> FinalizeAggregation(
     Session& session, QueryMetrics& metrics, uint64_t shuffle_id, uint32_t R,
-    const SchemaPtr& input_schema, const std::vector<std::string>& group_by,
     const std::vector<AggSpec>& aggs,
     const agg_internal::ResolvedAggs& resolved);
 

@@ -10,6 +10,21 @@ std::string LogicalPlan::Explain(int indent) const {
   return out;
 }
 
+TypeId AggSpec::OutputType(TypeId input) const {
+  switch (fn) {
+    case Fn::kCount:
+      return TypeId::kInt64;
+    case Fn::kAvg:
+      return TypeId::kFloat64;
+    case Fn::kSum:
+      return input == TypeId::kFloat64 ? TypeId::kFloat64 : TypeId::kInt64;
+    case Fn::kMin:
+    case Fn::kMax:
+      return input;
+  }
+  return TypeId::kInt64;
+}
+
 Result<Schema> AggregateNode::OutputSchema() const {
   IDF_ASSIGN_OR_RETURN(Schema in, child()->OutputSchema());
   std::vector<Field> fields;
@@ -18,29 +33,12 @@ Result<Schema> AggregateNode::OutputSchema() const {
     fields.push_back(in.field(idx));
   }
   for (const AggSpec& agg : aggs_) {
-    TypeId out_type = TypeId::kInt64;
-    switch (agg.fn) {
-      case AggSpec::Fn::kCount:
-        out_type = TypeId::kInt64;
-        break;
-      case AggSpec::Fn::kAvg:
-        out_type = TypeId::kFloat64;
-        IDF_RETURN_IF_ERROR(in.FieldIndex(agg.column).status());
-        break;
-      case AggSpec::Fn::kSum: {
-        IDF_ASSIGN_OR_RETURN(size_t idx, in.FieldIndex(agg.column));
-        out_type = in.field(idx).type == TypeId::kFloat64 ? TypeId::kFloat64
-                                                          : TypeId::kInt64;
-        break;
-      }
-      case AggSpec::Fn::kMin:
-      case AggSpec::Fn::kMax: {
-        IDF_ASSIGN_OR_RETURN(size_t idx, in.FieldIndex(agg.column));
-        out_type = in.field(idx).type;
-        break;
-      }
+    TypeId input = TypeId::kInt64;
+    if (agg.fn != AggSpec::Fn::kCount) {
+      IDF_ASSIGN_OR_RETURN(size_t idx, in.FieldIndex(agg.column));
+      input = in.field(idx).type;
     }
-    fields.push_back(Field{agg.output_name, out_type, true});
+    fields.push_back(Field{agg.output_name, agg.OutputType(input), true});
   }
   return Schema(std::move(fields));
 }

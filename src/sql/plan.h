@@ -40,6 +40,9 @@ struct AggSpec {
   static AggSpec Avg(std::string col, std::string out = "") {
     return {Fn::kAvg, col, out.empty() ? "avg_" + col : std::move(out)};
   }
+
+  /// Result type over an input column of type `input` (COUNT ignores it).
+  TypeId OutputType(TypeId input) const;
 };
 
 enum class JoinType { kInner, kLeftOuter };

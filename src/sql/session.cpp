@@ -211,6 +211,7 @@ DataFrame Session::Read(DatasetPtr dataset) {
 Result<CollectedTable> Session::Collect(const TableHandle& handle) {
   CollectedTable out;
   out.schema = handle.schema;
+  out.rows.reserve(handle.num_rows);
   TaskContext ctx(cluster_.get(), cluster_->AliveExecutors().front());
   for (uint32_t p = 0; p < handle.num_partitions; ++p) {
     // Per-partition scope: the chunk stays pinned for its row loop, then

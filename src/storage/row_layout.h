@@ -76,9 +76,18 @@ class RowLayout {
     std::memcpy(dst + 8, &bits, sizeof(bits));
   }
 
+  /// The null bitmap starts right after the 16-byte header.
+  static constexpr uint32_t kNullBitmapOffset = 16;
+
   bool IsNull(const uint8_t* src, size_t col) const {
     IDF_CHECK(col < slot_offsets_.size());
-    return (src[16 + col / 8] >> (col % 8)) & 1;
+    return (src[kNullBitmapOffset + col / 8] >> (col % 8)) & 1;
+  }
+  /// Byte offset of a column's fixed slot, for kernels that read one column
+  /// across many rows.
+  uint32_t slot_offset(size_t col) const {
+    IDF_CHECK(col < slot_offsets_.size());
+    return slot_offsets_[col];
   }
 
   bool GetBool(const uint8_t* src, size_t col) const {
