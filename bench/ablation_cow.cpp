@@ -16,7 +16,9 @@ namespace {
 /// Every stored row of `part`, in storage order.
 std::vector<const uint8_t*> StoredRows(const IndexedPartition& part) {
   std::vector<const uint8_t*> rows;
-  part.ForEachRow([&](const uint8_t* row) { rows.push_back(row); });
+  part.ForEachBatch([&](const uint8_t* data, uint32_t used) {
+    IDF_CHECK_MSG(RowLayout::SplitRows(data, used, rows), "corrupt row batch");
+  });
   return rows;
 }
 

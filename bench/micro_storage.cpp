@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the storage layer: binary row
 // encode/decode, packed pointers, partition-store appends and row access,
-// the point-lookup path through an IndexedPartition, and partial
-// aggregation over columnar chunks and row batches.
+// the point-lookup path through an IndexedPartition, partial aggregation
+// over columnar chunks and row batches, and row <-> column transcoding.
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
@@ -225,6 +225,88 @@ void BM_PartialAggregate(benchmark::State& state) {
 BENCHMARK(BM_PartialAggregate)
     ->ArgsProduct({{0, 1}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
+
+// Transcoding rung: rows/s through the three row <-> column paths, over
+// kTranscodeRows rows of all five column types on one scheduler thread.
+// Only the DataFrame API is driven, so this file also measures a build
+// whose conversions run a row and a cell at a time. Items are input rows.
+//   0 encode: a shuffled-hash join against a one-row table that matches
+//     nothing, so the map side encodes every row and the reduce decodes none;
+//   1 decode: an indexed table's fallback scan, projected to every column;
+//   2 gather: a filter that keeps every other row of a columnar table.
+constexpr int64_t kTranscodeRows = 200000;
+
+struct TranscodeBenchTables {
+  std::unique_ptr<Session> session;
+  DataFrame columnar;
+  DataFrame miss;
+  IndexedDataFrame indexed;
+};
+
+const TranscodeBenchTables& TranscodeTables() {
+  static const TranscodeBenchTables* tables = [] {
+    SessionOptions options;
+    options.cluster.num_workers = 1;
+    options.cluster.executors_per_worker = 1;
+    options.cluster.scheduler_threads = 1;
+    options.default_partitions = 4;
+    options.join_mode = JoinExec::Mode::kShuffledHash;
+    auto* t = new TranscodeBenchTables;
+    t->session = std::make_unique<Session>(options);
+    auto schema = std::make_shared<Schema>(Schema({
+        {"id", TypeId::kInt64, false},
+        {"half", TypeId::kInt32, false},
+        {"qty", TypeId::kInt64, true},
+        {"price", TypeId::kFloat64, true},
+        {"tag", TypeId::kString, true},
+        {"flag", TypeId::kBool, true},
+    }));
+    Rng rng(7);
+    std::vector<RowVec> rows;
+    for (int64_t i = 0; i < kTranscodeRows; ++i) {
+      const bool nulls = rng.Below(8) == 0;
+      rows.push_back(
+          {Value::Int64(i), Value::Int32(static_cast<int32_t>(i % 2)),
+           nulls ? Value::Null(TypeId::kInt64)
+                 : Value::Int64(static_cast<int64_t>(rng.Below(1000))),
+           Value::Float64(static_cast<double>(rng.Below(10000)) / 100.0),
+           nulls ? Value::Null(TypeId::kString)
+                 : Value::String("tag_" + std::to_string(rng.Below(500))),
+           Value::Bool(rng.Below(2) == 0)});
+    }
+    t->columnar = *t->session->CreateTable("transcode_bench", schema, rows);
+    t->miss = *t->session->CreateTable(
+        "transcode_miss",
+        std::make_shared<Schema>(Schema({{"mk", TypeId::kInt64, false}})),
+        {{Value::Int64(-1)}});
+    t->indexed = *IndexedDataFrame::Create(t->columnar, "id");
+    return t;
+  }();
+  return *tables;
+}
+
+void BM_Transcode(benchmark::State& state) {
+  const TranscodeBenchTables& t = TranscodeTables();
+  DataFrame query = t.columnar.Filter(Eq(Col("half"), Lit(int32_t{0})));
+  const char* label = "gather";
+  if (state.range(0) == 0) {
+    query = t.columnar.Join(t.miss, "id", "mk");
+    label = "encode";
+  } else if (state.range(0) == 1) {
+    query = t.indexed.AsDataFrame().Select(
+        {"id", "half", "qty", "price", "tag", "flag"});
+    label = "decode";
+  }
+  for (auto _ : state) {
+    auto result = query.Execute();
+    IDF_CHECK_OK(result.status());
+    benchmark::DoNotOptimize(result->num_rows);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          kTranscodeRows);
+  state.SetLabel(label);
+}
+BENCHMARK(BM_Transcode)->DenseRange(0, 2)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace idf

@@ -6,49 +6,6 @@
 
 namespace idf {
 
-namespace {
-
-/// Appends one joined output row from an indexed binary row and a probe
-/// binary row, respecting the logical left/right order.
-void EmitJoined(ColumnarChunk& out, const RowLayout& indexed_layout,
-                const uint8_t* indexed_row, const RowLayout& probe_layout,
-                const uint8_t* probe_row, bool indexed_is_left) {
-  // AppendColumnsFromBinary equivalent lives in sql/physical.cpp as a local
-  // helper; re-implemented here over the public chunk API.
-  auto append_side = [&](size_t offset, const RowLayout& layout,
-                         const uint8_t* row) {
-    const Schema& schema = layout.schema();
-    for (size_t c = 0; c < schema.num_fields(); ++c) {
-      ColumnVector& dst = out.mutable_column(offset + c);
-      if (layout.IsNull(row, c)) {
-        dst.AppendNull();
-        continue;
-      }
-      switch (schema.field(c).type) {
-        case TypeId::kBool: dst.AppendBool(layout.GetBool(row, c)); break;
-        case TypeId::kInt32: dst.AppendInt32(layout.GetInt32(row, c)); break;
-        case TypeId::kInt64: dst.AppendInt64(layout.GetInt64(row, c)); break;
-        case TypeId::kFloat64:
-          dst.AppendFloat64(layout.GetFloat64(row, c));
-          break;
-        case TypeId::kString:
-          dst.AppendString(layout.GetString(row, c));
-          break;
-      }
-    }
-  };
-  if (indexed_is_left) {
-    append_side(0, indexed_layout, indexed_row);
-    append_side(indexed_layout.schema().num_fields(), probe_layout, probe_row);
-  } else {
-    append_side(0, probe_layout, probe_row);
-    append_side(probe_layout.schema().num_fields(), indexed_layout,
-                indexed_row);
-  }
-}
-
-}  // namespace
-
 Result<TableHandle> IndexedJoinExec::ExecuteImpl(Session& session,
                                                  QueryMetrics& metrics) const {
   Cluster& cluster = session.cluster();
@@ -87,33 +44,30 @@ Result<TableHandle> IndexedJoinExec::ExecuteImpl(Session& session,
            probe_layout.GetValue(prow, probe_key);
   };
 
-  // Probe task shared logic: probe rows (encoded) against one partition.
-  auto probe_partition = [&](TaskContext& ctx, uint32_t p,
-                             const std::vector<const uint8_t*>& probe_rows,
-                             ColumnarChunk& out) -> Status {
-    IDF_ASSIGN_OR_RETURN(std::shared_ptr<const IndexedPartition> part,
-                         rdd->GetPartition(p, version, ctx));
-    // Pin every batch this probe touches for the whole task: under a memory
-    // budget the governor must not evict a batch between two probes of the
-    // same partition (each chain walk would otherwise re-fault it).
-    mem::AccessScope probe_scope;
-    const RowLayout& indexed_layout = part->layout();
-    for (const uint8_t* prow : probe_rows) {
-      if (probe_layout.IsNull(prow, probe_key)) continue;
-      const uint64_t code = probe_layout.KeyCode(prow, probe_key);
-      ++ctx.metrics().index_probes;
-      uint64_t matched = 0;
-      part->ForEachRowOfKey(code, [&](const uint8_t* irow) {
-        if (verify && !keys_equal(indexed_layout, irow, prow)) return;
-        ++matched;
-        EmitJoined(out, indexed_layout, irow, probe_layout, prow,
-                   indexed_is_left_);
-      });
-      // A probe "hits" when it joins at least one verified row — the hit
-      // rate the paper reports alongside probe counts.
-      if (matched > 0) ++ctx.metrics().index_hits;
-    }
-    return Status::OK();
+  // Probes one encoded row against a partition; matched pairs collect in
+  // `decoder`, whose left side is the join's left relation.
+  auto probe_row = [&](TaskContext& ctx, const IndexedPartition& part,
+                       const uint8_t* prow, JoinedRowDecoder& decoder) {
+    const uint64_t code = probe_layout.KeyCode(prow, probe_key);
+    ++ctx.metrics().index_probes;
+    uint64_t matched = 0;
+    part.ForEachRowOfKey(code, [&](const uint8_t* irow) {
+      if (verify && !keys_equal(part.layout(), irow, prow)) return;
+      ++matched;
+      if (indexed_is_left_) {
+        decoder.Add(irow, prow);
+      } else {
+        decoder.Add(prow, irow);
+      }
+    });
+    // A probe "hits" when it joins at least one verified row — the hit
+    // rate the paper reports alongside probe counts.
+    if (matched > 0) ++ctx.metrics().index_hits;
+  };
+  auto make_decoder = [&](const IndexedPartition& part, ColumnarChunk& out) {
+    return indexed_is_left_
+               ? JoinedRowDecoder(part.layout(), probe_layout, out)
+               : JoinedRowDecoder(probe_layout, part.layout(), out);
   };
 
   if (probe.total_bytes <= session.options().broadcast_threshold_bytes) {
@@ -125,17 +79,20 @@ Result<TableHandle> IndexedJoinExec::ExecuteImpl(Session& session,
     // each partition then probes only the keys it owns.
     std::vector<std::vector<const uint8_t*>> buckets(P);
     for (uint32_t p = 0; p < probe.num_partitions; ++p) {
-      // Per-chunk pin scope: the row loop reads the chunk many times and
-      // must not re-fault it between rows under a tight budget.
+      // Per-chunk pin scope: the key column is read across the encode.
       ChunkPtr chunk;  // outlives the scope, which unpins it
       mem::AccessScope bucket_scope;
       IDF_ASSIGN_OR_RETURN(chunk, FetchChunk(driver_ctx, probe, p));
-      std::vector<uint8_t> scratch;
+      const ColumnVector& key_vec = chunk->column(probe_key);
+      std::vector<uint32_t> sel;
       for (size_t i = 0; i < chunk->num_rows(); ++i) {
-        if (chunk->column(probe_key).IsNull(i)) continue;
-        chunk->EncodeRowTo(probe_layout, i, scratch);
-        encoded_rows.push_back(scratch);
+        if (!key_vec.IsNull(i)) sel.push_back(static_cast<uint32_t>(i));
       }
+      IDF_RETURN_IF_ERROR(ForEachEncodedRow(
+          *chunk, sel, probe_layout,
+          [&](size_t, const uint8_t* row, uint32_t size) {
+            encoded_rows.emplace_back(row, row + size);
+          }));
     }
     for (const auto& row : encoded_rows) {
       const uint8_t* ptr = row.data();
@@ -154,8 +111,21 @@ Result<TableHandle> IndexedJoinExec::ExecuteImpl(Session& session,
           [&, p](TaskContext& ctx) -> Status {
             const std::vector<const uint8_t*>& mine = buckets[p];
             ctx.metrics().rows_read += mine.size();
+            IDF_ASSIGN_OR_RETURN(std::shared_ptr<const IndexedPartition> part,
+                                 rdd->GetPartition(p, version, ctx));
             auto out = std::make_shared<ColumnarChunk>(out_schema);
-            IDF_RETURN_IF_ERROR(probe_partition(ctx, p, mine, *out));
+            JoinedRowDecoder decoder = make_decoder(*part, *out);
+            {
+              // Pin every batch this probe touches until the matches are
+              // decoded: under a memory budget the governor must not evict
+              // a batch between two probes of the same partition (each
+              // chain walk would otherwise re-fault it).
+              mem::AccessScope probe_scope;
+              for (const uint8_t* prow : mine) {
+                probe_row(ctx, *part, prow, decoder);
+              }
+              decoder.Flush();
+            }
             out->SetRowCount(out->column(0).size());
             sink.Emit(ctx, p, std::move(out));
             return Status::OK();
@@ -180,23 +150,27 @@ Result<TableHandle> IndexedJoinExec::ExecuteImpl(Session& session,
         {},
         0,
         [&, p](TaskContext& ctx) -> Status {
-          // `key_vec` is held across per-row encodes of the same chunk.
+          // `key_vec` is held across the encode of the same chunk.
           ChunkPtr chunk;  // outlives the scope, which unpins it
           mem::AccessScope scope;
           IDF_ASSIGN_OR_RETURN(chunk, FetchChunk(ctx, probe, p));
           const ColumnarChunk& input = *chunk;
           const ColumnVector& key_vec = input.column(probe_key);
           ctx.metrics().rows_read += input.num_rows();
-          ShuffleWriter writer(cluster.shuffle(), shuffle_id, p, P,
-                               ctx.executor(), input.num_rows());
-          std::vector<uint8_t> scratch;  // reused across rows
+          std::vector<uint32_t> sel;
+          std::vector<uint32_t> targets;
           for (size_t i = 0; i < input.num_rows(); ++i) {
             if (key_vec.IsNull(i)) continue;
-            const uint32_t target = rdd->PartitionOf(key_vec.KeyCodeAt(i));
-            input.EncodeRowTo(probe_layout, i, scratch);
-            writer.Append(target, scratch.data(),
-                          static_cast<uint32_t>(scratch.size()));
+            sel.push_back(static_cast<uint32_t>(i));
+            targets.push_back(rdd->PartitionOf(key_vec.KeyCodeAt(i)));
           }
+          ShuffleWriter writer(cluster.shuffle(), shuffle_id, p, P,
+                               ctx.executor(), input.num_rows());
+          IDF_RETURN_IF_ERROR(ForEachEncodedRow(
+              input, sel, probe_layout,
+              [&](size_t k, const uint8_t* row, uint32_t size) {
+                writer.Append(targets[k], row, size);
+              }));
           writer.Finish();
           ctx.metrics().shuffle_bytes_written += writer.bytes_written();
           return Status::OK();
@@ -217,27 +191,18 @@ Result<TableHandle> IndexedJoinExec::ExecuteImpl(Session& session,
           const ShuffleInputs inputs = ctx.FetchShuffleInputs(shuffle_id, p);
           IDF_ASSIGN_OR_RETURN(std::shared_ptr<const IndexedPartition> part,
                                rdd->GetPartition(p, version, ctx));
-          const RowLayout& indexed_layout = part->layout();
           auto out = std::make_shared<ColumnarChunk>(out_schema);
+          JoinedRowDecoder decoder = make_decoder(*part, *out);
           for (const auto& buf : inputs) {
             ctx.metrics().rows_read += buf->num_rows;
             // Per-buffer pin scope: probed chain batches stay resident
-            // across this buffer's rows.
+            // across this buffer's rows until their matches are decoded.
             mem::AccessScope probe_scope;
             ShuffleBufferReader reader(*buf);
             while (reader.HasNext()) {
-              const uint8_t* prow = reader.Next();
-              const uint64_t code = probe_layout.KeyCode(prow, probe_key);
-              ++ctx.metrics().index_probes;
-              uint64_t matched = 0;
-              part->ForEachRowOfKey(code, [&](const uint8_t* irow) {
-                if (verify && !keys_equal(indexed_layout, irow, prow)) return;
-                ++matched;
-                EmitJoined(*out, indexed_layout, irow, probe_layout, prow,
-                           indexed_is_left_);
-              });
-              if (matched > 0) ++ctx.metrics().index_hits;
+              probe_row(ctx, *part, reader.Next(), decoder);
             }
+            decoder.Flush();
           }
           out->SetRowCount(out->column(0).size());
           sink.Emit(ctx, p, std::move(out));
@@ -289,8 +254,7 @@ Result<TableHandle> IndexLookupExec::ExecuteImpl(Session& session,
         const RowLayout& layout = part->layout();
         ++ctx.metrics().index_probes;
 
-        ChunkBuilder builder(rdd->schema());
-        uint64_t matched = 0;
+        std::vector<const uint8_t*> matched;
         part->ForEachRowOfKey(IndexKeyCode(key_), [&](const uint8_t* row) {
           if (verify && !(layout.GetValue(row, key_col) == key_)) return;
           if (residual != nullptr) {
@@ -298,11 +262,13 @@ Result<TableHandle> IndexLookupExec::ExecuteImpl(Session& session,
             const Value keep = residual->Eval(accessor);
             if (keep.is_null() || !keep.bool_value()) return;
           }
-          ++matched;
-          builder.AddEncodedRow(layout, row);
+          matched.push_back(row);
         });
-        if (matched > 0) ++ctx.metrics().index_hits;
-        sink.Emit(ctx, 0, builder.Finish());
+        if (!matched.empty()) ++ctx.metrics().index_hits;
+        auto out = std::make_shared<ColumnarChunk>(rdd->schema());
+        DecodeRows(layout, matched, *out, 0);
+        out->SetRowCount(matched.size());
+        sink.Emit(ctx, 0, std::move(out));
         return Status::OK();
       },
       {{rdd->rdd_id(), p}}});

@@ -203,20 +203,6 @@ std::vector<RowVec> IndexedPartition::LookupRows(const Value& key) const {
   return rows;
 }
 
-void IndexedPartition::ForEachRow(
-    const std::function<void(const uint8_t*)>& fn) const {
-  ForEachBatch([&](const uint8_t* data, uint32_t used) {
-    const uint8_t* cursor = data;
-    const uint8_t* end = data + used;
-    while (cursor < end) {
-      const uint32_t size = RowLayout::RowSize(cursor);
-      IDF_CHECK_MSG(size >= 16 && cursor + size <= end, "corrupt row batch");
-      fn(cursor);
-      cursor += size;
-    }
-  });
-}
-
 void IndexedPartition::ForEachBatch(
     const std::function<void(const uint8_t*, uint32_t)>& fn) const {
   for (uint32_t b = 0; b < store_.num_batches(); ++b) {

@@ -86,9 +86,6 @@ class IndexedPartition final : public Block {
   /// included), decoded.
   std::vector<RowVec> LookupRows(const Value& key) const;
 
-  /// Scans every row in storage order (index fallback path / full scans).
-  void ForEachRow(const std::function<void(const uint8_t*)>& fn) const;
-
   /// Visits each row batch in order as (data, used bytes): the batch's rows
   /// back to back. Each batch stays pinned for the duration of its call.
   void ForEachBatch(

@@ -155,7 +155,7 @@ Status IndexedRdd::ShuffleToPartitions(
         {},
         0,
         [&, p](TaskContext& ctx) -> Status {
-          // Scope: key_col stays valid across the encode loop even if the
+          // Scope: key_col stays valid across the encode even if the
           // budget enforcer runs while routed buffers allocate.
           ChunkPtr chunk;  // outlives the scope, which unpins it
           mem::AccessScope scope;
@@ -164,18 +164,22 @@ Status IndexedRdd::ShuffleToPartitions(
           const ColumnVector& key_col = input.column(key_column_);
           ctx.metrics().rows_read += input.num_rows();
 
+          std::vector<uint32_t> sel(input.num_rows());
+          std::vector<uint32_t> targets(input.num_rows());
+          for (size_t i = 0; i < input.num_rows(); ++i) {
+            sel[i] = static_cast<uint32_t>(i);
+            // Null keys go to partition 0 (stored, never indexed).
+            targets[i] =
+                key_col.IsNull(i) ? 0 : PartitionOf(key_col.KeyCodeAt(i));
+          }
           ShuffleWriter writer(cluster.shuffle(), shuffle_id, p,
                                num_partitions_, ctx.executor(),
                                input.num_rows());
-          std::vector<uint8_t> scratch;  // reused across rows
-          for (size_t i = 0; i < input.num_rows(); ++i) {
-            // Null keys go to partition 0 (stored, never indexed).
-            const uint32_t target =
-                key_col.IsNull(i) ? 0 : PartitionOf(key_col.KeyCodeAt(i));
-            input.EncodeRowTo(layout, i, scratch);
-            writer.Append(target, scratch.data(),
-                          static_cast<uint32_t>(scratch.size()));
-          }
+          IDF_RETURN_IF_ERROR(ForEachEncodedRow(
+              input, sel, layout,
+              [&](size_t k, const uint8_t* row, uint32_t size) {
+                writer.Append(targets[k], row, size);
+              }));
           writer.Finish();
           ctx.metrics().shuffle_bytes_written += writer.bytes_written();
           return Status::OK();
@@ -316,7 +320,7 @@ Result<ShuffleInputs> IndexedRdd::RouteRows(const TableHandle& table,
                                             TaskContext& ctx) const {
   RowLayout layout(schema_);
   auto routed = std::make_shared<ShuffleBuffer>();
-  std::vector<uint8_t> scratch;
+  std::vector<uint32_t> sel;
   for (uint32_t p = 0; p < table.num_partitions; ++p) {
     // Per-chunk scope: pins at most one source chunk at a time, so a tight
     // budget never needs the whole table resident to rebuild one partition.
@@ -324,13 +328,16 @@ Result<ShuffleInputs> IndexedRdd::RouteRows(const TableHandle& table,
     mem::AccessScope chunk_scope;
     IDF_ASSIGN_OR_RETURN(chunk, FetchChunk(ctx, table, p));
     const ColumnVector& key_col = chunk->column(key_column_);
+    sel.clear();
     for (size_t i = 0; i < chunk->num_rows(); ++i) {
       const uint32_t t =
           key_col.IsNull(i) ? 0 : PartitionOf(key_col.KeyCodeAt(i));
-      if (t != partition) continue;
-      chunk->EncodeRowTo(layout, i, scratch);
-      routed->AppendRow(scratch.data(), static_cast<uint32_t>(scratch.size()));
+      if (t == partition) sel.push_back(static_cast<uint32_t>(i));
     }
+    IDF_RETURN_IF_ERROR(ForEachEncodedRow(
+        *chunk, sel, layout, [&](size_t, const uint8_t* row, uint32_t size) {
+          routed->AppendRow(row, size);
+        }));
   }
   return ShuffleInputs{std::move(routed)};
 }
@@ -403,15 +410,18 @@ Result<TableHandle> IndexedDataset::ScanAsColumnar(
                                rdd_->GetPartition(p, version_, ctx));
           // Row-to-columnar conversion: the real cost of running regular
           // operators over the row-wise indexed representation (Fig. 8).
-          // The scan scope pins each batch once for the whole conversion.
-          mem::AccessScope scan_scope;
-          ChunkBuilder builder(rdd_->schema());
-          const RowLayout& layout = part->layout();
-          part->ForEachRow([&](const uint8_t* row) {
-            builder.AddEncodedRow(layout, row);
+          // Each batch decodes while ForEachBatch pins it alone.
+          auto out = std::make_shared<ColumnarChunk>(rdd_->schema());
+          std::vector<const uint8_t*> rows;
+          part->ForEachBatch([&](const uint8_t* data, uint32_t used) {
+            rows.clear();
+            IDF_CHECK_MSG(RowLayout::SplitRows(data, used, rows),
+                          "corrupt row batch");
+            DecodeRows(part->layout(), rows, *out, 0);
           });
+          out->SetRowCount(out->column(0).size());
           ctx.metrics().rows_read += part->num_rows();
-          sink.Emit(ctx, p, builder.Finish());
+          sink.Emit(ctx, p, std::move(out));
           return Status::OK();
         },
         {{rdd_->rdd_id(), p}}});

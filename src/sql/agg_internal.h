@@ -188,126 +188,11 @@ struct ResolvedAggs {
   }
 };
 
-// ---- input runs --------------------------------------------------------------
-//
-// A run exposes `size()` and `column<T>(col)`, a typed reader with
-// `IsNull(i)` and `operator[](i)`; T is bool, int32_t, int64_t, double or
-// std::string_view. Readers are built once per block of rows, so a column
-// is pinned and type-checked once, not once per value.
-
-/// All rows of one columnar chunk.
-class ChunkRun {
- public:
-  explicit ChunkRun(const ColumnarChunk& chunk) : chunk_(chunk) {}
-
-  template <typename T>
-  class Column {
-   public:
-    explicit Column(const ColumnVector& column)
-        : column_(&column),
-          nulls_(column.null_bitmap().data()),
-          null_bits_(column.null_bitmap().size() * 8) {
-      if constexpr (std::is_same_v<T, bool>) {
-        values_ = column.values<uint8_t>();
-      } else if constexpr (!std::is_same_v<T, std::string_view>) {
-        values_ = column.values<T>();
-      }
-    }
-    bool IsNull(size_t i) const {
-      return i < null_bits_ && ((nulls_[i / 8] >> (i % 8)) & 1);
-    }
-    T operator[](size_t i) const {
-      if constexpr (std::is_same_v<T, std::string_view>) {
-        return column_->StringAt(i);
-      } else {
-        return static_cast<T>(values_[i]);
-      }
-    }
-
-   private:
-    using Stored = std::conditional_t<std::is_same_v<T, bool>, uint8_t, T>;
-    const ColumnVector* column_;
-    const uint8_t* nulls_;
-    size_t null_bits_;
-    const Stored* values_ = nullptr;
-  };
-
-  size_t size() const { return chunk_.num_rows(); }
-  template <typename T>
-  Column<T> column(size_t col) const {
-    return Column<T>(chunk_.column(col));
-  }
-
- private:
-  const ColumnarChunk& chunk_;
-};
-
-/// Encoded rows of one layout, e.g. one row batch split at its row headers.
-/// Every column sits at a fixed slot offset, so a reader is a strided load
-/// plus a null-bit test per row.
-class RowRun {
- public:
-  RowRun(const RowLayout& layout, const std::vector<const uint8_t*>& rows)
-      : layout_(layout), rows_(rows) {}
-
-  template <typename T>
-  class Column {
-   public:
-    Column(const uint8_t* const* rows, size_t col, uint32_t slot)
-        : rows_(rows),
-          null_byte_(RowLayout::kNullBitmapOffset +
-                     static_cast<uint32_t>(col / 8)),
-          null_mask_(static_cast<uint8_t>(1u << (col % 8))),
-          slot_(slot) {}
-    bool IsNull(size_t i) const {
-      return (rows_[i][null_byte_] & null_mask_) != 0;
-    }
-    T operator[](size_t i) const {
-      const uint8_t* row = rows_[i];
-      if constexpr (std::is_same_v<T, std::string_view>) {
-        uint32_t off, len;
-        std::memcpy(&off, row + slot_, sizeof(off));
-        std::memcpy(&len, row + slot_ + 4, sizeof(len));
-        return std::string_view(reinterpret_cast<const char*>(row) + off, len);
-      } else if constexpr (std::is_same_v<T, bool>) {
-        return row[slot_] != 0;
-      } else {
-        T v;
-        std::memcpy(&v, row + slot_, sizeof(v));
-        return v;
-      }
-    }
-
-   private:
-    const uint8_t* const* rows_;
-    uint32_t null_byte_;
-    uint8_t null_mask_;
-    uint32_t slot_;
-  };
-
-  size_t size() const { return rows_.size(); }
-  template <typename T>
-  Column<T> column(size_t col) const {
-    return Column<T>(rows_.data(), col, layout_.slot_offset(col));
-  }
-
- private:
-  const RowLayout& layout_;
-  const std::vector<const uint8_t*>& rows_;
-};
-
-/// Calls fn(T{}) with the C++ type a kernel reads a column of `type` as.
-template <typename Fn>
-decltype(auto) VisitType(TypeId type, Fn&& fn) {
-  switch (type) {
-    case TypeId::kBool: return fn(bool{});
-    case TypeId::kInt32: return fn(int32_t{});
-    case TypeId::kInt64: return fn(int64_t{});
-    case TypeId::kFloat64: return fn(double{});
-    case TypeId::kString: break;
-  }
-  return fn(std::string_view{});
-}
+// Input runs (sql/columnar.h): a run exposes `size()` and `column<T>(col)`,
+// a typed reader with `IsNull(i)` and `operator[](i)`.
+using ::idf::ChunkRun;
+using ::idf::RowRun;
+using ::idf::VisitType;
 
 // ---- the partial-aggregation kernel -----------------------------------------
 

@@ -1,5 +1,6 @@
 #include "sql/columnar.h"
 
+#include <cstring>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -267,15 +268,89 @@ RowVec ColumnarChunk::RowAt(size_t i) const {
   return row;
 }
 
-void ColumnarChunk::EncodeRowTo(const RowLayout& layout, size_t i,
-                                std::vector<uint8_t>& scratch) const {
-  // Cheap path: assemble the RowVec then encode. Row materialization cost is
-  // intentional — it is the real price of shuffling cached columnar data.
-  RowVec row = RowAt(i);
-  Result<uint32_t> size = layout.ComputeRowSize(row);
-  IDF_CHECK_OK(size.status());
-  scratch.resize(*size);
-  layout.EncodeRow(row, scratch.data(), PackedRowPtr::Null());
+Status ColumnarChunk::EncodeRows(std::span<const uint32_t> rows,
+                                 const RowLayout& layout,
+                                 std::vector<uint8_t>& out) const {
+  const Schema& schema = layout.schema();
+  bool types_match = schema.num_fields() == columns_.size();
+  for (size_t c = 0; types_match && c < columns_.size(); ++c) {
+    types_match = columns_[c].type() == schema.field(c).type;
+  }
+  if (!types_match) {
+    return Status::InvalidArgument("chunk columns do not match the layout " +
+                                   schema.ToString());
+  }
+  EnsureReadable();
+  const size_t n = rows.size();
+
+  // Row sizes: the fixed section plus the bytes of each non-null string.
+  std::vector<uint64_t> sizes(n, layout.fixed_size());
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    const ColumnVector& col = columns_[c];
+    const Field& f = schema.field(c);
+    if (f.nullable && f.type != TypeId::kString) continue;
+    for (size_t k = 0; k < n; ++k) {
+      if (!col.IsNull(rows[k])) {
+        if (f.type == TypeId::kString) sizes[k] += col.StringAt(rows[k]).size();
+      } else if (!f.nullable) {
+        return Status::InvalidArgument("null in NOT NULL field '" + f.name +
+                                       "'");
+      }
+    }
+  }
+  std::vector<size_t> starts(n);
+  size_t total = 0;
+  for (size_t k = 0; k < n; ++k) {
+    if (sizes[k] > PackedRowPtr::kMaxRowSize) {
+      return Status::InvalidArgument(
+          "row of " + std::to_string(sizes[k]) + " bytes exceeds the " +
+          std::to_string(PackedRowPtr::kMaxRowSize) + "-byte row bound");
+    }
+    starts[k] = total;
+    total += sizes[k];
+  }
+
+  // Fixed sections: size, zeroed pad, null back pointer, bitmap and slots.
+  out.resize(total);
+  uint8_t* const base = out.data();
+  for (size_t k = 0; k < n; ++k) {
+    uint8_t* row = base + starts[k];
+    std::memset(row, 0, layout.fixed_size());
+    const uint32_t size = static_cast<uint32_t>(sizes[k]);
+    std::memcpy(row, &size, sizeof(size));
+    RowLayout::SetBackPtr(row, PackedRowPtr::Null());
+  }
+  // Strings append to their row's var section in column order.
+  std::vector<uint32_t> var(n, layout.fixed_size());
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    const uint32_t slot = layout.slot_offset(c);
+    const size_t null_byte = RowLayout::kNullBitmapOffset + c / 8;
+    const uint8_t null_mask = static_cast<uint8_t>(1u << (c % 8));
+    VisitType(columns_[c].type(), [&](auto tag) {
+      using T = decltype(tag);
+      const ChunkRun::Column<T> col(columns_[c]);
+      for (size_t k = 0; k < n; ++k) {
+        uint8_t* row = base + starts[k];
+        if (col.IsNull(rows[k])) {
+          row[null_byte] |= null_mask;  // the slot stays zeroed
+          continue;
+        }
+        const T v = col[rows[k]];
+        if constexpr (std::is_same_v<T, std::string_view>) {
+          const uint32_t len = static_cast<uint32_t>(v.size());
+          std::memcpy(row + slot, &var[k], sizeof(var[k]));
+          std::memcpy(row + slot + 4, &len, sizeof(len));
+          if (len > 0) std::memcpy(row + var[k], v.data(), len);
+          var[k] += len;
+        } else if constexpr (std::is_same_v<T, bool>) {
+          row[slot] = v ? 1 : 0;
+        } else {
+          std::memcpy(row + slot, &v, sizeof(v));
+        }
+      }
+    });
+  }
+  return Status::OK();
 }
 
 uint64_t ColumnarChunk::ByteSize() const {
@@ -335,36 +410,93 @@ Status ColumnarChunk::ReloadPayload(const std::string& path) {
   return Status::OK();
 }
 
-// ---- ChunkBuilder ---------------------------------------------------------
+// ---- transcoding kernels ----------------------------------------------------
 
-ChunkBuilder::ChunkBuilder(SchemaPtr schema)
-    : chunk_(std::make_shared<ColumnarChunk>(std::move(schema))) {}
+namespace {
 
-void ChunkBuilder::AddEncodedRow(const RowLayout& layout, const uint8_t* row) {
-  const Schema& schema = chunk_->schema();
-  for (size_t c = 0; c < schema.num_fields(); ++c) {
-    ColumnVector& col = chunk_->mutable_column(c);
-    if (layout.IsNull(row, c)) {
-      col.AppendNull();
-      continue;
-    }
-    switch (schema.field(c).type) {
-      case TypeId::kBool: col.AppendBool(layout.GetBool(row, c)); break;
-      case TypeId::kInt32: col.AppendInt32(layout.GetInt32(row, c)); break;
-      case TypeId::kInt64: col.AppendInt64(layout.GetInt64(row, c)); break;
-      case TypeId::kFloat64:
-        col.AppendFloat64(layout.GetFloat64(row, c));
-        break;
-      case TypeId::kString: col.AppendString(layout.GetString(row, c)); break;
+/// RowRun::Column that reads a null row pointer as a row of nulls.
+template <typename T>
+class PaddedRowColumn {
+ public:
+  PaddedRowColumn(const uint8_t* const* rows, RowRun::Column<T> column)
+      : rows_(rows), column_(column) {}
+  bool IsNull(size_t i) const {
+    return rows_[i] == nullptr || column_.IsNull(i);
+  }
+  T operator[](size_t i) const { return column_[i]; }
+
+ private:
+  const uint8_t* const* rows_;
+  RowRun::Column<T> column_;
+};
+
+/// One column of several chunks, read in RowRef order.
+template <typename T>
+class GatherColumn {
+ public:
+  GatherColumn(const RowRef* refs, const ChunkRun::Column<T>* columns)
+      : refs_(refs), columns_(columns) {}
+  bool IsNull(size_t i) const {
+    const RowRef& ref = refs_[i];
+    return ref.chunk == RowRef::kNull || columns_[ref.chunk].IsNull(ref.row);
+  }
+  T operator[](size_t i) const {
+    return columns_[refs_[i].chunk][refs_[i].row];
+  }
+
+ private:
+  const RowRef* refs_;
+  const ChunkRun::Column<T>* columns_;
+};
+
+}  // namespace
+
+void DecodeRows(const RowLayout& layout, std::span<const uint8_t* const> rows,
+                ColumnarChunk& out, size_t offset) {
+  const Schema& schema = layout.schema();
+  // Blocks keep the rows a column pass strides over in cache.
+  for (size_t begin = 0; begin < rows.size(); begin += kTranscodeBlockRows) {
+    const size_t n = std::min(kTranscodeBlockRows, rows.size() - begin);
+    const std::span<const uint8_t* const> block = rows.subspan(begin, n);
+    const RowRun run(layout, block);
+    for (size_t c = 0; c < schema.num_fields(); ++c) {
+      ColumnVector& dst = out.mutable_column(offset + c);
+      IDF_CHECK_MSG(dst.type() == schema.field(c).type, "column type mismatch");
+      VisitType(dst.type(), [&](auto tag) {
+        using T = decltype(tag);
+        dst.AppendRun<T>(
+            PaddedRowColumn<T>(block.data(), run.template column<T>(c)), n);
+      });
     }
   }
-  chunk_->SetRowCount(chunk_->column(0).size());
 }
 
-void ChunkBuilder::AddRow(const RowVec& row) {
-  IDF_CHECK_OK(chunk_->AppendRow(row));
+void GatherRows(std::span<const ChunkPtr> sources,
+                std::span<const RowRef> refs, ColumnarChunk& out,
+                size_t offset) {
+  IDF_CHECK(!sources.empty());
+  for (size_t c = 0; c < sources[0]->num_columns(); ++c) {
+    ColumnVector& dst = out.mutable_column(offset + c);
+    VisitType(dst.type(), [&](auto tag) {
+      using T = decltype(tag);
+      std::vector<ChunkRun::Column<T>> columns;
+      columns.reserve(sources.size());
+      for (const ChunkPtr& source : sources) {
+        const ColumnVector& column = source->column(c);
+        IDF_CHECK_MSG(column.type() == dst.type(), "column type mismatch");
+        columns.emplace_back(column);
+      }
+      dst.AppendRun<T>(GatherColumn<T>(refs.data(), columns.data()),
+                       refs.size());
+    });
+  }
 }
 
-ChunkPtr ChunkBuilder::Finish() { return std::move(chunk_); }
+void JoinedRowDecoder::Flush() {
+  DecodeRows(left_, left_rows_, out_, 0);
+  DecodeRows(right_, right_rows_, out_, left_.schema().num_fields());
+  left_rows_.clear();
+  right_rows_.clear();
+}
 
 }  // namespace idf

@@ -6,12 +6,20 @@
 // null bitmaps and a string arena. Scans, projections and vectorizable
 // filters are fast here (which is exactly why Fig. 8 / Fig. 13 show the
 // row-wise Indexed DataFrame *losing* on projection-heavy operators).
+//
+// Rows move between the binary row layout (storage/row_layout.h) and chunks
+// through three typed kernels that work a column at a time: the encoder
+// (ColumnarChunk::EncodeRows), the decoder (DecodeRows) and the gather
+// (GatherRows). No Value is boxed per cell.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <iosfwd>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -43,6 +51,14 @@ class ColumnVector {
   void AppendString(std::string_view v);
   void Reserve(size_t n);
 
+  /// Appends n rows read from `src`, a column reader with IsNull(i) and
+  /// operator[](i) returning T — bool, int32_t, int64_t, double or
+  /// std::string_view, as VisitType(type()) gives it. The transcoding
+  /// kernels' append: one typed loop, bit-identical to appending the rows
+  /// one at a time.
+  template <typename T, typename Src>
+  void AppendRun(const Src& src, size_t n);
+
   // ---- reading --------------------------------------------------------
   bool IsNull(size_t i) const {
     return i < nulls_.size() * 8 && ((nulls_[i / 8] >> (i % 8)) & 1);
@@ -64,16 +80,7 @@ class ColumnVector {
   /// (bool, 0/1), int32_t, int64_t or double. Null rows hold 0.
   template <typename T>
   const T* values() const {
-    if constexpr (std::is_same_v<T, uint8_t>) {
-      return Data<BoolData>().values.data();
-    } else if constexpr (std::is_same_v<T, int32_t>) {
-      return Data<Int32Data>().values.data();
-    } else if constexpr (std::is_same_v<T, int64_t>) {
-      return Data<Int64Data>().values.data();
-    } else {
-      static_assert(std::is_same_v<T, double>);
-      return Data<Float64Data>().values.data();
-    }
+    return const_cast<ColumnVector*>(this)->MutableValues<T>().data();
   }
 
   Value ValueAt(size_t i) const;
@@ -111,6 +118,19 @@ class ColumnVector {
   const T& Data() const { return std::get<T>(data_); }
   template <typename T>
   T& Data() { return std::get<T>(data_); }
+  template <typename T>
+  std::vector<T>& MutableValues() {
+    if constexpr (std::is_same_v<T, uint8_t>) {
+      return Data<BoolData>().values;
+    } else if constexpr (std::is_same_v<T, int32_t>) {
+      return Data<Int32Data>().values;
+    } else if constexpr (std::is_same_v<T, int64_t>) {
+      return Data<Int64Data>().values;
+    } else {
+      static_assert(std::is_same_v<T, double>);
+      return Data<Float64Data>().values;
+    }
+  }
 
   void MarkNull(size_t i);
   void AppendBoolSlot();
@@ -166,10 +186,15 @@ class ColumnarChunk : public Block, public mem::Evictable {
     return columns_[col].ValueAt(row);
   }
 
-  /// Serializes row i with the given layout into `out` (shuffle path).
-  /// `scratch` avoids per-row allocations.
-  void EncodeRowTo(const RowLayout& layout, size_t i,
-                   std::vector<uint8_t>& scratch) const;
+  /// The encoder: writes rows `rows` of this chunk in `layout`'s format,
+  /// back to back into `out` (replacing its contents), a column at a time
+  /// under one pin. Every row gets a null back pointer. InvalidArgument when
+  /// the chunk's column types differ from the layout's, a row holds a null
+  /// in a NOT NULL field of the layout, or a row exceeds the 1 KB row bound;
+  /// `out` is then unspecified. Callers encode a bounded block of rows per
+  /// call (ForEachEncodedRow).
+  Status EncodeRows(std::span<const uint32_t> rows, const RowLayout& layout,
+                    std::vector<uint8_t>& out) const;
 
   uint64_t ByteSize() const override;
 
@@ -203,21 +228,240 @@ class ColumnarChunk : public Block, public mem::Evictable {
 
 using ChunkPtr = std::shared_ptr<const ColumnarChunk>;
 
-/// Builds a chunk from encoded binary rows (shuffle-receive / index fallback
-/// scan: this row->columnar conversion is the cost that makes projections on
-/// the Indexed DataFrame slower than on the columnar cache).
-class ChunkBuilder {
+/// Calls fn(T{}) with the C++ type a kernel reads a column of `type` as.
+template <typename Fn>
+decltype(auto) VisitType(TypeId type, Fn&& fn) {
+  switch (type) {
+    case TypeId::kBool: return fn(bool{});
+    case TypeId::kInt32: return fn(int32_t{});
+    case TypeId::kInt64: return fn(int64_t{});
+    case TypeId::kFloat64: return fn(double{});
+    case TypeId::kString: break;
+  }
+  return fn(std::string_view{});
+}
+
+template <typename T, typename Src>
+void ColumnVector::AppendRun(const Src& src, size_t n) {
+  const size_t base = size_;
+  if constexpr (std::is_same_v<T, std::string_view>) {
+    auto& d = Data<StringData>();
+    size_t bytes = 0;
+    for (size_t i = 0; i < n; ++i) {
+      if (!src.IsNull(i)) bytes += src[i].size();
+    }
+    size_t cursor = d.arena.size();
+    d.arena.resize(cursor + bytes);
+    d.offsets.resize(base + 1 + n);
+    uint32_t* offsets = d.offsets.data() + base + 1;
+    for (size_t i = 0; i < n; ++i) {
+      if (src.IsNull(i)) {
+        MarkNull(base + i);
+      } else if (const std::string_view v = src[i]; !v.empty()) {
+        std::memcpy(d.arena.data() + cursor, v.data(), v.size());
+        cursor += v.size();
+      }
+      offsets[i] = static_cast<uint32_t>(cursor);
+    }
+  } else {
+    using Stored = std::conditional_t<std::is_same_v<T, bool>, uint8_t, T>;
+    std::vector<Stored>& values = MutableValues<Stored>();
+    values.resize(base + n);
+    Stored* out = values.data() + base;
+    for (size_t i = 0; i < n; ++i) {
+      if (src.IsNull(i)) {
+        MarkNull(base + i);  // the slot stays 0
+      } else {
+        out[i] = static_cast<Stored>(src[i]);
+      }
+    }
+  }
+  size_ += n;
+}
+
+// ---- column readers ---------------------------------------------------------
+//
+// A run exposes `size()` and `column<T>(col)`, a typed reader with
+// `IsNull(i)` and `operator[](i)`; T is bool, int32_t, int64_t, double or
+// std::string_view. Readers are built once per block of rows, so a column
+// is pinned and type-checked once, not once per value.
+
+/// All rows of one columnar chunk.
+class ChunkRun {
  public:
-  explicit ChunkBuilder(SchemaPtr schema);
+  explicit ChunkRun(const ColumnarChunk& chunk) : chunk_(chunk) {}
 
-  void AddEncodedRow(const RowLayout& layout, const uint8_t* row);
-  void AddRow(const RowVec& row);
+  template <typename T>
+  class Column {
+   public:
+    explicit Column(const ColumnVector& column)
+        : column_(&column),
+          nulls_(column.null_bitmap().data()),
+          null_bits_(column.null_bitmap().size() * 8) {
+      if constexpr (std::is_same_v<T, bool>) {
+        values_ = column.values<uint8_t>();
+      } else if constexpr (!std::is_same_v<T, std::string_view>) {
+        values_ = column.values<T>();
+      }
+    }
+    bool IsNull(size_t i) const {
+      return i < null_bits_ && ((nulls_[i / 8] >> (i % 8)) & 1);
+    }
+    T operator[](size_t i) const {
+      if constexpr (std::is_same_v<T, std::string_view>) {
+        return column_->StringAt(i);
+      } else {
+        return static_cast<T>(values_[i]);
+      }
+    }
 
-  size_t num_rows() const { return chunk_->num_rows(); }
-  ChunkPtr Finish();
+   private:
+    using Stored = std::conditional_t<std::is_same_v<T, bool>, uint8_t, T>;
+    const ColumnVector* column_;
+    const uint8_t* nulls_;
+    size_t null_bits_;
+    const Stored* values_ = nullptr;
+  };
+
+  size_t size() const { return chunk_.num_rows(); }
+  template <typename T>
+  Column<T> column(size_t col) const {
+    return Column<T>(chunk_.column(col));
+  }
 
  private:
-  std::shared_ptr<ColumnarChunk> chunk_;
+  const ColumnarChunk& chunk_;
+};
+
+/// Encoded rows of one layout, e.g. one row batch split at its row headers.
+/// Every column sits at a fixed slot offset, so a reader is a strided load
+/// plus a null-bit test per row.
+class RowRun {
+ public:
+  RowRun(const RowLayout& layout, std::span<const uint8_t* const> rows)
+      : layout_(layout), rows_(rows) {}
+
+  template <typename T>
+  class Column {
+   public:
+    Column(const uint8_t* const* rows, size_t col, uint32_t slot)
+        : rows_(rows),
+          null_byte_(RowLayout::kNullBitmapOffset +
+                     static_cast<uint32_t>(col / 8)),
+          null_mask_(static_cast<uint8_t>(1u << (col % 8))),
+          slot_(slot) {}
+    bool IsNull(size_t i) const {
+      return (rows_[i][null_byte_] & null_mask_) != 0;
+    }
+    T operator[](size_t i) const {
+      const uint8_t* row = rows_[i];
+      if constexpr (std::is_same_v<T, std::string_view>) {
+        uint32_t off, len;
+        std::memcpy(&off, row + slot_, sizeof(off));
+        std::memcpy(&len, row + slot_ + 4, sizeof(len));
+        return std::string_view(reinterpret_cast<const char*>(row) + off, len);
+      } else if constexpr (std::is_same_v<T, bool>) {
+        return row[slot_] != 0;
+      } else {
+        T v;
+        std::memcpy(&v, row + slot_, sizeof(v));
+        return v;
+      }
+    }
+
+   private:
+    const uint8_t* const* rows_;
+    uint32_t null_byte_;
+    uint8_t null_mask_;
+    uint32_t slot_;
+  };
+
+  size_t size() const { return rows_.size(); }
+  template <typename T>
+  Column<T> column(size_t col) const {
+    return Column<T>(rows_.data(), col, layout_.slot_offset(col));
+  }
+
+ private:
+  const RowLayout& layout_;
+  std::span<const uint8_t* const> rows_;
+};
+
+// ---- row <-> column transcoding ---------------------------------------------
+
+/// Rows per block of the transcoding kernels: the encoder's scratch and the
+/// row pointers a caller collects before decoding them stay this bounded.
+inline constexpr size_t kTranscodeBlockRows = 1024;
+
+/// Encodes rows `sel` of `chunk` with `layout` a block at a time
+/// (ColumnarChunk::EncodeRows) and calls emit(k, row, size) for each in
+/// order, k indexing `sel`; `row` is valid only during the call. Stops at
+/// the first error, after emitting the blocks before it.
+template <typename Emit>
+Status ForEachEncodedRow(const ColumnarChunk& chunk,
+                         std::span<const uint32_t> sel,
+                         const RowLayout& layout, Emit&& emit) {
+  std::vector<uint8_t> block;
+  for (size_t begin = 0; begin < sel.size(); begin += kTranscodeBlockRows) {
+    const size_t n = std::min(kTranscodeBlockRows, sel.size() - begin);
+    IDF_RETURN_IF_ERROR(chunk.EncodeRows(sel.subspan(begin, n), layout, block));
+    const uint8_t* row = block.data();
+    for (size_t k = 0; k < n; ++k) {
+      const uint32_t size = RowLayout::RowSize(row);
+      emit(begin + k, row, size);
+      row += size;
+    }
+  }
+  return Status::OK();
+}
+
+/// The decoder: appends `rows`, encoded with `layout`, to columns
+/// [offset, offset + layout fields) of `out`, in order. A null pointer
+/// appends a null to each of those columns (the padded side of an outer
+/// join). The caller keeps the rows pinned for the call, and sets the row
+/// count once every column of `out` is filled.
+void DecodeRows(const RowLayout& layout, std::span<const uint8_t* const> rows,
+                ColumnarChunk& out, size_t offset);
+
+/// Row `row` of source chunk `chunk`; chunk kNull stands for a row of nulls.
+struct RowRef {
+  static constexpr uint32_t kNull = ~0u;
+  uint32_t chunk = 0;
+  uint32_t row = 0;
+};
+
+/// The gather: appends row refs[i].row of sources[refs[i].chunk] to columns
+/// [offset, offset + source columns) of `out`, in order. `sources` is not
+/// empty and its chunks share one schema. The caller keeps the sources
+/// pinned (an AccessScope) for the call, and sets the row count once every
+/// column of `out` is filled.
+void GatherRows(std::span<const ChunkPtr> sources,
+                std::span<const RowRef> refs, ColumnarChunk& out,
+                size_t offset);
+
+/// Collects joined pairs of encoded rows and decodes them into `out` a
+/// block at a time: left rows fill its first columns, right rows the rest,
+/// and a null right row pads them with nulls. Call Flush() before the scope
+/// that pins the rows closes.
+class JoinedRowDecoder {
+ public:
+  JoinedRowDecoder(const RowLayout& left, const RowLayout& right,
+                   ColumnarChunk& out)
+      : left_(left), right_(right), out_(out) {}
+
+  void Add(const uint8_t* left_row, const uint8_t* right_row) {
+    left_rows_.push_back(left_row);
+    right_rows_.push_back(right_row);
+    if (left_rows_.size() == kTranscodeBlockRows) Flush();
+  }
+  void Flush();
+
+ private:
+  const RowLayout& left_;
+  const RowLayout& right_;
+  ColumnarChunk& out_;
+  std::vector<const uint8_t*> left_rows_;
+  std::vector<const uint8_t*> right_rows_;
 };
 
 }  // namespace idf

@@ -159,86 +159,11 @@ TableHandle TableSink::Finish() {
 
 namespace {
 
-/// Typed copy of one row from `in` to `out` (schemas must match).
-void AppendRowCopy(ColumnarChunk& out, const ColumnarChunk& in, size_t row) {
-  for (size_t c = 0; c < in.num_columns(); ++c) {
-    const ColumnVector& src = in.column(c);
-    ColumnVector& dst = out.mutable_column(c);
-    if (src.IsNull(row)) {
-      dst.AppendNull();
-      continue;
-    }
-    switch (src.type()) {
-      case TypeId::kBool: dst.AppendBool(src.BoolAt(row)); break;
-      case TypeId::kInt32: dst.AppendInt32(src.Int32At(row)); break;
-      case TypeId::kInt64: dst.AppendInt64(src.Int64At(row)); break;
-      case TypeId::kFloat64: dst.AppendFloat64(src.Float64At(row)); break;
-      case TypeId::kString: dst.AppendString(src.StringAt(row)); break;
-    }
-  }
-}
-
-/// Appends columns [offset, offset+in.num_columns) of `out` from row `row`.
-void AppendColumnsAt(ColumnarChunk& out, size_t offset,
-                     const ColumnarChunk& in, size_t row) {
-  for (size_t c = 0; c < in.num_columns(); ++c) {
-    const ColumnVector& src = in.column(c);
-    ColumnVector& dst = out.mutable_column(offset + c);
-    if (src.IsNull(row)) {
-      dst.AppendNull();
-      continue;
-    }
-    switch (src.type()) {
-      case TypeId::kBool: dst.AppendBool(src.BoolAt(row)); break;
-      case TypeId::kInt32: dst.AppendInt32(src.Int32At(row)); break;
-      case TypeId::kInt64: dst.AppendInt64(src.Int64At(row)); break;
-      case TypeId::kFloat64: dst.AppendFloat64(src.Float64At(row)); break;
-      case TypeId::kString: dst.AppendString(src.StringAt(row)); break;
-    }
-  }
-}
-
-/// Appends columns of `out` starting at `offset` from an encoded binary row.
-void AppendColumnsFromBinary(ColumnarChunk& out, size_t offset,
-                             const RowLayout& layout, const uint8_t* row) {
-  const Schema& schema = layout.schema();
-  for (size_t c = 0; c < schema.num_fields(); ++c) {
-    ColumnVector& dst = out.mutable_column(offset + c);
-    if (layout.IsNull(row, c)) {
-      dst.AppendNull();
-      continue;
-    }
-    switch (schema.field(c).type) {
-      case TypeId::kBool: dst.AppendBool(layout.GetBool(row, c)); break;
-      case TypeId::kInt32: dst.AppendInt32(layout.GetInt32(row, c)); break;
-      case TypeId::kInt64: dst.AppendInt64(layout.GetInt64(row, c)); break;
-      case TypeId::kFloat64:
-        dst.AppendFloat64(layout.GetFloat64(row, c));
-        break;
-      case TypeId::kString: dst.AppendString(layout.GetString(row, c)); break;
-    }
-  }
-}
-
 /// Exact key equality for join verification when key codes can collide
 /// (strings and doubles hash into their code).
 bool KeysReallyEqual(const Value& a, const Value& b) { return a == b; }
 
-/// Appends `count` null cells starting at column `offset` (left-outer
-/// padding for unmatched rows).
-void AppendNullColumns(ColumnarChunk& out, size_t offset, size_t count) {
-  for (size_t c = 0; c < count; ++c) {
-    out.mutable_column(offset + c).AppendNull();
-  }
-}
-
 }  // namespace
-
-void AppendJoinedRow(ColumnarChunk& out, const ColumnarChunk& left, size_t li,
-                     const ColumnarChunk& right, size_t ri) {
-  AppendColumnsAt(out, 0, left, li);
-  AppendColumnsAt(out, left.num_columns(), right, ri);
-}
 
 // ---- ScanExec ------------------------------------------------------------
 
@@ -255,7 +180,7 @@ namespace {
 /// equality (`string column =/!= literal`). Returns true and fills
 /// `selected` when the fast path applies.
 bool TryVectorizedFilter(const Expr& predicate, const ColumnarChunk& chunk,
-                         std::vector<uint32_t>& selected) {
+                         std::vector<RowRef>& selected) {
   auto match = [](const Expr& e) -> const CompareExpr* {
     if (e.kind() != Expr::Kind::kCompare) return nullptr;
     return static_cast<const CompareExpr*>(&e);
@@ -298,7 +223,7 @@ bool TryVectorizedFilter(const Expr& predicate, const ColumnarChunk& chunk,
       if (col.IsNull(i)) continue;
       const bool eq = col.StringAt(i) == lit;
       if (eq == (op == CompareOp::kEq)) {
-        selected.push_back(static_cast<uint32_t>(i));
+        selected.push_back({0, static_cast<uint32_t>(i)});
       }
     }
     return true;
@@ -320,7 +245,7 @@ bool TryVectorizedFilter(const Expr& predicate, const ColumnarChunk& chunk,
       case CompareOp::kGt: keep = v > lit; break;
       case CompareOp::kGe: keep = v >= lit; break;
     }
-    if (keep) selected.push_back(static_cast<uint32_t>(i));
+    if (keep) selected.push_back({0, static_cast<uint32_t>(i)});
   }
   return true;
 }
@@ -349,21 +274,20 @@ Result<TableHandle> FilterExec::ExecuteImpl(Session& session,
           const ColumnarChunk& input = *chunk;
           ctx.metrics().rows_read += input.num_rows();
 
-          auto out = std::make_shared<ColumnarChunk>(in.schema);
-          std::vector<uint32_t> selected;
-          if (TryVectorizedFilter(*resolved, input, selected)) {
-            for (uint32_t row : selected) AppendRowCopy(*out, input, row);
-          } else {
+          std::vector<RowRef> selected;
+          if (!TryVectorizedFilter(*resolved, input, selected)) {
             ChunkRowAccessor accessor(input, 0);
             for (size_t i = 0; i < input.num_rows(); ++i) {
               accessor.set_row(i);
               const Value keep = resolved->Eval(accessor);
               if (!keep.is_null() && keep.bool_value()) {
-                AppendRowCopy(*out, input, i);
+                selected.push_back({0, static_cast<uint32_t>(i)});
               }
             }
           }
-          out->SetRowCount(out->column(0).size());
+          auto out = std::make_shared<ColumnarChunk>(in.schema);
+          GatherRows({&chunk, 1}, selected, *out, 0);
+          out->SetRowCount(selected.size());
           sink.Emit(ctx, p, std::move(out));
           return Status::OK();
         },
@@ -486,8 +410,8 @@ Result<TableHandle> JoinExec::BroadcastHashJoin(
   const TableHandle& probe = build_left ? rh : lh;
   const size_t build_key = build_left ? lkey : rkey;
   const size_t probe_key = build_left ? rkey : lkey;
-  auto out_schema =
-      std::make_shared<Schema>(lh.schema->ConcatForJoin(*rh.schema));
+  auto out_schema = std::make_shared<Schema>(
+      JoinOutputSchema(*lh.schema, *rh.schema, join_type_));
   const bool verify =
       KeyCodeNeedsVerify(build.schema->field(build_key).type) ||
       KeyCodeNeedsVerify(probe.schema->field(probe_key).type);
@@ -505,7 +429,7 @@ Result<TableHandle> JoinExec::BroadcastHashJoin(
   }
 
   Stopwatch build_timer;
-  std::unordered_map<uint64_t, std::vector<uint64_t>> hash_table;
+  std::unordered_map<uint64_t, std::vector<RowRef>> hash_table;
   hash_table.reserve(build.num_rows);
   for (size_t ci = 0; ci < build_chunks.size(); ++ci) {
     const ColumnarChunk& chunk = *build_chunks[ci];
@@ -513,7 +437,7 @@ Result<TableHandle> JoinExec::BroadcastHashJoin(
     for (size_t ri = 0; ri < chunk.num_rows(); ++ri) {
       if (key_col.IsNull(ri)) continue;  // inner join drops null keys
       hash_table[key_col.KeyCodeAt(ri)].push_back(
-          (static_cast<uint64_t>(ci) << 32) | ri);
+          {static_cast<uint32_t>(ci), static_cast<uint32_t>(ri)});
     }
   }
   const double build_seconds = build_timer.ElapsedSeconds();
@@ -559,42 +483,49 @@ Result<TableHandle> JoinExec::BroadcastHashJoin(
           const ColumnVector& key_col = probe_chunk.column(probe_key);
           ctx.metrics().rows_read += probe_chunk.num_rows();
 
-          // Left-outer pads unmatched probe (=left) rows with nulls.
+          // Matched pairs gather a block at a time; left-outer pads an
+          // unmatched probe (=left) row with a null build row.
           const bool outer = join_type_ == JoinType::kLeftOuter;
-          const size_t probe_cols = probe.schema->num_fields();
-          const size_t build_cols = build.schema->num_fields();
           auto out = std::make_shared<ColumnarChunk>(out_schema);
-          auto emit_unmatched = [&](size_t ri) {
-            AppendColumnsAt(*out, 0, probe_chunk, ri);
-            AppendNullColumns(*out, probe_cols, build_cols);
+          std::vector<RowRef> build_refs;
+          std::vector<RowRef> probe_refs;
+          auto flush = [&] {
+            const size_t build_offset =
+                build_left ? 0 : probe.schema->num_fields();
+            const size_t probe_offset =
+                build_left ? build.schema->num_fields() : 0;
+            GatherRows(build_chunks, build_refs, *out, build_offset);
+            GatherRows({&chunk, 1}, probe_refs, *out, probe_offset);
+            build_refs.clear();
+            probe_refs.clear();
+          };
+          auto emit = [&](RowRef build_ref, size_t ri) {
+            build_refs.push_back(build_ref);
+            probe_refs.push_back({0, static_cast<uint32_t>(ri)});
+            if (probe_refs.size() == kTranscodeBlockRows) flush();
           };
           for (size_t ri = 0; ri < probe_chunk.num_rows(); ++ri) {
             if (key_col.IsNull(ri)) {
-              if (outer) emit_unmatched(ri);
+              if (outer) emit({RowRef::kNull, 0}, ri);
               continue;
             }
             auto it = hash_table.find(key_col.KeyCodeAt(ri));
             bool matched = false;
             if (it != hash_table.end()) {
-              for (uint64_t packed : it->second) {
-                const size_t bci = packed >> 32;
-                const size_t bri = packed & 0xffffffffu;
-                const ColumnarChunk& bchunk = *build_chunks[bci];
+              for (const RowRef& ref : it->second) {
                 if (verify &&
-                    !KeysReallyEqual(bchunk.ValueAt(bri, build_key),
-                                     probe_chunk.ValueAt(ri, probe_key))) {
+                    !KeysReallyEqual(
+                        build_chunks[ref.chunk]->ValueAt(ref.row, build_key),
+                        probe_chunk.ValueAt(ri, probe_key))) {
                   continue;
                 }
                 matched = true;
-                if (build_left) {
-                  AppendJoinedRow(*out, bchunk, bri, probe_chunk, ri);
-                } else {
-                  AppendJoinedRow(*out, probe_chunk, ri, bchunk, bri);
-                }
+                emit(ref, ri);
               }
             }
-            if (outer && !matched) emit_unmatched(ri);
+            if (outer && !matched) emit({RowRef::kNull, 0}, ri);
           }
+          flush();
           out->SetRowCount(out->column(0).size());
           sink.Emit(ctx, p, std::move(out));
           return Status::OK();
@@ -613,8 +544,8 @@ Result<TableHandle> JoinExec::ShuffledJoin(Session& session,
                                            QueryMetrics& metrics) const {
   Cluster& cluster = session.cluster();
   const uint32_t R = std::max(lh.num_partitions, rh.num_partitions);
-  auto out_schema =
-      std::make_shared<Schema>(lh.schema->ConcatForJoin(*rh.schema));
+  auto out_schema = std::make_shared<Schema>(
+      JoinOutputSchema(*lh.schema, *rh.schema, join_type_));
   RowLayout llayout(lh.schema);
   RowLayout rlayout(rh.schema);
   const bool verify = KeyCodeNeedsVerify(lh.schema->field(lkey).type) ||
@@ -639,8 +570,8 @@ Result<TableHandle> JoinExec::ShuffledJoin(Session& session,
           {},
           0,
           [&, p, shuffle_id, key](TaskContext& ctx) -> Status {
-            // `key_col` is held across per-row encodes; keep the chunk
-            // pinned for the whole map task.
+            // `key_col` is held across the encode; keep the chunk pinned
+            // for the whole map task.
             ChunkPtr chunk;  // outlives the scope, which unpins it
             mem::AccessScope scope;
             IDF_ASSIGN_OR_RETURN(chunk, FetchChunk(ctx, table, p));
@@ -648,20 +579,23 @@ Result<TableHandle> JoinExec::ShuffledJoin(Session& session,
             const ColumnVector& key_col = input.column(key);
             ctx.metrics().rows_read += input.num_rows();
 
-            std::vector<ShuffleBuffer> buffers(R);
-            std::vector<uint8_t> scratch;
+            std::vector<uint32_t> sel;
+            std::vector<uint32_t> targets;
             for (size_t i = 0; i < input.num_rows(); ++i) {
-              uint32_t rp;
               if (key_col.IsNull(i)) {
                 if (!keep_null_keys) continue;
-                rp = 0;
+                targets.push_back(0);
               } else {
-                rp = HashPartition(key_col.KeyCodeAt(i), R);
+                targets.push_back(HashPartition(key_col.KeyCodeAt(i), R));
               }
-              input.EncodeRowTo(layout, i, scratch);
-              buffers[rp].AppendRow(scratch.data(),
-                                    static_cast<uint32_t>(scratch.size()));
+              sel.push_back(static_cast<uint32_t>(i));
             }
+            std::vector<ShuffleBuffer> buffers(R);
+            IDF_RETURN_IF_ERROR(ForEachEncodedRow(
+                input, sel, layout,
+                [&](size_t k, const uint8_t* row, uint32_t size) {
+                  buffers[targets[k]].AppendRow(row, size);
+                }));
             for (uint32_t rp = 0; rp < R; ++rp) {
               if (buffers[rp].num_rows == 0) continue;
               buffers[rp].source = ctx.executor();
@@ -712,16 +646,8 @@ Result<TableHandle> JoinExec::ShuffledJoin(Session& session,
           ctx.metrics().rows_read += lrows.size() + rrows.size();
 
           auto out = std::make_shared<ColumnarChunk>(out_schema);
-          auto emit = [&](const uint8_t* lrow, const uint8_t* rrow) {
-            AppendColumnsFromBinary(*out, 0, llayout, lrow);
-            AppendColumnsFromBinary(*out, lh.schema->num_fields(), rlayout,
-                                    rrow);
-          };
-          auto emit_left_only = [&](const uint8_t* lrow) {
-            AppendColumnsFromBinary(*out, 0, llayout, lrow);
-            AppendNullColumns(*out, lh.schema->num_fields(),
-                              rh.schema->num_fields());
-          };
+          // A null right row pads an unmatched left row.
+          JoinedRowDecoder decoder(llayout, rlayout, *out);
 
           if (sort_merge) {
             // Sort both sides by key value, then merge equal-key groups.
@@ -741,7 +667,7 @@ Result<TableHandle> JoinExec::ShuffledJoin(Session& session,
               const Value rv = rlayout.GetValue(rrows[ri], rkey);
               // Null left keys sort first and never match.
               if (lv.is_null()) {
-                if (outer) emit_left_only(lrows[li]);
+                if (outer) decoder.Add(lrows[li], nullptr);
                 ++li;
                 continue;
               }
@@ -751,7 +677,7 @@ Result<TableHandle> JoinExec::ShuffledJoin(Session& session,
               }
               const int cmp = lv.Compare(rv);
               if (cmp < 0) {
-                if (outer) emit_left_only(lrows[li]);
+                if (outer) decoder.Add(lrows[li], nullptr);
                 ++li;
               } else if (cmp > 0) {
                 ++ri;
@@ -767,7 +693,7 @@ Result<TableHandle> JoinExec::ShuffledJoin(Session& session,
                 }
                 for (size_t a = li; a < lend; ++a) {
                   for (size_t b = ri; b < rend; ++b) {
-                    emit(lrows[a], rrows[b]);
+                    decoder.Add(lrows[a], rrows[b]);
                   }
                 }
                 li = lend;
@@ -775,7 +701,9 @@ Result<TableHandle> JoinExec::ShuffledJoin(Session& session,
               }
             }
             if (outer) {
-              for (; li < lrows.size(); ++li) emit_left_only(lrows[li]);
+              for (; li < lrows.size(); ++li) {
+                decoder.Add(lrows[li], nullptr);
+              }
             }
           } else {
             // Hash join: build on the configured build side.
@@ -797,7 +725,7 @@ Result<TableHandle> JoinExec::ShuffledJoin(Session& session,
             for (const uint8_t* prow : probe_rows) {
               // With outer joins the probe side is always the left relation.
               if (playout.IsNull(prow, pkey)) {
-                if (outer) emit_left_only(prow);
+                if (outer) decoder.Add(prow, nullptr);
                 continue;
               }
               auto it = ht.find(playout.KeyCode(prow, pkey));
@@ -811,15 +739,16 @@ Result<TableHandle> JoinExec::ShuffledJoin(Session& session,
                   }
                   matched = true;
                   if (build_left) {
-                    emit(brow, prow);
+                    decoder.Add(brow, prow);
                   } else {
-                    emit(prow, brow);
+                    decoder.Add(prow, brow);
                   }
                 }
               }
-              if (outer && !matched) emit_left_only(prow);
+              if (outer && !matched) decoder.Add(prow, nullptr);
             }
           }
+          decoder.Flush();
           out->SetRowCount(out->column(0).size());
           sink.Emit(ctx, rp, std::move(out));
           return Status::OK();
@@ -1055,13 +984,13 @@ Result<TableHandle> SortExec::ExecuteImpl(Session& session,
         std::vector<ChunkPtr> chunks;
         // One task touches every partition; pin them all for the sort.
         mem::AccessScope scope;
-        std::vector<std::pair<uint32_t, uint32_t>> refs;
+        std::vector<RowRef> refs;
         for (uint32_t p = 0; p < in.num_partitions; ++p) {
           Result<ChunkPtr> chunk = FetchChunk(ctx, in, p);
           IDF_RETURN_IF_ERROR(chunk.status());
           const uint32_t ci = static_cast<uint32_t>(chunks.size());
           for (size_t i = 0; i < (*chunk)->num_rows(); ++i) {
-            refs.emplace_back(ci, static_cast<uint32_t>(i));
+            refs.push_back({ci, static_cast<uint32_t>(i)});
           }
           chunks.push_back(std::move(*chunk));
         }
@@ -1069,10 +998,10 @@ Result<TableHandle> SortExec::ExecuteImpl(Session& session,
 
         std::stable_sort(
             refs.begin(), refs.end(),
-            [&](const auto& a, const auto& b) {
+            [&](const RowRef& a, const RowRef& b) {
               for (size_t k = 0; k < key_idx.size(); ++k) {
-                const Value va = chunks[a.first]->ValueAt(a.second, key_idx[k]);
-                const Value vb = chunks[b.first]->ValueAt(b.second, key_idx[k]);
+                const Value va = chunks[a.chunk]->ValueAt(a.row, key_idx[k]);
+                const Value vb = chunks[b.chunk]->ValueAt(b.row, key_idx[k]);
                 const int cmp = va.Compare(vb);
                 if (cmp != 0) return keys_[k].descending ? cmp > 0 : cmp < 0;
               }
@@ -1080,10 +1009,8 @@ Result<TableHandle> SortExec::ExecuteImpl(Session& session,
             });
 
         auto out = std::make_shared<ColumnarChunk>(in.schema);
-        for (const auto& [ci, ri] : refs) {
-          AppendRowCopy(*out, *chunks[ci], ri);
-        }
-        out->SetRowCount(out->column(0).size());
+        if (!chunks.empty()) GatherRows(chunks, refs, *out, 0);
+        out->SetRowCount(refs.size());
         sink.Emit(ctx, 0, std::move(out));
         return Status::OK();
       },
@@ -1118,13 +1045,15 @@ Result<TableHandle> LimitExec::ExecuteImpl(Session& session,
           ChunkPtr chunk;  // outlives the scope, which unpins it
           mem::AccessScope scope;
           IDF_ASSIGN_OR_RETURN(chunk, FetchChunk(ctx, in, p));
-          const ColumnarChunk& input = *chunk;
-          for (size_t i = 0; i < input.num_rows() && taken < limit_;
-               ++i, ++taken) {
-            AppendRowCopy(*out, input, i);
+          std::vector<RowRef> refs(
+              std::min<uint64_t>(chunk->num_rows(), limit_ - taken));
+          for (size_t i = 0; i < refs.size(); ++i) {
+            refs[i].row = static_cast<uint32_t>(i);
           }
+          GatherRows({&chunk, 1}, refs, *out, 0);
+          taken += refs.size();
         }
-        out->SetRowCount(out->column(0).size());
+        out->SetRowCount(taken);
         sink.Emit(ctx, 0, std::move(out));
         return Status::OK();
       },

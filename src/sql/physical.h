@@ -240,11 +240,6 @@ class TableSink {
   std::atomic<uint64_t> bytes_{0};
 };
 
-/// Appends the row `(left chunk row li) ++ (right chunk row ri)` to an
-/// output chunk whose schema is left ++ right.
-void AppendJoinedRow(ColumnarChunk& out, const ColumnarChunk& left, size_t li,
-                     const ColumnarChunk& right, size_t ri);
-
 namespace agg_internal {
 struct ResolvedAggs;
 class PartialAggregator;

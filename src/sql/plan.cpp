@@ -25,6 +25,17 @@ TypeId AggSpec::OutputType(TypeId input) const {
   return TypeId::kInt64;
 }
 
+Schema JoinOutputSchema(const Schema& left, const Schema& right,
+                        JoinType join_type) {
+  Schema joined = left.ConcatForJoin(right);
+  if (join_type != JoinType::kLeftOuter) return joined;
+  std::vector<Field> fields = joined.fields();
+  for (size_t i = left.num_fields(); i < fields.size(); ++i) {
+    fields[i].nullable = true;
+  }
+  return Schema(std::move(fields));
+}
+
 Result<Schema> AggregateNode::OutputSchema() const {
   IDF_ASSIGN_OR_RETURN(Schema in, child()->OutputSchema());
   std::vector<Field> fields;

@@ -157,6 +157,11 @@ class ProjectNode final : public LogicalPlan {
   std::vector<std::string> columns_;
 };
 
+/// An equi-join's output schema: left ++ right (Schema::ConcatForJoin), the
+/// right side's columns nullable under LEFT OUTER, which null-pads them.
+Schema JoinOutputSchema(const Schema& left, const Schema& right,
+                        JoinType join_type);
+
 /// Equi-join on one key per side (the paper's join shape everywhere).
 /// Inner by default; LEFT OUTER keeps unmatched left rows with null-padded
 /// right columns.
@@ -180,16 +185,7 @@ class JoinNode final : public LogicalPlan {
     IDF_ASSIGN_OR_RETURN(Schema r, right()->OutputSchema());
     IDF_RETURN_IF_ERROR(l.FieldIndex(left_key_).status());
     IDF_RETURN_IF_ERROR(r.FieldIndex(right_key_).status());
-    Schema joined = l.ConcatForJoin(r);
-    if (join_type_ == JoinType::kLeftOuter) {
-      // Right-side columns may be null-padded.
-      std::vector<Field> fields = joined.fields();
-      for (size_t i = l.num_fields(); i < fields.size(); ++i) {
-        fields[i].nullable = true;
-      }
-      return Schema(std::move(fields));
-    }
-    return joined;
+    return JoinOutputSchema(l, r, join_type_);
   }
   std::string Describe() const override {
     return std::string(join_type_ == JoinType::kLeftOuter ? "LeftOuterJoin "

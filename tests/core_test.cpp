@@ -29,6 +29,15 @@ RowVec Edge(int64_t src, int64_t dst, double w = 1.0) {
   return {Value::Int64(src), Value::Int64(dst), Value::Float64(w)};
 }
 
+/// Every stored row of `part`, in storage order.
+std::vector<const uint8_t*> StoredRows(const IndexedPartition& part) {
+  std::vector<const uint8_t*> rows;
+  part.ForEachBatch([&](const uint8_t* data, uint32_t used) {
+    EXPECT_TRUE(RowLayout::SplitRows(data, used, rows));
+  });
+  return rows;
+}
+
 SessionOptions SmallOptions() {
   SessionOptions opts;
   opts.cluster.num_workers = 2;
@@ -71,9 +80,7 @@ TEST(IndexedPartitionTest, NullKeysStoredButNotIndexed) {
                                Value::Null(TypeId::kFloat64)}));
   IDF_CHECK_OK(part.InsertRow(Edge(3, 4, 0.5)));
   EXPECT_EQ(part.num_rows(), 2u);
-  size_t scanned = 0;
-  part.ForEachRow([&](const uint8_t*) { ++scanned; });
-  EXPECT_EQ(scanned, 2u);
+  EXPECT_EQ(StoredRows(part).size(), 2u);
   EXPECT_EQ(part.LookupRows(Value::Float64(0.5)).size(), 1u);
 }
 
@@ -138,8 +145,9 @@ TEST(IndexedPartitionTest, ScanSeesAllRowsInInsertionOrder) {
   for (int64_t i = 0; i < 500; ++i) IDF_CHECK_OK(part.InsertRow(Edge(i, i)));
   std::vector<int64_t> seen;
   const RowLayout& layout = part.layout();
-  part.ForEachRow(
-      [&](const uint8_t* row) { seen.push_back(layout.GetInt64(row, 0)); });
+  for (const uint8_t* row : StoredRows(part)) {
+    seen.push_back(layout.GetInt64(row, 0));
+  }
   ASSERT_EQ(seen.size(), 500u);
   for (int64_t i = 0; i < 500; ++i) EXPECT_EQ(seen[static_cast<size_t>(i)], i);
 }
@@ -193,9 +201,9 @@ TEST(IndexedPartitionTest, GroupedInsertStoresNullsFirstThenOneRunPerKey) {
     }
   }
   std::vector<std::string> stored;
-  part.ForEachRow([&](const uint8_t* row) {
+  for (const uint8_t* row : StoredRows(part)) {
     stored.push_back(row_string(part.layout().DecodeRow(row)));
-  });
+  }
   EXPECT_EQ(stored, expected);
 
   // NULL-key rows are scanned but reachable by no lookup.

@@ -152,6 +152,74 @@ TEST(OuterJoinTest, SqlLeftJoin) {
   EXPECT_EQ(df3->Count().value(), 5u);
 }
 
+TEST(OuterJoinTest, LeftOuterResultShufflesAgain) {
+  // The padded right columns are nullable in the physical schema, so a
+  // shuffle of the left-outer result encodes its padded rows.
+  auto third = std::make_shared<Schema>(Schema({
+      {"tk", TypeId::kInt64, false},
+      {"tv", TypeId::kString, false},
+  }));
+  const std::vector<RowVec> third_rows = {
+      {Value::Int64(1), Value::String("x")},
+      {Value::Int64(3), Value::String("y")},
+  };
+  std::vector<std::vector<std::string>> results;
+  for (JoinExec::Mode mode :
+       {JoinExec::Mode::kBroadcastHash, JoinExec::Mode::kShuffledHash,
+        JoinExec::Mode::kSortMerge}) {
+    SessionOptions opts = SmallOptions();
+    opts.join_mode = mode;
+    Session session(opts);
+    auto l = *session.CreateTable("l", LeftSchema(), LeftRows());
+    auto r = *session.CreateTable("r", RightSchema(), RightRows());
+    auto t = *session.CreateTable("t", third, third_rows);
+    auto result = l.LeftJoin(r, "k", "rk").Join(t, "k", "tk").Collect();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_TRUE(result->schema->field(2).nullable);
+    EXPECT_TRUE(result->schema->field(3).nullable);
+    // k=1 matches r and t; k=3 is padded by the outer join, then matches t.
+    ASSERT_EQ(result->rows.size(), 2u);
+    for (const RowVec& row : result->rows) {
+      EXPECT_EQ(row[2].is_null(), row[0] == Value::Int64(3));
+    }
+    results.push_back(result->SortedRowStrings());
+  }
+  EXPECT_EQ(results[0], results[1]);
+  EXPECT_EQ(results[1], results[2]);
+}
+
+TEST(OuterJoinTest, OversizedJoinedRowFailsItsQuery) {
+  // Each side's row fits the 1 KB row bound, the joined row does not: a
+  // shuffle of the join's result fails the query, and the session lives on.
+  auto side = [](const std::string& key, const std::string& payload) {
+    return std::make_shared<Schema>(Schema({
+        {key, TypeId::kInt64, false},
+        {payload, TypeId::kString, false},
+    }));
+  };
+  SessionOptions opts = SmallOptions();
+  opts.join_mode = JoinExec::Mode::kShuffledHash;
+  Session session(opts);
+  auto a = *session.CreateTable(
+      "a", side("k", "s"),
+      {{Value::Int64(1), Value::String(std::string(600, 'a'))}});
+  auto b = *session.CreateTable(
+      "b", side("bk", "bs"),
+      {{Value::Int64(1), Value::String(std::string(600, 'b'))}});
+  auto c = *session.CreateTable("c", side("ck", "cs"),
+                                {{Value::Int64(1), Value::String("c")}});
+  auto result = a.Join(b, "k", "bk").Join(c, "k", "ck").Collect();
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+      << result.status().ToString();
+  EXPECT_NE(result.status().ToString().find("row bound"), std::string::npos)
+      << result.status().ToString();
+
+  auto once = a.Join(b, "k", "bk").Collect();
+  ASSERT_TRUE(once.ok()) << once.status().ToString();
+  EXPECT_EQ(once->rows.size(), 1u);
+}
+
 // ---- ORDER BY -----------------------------------------------------------
 
 SchemaPtr NumSchema() {

@@ -70,19 +70,21 @@ TEST(ColumnarTest, KeyCodeMatchesIndexKeyCode) {
   EXPECT_EQ(chunk.column(1).KeyCodeAt(0), IndexKeyCode(Value::String("eve")));
 }
 
-TEST(ColumnarTest, ChunkBuilderFromEncodedRows) {
+TEST(ColumnarTest, DecodeRowsFromEncodedRows) {
   auto schema = PeopleSchema();
   RowLayout layout(schema);
-  std::vector<uint8_t> buf;
-  ChunkBuilder builder(schema);
+  std::vector<std::vector<uint8_t>> bufs;
+  std::vector<const uint8_t*> rows;
   for (const RowVec& row : PeopleRows()) {
-    buf.resize(*layout.ComputeRowSize(row));
-    layout.EncodeRow(row, buf.data(), PackedRowPtr::Null());
-    builder.AddEncodedRow(layout, buf.data());
+    bufs.emplace_back(*layout.ComputeRowSize(row));
+    layout.EncodeRow(row, bufs.back().data(), PackedRowPtr::Null());
   }
-  ChunkPtr chunk = builder.Finish();
-  EXPECT_EQ(chunk->num_rows(), 10u);
-  EXPECT_EQ(chunk->RowAt(7)[1], Value::String("hal"));
+  for (const auto& buf : bufs) rows.push_back(buf.data());
+  ColumnarChunk chunk(schema);
+  DecodeRows(layout, rows, chunk, 0);
+  chunk.SetRowCount(rows.size());
+  EXPECT_EQ(chunk.num_rows(), 10u);
+  EXPECT_EQ(chunk.RowAt(7)[1], Value::String("hal"));
 }
 
 // ---- planner rules --------------------------------------------------------------
