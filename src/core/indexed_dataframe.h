@@ -89,13 +89,6 @@ class IndexedDataFrame {
   /// Fig. 11: per-partition memory overhead of the index.
   Result<std::vector<PartitionMemory>> MemoryReport() const;
 
-  /// Wraps an existing RDD version (used by core/persistence.h's loader and
-  /// other advanced integrations).
-  static IndexedDataFrame FromRdd(std::shared_ptr<IndexedRdd> rdd,
-                                  uint64_t version, std::string column_name) {
-    return IndexedDataFrame(std::move(rdd), version, std::move(column_name));
-  }
-
  private:
   IndexedDataFrame(std::shared_ptr<IndexedRdd> rdd, uint64_t version,
                    std::string column_name)

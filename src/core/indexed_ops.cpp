@@ -74,10 +74,11 @@ Result<TableHandle> IndexedJoinExec::ExecuteImpl(Session& session,
     // Broadcast path (§III-C: "if the Dataframe size is small enough to be
     // broadcasted efficiently, we fall back to a broadcast-based join").
     TaskContext driver_ctx(&cluster, cluster.AliveExecutors().front());
-    std::vector<std::vector<uint8_t>> encoded_rows;
+    std::vector<uint8_t> encoded;  // the probe rows, back to back
     // Bucket the broadcast probe rows by owning partition once, up front —
-    // each partition then probes only the keys it owns.
-    std::vector<std::vector<const uint8_t*>> buckets(P);
+    // each partition then probes only the keys it owns. A bucket holds
+    // offsets: `encoded` grows until every row is in.
+    std::vector<std::vector<size_t>> buckets(P);
     for (uint32_t p = 0; p < probe.num_partitions; ++p) {
       // Per-chunk pin scope: the key column is read across the encode.
       ChunkPtr chunk;  // outlives the scope, which unpins it
@@ -91,13 +92,10 @@ Result<TableHandle> IndexedJoinExec::ExecuteImpl(Session& session,
       IDF_RETURN_IF_ERROR(ForEachEncodedRow(
           *chunk, sel, probe_layout,
           [&](size_t, const uint8_t* row, uint32_t size) {
-            encoded_rows.emplace_back(row, row + size);
+            buckets[rdd->PartitionOf(probe_layout.KeyCode(row, probe_key))]
+                .push_back(encoded.size());
+            encoded.insert(encoded.end(), row, row + size);
           }));
-    }
-    for (const auto& row : encoded_rows) {
-      const uint8_t* ptr = row.data();
-      buckets[rdd->PartitionOf(probe_layout.KeyCode(ptr, probe_key))]
-          .push_back(ptr);
     }
     cluster.simulator().Broadcast(probe.total_bytes);
 
@@ -109,7 +107,7 @@ Result<TableHandle> IndexedJoinExec::ExecuteImpl(Session& session,
           {},
           0,
           [&, p](TaskContext& ctx) -> Status {
-            const std::vector<const uint8_t*>& mine = buckets[p];
+            const std::vector<size_t>& mine = buckets[p];
             ctx.metrics().rows_read += mine.size();
             IDF_ASSIGN_OR_RETURN(std::shared_ptr<const IndexedPartition> part,
                                  rdd->GetPartition(p, version, ctx));
@@ -121,8 +119,8 @@ Result<TableHandle> IndexedJoinExec::ExecuteImpl(Session& session,
               // a batch between two probes of the same partition (each
               // chain walk would otherwise re-fault it).
               mem::AccessScope probe_scope;
-              for (const uint8_t* prow : mine) {
-                probe_row(ctx, *part, prow, decoder);
+              for (size_t offset : mine) {
+                probe_row(ctx, *part, encoded.data() + offset, decoder);
               }
               decoder.Flush();
             }
@@ -193,14 +191,16 @@ Result<TableHandle> IndexedJoinExec::ExecuteImpl(Session& session,
                                rdd->GetPartition(p, version, ctx));
           auto out = std::make_shared<ColumnarChunk>(out_schema);
           JoinedRowDecoder decoder = make_decoder(*part, *out);
+          std::vector<const uint8_t*> rows;
           for (const auto& buf : inputs) {
             ctx.metrics().rows_read += buf->num_rows;
             // Per-buffer pin scope: probed chain batches stay resident
             // across this buffer's rows until their matches are decoded.
             mem::AccessScope probe_scope;
-            ShuffleBufferReader reader(*buf);
-            while (reader.HasNext()) {
-              probe_row(ctx, *part, reader.Next(), decoder);
+            rows.clear();
+            buf->SplitRows(rows);
+            for (const uint8_t* prow : rows) {
+              probe_row(ctx, *part, prow, decoder);
             }
             decoder.Flush();
           }

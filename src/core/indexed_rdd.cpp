@@ -22,10 +22,7 @@ Status InsertShuffleInputs(const ShuffleInputs& inputs,
   part.ReserveHint(routed_bytes);
   std::vector<const uint8_t*> rows;
   rows.reserve(num_rows);
-  for (const auto& buf : inputs) {
-    ShuffleBufferReader reader(*buf);
-    while (reader.HasNext()) rows.push_back(reader.Next());
-  }
+  for (const auto& buf : inputs) buf->SplitRows(rows);
   return part.InsertEncodedRows(rows);
 }
 
@@ -41,65 +38,6 @@ IndexedRdd::IndexedRdd(Session& session, TableHandle base, size_t key_column,
       key_column_(key_column),
       num_partitions_(num_partitions),
       batch_capacity_(batch_capacity) {}
-
-Result<std::shared_ptr<IndexedRdd>> IndexedRdd::Restore(
-    Session& session, SchemaPtr schema, size_t key_column,
-    uint32_t num_partitions, uint32_t batch_capacity, PartitionLoader loader,
-    QueryMetrics& metrics) {
-  if (key_column >= schema->num_fields()) {
-    return Status::InvalidArgument("index column out of range");
-  }
-  IDF_CHECK(loader != nullptr);
-  TableHandle no_base;
-  no_base.schema = schema;
-  auto rdd = std::shared_ptr<IndexedRdd>(new IndexedRdd(
-      session, no_base, key_column, num_partitions, batch_capacity));
-  rdd->loader_ = std::move(loader);
-
-  Cluster& cluster = session.cluster();
-  std::atomic<uint64_t> total_rows{0};
-  StageSpec stage;
-  stage.name = "restore index";
-  for (uint32_t p = 0; p < num_partitions; ++p) {
-    stage.tasks.push_back(TaskSpec{
-        cluster.HomeExecutorFor(rdd->rdd_id_, p),
-        {},
-        0,
-        [&, p](TaskContext& ctx) -> Status {
-          IDF_ASSIGN_OR_RETURN(std::shared_ptr<IndexedPartition> part,
-                               rdd->loader_(p));
-          if (part->schema() != *schema) {
-            return Status::InvalidArgument(
-                "loaded partition schema mismatch");
-          }
-          total_rows += part->num_rows();
-          ctx.metrics().rows_written += part->num_rows();
-          ctx.cluster().blocks().Put(BlockId{rdd->rdd_id_, p, 0},
-                                     ctx.executor(), std::move(part));
-          return Status::OK();
-        },
-        {}});
-  }
-  IDF_ASSIGN_OR_RETURN(StageMetrics sm, cluster.RunStage(stage));
-  metrics.MergeStage(sm);
-  {
-    std::lock_guard<std::mutex> lock(rdd->mutex_);
-    rdd->versions_[0] = VersionInfo{0, TableHandle{}, total_rows.load()};
-  }
-  // Lineage: the loader is the replayable source for lost partitions.
-  session.cluster().RegisterLineage(
-      rdd->rdd_id_,
-      [weak = std::weak_ptr<IndexedRdd>(rdd)](
-          uint32_t partition, uint64_t version,
-          TaskContext& ctx) -> Result<BlockPtr> {
-        auto self = weak.lock();
-        if (self == nullptr) {
-          return Status::Unavailable("indexed RDD no longer exists");
-        }
-        return self->Recompute(partition, version, ctx);
-      });
-  return rdd;
-}
 
 Result<std::shared_ptr<IndexedRdd>> IndexedRdd::Create(
     Session& session, const TableHandle& base, size_t key_column,
@@ -366,23 +304,17 @@ Result<BlockPtr> IndexedRdd::Recompute(uint32_t partition, uint64_t version,
                partition, static_cast<unsigned long long>(rdd_id_),
                static_cast<unsigned long long>(version), appends.size());
 
-  std::shared_ptr<IndexedPartition> part;
-  if (loader_ != nullptr) {
-    // Out-of-core RDD: the spill file is the replayable source.
-    IDF_ASSIGN_OR_RETURN(part, loader_(partition));
-  } else {
-    part = std::make_shared<IndexedPartition>(schema_, key_column_,
-                                              batch_capacity_);
-    part->SetSpillTag(rdd_id_, partition);
-    // The build's reduce task held every routed row before its one grouped
-    // insert; holding them here too reproduces its batch layout exactly.
-    IDF_ASSIGN_OR_RETURN(ShuffleInputs routed,
-                         RouteRows(base_, partition, ctx));
-    IDF_RETURN_IF_ERROR(InsertShuffleInputs(routed, *part));
-    // The build sealed version 0 before any append landed: seal here too,
-    // so no replayed append row shares a batch with base rows.
-    part->SealStorage();
-  }
+  auto part = std::make_shared<IndexedPartition>(schema_, key_column_,
+                                                 batch_capacity_);
+  part->SetSpillTag(rdd_id_, partition);
+  // The build's reduce task held every routed row before its one grouped
+  // insert; holding them here too reproduces its batch layout exactly.
+  IDF_ASSIGN_OR_RETURN(ShuffleInputs base_rows,
+                       RouteRows(base_, partition, ctx));
+  IDF_RETURN_IF_ERROR(InsertShuffleInputs(base_rows, *part));
+  // The build sealed version 0 before any append landed: seal here too,
+  // so no replayed append row shares a batch with base rows.
+  part->SealStorage();
   for (const TableHandle& append : appends) {
     IDF_ASSIGN_OR_RETURN(ShuffleInputs routed,
                          RouteRows(append, partition, ctx));

@@ -37,20 +37,6 @@ class IndexedRdd : public std::enable_shared_from_this<IndexedRdd> {
                                                     const IndexOptions& options,
                                                     QueryMetrics& metrics);
 
-  /// Produces one already-indexed partition, e.g. by reading a spill file
-  /// (core/persistence.h). Must be deterministic: lineage re-invokes it.
-  using PartitionLoader =
-      std::function<Result<std::shared_ptr<IndexedPartition>>(
-          uint32_t partition)>;
-
-  /// Restores an RDD whose version-0 partitions come from `loader` instead
-  /// of a shuffle (the out-of-core path, §III-C). The loader doubles as the
-  /// replayable source for fault tolerance.
-  static Result<std::shared_ptr<IndexedRdd>> Restore(
-      Session& session, SchemaPtr schema, size_t key_column,
-      uint32_t num_partitions, uint32_t batch_capacity,
-      PartitionLoader loader, QueryMetrics& metrics);
-
   uint64_t rdd_id() const { return rdd_id_; }
   const SchemaPtr& schema() const { return schema_; }
   size_t key_column() const { return key_column_; }
@@ -117,8 +103,7 @@ class IndexedRdd : public std::enable_shared_from_this<IndexedRdd> {
   uint64_t rdd_id_;
   // Lineage replays base_ and each version's append_source, so their
   // handles (and leases) live as long as this RDD.
-  TableHandle base_;            // shuffle-built RDDs
-  PartitionLoader loader_;      // restored (out-of-core) RDDs
+  TableHandle base_;
   SchemaPtr schema_;
   size_t key_column_;
   uint32_t num_partitions_;

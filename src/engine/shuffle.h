@@ -20,6 +20,7 @@
 #include "common/hash.h"
 #include "common/status.h"
 #include "engine/topology.h"
+#include "storage/row_layout.h"
 
 namespace idf {
 
@@ -43,32 +44,13 @@ struct ShuffleBuffer {
     bytes.insert(bytes.end(), row, row + len);
     ++num_rows;
   }
-};
 
-/// Iterates the encoded rows in a shuffle buffer. Rows are self-delimiting
-/// (their first 4 bytes hold the row size).
-class ShuffleBufferReader {
- public:
-  explicit ShuffleBufferReader(const ShuffleBuffer& buffer)
-      : buffer_(buffer) {}
-
-  bool HasNext() const { return cursor_ < buffer_.bytes.size(); }
-
-  /// Returns a pointer to the next encoded row and advances.
-  const uint8_t* Next() {
-    IDF_CHECK(HasNext());
-    const uint8_t* row = buffer_.bytes.data() + cursor_;
-    uint32_t size;
-    std::memcpy(&size, row, sizeof(size));
-    IDF_CHECK_MSG(size >= 16 && cursor_ + size <= buffer_.bytes.size(),
+  /// Appends a pointer to each of the buffer's rows to `rows`. Rows are
+  /// self-delimiting: their first 4 bytes hold the row size.
+  void SplitRows(std::vector<const uint8_t*>& rows) const {
+    IDF_CHECK_MSG(RowLayout::SplitRows(bytes.data(), bytes.size(), rows),
                   "corrupt shuffle buffer");
-    cursor_ += size;
-    return row;
   }
-
- private:
-  const ShuffleBuffer& buffer_;
-  size_t cursor_ = 0;
 };
 
 /// Everything routed to one reduce partition, in map-task order.
@@ -175,6 +157,12 @@ class ShuffleService {
   void Release(uint64_t shuffle) {
     std::lock_guard<std::mutex> lock(mutex_);
     shuffles_.erase(shuffle);
+  }
+
+  /// Shuffles registered and not yet released.
+  size_t num_shuffles() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return shuffles_.size();
   }
 
  private:

@@ -5,12 +5,15 @@
 // flat state columns per aggregate (count, isum, fsum, min, max) — so the
 // shuffle format and the final-merge phase are interchangeable.
 //
-// The partial phase is one typed kernel, PartialAggregator, that both
-// operators drive a run of rows at a time: HashAggExec over a columnar
-// chunk (ChunkRun), RowAggExec over the rows of one row batch (RowRun).
-// Group keys are hashed a column at a time into a per-row group slot, then
-// each aggregate runs one typed loop over the run, so no Value is boxed per
-// input row and a group's RowVec key is built once, when the group opens.
+// One typed kernel, PartialAggregator, serves both phases, a run of rows
+// at a time. The map side drives it over its input: HashAggExec over a
+// columnar chunk (ChunkRun), RowAggExec over the rows of one row batch
+// (RowRun). The reduce side (FinalMerge) drives it over the shuffled
+// partial rows (RowRun), since merging partial states is itself an
+// aggregation over their columns. Group keys are hashed a column at a time
+// into a per-row group slot, then each aggregate runs one typed loop over
+// the run, so no Value is boxed per input row and a group's RowVec key is
+// built once, when the group opens.
 #pragma once
 
 #include <algorithm>
@@ -22,6 +25,7 @@
 #include <vector>
 
 #include "common/hash.h"
+#include "engine/shuffle.h"
 #include "sql/columnar.h"
 #include "sql/plan.h"
 #include "storage/row_layout.h"
@@ -29,96 +33,8 @@
 
 namespace idf::agg_internal {
 
-/// Mutable accumulator state for one aggregate function (final merge).
-struct Accum {
-  int64_t count = 0;
-  int64_t isum = 0;
-  double fsum = 0;
-  Value min;  // null until first value
-  Value max;
-
-  void Merge(const AggSpec& spec, const Accum& other) {
-    switch (spec.fn) {
-      case AggSpec::Fn::kCount:
-        count += other.count;
-        return;
-      case AggSpec::Fn::kSum:
-      case AggSpec::Fn::kAvg:
-        count += other.count;
-        isum += other.isum;
-        fsum += other.fsum;
-        return;
-      case AggSpec::Fn::kMin:
-        if (!other.min.is_null() &&
-            (min.is_null() || other.min.Compare(min) < 0)) {
-          min = other.min;
-        }
-        return;
-      case AggSpec::Fn::kMax:
-        if (!other.max.is_null() &&
-            (max.is_null() || other.max.Compare(max) > 0)) {
-          max = other.max;
-        }
-        return;
-    }
-  }
-
-  Value Finish(const AggSpec& spec, TypeId input_type) const {
-    switch (spec.fn) {
-      case AggSpec::Fn::kCount:
-        return Value::Int64(count);
-      case AggSpec::Fn::kSum:
-        if (input_type == TypeId::kFloat64) return Value::Float64(fsum);
-        return Value::Int64(isum);
-      case AggSpec::Fn::kAvg: {
-        if (count == 0) return Value::Null(TypeId::kFloat64);
-        const double total =
-            input_type == TypeId::kFloat64 ? fsum : static_cast<double>(isum);
-        return Value::Float64(total / static_cast<double>(count));
-      }
-      case AggSpec::Fn::kMin:
-        return min;
-      case AggSpec::Fn::kMax:
-        return max;
-    }
-    return Value();
-  }
-};
-
-struct GroupState {
-  RowVec group_values;
-  std::vector<Accum> accums;
-};
-
 /// Seed of every group code; a global aggregate's single group has it.
 inline constexpr uint64_t kGroupCodeSeed = 0x9e3779b97f4a7c15ULL;
-
-inline uint64_t GroupCode(const RowVec& group_values) {
-  uint64_t code = kGroupCodeSeed;
-  for (const Value& v : group_values) code = HashCombine(code, v.Hash());
-  return code;
-}
-
-inline bool SameGroup(const RowVec& a, const RowVec& b) {
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].is_null() != b[i].is_null()) return false;
-    if (!a[i].is_null() && !(a[i] == b[i])) return false;
-  }
-  return true;
-}
-
-using GroupMap = std::unordered_map<uint64_t, std::vector<GroupState>>;
-
-inline GroupState& FindOrCreateGroup(GroupMap& groups, RowVec group_values,
-                                     size_t num_aggs) {
-  auto& bucket = groups[GroupCode(group_values)];
-  for (GroupState& state : bucket) {
-    if (SameGroup(state.group_values, group_values)) return state;
-  }
-  bucket.push_back(
-      GroupState{std::move(group_values), std::vector<Accum>(num_aggs)});
-  return bucket.back();
-}
 
 /// Resolved aggregation plan against an input schema: column indices, input
 /// types, the partial-row schema used on the shuffle wire and the output
@@ -169,23 +85,6 @@ struct ResolvedAggs {
     out.output_schema = std::make_shared<Schema>(Schema(output_fields));
     return out;
   }
-
-  /// Splits a decoded partial row back into (group values, accumulators).
-  void DecodePartial(const RowVec& partial, RowVec* group,
-                     std::vector<Accum>* accums) const {
-    group->assign(partial.begin(),
-                  partial.begin() + static_cast<long>(group_idx.size()));
-    accums->resize(agg_idx.size());
-    for (size_t a = 0; a < agg_idx.size(); ++a) {
-      const size_t base = group_idx.size() + a * 5;
-      Accum& acc = (*accums)[a];
-      acc.count = partial[base].int64_value();
-      acc.isum = partial[base + 1].int64_value();
-      acc.fsum = partial[base + 2].float64_value();
-      acc.min = partial[base + 3];
-      acc.max = partial[base + 4];
-    }
-  }
 };
 
 // Input runs (sql/columnar.h): a run exposes `size()` and `column<T>(col)`,
@@ -200,13 +99,15 @@ using ::idf::VisitType;
 /// per-group partial state, then yields one partial row per group.
 ///
 /// Bit-identical to folding the rows one at a time through Value
-/// semantics: group codes equal GroupCode, keys compare like SameGroup
-/// (so every NaN row opens its own group and -0.0 joins 0.0's group, which
-/// keeps the first-seen key), float sums add in row order within a group,
-/// and MIN/MAX compare like Value::Compare (numbers through double, so
-/// int64 values above 2^53 may tie, and a tie keeps the first-seen value).
-/// Partial rows come out in the order a GroupMap filled in row order would
-/// iterate, so the final phase sees the same input order too.
+/// semantics: a group's code folds each key's Value::Hash into
+/// kGroupCodeSeed with HashCombine, keys compare with Value equality and
+/// nulls equal to each other (so every NaN row opens its own group and
+/// -0.0 joins 0.0's group, which keeps the first-seen key), float sums add
+/// in row order within a group, and MIN/MAX compare like Value::Compare
+/// (numbers through double, so int64 values above 2^53 may tie, and a tie
+/// keeps the first-seen value). Groups come out in the iteration order of
+/// an unordered_map from code to the code's groups (in opening order),
+/// filled in row order, so the final phase sees the same input order too.
 class PartialAggregator {
  public:
   PartialAggregator(const ResolvedAggs& resolved,
@@ -240,8 +141,8 @@ class PartialAggregator {
   /// order; stops at and returns the first error.
   template <class Fn>
   Status ForEachPartial(Fn&& fn) const {
-    // Codes inserted in first-seen order iterate as the row-at-a-time
-    // GroupMap did.
+    // Codes inserted in first-seen order iterate as a code map filled row
+    // by row would.
     std::unordered_map<uint64_t, uint32_t> order;
     for (const auto& [code, first] : first_groups_) order.emplace(code, first);
     RowVec row;
@@ -398,7 +299,7 @@ class PartialAggregator {
     });
   }
 
-  /// SameGroup for row i's key column k against group g's key.
+  /// Whether row i's key column k equals group g's key (nulls equal).
   template <typename T, class Reader>
   bool KeyEquals(const Reader& reader, size_t i, size_t k, uint32_t g) const {
     const bool null = reader.IsNull(i);
@@ -619,6 +520,100 @@ class PartialAggregator {
   std::vector<uint64_t> codes_;
   std::vector<uint32_t> slots_;
   std::vector<uint8_t> check_;
+};
+
+// ---- the final merge --------------------------------------------------------
+
+/// Reduce side of a two-phase aggregation, on the partial kernel: merging
+/// partial rows is an aggregation over their state columns. COUNT merges
+/// as SUM of its count column; SUM and AVG as SUMs of its count, isum and
+/// fsum columns; MIN as MIN of its min column and MAX as MAX of its max
+/// column. Keys and state columns are resolved by position, so a user
+/// column named like a state column (`agg0_count`) cannot alias one.
+class FinalMerge {
+ public:
+  FinalMerge(const ResolvedAggs& resolved, const std::vector<AggSpec>& aggs)
+      : resolved_(resolved), aggs_(aggs), layout_(resolved.partial_schema) {
+    using Fn = AggSpec::Fn;
+    const size_t num_keys = resolved.group_idx.size();
+    merge_.partial_schema = resolved.partial_schema;  // the key types lead it
+    for (size_t k = 0; k < num_keys; ++k) merge_.group_idx.push_back(k);
+    auto merge_by = [&](Fn fn, size_t col) {
+      merge_aggs_.push_back({fn, "", ""});
+      merge_.agg_idx.push_back(static_cast<int>(col));
+      merge_.agg_type.push_back(resolved.partial_schema->field(col).type);
+    };
+    for (size_t a = 0; a < aggs.size(); ++a) {
+      const size_t state = num_keys + 5 * a;  // count, isum, fsum, min, max
+      const Fn fn = aggs[a].fn;
+      merged_at_.push_back(num_keys + 5 * merge_aggs_.size());
+      if (fn == Fn::kMin || fn == Fn::kMax) {
+        merge_by(fn, state + (fn == Fn::kMin ? 3 : 4));
+      } else {
+        const size_t sums = fn == Fn::kCount ? 1 : 3;
+        for (size_t c = 0; c < sums; ++c) merge_by(Fn::kSum, state + c);
+      }
+    }
+  }
+
+  /// Merges one reduce partition's partial rows in input order and appends
+  /// one output row per group to `out`, in the kernel's emission order. A
+  /// global aggregate emits its one row even for empty input.
+  Status Run(const ShuffleInputs& inputs, ColumnarChunk& out) const {
+    PartialAggregator merged(merge_, merge_aggs_);
+    std::vector<const uint8_t*> rows;
+    for (const auto& buf : inputs) {
+      rows.clear();
+      buf->SplitRows(rows);
+      merged.Add(RowRun(layout_, rows));
+    }
+    if (resolved_.group_idx.empty() && merged.num_groups() == 0) {
+      RowVec nothing;  // what merging no partial rows leaves
+      for (size_t m = 0; m < merge_aggs_.size(); ++m) {
+        nothing.insert(nothing.end(), {Value::Int64(0), Value::Int64(0),
+                                       Value::Float64(0), Value(), Value()});
+      }
+      return out.AppendRow(Finish(nothing));
+    }
+    return merged.ForEachPartial([&](uint64_t, const RowVec& row) {
+      return out.AppendRow(Finish(row));
+    });
+  }
+
+ private:
+  /// The output row of one merged row: the keys, then each aggregate's
+  /// value. Each merge spans five columns (count, isum, fsum, min, max), so
+  /// m[1] is the first merge's Σ, m[6] the second's and m[12] the third's
+  /// float Σ.
+  RowVec Finish(const RowVec& merged) const {
+    const size_t num_keys = resolved_.group_idx.size();
+    RowVec out(merged.begin(), merged.begin() + static_cast<long>(num_keys));
+    for (size_t a = 0; a < aggs_.size(); ++a) {
+      const Value* m = &merged[merged_at_[a]];
+      const bool floats = resolved_.agg_type[a] == TypeId::kFloat64;
+      switch (aggs_[a].fn) {
+        case AggSpec::Fn::kCount: out.push_back(m[1]); break;
+        case AggSpec::Fn::kSum: out.push_back(floats ? m[12] : m[6]); break;
+        case AggSpec::Fn::kAvg: {
+          const auto count = static_cast<double>(m[1].int64_value());
+          const double total = (floats ? m[12] : m[6]).AsFloat64();
+          out.push_back(count == 0 ? Value::Null(TypeId::kFloat64)
+                                   : Value::Float64(total / count));
+          break;
+        }
+        case AggSpec::Fn::kMin: out.push_back(m[3]); break;
+        case AggSpec::Fn::kMax: out.push_back(m[4]); break;
+      }
+    }
+    return out;
+  }
+
+  const ResolvedAggs& resolved_;
+  const std::vector<AggSpec>& aggs_;
+  RowLayout layout_;  // of the partial rows
+  ResolvedAggs merge_;
+  std::vector<AggSpec> merge_aggs_;
+  std::vector<size_t> merged_at_;  // aggregate a's first merged column
 };
 
 }  // namespace idf::agg_internal

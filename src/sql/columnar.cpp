@@ -109,16 +109,6 @@ void ColumnVector::AppendString(std::string_view v) {
   ++size_;
 }
 
-void ColumnVector::Reserve(size_t n) {
-  switch (type_) {
-    case TypeId::kBool: Data<BoolData>().values.reserve(n); break;
-    case TypeId::kInt32: Data<Int32Data>().values.reserve(n); break;
-    case TypeId::kInt64: Data<Int64Data>().values.reserve(n); break;
-    case TypeId::kFloat64: Data<Float64Data>().values.reserve(n); break;
-    case TypeId::kString: Data<StringData>().offsets.reserve(n + 1); break;
-  }
-}
-
 Value ColumnVector::ValueAt(size_t i) const {
   IDF_CHECK(i < size_);
   if (IsNull(i)) return Value::Null(type_);

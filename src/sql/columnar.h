@@ -49,7 +49,6 @@ class ColumnVector {
   void AppendInt64(int64_t v);
   void AppendFloat64(double v);
   void AppendString(std::string_view v);
-  void Reserve(size_t n);
 
   /// Appends n rows read from `src`, a column reader with IsNull(i) and
   /// operator[](i) returning T — bool, int32_t, int64_t, double or

@@ -635,10 +635,7 @@ Result<TableHandle> JoinExec::ShuffledJoin(Session& session,
           // Collect row pointers per side.
           auto rows_of = [](const auto& inputs) {
             std::vector<const uint8_t*> rows;
-            for (const auto& buf : inputs) {
-              ShuffleBufferReader reader(*buf);
-              while (reader.HasNext()) rows.push_back(reader.Next());
-            }
+            for (const auto& buf : inputs) buf->SplitRows(rows);
             return rows;
           };
           std::vector<const uint8_t*> lrows = rows_of(linputs);
@@ -770,87 +767,67 @@ Result<TableHandle> HashAggExec::ExecuteImpl(Session& session,
   using agg_internal::PartialAggregator;
   using agg_internal::ResolvedAggs;
 
-  Cluster& cluster = session.cluster();
   IDF_ASSIGN_OR_RETURN(TableHandle in, child()->Execute(session, metrics));
   IDF_ASSIGN_OR_RETURN(ResolvedAggs resolved,
                        ResolvedAggs::Resolve(*in.schema, group_by_, aggs_));
+  return AggregateInTwoPhases(
+      session, metrics, "partial aggregate", in.rdd_id, in.num_partitions,
+      resolved, aggs_,
+      [&](TaskContext& ctx, uint32_t p,
+          PartialAggregator& partials) -> Status {
+        ChunkPtr chunk;  // outlives the scope, which unpins it
+        mem::AccessScope scope;
+        IDF_ASSIGN_OR_RETURN(chunk, FetchChunk(ctx, in, p));
+        ctx.metrics().rows_read += chunk->num_rows();
+        partials.Add(ChunkRun(*chunk));
+        return Status::OK();
+      });
+}
 
-  const uint32_t R = resolved.group_idx.empty() ? 1 : in.num_partitions;
-  const uint64_t shuffle_id =
-      cluster.shuffle().NewShuffle(in.num_partitions, R);
+Result<TableHandle> AggregateInTwoPhases(
+    Session& session, QueryMetrics& metrics, const std::string& map_stage_name,
+    uint64_t rdd_id, uint32_t num_partitions,
+    const agg_internal::ResolvedAggs& resolved,
+    const std::vector<AggSpec>& aggs,
+    const std::function<Status(TaskContext&, uint32_t,
+                               agg_internal::PartialAggregator&)>& fill) {
+  Cluster& cluster = session.cluster();
+  const uint32_t R = resolved.group_idx.empty() ? 1 : num_partitions;
+  const uint64_t shuffle_id = cluster.shuffle().NewShuffle(num_partitions, R);
+  const RowLayout partial_layout(resolved.partial_schema);
 
-  // ---- partial aggregation per input partition ----
-  StageSpec partial_stage;
-  partial_stage.name = "partial aggregate";
-  for (uint32_t p = 0; p < in.num_partitions; ++p) {
-    partial_stage.tasks.push_back(TaskSpec{
-        cluster.HomeExecutorFor(in.rdd_id, p),
+  StageSpec map_stage;
+  map_stage.name = map_stage_name;
+  for (uint32_t p = 0; p < num_partitions; ++p) {
+    map_stage.tasks.push_back(TaskSpec{
+        cluster.HomeExecutorFor(rdd_id, p),
         {},
         0,
         [&, p](TaskContext& ctx) -> Status {
-          ChunkPtr chunk;  // outlives the scope, which unpins it
-          mem::AccessScope scope;
-          IDF_ASSIGN_OR_RETURN(chunk, FetchChunk(ctx, in, p));
-          ctx.metrics().rows_read += chunk->num_rows();
-
-          PartialAggregator partials(resolved, aggs_);
-          partials.Add(ChunkRun(*chunk));
-          return ShufflePartials(ctx, shuffle_id, p, R, partials);
+          agg_internal::PartialAggregator partials(resolved, aggs);
+          IDF_RETURN_IF_ERROR(fill(ctx, p, partials));
+          ShuffleWriter writer(cluster.shuffle(), shuffle_id, p, R,
+                               ctx.executor(), partials.num_groups());
+          std::vector<uint8_t> encoded;
+          IDF_RETURN_IF_ERROR(partials.ForEachPartial(
+              [&](uint64_t code, const RowVec& row) -> Status {
+                IDF_ASSIGN_OR_RETURN(uint32_t size,
+                                     partial_layout.ComputeRowSize(row));
+                encoded.resize(size);
+                partial_layout.EncodeRow(row, encoded.data(),
+                                         PackedRowPtr::Null());
+                writer.Append(HashPartition(code, R), encoded.data(), size);
+                return Status::OK();
+              }));
+          writer.Finish();
+          ctx.metrics().shuffle_bytes_written += writer.bytes_written();
+          return Status::OK();
         },
-        {{in.rdd_id, p}}});
+        {{rdd_id, p}}});
   }
-  IDF_ASSIGN_OR_RETURN(StageMetrics psm, cluster.RunStage(partial_stage));
-  metrics.MergeStage(psm);
 
-  IDF_ASSIGN_OR_RETURN(
-      TableHandle out,
-      FinalizeAggregation(session, metrics, shuffle_id, R, aggs_, resolved));
-  cluster.shuffle().Release(shuffle_id);
-  return out;
-}
-
-Status ShufflePartials(TaskContext& ctx, uint64_t shuffle_id,
-                       uint32_t map_partition, uint32_t R,
-                       const agg_internal::PartialAggregator& partials) {
-  const agg_internal::ResolvedAggs& resolved = partials.resolved();
-  const RowLayout partial_layout(resolved.partial_schema);
-  std::vector<ShuffleBuffer> buffers(R);
-  std::vector<uint8_t> scratch;
-  IDF_RETURN_IF_ERROR(partials.ForEachPartial(
-      [&](uint64_t code, const RowVec& row) -> Status {
-        const uint32_t rp =
-            resolved.group_idx.empty() ? 0 : HashPartition(code, R);
-        IDF_ASSIGN_OR_RETURN(uint32_t size,
-                             partial_layout.ComputeRowSize(row));
-        scratch.resize(size);
-        partial_layout.EncodeRow(row, scratch.data(), PackedRowPtr::Null());
-        buffers[rp].AppendRow(scratch.data(), size);
-        return Status::OK();
-      }));
-  for (uint32_t rp = 0; rp < R; ++rp) {
-    if (buffers[rp].num_rows == 0) continue;
-    buffers[rp].source = ctx.executor();
-    ctx.metrics().shuffle_bytes_written += buffers[rp].bytes.size();
-    ctx.cluster().shuffle().PutMapOutput(shuffle_id, map_partition, rp,
-                                         std::move(buffers[rp]));
-  }
-  return Status::OK();
-}
-
-Result<TableHandle> FinalizeAggregation(
-    Session& session, QueryMetrics& metrics, uint64_t shuffle_id, uint32_t R,
-    const std::vector<AggSpec>& aggs,
-    const agg_internal::ResolvedAggs& resolved) {
-  using agg_internal::Accum;
-  using agg_internal::FindOrCreateGroup;
-  using agg_internal::GroupMap;
-  using agg_internal::GroupState;
-
-  Cluster& cluster = session.cluster();
-  RowLayout partial_layout(resolved.partial_schema);
-  const SchemaPtr& out_schema = resolved.output_schema;
-
-  TableSink sink(session, out_schema, R);
+  const agg_internal::FinalMerge merge(resolved, aggs);
+  TableSink sink(session, resolved.output_schema, R);
   StageSpec final_stage;
   final_stage.name = "final aggregate";
   for (uint32_t rp = 0; rp < R; ++rp) {
@@ -859,49 +836,21 @@ Result<TableHandle> FinalizeAggregation(
         {},
         0,
         [&, rp](TaskContext& ctx) -> Status {
-          GroupMap groups;
-          for (const auto& buf : ctx.FetchShuffleInputs(shuffle_id, rp)) {
-            ShuffleBufferReader reader(*buf);
-            while (reader.HasNext()) {
-              const uint8_t* row = reader.Next();
-              RowVec partial = partial_layout.DecodeRow(row);
-              RowVec key;
-              std::vector<Accum> others;
-              resolved.DecodePartial(partial, &key, &others);
-              GroupState& state =
-                  FindOrCreateGroup(groups, std::move(key), aggs.size());
-              for (size_t a = 0; a < aggs.size(); ++a) {
-                state.accums[a].Merge(aggs[a], others[a]);
-              }
-            }
-          }
-
-          auto out = std::make_shared<ColumnarChunk>(out_schema);
-          for (const auto& [code, bucket] : groups) {
-            for (const GroupState& state : bucket) {
-              RowVec row = state.group_values;
-              for (size_t a = 0; a < aggs.size(); ++a) {
-                row.push_back(
-                    state.accums[a].Finish(aggs[a], resolved.agg_type[a]));
-              }
-              IDF_RETURN_IF_ERROR(out->AppendRow(row));
-            }
-          }
-          // Global aggregates emit one row even for empty input.
-          if (resolved.group_idx.empty() && groups.empty()) {
-            RowVec row;
-            for (size_t a = 0; a < aggs.size(); ++a) {
-              row.push_back(Accum{}.Finish(aggs[a], resolved.agg_type[a]));
-            }
-            IDF_RETURN_IF_ERROR(out->AppendRow(row));
-          }
+          auto out = std::make_shared<ColumnarChunk>(resolved.output_schema);
+          IDF_RETURN_IF_ERROR(
+              merge.Run(ctx.FetchShuffleInputs(shuffle_id, rp), *out));
           sink.Emit(ctx, rp, std::move(out));
           return Status::OK();
         },
         {}});
   }
-  IDF_ASSIGN_OR_RETURN(StageMetrics fsm, cluster.RunStage(final_stage));
-  metrics.MergeStage(fsm);
+  Result<StageMetrics> map_metrics = cluster.RunStage(map_stage);
+  Result<StageMetrics> final_metrics =
+      map_metrics.ok() ? cluster.RunStage(final_stage) : map_metrics.status();
+  cluster.shuffle().Release(shuffle_id);
+  IDF_RETURN_IF_ERROR(final_metrics.status());
+  metrics.MergeStage(*map_metrics);
+  metrics.MergeStage(*final_metrics);
   return sink.Finish();
 }
 

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -245,20 +246,21 @@ struct ResolvedAggs;
 class PartialAggregator;
 }  // namespace agg_internal
 
-/// Map side of a two-phase aggregation: encodes each group of `partials` as
-/// a partial row and writes it to its reduce partition (of R) of
-/// `shuffle_id`. Shared by HashAggExec and the Indexed DataFrame's
-/// row-direct aggregation.
-Status ShufflePartials(class TaskContext& ctx, uint64_t shuffle_id,
-                       uint32_t map_partition, uint32_t R,
-                       const agg_internal::PartialAggregator& partials);
-
-/// Final-merge phase of a two-phase aggregation: consumes the partial rows
-/// written to `shuffle_id` (R reduce partitions, schema per `resolved`) and
-/// materializes the aggregate output.
-Result<TableHandle> FinalizeAggregation(
-    Session& session, QueryMetrics& metrics, uint64_t shuffle_id, uint32_t R,
+/// A two-phase aggregation over the `num_partitions` partitions of RDD
+/// `rdd_id`, shared by HashAggExec and the Indexed DataFrame's row-direct
+/// aggregation. Stage `map_stage_name` runs one task per partition on its
+/// home executor: `fill` folds the partition's rows into a
+/// PartialAggregator, whose partial rows shuffle on their group codes to R
+/// reduce partitions (one for a global aggregate). The "final aggregate"
+/// stage merges each reduce partition's partial rows
+/// (agg_internal::FinalMerge) into the output. The shuffle is released
+/// whether or not the stages succeed.
+Result<TableHandle> AggregateInTwoPhases(
+    Session& session, QueryMetrics& metrics, const std::string& map_stage_name,
+    uint64_t rdd_id, uint32_t num_partitions,
+    const agg_internal::ResolvedAggs& resolved,
     const std::vector<AggSpec>& aggs,
-    const agg_internal::ResolvedAggs& resolved);
+    const std::function<Status(class TaskContext&, uint32_t partition,
+                               agg_internal::PartialAggregator&)>& fill);
 
 }  // namespace idf

@@ -1,13 +1,15 @@
-// The typed partial-aggregation kernel (sql/agg_internal.h) against the
-// row-at-a-time loop it replaced, and the two operators that drive it
-// (HashAggExec over columnar chunks, RowAggExec over row batches) against
-// each other.
+// The typed aggregation kernel (sql/agg_internal.h) against the Value-based
+// loops it replaced: the partial phase against the row-at-a-time loop, and
+// the final merge (FinalMerge) against the GroupMap merge. Then the two
+// operators that drive the kernel (HashAggExec over columnar chunks,
+// RowAggExec over row batches) against each other.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <unordered_map>
 
 #include "common/rng.h"
 #include "core/indexed_dataframe.h"
@@ -16,16 +18,119 @@
 namespace idf {
 namespace {
 
-using agg_internal::Accum;
 using agg_internal::ChunkRun;
-using agg_internal::FindOrCreateGroup;
-using agg_internal::GroupMap;
-using agg_internal::GroupState;
+using agg_internal::FinalMerge;
 using agg_internal::PartialAggregator;
 using agg_internal::ResolvedAggs;
 using agg_internal::RowRun;
 
-// ---- reference: one Value per input row ---------------------------------
+// ---- reference: one Value per row ----------------------------------------
+
+/// Accumulator state for one aggregate function in one group.
+struct Accum {
+  int64_t count = 0;
+  int64_t isum = 0;
+  double fsum = 0;
+  Value min;  // null until first value
+  Value max;
+
+  void Merge(const AggSpec& spec, const Accum& other) {
+    switch (spec.fn) {
+      case AggSpec::Fn::kCount:
+        count += other.count;
+        return;
+      case AggSpec::Fn::kSum:
+      case AggSpec::Fn::kAvg:
+        count += other.count;
+        isum += other.isum;
+        fsum += other.fsum;
+        return;
+      case AggSpec::Fn::kMin:
+        if (!other.min.is_null() &&
+            (min.is_null() || other.min.Compare(min) < 0)) {
+          min = other.min;
+        }
+        return;
+      case AggSpec::Fn::kMax:
+        if (!other.max.is_null() &&
+            (max.is_null() || other.max.Compare(max) > 0)) {
+          max = other.max;
+        }
+        return;
+    }
+  }
+
+  Value Finish(const AggSpec& spec, TypeId input_type) const {
+    switch (spec.fn) {
+      case AggSpec::Fn::kCount:
+        return Value::Int64(count);
+      case AggSpec::Fn::kSum:
+        if (input_type == TypeId::kFloat64) return Value::Float64(fsum);
+        return Value::Int64(isum);
+      case AggSpec::Fn::kAvg: {
+        if (count == 0) return Value::Null(TypeId::kFloat64);
+        const double total =
+            input_type == TypeId::kFloat64 ? fsum : static_cast<double>(isum);
+        return Value::Float64(total / static_cast<double>(count));
+      }
+      case AggSpec::Fn::kMin:
+        return min;
+      case AggSpec::Fn::kMax:
+        return max;
+    }
+    return Value();
+  }
+};
+
+struct GroupState {
+  RowVec group_values;
+  std::vector<Accum> accums;
+};
+
+uint64_t GroupCode(const RowVec& group_values) {
+  uint64_t code = agg_internal::kGroupCodeSeed;
+  for (const Value& v : group_values) code = HashCombine(code, v.Hash());
+  return code;
+}
+
+bool SameGroup(const RowVec& a, const RowVec& b) {
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].is_null() != b[i].is_null()) return false;
+    if (!a[i].is_null() && !(a[i] == b[i])) return false;
+  }
+  return true;
+}
+
+using GroupMap = std::unordered_map<uint64_t, std::vector<GroupState>>;
+
+GroupState& FindOrCreateGroup(GroupMap& groups, RowVec group_values,
+                              size_t num_aggs) {
+  auto& bucket = groups[GroupCode(group_values)];
+  for (GroupState& state : bucket) {
+    if (SameGroup(state.group_values, group_values)) return state;
+  }
+  bucket.push_back(
+      GroupState{std::move(group_values), std::vector<Accum>(num_aggs)});
+  return bucket.back();
+}
+
+/// Splits a decoded partial row back into (group values, accumulators).
+void DecodePartial(const ResolvedAggs& resolved, const RowVec& partial,
+                   RowVec* group, std::vector<Accum>* accums) {
+  const size_t num_keys = resolved.group_idx.size();
+  group->assign(partial.begin(),
+                partial.begin() + static_cast<long>(num_keys));
+  accums->resize(resolved.agg_idx.size());
+  for (size_t a = 0; a < resolved.agg_idx.size(); ++a) {
+    const size_t base = num_keys + a * 5;
+    Accum& acc = (*accums)[a];
+    acc.count = partial[base].int64_value();
+    acc.isum = partial[base + 1].int64_value();
+    acc.fsum = partial[base + 2].float64_value();
+    acc.min = partial[base + 3];
+    acc.max = partial[base + 4];
+  }
+}
 
 void ReferenceAdd(const AggSpec& spec, const Value& v, Accum& acc) {
   switch (spec.fn) {
@@ -348,6 +453,259 @@ TEST(AggKernelTest, BoolAndInt32SumsWidenToInt64) {
   ExpectKernelMatchesReference(schema, {"k"}, {AggSpec::Sum("v")}, rows);
 }
 
+// ---- the final merge against the GroupMap merge -----------------------------
+
+/// The final phase FinalMerge replaced: decode each partial row into Values,
+/// merge it into a GroupMap, then finish each group in map order.
+void ReferenceFinal(const ResolvedAggs& resolved,
+                    const std::vector<AggSpec>& aggs,
+                    const ShuffleInputs& inputs, ColumnarChunk& out) {
+  const RowLayout partial_layout(resolved.partial_schema);
+  GroupMap groups;
+  std::vector<const uint8_t*> rows;
+  for (const auto& buf : inputs) buf->SplitRows(rows);
+  for (const uint8_t* partial : rows) {
+    RowVec key;
+    std::vector<Accum> others;
+    DecodePartial(resolved, partial_layout.DecodeRow(partial), &key, &others);
+    GroupState& state = FindOrCreateGroup(groups, std::move(key), aggs.size());
+    for (size_t a = 0; a < aggs.size(); ++a) {
+      state.accums[a].Merge(aggs[a], others[a]);
+    }
+  }
+  for (const auto& [code, bucket] : groups) {
+    for (const GroupState& state : bucket) {
+      RowVec row = state.group_values;
+      for (size_t a = 0; a < aggs.size(); ++a) {
+        row.push_back(state.accums[a].Finish(aggs[a], resolved.agg_type[a]));
+      }
+      ASSERT_TRUE(out.AppendRow(row).ok());
+    }
+  }
+  // Global aggregates emit one row even for empty input.
+  if (resolved.group_idx.empty() && groups.empty()) {
+    RowVec row;
+    for (size_t a = 0; a < aggs.size(); ++a) {
+      row.push_back(Accum{}.Finish(aggs[a], resolved.agg_type[a]));
+    }
+    ASSERT_TRUE(out.AppendRow(row).ok());
+  }
+}
+
+/// The map side as the operators run it: each map partition's rows through
+/// the kernel, each partial row encoded into the buffer of its reduce
+/// partition (of R). Returns each reduce partition's inputs in map order.
+std::vector<ShuffleInputs> MapSide(
+    const ResolvedAggs& resolved, const std::vector<AggSpec>& aggs,
+    const SchemaPtr& schema,
+    const std::vector<std::vector<RowVec>>& partitions, uint32_t R) {
+  const RowLayout layout(resolved.partial_schema);
+  std::vector<ShuffleInputs> inputs(R);
+  for (const std::vector<RowVec>& rows : partitions) {
+    ColumnarChunk chunk(schema);
+    for (const RowVec& row : rows) EXPECT_TRUE(chunk.AppendRow(row).ok());
+    PartialAggregator partials(resolved, aggs);
+    partials.Add(ChunkRun(chunk));
+    std::vector<ShuffleBuffer> buffers(R);
+    Status st = partials.ForEachPartial([&](uint64_t code, const RowVec& row) {
+      const std::vector<uint8_t> bytes = Encode(layout, row);
+      buffers[HashPartition(code, R)].AppendRow(
+          bytes.data(), static_cast<uint32_t>(bytes.size()));
+      return Status::OK();
+    });
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    for (uint32_t rp = 0; rp < R; ++rp) {
+      if (buffers[rp].num_rows == 0) continue;
+      inputs[rp].push_back(
+          std::make_shared<const ShuffleBuffer>(std::move(buffers[rp])));
+    }
+  }
+  return inputs;
+}
+
+/// Each row of `chunk`, encoded: a bitwise, order-sensitive view.
+std::vector<std::vector<uint8_t>> EncodedRows(const ColumnarChunk& chunk) {
+  const RowLayout layout(std::make_shared<Schema>(chunk.schema()));
+  std::vector<std::vector<uint8_t>> rows;
+  for (size_t i = 0; i < chunk.num_rows(); ++i) {
+    rows.push_back(Encode(layout, chunk.RowAt(i)));
+  }
+  return rows;
+}
+
+/// Runs the map side over `partitions`, then checks FinalMerge against the
+/// reference on every reduce partition, byte for byte and row for row.
+/// Returns FinalMerge's output rows, reduce partition by partition.
+std::vector<RowVec> ExpectFinalMatchesReference(
+    const SchemaPtr& schema, const std::vector<std::string>& group_by,
+    const std::vector<AggSpec>& aggs,
+    const std::vector<std::vector<RowVec>>& partitions, uint32_t R = 3) {
+  auto resolved = ResolvedAggs::Resolve(*schema, group_by, aggs);
+  EXPECT_TRUE(resolved.ok()) << resolved.status().ToString();
+  if (group_by.empty()) R = 1;
+  const FinalMerge merge(*resolved, aggs);
+  std::vector<RowVec> out;
+  for (const ShuffleInputs& inputs :
+       MapSide(*resolved, aggs, schema, partitions, R)) {
+    ColumnarChunk got(resolved->output_schema);
+    ColumnarChunk want(resolved->output_schema);
+    const Status st = merge.Run(inputs, got);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    ReferenceFinal(*resolved, aggs, inputs, want);
+    EXPECT_EQ(EncodedRows(got), EncodedRows(want));
+    for (size_t i = 0; i < got.num_rows(); ++i) out.push_back(got.RowAt(i));
+  }
+  return out;
+}
+
+/// Deals `rows` out to `n` map partitions at random, keeping row order
+/// within each.
+std::vector<std::vector<RowVec>> Deal(const std::vector<RowVec>& rows,
+                                      size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::vector<RowVec>> partitions(n);
+  for (const RowVec& row : rows) partitions[rng.Below(n)].push_back(row);
+  return partitions;
+}
+
+TEST(AggKernelTest, FinalMergeMatchesTheGroupMapMerge) {
+  const std::vector<std::vector<std::string>> group_bys = {
+      {}, {"b"}, {"i32"}, {"s"}, {"f64"}, {"b", "s"}, {"t3", "s"},
+      {"s", "i32", "b"}};
+  uint64_t seed = 2301;
+  for (const auto& group_by : group_bys) {
+    for (size_t n : {size_t{37}, size_t{6000}}) {
+      SCOPED_TRACE(testing::Message() << "group by " << group_by.size()
+                                      << " columns, seed " << seed);
+      const std::vector<RowVec> out = ExpectFinalMatchesReference(
+          MixedSchema(), group_by, AllAggs(),
+          Deal(MixedRows(seed, n), 5, seed ^ 0xdea1));
+      ++seed;
+      EXPECT_FALSE(out.empty());
+    }
+  }
+}
+
+TEST(AggKernelTest, FinalMergeKeepsNaNAndSignedZeroKeysApart) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const SchemaPtr schema = KeyValueSchema(TypeId::kFloat64, TypeId::kInt64);
+  const std::vector<std::vector<RowVec>> partitions = {
+      {{Value::Float64(-0.0), Value::Int64(1)},
+       {Value::Float64(nan), Value::Int64(2)}},
+      {{Value::Float64(0.0), Value::Int64(4)},
+       {Value::Float64(nan), Value::Int64(8)}},
+      {{Value::Float64(-0.0), Value::Int64(16)}},
+  };
+  const std::vector<RowVec> out = ExpectFinalMatchesReference(
+      schema, {"k"}, {AggSpec::Sum("v")}, partitions, 1);
+  // Every NaN partial row opens its own group; -0.0 and 0.0 merge into
+  // one group that keeps the first-seen -0.0.
+  ASSERT_EQ(out.size(), 3u);
+  size_t zeros = 0;
+  for (const RowVec& row : out) {
+    if (std::isnan(row[0].float64_value())) continue;
+    ++zeros;
+    EXPECT_TRUE(std::signbit(row[0].float64_value()));
+    EXPECT_EQ(row[1], Value::Int64(21));
+  }
+  EXPECT_EQ(zeros, 1u);
+}
+
+TEST(AggKernelTest, FinalMergeNullKeysFormOneGroupAndNullValuesAreSkipped) {
+  const SchemaPtr schema = KeyValueSchema(TypeId::kString, TypeId::kInt64);
+  const Value no_key = Value::Null(TypeId::kString);
+  const Value no_value = Value::Null(TypeId::kInt64);
+  // Key "a" sees only nulls in the first partition, so its partial MIN and
+  // MAX there are null; a merge that read them would see 0.
+  const std::vector<std::vector<RowVec>> partitions = {
+      {{Value::String("a"), no_value}, {no_key, Value::Int64(5)}},
+      {{no_key, Value::Int64(-3)}, {Value::String("a"), Value::Int64(7)}},
+      {{no_key, no_value}, {Value::String("a"), Value::Int64(9)}},
+  };
+  const std::vector<AggSpec> aggs = {AggSpec::Count("n"), AggSpec::Min("v"),
+                                     AggSpec::Max("v"), AggSpec::Avg("v")};
+  const std::vector<RowVec> out =
+      ExpectFinalMatchesReference(schema, {"k"}, aggs, partitions, 1);
+  ASSERT_EQ(out.size(), 2u);
+  for (const RowVec& row : out) {
+    if (row[0].is_null()) {
+      EXPECT_EQ(row[1], Value::Int64(3));
+      EXPECT_EQ(row[2], Value::Int64(-3));
+      EXPECT_EQ(row[3], Value::Int64(5));
+      EXPECT_EQ(row[4], Value::Float64(1.0));
+    } else {
+      EXPECT_EQ(row[1], Value::Int64(3));
+      EXPECT_EQ(row[2], Value::Int64(7));
+      EXPECT_EQ(row[3], Value::Int64(9));
+      EXPECT_EQ(row[4], Value::Float64(8.0));
+    }
+  }
+}
+
+TEST(AggKernelTest, FinalMergeInt64MinMaxAbove2To53KeepTheFirstSeen) {
+  // 2^53 + 1 rounds to the double 2^53, so the merge ties the partial
+  // extremes 2^53 + 1 and 2^53, and a tie keeps the first-seen value.
+  const int64_t big = (int64_t{1} << 53) + 1;
+  const SchemaPtr schema = KeyValueSchema(TypeId::kInt64, TypeId::kInt64);
+  const std::vector<std::vector<RowVec>> partitions = {
+      {{Value::Int64(0), Value::Int64(big)}},
+      {{Value::Int64(0), Value::Int64(big - 1)}},
+      {{Value::Int64(0), Value::Null(TypeId::kInt64)}},
+  };
+  const std::vector<RowVec> out = ExpectFinalMatchesReference(
+      schema, {}, {AggSpec::Min("v"), AggSpec::Max("v")}, partitions);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0][0].int64_value(), big);
+  EXPECT_EQ(out[0][1].int64_value(), big);
+}
+
+TEST(AggKernelTest, FinalMergeAddsFloatSumsInMapOrder) {
+  const SchemaPtr schema = KeyValueSchema(TypeId::kInt64, TypeId::kFloat64);
+  std::vector<std::vector<RowVec>> partitions;
+  for (double v : {0.1, 0.2, 0.3}) {
+    partitions.push_back({{Value::Int64(1), Value::Float64(v)}});
+  }
+  const std::vector<AggSpec> aggs = {AggSpec::Sum("v"), AggSpec::Avg("v")};
+  const std::vector<RowVec> out =
+      ExpectFinalMatchesReference(schema, {"k"}, aggs, partitions, 1);
+  ASSERT_EQ(out.size(), 1u);
+  // In map order the sum rounds up; in any other order it is 0.6.
+  const double sum = ((0.0 + 0.1) + 0.2) + 0.3;
+  ASSERT_NE(sum, 0.6);
+  EXPECT_EQ(out[0][1], Value::Float64(sum));
+  EXPECT_EQ(out[0][2], Value::Float64(sum / 3));
+}
+
+TEST(AggKernelTest, FinalMergeOfNothing) {
+  // A global aggregate still emits its one row; a grouped one emits none.
+  const std::vector<RowVec> global =
+      ExpectFinalMatchesReference(MixedSchema(), {}, AllAggs(), {});
+  ASSERT_EQ(global.size(), 1u);
+  EXPECT_EQ(global[0][0], Value::Int64(0));  // COUNT
+  EXPECT_TRUE(global[0][2].is_null());       // AVG(b)
+  EXPECT_TRUE(global[0].back().is_null());   // MAX(s)
+  EXPECT_TRUE(
+      ExpectFinalMatchesReference(MixedSchema(), {"s"}, AllAggs(), {{}, {}})
+          .empty());
+}
+
+TEST(AggKernelTest, FinalMergeResolvesStateColumnsByPosition) {
+  // A group column named like the first aggregate's count column.
+  const SchemaPtr schema = std::make_shared<Schema>(
+      Schema({{"agg0_count", TypeId::kInt64, true},
+              {"v", TypeId::kInt64, true}}));
+  const std::vector<std::vector<RowVec>> partitions = {
+      {{Value::Int64(100), Value::Int64(1)}},
+      {{Value::Int64(100), Value::Int64(2)}},
+  };
+  const std::vector<RowVec> out = ExpectFinalMatchesReference(
+      schema, {"agg0_count"}, {AggSpec::Count("n"), AggSpec::Sum("v")},
+      partitions, 1);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0], (RowVec{Value::Int64(100), Value::Int64(2),
+                            Value::Int64(3)}));
+}
+
 // ---- RowAggExec against HashAggExec ------------------------------------------
 
 SessionOptions SmallOptions() {
@@ -444,6 +802,31 @@ TEST(AggOperatorDiffTest, RowAggExecMatchesHashAggExecOnAnAppendedVersion) {
   ExpectOperatorsAgree(all_df, v1, {});
   ExpectOperatorsAgree(all_df, v1, {"s", "b"});
   ExpectOperatorsAgree(df, v0, {"s", "b"});  // v0 is unchanged
+}
+
+TEST(AggShuffleTest, FailedAggregationReleasesItsShuffle) {
+  // MIN and MAX of a 600-byte string make a partial row over the 1 KB row
+  // bound, so the map tasks fail; the failed query still releases its
+  // shuffle.
+  Session session(SmallOptions());
+  std::vector<RowVec> rows;
+  for (int64_t i = 0; i < 100; ++i) {
+    rows.push_back({Value::Int64(i), Value::String(std::string(600, 'a'))});
+  }
+  auto df = *session.CreateTable(
+      "wide", KeyValueSchema(TypeId::kInt64, TypeId::kString), rows);
+  auto indexed = *IndexedDataFrame::Create(df, "k");
+  const ShuffleService& shuffles = session.cluster().shuffle();
+  const size_t live = shuffles.num_shuffles();
+  const std::vector<AggSpec> aggs = {AggSpec::Min("v"), AggSpec::Max("v")};
+  for (const DataFrame& query :
+       {df.Agg({"k"}, aggs), indexed.AsDataFrame().Agg({"k"}, aggs)}) {
+    auto result = query.Collect();
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+        << result.status().ToString();
+    EXPECT_EQ(shuffles.num_shuffles(), live);
+  }
 }
 
 }  // namespace

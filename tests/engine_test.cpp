@@ -391,10 +391,10 @@ TEST(ShuffleServiceTest, EmptyOutputsSkipped) {
 
 TEST(ShuffleServiceTest, ReaderWalksRows) {
   ShuffleBuffer buf = MakeBuffer({24, 40, 16}, 0);
-  ShuffleBufferReader reader(buf);
+  std::vector<const uint8_t*> rows;
+  buf.SplitRows(rows);
   std::vector<uint32_t> sizes;
-  while (reader.HasNext()) {
-    const uint8_t* row = reader.Next();
+  for (const uint8_t* row : rows) {
     uint32_t size;
     std::memcpy(&size, row, sizeof(size));
     sizes.push_back(size);

@@ -1,9 +1,9 @@
 // Tests for the memory governor (src/mem/governor.h): budget parsing,
 // cost-aware LRU eviction ordering, transparent spill/reload, pinning under
-// concurrent scans, COW-shared batches spilling once, per-session budgets
-// producing identical query results, and lineage recovery after an executor
-// loss reproducing rows and batch bytes while spill files die with their
-// batches.
+// concurrent scans, COW-shared batches spilling once, appends chasing chains
+// into spilled batches, per-session budgets producing identical query
+// results, and lineage recovery after an executor loss reproducing rows and
+// batch bytes while spill files die with their batches.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -284,6 +284,48 @@ TEST(MemGovernorTest, ConcurrentScansUnderTightBudgetStayCorrect) {
   for (std::thread& t : readers) t.join();
   evictor.join();
   EXPECT_EQ(failures.load(), 0);
+}
+
+SchemaPtr MixedSchema() {
+  return std::make_shared<Schema>(Schema({
+      {"id", TypeId::kInt64, false},
+      {"name", TypeId::kString, true},
+      {"score", TypeId::kFloat64, true},
+  }));
+}
+
+TEST(MemGovernorTest, AppendsAfterEvictionMatchUnboundedRun) {
+  // Two identical partitions; one lives under a tight budget with appends
+  // landing after its earlier batches were spilled. Results must match the
+  // unbounded twin exactly.
+  auto build = [](IndexedPartition& part, int64_t from, int64_t to) {
+    for (int64_t i = from; i < to; ++i) {
+      IDF_CHECK_OK(part.InsertRow({Value::Int64(i % 50),
+                                   Value::String("v" + std::to_string(i)),
+                                   Value::Float64(i)}));
+    }
+  };
+  IndexedPartition unbounded(MixedSchema(), 0, 16 << 10);
+  build(unbounded, 0, 1500);
+  build(unbounded, 1500, 2000);
+
+  IndexedPartition budgeted(MixedSchema(), 0, 16 << 10);
+  build(budgeted, 0, 1500);
+  budgeted.Snapshot();  // seal, making the first 1500 rows evictable
+  {
+    mem::ScopedBudget tight(1);
+    // Appends chase back-pointers into evicted batches: each insert must
+    // transparently fault the chain head's batch back in.
+    build(budgeted, 1500, 2000);
+    for (int64_t k = 0; k < 50; ++k) {
+      auto expected = unbounded.LookupRows(Value::Int64(k));
+      auto actual = budgeted.LookupRows(Value::Int64(k));
+      ASSERT_EQ(actual.size(), expected.size()) << k;
+      for (size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(actual[i], expected[i]);
+      }
+    }
+  }
 }
 
 SessionOptions ClusterOptions(uint64_t budget = 0) {
