@@ -69,6 +69,11 @@ Result<TableHandle> IndexedJoinExec::ExecuteImpl(Session& session,
                ? JoinedRowDecoder(part.layout(), probe_layout, out)
                : JoinedRowDecoder(probe_layout, part.layout(), out);
   };
+  // Probe rows go to the partition owning their key; a null key matches
+  // nothing.
+  auto probe_target = [&](std::optional<uint64_t> code) {
+    return code ? rdd->PartitionOf(*code) : kDropRow;
+  };
 
   if (probe.total_bytes <= session.options().broadcast_threshold_bytes) {
     // Broadcast path (§III-C: "if the Dataframe size is small enough to be
@@ -84,16 +89,10 @@ Result<TableHandle> IndexedJoinExec::ExecuteImpl(Session& session,
       ChunkPtr chunk;  // outlives the scope, which unpins it
       mem::AccessScope bucket_scope;
       IDF_ASSIGN_OR_RETURN(chunk, FetchChunk(driver_ctx, probe, p));
-      const ColumnVector& key_vec = chunk->column(probe_key);
-      std::vector<uint32_t> sel;
-      for (size_t i = 0; i < chunk->num_rows(); ++i) {
-        if (!key_vec.IsNull(i)) sel.push_back(static_cast<uint32_t>(i));
-      }
-      IDF_RETURN_IF_ERROR(ForEachEncodedRow(
-          *chunk, sel, probe_layout,
-          [&](size_t, const uint8_t* row, uint32_t size) {
-            buckets[rdd->PartitionOf(probe_layout.KeyCode(row, probe_key))]
-                .push_back(encoded.size());
+      IDF_RETURN_IF_ERROR(RouteByKey(
+          *chunk, probe_key, probe_layout, probe_target,
+          [&](uint32_t t, const uint8_t* row, uint32_t size) {
+            buckets[t].push_back(encoded.size());
             encoded.insert(encoded.end(), row, row + size);
           }));
     }
@@ -138,85 +137,41 @@ Result<TableHandle> IndexedJoinExec::ExecuteImpl(Session& session,
   // Shuffle path: route probe rows to the indexed partitions (§III-C: "the
   // rows of the latter are shuffled according to the hash partitioning
   // scheme of the former").
-  const uint64_t shuffle_id =
-      cluster.shuffle().NewShuffle(probe.num_partitions, P);
-  StageSpec map_stage;
-  map_stage.name = "indexed join (probe shuffle)";
-  for (uint32_t p = 0; p < probe.num_partitions; ++p) {
-    map_stage.tasks.push_back(TaskSpec{
-        cluster.HomeExecutorFor(probe.rdd_id, p),
-        {},
-        0,
-        [&, p](TaskContext& ctx) -> Status {
-          // `key_vec` is held across the encode of the same chunk.
-          ChunkPtr chunk;  // outlives the scope, which unpins it
-          mem::AccessScope scope;
-          IDF_ASSIGN_OR_RETURN(chunk, FetchChunk(ctx, probe, p));
-          const ColumnarChunk& input = *chunk;
-          const ColumnVector& key_vec = input.column(probe_key);
-          ctx.metrics().rows_read += input.num_rows();
-          std::vector<uint32_t> sel;
-          std::vector<uint32_t> targets;
-          for (size_t i = 0; i < input.num_rows(); ++i) {
-            if (key_vec.IsNull(i)) continue;
-            sel.push_back(static_cast<uint32_t>(i));
-            targets.push_back(rdd->PartitionOf(key_vec.KeyCodeAt(i)));
-          }
-          ShuffleWriter writer(cluster.shuffle(), shuffle_id, p, P,
-                               ctx.executor(), input.num_rows());
-          IDF_RETURN_IF_ERROR(ForEachEncodedRow(
-              input, sel, probe_layout,
-              [&](size_t k, const uint8_t* row, uint32_t size) {
-                writer.Append(targets[k], row, size);
-              }));
-          writer.Finish();
-          ctx.metrics().shuffle_bytes_written += writer.bytes_written();
-          return Status::OK();
-        },
-        {{probe.rdd_id, p}}});
-  }
-
-  StageSpec reduce_stage;
-  reduce_stage.name = "indexed join (local probe)";
-  for (uint32_t p = 0; p < P; ++p) {
-    reduce_stage.tasks.push_back(TaskSpec{
-        cluster.HomeExecutorFor(rdd->rdd_id(), p),
-        {},
-        0,
-        [&, p](TaskContext& ctx) -> Status {
-          // Inputs fetched before the build partition, so the per-map
-          // network reads precede the GetPartition transfer in the DES.
-          const ShuffleInputs inputs = ctx.FetchShuffleInputs(shuffle_id, p);
-          IDF_ASSIGN_OR_RETURN(std::shared_ptr<const IndexedPartition> part,
-                               rdd->GetPartition(p, version, ctx));
-          auto out = std::make_shared<ColumnarChunk>(out_schema);
-          JoinedRowDecoder decoder = make_decoder(*part, *out);
-          std::vector<const uint8_t*> rows;
-          for (const auto& buf : inputs) {
-            ctx.metrics().rows_read += buf->num_rows;
-            // Per-buffer pin scope: probed chain batches stay resident
-            // across this buffer's rows until their matches are decoded.
-            mem::AccessScope probe_scope;
-            rows.clear();
-            buf->SplitRows(rows);
-            for (const uint8_t* prow : rows) {
-              probe_row(ctx, *part, prow, decoder);
+  IDF_RETURN_IF_ERROR(cluster.RunExchange(
+      ExchangeSpec{
+          {ShuffleByKey("indexed join (probe shuffle)", probe, probe_key,
+                        probe_layout, probe_target)},
+          "indexed join (local probe)",
+          P,
+          rdd->rdd_id(),
+          /*reduce_reads_rdd=*/true,
+          [&](TaskContext& ctx, uint32_t p,
+              const std::vector<ShuffleInputs>& inputs) -> Status {
+            // The exchange fetched the inputs before the build partition,
+            // so the per-map network reads precede the GetPartition
+            // transfer in the DES.
+            IDF_ASSIGN_OR_RETURN(std::shared_ptr<const IndexedPartition> part,
+                                 rdd->GetPartition(p, version, ctx));
+            auto out = std::make_shared<ColumnarChunk>(out_schema);
+            JoinedRowDecoder decoder = make_decoder(*part, *out);
+            std::vector<const uint8_t*> rows;
+            for (const auto& buf : inputs[0]) {
+              ctx.metrics().rows_read += buf->num_rows;
+              // Per-buffer pin scope: probed chain batches stay resident
+              // across this buffer's rows until their matches are decoded.
+              mem::AccessScope probe_scope;
+              rows.clear();
+              buf->SplitRows(rows);
+              for (const uint8_t* prow : rows) {
+                probe_row(ctx, *part, prow, decoder);
+              }
+              decoder.Flush();
             }
-            decoder.Flush();
-          }
-          out->SetRowCount(out->column(0).size());
-          sink.Emit(ctx, p, std::move(out));
-          return Status::OK();
-        },
-        {{rdd->rdd_id(), p}}});
-  }
-  Result<StageMetrics> map_metrics = cluster.RunStage(map_stage);
-  Result<StageMetrics> reduce_metrics =
-      map_metrics.ok() ? cluster.RunStage(reduce_stage) : map_metrics.status();
-  cluster.shuffle().Release(shuffle_id);
-  IDF_RETURN_IF_ERROR(reduce_metrics.status());
-  metrics.MergeStage(*map_metrics);
-  metrics.MergeStage(*reduce_metrics);
+            out->SetRowCount(out->column(0).size());
+            sink.Emit(ctx, p, std::move(out));
+            return Status::OK();
+          }},
+      metrics));
   return sink.Finish();
 }
 

@@ -73,80 +73,30 @@ Status IndexedRdd::ShuffleToPartitions(
     QueryMetrics& metrics,
     const std::function<Status(TaskContext&, uint32_t, const ShuffleInputs&)>&
         consume) {
-  Cluster& cluster = session_->cluster();
   if (*source.schema != *schema_) {
     return Status::InvalidArgument(
         "appended rows must match the indexed schema: " + schema_->ToString() +
         " vs " + source.schema->ToString());
   }
-  RowLayout layout(schema_);
-  const uint64_t shuffle_id =
-      cluster.shuffle().NewShuffle(source.num_partitions, num_partitions_);
-
   // Map: route rows to their indexed partitions by key-code hash (§III-C
-  // "its rows are shuffled based on the hash partitioning scheme").
-  StageSpec map_stage;
-  map_stage.name = stage_name + " (shuffle)";
-  for (uint32_t p = 0; p < source.num_partitions; ++p) {
-    map_stage.tasks.push_back(TaskSpec{
-        cluster.HomeExecutorFor(source.rdd_id, p),
-        {},
-        0,
-        [&, p](TaskContext& ctx) -> Status {
-          // Scope: key_col stays valid across the encode even if the
-          // budget enforcer runs while routed buffers allocate.
-          ChunkPtr chunk;  // outlives the scope, which unpins it
-          mem::AccessScope scope;
-          IDF_ASSIGN_OR_RETURN(chunk, FetchChunk(ctx, source, p));
-          const ColumnarChunk& input = *chunk;
-          const ColumnVector& key_col = input.column(key_column_);
-          ctx.metrics().rows_read += input.num_rows();
-
-          std::vector<uint32_t> sel(input.num_rows());
-          std::vector<uint32_t> targets(input.num_rows());
-          for (size_t i = 0; i < input.num_rows(); ++i) {
-            sel[i] = static_cast<uint32_t>(i);
-            // Null keys go to partition 0 (stored, never indexed).
-            targets[i] =
-                key_col.IsNull(i) ? 0 : PartitionOf(key_col.KeyCodeAt(i));
-          }
-          ShuffleWriter writer(cluster.shuffle(), shuffle_id, p,
-                               num_partitions_, ctx.executor(),
-                               input.num_rows());
-          IDF_RETURN_IF_ERROR(ForEachEncodedRow(
-              input, sel, layout,
-              [&](size_t k, const uint8_t* row, uint32_t size) {
-                writer.Append(targets[k], row, size);
-              }));
-          writer.Finish();
-          ctx.metrics().shuffle_bytes_written += writer.bytes_written();
-          return Status::OK();
-        },
-        {{source.rdd_id, p}}});
-  }
-
-  // Reduce: each partition consumes everything routed to it.
-  StageSpec reduce_stage;
-  reduce_stage.name = stage_name + " (insert)";
-  for (uint32_t t = 0; t < num_partitions_; ++t) {
-    reduce_stage.tasks.push_back(TaskSpec{
-        cluster.HomeExecutorFor(rdd_id_, t),
-        {},
-        0,
-        [&, t](TaskContext& ctx) -> Status {
-          return consume(ctx, t, ctx.FetchShuffleInputs(shuffle_id, t));
-        },
-        {{rdd_id_, t}}});
-  }
-
-  Result<StageMetrics> map_metrics = cluster.RunStage(map_stage);
-  Result<StageMetrics> reduce_metrics =
-      map_metrics.ok() ? cluster.RunStage(reduce_stage) : map_metrics.status();
-  cluster.shuffle().Release(shuffle_id);
-  IDF_RETURN_IF_ERROR(reduce_metrics.status());
-  metrics.MergeStage(*map_metrics);
-  metrics.MergeStage(*reduce_metrics);
-  return Status::OK();
+  // "its rows are shuffled based on the hash partitioning scheme"). Reduce:
+  // each partition consumes everything routed to it.
+  RowLayout layout(schema_);
+  return session_->cluster().RunExchange(
+      ExchangeSpec{
+          {ShuffleByKey(stage_name + " (shuffle)", source, key_column_, layout,
+                        [this](std::optional<uint64_t> code) {
+                          return TargetOf(code);
+                        })},
+          stage_name + " (insert)",
+          num_partitions_,
+          rdd_id_,
+          /*reduce_reads_rdd=*/true,
+          [&](TaskContext& ctx, uint32_t t,
+              const std::vector<ShuffleInputs>& inputs) -> Status {
+            return consume(ctx, t, inputs[0]);
+          }},
+      metrics);
 }
 
 Status IndexedRdd::BuildBase(QueryMetrics& metrics) {
@@ -258,22 +208,18 @@ Result<ShuffleInputs> IndexedRdd::RouteRows(const TableHandle& table,
                                             TaskContext& ctx) const {
   RowLayout layout(schema_);
   auto routed = std::make_shared<ShuffleBuffer>();
-  std::vector<uint32_t> sel;
   for (uint32_t p = 0; p < table.num_partitions; ++p) {
     // Per-chunk scope: pins at most one source chunk at a time, so a tight
     // budget never needs the whole table resident to rebuild one partition.
     ChunkPtr chunk;  // outlives the scope, which unpins it
     mem::AccessScope chunk_scope;
     IDF_ASSIGN_OR_RETURN(chunk, FetchChunk(ctx, table, p));
-    const ColumnVector& key_col = chunk->column(key_column_);
-    sel.clear();
-    for (size_t i = 0; i < chunk->num_rows(); ++i) {
-      const uint32_t t =
-          key_col.IsNull(i) ? 0 : PartitionOf(key_col.KeyCodeAt(i));
-      if (t == partition) sel.push_back(static_cast<uint32_t>(i));
-    }
-    IDF_RETURN_IF_ERROR(ForEachEncodedRow(
-        *chunk, sel, layout, [&](size_t, const uint8_t* row, uint32_t size) {
+    IDF_RETURN_IF_ERROR(RouteByKey(
+        *chunk, key_column_, layout,
+        [&](std::optional<uint64_t> code) {
+          return TargetOf(code) == partition ? partition : kDropRow;
+        },
+        [&](uint32_t, const uint8_t* row, uint32_t size) {
           routed->AppendRow(row, size);
         }));
   }

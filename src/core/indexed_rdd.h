@@ -14,6 +14,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 
 #include "core/indexed_partition.h"
 #include "sql/session.h"
@@ -71,6 +72,12 @@ class IndexedRdd : public std::enable_shared_from_this<IndexedRdd> {
     TableHandle append_source;  // invalid for version 0
     uint64_t num_rows = 0;      // cumulative rows at this version
   };
+
+  /// The partition a row with key code `code` is stored in; null keys go
+  /// to partition 0 (stored, never indexed).
+  uint32_t TargetOf(std::optional<uint64_t> code) const {
+    return code ? PartitionOf(*code) : 0;
+  }
 
   /// Builds version 0 with a real shuffle (map: route rows; reduce: insert).
   Status BuildBase(QueryMetrics& metrics);

@@ -533,12 +533,73 @@ Result<StageMetrics> Cluster::RunStage(const StageSpec& stage) {
   return metrics;
 }
 
-ShuffleInputs TaskContext::FetchShuffleInputs(uint64_t shuffle,
-                                              uint32_t reduce_part) {
-  ShuffleInputs inputs =
-      cluster_->shuffle().FetchReduceInputs(shuffle, reduce_part);
-  for (const auto& buf : inputs) AddRead(buf->source, buf->bytes.size());
-  return inputs;
+Status Cluster::RunExchange(const ExchangeSpec& spec, QueryMetrics& metrics) {
+  // Owns the exchange's shuffles: released on every path out of here.
+  struct Shuffles {
+    explicit Shuffles(ShuffleService& s) : service(s) {}
+    Shuffles(const Shuffles&) = delete;
+    Shuffles& operator=(const Shuffles&) = delete;
+    ~Shuffles() {
+      for (uint64_t id : ids) service.Release(id);
+    }
+    ShuffleService& service;
+    std::vector<uint64_t> ids;
+  } shuffles(shuffle_);
+  for (const ExchangeSide& side : spec.sides) {
+    shuffles.ids.push_back(
+        shuffle_.NewShuffle(side.num_partitions, spec.num_reduce));
+  }
+
+  std::vector<StageMetrics> stages;
+  for (size_t s = 0; s < spec.sides.size(); ++s) {
+    const ExchangeSide& side = spec.sides[s];
+    const uint64_t shuffle_id = shuffles.ids[s];
+    StageSpec map_stage;
+    map_stage.name = side.stage_name;
+    for (uint32_t p = 0; p < side.num_partitions; ++p) {
+      map_stage.tasks.push_back(TaskSpec{
+          HomeExecutorFor(side.rdd, p),
+          {},
+          0,
+          [&, shuffle_id, p](TaskContext& ctx) -> Status {
+            ShuffleWriter writer(shuffle_, shuffle_id, p, spec.num_reduce,
+                                 ctx.executor());
+            IDF_RETURN_IF_ERROR(side.map(ctx, p, writer));
+            writer.Finish();
+            ctx.metrics().shuffle_bytes_written += writer.bytes_written();
+            return Status::OK();
+          },
+          {{side.rdd, p}}});
+    }
+    IDF_ASSIGN_OR_RETURN(StageMetrics map_metrics, RunStage(map_stage));
+    stages.push_back(map_metrics);
+  }
+
+  StageSpec reduce_stage;
+  reduce_stage.name = spec.reduce_stage_name;
+  for (uint32_t r = 0; r < spec.num_reduce; ++r) {
+    std::vector<PartitionInput> inputs;
+    if (spec.reduce_reads_rdd) inputs.push_back({spec.reduce_rdd, r});
+    reduce_stage.tasks.push_back(TaskSpec{
+        HomeExecutorFor(spec.reduce_rdd, r),
+        {},
+        0,
+        [&, r](TaskContext& ctx) -> Status {
+          std::vector<ShuffleInputs> routed;
+          for (uint64_t id : shuffles.ids) {
+            routed.push_back(shuffle_.FetchReduceInputs(id, r));
+            for (const auto& buf : routed.back()) {
+              ctx.AddRead(buf->source, buf->bytes.size());
+            }
+          }
+          return spec.reduce(ctx, r, routed);
+        },
+        std::move(inputs)});
+  }
+  IDF_ASSIGN_OR_RETURN(StageMetrics reduce_metrics, RunStage(reduce_stage));
+  stages.push_back(reduce_metrics);
+  for (const StageMetrics& stage : stages) metrics.MergeStage(stage);
+  return Status::OK();
 }
 
 ExecutorId Cluster::HomeExecutorFor(uint64_t rdd, uint32_t partition) const {

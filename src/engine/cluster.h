@@ -53,10 +53,6 @@ class TaskContext {
 
   const std::vector<SimRead>& reads() const { return reads_; }
 
-  /// Everything the map stage routed to `reduce_part` of `shuffle`, in
-  /// map-task order, with one AddRead per buffer from its source executor.
-  ShuffleInputs FetchShuffleInputs(uint64_t shuffle, uint32_t reduce_part);
-
  private:
   Cluster* cluster_;
   ExecutorId executor_;
@@ -91,6 +87,34 @@ struct TaskSpec {
 struct StageSpec {
   std::string name;
   std::vector<TaskSpec> tasks;
+};
+
+/// One input side of an exchange: a map stage named `stage_name` with one
+/// task per partition of RDD `rdd`, each on that partition's home executor
+/// and declaring the partition as its input. `map` routes the partition's
+/// rows into the writer, whose targets are the exchange's reduce partitions.
+struct ExchangeSide {
+  std::string stage_name;
+  uint64_t rdd = 0;
+  uint32_t num_partitions = 0;
+  std::function<Status(TaskContext&, uint32_t partition, ShuffleWriter&)> map;
+};
+
+/// A hash-partitioned exchange: one shuffle per side, then a reduce stage
+/// named `reduce_stage_name` with `num_reduce` tasks. Reduce task r runs on
+/// HomeExecutorFor(reduce_rdd, r) and, when `reduce_reads_rdd`, declares
+/// partition r of `reduce_rdd` as its input. `reduce` gets, per side in
+/// order, everything routed to r in map-task order; each buffer counts as
+/// a read from the executor that wrote it.
+struct ExchangeSpec {
+  std::vector<ExchangeSide> sides;
+  std::string reduce_stage_name;
+  uint32_t num_reduce = 0;
+  uint64_t reduce_rdd = 0;
+  bool reduce_reads_rdd = false;
+  std::function<Status(TaskContext&, uint32_t partition,
+                       const std::vector<ShuffleInputs>& inputs)>
+      reduce;
 };
 
 /// Recomputes one partition of an RDD at a specific version (lineage).
@@ -157,6 +181,15 @@ class Cluster {
   /// undisturbed, so pins and shuffle state release through their normal
   /// error/success paths (engine/cancel.h).
   Result<StageMetrics> RunStage(const StageSpec& stage);
+
+  /// Runs an exchange (docs/SHUFFLE.md): allocates one shuffle per side,
+  /// runs each side's map stage in order, then the reduce stage, each with
+  /// RunStage. A map task's writer is finished and its bytes counted in
+  /// shuffle_bytes_written after its body succeeds. Merges every stage's
+  /// metrics into `metrics` once all succeed. The shuffles are released
+  /// before returning on every path: success, a failed stage, a cancelled
+  /// or expired query.
+  Status RunExchange(const ExchangeSpec& spec, QueryMetrics& metrics);
 
   /// Host threads RunStage may use (resolved once at construction from
   /// ClusterConfig::scheduler_threads and IDF_PARALLEL). 1 = sequential.

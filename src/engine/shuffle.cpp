@@ -20,7 +20,7 @@ void ShuffleWriter::Append(uint32_t target, const uint8_t* row, uint32_t len) {
         std::min<uint64_t>(kMaxReserveBytes, per_target_rows * len));
   }
   ShuffleBuffer& buf = buffers_[target];
-  if (buf.bytes.capacity() == 0) buf.Reserve(reserve_per_target_);
+  if (buf.bytes.capacity() == 0) buf.bytes.reserve(reserve_per_target_);
   buf.AppendRow(row, len);
   bytes_written_ += len;
 }

@@ -2,12 +2,14 @@
 // creation, appends, and indexed joins (§III-C "Scheduling Physical
 // Operators": rows are hash-partitioned on the indexed key and shuffled to
 // their indexed partitions), as well as the vanilla shuffled-hash and
-// sort-merge joins.
+// sort-merge joins and two-phase aggregation.
 //
-// Map tasks publish their complete per-reducer buffers with PutMapOutput;
-// after the map stage's barrier, each reduce task fetches everything routed
-// to its partition with FetchReduceInputs (docs/SHUFFLE.md). Byte counts and
-// source executors feed the network model.
+// Every exchange runs through Cluster::RunExchange (engine/cluster.h): it
+// allocates the shuffles, hands each map task a ShuffleWriter, whose
+// Finish() publishes the task's per-reducer buffers with PutMapOutput, and
+// after the map stages' barrier gives each reduce task everything routed to
+// its partition (FetchReduceInputs); it releases the shuffles on every path
+// (docs/SHUFFLE.md). Byte counts and source executors feed the network model.
 #pragma once
 
 #include <cstdint>
@@ -38,8 +40,6 @@ struct ShuffleBuffer {
   uint32_t num_rows = 0;
   ExecutorId source = kAnyExecutor;
 
-  void Reserve(size_t capacity) { bytes.reserve(capacity); }
-
   void AppendRow(const uint8_t* row, uint32_t len) {
     bytes.insert(bytes.end(), row, row + len);
     ++num_rows;
@@ -59,9 +59,10 @@ using ShuffleInputs = std::vector<std::shared_ptr<const ShuffleBuffer>>;
 class ShuffleService;
 
 /// Map-side routed-row writer. Rows append into per-target buffers whose
-/// backing vectors are pre-reserved from a routed-rows hint (the first
-/// encoded row sizes the estimate), so the buffers stop reallocating one row
-/// at a time. Finish() publishes every non-empty buffer via PutMapOutput.
+/// backing vectors are pre-reserved from a routed-rows hint (ExpectRows; the
+/// first encoded row sizes the estimate), so the buffers stop reallocating
+/// one row at a time. Finish() publishes every non-empty buffer via
+/// PutMapOutput.
 class ShuffleWriter {
  public:
   /// Caps the up-front reservation per target: an over-estimate (skewed
@@ -69,13 +70,16 @@ class ShuffleWriter {
   static constexpr size_t kMaxReserveBytes = 256 * 1024;
 
   ShuffleWriter(ShuffleService& service, uint64_t shuffle, uint32_t map_task,
-                uint32_t num_targets, ExecutorId source, uint64_t hint_rows)
+                uint32_t num_targets, ExecutorId source)
       : service_(&service),
         shuffle_(shuffle),
         map_task_(map_task),
         source_(source),
-        hint_rows_(hint_rows),
         buffers_(num_targets) {}
+
+  /// Hints how many rows this task will route, spread evenly over the
+  /// targets; sizes the reservations made from the first Append on.
+  void ExpectRows(uint64_t rows) { hint_rows_ = rows; }
 
   /// Routes one encoded row to `target`.
   void Append(uint32_t target, const uint8_t* row, uint32_t len);
@@ -92,7 +96,7 @@ class ShuffleWriter {
   uint64_t shuffle_;
   uint32_t map_task_;
   ExecutorId source_;
-  uint64_t hint_rows_;
+  uint64_t hint_rows_ = 0;
   uint64_t bytes_written_ = 0;
   size_t reserve_per_target_ = 0;  // sized off the first routed row
   bool finished_ = false;
@@ -133,24 +137,6 @@ class ShuffleService {
       if (buf != nullptr && buf->num_rows > 0) inputs.push_back(buf);
     }
     return inputs;
-  }
-
-  uint64_t BytesForReduce(uint64_t shuffle, uint32_t reduce_part) const {
-    uint64_t total = 0;
-    for (const auto& buf : FetchReduceInputs(shuffle, reduce_part)) {
-      total += buf->bytes.size();
-    }
-    return total;
-  }
-
-  uint64_t TotalBytes(uint64_t shuffle) const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const State& s = GetState(shuffle);
-    uint64_t total = 0;
-    for (const auto& buf : s.outputs) {
-      if (buf != nullptr) total += buf->bytes.size();
-    }
-    return total;
   }
 
   /// Frees a completed shuffle's buffers.

@@ -18,7 +18,9 @@
 #include <cstdint>
 #include <cstring>
 #include <iosfwd>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -412,6 +414,36 @@ Status ForEachEncodedRow(const ColumnarChunk& chunk,
     }
   }
   return Status::OK();
+}
+
+/// A routing target that drops the row.
+inline constexpr uint32_t kDropRow = std::numeric_limits<uint32_t>::max();
+
+/// The map-side router of every exchange: one pass over column `key_column`
+/// of `chunk` gives each row its target, target(code) for a key with code
+/// `code` and target(std::nullopt) for a null key; then the rows not sent to
+/// kDropRow encode with `layout` (ForEachEncodedRow) and emit(target, row,
+/// size) sees each in chunk order.
+template <typename Target, typename Emit>
+Status RouteByKey(const ColumnarChunk& chunk, size_t key_column,
+                  const RowLayout& layout, Target&& target, Emit&& emit) {
+  const ColumnVector& key = chunk.column(key_column);
+  std::vector<uint32_t> sel;
+  std::vector<uint32_t> targets;
+  sel.reserve(chunk.num_rows());
+  targets.reserve(chunk.num_rows());
+  for (size_t i = 0; i < chunk.num_rows(); ++i) {
+    const uint32_t t = key.IsNull(i)
+                           ? target(std::optional<uint64_t>())
+                           : target(std::optional<uint64_t>(key.KeyCodeAt(i)));
+    if (t == kDropRow) continue;
+    sel.push_back(static_cast<uint32_t>(i));
+    targets.push_back(t);
+  }
+  return ForEachEncodedRow(chunk, sel, layout,
+                           [&](size_t k, const uint8_t* row, uint32_t size) {
+                             emit(targets[k], row, size);
+                           });
 }
 
 /// The decoder: appends `rows`, encoded with `layout`, to columns

@@ -551,211 +551,152 @@ Result<TableHandle> JoinExec::ShuffledJoin(Session& session,
   const bool verify = KeyCodeNeedsVerify(lh.schema->field(lkey).type) ||
                       KeyCodeNeedsVerify(rh.schema->field(rkey).type);
 
-  const uint64_t lshuffle = cluster.shuffle().NewShuffle(lh.num_partitions, R);
-  const uint64_t rshuffle = cluster.shuffle().NewShuffle(rh.num_partitions, R);
-
   const bool outer = join_type_ == JoinType::kLeftOuter;
-
-  // Map stages: partition each side's rows by key-code hash. For a
-  // left-outer join the left side's null-key rows still need emitting, so
-  // they route to partition 0 (they can never match anything).
-  auto run_map_stage = [&](const TableHandle& table, const RowLayout& layout,
-                           size_t key, uint64_t shuffle_id,
-                           bool keep_null_keys, const char* name) -> Status {
-    StageSpec stage;
-    stage.name = name;
-    for (uint32_t p = 0; p < table.num_partitions; ++p) {
-      stage.tasks.push_back(TaskSpec{
-          cluster.HomeExecutorFor(table.rdd_id, p),
-          {},
-          0,
-          [&, p, shuffle_id, key](TaskContext& ctx) -> Status {
-            // `key_col` is held across the encode; keep the chunk pinned
-            // for the whole map task.
-            ChunkPtr chunk;  // outlives the scope, which unpins it
-            mem::AccessScope scope;
-            IDF_ASSIGN_OR_RETURN(chunk, FetchChunk(ctx, table, p));
-            const ColumnarChunk& input = *chunk;
-            const ColumnVector& key_col = input.column(key);
-            ctx.metrics().rows_read += input.num_rows();
-
-            std::vector<uint32_t> sel;
-            std::vector<uint32_t> targets;
-            for (size_t i = 0; i < input.num_rows(); ++i) {
-              if (key_col.IsNull(i)) {
-                if (!keep_null_keys) continue;
-                targets.push_back(0);
-              } else {
-                targets.push_back(HashPartition(key_col.KeyCodeAt(i), R));
-              }
-              sel.push_back(static_cast<uint32_t>(i));
-            }
-            std::vector<ShuffleBuffer> buffers(R);
-            IDF_RETURN_IF_ERROR(ForEachEncodedRow(
-                input, sel, layout,
-                [&](size_t k, const uint8_t* row, uint32_t size) {
-                  buffers[targets[k]].AppendRow(row, size);
-                }));
-            for (uint32_t rp = 0; rp < R; ++rp) {
-              if (buffers[rp].num_rows == 0) continue;
-              buffers[rp].source = ctx.executor();
-              ctx.metrics().shuffle_bytes_written += buffers[rp].bytes.size();
-              cluster.shuffle().PutMapOutput(shuffle_id, p, rp,
-                                             std::move(buffers[rp]));
-            }
-            return Status::OK();
-          },
-          {{table.rdd_id, p}}});
-    }
-    IDF_ASSIGN_OR_RETURN(StageMetrics sm, cluster.RunStage(stage));
-    metrics.MergeStage(sm);
-    return Status::OK();
-  };
-  IDF_RETURN_IF_ERROR(run_map_stage(lh, llayout, lkey, lshuffle, outer,
-                                    "shuffle map (left)"));
-  IDF_RETURN_IF_ERROR(run_map_stage(rh, rlayout, rkey, rshuffle, false,
-                                    "shuffle map (right)"));
-
   // Build on the smaller side (vanilla heuristic); outer joins must probe
   // with the left side.
   const bool build_left = !outer && lh.total_bytes <= rh.total_bytes;
 
+  // Map stages: partition each side's rows by key-code hash. For a
+  // left-outer join the left side's null-key rows still need emitting, so
+  // they route to partition 0 (they can never match anything).
+  auto target = [R](bool keep_null_keys) {
+    return [R, keep_null_keys](std::optional<uint64_t> code) {
+      if (code) return HashPartition(*code, R);
+      return keep_null_keys ? 0u : kDropRow;
+    };
+  };
   TableSink sink(session, out_schema, R);
-  StageSpec reduce;
-  reduce.name = sort_merge ? "sort-merge reduce" : "shuffled-hash reduce";
-  for (uint32_t rp = 0; rp < R; ++rp) {
-    reduce.tasks.push_back(TaskSpec{
-        cluster.HomeExecutorFor(sink.rdd_id(), rp),
-        {},
-        0,
-        [&, rp](TaskContext& ctx) -> Status {
-          const ShuffleInputs linputs = ctx.FetchShuffleInputs(lshuffle, rp);
-          const ShuffleInputs rinputs = ctx.FetchShuffleInputs(rshuffle, rp);
-
-          // Collect row pointers per side.
-          auto rows_of = [](const auto& inputs) {
-            std::vector<const uint8_t*> rows;
-            for (const auto& buf : inputs) buf->SplitRows(rows);
-            return rows;
-          };
-          std::vector<const uint8_t*> lrows = rows_of(linputs);
-          std::vector<const uint8_t*> rrows = rows_of(rinputs);
-          ctx.metrics().rows_read += lrows.size() + rrows.size();
-
-          auto out = std::make_shared<ColumnarChunk>(out_schema);
-          // A null right row pads an unmatched left row.
-          JoinedRowDecoder decoder(llayout, rlayout, *out);
-
-          if (sort_merge) {
-            // Sort both sides by key value, then merge equal-key groups.
-            auto sort_side = [](std::vector<const uint8_t*>& rows,
-                                const RowLayout& layout, size_t key) {
-              std::sort(rows.begin(), rows.end(),
-                        [&](const uint8_t* a, const uint8_t* b) {
-                          return layout.GetValue(a, key)
-                                     .Compare(layout.GetValue(b, key)) < 0;
-                        });
+  IDF_RETURN_IF_ERROR(cluster.RunExchange(
+      ExchangeSpec{
+          {ShuffleByKey("shuffle map (left)", lh, lkey, llayout,
+                        target(outer)),
+           ShuffleByKey("shuffle map (right)", rh, rkey, rlayout,
+                        target(false))},
+          sort_merge ? "sort-merge reduce" : "shuffled-hash reduce",
+          R,
+          sink.rdd_id(),
+          /*reduce_reads_rdd=*/false,
+          [&](TaskContext& ctx, uint32_t rp,
+              const std::vector<ShuffleInputs>& inputs) -> Status {
+            // Collect row pointers per side.
+            auto rows_of = [](const ShuffleInputs& side) {
+              std::vector<const uint8_t*> rows;
+              for (const auto& buf : side) buf->SplitRows(rows);
+              return rows;
             };
-            sort_side(lrows, llayout, lkey);
-            sort_side(rrows, rlayout, rkey);
-            size_t li = 0, ri = 0;
-            while (li < lrows.size() && ri < rrows.size()) {
-              const Value lv = llayout.GetValue(lrows[li], lkey);
-              const Value rv = rlayout.GetValue(rrows[ri], rkey);
-              // Null left keys sort first and never match.
-              if (lv.is_null()) {
-                if (outer) decoder.Add(lrows[li], nullptr);
-                ++li;
-                continue;
-              }
-              if (rv.is_null()) {
-                ++ri;
-                continue;
-              }
-              const int cmp = lv.Compare(rv);
-              if (cmp < 0) {
-                if (outer) decoder.Add(lrows[li], nullptr);
-                ++li;
-              } else if (cmp > 0) {
-                ++ri;
-              } else {
-                size_t lend = li, rend = ri;
-                while (lend < lrows.size() &&
-                       llayout.GetValue(lrows[lend], lkey).Compare(lv) == 0) {
-                  ++lend;
-                }
-                while (rend < rrows.size() &&
-                       rlayout.GetValue(rrows[rend], rkey).Compare(rv) == 0) {
-                  ++rend;
-                }
-                for (size_t a = li; a < lend; ++a) {
-                  for (size_t b = ri; b < rend; ++b) {
-                    decoder.Add(lrows[a], rrows[b]);
-                  }
-                }
-                li = lend;
-                ri = rend;
-              }
-            }
-            if (outer) {
-              for (; li < lrows.size(); ++li) {
-                decoder.Add(lrows[li], nullptr);
-              }
-            }
-          } else {
-            // Hash join: build on the configured build side.
-            const auto& build_rows = build_left ? lrows : rrows;
-            const auto& probe_rows = build_left ? rrows : lrows;
-            const RowLayout& blayout = build_left ? llayout : rlayout;
-            const RowLayout& playout = build_left ? rlayout : llayout;
-            const size_t bkey = build_left ? lkey : rkey;
-            const size_t pkey = build_left ? rkey : lkey;
+            std::vector<const uint8_t*> lrows = rows_of(inputs[0]);
+            std::vector<const uint8_t*> rrows = rows_of(inputs[1]);
+            ctx.metrics().rows_read += lrows.size() + rrows.size();
 
-            Stopwatch build_timer;
-            std::unordered_map<uint64_t, std::vector<const uint8_t*>> ht;
-            ht.reserve(build_rows.size());
-            for (const uint8_t* row : build_rows) {
-              ht[blayout.KeyCode(row, bkey)].push_back(row);
-            }
-            ctx.metrics().hash_build_seconds += build_timer.ElapsedSeconds();
+            auto out = std::make_shared<ColumnarChunk>(out_schema);
+            // A null right row pads an unmatched left row.
+            JoinedRowDecoder decoder(llayout, rlayout, *out);
 
-            for (const uint8_t* prow : probe_rows) {
-              // With outer joins the probe side is always the left relation.
-              if (playout.IsNull(prow, pkey)) {
-                if (outer) decoder.Add(prow, nullptr);
-                continue;
-              }
-              auto it = ht.find(playout.KeyCode(prow, pkey));
-              bool matched = false;
-              if (it != ht.end()) {
-                for (const uint8_t* brow : it->second) {
-                  if (verify &&
-                      !KeysReallyEqual(blayout.GetValue(brow, bkey),
-                                       playout.GetValue(prow, pkey))) {
-                    continue;
+            if (sort_merge) {
+              // Sort both sides by key value, then merge equal-key groups.
+              auto sort_side = [](std::vector<const uint8_t*>& rows,
+                                  const RowLayout& layout, size_t key) {
+                std::sort(rows.begin(), rows.end(),
+                          [&](const uint8_t* a, const uint8_t* b) {
+                            return layout.GetValue(a, key)
+                                       .Compare(layout.GetValue(b, key)) < 0;
+                          });
+              };
+              sort_side(lrows, llayout, lkey);
+              sort_side(rrows, rlayout, rkey);
+              size_t li = 0, ri = 0;
+              while (li < lrows.size() && ri < rrows.size()) {
+                const Value lv = llayout.GetValue(lrows[li], lkey);
+                const Value rv = rlayout.GetValue(rrows[ri], rkey);
+                // Null left keys sort first and never match.
+                if (lv.is_null()) {
+                  if (outer) decoder.Add(lrows[li], nullptr);
+                  ++li;
+                  continue;
+                }
+                if (rv.is_null()) {
+                  ++ri;
+                  continue;
+                }
+                const int cmp = lv.Compare(rv);
+                if (cmp < 0) {
+                  if (outer) decoder.Add(lrows[li], nullptr);
+                  ++li;
+                } else if (cmp > 0) {
+                  ++ri;
+                } else {
+                  size_t lend = li, rend = ri;
+                  while (lend < lrows.size() &&
+                         llayout.GetValue(lrows[lend], lkey).Compare(lv) == 0) {
+                    ++lend;
                   }
-                  matched = true;
-                  if (build_left) {
-                    decoder.Add(brow, prow);
-                  } else {
-                    decoder.Add(prow, brow);
+                  while (rend < rrows.size() &&
+                         rlayout.GetValue(rrows[rend], rkey).Compare(rv) == 0) {
+                    ++rend;
                   }
+                  for (size_t a = li; a < lend; ++a) {
+                    for (size_t b = ri; b < rend; ++b) {
+                      decoder.Add(lrows[a], rrows[b]);
+                    }
+                  }
+                  li = lend;
+                  ri = rend;
                 }
               }
-              if (outer && !matched) decoder.Add(prow, nullptr);
+              if (outer) {
+                for (; li < lrows.size(); ++li) {
+                  decoder.Add(lrows[li], nullptr);
+                }
+              }
+            } else {
+              // Hash join: build on the configured build side.
+              const auto& build_rows = build_left ? lrows : rrows;
+              const auto& probe_rows = build_left ? rrows : lrows;
+              const RowLayout& blayout = build_left ? llayout : rlayout;
+              const RowLayout& playout = build_left ? rlayout : llayout;
+              const size_t bkey = build_left ? lkey : rkey;
+              const size_t pkey = build_left ? rkey : lkey;
+
+              Stopwatch build_timer;
+              std::unordered_map<uint64_t, std::vector<const uint8_t*>> ht;
+              ht.reserve(build_rows.size());
+              for (const uint8_t* row : build_rows) {
+                ht[blayout.KeyCode(row, bkey)].push_back(row);
+              }
+              ctx.metrics().hash_build_seconds += build_timer.ElapsedSeconds();
+
+              for (const uint8_t* prow : probe_rows) {
+                // With outer joins the probe side is always the left relation.
+                if (playout.IsNull(prow, pkey)) {
+                  if (outer) decoder.Add(prow, nullptr);
+                  continue;
+                }
+                auto it = ht.find(playout.KeyCode(prow, pkey));
+                bool matched = false;
+                if (it != ht.end()) {
+                  for (const uint8_t* brow : it->second) {
+                    if (verify &&
+                        !KeysReallyEqual(blayout.GetValue(brow, bkey),
+                                         playout.GetValue(prow, pkey))) {
+                      continue;
+                    }
+                    matched = true;
+                    if (build_left) {
+                      decoder.Add(brow, prow);
+                    } else {
+                      decoder.Add(prow, brow);
+                    }
+                  }
+                }
+                if (outer && !matched) decoder.Add(prow, nullptr);
+              }
             }
-          }
-          decoder.Flush();
-          out->SetRowCount(out->column(0).size());
-          sink.Emit(ctx, rp, std::move(out));
-          return Status::OK();
-        },
-        {}});
-  }
-  IDF_ASSIGN_OR_RETURN(StageMetrics sm, cluster.RunStage(reduce));
-  metrics.MergeStage(sm);
-  cluster.shuffle().Release(lshuffle);
-  cluster.shuffle().Release(rshuffle);
+            decoder.Flush();
+            out->SetRowCount(out->column(0).size());
+            sink.Emit(ctx, rp, std::move(out));
+            return Status::OK();
+          }},
+      metrics));
   return sink.Finish();
 }
 
@@ -793,64 +734,45 @@ Result<TableHandle> AggregateInTwoPhases(
                                agg_internal::PartialAggregator&)>& fill) {
   Cluster& cluster = session.cluster();
   const uint32_t R = resolved.group_idx.empty() ? 1 : num_partitions;
-  const uint64_t shuffle_id = cluster.shuffle().NewShuffle(num_partitions, R);
   const RowLayout partial_layout(resolved.partial_schema);
-
-  StageSpec map_stage;
-  map_stage.name = map_stage_name;
-  for (uint32_t p = 0; p < num_partitions; ++p) {
-    map_stage.tasks.push_back(TaskSpec{
-        cluster.HomeExecutorFor(rdd_id, p),
-        {},
-        0,
-        [&, p](TaskContext& ctx) -> Status {
-          agg_internal::PartialAggregator partials(resolved, aggs);
-          IDF_RETURN_IF_ERROR(fill(ctx, p, partials));
-          ShuffleWriter writer(cluster.shuffle(), shuffle_id, p, R,
-                               ctx.executor(), partials.num_groups());
-          std::vector<uint8_t> encoded;
-          IDF_RETURN_IF_ERROR(partials.ForEachPartial(
-              [&](uint64_t code, const RowVec& row) -> Status {
-                IDF_ASSIGN_OR_RETURN(uint32_t size,
-                                     partial_layout.ComputeRowSize(row));
-                encoded.resize(size);
-                partial_layout.EncodeRow(row, encoded.data(),
-                                         PackedRowPtr::Null());
-                writer.Append(HashPartition(code, R), encoded.data(), size);
-                return Status::OK();
-              }));
-          writer.Finish();
-          ctx.metrics().shuffle_bytes_written += writer.bytes_written();
-          return Status::OK();
-        },
-        {{rdd_id, p}}});
-  }
-
   const agg_internal::FinalMerge merge(resolved, aggs);
   TableSink sink(session, resolved.output_schema, R);
-  StageSpec final_stage;
-  final_stage.name = "final aggregate";
-  for (uint32_t rp = 0; rp < R; ++rp) {
-    final_stage.tasks.push_back(TaskSpec{
-        cluster.HomeExecutorFor(sink.rdd_id(), rp),
-        {},
-        0,
-        [&, rp](TaskContext& ctx) -> Status {
-          auto out = std::make_shared<ColumnarChunk>(resolved.output_schema);
-          IDF_RETURN_IF_ERROR(
-              merge.Run(ctx.FetchShuffleInputs(shuffle_id, rp), *out));
-          sink.Emit(ctx, rp, std::move(out));
-          return Status::OK();
-        },
-        {}});
-  }
-  Result<StageMetrics> map_metrics = cluster.RunStage(map_stage);
-  Result<StageMetrics> final_metrics =
-      map_metrics.ok() ? cluster.RunStage(final_stage) : map_metrics.status();
-  cluster.shuffle().Release(shuffle_id);
-  IDF_RETURN_IF_ERROR(final_metrics.status());
-  metrics.MergeStage(*map_metrics);
-  metrics.MergeStage(*final_metrics);
+  const Status exchanged = cluster.RunExchange(
+      ExchangeSpec{
+          {ExchangeSide{
+              map_stage_name, rdd_id, num_partitions,
+              [&](TaskContext& ctx, uint32_t p,
+                  ShuffleWriter& writer) -> Status {
+                agg_internal::PartialAggregator partials(resolved, aggs);
+                IDF_RETURN_IF_ERROR(fill(ctx, p, partials));
+                writer.ExpectRows(partials.num_groups());
+                std::vector<uint8_t> encoded;
+                return partials.ForEachPartial(
+                    [&](uint64_t code, const RowVec& row) -> Status {
+                      IDF_ASSIGN_OR_RETURN(uint32_t size,
+                                           partial_layout.ComputeRowSize(row));
+                      encoded.resize(size);
+                      partial_layout.EncodeRow(row, encoded.data(),
+                                               PackedRowPtr::Null());
+                      writer.Append(HashPartition(code, R), encoded.data(),
+                                    size);
+                      return Status::OK();
+                    });
+              }}},
+          "final aggregate",
+          R,
+          sink.rdd_id(),
+          /*reduce_reads_rdd=*/false,
+          [&](TaskContext& ctx, uint32_t rp,
+              const std::vector<ShuffleInputs>& inputs) -> Status {
+            auto out =
+                std::make_shared<ColumnarChunk>(resolved.output_schema);
+            IDF_RETURN_IF_ERROR(merge.Run(inputs[0], *out));
+            sink.Emit(ctx, rp, std::move(out));
+            return Status::OK();
+          }},
+      metrics);
+  if (!exchanged.ok()) return exchanged;
   return sink.Finish();
 }
 

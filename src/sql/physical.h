@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "engine/cluster.h"
 #include "sql/columnar.h"
 #include "sql/plan.h"
 #include "sql/table.h"
@@ -115,6 +116,9 @@ class ProjectExec final : public UnaryExec {
 /// otherwise shuffled-hash; sort-merge on request.
 class JoinExec final : public PhysicalOp {
  public:
+  /// kShuffledHash and kSortMerge run one exchange (Cluster::RunExchange):
+  /// both sides shuffle on their key's code (ShuffleByKey), and each reduce
+  /// task hash-joins, or sorts and merges, what was routed to it.
   enum class Mode { kAuto, kBroadcastHash, kShuffledHash, kSortMerge };
 
   JoinExec(PhysOpPtr left, PhysOpPtr right, std::string left_key,
@@ -214,8 +218,34 @@ class LimitExec final : public UnaryExec {
 
 /// Fetches one columnar block of a table inside a task, charging network
 /// reads when the block lives elsewhere.
-Result<ChunkPtr> FetchChunk(class TaskContext& ctx, const TableHandle& table,
+Result<ChunkPtr> FetchChunk(TaskContext& ctx, const TableHandle& table,
                             uint32_t partition);
+
+/// The exchange side that shuffles `table`'s rows on column `key_column`:
+/// each map task fetches its chunk and routes the rows through RouteByKey
+/// with `target` and `layout`. `table` and `layout` must outlive the
+/// exchange.
+template <typename Target>
+ExchangeSide ShuffleByKey(std::string stage_name, const TableHandle& table,
+                          size_t key_column, const RowLayout& layout,
+                          Target target) {
+  return ExchangeSide{
+      std::move(stage_name), table.rdd_id, table.num_partitions,
+      [&table, key_column, &layout, target](
+          TaskContext& ctx, uint32_t p, ShuffleWriter& writer) -> Status {
+        // The key column is read across the encode: keep the chunk pinned
+        // for the whole task.
+        ChunkPtr chunk;  // outlives the scope, which unpins it
+        mem::AccessScope scope;
+        IDF_ASSIGN_OR_RETURN(chunk, FetchChunk(ctx, table, p));
+        ctx.metrics().rows_read += chunk->num_rows();
+        writer.ExpectRows(chunk->num_rows());
+        return RouteByKey(*chunk, key_column, layout, target,
+                          [&](uint32_t t, const uint8_t* row, uint32_t size) {
+                            writer.Append(t, row, size);
+                          });
+      }};
+}
 
 /// Accumulates per-task outputs of a stage into a new table handle.
 /// Tasks call Emit(partition, chunk) from their bodies; Finish() registers

@@ -804,30 +804,5 @@ TEST(AggOperatorDiffTest, RowAggExecMatchesHashAggExecOnAnAppendedVersion) {
   ExpectOperatorsAgree(df, v0, {"s", "b"});  // v0 is unchanged
 }
 
-TEST(AggShuffleTest, FailedAggregationReleasesItsShuffle) {
-  // MIN and MAX of a 600-byte string make a partial row over the 1 KB row
-  // bound, so the map tasks fail; the failed query still releases its
-  // shuffle.
-  Session session(SmallOptions());
-  std::vector<RowVec> rows;
-  for (int64_t i = 0; i < 100; ++i) {
-    rows.push_back({Value::Int64(i), Value::String(std::string(600, 'a'))});
-  }
-  auto df = *session.CreateTable(
-      "wide", KeyValueSchema(TypeId::kInt64, TypeId::kString), rows);
-  auto indexed = *IndexedDataFrame::Create(df, "k");
-  const ShuffleService& shuffles = session.cluster().shuffle();
-  const size_t live = shuffles.num_shuffles();
-  const std::vector<AggSpec> aggs = {AggSpec::Min("v"), AggSpec::Max("v")};
-  for (const DataFrame& query :
-       {df.Agg({"k"}, aggs), indexed.AsDataFrame().Agg({"k"}, aggs)}) {
-    auto result = query.Collect();
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
-        << result.status().ToString();
-    EXPECT_EQ(shuffles.num_shuffles(), live);
-  }
-}
-
 }  // namespace
 }  // namespace idf

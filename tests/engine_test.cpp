@@ -362,6 +362,12 @@ ShuffleBuffer MakeBuffer(std::initializer_list<uint32_t> row_sizes,
   return buf;
 }
 
+uint64_t BytesOf(const ShuffleInputs& inputs) {
+  uint64_t total = 0;
+  for (const auto& buf : inputs) total += buf->bytes.size();
+  return total;
+}
+
 TEST(ShuffleServiceTest, MapOutputsRoutedToReducers) {
   ShuffleService svc;
   const uint64_t id = svc.NewShuffle(2, 2);
@@ -373,12 +379,12 @@ TEST(ShuffleServiceTest, MapOutputsRoutedToReducers) {
   ASSERT_EQ(r0.size(), 2u);
   EXPECT_EQ(r0[0]->num_rows, 2u);
   EXPECT_EQ(r0[1]->num_rows, 1u);
-  EXPECT_EQ(svc.BytesForReduce(id, 0), 32u + 48 + 64);
+  EXPECT_EQ(BytesOf(r0), 32u + 48 + 64);
 
   auto r1 = svc.FetchReduceInputs(id, 1);
   ASSERT_EQ(r1.size(), 1u);
-  EXPECT_EQ(svc.BytesForReduce(id, 1), 16u);
-  EXPECT_EQ(svc.TotalBytes(id), 160u);
+  EXPECT_EQ(BytesOf(r1), 16u);
+  EXPECT_EQ(BytesOf(r0) + BytesOf(r1), 160u);
 }
 
 TEST(ShuffleServiceTest, EmptyOutputsSkipped) {
@@ -407,7 +413,7 @@ TEST(ShuffleServiceTest, ReleaseFreesShuffle) {
   const uint64_t id = svc.NewShuffle(1, 1);
   svc.PutMapOutput(id, 0, 0, MakeBuffer({32}, 0));
   svc.Release(id);
-  EXPECT_DEATH(svc.BytesForReduce(id, 0), "unknown shuffle");
+  EXPECT_DEATH(svc.FetchReduceInputs(id, 0), "unknown shuffle");
 }
 
 // ---- Cluster facade --------------------------------------------------------------

@@ -1,8 +1,9 @@
 // Stress tests for the parallel stage scheduler (engine/scheduler.h +
 // Cluster::RunStage): sequential/parallel result and accounting parity,
 // concurrent sessions, concurrent queries against one cached indexed table,
-// task events from pool threads nesting inside their stage's interval, and
-// the shuffle's byte identity across every scheduler thread count.
+// task events from pool threads nesting inside their stage's interval, the
+// shuffle's byte identity across every scheduler thread count, and the
+// release of every exchange's shuffles when its query fails.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -625,6 +626,141 @@ TEST(ShuffleThreadSweepTest, ShuffledJoinIsIdenticalAtEveryThreadCount) {
     const ShuffledJoin got = RunShuffledJoin(threads, 0);
     EXPECT_EQ(got.rows, reference.rows) << threads << " threads";
     EXPECT_TRUE(got.totals == reference.totals) << threads << " threads";
+  }
+}
+
+SchemaPtr NullableKeySchema() {
+  return std::make_shared<Schema>(Schema({
+      {"user", TypeId::kInt64, true},
+      {"event", TypeId::kInt64, false},
+  }));
+}
+
+/// Rows whose every fifth key is null.
+std::vector<RowVec> NullableKeyRows(int64_t n) {
+  std::vector<RowVec> rows;
+  for (int64_t i = 0; i < n; ++i) {
+    rows.push_back({Value::Int64((i * 11) % 97), Value::Int64(i)});
+    if (i % 5 == 0) rows.back()[0] = Value::Null(TypeId::kInt64);
+  }
+  return rows;
+}
+
+ShuffledJoin RunVanillaJoin(uint32_t scheduler_threads, JoinExec::Mode mode,
+                            JoinType join_type) {
+  SessionOptions opts = SweepOptions(scheduler_threads, 0);
+  opts.join_mode = mode;
+  Session session(opts);
+  auto left =
+      *session.CreateTable("left", NullableKeySchema(), NullableKeyRows(3000));
+  auto right = *session.CreateTable("right", SweepSchema(), SweepRows(900, 7));
+  QueryMetrics metrics;
+  auto joined = left.Join(right, "user", "user", join_type).Collect(&metrics);
+  IDF_CHECK_OK(joined.status());
+  ShuffledJoin out{{}, InvariantTotals::Of(metrics)};
+  for (const RowVec& row : joined->rows) {  // in result order
+    std::string line;
+    for (const Value& v : row) line += v.ToString() + "|";
+    out.rows.push_back(std::move(line));
+  }
+  return out;
+}
+
+TEST(ShuffleThreadSweepTest, VanillaShuffledJoinsAreIdenticalAtEveryThreadCount) {
+  for (JoinExec::Mode mode :
+       {JoinExec::Mode::kShuffledHash, JoinExec::Mode::kSortMerge}) {
+    for (JoinType join_type : {JoinType::kInner, JoinType::kLeftOuter}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "mode " << static_cast<int>(mode) << ", "
+                   << (join_type == JoinType::kInner ? "inner" : "left outer"));
+      const ShuffledJoin reference = RunVanillaJoin(1, mode, join_type);
+      EXPECT_GT(reference.totals.shuffle_written, 0u);
+      ASSERT_FALSE(reference.rows.empty());
+      // A left-outer join keeps its null-key rows, routed to partition 0.
+      const bool has_null_key = std::any_of(
+          reference.rows.begin(), reference.rows.end(),
+          [](const std::string& row) { return row.starts_with("NULL|"); });
+      EXPECT_EQ(has_null_key, join_type == JoinType::kLeftOuter);
+      for (uint32_t threads = 2; threads <= kSweepMaxThreads; ++threads) {
+        const ShuffledJoin got = RunVanillaJoin(threads, mode, join_type);
+        EXPECT_EQ(got.rows, reference.rows) << threads << " threads";
+        EXPECT_TRUE(got.totals == reference.totals) << threads << " threads";
+      }
+    }
+  }
+}
+
+// Every exchange releases its shuffles when its query fails: each case
+// fails one exchange, through an already-cancelled query control or, for
+// the aggregations, MIN and MAX of a 600-byte string, whose partial row is
+// over the 1 KB row bound so the map tasks fail.
+TEST(ShuffleReleaseTest, FailedOrCancelledExchangesReleaseTheirShuffles) {
+  const SchemaPtr schema = std::make_shared<Schema>(
+      Schema({{"k", TypeId::kInt64, true}, {"v", TypeId::kString, true}}));
+  std::vector<RowVec> rows;
+  for (int64_t i = 0; i < 100; ++i) {
+    rows.push_back({Value::Int64(i), Value::String(std::string(600, 'a'))});
+  }
+  const std::vector<AggSpec> too_wide = {AggSpec::Min("v"), AggSpec::Max("v")};
+  using Query = std::function<Status(const DataFrame& table,
+                                     const IndexedDataFrame& indexed)>;
+  struct Case {
+    std::string name;
+    JoinExec::Mode join_mode;
+    bool cancelled;
+    StatusCode expected;
+    Query query;
+  };
+  const auto join = [](const DataFrame& table, const IndexedDataFrame&) {
+    return table.Join(table, "k", "k").Collect().status();
+  };
+  const std::vector<Case> cases = {
+      {"shuffled-hash join", JoinExec::Mode::kShuffledHash, true,
+       StatusCode::kCancelled, join},
+      {"sort-merge join", JoinExec::Mode::kSortMerge, true,
+       StatusCode::kCancelled, join},
+      {"indexed join, shuffle path", JoinExec::Mode::kAuto, true,
+       StatusCode::kCancelled,
+       [](const DataFrame& table, const IndexedDataFrame& indexed) {
+         return indexed.Join(table, "k").Collect().status();
+       }},
+      {"index build", JoinExec::Mode::kAuto, true, StatusCode::kCancelled,
+       [](const DataFrame& table, const IndexedDataFrame&) {
+         return IndexedDataFrame::Create(table, "k").status();
+       }},
+      {"append", JoinExec::Mode::kAuto, true, StatusCode::kCancelled,
+       [](const DataFrame& table, const IndexedDataFrame& indexed) {
+         return indexed.AppendRows(table).status();
+       }},
+      {"hash aggregation", JoinExec::Mode::kAuto, false,
+       StatusCode::kInvalidArgument,
+       [&](const DataFrame& table, const IndexedDataFrame&) {
+         return table.Agg({"k"}, too_wide).Collect().status();
+       }},
+      {"row aggregation", JoinExec::Mode::kAuto, false,
+       StatusCode::kInvalidArgument,
+       [&](const DataFrame&, const IndexedDataFrame& indexed) {
+         return indexed.AsDataFrame().Agg({"k"}, too_wide).Collect().status();
+       }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    SessionOptions opts = Options(2);
+    opts.join_mode = c.join_mode;
+    opts.broadcast_threshold_bytes = 0;  // joins take their shuffle paths
+    Session session(opts);
+    auto table = *session.CreateTable("wide", schema, rows);
+    auto indexed = *IndexedDataFrame::Create(table, "k");
+    const size_t live = session.cluster().shuffle().num_shuffles();
+    QueryControl control;
+    if (c.cancelled) control.Cancel();
+    Status status = Status::OK();
+    {
+      ScopedQueryControl scope(&control);
+      status = c.query(table, indexed);
+    }
+    EXPECT_EQ(status.code(), c.expected) << status.ToString();
+    EXPECT_EQ(session.cluster().shuffle().num_shuffles(), live);
   }
 }
 
