@@ -128,25 +128,33 @@ namespace internal {
       ::idf::internal::CheckFailed(__FILE__, __LINE__, #expr, (msg));     \
   } while (0)
 
-#define IDF_CHECK_OK(status_expr)                                         \
+// The macros below name their local per expansion (__COUNTER__, which unlike
+// __LINE__ never repeats within one multi-line invocation), so one nested in
+// a lambda argument of another does not shadow the outer local.
+#define IDF_CHECK_OK(status_expr) \
+  IDF_CHECK_OK_IMPL_(IDF_STATUS_CONCAT_(_idf_s, __COUNTER__), status_expr)
+#define IDF_CHECK_OK_IMPL_(s, status_expr)                                \
   do {                                                                    \
-    ::idf::Status _idf_s = (status_expr);                                 \
-    if (!_idf_s.ok())                                                     \
+    ::idf::Status s = (status_expr);                                      \
+    if (!s.ok())                                                          \
       ::idf::internal::CheckFailed(__FILE__, __LINE__, #status_expr,      \
-                                   _idf_s.ToString());                    \
+                                   s.ToString());                         \
   } while (0)
 
 // Propagate a non-OK Status to the caller.
-#define IDF_RETURN_IF_ERROR(status_expr)          \
+#define IDF_RETURN_IF_ERROR(status_expr)  \
+  IDF_RETURN_IF_ERROR_IMPL_(              \
+      IDF_STATUS_CONCAT_(_idf_s, __COUNTER__), status_expr)
+#define IDF_RETURN_IF_ERROR_IMPL_(s, status_expr) \
   do {                                            \
-    ::idf::Status _idf_s = (status_expr);         \
-    if (!_idf_s.ok()) return _idf_s;              \
+    ::idf::Status s = (status_expr);              \
+    if (!s.ok()) return s;                        \
   } while (0)
 
 // Assign-or-return for Result<T>: IDF_ASSIGN_OR_RETURN(auto x, Foo());
 #define IDF_ASSIGN_OR_RETURN(lhs, result_expr)    \
   IDF_ASSIGN_OR_RETURN_IMPL_(                     \
-      IDF_STATUS_CONCAT_(_idf_result, __LINE__), lhs, result_expr)
+      IDF_STATUS_CONCAT_(_idf_result, __COUNTER__), lhs, result_expr)
 #define IDF_ASSIGN_OR_RETURN_IMPL_(tmp, lhs, result_expr) \
   auto tmp = (result_expr);                               \
   if (!tmp.ok()) return tmp.status();                     \

@@ -5,8 +5,8 @@
 
 namespace idf {
 
-Result<TableHandle> RowAggExec::ExecuteImpl(Session& session,
-                                            QueryMetrics& metrics) const {
+Result<Pipeline> RowAggExec::OpenImpl(Session& session, QueryMetrics& metrics,
+                                      const ColumnReads&) const {
   using agg_internal::PartialAggregator;
   using agg_internal::ResolvedAggs;
   using agg_internal::RowRun;
@@ -14,26 +14,34 @@ Result<TableHandle> RowAggExec::ExecuteImpl(Session& session,
   const std::shared_ptr<IndexedRdd>& rdd = indexed_->rdd();
   IDF_ASSIGN_OR_RETURN(ResolvedAggs resolved,
                        ResolvedAggs::Resolve(*rdd->schema(), group_by_, aggs_));
-  return AggregateInTwoPhases(
-      session, metrics, "row-direct partial aggregate", rdd->rdd_id(),
-      rdd->num_partitions(), resolved, aggs_,
-      [&](TaskContext& ctx, uint32_t p,
-          PartialAggregator& partials) -> Status {
-        IDF_ASSIGN_OR_RETURN(std::shared_ptr<const IndexedPartition> part,
-                             rdd->GetPartition(p, indexed_->version(), ctx));
-        ctx.metrics().rows_read += part->num_rows();
-        // Aggregate straight off the binary rows — no columnar detour: each
-        // row batch is split at its row headers and folded as one run while
-        // ForEachBatch keeps it pinned.
-        std::vector<const uint8_t*> rows;
-        part->ForEachBatch([&](const uint8_t* data, uint32_t used) {
-          rows.clear();
-          IDF_CHECK_MSG(RowLayout::SplitRows(data, used, rows),
-                        "corrupt row batch");
-          partials.Add(RowRun(part->layout(), rows));
-        });
-        return Status::OK();
-      });
+  const uint32_t R = resolved.group_idx.empty() ? 1 : rdd->num_partitions();
+  Pipeline out{resolved.output_schema, R, nullptr, std::nullopt};
+  out.run = [this, &session, &metrics, rdd, resolved, R](const Pipe& down) {
+    ExchangeSide partial{
+        rdd->num_partitions(),
+        [&](const MapOutput& map) {
+          return rdd->ForEachPartition(
+              "row-direct partial aggregate", indexed_->version(), metrics,
+              [&](TaskContext& ctx, uint32_t p, const IndexedPartition& part) {
+                ctx.metrics().rows_read += part.num_rows();
+                // Aggregate straight off the binary rows — no columnar
+                // detour: each row batch is split at its row headers and
+                // folded as one run while ForEachBatch keeps it pinned.
+                PartialAggregator partials(resolved, aggs_);
+                std::vector<const uint8_t*> rows;
+                part.ForEachBatch([&](const uint8_t* data, uint32_t used) {
+                  rows.clear();
+                  IDF_CHECK_MSG(RowLayout::SplitRows(data, used, rows),
+                                "corrupt row batch");
+                  partials.Add(RowRun(part.layout(), rows));
+                });
+                return CommitPartials(ctx, partials, R, map, p);
+              });
+        }};
+    return AggregateInTwoPhases(session, metrics, resolved, aggs_, R,
+                                std::move(partial), down);
+  };
+  return out;
 }
 
 Result<PhysOpPtr> RowAggStrategy::TryPlan(const PlanPtr& plan,

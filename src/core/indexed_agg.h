@@ -22,8 +22,8 @@ class RowAggExec final : public PhysicalOp {
         group_by_(std::move(group_by)),
         aggs_(std::move(aggs)) {}
 
-  Result<TableHandle> ExecuteImpl(Session& session,
-                                  QueryMetrics& metrics) const override;
+  Result<Pipeline> OpenImpl(Session& session, QueryMetrics& metrics,
+                            const ColumnReads& reads) const override;
   std::string Describe() const override {
     return "RowAggExec over " + indexed_->name();
   }

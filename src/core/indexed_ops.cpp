@@ -6,28 +6,39 @@
 
 namespace idf {
 
-Result<TableHandle> IndexedJoinExec::ExecuteImpl(Session& session,
-                                                 QueryMetrics& metrics) const {
+Result<Pipeline> IndexedJoinExec::OpenImpl(Session& session,
+                                           QueryMetrics& metrics,
+                                           const ColumnReads&) const {
+  const std::shared_ptr<IndexedRdd>& rdd = indexed_->rdd();
+  IDF_ASSIGN_OR_RETURN(TableHandle probe,
+                       children_[0]->Execute(session, metrics));
+  IDF_ASSIGN_OR_RETURN(size_t probe_key, probe.schema->FieldIndex(probe_key_));
+  const Schema& indexed_schema = *rdd->schema();
+  auto out_schema = std::make_shared<Schema>(
+      indexed_is_left_ ? indexed_schema.ConcatForJoin(*probe.schema)
+                       : probe.schema->ConcatForJoin(indexed_schema));
+  Pipeline out{out_schema, rdd->num_partitions(), nullptr, std::nullopt};
+  out.run = [this, &session, &metrics, probe, probe_key,
+             out_schema](const Pipe& down) {
+    return Run(session, probe, probe_key, out_schema, down, metrics);
+  };
+  return out;
+}
+
+Status IndexedJoinExec::Run(Session& session, const TableHandle& probe,
+                            size_t probe_key, const SchemaPtr& out_schema,
+                            const Pipe& down, QueryMetrics& metrics) const {
   Cluster& cluster = session.cluster();
   const std::shared_ptr<IndexedRdd>& rdd = indexed_->rdd();
   const uint64_t version = indexed_->version();
   const uint32_t P = rdd->num_partitions();
-
-  IDF_ASSIGN_OR_RETURN(TableHandle probe,
-                       children_[0]->Execute(session, metrics));
-  IDF_ASSIGN_OR_RETURN(size_t probe_key, probe.schema->FieldIndex(probe_key_));
   RowLayout probe_layout(probe.schema);
 
   const Schema& indexed_schema = *rdd->schema();
   const size_t key_col = rdd->key_column();
-  auto out_schema = std::make_shared<Schema>(
-      indexed_is_left_ ? indexed_schema.ConcatForJoin(*probe.schema)
-                       : probe.schema->ConcatForJoin(indexed_schema));
   const bool verify =
       KeyCodeNeedsVerify(indexed_schema.field(key_col).type) ||
       KeyCodeNeedsVerify(probe.schema->field(probe_key).type);
-
-  TableSink sink(session, out_schema, P);
 
   // Zero-allocation key verification: string keys compare their raw bytes,
   // everything else falls back to boxed Value equality (doubles).
@@ -64,10 +75,16 @@ Result<TableHandle> IndexedJoinExec::ExecuteImpl(Session& session,
     // rate the paper reports alongside probe counts.
     if (matched > 0) ++ctx.metrics().index_hits;
   };
-  auto make_decoder = [&](const IndexedPartition& part, ColumnarChunk& out) {
+  // Each decoded block of matches pushes on into `consumer`.
+  auto make_decoder = [&](TaskContext& ctx, const IndexedPartition& part,
+                          ChunkConsumer& consumer) {
+    auto emit = [&ctx, &consumer](std::shared_ptr<ColumnarChunk> block) {
+      consumer.Consume(ctx, std::move(block));
+    };
     return indexed_is_left_
-               ? JoinedRowDecoder(part.layout(), probe_layout, out)
-               : JoinedRowDecoder(probe_layout, part.layout(), out);
+               ? JoinedRowDecoder(part.layout(), probe_layout, out_schema, emit)
+               : JoinedRowDecoder(probe_layout, part.layout(), out_schema,
+                                  emit);
   };
   // Probe rows go to the partition owning their key; a null key matches
   // nothing.
@@ -98,49 +115,35 @@ Result<TableHandle> IndexedJoinExec::ExecuteImpl(Session& session,
     }
     cluster.simulator().Broadcast(probe.total_bytes);
 
-    StageSpec stage;
-    stage.name = "indexed join (broadcast probe)";
-    for (uint32_t p = 0; p < P; ++p) {
-      stage.tasks.push_back(TaskSpec{
-          cluster.HomeExecutorFor(rdd->rdd_id(), p),
-          {},
-          0,
-          [&, p](TaskContext& ctx) -> Status {
-            const std::vector<size_t>& mine = buckets[p];
-            ctx.metrics().rows_read += mine.size();
-            IDF_ASSIGN_OR_RETURN(std::shared_ptr<const IndexedPartition> part,
-                                 rdd->GetPartition(p, version, ctx));
-            auto out = std::make_shared<ColumnarChunk>(out_schema);
-            JoinedRowDecoder decoder = make_decoder(*part, *out);
-            {
-              // Pin every batch this probe touches until the matches are
-              // decoded: under a memory budget the governor must not evict
-              // a batch between two probes of the same partition (each
-              // chain walk would otherwise re-fault it).
-              mem::AccessScope probe_scope;
-              for (size_t offset : mine) {
-                probe_row(ctx, *part, encoded.data() + offset, decoder);
-              }
-              decoder.Flush();
+    return rdd->ForEachPartition(
+        "indexed join (broadcast probe)", version, metrics,
+        [&](TaskContext& ctx, uint32_t p, const IndexedPartition& part) {
+          const std::vector<size_t>& mine = buckets[p];
+          ctx.metrics().rows_read += mine.size();
+          std::unique_ptr<ChunkConsumer> consumer = down.Open(ctx, p);
+          JoinedRowDecoder decoder = make_decoder(ctx, part, *consumer);
+          {
+            // Pin every batch this probe touches until the matches are
+            // decoded: under a memory budget the governor must not evict a
+            // batch between two probes of the same partition (each chain
+            // walk would otherwise re-fault it).
+            mem::AccessScope probe_scope;
+            for (size_t offset : mine) {
+              probe_row(ctx, part, encoded.data() + offset, decoder);
             }
-            out->SetRowCount(out->column(0).size());
-            sink.Emit(ctx, p, std::move(out));
-            return Status::OK();
-          },
-          {{rdd->rdd_id(), p}}});
-    }
-    IDF_ASSIGN_OR_RETURN(StageMetrics sm, cluster.RunStage(stage));
-    metrics.MergeStage(sm);
-    return sink.Finish();
+            decoder.Flush();
+          }
+          return consumer->Commit(ctx);
+        });
   }
 
   // Shuffle path: route probe rows to the indexed partitions (§III-C: "the
   // rows of the latter are shuffled according to the hash partitioning
   // scheme of the former").
-  IDF_RETURN_IF_ERROR(cluster.RunExchange(
+  return cluster.RunExchange(
       ExchangeSpec{
-          {ShuffleByKey("indexed join (probe shuffle)", probe, probe_key,
-                        probe_layout, probe_target)},
+          {ShuffleByKey(cluster, metrics, "indexed join (probe shuffle)",
+                        probe, probe_key, probe_layout, probe_target)},
           "indexed join (local probe)",
           P,
           rdd->rdd_id(),
@@ -152,8 +155,8 @@ Result<TableHandle> IndexedJoinExec::ExecuteImpl(Session& session,
             // transfer in the DES.
             IDF_ASSIGN_OR_RETURN(std::shared_ptr<const IndexedPartition> part,
                                  rdd->GetPartition(p, version, ctx));
-            auto out = std::make_shared<ColumnarChunk>(out_schema);
-            JoinedRowDecoder decoder = make_decoder(*part, *out);
+            std::unique_ptr<ChunkConsumer> consumer = down.Open(ctx, p);
+            JoinedRowDecoder decoder = make_decoder(ctx, *part, *consumer);
             std::vector<const uint8_t*> rows;
             for (const auto& buf : inputs[0]) {
               ctx.metrics().rows_read += buf->num_rows;
@@ -167,17 +170,14 @@ Result<TableHandle> IndexedJoinExec::ExecuteImpl(Session& session,
               }
               decoder.Flush();
             }
-            out->SetRowCount(out->column(0).size());
-            sink.Emit(ctx, p, std::move(out));
-            return Status::OK();
+            return consumer->Commit(ctx);
           }},
-      metrics));
-  return sink.Finish();
+      metrics);
 }
 
-Result<TableHandle> IndexLookupExec::ExecuteImpl(Session& session,
-                                                 QueryMetrics& metrics) const {
-  Cluster& cluster = session.cluster();
+Result<Pipeline> IndexLookupExec::OpenImpl(Session& session,
+                                           QueryMetrics& metrics,
+                                           const ColumnReads&) const {
   const std::shared_ptr<IndexedRdd>& rdd = indexed_->rdd();
   if (key_.is_null()) {
     return Status::InvalidArgument("index lookup with NULL key");
@@ -187,49 +187,56 @@ Result<TableHandle> IndexLookupExec::ExecuteImpl(Session& session,
   if (residual_ != nullptr) {
     IDF_ASSIGN_OR_RETURN(residual, residual_->Resolve(*rdd->schema()));
   }
+  Pipeline out{rdd->schema(), 1, nullptr, std::nullopt};
+  out.run = [this, &session, &metrics, rdd, residual](const Pipe& down) {
+    Cluster& cluster = session.cluster();
+    // The lookup runs on exactly one partition — the one owning the key
+    // (§III-C: "a lookup operation is scheduled on the Spark partition
+    // responsible for holding that key").
+    const uint32_t p = rdd->PartitionOf(IndexKeyCode(key_));
+    const size_t key_col = rdd->key_column();
+    const bool verify = KeyCodeNeedsVerify(key_.type());
 
-  // The lookup runs on exactly one partition — the one owning the key
-  // (§III-C: "a lookup operation is scheduled on the Spark partition
-  // responsible for holding that key").
-  const uint32_t p = rdd->PartitionOf(IndexKeyCode(key_));
-  const size_t key_col = rdd->key_column();
-  const bool verify = KeyCodeNeedsVerify(key_.type());
+    StageSpec stage;
+    stage.name = "index lookup";
+    stage.tasks.push_back(TaskSpec{
+        cluster.HomeExecutorFor(rdd->rdd_id(), p),
+        {},
+        0,
+        [&](TaskContext& ctx) -> Status {
+          IDF_ASSIGN_OR_RETURN(
+              std::shared_ptr<const IndexedPartition> part,
+              rdd->GetPartition(p, indexed_->version(), ctx));
+          std::unique_ptr<ChunkConsumer> consumer = down.Open(ctx, 0);
+          mem::AccessScope lookup_scope;  // pin chain batches for the lookup
+          const RowLayout& layout = part->layout();
+          ++ctx.metrics().index_probes;
 
-  TableSink sink(session, rdd->schema(), 1);
-  StageSpec stage;
-  stage.name = "index lookup";
-  stage.tasks.push_back(TaskSpec{
-      cluster.HomeExecutorFor(rdd->rdd_id(), p),
-      {},
-      0,
-      [&](TaskContext& ctx) -> Status {
-        IDF_ASSIGN_OR_RETURN(std::shared_ptr<const IndexedPartition> part,
-                             rdd->GetPartition(p, indexed_->version(), ctx));
-        mem::AccessScope lookup_scope;  // pin chain batches for the lookup
-        const RowLayout& layout = part->layout();
-        ++ctx.metrics().index_probes;
-
-        std::vector<const uint8_t*> matched;
-        part->ForEachRowOfKey(IndexKeyCode(key_), [&](const uint8_t* row) {
-          if (verify && !(layout.GetValue(row, key_col) == key_)) return;
-          if (residual != nullptr) {
-            BinaryRowAccessor accessor(layout, row);
-            const Value keep = residual->Eval(accessor);
-            if (keep.is_null() || !keep.bool_value()) return;
+          std::vector<const uint8_t*> matched;
+          part->ForEachRowOfKey(IndexKeyCode(key_), [&](const uint8_t* row) {
+            if (verify && !(layout.GetValue(row, key_col) == key_)) return;
+            if (residual != nullptr) {
+              BinaryRowAccessor accessor(layout, row);
+              const Value keep = residual->Eval(accessor);
+              if (keep.is_null() || !keep.bool_value()) return;
+            }
+            matched.push_back(row);
+          });
+          if (!matched.empty()) {
+            ++ctx.metrics().index_hits;
+            auto block = std::make_shared<ColumnarChunk>(rdd->schema());
+            DecodeRows(layout, matched, AllFields(layout), *block, 0);
+            block->SetRowCount(matched.size());
+            consumer->Consume(ctx, std::move(block));
           }
-          matched.push_back(row);
-        });
-        if (!matched.empty()) ++ctx.metrics().index_hits;
-        auto out = std::make_shared<ColumnarChunk>(rdd->schema());
-        DecodeRows(layout, matched, *out, 0);
-        out->SetRowCount(matched.size());
-        sink.Emit(ctx, 0, std::move(out));
-        return Status::OK();
-      },
-      {{rdd->rdd_id(), p}}});
-  IDF_ASSIGN_OR_RETURN(StageMetrics sm, cluster.RunStage(stage));
-  metrics.MergeStage(sm);
-  return sink.Finish();
+          return consumer->Commit(ctx);
+        },
+        {{rdd->rdd_id(), p}}});
+    IDF_ASSIGN_OR_RETURN(StageMetrics sm, cluster.RunStage(stage));
+    metrics.MergeStage(sm);
+    return Status::OK();
+  };
+  return out;
 }
 
 }  // namespace idf

@@ -4,7 +4,8 @@
 // actually pre-built due to the index), while the probe side is the
 // non-indexed relation." Probe rows are shuffled (or broadcast, when small)
 // to the indexed partitions and probed against the local cTrie — no hash
-// table is built at query time.
+// table is built at query time. Matched rows decode a block at a time and
+// push on through the pipeline (sql/physical.h).
 //
 // IndexLookupExec: an equality filter on the indexed column becomes a point
 // lookup on the single partition owning the key, plus a residual filter for
@@ -29,8 +30,8 @@ class IndexedJoinExec final : public PhysicalOp {
         probe_key_(std::move(probe_key)),
         indexed_is_left_(indexed_is_left) {}
 
-  Result<TableHandle> ExecuteImpl(Session& session,
-                                  QueryMetrics& metrics) const override;
+  Result<Pipeline> OpenImpl(Session& session, QueryMetrics& metrics,
+                            const ColumnReads& reads) const override;
   std::string Describe() const override {
     return "IndexedJoinExec probe_key=" + probe_key_ + " on " +
            indexed_->name();
@@ -38,6 +39,11 @@ class IndexedJoinExec final : public PhysicalOp {
   const std::vector<PhysOpPtr>& children() const override { return children_; }
 
  private:
+  /// Probes the materialized `probe` table and pushes the matches.
+  Status Run(Session& session, const TableHandle& probe, size_t probe_key,
+             const SchemaPtr& out_schema, const Pipe& down,
+             QueryMetrics& metrics) const;
+
   std::shared_ptr<const IndexedDataset> indexed_;
   std::vector<PhysOpPtr> children_;
   std::string probe_key_;
@@ -53,8 +59,8 @@ class IndexLookupExec final : public PhysicalOp {
         key_(std::move(key)),
         residual_(std::move(residual)) {}
 
-  Result<TableHandle> ExecuteImpl(Session& session,
-                                  QueryMetrics& metrics) const override;
+  Result<Pipeline> OpenImpl(Session& session, QueryMetrics& metrics,
+                            const ColumnReads& reads) const override;
   std::string Describe() const override {
     return "IndexLookupExec key=" + key_.ToString() +
            (residual_ ? " residual=" + residual_->ToString() : "") + " on " +

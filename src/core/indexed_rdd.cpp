@@ -1,5 +1,7 @@
 #include "core/indexed_rdd.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 #include "mem/governor.h"
 #include "sql/physical.h"
@@ -84,7 +86,8 @@ Status IndexedRdd::ShuffleToPartitions(
   RowLayout layout(schema_);
   return session_->cluster().RunExchange(
       ExchangeSpec{
-          {ShuffleByKey(stage_name + " (shuffle)", source, key_column_, layout,
+          {ShuffleByKey(session_->cluster(), metrics, stage_name + " (shuffle)",
+                        source, key_column_, layout,
                         [this](std::optional<uint64_t> code) {
                           return TargetOf(code);
                         })},
@@ -189,6 +192,30 @@ Result<std::shared_ptr<const IndexedPartition>> IndexedRdd::GetPartition(
   return part;
 }
 
+Status IndexedRdd::ForEachPartition(
+    const std::string& stage_name, uint64_t version, QueryMetrics& metrics,
+    const std::function<Status(TaskContext&, uint32_t,
+                               const IndexedPartition&)>& body) const {
+  Cluster& cluster = session_->cluster();
+  StageSpec stage;
+  stage.name = stage_name;
+  for (uint32_t p = 0; p < num_partitions_; ++p) {
+    stage.tasks.push_back(TaskSpec{
+        cluster.HomeExecutorFor(rdd_id_, p),
+        {},
+        0,
+        [&, p](TaskContext& ctx) -> Status {
+          IDF_ASSIGN_OR_RETURN(std::shared_ptr<const IndexedPartition> part,
+                               GetPartition(p, version, ctx));
+          return body(ctx, p, *part);
+        },
+        {{rdd_id_, p}}});
+  }
+  IDF_ASSIGN_OR_RETURN(StageMetrics sm, cluster.RunStage(stage));
+  metrics.MergeStage(sm);
+  return Status::OK();
+}
+
 uint64_t IndexedRdd::RowsAtVersion(uint64_t version) const {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = versions_.find(version);
@@ -272,41 +299,50 @@ Result<BlockPtr> IndexedRdd::Recompute(uint32_t partition, uint64_t version,
 
 // ---- IndexedDataset ---------------------------------------------------------
 
-Result<TableHandle> IndexedDataset::ScanAsColumnar(
-    Session& session, QueryMetrics& metrics) const {
-  Cluster& cluster = session.cluster();
-  TableSink sink(session, rdd_->schema(), rdd_->num_partitions());
-  StageSpec stage;
-  stage.name = "indexed fallback scan";
-  for (uint32_t p = 0; p < rdd_->num_partitions(); ++p) {
-    stage.tasks.push_back(TaskSpec{
-        cluster.HomeExecutorFor(rdd_->rdd_id(), p),
-        {},
-        0,
-        [&, p](TaskContext& ctx) -> Status {
-          IDF_ASSIGN_OR_RETURN(std::shared_ptr<const IndexedPartition> part,
-                               rdd_->GetPartition(p, version_, ctx));
+Result<Pipeline> IndexedDataset::Scan(Session&, QueryMetrics& metrics,
+                                      const ColumnReads& reads) const {
+  // Decode only the fields the pipeline reads, in schema order.
+  const Schema& full = *rdd_->schema();
+  std::vector<size_t> fields;
+  std::vector<Field> kept;
+  for (size_t f = 0; f < full.num_fields(); ++f) {
+    if (reads && std::find(reads->begin(), reads->end(),
+                           full.field(f).name) == reads->end()) {
+      continue;
+    }
+    fields.push_back(f);
+    kept.push_back(full.field(f));
+  }
+  const SchemaPtr schema = fields.size() == full.num_fields()
+                               ? rdd_->schema()
+                               : std::make_shared<Schema>(std::move(kept));
+  Pipeline pipeline{schema, rdd_->num_partitions(), nullptr, std::nullopt};
+  pipeline.run = [&metrics, rdd = rdd_, version = version_, schema,
+                  fields](const Pipe& down) {
+    return rdd->ForEachPartition(
+        "indexed fallback scan", version, metrics,
+        [&](TaskContext& ctx, uint32_t p, const IndexedPartition& part) {
+          std::unique_ptr<ChunkConsumer> consumer = down.Open(ctx, p);
           // Row-to-columnar conversion: the real cost of running regular
           // operators over the row-wise indexed representation (Fig. 8).
-          // Each batch decodes while ForEachBatch pins it alone.
-          auto out = std::make_shared<ColumnarChunk>(rdd_->schema());
+          // Each batch decodes as one block, pushed on while ForEachBatch
+          // pins the batch alone.
           std::vector<const uint8_t*> rows;
-          part->ForEachBatch([&](const uint8_t* data, uint32_t used) {
+          part.ForEachBatch([&](const uint8_t* data, uint32_t used) {
             rows.clear();
             IDF_CHECK_MSG(RowLayout::SplitRows(data, used, rows),
                           "corrupt row batch");
-            DecodeRows(part->layout(), rows, *out, 0);
+            if (rows.empty()) return;
+            auto block = std::make_shared<ColumnarChunk>(schema);
+            DecodeRows(part.layout(), rows, fields, *block, 0);
+            block->SetRowCount(rows.size());
+            consumer->Consume(ctx, std::move(block));
           });
-          out->SetRowCount(out->column(0).size());
-          ctx.metrics().rows_read += part->num_rows();
-          sink.Emit(ctx, p, std::move(out));
-          return Status::OK();
-        },
-        {{rdd_->rdd_id(), p}}});
-  }
-  IDF_ASSIGN_OR_RETURN(StageMetrics sm, cluster.RunStage(stage));
-  metrics.MergeStage(sm);
-  return sink.Finish();
+          ctx.metrics().rows_read += part.num_rows();
+          return consumer->Commit(ctx);
+        });
+  };
+  return pipeline;
 }
 
 }  // namespace idf

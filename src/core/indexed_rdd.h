@@ -57,6 +57,15 @@ class IndexedRdd : public std::enable_shared_from_this<IndexedRdd> {
   Result<std::shared_ptr<const IndexedPartition>> GetPartition(
       uint32_t partition, uint64_t version, TaskContext& ctx) const;
 
+  /// Runs stage `stage_name` with one task per partition, each on its
+  /// partition's home executor and declaring the partition as its input:
+  /// body(ctx, p, partition) gets partition p at `version`. Stage metrics
+  /// merge into `metrics`.
+  Status ForEachPartition(
+      const std::string& stage_name, uint64_t version, QueryMetrics& metrics,
+      const std::function<Status(TaskContext&, uint32_t,
+                                 const IndexedPartition&)>& body) const;
+
   /// Rows in a version (sum over partitions, tracked at build/append time).
   uint64_t RowsAtVersion(uint64_t version) const;
 
@@ -124,8 +133,8 @@ class IndexedRdd : public std::enable_shared_from_this<IndexedRdd> {
 /// Adapts an (IndexedRdd, version) pair to the SQL layer's Dataset so scans,
 /// joins and filters of indexed dataframes flow through the planner. The
 /// index-aware strategies recognize this type; everything else falls back to
-/// ScanAsColumnar (row-to-columnar conversion — the regular "Spark Row RDD"
-/// path of Fig. 2).
+/// Scan (row-to-columnar conversion — the regular "Spark Row RDD" path of
+/// Fig. 2), which decodes only the columns its pipeline reads.
 class IndexedDataset final : public Dataset {
  public:
   IndexedDataset(std::shared_ptr<IndexedRdd> rdd, uint64_t version)
@@ -141,8 +150,8 @@ class IndexedDataset final : public Dataset {
            ", v=" + std::to_string(version_) + ")";
   }
 
-  Result<TableHandle> ScanAsColumnar(Session& session,
-                                     QueryMetrics& metrics) const override;
+  Result<Pipeline> Scan(Session& session, QueryMetrics& metrics,
+                        const ColumnReads& reads) const override;
 
   const std::shared_ptr<IndexedRdd>& rdd() const { return rdd_; }
   uint64_t version() const { return version_; }

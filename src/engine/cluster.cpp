@@ -547,32 +547,12 @@ Status Cluster::RunExchange(const ExchangeSpec& spec, QueryMetrics& metrics) {
   } shuffles(shuffle_);
   for (const ExchangeSide& side : spec.sides) {
     shuffles.ids.push_back(
-        shuffle_.NewShuffle(side.num_partitions, spec.num_reduce));
+        shuffle_.NewShuffle(side.num_map_tasks, spec.num_reduce));
   }
 
-  std::vector<StageMetrics> stages;
   for (size_t s = 0; s < spec.sides.size(); ++s) {
-    const ExchangeSide& side = spec.sides[s];
-    const uint64_t shuffle_id = shuffles.ids[s];
-    StageSpec map_stage;
-    map_stage.name = side.stage_name;
-    for (uint32_t p = 0; p < side.num_partitions; ++p) {
-      map_stage.tasks.push_back(TaskSpec{
-          HomeExecutorFor(side.rdd, p),
-          {},
-          0,
-          [&, shuffle_id, p](TaskContext& ctx) -> Status {
-            ShuffleWriter writer(shuffle_, shuffle_id, p, spec.num_reduce,
-                                 ctx.executor());
-            IDF_RETURN_IF_ERROR(side.map(ctx, p, writer));
-            writer.Finish();
-            ctx.metrics().shuffle_bytes_written += writer.bytes_written();
-            return Status::OK();
-          },
-          {{side.rdd, p}}});
-    }
-    IDF_ASSIGN_OR_RETURN(StageMetrics map_metrics, RunStage(map_stage));
-    stages.push_back(map_metrics);
+    IDF_RETURN_IF_ERROR(spec.sides[s].produce(
+        MapOutput(shuffle_, shuffles.ids[s], spec.num_reduce)));
   }
 
   StageSpec reduce_stage;
@@ -597,8 +577,7 @@ Status Cluster::RunExchange(const ExchangeSpec& spec, QueryMetrics& metrics) {
         std::move(inputs)});
   }
   IDF_ASSIGN_OR_RETURN(StageMetrics reduce_metrics, RunStage(reduce_stage));
-  stages.push_back(reduce_metrics);
-  for (const StageMetrics& stage : stages) metrics.MergeStage(stage);
+  metrics.MergeStage(reduce_metrics);
   return Status::OK();
 }
 

@@ -89,15 +89,41 @@ struct StageSpec {
   std::vector<TaskSpec> tasks;
 };
 
-/// One input side of an exchange: a map stage named `stage_name` with one
-/// task per partition of RDD `rdd`, each on that partition's home executor
-/// and declaring the partition as its input. `map` routes the partition's
-/// rows into the writer, whose targets are the exchange's reduce partitions.
+/// One side's shuffle as its map tasks see it; Cluster::RunExchange
+/// allocates and releases it. Map task m routes its rows into Writer(ctx, m)
+/// and, once its body has succeeded, publishes them with Commit: a failed
+/// map task publishes nothing.
+class MapOutput {
+ public:
+  MapOutput(ShuffleService& service, uint64_t shuffle, uint32_t num_reduce)
+      : service_(&service), shuffle_(shuffle), num_reduce_(num_reduce) {}
+
+  ShuffleWriter Writer(TaskContext& ctx, uint32_t map_task) const {
+    return ShuffleWriter(*service_, shuffle_, map_task, num_reduce_,
+                         ctx.executor());
+  }
+  /// Publishes the writer's buffers and counts their bytes in the task's
+  /// shuffle_bytes_written.
+  void Commit(TaskContext& ctx, ShuffleWriter& writer) const {
+    writer.Finish();
+    ctx.metrics().shuffle_bytes_written += writer.bytes_written();
+  }
+
+ private:
+  ShuffleService* service_;
+  uint64_t shuffle_;
+  uint32_t num_reduce_;
+};
+
+/// One input side of an exchange: `num_map_tasks` map tasks, which
+/// `produce` runs (with RunStage, merging each stage's metrics into the
+/// query's metrics, which it captures), each routing its rows through
+/// `out`. The map tasks may be a producing operator's own tasks (a
+/// pipeline, sql/physical.h) or a stage over a materialized table's
+/// partitions (ShuffleByKey).
 struct ExchangeSide {
-  std::string stage_name;
-  uint64_t rdd = 0;
-  uint32_t num_partitions = 0;
-  std::function<Status(TaskContext&, uint32_t partition, ShuffleWriter&)> map;
+  uint32_t num_map_tasks = 0;
+  std::function<Status(const MapOutput& out)> produce;
 };
 
 /// A hash-partitioned exchange: one shuffle per side, then a reduce stage
@@ -112,7 +138,7 @@ struct ExchangeSpec {
   uint32_t num_reduce = 0;
   uint64_t reduce_rdd = 0;
   bool reduce_reads_rdd = false;
-  std::function<Status(TaskContext&, uint32_t partition,
+  std::function<Status(TaskContext& ctx, uint32_t partition,
                        const std::vector<ShuffleInputs>& inputs)>
       reduce;
 };
@@ -183,12 +209,10 @@ class Cluster {
   Result<StageMetrics> RunStage(const StageSpec& stage);
 
   /// Runs an exchange (docs/SHUFFLE.md): allocates one shuffle per side,
-  /// runs each side's map stage in order, then the reduce stage, each with
-  /// RunStage. A map task's writer is finished and its bytes counted in
-  /// shuffle_bytes_written after its body succeeds. Merges every stage's
-  /// metrics into `metrics` once all succeed. The shuffles are released
-  /// before returning on every path: success, a failed stage, a cancelled
-  /// or expired query.
+  /// runs each side's map tasks in order (ExchangeSide::produce), then the
+  /// reduce stage. Stage metrics merge into `metrics` as each stage
+  /// finishes. The shuffles are released before returning on every path:
+  /// success, a failed stage, a cancelled or expired query.
   Status RunExchange(const ExchangeSpec& spec, QueryMetrics& metrics);
 
   /// Host threads RunStage may use (resolved once at construction from

@@ -1,8 +1,10 @@
 #include "sql/columnar.h"
 
+#include <bit>
 #include <cstring>
 #include <fstream>
 #include <istream>
+#include <numeric>
 #include <ostream>
 
 namespace idf {
@@ -107,6 +109,56 @@ void ColumnVector::AppendString(std::string_view v) {
   d.arena.insert(d.arena.end(), v.begin(), v.end());
   d.offsets.push_back(static_cast<uint32_t>(d.arena.size()));
   ++size_;
+}
+
+void ColumnVector::AppendColumn(const ColumnVector& src) {
+  IDF_CHECK_MSG(src.type_ == type_, "column type mismatch");
+  const size_t base = size_;
+  std::visit(
+      [&](auto& dst) {
+        using D = std::decay_t<decltype(dst)>;
+        const D& from = std::get<D>(src.data_);
+        if constexpr (std::is_same_v<D, StringData>) {
+          const auto shift = static_cast<uint32_t>(dst.arena.size());
+          dst.arena.insert(dst.arena.end(), from.arena.begin(),
+                           from.arena.end());
+          for (size_t i = 1; i < from.offsets.size(); ++i) {
+            dst.offsets.push_back(shift + from.offsets[i]);
+          }
+        } else {
+          // A null's slot holds 0 in both columns, as AppendNull leaves it.
+          dst.values.insert(dst.values.end(), from.values.begin(),
+                            from.values.end());
+        }
+      },
+      data_);
+  for (size_t byte = 0; byte < src.nulls_.size(); ++byte) {
+    for (unsigned bits = src.nulls_[byte]; bits != 0; bits &= bits - 1) {
+      MarkNull(base + byte * 8 + std::countr_zero(bits));
+    }
+  }
+  size_ += src.size_;
+}
+
+void ColumnVector::Reserve(size_t rows, size_t string_bytes) {
+  switch (type_) {
+    case TypeId::kBool: Data<BoolData>().values.reserve(size_ + rows); break;
+    case TypeId::kInt32: Data<Int32Data>().values.reserve(size_ + rows); break;
+    case TypeId::kInt64: Data<Int64Data>().values.reserve(size_ + rows); break;
+    case TypeId::kFloat64:
+      Data<Float64Data>().values.reserve(size_ + rows);
+      break;
+    case TypeId::kString: {
+      auto& d = Data<StringData>();
+      d.offsets.reserve(size_ + rows + 1);
+      d.arena.reserve(d.arena.size() + string_bytes);
+      break;
+    }
+  }
+}
+
+size_t ColumnVector::string_bytes() const {
+  return type_ == TypeId::kString ? Data<StringData>().arena.size() : 0;
 }
 
 Value ColumnVector::ValueAt(size_t i) const {
@@ -441,24 +493,64 @@ class GatherColumn {
 
 }  // namespace
 
-void DecodeRows(const RowLayout& layout, std::span<const uint8_t* const> rows,
-                ColumnarChunk& out, size_t offset) {
-  const Schema& schema = layout.schema();
-  // Blocks keep the rows a column pass strides over in cache.
+namespace {
+
+/// Decodes field `field` of `block`'s rows into `dst`.
+void DecodeField(const RowLayout& layout, const RowRun& run,
+                 std::span<const uint8_t* const> block, size_t field,
+                 ColumnVector& dst) {
+  IDF_CHECK_MSG(dst.type() == layout.schema().field(field).type,
+                "column type mismatch");
+  VisitType(dst.type(), [&](auto tag) {
+    using T = decltype(tag);
+    dst.AppendRun<T>(
+        PaddedRowColumn<T>(block.data(), run.template column<T>(field)),
+        block.size());
+  });
+}
+
+/// Calls fn(block, run) for consecutive blocks of `rows`: blocks keep the
+/// rows a column pass strides over in cache.
+template <typename Fn>
+void ForEachRowBlock(const RowLayout& layout,
+                     std::span<const uint8_t* const> rows, Fn&& fn) {
   for (size_t begin = 0; begin < rows.size(); begin += kTranscodeBlockRows) {
     const size_t n = std::min(kTranscodeBlockRows, rows.size() - begin);
     const std::span<const uint8_t* const> block = rows.subspan(begin, n);
-    const RowRun run(layout, block);
-    for (size_t c = 0; c < schema.num_fields(); ++c) {
-      ColumnVector& dst = out.mutable_column(offset + c);
-      IDF_CHECK_MSG(dst.type() == schema.field(c).type, "column type mismatch");
-      VisitType(dst.type(), [&](auto tag) {
-        using T = decltype(tag);
-        dst.AppendRun<T>(
-            PaddedRowColumn<T>(block.data(), run.template column<T>(c)), n);
-      });
-    }
+    fn(block, RowRun(layout, block));
   }
+}
+
+}  // namespace
+
+void DecodeRows(const RowLayout& layout, std::span<const uint8_t* const> rows,
+                std::span<const size_t> fields, ColumnarChunk& out,
+                size_t offset) {
+  ForEachRowBlock(layout, rows, [&](auto block, const RowRun& run) {
+    for (size_t c = 0; c < fields.size(); ++c) {
+      DecodeField(layout, run, block, fields[c],
+                  out.mutable_column(offset + c));
+    }
+  });
+}
+
+std::vector<size_t> AllFields(const RowLayout& layout) {
+  std::vector<size_t> fields(layout.schema().num_fields());
+  std::iota(fields.begin(), fields.end(), size_t{0});
+  return fields;
+}
+
+void AppendChunks(std::span<const ChunkPtr> srcs, ColumnarChunk& out) {
+  size_t rows = 0;
+  for (const ChunkPtr& src : srcs) rows += src->num_rows();
+  for (size_t c = 0; c < out.num_columns(); ++c) {
+    ColumnVector& dst = out.mutable_column(c);
+    size_t bytes = 0;
+    for (const ChunkPtr& src : srcs) bytes += src->column(c).string_bytes();
+    dst.Reserve(rows, bytes);
+    for (const ChunkPtr& src : srcs) dst.AppendColumn(src->column(c));
+  }
+  out.SetRowCount(out.num_rows() + rows);
 }
 
 void GatherRows(std::span<const ChunkPtr> sources,
@@ -483,10 +575,14 @@ void GatherRows(std::span<const ChunkPtr> sources,
 }
 
 void JoinedRowDecoder::Flush() {
-  DecodeRows(left_, left_rows_, out_, 0);
-  DecodeRows(right_, right_rows_, out_, left_.schema().num_fields());
+  if (left_rows_.empty()) return;
+  auto block = std::make_shared<ColumnarChunk>(schema_);
+  DecodeRows(left_, left_rows_, left_fields_, *block, 0);
+  DecodeRows(right_, right_rows_, right_fields_, *block, left_fields_.size());
+  block->SetRowCount(left_rows_.size());
   left_rows_.clear();
   right_rows_.clear();
+  emit_(std::move(block));
 }
 
 }  // namespace idf

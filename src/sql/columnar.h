@@ -17,6 +17,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <iosfwd>
 #include <limits>
 #include <memory>
@@ -59,6 +60,17 @@ class ColumnVector {
   /// one at a time.
   template <typename T, typename Src>
   void AppendRun(const Src& src, size_t n);
+
+  /// Appends every row of `src`, a column of the same type: the values in
+  /// bulk, bit-identical to appending the rows one at a time.
+  void AppendColumn(const ColumnVector& src);
+
+  /// Makes room for `rows` more rows holding, in a string column,
+  /// `string_bytes` more bytes of values, so that appending them does not
+  /// reallocate.
+  void Reserve(size_t rows, size_t string_bytes);
+  /// Bytes of a string column's values; 0 for other types.
+  size_t string_bytes() const;
 
   // ---- reading --------------------------------------------------------
   bool IsNull(size_t i) const {
@@ -446,13 +458,25 @@ Status RouteByKey(const ColumnarChunk& chunk, size_t key_column,
                            });
 }
 
-/// The decoder: appends `rows`, encoded with `layout`, to columns
-/// [offset, offset + layout fields) of `out`, in order. A null pointer
-/// appends a null to each of those columns (the padded side of an outer
-/// join). The caller keeps the rows pinned for the call, and sets the row
-/// count once every column of `out` is filled.
+/// The decoder: appends field fields[c] of `rows`, encoded with `layout`,
+/// to column offset + c of `out`, in order (a projected scan passes only
+/// the fields its pipeline reads). A null pointer appends a null to each of
+/// those columns (the padded side of an outer join). The caller keeps the
+/// rows pinned for the call, and sets the row count once every column of
+/// `out` is filled.
 void DecodeRows(const RowLayout& layout, std::span<const uint8_t* const> rows,
-                ColumnarChunk& out, size_t offset);
+                std::span<const size_t> fields, ColumnarChunk& out,
+                size_t offset);
+
+/// Every field of `layout`, in order: the field list that decodes whole
+/// rows.
+std::vector<size_t> AllFields(const RowLayout& layout);
+
+/// Appends every row of each chunk of `srcs`, in order, to `out`, whose
+/// column types they share, and sets out's row count: the concatenation of
+/// pipeline blocks into one materialized chunk, identical to building that
+/// chunk in one go. Each column of `out` grows once, to its final size.
+void AppendChunks(std::span<const ChunkPtr> srcs, ColumnarChunk& out);
 
 /// Row `row` of source chunk `chunk`; chunk kNull stands for a row of nulls.
 struct RowRef {
@@ -470,27 +494,39 @@ void GatherRows(std::span<const ChunkPtr> sources,
                 std::span<const RowRef> refs, ColumnarChunk& out,
                 size_t offset);
 
-/// Collects joined pairs of encoded rows and decodes them into `out` a
-/// block at a time: left rows fill its first columns, right rows the rest,
-/// and a null right row pads them with nulls. Call Flush() before the scope
+/// Collects joined pairs of encoded rows and decodes them a block of up to
+/// kTranscodeBlockRows pairs at a time into a chunk of `schema`, which
+/// `emit` takes: left rows fill its first columns, right rows the rest, and
+/// a null right row pads them with nulls. Call Flush() before the scope
 /// that pins the rows closes.
 class JoinedRowDecoder {
  public:
+  using Emit = std::function<void(std::shared_ptr<ColumnarChunk>)>;
+
   JoinedRowDecoder(const RowLayout& left, const RowLayout& right,
-                   ColumnarChunk& out)
-      : left_(left), right_(right), out_(out) {}
+                   SchemaPtr schema, Emit emit)
+      : left_(left),
+        right_(right),
+        left_fields_(AllFields(left)),
+        right_fields_(AllFields(right)),
+        schema_(std::move(schema)),
+        emit_(std::move(emit)) {}
 
   void Add(const uint8_t* left_row, const uint8_t* right_row) {
     left_rows_.push_back(left_row);
     right_rows_.push_back(right_row);
     if (left_rows_.size() == kTranscodeBlockRows) Flush();
   }
+  /// Decodes and emits the pending pairs, if any.
   void Flush();
 
  private:
   const RowLayout& left_;
   const RowLayout& right_;
-  ColumnarChunk& out_;
+  std::vector<size_t> left_fields_;
+  std::vector<size_t> right_fields_;
+  SchemaPtr schema_;
+  Emit emit_;
   std::vector<const uint8_t*> left_rows_;
   std::vector<const uint8_t*> right_rows_;
 };

@@ -20,29 +20,100 @@ std::string PhysicalOp::Explain(int indent) const {
   return out;
 }
 
+namespace {
+
+/// A pipe that hands each block through `fn` on its way to `down`; a null
+/// result drops the block.
+class TransformPipe final : public Pipe {
+ public:
+  using Fn = std::function<ChunkPtr(ChunkPtr block)>;
+
+  TransformPipe(const Pipe& down, Fn fn) : down_(down), fn_(std::move(fn)) {}
+
+  std::unique_ptr<ChunkConsumer> Open(TaskContext& ctx,
+                                      uint32_t partition) const override {
+    return std::make_unique<Consumer>(down_.Open(ctx, partition), fn_);
+  }
+
+ private:
+  class Consumer final : public ChunkConsumer {
+   public:
+    Consumer(std::unique_ptr<ChunkConsumer> next, const Fn& fn)
+        : next_(std::move(next)), fn_(fn) {}
+    void Consume(TaskContext& ctx, ChunkPtr block) override {
+      if (ChunkPtr out = fn_(std::move(block))) {
+        next_->Consume(ctx, std::move(out));
+      }
+    }
+    Status Commit(TaskContext& ctx) override { return next_->Commit(ctx); }
+
+   private:
+    std::unique_ptr<ChunkConsumer> next_;
+    const Fn& fn_;
+  };
+
+  const Pipe& down_;
+  Fn fn_;
+};
+
+}  // namespace
+
+Result<Pipeline> PhysicalOp::Open(Session& session, QueryMetrics& metrics,
+                                  const ColumnReads& reads) const {
+  if (metrics.op_profile == nullptr) return OpenImpl(session, metrics, reads);
+
+  // EXPLAIN ANALYZE: opening (which runs the breakers below) and running
+  // both count toward this node, inclusively — the renderer subtracts the
+  // children for self time. Both happen on the driver, one operator at a
+  // time, so snapshot-and-subtract on the shared accumulator is race-free.
+  auto profiled = [this, &metrics](auto&& fn) {
+    const TaskMetrics before = metrics.totals;
+    Stopwatch timer;
+    auto result = fn();
+    OpProfile& prof = (*metrics.op_profile)[this];
+    if (prof.label.empty()) prof.label = Describe();
+    prof.wall_seconds += timer.ElapsedSeconds();
+    prof.inclusive.MergeFrom(metrics.totals.DeltaSince(before));
+    return result;
+  };
+  Result<Pipeline> pipeline =
+      profiled([&] { return OpenImpl(session, metrics, reads); });
+  ++(*metrics.op_profile)[this].executions;
+  if (!pipeline.ok()) return pipeline;
+  pipeline->run = [this, &metrics, profiled,
+                   run = std::move(pipeline->run)](const Pipe& down) {
+    // Tasks push concurrently: count into atomics, add once they are done.
+    std::atomic<uint64_t> rows{0};
+    std::atomic<uint64_t> bytes{0};
+    const TransformPipe counted(down, [&](ChunkPtr block) {
+      rows += block->num_rows();
+      bytes += block->ByteSize();
+      return block;
+    });
+    const Status status = profiled([&] { return run(counted); });
+    OpProfile& prof = (*metrics.op_profile)[this];
+    prof.rows_out += rows.load();
+    prof.bytes_out += bytes.load();
+    return status;
+  };
+  return pipeline;
+}
+
 Result<TableHandle> PhysicalOp::Execute(Session& session,
                                         QueryMetrics& metrics) const {
-  if (metrics.op_profile == nullptr) return ExecuteImpl(session, metrics);
-
-  // EXPLAIN ANALYZE: attribute the query-total delta across this subtree to
-  // this node (inclusively; the renderer subtracts children for self time).
-  // Operators execute sequentially on the driver, so snapshot-and-subtract
-  // on the shared accumulator is race-free.
-  const TaskMetrics before = metrics.totals;
-  Stopwatch timer;
-  Result<TableHandle> result = ExecuteImpl(session, metrics);
-  const double elapsed = timer.ElapsedSeconds();
-
-  OpProfile& prof = (*metrics.op_profile)[this];
-  if (prof.label.empty()) prof.label = Describe();
-  ++prof.executions;
-  prof.wall_seconds += elapsed;
-  prof.inclusive.MergeFrom(metrics.totals.DeltaSince(before));
-  if (result.ok()) {
-    prof.rows_out += result->num_rows;
-    prof.bytes_out += result->total_bytes;
+  IDF_ASSIGN_OR_RETURN(Pipeline pipeline,
+                       Open(session, metrics, /*reads=*/std::nullopt));
+  if (pipeline.materialized) {
+    if (metrics.op_profile != nullptr) {
+      OpProfile& prof = (*metrics.op_profile)[this];
+      prof.rows_out += pipeline.materialized->num_rows;
+      prof.bytes_out += pipeline.materialized->total_bytes;
+    }
+    return *pipeline.materialized;
   }
-  return result;
+  TableSink sink(session, pipeline.schema, pipeline.num_partitions);
+  IDF_RETURN_IF_ERROR(pipeline.run(sink));
+  return sink.Finish();
 }
 
 std::string PhysicalOp::ExplainAnalyze(const QueryMetrics& metrics,
@@ -125,21 +196,131 @@ Result<ChunkPtr> FetchChunk(TaskContext& ctx, const TableHandle& table,
   return chunk;
 }
 
+Status ForEachBlock(
+    Cluster& cluster, QueryMetrics& metrics, const std::string& name,
+    std::span<const TableHandle> tables,
+    const std::function<Status(TaskContext&, uint32_t, const ChunkPtr&)>&
+        body) {
+  StageSpec stage;
+  stage.name = name;
+  uint32_t first = 0;
+  for (const TableHandle& table : tables) {
+    for (uint32_t p = 0; p < table.num_partitions; ++p) {
+      stage.tasks.push_back(TaskSpec{
+          cluster.HomeExecutorFor(table.rdd_id, p),
+          {},
+          0,
+          [&body, &table, p, out = first + p](TaskContext& ctx) -> Status {
+            // Bodies hold column references across reads that may evict:
+            // keep the block pinned for the whole body.
+            ChunkPtr chunk;  // outlives the scope, which unpins it
+            mem::AccessScope scope;
+            IDF_ASSIGN_OR_RETURN(chunk, FetchChunk(ctx, table, p));
+            return body(ctx, out, chunk);
+          },
+          {{table.rdd_id, p}}});
+    }
+    first += table.num_partitions;
+  }
+  IDF_ASSIGN_OR_RETURN(StageMetrics sm, cluster.RunStage(stage));
+  metrics.MergeStage(sm);
+  return Status::OK();
+}
+
+namespace {
+
+/// The source stage of materialized tables: block p of `tables` (numbered
+/// across them) is pushed, as it is, as output partition p.
+Status PushBlocks(Cluster& cluster, QueryMetrics& metrics,
+                  const std::string& name,
+                  std::span<const TableHandle> tables, const Pipe& down) {
+  return ForEachBlock(
+      cluster, metrics, name, tables,
+      [&](TaskContext& ctx, uint32_t p, const ChunkPtr& chunk) {
+        ctx.metrics().rows_read += chunk->num_rows();
+        std::unique_ptr<ChunkConsumer> consumer = down.Open(ctx, p);
+        consumer->Consume(ctx, chunk);
+        return consumer->Commit(ctx);
+      });
+}
+
+/// The block as a mutable chunk when nothing else holds it — a block built
+/// for this pipeline, whose columns may move on — else null (a table's
+/// block, shared with the block manager).
+std::shared_ptr<ColumnarChunk> Unshared(const ChunkPtr& block) {
+  if (block.use_count() != 1 || block->sealed_for_governor()) return nullptr;
+  return std::const_pointer_cast<ColumnarChunk>(block);
+}
+
+/// Exact key equality for join verification when key codes can collide
+/// (strings and doubles hash into their code).
+bool KeysReallyEqual(const Value& a, const Value& b) { return a == b; }
+
+}  // namespace
+
+// ---- TableSink ------------------------------------------------------------
+
+/// One partition's blocks, held until Commit: a single block passes
+/// through as it is; several concatenate into one chunk, grown once to the
+/// partition's size (into the first block when nothing else holds it).
+class TableSink::Partition final : public ChunkConsumer {
+ public:
+  Partition(const TableSink& sink, uint32_t partition)
+      : sink_(sink), partition_(partition) {}
+
+  void Consume(TaskContext&, ChunkPtr block) override {
+    blocks_.push_back(std::move(block));
+  }
+
+  Status Commit(TaskContext& ctx) override {
+    ChunkPtr chunk;
+    if (blocks_.size() == 1) {
+      chunk = std::move(blocks_[0]);
+    } else {
+      std::span<const ChunkPtr> rest(blocks_);
+      std::shared_ptr<ColumnarChunk> out;
+      if (!blocks_.empty()) out = Unshared(blocks_[0]);
+      if (out != nullptr) {
+        rest = rest.subspan(1);
+      } else {
+        out = std::make_shared<ColumnarChunk>(sink_.schema_);
+      }
+      AppendChunks(rest, *out);
+      chunk = std::move(out);
+    }
+    blocks_.clear();
+    sink_.Emit(ctx, partition_, std::move(chunk));
+    return Status::OK();
+  }
+
+ private:
+  const TableSink& sink_;
+  uint32_t partition_;
+  std::vector<ChunkPtr> blocks_;
+};
+
 TableSink::TableSink(Session& session, SchemaPtr schema,
                      uint32_t num_partitions)
-    : session_(session),
-      schema_(std::move(schema)),
+    : schema_(std::move(schema)),
       num_partitions_(num_partitions),
       lease_(session.cluster().NewRdd()),
       rdd_id_(lease_->rdd()) {}
 
-void TableSink::Emit(TaskContext& ctx, uint32_t partition, ChunkPtr chunk) {
+std::unique_ptr<ChunkConsumer> TableSink::Open(TaskContext&,
+                                               uint32_t partition) const {
+  IDF_CHECK(partition < num_partitions_);
+  return std::make_unique<Partition>(*this, partition);
+}
+
+void TableSink::Emit(TaskContext& ctx, uint32_t partition,
+                     ChunkPtr chunk) const {
   rows_ += chunk->num_rows();
   bytes_ += chunk->ByteSize();
   ctx.metrics().rows_written += chunk->num_rows();
-  // Finalization point for every operator's cached output: from here the
-  // chunk is immutable, so it goes under the memory governor (budgeted,
-  // evictable, visible to spill-aware scheduling).
+  // Finalization point for every materialized table: from here the chunk
+  // is immutable, so it goes under the memory governor (budgeted,
+  // evictable, visible to spill-aware scheduling). A chunk sealed already
+  // (a block passed through from another table) keeps its first identity.
   chunk->SealForCache(rdd_id_, partition);
   ctx.cluster().blocks().Put(BlockId{rdd_id_, partition, 0}, ctx.executor(),
                              std::move(chunk));
@@ -157,19 +338,21 @@ TableHandle TableSink::Finish() {
   return handle;
 }
 
-namespace {
-
-/// Exact key equality for join verification when key codes can collide
-/// (strings and doubles hash into their code).
-bool KeysReallyEqual(const Value& a, const Value& b) { return a == b; }
-
-}  // namespace
-
 // ---- ScanExec ------------------------------------------------------------
 
-Result<TableHandle> ScanExec::ExecuteImpl(Session& session,
-                                          QueryMetrics& metrics) const {
-  return dataset_->ScanAsColumnar(session, metrics);
+Result<Pipeline> CachedTable::Scan(Session& session, QueryMetrics& metrics,
+                                   const ColumnReads&) const {
+  Pipeline pipeline{handle_.schema, handle_.num_partitions, nullptr, handle_};
+  pipeline.run = [&session, &metrics, handle = handle_](const Pipe& down) {
+    return PushBlocks(session.cluster(), metrics, "cached scan", {&handle, 1},
+                      down);
+  };
+  return pipeline;
+}
+
+Result<Pipeline> ScanExec::OpenImpl(Session& session, QueryMetrics& metrics,
+                                    const ColumnReads& reads) const {
+  return dataset_->Scan(session, metrics, reads);
 }
 
 // ---- FilterExec ------------------------------------------------------------
@@ -250,52 +433,46 @@ bool TryVectorizedFilter(const Expr& predicate, const ColumnarChunk& chunk,
   return true;
 }
 
+/// The block's rows that satisfy `predicate`: the block itself when all do,
+/// null when none does.
+ChunkPtr FilterBlock(const Expr& predicate, ChunkPtr block) {
+  const ColumnarChunk& input = *block;
+  std::vector<RowRef> selected;
+  if (!TryVectorizedFilter(predicate, input, selected)) {
+    ChunkRowAccessor accessor(input, 0);
+    for (size_t i = 0; i < input.num_rows(); ++i) {
+      accessor.set_row(i);
+      const Value keep = predicate.Eval(accessor);
+      if (!keep.is_null() && keep.bool_value()) {
+        selected.push_back({0, static_cast<uint32_t>(i)});
+      }
+    }
+  }
+  if (selected.size() == input.num_rows()) return block;
+  if (selected.empty()) return nullptr;
+  auto out = std::make_shared<ColumnarChunk>(input.schema_ptr());
+  GatherRows({&block, 1}, selected, *out, 0);
+  out->SetRowCount(selected.size());
+  return out;
+}
+
 }  // namespace
 
-Result<TableHandle> FilterExec::ExecuteImpl(Session& session,
-                                            QueryMetrics& metrics) const {
-  IDF_ASSIGN_OR_RETURN(TableHandle in, child()->Execute(session, metrics));
+Result<Pipeline> FilterExec::OpenImpl(Session& session, QueryMetrics& metrics,
+                                      const ColumnReads& reads) const {
+  ColumnReads child_reads = reads;
+  if (child_reads) predicate_->CollectColumns(*child_reads);
+  IDF_ASSIGN_OR_RETURN(Pipeline in,
+                       child()->Open(session, metrics, child_reads));
   IDF_ASSIGN_OR_RETURN(ExprPtr resolved, predicate_->Resolve(*in.schema));
-
-  TableSink sink(session, in.schema, in.num_partitions);
-  StageSpec stage;
-  stage.name = "filter";
-  for (uint32_t p = 0; p < in.num_partitions; ++p) {
-    stage.tasks.push_back(TaskSpec{
-        session.cluster().HomeExecutorFor(in.rdd_id, p),
-        {},
-        0,
-        [&, p](TaskContext& ctx) -> Status {
-          // Keep the input chunk pinned for the whole body: column
-          // references are held across appends that may trigger eviction.
-          ChunkPtr chunk;  // outlives the scope, which unpins it
-          mem::AccessScope scope;
-          IDF_ASSIGN_OR_RETURN(chunk, FetchChunk(ctx, in, p));
-          const ColumnarChunk& input = *chunk;
-          ctx.metrics().rows_read += input.num_rows();
-
-          std::vector<RowRef> selected;
-          if (!TryVectorizedFilter(*resolved, input, selected)) {
-            ChunkRowAccessor accessor(input, 0);
-            for (size_t i = 0; i < input.num_rows(); ++i) {
-              accessor.set_row(i);
-              const Value keep = resolved->Eval(accessor);
-              if (!keep.is_null() && keep.bool_value()) {
-                selected.push_back({0, static_cast<uint32_t>(i)});
-              }
-            }
-          }
-          auto out = std::make_shared<ColumnarChunk>(in.schema);
-          GatherRows({&chunk, 1}, selected, *out, 0);
-          out->SetRowCount(selected.size());
-          sink.Emit(ctx, p, std::move(out));
-          return Status::OK();
-        },
-        {{in.rdd_id, p}}});
-  }
-  IDF_ASSIGN_OR_RETURN(StageMetrics sm, session.cluster().RunStage(stage));
-  metrics.MergeStage(sm);
-  return sink.Finish();
+  Pipeline out{in.schema, in.num_partitions, nullptr, std::nullopt};
+  out.run = [in = std::move(in), resolved](const Pipe& down) {
+    const TransformPipe filter(down, [&](ChunkPtr block) {
+      return FilterBlock(*resolved, std::move(block));
+    });
+    return in.run(filter);
+  };
+  return out;
 }
 
 // ---- ProjectExec ------------------------------------------------------------
@@ -309,46 +486,45 @@ std::string ProjectExec::Describe() const {
   return s + "]";
 }
 
-Result<TableHandle> ProjectExec::ExecuteImpl(Session& session,
-                                             QueryMetrics& metrics) const {
-  IDF_ASSIGN_OR_RETURN(TableHandle in, child()->Execute(session, metrics));
-  IDF_ASSIGN_OR_RETURN(Schema out_schema, in.schema->Project(columns_));
-  auto out_schema_ptr = std::make_shared<Schema>(std::move(out_schema));
+Result<Pipeline> ProjectExec::OpenImpl(Session& session, QueryMetrics& metrics,
+                                       const ColumnReads&) const {
+  IDF_ASSIGN_OR_RETURN(Pipeline in, child()->Open(session, metrics, columns_));
+  IDF_ASSIGN_OR_RETURN(Schema projected, in.schema->Project(columns_));
+  auto schema = std::make_shared<Schema>(std::move(projected));
+  // indices[c] feeds output column c; it may move out of the block when no
+  // later output column reads it too.
   std::vector<size_t> indices;
+  std::vector<bool> last_use;
   for (const std::string& name : columns_) {
     IDF_ASSIGN_OR_RETURN(size_t idx, in.schema->FieldIndex(name));
     indices.push_back(idx);
   }
-
-  TableSink sink(session, out_schema_ptr, in.num_partitions);
-  StageSpec stage;
-  stage.name = "project";
-  for (uint32_t p = 0; p < in.num_partitions; ++p) {
-    stage.tasks.push_back(TaskSpec{
-        session.cluster().HomeExecutorFor(in.rdd_id, p),
-        {},
-        0,
-        [&, p](TaskContext& ctx) -> Status {
-          ChunkPtr chunk;  // outlives the scope, which unpins it
-          mem::AccessScope scope;
-          IDF_ASSIGN_OR_RETURN(chunk, FetchChunk(ctx, in, p));
-          const ColumnarChunk& input = *chunk;
-          ctx.metrics().rows_read += input.num_rows();
-
-          // Columnar projection: copy whole column vectors — no row work.
-          auto out = std::make_shared<ColumnarChunk>(out_schema_ptr);
-          for (size_t c = 0; c < indices.size(); ++c) {
-            out->mutable_column(c) = input.column(indices[c]);
-          }
-          out->SetRowCount(input.num_rows());
-          sink.Emit(ctx, p, std::move(out));
-          return Status::OK();
-        },
-        {{in.rdd_id, p}}});
+  for (size_t c = 0; c < indices.size(); ++c) {
+    last_use.push_back(std::find(indices.begin() + c + 1, indices.end(),
+                                 indices[c]) == indices.end());
   }
-  IDF_ASSIGN_OR_RETURN(StageMetrics sm, session.cluster().RunStage(stage));
-  metrics.MergeStage(sm);
-  return sink.Finish();
+  Pipeline out{schema, in.num_partitions, nullptr, std::nullopt};
+  out.run = [in = std::move(in), schema, indices,
+             last_use](const Pipe& down) {
+    const TransformPipe project(down, [&](ChunkPtr block) -> ChunkPtr {
+      // A block built for this pipeline gives up its columns; a shared one
+      // (a cached table's block) is copied.
+      const std::shared_ptr<ColumnarChunk> owned = Unshared(block);
+      auto chunk = std::make_shared<ColumnarChunk>(schema);
+      for (size_t c = 0; c < indices.size(); ++c) {
+        if (owned != nullptr && last_use[c]) {
+          chunk->mutable_column(c) =
+              std::move(owned->mutable_column(indices[c]));
+        } else {
+          chunk->mutable_column(c) = block->column(indices[c]);
+        }
+      }
+      chunk->SetRowCount(block->num_rows());
+      return chunk;
+    });
+    return in.run(project);
+  };
+  return out;
 }
 
 // ---- JoinExec ------------------------------------------------------------
@@ -366,8 +542,8 @@ std::string JoinExec::Describe() const {
          left_key_ + " = " + right_key_;
 }
 
-Result<TableHandle> JoinExec::ExecuteImpl(Session& session,
-                                          QueryMetrics& metrics) const {
+Result<Pipeline> JoinExec::OpenImpl(Session& session, QueryMetrics& metrics,
+                                    const ColumnReads&) const {
   IDF_ASSIGN_OR_RETURN(TableHandle lh,
                        children_[0]->Execute(session, metrics));
   IDF_ASSIGN_OR_RETURN(TableHandle rh,
@@ -386,32 +562,37 @@ Result<TableHandle> JoinExec::ExecuteImpl(Session& session,
                ? Mode::kBroadcastHash
                : Mode::kShuffledHash;
   }
-  switch (mode) {
-    case Mode::kBroadcastHash:
+  auto out_schema = std::make_shared<Schema>(
+      JoinOutputSchema(*lh.schema, *rh.schema, join_type_));
+  const uint32_t partitions =
+      mode == Mode::kBroadcastHash
+          ? (build_left ? rh : lh).num_partitions
+          : std::max(lh.num_partitions, rh.num_partitions);
+  Pipeline out{out_schema, partitions, nullptr, std::nullopt};
+  out.run = [this, &session, &metrics, lh, rh, lkey, rkey, build_left, mode,
+             out_schema](const Pipe& down) {
+    if (mode == Mode::kBroadcastHash) {
       return BroadcastHashJoin(session, lh, rh, lkey, rkey, build_left,
-                               metrics);
-    case Mode::kShuffledHash:
-      return ShuffledJoin(session, lh, rh, lkey, rkey, /*sort_merge=*/false,
-                          metrics);
-    case Mode::kSortMerge:
-      return ShuffledJoin(session, lh, rh, lkey, rkey, /*sort_merge=*/true,
-                          metrics);
-    case Mode::kAuto:
-      break;
-  }
-  return Status::Internal("unresolved join mode");
+                               out_schema, down, metrics);
+    }
+    return ShuffledJoin(session, lh, rh, lkey, rkey,
+                        /*sort_merge=*/mode == Mode::kSortMerge, out_schema,
+                        down, metrics);
+  };
+  return out;
 }
 
-Result<TableHandle> JoinExec::BroadcastHashJoin(
-    Session& session, const TableHandle& lh, const TableHandle& rh,
-    size_t lkey, size_t rkey, bool build_left, QueryMetrics& metrics) const {
+Status JoinExec::BroadcastHashJoin(Session& session, const TableHandle& lh,
+                                   const TableHandle& rh, size_t lkey,
+                                   size_t rkey, bool build_left,
+                                   const SchemaPtr& out_schema,
+                                   const Pipe& down,
+                                   QueryMetrics& metrics) const {
   Cluster& cluster = session.cluster();
   const TableHandle& build = build_left ? lh : rh;
   const TableHandle& probe = build_left ? rh : lh;
   const size_t build_key = build_left ? lkey : rkey;
   const size_t probe_key = build_left ? rkey : lkey;
-  auto out_schema = std::make_shared<Schema>(
-      JoinOutputSchema(*lh.schema, *rh.schema, join_type_));
   const bool verify =
       KeyCodeNeedsVerify(build.schema->field(build_key).type) ||
       KeyCodeNeedsVerify(probe.schema->field(probe_key).type);
@@ -463,89 +644,75 @@ Result<TableHandle> JoinExec::BroadcastHashJoin(
                        cluster.RunStage(replica_stage));
   metrics.MergeStage(replica_metrics);
 
-  // Probe stage: one task per probe partition, local to the probe block.
-  TableSink sink(session, out_schema, probe.num_partitions);
-  StageSpec stage;
-  stage.name = "broadcast hash probe";
-  for (uint32_t p = 0; p < probe.num_partitions; ++p) {
-    stage.tasks.push_back(TaskSpec{
-        cluster.HomeExecutorFor(probe.rdd_id, p),
-        {},
-        0,
-        [&, p](TaskContext& ctx) -> Status {
-          // Pins the probe chunk AND every build chunk touched below — the
-          // body holds `key_col` across reads of other chunks, so transient
-          // pins alone would not keep the probe chunk resident.
-          ChunkPtr chunk;  // outlives the scope, which unpins it
-          mem::AccessScope scope;
-          IDF_ASSIGN_OR_RETURN(chunk, FetchChunk(ctx, probe, p));
-          const ColumnarChunk& probe_chunk = *chunk;
-          const ColumnVector& key_col = probe_chunk.column(probe_key);
-          ctx.metrics().rows_read += probe_chunk.num_rows();
+  // Probe stage: one task per probe partition, local to the probe block;
+  // matched pairs gather a block at a time and push on.
+  const bool outer = join_type_ == JoinType::kLeftOuter;
+  return ForEachBlock(
+      cluster, metrics, "broadcast hash probe", {&probe, 1},
+      [&](TaskContext& ctx, uint32_t p, const ChunkPtr& chunk) -> Status {
+        // The scope ForEachBlock opened pins the probe chunk AND every
+        // build chunk touched below — the body holds `key_col` across reads
+        // of other chunks.
+        const ColumnarChunk& probe_chunk = *chunk;
+        const ColumnVector& key_col = probe_chunk.column(probe_key);
+        ctx.metrics().rows_read += probe_chunk.num_rows();
+        std::unique_ptr<ChunkConsumer> consumer = down.Open(ctx, p);
 
-          // Matched pairs gather a block at a time; left-outer pads an
-          // unmatched probe (=left) row with a null build row.
-          const bool outer = join_type_ == JoinType::kLeftOuter;
-          auto out = std::make_shared<ColumnarChunk>(out_schema);
-          std::vector<RowRef> build_refs;
-          std::vector<RowRef> probe_refs;
-          auto flush = [&] {
-            const size_t build_offset =
-                build_left ? 0 : probe.schema->num_fields();
-            const size_t probe_offset =
-                build_left ? build.schema->num_fields() : 0;
-            GatherRows(build_chunks, build_refs, *out, build_offset);
-            GatherRows({&chunk, 1}, probe_refs, *out, probe_offset);
-            build_refs.clear();
-            probe_refs.clear();
-          };
-          auto emit = [&](RowRef build_ref, size_t ri) {
-            build_refs.push_back(build_ref);
-            probe_refs.push_back({0, static_cast<uint32_t>(ri)});
-            if (probe_refs.size() == kTranscodeBlockRows) flush();
-          };
-          for (size_t ri = 0; ri < probe_chunk.num_rows(); ++ri) {
-            if (key_col.IsNull(ri)) {
-              if (outer) emit({RowRef::kNull, 0}, ri);
-              continue;
-            }
-            auto it = hash_table.find(key_col.KeyCodeAt(ri));
-            bool matched = false;
-            if (it != hash_table.end()) {
-              for (const RowRef& ref : it->second) {
-                if (verify &&
-                    !KeysReallyEqual(
-                        build_chunks[ref.chunk]->ValueAt(ref.row, build_key),
-                        probe_chunk.ValueAt(ri, probe_key))) {
-                  continue;
-                }
-                matched = true;
-                emit(ref, ri);
-              }
-            }
-            if (outer && !matched) emit({RowRef::kNull, 0}, ri);
+        // Left-outer pads an unmatched probe (=left) row with a null build
+        // row.
+        std::vector<RowRef> build_refs;
+        std::vector<RowRef> probe_refs;
+        auto flush = [&] {
+          if (probe_refs.empty()) return;
+          const size_t build_offset =
+              build_left ? 0 : probe.schema->num_fields();
+          const size_t probe_offset =
+              build_left ? build.schema->num_fields() : 0;
+          auto block = std::make_shared<ColumnarChunk>(out_schema);
+          GatherRows(build_chunks, build_refs, *block, build_offset);
+          GatherRows({&chunk, 1}, probe_refs, *block, probe_offset);
+          block->SetRowCount(probe_refs.size());
+          build_refs.clear();
+          probe_refs.clear();
+          consumer->Consume(ctx, std::move(block));
+        };
+        auto emit = [&](RowRef build_ref, size_t ri) {
+          build_refs.push_back(build_ref);
+          probe_refs.push_back({0, static_cast<uint32_t>(ri)});
+          if (probe_refs.size() == kTranscodeBlockRows) flush();
+        };
+        for (size_t ri = 0; ri < probe_chunk.num_rows(); ++ri) {
+          if (key_col.IsNull(ri)) {
+            if (outer) emit({RowRef::kNull, 0}, ri);
+            continue;
           }
-          flush();
-          out->SetRowCount(out->column(0).size());
-          sink.Emit(ctx, p, std::move(out));
-          return Status::OK();
-        },
-        {{probe.rdd_id, p}}});
-  }
-  IDF_ASSIGN_OR_RETURN(StageMetrics sm, cluster.RunStage(stage));
-  metrics.MergeStage(sm);
-  return sink.Finish();
+          auto it = hash_table.find(key_col.KeyCodeAt(ri));
+          bool matched = false;
+          if (it != hash_table.end()) {
+            for (const RowRef& ref : it->second) {
+              if (verify &&
+                  !KeysReallyEqual(
+                      build_chunks[ref.chunk]->ValueAt(ref.row, build_key),
+                      probe_chunk.ValueAt(ri, probe_key))) {
+                continue;
+              }
+              matched = true;
+              emit(ref, ri);
+            }
+          }
+          if (outer && !matched) emit({RowRef::kNull, 0}, ri);
+        }
+        flush();
+        return consumer->Commit(ctx);
+      });
 }
 
-Result<TableHandle> JoinExec::ShuffledJoin(Session& session,
-                                           const TableHandle& lh,
-                                           const TableHandle& rh, size_t lkey,
-                                           size_t rkey, bool sort_merge,
-                                           QueryMetrics& metrics) const {
+Status JoinExec::ShuffledJoin(Session& session, const TableHandle& lh,
+                              const TableHandle& rh, size_t lkey, size_t rkey,
+                              bool sort_merge, const SchemaPtr& out_schema,
+                              const Pipe& down, QueryMetrics& metrics) const {
   Cluster& cluster = session.cluster();
   const uint32_t R = std::max(lh.num_partitions, rh.num_partitions);
-  auto out_schema = std::make_shared<Schema>(
-      JoinOutputSchema(*lh.schema, *rh.schema, join_type_));
   RowLayout llayout(lh.schema);
   RowLayout rlayout(rh.schema);
   const bool verify = KeyCodeNeedsVerify(lh.schema->field(lkey).type) ||
@@ -565,16 +732,15 @@ Result<TableHandle> JoinExec::ShuffledJoin(Session& session,
       return keep_null_keys ? 0u : kDropRow;
     };
   };
-  TableSink sink(session, out_schema, R);
-  IDF_RETURN_IF_ERROR(cluster.RunExchange(
+  return cluster.RunExchange(
       ExchangeSpec{
-          {ShuffleByKey("shuffle map (left)", lh, lkey, llayout,
-                        target(outer)),
-           ShuffleByKey("shuffle map (right)", rh, rkey, rlayout,
-                        target(false))},
+          {ShuffleByKey(cluster, metrics, "shuffle map (left)", lh, lkey,
+                        llayout, target(outer)),
+           ShuffleByKey(cluster, metrics, "shuffle map (right)", rh, rkey,
+                        rlayout, target(false))},
           sort_merge ? "sort-merge reduce" : "shuffled-hash reduce",
           R,
-          sink.rdd_id(),
+          cluster.NewRddId(),
           /*reduce_reads_rdd=*/false,
           [&](TaskContext& ctx, uint32_t rp,
               const std::vector<ShuffleInputs>& inputs) -> Status {
@@ -588,9 +754,13 @@ Result<TableHandle> JoinExec::ShuffledJoin(Session& session,
             std::vector<const uint8_t*> rrows = rows_of(inputs[1]);
             ctx.metrics().rows_read += lrows.size() + rrows.size();
 
-            auto out = std::make_shared<ColumnarChunk>(out_schema);
+            std::unique_ptr<ChunkConsumer> consumer = down.Open(ctx, rp);
             // A null right row pads an unmatched left row.
-            JoinedRowDecoder decoder(llayout, rlayout, *out);
+            JoinedRowDecoder decoder(
+                llayout, rlayout, out_schema,
+                [&](std::shared_ptr<ColumnarChunk> block) {
+                  consumer->Consume(ctx, std::move(block));
+                });
 
             if (sort_merge) {
               // Sort both sides by key value, then merge equal-key groups.
@@ -692,128 +862,148 @@ Result<TableHandle> JoinExec::ShuffledJoin(Session& session,
               }
             }
             decoder.Flush();
-            out->SetRowCount(out->column(0).size());
-            sink.Emit(ctx, rp, std::move(out));
-            return Status::OK();
+            return consumer->Commit(ctx);
           }},
-      metrics));
-  return sink.Finish();
+      metrics);
 }
 
 // ---- HashAggExec ------------------------------------------------------------
 
-Result<TableHandle> HashAggExec::ExecuteImpl(Session& session,
-                                             QueryMetrics& metrics) const {
-  using agg_internal::ChunkRun;
-  using agg_internal::PartialAggregator;
+namespace {
+
+/// The partial aggregate as a pipeline's end: each producing task folds its
+/// blocks into a task-local PartialAggregator, whose rows its Commit routes
+/// into the aggregation exchange as map task `partition`.
+class PartialAggPipe final : public Pipe {
+ public:
+  PartialAggPipe(const agg_internal::ResolvedAggs& resolved,
+                 const std::vector<AggSpec>& aggs, uint32_t num_reduce,
+                 const MapOutput& out)
+      : resolved_(resolved), aggs_(aggs), num_reduce_(num_reduce), out_(out) {}
+
+  std::unique_ptr<ChunkConsumer> Open(TaskContext&,
+                                      uint32_t partition) const override {
+    return std::make_unique<Consumer>(*this, partition);
+  }
+
+ private:
+  class Consumer final : public ChunkConsumer {
+   public:
+    Consumer(const PartialAggPipe& pipe, uint32_t partition)
+        : pipe_(pipe),
+          partition_(partition),
+          partials_(pipe.resolved_, pipe.aggs_) {}
+    void Consume(TaskContext&, ChunkPtr block) override {
+      partials_.Add(agg_internal::ChunkRun(*block));
+    }
+    Status Commit(TaskContext& ctx) override {
+      return CommitPartials(ctx, partials_, pipe_.num_reduce_, pipe_.out_,
+                            partition_);
+    }
+
+   private:
+    const PartialAggPipe& pipe_;
+    uint32_t partition_;
+    agg_internal::PartialAggregator partials_;
+  };
+
+  const agg_internal::ResolvedAggs& resolved_;
+  const std::vector<AggSpec>& aggs_;
+  uint32_t num_reduce_;
+  const MapOutput& out_;
+};
+
+}  // namespace
+
+Result<Pipeline> HashAggExec::OpenImpl(Session& session, QueryMetrics& metrics,
+                                       const ColumnReads&) const {
   using agg_internal::ResolvedAggs;
 
-  IDF_ASSIGN_OR_RETURN(TableHandle in, child()->Execute(session, metrics));
+  std::vector<std::string> reads = group_by_;
+  for (const AggSpec& agg : aggs_) {
+    if (agg.fn != AggSpec::Fn::kCount) reads.push_back(agg.column);
+  }
+  IDF_ASSIGN_OR_RETURN(Pipeline in, child()->Open(session, metrics, reads));
   IDF_ASSIGN_OR_RETURN(ResolvedAggs resolved,
                        ResolvedAggs::Resolve(*in.schema, group_by_, aggs_));
-  return AggregateInTwoPhases(
-      session, metrics, "partial aggregate", in.rdd_id, in.num_partitions,
-      resolved, aggs_,
-      [&](TaskContext& ctx, uint32_t p,
-          PartialAggregator& partials) -> Status {
-        ChunkPtr chunk;  // outlives the scope, which unpins it
-        mem::AccessScope scope;
-        IDF_ASSIGN_OR_RETURN(chunk, FetchChunk(ctx, in, p));
-        ctx.metrics().rows_read += chunk->num_rows();
-        partials.Add(ChunkRun(*chunk));
-        return Status::OK();
-      });
+  const uint32_t R = resolved.group_idx.empty() ? 1 : in.num_partitions;
+  Pipeline out{resolved.output_schema, R, nullptr, std::nullopt};
+  out.run = [this, &session, &metrics, in = std::move(in), resolved,
+             R](const Pipe& down) {
+    ExchangeSide partial{in.num_partitions, [&](const MapOutput& map) {
+      const PartialAggPipe partials(resolved, aggs_, R, map);
+      return in.run(partials);
+    }};
+    return AggregateInTwoPhases(session, metrics, resolved, aggs_, R,
+                                std::move(partial), down);
+  };
+  return out;
 }
 
-Result<TableHandle> AggregateInTwoPhases(
-    Session& session, QueryMetrics& metrics, const std::string& map_stage_name,
-    uint64_t rdd_id, uint32_t num_partitions,
-    const agg_internal::ResolvedAggs& resolved,
-    const std::vector<AggSpec>& aggs,
-    const std::function<Status(TaskContext&, uint32_t,
-                               agg_internal::PartialAggregator&)>& fill) {
+Status CommitPartials(TaskContext& ctx,
+                      const agg_internal::PartialAggregator& partials,
+                      uint32_t num_reduce, const MapOutput& out,
+                      uint32_t map_task) {
+  const RowLayout layout(partials.resolved().partial_schema);
+  ShuffleWriter writer = out.Writer(ctx, map_task);
+  writer.ExpectRows(partials.num_groups());
+  std::vector<uint8_t> encoded;
+  IDF_RETURN_IF_ERROR(partials.ForEachPartial(
+      [&](uint64_t code, const RowVec& row) -> Status {
+        IDF_ASSIGN_OR_RETURN(uint32_t size, layout.ComputeRowSize(row));
+        encoded.resize(size);
+        layout.EncodeRow(row, encoded.data(), PackedRowPtr::Null());
+        writer.Append(HashPartition(code, num_reduce), encoded.data(), size);
+        return Status::OK();
+      }));
+  out.Commit(ctx, writer);
+  return Status::OK();
+}
+
+Status AggregateInTwoPhases(Session& session, QueryMetrics& metrics,
+                            const agg_internal::ResolvedAggs& resolved,
+                            const std::vector<AggSpec>& aggs,
+                            uint32_t num_reduce, ExchangeSide map,
+                            const Pipe& down) {
   Cluster& cluster = session.cluster();
-  const uint32_t R = resolved.group_idx.empty() ? 1 : num_partitions;
-  const RowLayout partial_layout(resolved.partial_schema);
   const agg_internal::FinalMerge merge(resolved, aggs);
-  TableSink sink(session, resolved.output_schema, R);
-  const Status exchanged = cluster.RunExchange(
-      ExchangeSpec{
-          {ExchangeSide{
-              map_stage_name, rdd_id, num_partitions,
-              [&](TaskContext& ctx, uint32_t p,
-                  ShuffleWriter& writer) -> Status {
-                agg_internal::PartialAggregator partials(resolved, aggs);
-                IDF_RETURN_IF_ERROR(fill(ctx, p, partials));
-                writer.ExpectRows(partials.num_groups());
-                std::vector<uint8_t> encoded;
-                return partials.ForEachPartial(
-                    [&](uint64_t code, const RowVec& row) -> Status {
-                      IDF_ASSIGN_OR_RETURN(uint32_t size,
-                                           partial_layout.ComputeRowSize(row));
-                      encoded.resize(size);
-                      partial_layout.EncodeRow(row, encoded.data(),
-                                               PackedRowPtr::Null());
-                      writer.Append(HashPartition(code, R), encoded.data(),
-                                    size);
-                      return Status::OK();
-                    });
-              }}},
-          "final aggregate",
-          R,
-          sink.rdd_id(),
-          /*reduce_reads_rdd=*/false,
-          [&](TaskContext& ctx, uint32_t rp,
-              const std::vector<ShuffleInputs>& inputs) -> Status {
-            auto out =
-                std::make_shared<ColumnarChunk>(resolved.output_schema);
-            IDF_RETURN_IF_ERROR(merge.Run(inputs[0], *out));
-            sink.Emit(ctx, rp, std::move(out));
-            return Status::OK();
-          }},
+  return cluster.RunExchange(
+      ExchangeSpec{{std::move(map)},
+                   "final aggregate",
+                   num_reduce,
+                   cluster.NewRddId(),
+                   /*reduce_reads_rdd=*/false,
+                   [&](TaskContext& ctx, uint32_t rp,
+                       const std::vector<ShuffleInputs>& inputs) -> Status {
+                     auto out = std::make_shared<ColumnarChunk>(
+                         resolved.output_schema);
+                     IDF_RETURN_IF_ERROR(merge.Run(inputs[0], *out));
+                     std::unique_ptr<ChunkConsumer> consumer =
+                         down.Open(ctx, rp);
+                     consumer->Consume(ctx, std::move(out));
+                     return consumer->Commit(ctx);
+                   }},
       metrics);
-  if (!exchanged.ok()) return exchanged;
-  return sink.Finish();
 }
 
 // ---- UnionExec ------------------------------------------------------------
 
-Result<TableHandle> UnionExec::ExecuteImpl(Session& session,
-                                           QueryMetrics& metrics) const {
-  Cluster& cluster = session.cluster();
+Result<Pipeline> UnionExec::OpenImpl(Session& session, QueryMetrics& metrics,
+                                     const ColumnReads&) const {
   IDF_ASSIGN_OR_RETURN(TableHandle lh, children_[0]->Execute(session, metrics));
   IDF_ASSIGN_OR_RETURN(TableHandle rh, children_[1]->Execute(session, metrics));
   if (*lh.schema != *rh.schema) {
     return Status::InvalidArgument("UNION sides have different schemas");
   }
-
-  // Zero-copy: register the existing chunks under the output RDD id. The
-  // stage exists so the re-homing shows up in scheduling like any other op.
-  TableSink sink(session, lh.schema, lh.num_partitions + rh.num_partitions);
-  StageSpec stage;
-  stage.name = "union";
-  auto add_side = [&](const TableHandle& side, uint32_t offset) {
-    for (uint32_t p = 0; p < side.num_partitions; ++p) {
-      stage.tasks.push_back(TaskSpec{
-          cluster.HomeExecutorFor(side.rdd_id, p),
-          {},
-          0,
-          [&, p, offset, side](TaskContext& ctx) -> Status {
-            Result<ChunkPtr> chunk = FetchChunk(ctx, side, p);
-            IDF_RETURN_IF_ERROR(chunk.status());
-            // Re-emitting an already-sealed chunk: SealForCache keeps the
-            // first identity, so the pass-through costs nothing.
-            sink.Emit(ctx, offset + p, *chunk);
-            return Status::OK();
-          },
-          {{side.rdd_id, p}}});
-    }
+  Pipeline out{lh.schema, lh.num_partitions + rh.num_partitions, nullptr,
+               std::nullopt};
+  // The stage exists so the re-homing shows up in scheduling like any other
+  // op; materialized, each block passes through the sink uncopied.
+  out.run = [&session, &metrics,
+             sides = std::vector<TableHandle>{lh, rh}](const Pipe& down) {
+    return PushBlocks(session.cluster(), metrics, "union", sides, down);
   };
-  add_side(lh, 0);
-  add_side(rh, lh.num_partitions);
-  IDF_ASSIGN_OR_RETURN(StageMetrics sm, cluster.RunStage(stage));
-  metrics.MergeStage(sm);
-  return sink.Finish();
+  return out;
 }
 
 // ---- SortExec ------------------------------------------------------------
@@ -828,110 +1018,123 @@ std::string SortExec::Describe() const {
   return s + "]";
 }
 
-Result<TableHandle> SortExec::ExecuteImpl(Session& session,
-                                          QueryMetrics& metrics) const {
-  Cluster& cluster = session.cluster();
+namespace {
+
+/// Runs stage `name` as one task on the first alive executor that reads
+/// every partition of `in` and pushes output partition 0: fill(ctx, out)
+/// builds it.
+Status RunGatherStage(
+    Cluster& cluster, QueryMetrics& metrics, const std::string& name,
+    const TableHandle& in, const Pipe& down,
+    const std::function<Status(TaskContext&, ColumnarChunk&)>& fill) {
+  StageSpec stage;
+  stage.name = name;
+  std::vector<PartitionInput> all_inputs;
+  for (uint32_t p = 0; p < in.num_partitions; ++p) {
+    all_inputs.push_back({in.rdd_id, p});
+  }
+  stage.tasks.push_back(TaskSpec{
+      cluster.AliveExecutors().front(),
+      {},
+      0,
+      [&](TaskContext& ctx) -> Status {
+        auto out = std::make_shared<ColumnarChunk>(in.schema);
+        IDF_RETURN_IF_ERROR(fill(ctx, *out));
+        std::unique_ptr<ChunkConsumer> consumer = down.Open(ctx, 0);
+        consumer->Consume(ctx, std::move(out));
+        return consumer->Commit(ctx);
+      },
+      all_inputs});
+  IDF_ASSIGN_OR_RETURN(StageMetrics sm, cluster.RunStage(stage));
+  metrics.MergeStage(sm);
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<Pipeline> SortExec::OpenImpl(Session& session, QueryMetrics& metrics,
+                                    const ColumnReads&) const {
   IDF_ASSIGN_OR_RETURN(TableHandle in, child()->Execute(session, metrics));
   std::vector<size_t> key_idx;
   for (const SortKey& key : keys_) {
     IDF_ASSIGN_OR_RETURN(size_t idx, in.schema->FieldIndex(key.column));
     key_idx.push_back(idx);
   }
-
-  TableSink sink(session, in.schema, 1);
-  StageSpec stage;
-  stage.name = "sort";
-  std::vector<PartitionInput> all_inputs;
-  for (uint32_t p = 0; p < in.num_partitions; ++p) {
-    all_inputs.push_back({in.rdd_id, p});
-  }
-  stage.tasks.push_back(TaskSpec{
-      cluster.AliveExecutors().front(),
-      {},
-      0,
-      [&](TaskContext& ctx) -> Status {
-        // Gather (chunk, row) references across all partitions, then sort.
-        // The chunks outlive the scope, so it unpins them while they live.
-        std::vector<ChunkPtr> chunks;
-        // One task touches every partition; pin them all for the sort.
-        mem::AccessScope scope;
-        std::vector<RowRef> refs;
-        for (uint32_t p = 0; p < in.num_partitions; ++p) {
-          Result<ChunkPtr> chunk = FetchChunk(ctx, in, p);
-          IDF_RETURN_IF_ERROR(chunk.status());
-          const uint32_t ci = static_cast<uint32_t>(chunks.size());
-          for (size_t i = 0; i < (*chunk)->num_rows(); ++i) {
-            refs.push_back({ci, static_cast<uint32_t>(i)});
+  Pipeline out{in.schema, 1, nullptr, std::nullopt};
+  out.run = [this, &session, &metrics, in, key_idx](const Pipe& down) {
+    return RunGatherStage(
+        session.cluster(), metrics, "sort", in, down,
+        [&](TaskContext& ctx, ColumnarChunk& sorted) -> Status {
+          // Gather (chunk, row) references across all partitions, then
+          // sort. The chunks outlive the scope, so it unpins them while
+          // they live.
+          std::vector<ChunkPtr> chunks;
+          // One task touches every partition; pin them all for the sort.
+          mem::AccessScope scope;
+          std::vector<RowRef> refs;
+          for (uint32_t p = 0; p < in.num_partitions; ++p) {
+            Result<ChunkPtr> chunk = FetchChunk(ctx, in, p);
+            IDF_RETURN_IF_ERROR(chunk.status());
+            const uint32_t ci = static_cast<uint32_t>(chunks.size());
+            for (size_t i = 0; i < (*chunk)->num_rows(); ++i) {
+              refs.push_back({ci, static_cast<uint32_t>(i)});
+            }
+            chunks.push_back(std::move(*chunk));
           }
-          chunks.push_back(std::move(*chunk));
-        }
-        ctx.metrics().rows_read += refs.size();
+          ctx.metrics().rows_read += refs.size();
 
-        std::stable_sort(
-            refs.begin(), refs.end(),
-            [&](const RowRef& a, const RowRef& b) {
-              for (size_t k = 0; k < key_idx.size(); ++k) {
-                const Value va = chunks[a.chunk]->ValueAt(a.row, key_idx[k]);
-                const Value vb = chunks[b.chunk]->ValueAt(b.row, key_idx[k]);
-                const int cmp = va.Compare(vb);
-                if (cmp != 0) return keys_[k].descending ? cmp > 0 : cmp < 0;
-              }
-              return false;
-            });
+          std::stable_sort(
+              refs.begin(), refs.end(),
+              [&](const RowRef& a, const RowRef& b) {
+                for (size_t k = 0; k < key_idx.size(); ++k) {
+                  const Value va =
+                      chunks[a.chunk]->ValueAt(a.row, key_idx[k]);
+                  const Value vb =
+                      chunks[b.chunk]->ValueAt(b.row, key_idx[k]);
+                  const int cmp = va.Compare(vb);
+                  if (cmp != 0) {
+                    return keys_[k].descending ? cmp > 0 : cmp < 0;
+                  }
+                }
+                return false;
+              });
 
-        auto out = std::make_shared<ColumnarChunk>(in.schema);
-        if (!chunks.empty()) GatherRows(chunks, refs, *out, 0);
-        out->SetRowCount(refs.size());
-        sink.Emit(ctx, 0, std::move(out));
-        return Status::OK();
-      },
-      all_inputs});
-  IDF_ASSIGN_OR_RETURN(StageMetrics sm, cluster.RunStage(stage));
-  metrics.MergeStage(sm);
-  return sink.Finish();
+          if (!chunks.empty()) GatherRows(chunks, refs, sorted, 0);
+          sorted.SetRowCount(refs.size());
+          return Status::OK();
+        });
+  };
+  return out;
 }
 
 // ---- LimitExec ------------------------------------------------------------
 
-Result<TableHandle> LimitExec::ExecuteImpl(Session& session,
-                                           QueryMetrics& metrics) const {
-  Cluster& cluster = session.cluster();
+Result<Pipeline> LimitExec::OpenImpl(Session& session, QueryMetrics& metrics,
+                                     const ColumnReads&) const {
   IDF_ASSIGN_OR_RETURN(TableHandle in, child()->Execute(session, metrics));
-
-  TableSink sink(session, in.schema, 1);
-  StageSpec stage;
-  stage.name = "limit";
-  std::vector<PartitionInput> all_inputs;
-  for (uint32_t p = 0; p < in.num_partitions; ++p) {
-    all_inputs.push_back({in.rdd_id, p});
-  }
-  stage.tasks.push_back(TaskSpec{
-      cluster.AliveExecutors().front(),
-      {},
-      0,
-      [&](TaskContext& ctx) -> Status {
-        auto out = std::make_shared<ColumnarChunk>(in.schema);
-        uint64_t taken = 0;
-        for (uint32_t p = 0; p < in.num_partitions && taken < limit_; ++p) {
-          ChunkPtr chunk;  // outlives the scope, which unpins it
-          mem::AccessScope scope;
-          IDF_ASSIGN_OR_RETURN(chunk, FetchChunk(ctx, in, p));
-          std::vector<RowRef> refs(
-              std::min<uint64_t>(chunk->num_rows(), limit_ - taken));
-          for (size_t i = 0; i < refs.size(); ++i) {
-            refs[i].row = static_cast<uint32_t>(i);
+  Pipeline out{in.schema, 1, nullptr, std::nullopt};
+  out.run = [this, &session, &metrics, in](const Pipe& down) {
+    return RunGatherStage(
+        session.cluster(), metrics, "limit", in, down,
+        [&](TaskContext& ctx, ColumnarChunk& taken) -> Status {
+          uint64_t n = 0;
+          for (uint32_t p = 0; p < in.num_partitions && n < limit_; ++p) {
+            ChunkPtr chunk;  // outlives the scope, which unpins it
+            mem::AccessScope scope;
+            IDF_ASSIGN_OR_RETURN(chunk, FetchChunk(ctx, in, p));
+            std::vector<RowRef> refs(
+                std::min<uint64_t>(chunk->num_rows(), limit_ - n));
+            for (size_t i = 0; i < refs.size(); ++i) {
+              refs[i].row = static_cast<uint32_t>(i);
+            }
+            GatherRows({&chunk, 1}, refs, taken, 0);
+            n += refs.size();
           }
-          GatherRows({&chunk, 1}, refs, *out, 0);
-          taken += refs.size();
-        }
-        out->SetRowCount(taken);
-        sink.Emit(ctx, 0, std::move(out));
-        return Status::OK();
-      },
-      all_inputs});
-  IDF_ASSIGN_OR_RETURN(StageMetrics sm, cluster.RunStage(stage));
-  metrics.MergeStage(sm);
-  return sink.Finish();
+          taken.SetRowCount(n);
+          return Status::OK();
+        });
+  };
+  return out;
 }
 
 }  // namespace idf

@@ -1,5 +1,6 @@
-// Physical operators: executable plans that run cluster stages and
-// materialize distributed tables.
+// Physical operators: executable plans that run cluster stages, pipelined
+// (a producer's tasks push blocks through the narrow operators above it) and
+// materialized into distributed tables only where a pipeline breaks.
 //
 // The vanilla join algorithms here are the paper's baselines (§II):
 // BroadcastHash ("hash-tables are built for one of the dataframes, broadcast
@@ -12,6 +13,8 @@
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -25,16 +28,66 @@ namespace idf {
 
 class Session;
 
+// ---- pipelines ----------------------------------------------------------
+//
+// Operators run as pipelines, as Spark runs a stage: the tasks of a
+// producer (a scan, a join, an exchange's reduce) push their output a block
+// at a time into a chain of consumers — the narrow operators above them and
+// whatever ends the pipeline — inside the producer's own tasks. Only a
+// pipeline breaker materializes what reaches it: the query's result, an
+// exchange's map inputs, a broadcast build side, Sort, Union and Limit
+// (docs/INTERNALS.md §5).
+
+/// One producing task's output for one output partition.
+class ChunkConsumer {
+ public:
+  virtual ~ChunkConsumer() = default;
+  /// Takes the task's next block of rows; blocks arrive in row order. The
+  /// producer keeps the block's inputs pinned for the call.
+  virtual void Consume(TaskContext& ctx, ChunkPtr block) = 0;
+  /// Publishes what the task pushed. Called once, and only when the task
+  /// succeeded: a failed task's consumer is dropped uncommitted, so it
+  /// never publishes part of its output or counts it twice.
+  virtual Status Commit(TaskContext& ctx) = 0;
+};
+
+/// Where a pipeline's blocks go. Producing tasks open one consumer per
+/// output partition they fill, concurrently.
+class Pipe {
+ public:
+  virtual ~Pipe() = default;
+  virtual std::unique_ptr<ChunkConsumer> Open(TaskContext& ctx,
+                                              uint32_t partition) const = 0;
+};
+
+/// An operator ready to run: its output's schema and partition count, and
+/// `run`, which runs the operator's tasks, pushing output partition p of
+/// each into down.Open(ctx, p).
+struct Pipeline {
+  SchemaPtr schema;
+  uint32_t num_partitions = 0;
+  std::function<Status(const Pipe& down)> run;
+  /// The output when it is materialized already (a cached table):
+  /// PhysicalOp::Execute returns it without running anything.
+  std::optional<TableHandle> materialized;
+};
+
 class PhysicalOp {
  public:
   virtual ~PhysicalOp() = default;
 
-  /// Runs this operator (and its inputs), returning the materialized output.
-  /// Non-virtual: when `metrics.op_profile` is set (EXPLAIN ANALYZE), wraps
-  /// the operator's ExecuteImpl with per-operator accounting — rows/bytes
-  /// out, wall time, and the inclusive TaskMetrics delta attributed to this
-  /// subtree.
+  /// Runs this operator (and its inputs) and materializes its output: a
+  /// pipeline ending in a TableSink. Non-virtual, like Open.
   Result<TableHandle> Execute(Session& session, QueryMetrics& metrics) const;
+
+  /// Opens this operator as a pipeline whose consumers read `reads` of its
+  /// output columns. Opening runs the breakers below it (the inputs it
+  /// needs materialized); the pipeline's run does the rest. Non-virtual:
+  /// when `metrics.op_profile` is set (EXPLAIN ANALYZE), it adds this
+  /// operator's accounting — rows/bytes pushed out, wall time of opening
+  /// and running, and the inclusive TaskMetrics delta of this subtree.
+  Result<Pipeline> Open(Session& session, QueryMetrics& metrics,
+                        const ColumnReads& reads) const;
 
   virtual std::string Describe() const = 0;
   virtual const std::vector<std::shared_ptr<const PhysicalOp>>& children()
@@ -47,24 +100,27 @@ class PhysicalOp {
   /// Renders the plan annotated with the per-operator profile collected in
   /// `metrics` during an instrumented Execute (EXPLAIN ANALYZE). Self time
   /// and self metrics are derived by subtracting the children's inclusive
-  /// numbers. Operators with no profile entry render un-annotated.
+  /// numbers; a fused operator's work runs inside its producer's tasks, so
+  /// it shows in the producer's time. Operators with no profile entry
+  /// render un-annotated.
   std::string ExplainAnalyze(const QueryMetrics& metrics, int indent = 0) const;
 
  protected:
-  /// The operator's actual execution logic.
-  virtual Result<TableHandle> ExecuteImpl(Session& session,
-                                          QueryMetrics& metrics) const = 0;
+  /// The operator's actual logic.
+  virtual Result<Pipeline> OpenImpl(Session& session, QueryMetrics& metrics,
+                                    const ColumnReads& reads) const = 0;
 };
 
 using PhysOpPtr = std::shared_ptr<const PhysicalOp>;
 
-/// Scan: materialize a dataset as columnar blocks (free for cached tables,
-/// a row-to-columnar conversion for indexed datasets).
+/// Scan: a dataset as a pipeline source (Dataset::Scan) — a cached table's
+/// blocks, or an indexed dataset's row batches decoded a batch at a time,
+/// only the columns the pipeline reads.
 class ScanExec final : public PhysicalOp {
  public:
   explicit ScanExec(DatasetPtr dataset) : dataset_(std::move(dataset)) {}
-  Result<TableHandle> ExecuteImpl(Session& session,
-                                  QueryMetrics& metrics) const override;
+  Result<Pipeline> OpenImpl(Session& session, QueryMetrics& metrics,
+                            const ColumnReads& reads) const override;
   std::string Describe() const override {
     return "ScanExec " + dataset_->name();
   }
@@ -83,14 +139,15 @@ class UnaryExec : public PhysicalOp {
   std::vector<PhysOpPtr> children_;
 };
 
-/// Row filter over columnar chunks. Uses a vectorized fast path for
-/// `numeric column <op> literal` predicates — the columnar cache's strength.
+/// Row filter, fused into its producer's tasks: each block is filtered and
+/// gathered as it passes. Uses a vectorized fast path for `numeric column
+/// <op> literal` predicates — the columnar cache's strength.
 class FilterExec final : public UnaryExec {
  public:
   FilterExec(PhysOpPtr child, ExprPtr predicate)
       : UnaryExec(std::move(child)), predicate_(std::move(predicate)) {}
-  Result<TableHandle> ExecuteImpl(Session& session,
-                                  QueryMetrics& metrics) const override;
+  Result<Pipeline> OpenImpl(Session& session, QueryMetrics& metrics,
+                            const ColumnReads& reads) const override;
   std::string Describe() const override {
     return "FilterExec " + predicate_->ToString();
   }
@@ -99,12 +156,15 @@ class FilterExec final : public UnaryExec {
   ExprPtr predicate_;
 };
 
+/// Column selection, fused into its producer's tasks; a block built for the
+/// pipeline gives up its columns instead of copying them. Its producer
+/// decodes only the projected columns when it can (an indexed scan).
 class ProjectExec final : public UnaryExec {
  public:
   ProjectExec(PhysOpPtr child, std::vector<std::string> columns)
       : UnaryExec(std::move(child)), columns_(std::move(columns)) {}
-  Result<TableHandle> ExecuteImpl(Session& session,
-                                  QueryMetrics& metrics) const override;
+  Result<Pipeline> OpenImpl(Session& session, QueryMetrics& metrics,
+                            const ColumnReads& reads) const override;
   std::string Describe() const override;
 
  private:
@@ -130,20 +190,20 @@ class JoinExec final : public PhysicalOp {
         mode_(mode),
         join_type_(join_type) {}
 
-  Result<TableHandle> ExecuteImpl(Session& session,
-                                  QueryMetrics& metrics) const override;
+  Result<Pipeline> OpenImpl(Session& session, QueryMetrics& metrics,
+                            const ColumnReads& reads) const override;
   std::string Describe() const override;
   const std::vector<PhysOpPtr>& children() const override { return children_; }
 
  private:
-  Result<TableHandle> BroadcastHashJoin(Session& session, const TableHandle& l,
-                                        const TableHandle& r, size_t lkey,
-                                        size_t rkey, bool build_left,
-                                        QueryMetrics& metrics) const;
-  Result<TableHandle> ShuffledJoin(Session& session, const TableHandle& l,
-                                   const TableHandle& r, size_t lkey,
-                                   size_t rkey, bool sort_merge,
-                                   QueryMetrics& metrics) const;
+  Status BroadcastHashJoin(Session& session, const TableHandle& l,
+                           const TableHandle& r, size_t lkey, size_t rkey,
+                           bool build_left, const SchemaPtr& out_schema,
+                           const Pipe& down, QueryMetrics& metrics) const;
+  Status ShuffledJoin(Session& session, const TableHandle& l,
+                      const TableHandle& r, size_t lkey, size_t rkey,
+                      bool sort_merge, const SchemaPtr& out_schema,
+                      const Pipe& down, QueryMetrics& metrics) const;
 
   std::vector<PhysOpPtr> children_;
   std::string left_key_, right_key_;
@@ -151,14 +211,15 @@ class JoinExec final : public PhysicalOp {
   JoinType join_type_;
 };
 
-/// UNION ALL: zero-copy concatenation — both inputs' chunks are re-homed
-/// under the output table's RDD id without copying row data.
+/// UNION ALL: both inputs materialize, and one stage pushes each of their
+/// blocks on as an output partition — zero-copy when the union's output
+/// materializes too (a TableSink passes a single block through).
 class UnionExec final : public PhysicalOp {
  public:
   UnionExec(PhysOpPtr left, PhysOpPtr right)
       : children_{std::move(left), std::move(right)} {}
-  Result<TableHandle> ExecuteImpl(Session& session,
-                                  QueryMetrics& metrics) const override;
+  Result<Pipeline> OpenImpl(Session& session, QueryMetrics& metrics,
+                            const ColumnReads& reads) const override;
   std::string Describe() const override { return "UnionExec"; }
   const std::vector<PhysOpPtr>& children() const override { return children_; }
 
@@ -174,16 +235,18 @@ class SortExec final : public UnaryExec {
  public:
   SortExec(PhysOpPtr child, std::vector<SortKey> keys)
       : UnaryExec(std::move(child)), keys_(std::move(keys)) {}
-  Result<TableHandle> ExecuteImpl(Session& session,
-                                  QueryMetrics& metrics) const override;
+  Result<Pipeline> OpenImpl(Session& session, QueryMetrics& metrics,
+                            const ColumnReads& reads) const override;
   std::string Describe() const override;
 
  private:
   std::vector<SortKey> keys_;
 };
 
-/// Two-phase hash aggregation: per-partition partial aggregates, shuffle by
-/// group key, final merge.
+/// Two-phase hash aggregation: the partial aggregate is fused into the
+/// child's tasks (each folds its blocks into a task-local
+/// PartialAggregator and routes the partial rows into the exchange), then
+/// a shuffle by group key and the final merge.
 class HashAggExec final : public UnaryExec {
  public:
   HashAggExec(PhysOpPtr child, std::vector<std::string> group_by,
@@ -191,8 +254,8 @@ class HashAggExec final : public UnaryExec {
       : UnaryExec(std::move(child)),
         group_by_(std::move(group_by)),
         aggs_(std::move(aggs)) {}
-  Result<TableHandle> ExecuteImpl(Session& session,
-                                  QueryMetrics& metrics) const override;
+  Result<Pipeline> OpenImpl(Session& session, QueryMetrics& metrics,
+                            const ColumnReads& reads) const override;
   std::string Describe() const override { return "HashAggExec"; }
 
  private:
@@ -204,8 +267,8 @@ class LimitExec final : public UnaryExec {
  public:
   LimitExec(PhysOpPtr child, uint64_t limit)
       : UnaryExec(std::move(child)), limit_(limit) {}
-  Result<TableHandle> ExecuteImpl(Session& session,
-                                  QueryMetrics& metrics) const override;
+  Result<Pipeline> OpenImpl(Session& session, QueryMetrics& metrics,
+                            const ColumnReads& reads) const override;
   std::string Describe() const override {
     return "LimitExec " + std::to_string(limit_);
   }
@@ -221,54 +284,75 @@ class LimitExec final : public UnaryExec {
 Result<ChunkPtr> FetchChunk(TaskContext& ctx, const TableHandle& table,
                             uint32_t partition);
 
+/// Runs stage `name` with one task per partition of `tables`, numbered
+/// across them in order; each task runs on its partition's home executor,
+/// declares the partition as its input, and calls body(ctx, p, chunk) with
+/// the partition's block, pinned for the call. Stage metrics merge into
+/// `metrics`.
+Status ForEachBlock(
+    Cluster& cluster, QueryMetrics& metrics, const std::string& name,
+    std::span<const TableHandle> tables,
+    const std::function<Status(TaskContext&, uint32_t, const ChunkPtr&)>&
+        body);
+
 /// The exchange side that shuffles `table`'s rows on column `key_column`:
-/// each map task fetches its chunk and routes the rows through RouteByKey
-/// with `target` and `layout`. `table` and `layout` must outlive the
+/// a stage over the table's blocks (ForEachBlock) routes each block's rows
+/// through RouteByKey with `target` and `layout`, merging its metrics into
+/// `metrics`. `cluster`, `metrics`, `table` and `layout` must outlive the
 /// exchange.
 template <typename Target>
-ExchangeSide ShuffleByKey(std::string stage_name, const TableHandle& table,
+ExchangeSide ShuffleByKey(Cluster& cluster, QueryMetrics& metrics,
+                          std::string stage_name, const TableHandle& table,
                           size_t key_column, const RowLayout& layout,
                           Target target) {
   return ExchangeSide{
-      std::move(stage_name), table.rdd_id, table.num_partitions,
-      [&table, key_column, &layout, target](
-          TaskContext& ctx, uint32_t p, ShuffleWriter& writer) -> Status {
-        // The key column is read across the encode: keep the chunk pinned
-        // for the whole task.
-        ChunkPtr chunk;  // outlives the scope, which unpins it
-        mem::AccessScope scope;
-        IDF_ASSIGN_OR_RETURN(chunk, FetchChunk(ctx, table, p));
-        ctx.metrics().rows_read += chunk->num_rows();
-        writer.ExpectRows(chunk->num_rows());
-        return RouteByKey(*chunk, key_column, layout, target,
-                          [&](uint32_t t, const uint8_t* row, uint32_t size) {
-                            writer.Append(t, row, size);
-                          });
+      table.num_partitions,
+      [&cluster, &metrics, stage_name = std::move(stage_name), &table,
+       key_column, &layout, target](const MapOutput& out) {
+        return ForEachBlock(
+            cluster, metrics, stage_name, {&table, 1},
+            [&](TaskContext& ctx, uint32_t p, const ChunkPtr& chunk) {
+              ShuffleWriter writer = out.Writer(ctx, p);
+              ctx.metrics().rows_read += chunk->num_rows();
+              writer.ExpectRows(chunk->num_rows());
+              IDF_RETURN_IF_ERROR(RouteByKey(
+                  *chunk, key_column, layout, target,
+                  [&](uint32_t t, const uint8_t* row, uint32_t size) {
+                    writer.Append(t, row, size);
+                  }));
+              out.Commit(ctx, writer);
+              return Status::OK();
+            });
       }};
 }
 
-/// Accumulates per-task outputs of a stage into a new table handle.
-/// Tasks call Emit(partition, chunk) from their bodies; Finish() registers
-/// totals. Thread-safe (tasks may run concurrently in future revisions).
-class TableSink {
+/// The materializing end of a pipeline: each output partition's blocks
+/// wait for Commit, which appends them into one chunk with each column
+/// sized once (a single block passes through as it is) and stores it as
+/// the partition's block, homed at the producing task's
+/// executor and sealed under the memory governor. Finish() returns the
+/// table. Thread-safe.
+class TableSink final : public Pipe {
  public:
   TableSink(Session& session, SchemaPtr schema, uint32_t num_partitions);
 
-  uint64_t rdd_id() const { return rdd_id_; }
-  /// Stores the chunk as this partition's block (homed at ctx.executor()).
-  void Emit(class TaskContext& ctx, uint32_t partition, ChunkPtr chunk);
+  std::unique_ptr<ChunkConsumer> Open(TaskContext& ctx,
+                                      uint32_t partition) const override;
   TableHandle Finish();
 
  private:
-  Session& session_;
+  class Partition;
+
+  void Emit(TaskContext& ctx, uint32_t partition, ChunkPtr chunk) const;
+
   SchemaPtr schema_;
   uint32_t num_partitions_;
   // Taken before the first Emit: a sink dropped without Finish (a failed
   // stage) releases the blocks its finished tasks already stored.
   std::shared_ptr<const RddLease> lease_;
   uint64_t rdd_id_;
-  std::atomic<uint64_t> rows_{0};
-  std::atomic<uint64_t> bytes_{0};
+  mutable std::atomic<uint64_t> rows_{0};
+  mutable std::atomic<uint64_t> bytes_{0};
 };
 
 namespace agg_internal {
@@ -276,21 +360,25 @@ struct ResolvedAggs;
 class PartialAggregator;
 }  // namespace agg_internal
 
-/// A two-phase aggregation over the `num_partitions` partitions of RDD
-/// `rdd_id`, shared by HashAggExec and the Indexed DataFrame's row-direct
-/// aggregation. Stage `map_stage_name` runs one task per partition on its
-/// home executor: `fill` folds the partition's rows into a
-/// PartialAggregator, whose partial rows shuffle on their group codes to R
-/// reduce partitions (one for a global aggregate). The "final aggregate"
-/// stage merges each reduce partition's partial rows
-/// (agg_internal::FinalMerge) into the output. The shuffle is released
-/// whether or not the stages succeed.
-Result<TableHandle> AggregateInTwoPhases(
-    Session& session, QueryMetrics& metrics, const std::string& map_stage_name,
-    uint64_t rdd_id, uint32_t num_partitions,
-    const agg_internal::ResolvedAggs& resolved,
-    const std::vector<AggSpec>& aggs,
-    const std::function<Status(class TaskContext&, uint32_t partition,
-                               agg_internal::PartialAggregator&)>& fill);
+/// Routes a map task's partial rows (agg_internal::PartialAggregator) on
+/// their group codes to the `num_reduce` partitions of an aggregation
+/// exchange and commits them.
+Status CommitPartials(TaskContext& ctx,
+                      const agg_internal::PartialAggregator& partials,
+                      uint32_t num_reduce, const MapOutput& out,
+                      uint32_t map_task);
+
+/// A two-phase aggregation, shared by HashAggExec and the Indexed
+/// DataFrame's row-direct aggregation: `map` runs the tasks that fold
+/// their rows into task-local PartialAggregators and CommitPartials them to
+/// `num_reduce` partitions (one for a global aggregate); the "final
+/// aggregate" stage then merges each reduce partition's partial rows
+/// (agg_internal::FinalMerge) and pushes the result into `down`. The
+/// shuffle is released whether or not the stages succeed.
+Status AggregateInTwoPhases(Session& session, QueryMetrics& metrics,
+                            const agg_internal::ResolvedAggs& resolved,
+                            const std::vector<AggSpec>& aggs,
+                            uint32_t num_reduce, ExchangeSide map,
+                            const Pipe& down);
 
 }  // namespace idf

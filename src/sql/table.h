@@ -8,13 +8,16 @@
 //
 // A Dataset is anything a Scan node can read — a cached vanilla table, or
 // (from src/core) an Indexed Batch RDD, which index-aware strategies
-// recognize and everything else treats through the row-to-columnar fallback
-// (§III-B: "An Indexed Batch RDD can always fall back to a regular Spark Row
-// RDD").
+// recognize and everything else reads through the row-to-columnar fallback
+// scan (§III-B: "An Indexed Batch RDD can always fall back to a regular
+// Spark Row RDD"). Either way the scan is the source of a pipeline
+// (sql/physical.h).
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 #include "engine/metrics.h"
@@ -24,6 +27,11 @@ namespace idf {
 
 class RddLease;
 class Session;
+struct Pipeline;  // sql/physical.h
+
+/// The output columns a pipeline reads, by name; nullopt reads them all. A
+/// producer may leave the others out of its blocks (and its schema).
+using ColumnReads = std::optional<std::vector<std::string>>;
 
 struct TableHandle {
   SchemaPtr schema;
@@ -46,12 +54,14 @@ class Dataset {
   virtual const SchemaPtr& schema() const = 0;
   virtual uint32_t num_partitions() const = 0;
 
-  /// Materializes this dataset as vanilla columnar blocks (the regular
-  /// execution path). For cached tables this is free; for indexed datasets
-  /// it performs the row-to-columnar conversion, whose cost is part of the
-  /// query (this is what slows projections on indexed data, Fig. 8).
-  virtual Result<TableHandle> ScanAsColumnar(Session& session,
-                                             QueryMetrics& metrics) const = 0;
+  /// Opens this dataset as the source of a pipeline that reads `reads` of
+  /// its columns. A cached table's pipeline pushes its blocks (and is
+  /// materialized already); an indexed dataset's decodes its row batches,
+  /// only the columns read — the row-to-columnar conversion whose cost is
+  /// part of the query (this is what slows projections on indexed data,
+  /// Fig. 8).
+  virtual Result<Pipeline> Scan(Session& session, QueryMetrics& metrics,
+                                const ColumnReads& reads) const = 0;
 
   /// Index-aware strategies ask: which column is indexed? -1 for none.
   virtual int indexed_column() const { return -1; }
@@ -72,9 +82,9 @@ class CachedTable final : public Dataset {
 
   const SchemaPtr& schema() const override { return handle_.schema; }
   uint32_t num_partitions() const override { return handle_.num_partitions; }
-  Result<TableHandle> ScanAsColumnar(Session&, QueryMetrics&) const override {
-    return handle_;
-  }
+  /// Defined in sql/physical.cpp.
+  Result<Pipeline> Scan(Session& session, QueryMetrics& metrics,
+                        const ColumnReads& reads) const override;
   std::string name() const override { return name_; }
 
   const TableHandle& handle() const { return handle_; }

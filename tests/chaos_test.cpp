@@ -359,6 +359,83 @@ TEST(ChaosTest, DoubleExecutorLossDuringShuffledJoinRecoversExactly) {
   EXPECT_EQ(retried->SortedRowStrings(), expected);
 }
 
+TEST(ChaosTest, ExecutorLossDuringFusedJoinAggregateSumsExactly) {
+  // The indexed join's local probe stage runs the partial aggregate inside
+  // its own tasks (a fused pipeline). An executor dies at a task boundary
+  // inside that stage, under a ~25% budget: the aggregate must come out
+  // exact — never counting a pair twice — at worst after one clean retry.
+  constexpr int64_t kRows = 20000;
+  IndexOptions index_options;
+  index_options.batch_capacity = 16 << 10;
+  mem::MemoryGovernor& gov = mem::MemoryGovernor::Global();
+  const std::vector<AggSpec> sums = {AggSpec::Count("pairs"),
+                                     AggSpec::Sum("dst"),
+                                     AggSpec::Sum("dst_r")};
+  const std::vector<RowVec> edge_rows = DenseEdges(kRows);
+  const std::vector<RowVec> probe_rows = DenseEdges(400, 7);
+  // The exact answer, from the rows themselves.
+  int64_t pairs = 0, dst_sum = 0, probe_dst_sum = 0;
+  for (const RowVec& e : edge_rows) {
+    for (const RowVec& p : probe_rows) {
+      if (e[0] != p[0]) continue;
+      ++pairs;
+      dst_sum += e[1].int64_value();
+      probe_dst_sum += p[1].int64_value();
+    }
+  }
+  const RowVec expected = {Value::Int64(pairs), Value::Int64(dst_sum),
+                           Value::Int64(probe_dst_sum)};
+
+  uint64_t working_set = 0;
+  {
+    const uint64_t resident_before = gov.resident_bytes();
+    SessionOptions opts = ChaosClusterOptions();
+    Session session(opts);
+    auto edges = *session.CreateTable("edges", EdgeSchema(), edge_rows);
+    auto indexed = *IndexedDataFrame::Create(edges, "src", index_options);
+    working_set = gov.resident_bytes() - resident_before;
+  }
+  ASSERT_GT(working_set, 0u);
+
+  SessionOptions opts = ChaosClusterOptions();
+  opts.broadcast_threshold_bytes = 0;  // the probe shuffles to the partitions
+  Session session(opts);
+  mem::ScopedBudget tight(std::max<uint64_t>(working_set / 4, 128 << 10));
+  auto edges = *session.CreateTable("edges", EdgeSchema(), edge_rows);
+  auto probe = *session.CreateTable("probe", EdgeSchema(), probe_rows);
+  auto indexed = *IndexedDataFrame::Create(edges, "src", index_options);
+  const DataFrame query = indexed.Join(probe, "src").Agg({}, sums);
+
+  // Tasks 0-3 are the probe shuffle's map stage; the 6th task start is
+  // the second task of the fused probe + partial aggregate stage.
+  std::atomic<int> task_starts{0};
+  std::atomic<int> kills{0};
+  chaos::ChaosHooks hooks;
+  hooks.on_task_start = [&] {
+    if (task_starts.fetch_add(1) == 5 &&
+        session.cluster().TryKillExecutor(1)) {
+      kills.fetch_add(1);
+    }
+  };
+  chaos::ChaosEngine::SetHooks(std::move(hooks));
+  auto under_loss = query.Collect();
+  chaos::ChaosEngine::SetHooks({});
+  EXPECT_EQ(kills.load(), 1);
+
+  if (under_loss.ok()) {
+    ASSERT_EQ(under_loss->rows.size(), 1u);
+    EXPECT_EQ(under_loss->rows[0], expected);
+  } else {
+    EXPECT_TRUE(IsRetryable(under_loss.status()))
+        << under_loss.status().ToString();
+  }
+  auto retried = query.Collect();
+  ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+  ASSERT_EQ(retried->rows.size(), 1u);
+  EXPECT_EQ(retried->rows[0], expected);
+  ExpectNoLeaks(0);
+}
+
 // ---- admission-queue churn storm --------------------------------------------
 
 TEST(ChaosTest, AdmissionChurnStormLeavesNoReservationAndDrainsQueue) {

@@ -542,6 +542,34 @@ TEST(ExplainAnalyzeTest, SqlExplainAnalyzeAnnotatesOperators) {
   }
   EXPECT_TRUE(saw_annotated_filter);
   EXPECT_TRUE(saw_summary);
+
+  // Fused operators run inside their producer's tasks and still report the
+  // rows they push on.
+  auto annotated = [&](const std::string& sql, const std::string& op,
+                       const std::string& rows) {
+    auto explained = fx.session.Sql(sql);
+    EXPECT_TRUE(explained.ok()) << explained.status().message();
+    if (!explained.ok()) return false;
+    auto lines = explained->Collect();
+    EXPECT_TRUE(lines.ok());
+    if (!lines.ok()) return false;
+    for (const RowVec& row : lines->rows) {
+      const std::string line = row[0].ToString();
+      if (line.find(op) != std::string::npos &&
+          line.find(rows) != std::string::npos) {
+        return true;
+      }
+    }
+    return false;
+  };
+  EXPECT_TRUE(annotated("EXPLAIN ANALYZE SELECT pk FROM probe WHERE tag >= 100",
+                        "ProjectExec", "rows=5 "));
+  EXPECT_TRUE(annotated(
+      "EXPLAIN ANALYZE SELECT COUNT(*) FROM probe WHERE tag >= 100",
+      "HashAggExec", "rows=1 "));
+  EXPECT_TRUE(annotated(
+      "EXPLAIN ANALYZE SELECT COUNT(*) FROM probe WHERE tag >= 100",
+      "FilterExec", "rows=5 "));
 }
 
 TEST(ExplainAnalyzeTest, ExplainWithoutQueryIsAnError) {

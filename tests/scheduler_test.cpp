@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <map>
 #include <memory>
@@ -683,6 +684,68 @@ TEST(ShuffleThreadSweepTest, VanillaShuffledJoinsAreIdenticalAtEveryThreadCount)
       EXPECT_EQ(has_null_key, join_type == JoinType::kLeftOuter);
       for (uint32_t threads = 2; threads <= kSweepMaxThreads; ++threads) {
         const ShuffledJoin got = RunVanillaJoin(threads, mode, join_type);
+        EXPECT_EQ(got.rows, reference.rows) << threads << " threads";
+        EXPECT_TRUE(got.totals == reference.totals) << threads << " threads";
+      }
+    }
+  }
+}
+
+/// Rows keyed by strings (empty, shared prefixes, nulls) or by doubles
+/// (NaN, -0.0 and 0.0, nulls), with duplicates: the sort-merge reduce
+/// orders them by their typed keys.
+std::vector<RowVec> TypedKeyRows(bool strings, int64_t n, int64_t salt) {
+  const std::vector<std::string> words = {"", "a", "ab", "abc", "b", "ba",
+                                          "zz", "a\x01"};
+  const std::vector<double> numbers = {std::nan(""), -0.0, 0.0, 1.5, -2.25,
+                                       1e300, -1e-300};
+  std::vector<RowVec> rows;
+  for (int64_t i = 0; i < n; ++i) {
+    const int64_t k = (i * 5 + salt) % 9;
+    Value key = strings ? Value::String(words[k % words.size()])
+                        : Value::Float64(numbers[k % numbers.size()]);
+    if (k == 8) key = Value::Null(strings ? TypeId::kString : TypeId::kFloat64);
+    rows.push_back({std::move(key), Value::Int64(i + salt * 1000)});
+  }
+  return rows;
+}
+
+ShuffledJoin RunTypedKeySortMerge(uint32_t scheduler_threads, bool strings,
+                                  JoinType join_type) {
+  SessionOptions opts = SweepOptions(scheduler_threads, 0);
+  opts.join_mode = JoinExec::Mode::kSortMerge;
+  Session session(opts);
+  const auto schema = std::make_shared<Schema>(Schema({
+      {"key", strings ? TypeId::kString : TypeId::kFloat64, true},
+      {"v", TypeId::kInt64, false},
+  }));
+  auto left = *session.CreateTable("left", schema, TypedKeyRows(strings, 30, 0));
+  auto right =
+      *session.CreateTable("right", schema, TypedKeyRows(strings, 24, 3));
+  QueryMetrics metrics;
+  auto joined = left.Join(right, "key", "key", join_type).Collect(&metrics);
+  IDF_CHECK_OK(joined.status());
+  ShuffledJoin out{{}, InvariantTotals::Of(metrics)};
+  for (const RowVec& row : joined->rows) {  // in result order
+    std::string line;
+    for (const Value& v : row) line += v.ToString() + "|";
+    out.rows.push_back(std::move(line));
+  }
+  return out;
+}
+
+TEST(ShuffleThreadSweepTest, SortMergeOnStringAndDoubleKeysIsIdenticalAtEveryThreadCount) {
+  for (bool strings : {true, false}) {
+    for (JoinType join_type : {JoinType::kInner, JoinType::kLeftOuter}) {
+      SCOPED_TRACE(::testing::Message()
+                   << (strings ? "string" : "double") << " keys, "
+                   << (join_type == JoinType::kInner ? "inner" : "left outer"));
+      const ShuffledJoin reference =
+          RunTypedKeySortMerge(1, strings, join_type);
+      ASSERT_FALSE(reference.rows.empty());
+      for (uint32_t threads = 2; threads <= kSweepMaxThreads; ++threads) {
+        const ShuffledJoin got =
+            RunTypedKeySortMerge(threads, strings, join_type);
         EXPECT_EQ(got.rows, reference.rows) << threads << " threads";
         EXPECT_TRUE(got.totals == reference.totals) << threads << " threads";
       }

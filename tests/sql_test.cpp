@@ -81,7 +81,7 @@ TEST(ColumnarTest, DecodeRowsFromEncodedRows) {
   }
   for (const auto& buf : bufs) rows.push_back(buf.data());
   ColumnarChunk chunk(schema);
-  DecodeRows(layout, rows, chunk, 0);
+  DecodeRows(layout, rows, AllFields(layout), chunk, 0);
   chunk.SetRowCount(rows.size());
   EXPECT_EQ(chunk.num_rows(), 10u);
   EXPECT_EQ(chunk.RowAt(7)[1], Value::String("hal"));

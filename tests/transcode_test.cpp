@@ -292,7 +292,7 @@ TEST(TranscodeTest, DecodeMatchesPerRowDecoder) {
     for (const uint8_t* row : rows) ReferenceDecode(want, 0, layout, row);
     want.SetRowCount(n);
     ColumnarChunk got(schema);
-    DecodeRows(layout, rows, got, 0);
+    DecodeRows(layout, rows, AllFields(layout), got, 0);
     got.SetRowCount(n);
     ExpectSameChunk(want, got);
   }
@@ -325,16 +325,25 @@ TEST(TranscodeTest, DecodeJoinedSidesWithNullPadding) {
     want.SetRowCount(n);
 
     ColumnarChunk got(out_schema);
-    DecodeRows(llayout, lrows, got, 0);
-    DecodeRows(rlayout, rrows, got, left->num_fields());
+    DecodeRows(llayout, lrows, AllFields(llayout), got, 0);
+    DecodeRows(rlayout, rrows, AllFields(rlayout), got,
+               left->num_fields());
     got.SetRowCount(n);
     ExpectSameChunk(want, got);
 
-    ColumnarChunk paired(out_schema);
-    JoinedRowDecoder decoder(llayout, rlayout, paired);
+    // The pair decoder emits blocks of at most kTranscodeBlockRows rows;
+    // appended back to back they are the chunk decoded in one go.
+    std::vector<ChunkPtr> blocks;
+    JoinedRowDecoder decoder(llayout, rlayout, out_schema,
+                             [&](std::shared_ptr<ColumnarChunk> block) {
+                               EXPECT_GT(block->num_rows(), 0u);
+                               EXPECT_LE(block->num_rows(), kTranscodeBlockRows);
+                               blocks.push_back(std::move(block));
+                             });
     for (size_t i = 0; i < n; ++i) decoder.Add(lrows[i], rrows[i]);
     decoder.Flush();
-    paired.SetRowCount(n);
+    ColumnarChunk paired(out_schema);
+    AppendChunks(blocks, paired);
     ExpectSameChunk(want, paired);
   }
 }
@@ -421,7 +430,7 @@ TEST(TranscodeTest, EncodeThenDecodeRestoresTheChunk) {
   std::vector<const uint8_t*> rows;
   ASSERT_TRUE(RowLayout::SplitRows(bytes.data(), bytes.size(), rows));
   ColumnarChunk back(schema);
-  DecodeRows(layout, rows, back, 0);
+  DecodeRows(layout, rows, AllFields(layout), back, 0);
   back.SetRowCount(rows.size());
   ExpectSameChunk(*chunk, back);
 }
