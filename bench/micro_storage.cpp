@@ -160,11 +160,11 @@ void BM_IndexedPartitionSnapshot(benchmark::State& state) {
 BENCHMARK(BM_IndexedPartitionSnapshot);
 
 // Partial-aggregation rung: COUNT/SUM/AVG over kAggRows rows, global and
-// grouped by one 64-value column, through HashAggExec (columnar chunks,
-// state.range(0) == 0) and RowAggExec (an indexed table's row batches,
-// state.range(0) == 1) on one scheduler thread. Items are input rows; the
-// final merge of at most 64 groups per partition is noise beside the
-// partial pass.
+// grouped by one 64-value column, through HashAggExec over a cached table's
+// columnar chunks (state.range(0) == 0) and over an indexed table's row
+// blocks, folded undecoded (state.range(0) == 1), on one scheduler thread.
+// Items are input rows; the final merge of at most 64 groups per partition
+// is noise beside the partial pass.
 constexpr int64_t kAggRows = 400000;
 
 struct AggBenchTables {
@@ -219,7 +219,10 @@ void BM_PartialAggregate(benchmark::State& state) {
     benchmark::DoNotOptimize(result->rows.data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * kAggRows);
-  state.SetLabel(std::string(state.range(0) == 0 ? "columnar" : "row batches") +
+  state.SetLabel(std::string(state.range(0) == 0
+                                 ? "columnar"
+                                 : "HashAggExec over an indexed table's "
+                                   "row blocks") +
                  (state.range(1) == 0 ? ", global" : ", group by 1 key"));
 }
 BENCHMARK(BM_PartialAggregate)

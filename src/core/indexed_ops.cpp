@@ -224,10 +224,9 @@ Result<Pipeline> IndexLookupExec::OpenImpl(Session& session,
           });
           if (!matched.empty()) {
             ++ctx.metrics().index_hits;
-            auto block = std::make_shared<ColumnarChunk>(rdd->schema());
-            DecodeRows(layout, matched, AllFields(layout), *block, 0);
-            block->SetRowCount(matched.size());
-            consumer->Consume(ctx, std::move(block));
+            const std::vector<size_t> fields = AllFields(layout);
+            consumer->ConsumeRows(
+                ctx, RowBlock{layout, matched, fields, rdd->schema()});
           }
           return consumer->Commit(ctx);
         },

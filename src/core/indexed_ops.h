@@ -9,7 +9,7 @@
 //
 // IndexLookupExec: an equality filter on the indexed column becomes a point
 // lookup on the single partition owning the key, plus a residual filter for
-// any remaining conjuncts.
+// any remaining conjuncts. The matches go on as one row block.
 #pragma once
 
 #include <memory>

@@ -301,7 +301,7 @@ Result<BlockPtr> IndexedRdd::Recompute(uint32_t partition, uint64_t version,
 
 Result<Pipeline> IndexedDataset::Scan(Session&, QueryMetrics& metrics,
                                       const ColumnReads& reads) const {
-  // Decode only the fields the pipeline reads, in schema order.
+  // Name only the fields the pipeline reads, in schema order.
   const Schema& full = *rdd_->schema();
   std::vector<size_t> fields;
   std::vector<Field> kept;
@@ -323,20 +323,19 @@ Result<Pipeline> IndexedDataset::Scan(Session&, QueryMetrics& metrics,
         "indexed fallback scan", version, metrics,
         [&](TaskContext& ctx, uint32_t p, const IndexedPartition& part) {
           std::unique_ptr<ChunkConsumer> consumer = down.Open(ctx, p);
-          // Row-to-columnar conversion: the real cost of running regular
-          // operators over the row-wise indexed representation (Fig. 8).
-          // Each batch decodes as one block, pushed on while ForEachBatch
-          // pins the batch alone.
+          // Each batch goes on as one row block while ForEachBatch pins it
+          // alone. The first consumer that needs columns decodes it — the
+          // row-to-columnar conversion that is the real cost of regular
+          // operators over the row-wise indexed representation (Fig. 8);
+          // the partial aggregate folds the rows as they are.
           std::vector<const uint8_t*> rows;
           part.ForEachBatch([&](const uint8_t* data, uint32_t used) {
             rows.clear();
             IDF_CHECK_MSG(RowLayout::SplitRows(data, used, rows),
                           "corrupt row batch");
             if (rows.empty()) return;
-            auto block = std::make_shared<ColumnarChunk>(schema);
-            DecodeRows(part.layout(), rows, fields, *block, 0);
-            block->SetRowCount(rows.size());
-            consumer->Consume(ctx, std::move(block));
+            consumer->ConsumeRows(ctx,
+                                  RowBlock{part.layout(), rows, fields, schema});
           });
           ctx.metrics().rows_read += part.num_rows();
           return consumer->Commit(ctx);

@@ -133,8 +133,9 @@ class IndexedRdd : public std::enable_shared_from_this<IndexedRdd> {
 /// Adapts an (IndexedRdd, version) pair to the SQL layer's Dataset so scans,
 /// joins and filters of indexed dataframes flow through the planner. The
 /// index-aware strategies recognize this type; everything else falls back to
-/// Scan (row-to-columnar conversion — the regular "Spark Row RDD" path of
-/// Fig. 2), which decodes only the columns its pipeline reads.
+/// Scan (the regular "Spark Row RDD" path of Fig. 2), which pushes row
+/// blocks naming only the columns its pipeline reads: the partial
+/// aggregate folds them as rows, other consumers decode them to columns.
 class IndexedDataset final : public Dataset {
  public:
   IndexedDataset(std::shared_ptr<IndexedRdd> rdd, uint64_t version)

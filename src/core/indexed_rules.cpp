@@ -1,6 +1,5 @@
 #include "core/indexed_rules.h"
 
-#include "core/indexed_agg.h"
 #include "core/indexed_ops.h"
 #include "core/indexed_rdd.h"
 
@@ -111,7 +110,6 @@ void InstallIndexedExtensions(Session& session) {
   // correctly but shadow each other and bloat every later PlanNode pass).
   if (!session.TryMarkExtension(kExtension)) return;
   // Lookup outranks join (more specific); both outrank vanilla strategies.
-  session.planner().PrependStrategy(std::make_shared<RowAggStrategy>());
   session.planner().PrependStrategy(std::make_shared<IndexedJoinStrategy>());
   session.planner().PrependStrategy(std::make_shared<IndexLookupStrategy>());
 }

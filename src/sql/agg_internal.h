@@ -1,16 +1,15 @@
-// Aggregation internals shared between the vanilla HashAggExec and the
-// Indexed DataFrame's row-direct aggregation (core/indexed_agg.h).
+// Aggregation internals of HashAggExec (sql/physical.cpp).
 //
-// Both produce identical *partial rows* — group columns followed by five
-// flat state columns per aggregate (count, isum, fsum, min, max) — so the
-// shuffle format and the final-merge phase are interchangeable.
+// The map side emits *partial rows* — group columns followed by five flat
+// state columns per aggregate (count, isum, fsum, min, max) — which shuffle
+// on their group codes to the final merge.
 //
 // One typed kernel, PartialAggregator, serves both phases, a run of rows
-// at a time. The map side drives it over its input: HashAggExec over a
-// columnar chunk (ChunkRun), RowAggExec over the rows of one row batch
-// (RowRun). The reduce side (FinalMerge) drives it over the shuffled
-// partial rows (RowRun), since merging partial states is itself an
-// aggregation over their columns. Group keys are hashed a column at a time
+// at a time. The map side drives it over whatever block its pipeline
+// pushes: a columnar chunk (ChunkRun) or an indexed source's row block,
+// read in place (RowRun over the block's field map). The reduce side
+// (FinalMerge) drives it over the shuffled partial rows (RowRun), since
+// merging partial states is itself an aggregation over their columns. Group keys are hashed a column at a time
 // into a per-row group slot, then each aggregate runs one typed loop over
 // the run, so no Value is boxed per input row and a group's RowVec key is
 // built once, when the group opens.

@@ -347,21 +347,23 @@ class ChunkRun {
 };
 
 /// Encoded rows of one layout, e.g. one row batch split at its row headers.
-/// Every column sits at a fixed slot offset, so a reader is a strided load
-/// plus a null-bit test per row.
+/// Column c reads field fields[c] of the layout (field c when `fields` is
+/// empty). Every field sits at a fixed slot offset, so a reader is a
+/// strided load plus a null-bit test per row.
 class RowRun {
  public:
-  RowRun(const RowLayout& layout, std::span<const uint8_t* const> rows)
-      : layout_(layout), rows_(rows) {}
+  RowRun(const RowLayout& layout, std::span<const uint8_t* const> rows,
+         std::span<const size_t> fields = {})
+      : layout_(layout), rows_(rows), fields_(fields) {}
 
   template <typename T>
   class Column {
    public:
-    Column(const uint8_t* const* rows, size_t col, uint32_t slot)
+    Column(const uint8_t* const* rows, size_t field, uint32_t slot)
         : rows_(rows),
           null_byte_(RowLayout::kNullBitmapOffset +
-                     static_cast<uint32_t>(col / 8)),
-          null_mask_(static_cast<uint8_t>(1u << (col % 8))),
+                     static_cast<uint32_t>(field / 8)),
+          null_mask_(static_cast<uint8_t>(1u << (field % 8))),
           slot_(slot) {}
     bool IsNull(size_t i) const {
       return (rows_[i][null_byte_] & null_mask_) != 0;
@@ -392,12 +394,14 @@ class RowRun {
   size_t size() const { return rows_.size(); }
   template <typename T>
   Column<T> column(size_t col) const {
-    return Column<T>(rows_.data(), col, layout_.slot_offset(col));
+    const size_t field = fields_.empty() ? col : fields_[col];
+    return Column<T>(rows_.data(), field, layout_.slot_offset(field));
   }
 
  private:
   const RowLayout& layout_;
   std::span<const uint8_t* const> rows_;
+  std::span<const size_t> fields_;
 };
 
 // ---- row <-> column transcoding ---------------------------------------------

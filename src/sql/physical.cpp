@@ -20,40 +20,61 @@ std::string PhysicalOp::Explain(int indent) const {
   return out;
 }
 
+void ChunkConsumer::ConsumeRows(TaskContext& ctx, const RowBlock& block) {
+  auto chunk = std::make_shared<ColumnarChunk>(block.schema);
+  DecodeRows(block.layout, block.rows, block.fields, *chunk, 0);
+  chunk->SetRowCount(block.rows.size());
+  Consume(ctx, std::move(chunk));
+}
+
 namespace {
 
 /// A pipe that hands each block through `fn` on its way to `down`; a null
-/// result drops the block.
+/// result drops the block. A row block goes through `rows_fn`, which
+/// returns the row block to pass on (its fields may live in the scratch
+/// vector it is handed), or, without one, decodes for `fn`.
 class TransformPipe final : public Pipe {
  public:
   using Fn = std::function<ChunkPtr(ChunkPtr block)>;
+  using RowsFn =
+      std::function<RowBlock(const RowBlock& block, std::vector<size_t>&)>;
 
-  TransformPipe(const Pipe& down, Fn fn) : down_(down), fn_(std::move(fn)) {}
+  TransformPipe(const Pipe& down, Fn fn, RowsFn rows_fn = nullptr)
+      : down_(down), fn_(std::move(fn)), rows_fn_(std::move(rows_fn)) {}
 
   std::unique_ptr<ChunkConsumer> Open(TaskContext& ctx,
                                       uint32_t partition) const override {
-    return std::make_unique<Consumer>(down_.Open(ctx, partition), fn_);
+    return std::make_unique<Consumer>(down_.Open(ctx, partition), *this);
   }
 
  private:
   class Consumer final : public ChunkConsumer {
    public:
-    Consumer(std::unique_ptr<ChunkConsumer> next, const Fn& fn)
-        : next_(std::move(next)), fn_(fn) {}
+    Consumer(std::unique_ptr<ChunkConsumer> next, const TransformPipe& pipe)
+        : next_(std::move(next)), pipe_(pipe) {}
     void Consume(TaskContext& ctx, ChunkPtr block) override {
-      if (ChunkPtr out = fn_(std::move(block))) {
+      if (ChunkPtr out = pipe_.fn_(std::move(block))) {
         next_->Consume(ctx, std::move(out));
+      }
+    }
+    void ConsumeRows(TaskContext& ctx, const RowBlock& block) override {
+      if (pipe_.rows_fn_ == nullptr) {
+        ChunkConsumer::ConsumeRows(ctx, block);
+      } else {
+        next_->ConsumeRows(ctx, pipe_.rows_fn_(block, fields_));
       }
     }
     Status Commit(TaskContext& ctx) override { return next_->Commit(ctx); }
 
    private:
     std::unique_ptr<ChunkConsumer> next_;
-    const Fn& fn_;
+    const TransformPipe& pipe_;
+    std::vector<size_t> fields_;
   };
 
   const Pipe& down_;
   Fn fn_;
+  RowsFn rows_fn_;
 };
 
 }  // namespace
@@ -83,13 +104,25 @@ Result<Pipeline> PhysicalOp::Open(Session& session, QueryMetrics& metrics,
   pipeline->run = [this, &metrics, profiled,
                    run = std::move(pipeline->run)](const Pipe& down) {
     // Tasks push concurrently: count into atomics, add once they are done.
+    // A row block is counted and passed on as it is, undecoded, so
+    // profiling runs the code an unprofiled query runs; its bytes are its
+    // rows' encoded sizes.
     std::atomic<uint64_t> rows{0};
     std::atomic<uint64_t> bytes{0};
-    const TransformPipe counted(down, [&](ChunkPtr block) {
-      rows += block->num_rows();
-      bytes += block->ByteSize();
-      return block;
-    });
+    const TransformPipe counted(
+        down,
+        [&](ChunkPtr block) {
+          rows += block->num_rows();
+          bytes += block->ByteSize();
+          return block;
+        },
+        [&](const RowBlock& block, std::vector<size_t>&) {
+          uint64_t size = 0;
+          for (const uint8_t* row : block.rows) size += RowLayout::RowSize(row);
+          rows += block.rows.size();
+          bytes += size;
+          return block;
+        });
     const Status status = profiled([&] { return run(counted); });
     OpProfile& prof = (*metrics.op_profile)[this];
     prof.rows_out += rows.load();
@@ -506,22 +539,31 @@ Result<Pipeline> ProjectExec::OpenImpl(Session& session, QueryMetrics& metrics,
   Pipeline out{schema, in.num_partitions, nullptr, std::nullopt};
   out.run = [in = std::move(in), schema, indices,
              last_use](const Pipe& down) {
-    const TransformPipe project(down, [&](ChunkPtr block) -> ChunkPtr {
-      // A block built for this pipeline gives up its columns; a shared one
-      // (a cached table's block) is copied.
-      const std::shared_ptr<ColumnarChunk> owned = Unshared(block);
-      auto chunk = std::make_shared<ColumnarChunk>(schema);
-      for (size_t c = 0; c < indices.size(); ++c) {
-        if (owned != nullptr && last_use[c]) {
-          chunk->mutable_column(c) =
-              std::move(owned->mutable_column(indices[c]));
-        } else {
-          chunk->mutable_column(c) = block->column(indices[c]);
-        }
-      }
-      chunk->SetRowCount(block->num_rows());
-      return chunk;
-    });
+    const TransformPipe project(
+        down,
+        [&](ChunkPtr block) -> ChunkPtr {
+          // A block built for this pipeline gives up its columns; a shared
+          // one (a cached table's block) is copied.
+          const std::shared_ptr<ColumnarChunk> owned = Unshared(block);
+          auto chunk = std::make_shared<ColumnarChunk>(schema);
+          for (size_t c = 0; c < indices.size(); ++c) {
+            if (owned != nullptr && last_use[c]) {
+              chunk->mutable_column(c) =
+                  std::move(owned->mutable_column(indices[c]));
+            } else {
+              chunk->mutable_column(c) = block->column(indices[c]);
+            }
+          }
+          chunk->SetRowCount(block->num_rows());
+          return chunk;
+        },
+        [&](const RowBlock& block, std::vector<size_t>& fields) {
+          // Rows pass on undecoded: output column c reads the field behind
+          // input column indices[c].
+          fields.clear();
+          for (const size_t idx : indices) fields.push_back(block.fields[idx]);
+          return RowBlock{block.layout, block.rows, fields, schema};
+        });
     return in.run(project);
   };
   return out;
@@ -871,9 +913,64 @@ Status JoinExec::ShuffledJoin(Session& session, const TableHandle& lh,
 
 namespace {
 
+/// Routes a map task's partial rows on their group codes to the
+/// `num_reduce` partitions of the aggregation exchange and commits them.
+Status CommitPartials(TaskContext& ctx,
+                      const agg_internal::PartialAggregator& partials,
+                      uint32_t num_reduce, const MapOutput& out,
+                      uint32_t map_task) {
+  const RowLayout layout(partials.resolved().partial_schema);
+  ShuffleWriter writer = out.Writer(ctx, map_task);
+  writer.ExpectRows(partials.num_groups());
+  std::vector<uint8_t> encoded;
+  IDF_RETURN_IF_ERROR(partials.ForEachPartial(
+      [&](uint64_t code, const RowVec& row) -> Status {
+        IDF_ASSIGN_OR_RETURN(uint32_t size, layout.ComputeRowSize(row));
+        encoded.resize(size);
+        layout.EncodeRow(row, encoded.data(), PackedRowPtr::Null());
+        writer.Append(HashPartition(code, num_reduce), encoded.data(), size);
+        return Status::OK();
+      }));
+  out.Commit(ctx, writer);
+  return Status::OK();
+}
+
+/// The two phases: `map` runs the tasks that fold their rows into
+/// task-local PartialAggregators and CommitPartials them to `num_reduce`
+/// partitions (one for a global aggregate); the "final aggregate" stage
+/// then merges each reduce partition's partial rows (FinalMerge) and
+/// pushes the result into `down`. The shuffle is released whether or not
+/// the stages succeed.
+Status AggregateInTwoPhases(Session& session, QueryMetrics& metrics,
+                            const agg_internal::ResolvedAggs& resolved,
+                            const std::vector<AggSpec>& aggs,
+                            uint32_t num_reduce, ExchangeSide map,
+                            const Pipe& down) {
+  Cluster& cluster = session.cluster();
+  const agg_internal::FinalMerge merge(resolved, aggs);
+  return cluster.RunExchange(
+      ExchangeSpec{{std::move(map)},
+                   "final aggregate",
+                   num_reduce,
+                   cluster.NewRddId(),
+                   /*reduce_reads_rdd=*/false,
+                   [&](TaskContext& ctx, uint32_t rp,
+                       const std::vector<ShuffleInputs>& inputs) -> Status {
+                     auto out = std::make_shared<ColumnarChunk>(
+                         resolved.output_schema);
+                     IDF_RETURN_IF_ERROR(merge.Run(inputs[0], *out));
+                     std::unique_ptr<ChunkConsumer> consumer =
+                         down.Open(ctx, rp);
+                     consumer->Consume(ctx, std::move(out));
+                     return consumer->Commit(ctx);
+                   }},
+      metrics);
+}
+
 /// The partial aggregate as a pipeline's end: each producing task folds its
-/// blocks into a task-local PartialAggregator, whose rows its Commit routes
-/// into the aggregation exchange as map task `partition`.
+/// blocks into a task-local PartialAggregator, a chunk's columns or a row
+/// block's rows in place, and its Commit routes the partial rows into the
+/// aggregation exchange as map task `partition`.
 class PartialAggPipe final : public Pipe {
  public:
   PartialAggPipe(const agg_internal::ResolvedAggs& resolved,
@@ -894,7 +991,10 @@ class PartialAggPipe final : public Pipe {
           partition_(partition),
           partials_(pipe.resolved_, pipe.aggs_) {}
     void Consume(TaskContext&, ChunkPtr block) override {
-      partials_.Add(agg_internal::ChunkRun(*block));
+      partials_.Add(ChunkRun(*block));
+    }
+    void ConsumeRows(TaskContext&, const RowBlock& block) override {
+      partials_.Add(RowRun(block.layout, block.rows, block.fields));
     }
     Status Commit(TaskContext& ctx) override {
       return CommitPartials(ctx, partials_, pipe_.num_reduce_, pipe_.out_,
@@ -938,52 +1038,6 @@ Result<Pipeline> HashAggExec::OpenImpl(Session& session, QueryMetrics& metrics,
                                 std::move(partial), down);
   };
   return out;
-}
-
-Status CommitPartials(TaskContext& ctx,
-                      const agg_internal::PartialAggregator& partials,
-                      uint32_t num_reduce, const MapOutput& out,
-                      uint32_t map_task) {
-  const RowLayout layout(partials.resolved().partial_schema);
-  ShuffleWriter writer = out.Writer(ctx, map_task);
-  writer.ExpectRows(partials.num_groups());
-  std::vector<uint8_t> encoded;
-  IDF_RETURN_IF_ERROR(partials.ForEachPartial(
-      [&](uint64_t code, const RowVec& row) -> Status {
-        IDF_ASSIGN_OR_RETURN(uint32_t size, layout.ComputeRowSize(row));
-        encoded.resize(size);
-        layout.EncodeRow(row, encoded.data(), PackedRowPtr::Null());
-        writer.Append(HashPartition(code, num_reduce), encoded.data(), size);
-        return Status::OK();
-      }));
-  out.Commit(ctx, writer);
-  return Status::OK();
-}
-
-Status AggregateInTwoPhases(Session& session, QueryMetrics& metrics,
-                            const agg_internal::ResolvedAggs& resolved,
-                            const std::vector<AggSpec>& aggs,
-                            uint32_t num_reduce, ExchangeSide map,
-                            const Pipe& down) {
-  Cluster& cluster = session.cluster();
-  const agg_internal::FinalMerge merge(resolved, aggs);
-  return cluster.RunExchange(
-      ExchangeSpec{{std::move(map)},
-                   "final aggregate",
-                   num_reduce,
-                   cluster.NewRddId(),
-                   /*reduce_reads_rdd=*/false,
-                   [&](TaskContext& ctx, uint32_t rp,
-                       const std::vector<ShuffleInputs>& inputs) -> Status {
-                     auto out = std::make_shared<ColumnarChunk>(
-                         resolved.output_schema);
-                     IDF_RETURN_IF_ERROR(merge.Run(inputs[0], *out));
-                     std::unique_ptr<ChunkConsumer> consumer =
-                         down.Open(ctx, rp);
-                     consumer->Consume(ctx, std::move(out));
-                     return consumer->Commit(ctx);
-                   }},
-      metrics);
 }
 
 // ---- UnionExec ------------------------------------------------------------

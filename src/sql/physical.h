@@ -36,7 +36,20 @@ class Session;
 // whatever ends the pipeline — inside the producer's own tasks. Only a
 // pipeline breaker materializes what reaches it: the query's result, an
 // exchange's map inputs, a broadcast build side, Sort, Union and Limit
-// (docs/INTERNALS.md §5).
+// (docs/INTERNALS.md §5). A block is a columnar chunk or, from an indexed
+// source, a row block of encoded rows that the first consumer needing
+// columns decodes.
+
+/// A run of encoded rows an indexed source pushes, pinned by its producer
+/// for the ConsumeRows call only: column c of the pipeline's schema is
+/// field fields[c] of `layout`.
+struct RowBlock {
+  const RowLayout& layout;
+  std::span<const uint8_t* const> rows;
+  std::span<const size_t> fields;
+  /// The pipeline's schema, which the rows decode into.
+  SchemaPtr schema;
+};
 
 /// One producing task's output for one output partition.
 class ChunkConsumer {
@@ -45,6 +58,10 @@ class ChunkConsumer {
   /// Takes the task's next block of rows; blocks arrive in row order. The
   /// producer keeps the block's inputs pinned for the call.
   virtual void Consume(TaskContext& ctx, ChunkPtr block) = 0;
+  /// Takes the task's next block as encoded rows. By default they decode
+  /// (DecodeRows) into a chunk of the block's schema, which goes to
+  /// Consume; a consumer that reads rows directly overrides this.
+  virtual void ConsumeRows(TaskContext& ctx, const RowBlock& block);
   /// Publishes what the task pushed. Called once, and only when the task
   /// succeeded: a failed task's consumer is dropped uncommitted, so it
   /// never publishes part of its output or counts it twice.
@@ -114,8 +131,8 @@ class PhysicalOp {
 using PhysOpPtr = std::shared_ptr<const PhysicalOp>;
 
 /// Scan: a dataset as a pipeline source (Dataset::Scan) — a cached table's
-/// blocks, or an indexed dataset's row batches decoded a batch at a time,
-/// only the columns the pipeline reads.
+/// blocks, or an indexed dataset's row batches as row blocks, a batch at a
+/// time, naming only the fields the pipeline reads.
 class ScanExec final : public PhysicalOp {
  public:
   explicit ScanExec(DatasetPtr dataset) : dataset_(std::move(dataset)) {}
@@ -157,8 +174,8 @@ class FilterExec final : public UnaryExec {
 };
 
 /// Column selection, fused into its producer's tasks; a block built for the
-/// pipeline gives up its columns instead of copying them. Its producer
-/// decodes only the projected columns when it can (an indexed scan).
+/// pipeline gives up its columns instead of copying them, and a row block
+/// passes on undecoded with its field map narrowed.
 class ProjectExec final : public UnaryExec {
  public:
   ProjectExec(PhysOpPtr child, std::vector<std::string> columns)
@@ -244,9 +261,9 @@ class SortExec final : public UnaryExec {
 };
 
 /// Two-phase hash aggregation: the partial aggregate is fused into the
-/// child's tasks (each folds its blocks into a task-local
-/// PartialAggregator and routes the partial rows into the exchange), then
-/// a shuffle by group key and the final merge.
+/// child's tasks (each folds its blocks, chunks or row blocks alike, into a
+/// task-local PartialAggregator and routes the partial rows into the
+/// exchange), then a shuffle by group key and the final merge.
 class HashAggExec final : public UnaryExec {
  public:
   HashAggExec(PhysOpPtr child, std::vector<std::string> group_by,
@@ -354,31 +371,5 @@ class TableSink final : public Pipe {
   mutable std::atomic<uint64_t> rows_{0};
   mutable std::atomic<uint64_t> bytes_{0};
 };
-
-namespace agg_internal {
-struct ResolvedAggs;
-class PartialAggregator;
-}  // namespace agg_internal
-
-/// Routes a map task's partial rows (agg_internal::PartialAggregator) on
-/// their group codes to the `num_reduce` partitions of an aggregation
-/// exchange and commits them.
-Status CommitPartials(TaskContext& ctx,
-                      const agg_internal::PartialAggregator& partials,
-                      uint32_t num_reduce, const MapOutput& out,
-                      uint32_t map_task);
-
-/// A two-phase aggregation, shared by HashAggExec and the Indexed
-/// DataFrame's row-direct aggregation: `map` runs the tasks that fold
-/// their rows into task-local PartialAggregators and CommitPartials them to
-/// `num_reduce` partitions (one for a global aggregate); the "final
-/// aggregate" stage then merges each reduce partition's partial rows
-/// (agg_internal::FinalMerge) and pushes the result into `down`. The
-/// shuffle is released whether or not the stages succeed.
-Status AggregateInTwoPhases(Session& session, QueryMetrics& metrics,
-                            const agg_internal::ResolvedAggs& resolved,
-                            const std::vector<AggSpec>& aggs,
-                            uint32_t num_reduce, ExchangeSide map,
-                            const Pipe& down);
 
 }  // namespace idf

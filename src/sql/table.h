@@ -56,8 +56,9 @@ class Dataset {
 
   /// Opens this dataset as the source of a pipeline that reads `reads` of
   /// its columns. A cached table's pipeline pushes its blocks (and is
-  /// materialized already); an indexed dataset's decodes its row batches,
-  /// only the columns read — the row-to-columnar conversion whose cost is
+  /// materialized already); an indexed dataset's pushes its row batches as
+  /// row blocks naming only the columns read, which the first consumer
+  /// needing columns decodes — the row-to-columnar conversion whose cost is
   /// part of the query (this is what slows projections on indexed data,
   /// Fig. 8).
   virtual Result<Pipeline> Scan(Session& session, QueryMetrics& metrics,

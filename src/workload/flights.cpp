@@ -38,7 +38,7 @@ SchemaPtr FlightsGenerator::PlanesSchema() {
 }
 
 std::string FlightsGenerator::TailNum(uint64_t plane) {
-  char buf[16];
+  char buf[22];  // 'N', up to 20 digits, NUL
   std::snprintf(buf, sizeof(buf), "N%05llu",
                 static_cast<unsigned long long>(plane));
   return buf;

@@ -1,14 +1,15 @@
 // The typed aggregation kernel (sql/agg_internal.h) against the Value-based
 // loops it replaced: the partial phase against the row-at-a-time loop, and
 // the final merge (FinalMerge) against the GroupMap merge. Then the two
-// operators that drive the kernel (HashAggExec over columnar chunks,
-// RowAggExec over row batches) against each other.
+// inputs HashAggExec folds with it — a cached table's columnar chunks and an
+// indexed table's row blocks — against each other.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <sstream>
 #include <unordered_map>
 
 #include "common/rng.h"
@@ -230,7 +231,7 @@ std::vector<Partial> ChunkPartials(const ResolvedAggs& resolved,
 }
 
 /// Kernel over the rows encoded back to back and cut into runs of uneven
-/// length, as RowAggExec folds one row batch at a time.
+/// length, as HashAggExec folds an indexed table one row batch at a time.
 std::vector<Partial> RowPartials(const ResolvedAggs& resolved,
                                  const std::vector<AggSpec>& aggs,
                                  const SchemaPtr& schema,
@@ -706,7 +707,7 @@ TEST(AggKernelTest, FinalMergeResolvesStateColumnsByPosition) {
                             Value::Int64(3)}));
 }
 
-// ---- RowAggExec against HashAggExec ------------------------------------------
+// ---- row blocks against columnar chunks --------------------------------------
 
 SessionOptions SmallOptions() {
   SessionOptions opts;
@@ -761,24 +762,77 @@ std::vector<std::string> BitwiseRows(const CollectedTable& table) {
   return out;
 }
 
+/// Expects `df`'s physical plan to be exactly `ops`, one operator per line
+/// from the root down, each line starting with its entry.
+void ExpectPlan(const DataFrame& df, const std::vector<std::string>& ops) {
+  Result<std::string> plan = df.ExplainPhysical();
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  std::vector<std::string> lines;
+  std::istringstream in(*plan);
+  for (std::string line; std::getline(in, line);) {
+    lines.push_back(line.substr(line.find_first_not_of(' ')));
+  }
+  ASSERT_EQ(lines.size(), ops.size()) << *plan;
+  for (size_t i = 0; i < ops.size(); ++i) {
+    EXPECT_EQ(lines[i].rfind(ops[i], 0), 0u) << *plan;
+  }
+}
+
+/// Runs both queries and expects bitwise-equal, non-empty results.
+void ExpectSameRows(const DataFrame& vanilla_q, const DataFrame& indexed_q) {
+  auto vanilla = vanilla_q.Collect();
+  auto indexed = indexed_q.Collect();
+  ASSERT_TRUE(vanilla.ok()) << vanilla.status().ToString();
+  ASSERT_TRUE(indexed.ok()) << indexed.status().ToString();
+  EXPECT_EQ(*vanilla->schema, *indexed->schema);
+  EXPECT_FALSE(vanilla->rows.empty());
+  EXPECT_EQ(BitwiseRows(*vanilla), BitwiseRows(*indexed));
+}
+
+/// The aggregate of the indexed table is the ordinary HashAggExec folding
+/// the indexed scan's row blocks, with no other operator.
 void ExpectOperatorsAgree(const DataFrame& vanilla,
                           const IndexedDataFrame& indexed,
                           const std::vector<std::string>& group_by) {
   const std::vector<AggSpec> aggs = AllAggs();
   DataFrame hash_q = vanilla.Agg(group_by, aggs);
   DataFrame row_q = indexed.AsDataFrame().Agg(group_by, aggs);
-  ASSERT_NE(hash_q.ExplainPhysical()->find("HashAggExec"), std::string::npos);
-  ASSERT_NE(row_q.ExplainPhysical()->find("RowAggExec"), std::string::npos);
-  auto hash = hash_q.Collect();
-  auto row = row_q.Collect();
-  ASSERT_TRUE(hash.ok()) << hash.status().ToString();
-  ASSERT_TRUE(row.ok()) << row.status().ToString();
-  EXPECT_EQ(*hash->schema, *row->schema);
-  EXPECT_FALSE(hash->rows.empty());
-  EXPECT_EQ(BitwiseRows(*hash), BitwiseRows(*row));
+  ExpectPlan(hash_q, {"HashAggExec", "ScanExec"});
+  ExpectPlan(row_q, {"HashAggExec", "ScanExec indexed("});
+  ExpectSameRows(hash_q, row_q);
 }
 
-TEST(AggOperatorDiffTest, RowAggExecMatchesHashAggExecBitwise) {
+/// The arms around the aggregate, each against the cached table: a
+/// projection out of schema order that repeats a column (its row blocks
+/// reach the aggregate through a composed field map), a filter (which
+/// decodes them first), and the same projection collected (decoded by the
+/// result's sink).
+void ExpectArmsAgree(const DataFrame& vanilla,
+                     const IndexedDataFrame& indexed) {
+  const std::vector<std::string> columns = {"s", "f64", "i64", "b",
+                                            "f64", "i32"};
+  const DataFrame indexed_df = indexed.AsDataFrame();
+  for (const std::vector<std::string>& group_by :
+       {std::vector<std::string>{}, std::vector<std::string>{"s", "b"}}) {
+    SCOPED_TRACE(group_by.size());
+    const DataFrame select_agg =
+        indexed_df.Select(columns).Agg(group_by, AllAggs());
+    ExpectPlan(select_agg,
+               {"HashAggExec", "ProjectExec", "ScanExec indexed("});
+    ExpectSameRows(vanilla.Select(columns).Agg(group_by, AllAggs()),
+                   select_agg);
+
+    const ExprPtr positive = Gt(Col("f64"), Lit(0.0));
+    const DataFrame filter_agg =
+        indexed_df.Filter(positive).Agg(group_by, AllAggs());
+    ExpectPlan(filter_agg, {"HashAggExec", "FilterExec", "ScanExec indexed("});
+    ExpectSameRows(vanilla.Filter(positive).Agg(group_by, AllAggs()),
+                   filter_agg);
+  }
+  ExpectSameRows(vanilla.Select(columns), indexed_df.Select(columns));
+}
+
+TEST(AggOperatorDiffTest, IndexedRowBlocksMatchColumnarChunksBitwise) {
   Session session(SmallOptions());
   const std::vector<RowVec> rows = ExactRows(2102, 6000);
   auto df = *session.CreateTable("mixed", MixedSchema(), rows);
@@ -788,7 +842,8 @@ TEST(AggOperatorDiffTest, RowAggExecMatchesHashAggExecBitwise) {
   ExpectOperatorsAgree(df, indexed, {"b", "i32"});
 }
 
-TEST(AggOperatorDiffTest, RowAggExecMatchesHashAggExecOnAnAppendedVersion) {
+TEST(AggOperatorDiffTest,
+     IndexedRowBlocksMatchColumnarChunksOnAnAppendedVersion) {
   Session session(SmallOptions());
   const std::vector<RowVec> base = ExactRows(2103, 3000);
   const std::vector<RowVec> extra = ExactRows(2104, 700);
@@ -802,6 +857,27 @@ TEST(AggOperatorDiffTest, RowAggExecMatchesHashAggExecOnAnAppendedVersion) {
   ExpectOperatorsAgree(all_df, v1, {});
   ExpectOperatorsAgree(all_df, v1, {"s", "b"});
   ExpectOperatorsAgree(df, v0, {"s", "b"});  // v0 is unchanged
+}
+
+TEST(AggOperatorDiffTest, ProjectFilterAndCollectArmsMatchBitwise) {
+  Session session(SmallOptions());
+  const std::vector<RowVec> base = ExactRows(2105, 3000);
+  const std::vector<RowVec> extra = ExactRows(2106, 700);
+  auto df = *session.CreateTable("base", MixedSchema(), base);
+  auto v0 = *IndexedDataFrame::Create(df, "i64");
+  auto v1 = *v0.AppendRows(*session.CreateTable("extra", MixedSchema(), extra));
+
+  std::vector<RowVec> all = base;
+  all.insert(all.end(), extra.begin(), extra.end());
+  auto all_df = *session.CreateTable("all", MixedSchema(), all);
+  {
+    SCOPED_TRACE("v0");
+    ExpectArmsAgree(df, v0);
+  }
+  {
+    SCOPED_TRACE("v1");
+    ExpectArmsAgree(all_df, v1);
+  }
 }
 
 }  // namespace

@@ -149,10 +149,12 @@ struct WorkloadResult {
   size_t hits = 0;
   std::vector<std::string> join;
   std::vector<std::string> scan;
+  std::vector<std::string> aggregate;
 };
 
 /// The read-only query mix every seed replays: an indexed lookup, a join,
-/// and a full scan. Read-only keeps the differential crisp — either every
+/// a full scan, and an SQ6-shaped aggregate (Select then Agg) that folds
+/// the scan's row blocks undecoded. Read-only keeps the differential crisp — either every
 /// byte matches the clean run or the failure status explains itself.
 Result<WorkloadResult> RunWorkload(const IndexedDataFrame& indexed,
                                    const DataFrame& probe) {
@@ -164,6 +166,14 @@ Result<WorkloadResult> RunWorkload(const IndexedDataFrame& indexed,
   r.join = join.SortedRowStrings();
   IDF_ASSIGN_OR_RETURN(CollectedTable scan, indexed.AsDataFrame().Collect());
   r.scan = scan.SortedRowStrings();
+  IDF_ASSIGN_OR_RETURN(
+      CollectedTable aggregate,
+      indexed.AsDataFrame()
+          .Select({"dst", "weight"})
+          .Agg({}, {AggSpec::Count("n"), AggSpec::Sum("dst"),
+                    AggSpec::Sum("weight")})
+          .Collect());
+  r.aggregate = aggregate.SortedRowStrings();
   return r;
 }
 
@@ -211,6 +221,7 @@ TEST(ChaosTest, SeededSweepIsByteIdenticalOrCleanlyRetryable) {
           EXPECT_EQ(got->hits, expected.hits);
           EXPECT_EQ(got->join, expected.join);
           EXPECT_EQ(got->scan, expected.scan);
+          EXPECT_EQ(got->aggregate, expected.aggregate);
         } else {
           EXPECT_TRUE(IsRetryable(got.status()))
               << "non-retryable failure: " << got.status().ToString();

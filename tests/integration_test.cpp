@@ -1,9 +1,8 @@
-// Cross-module integration tests: strategy selection for row-direct
-// aggregation, multi-index tables, end-to-end SQL over indexed + appended
+// Cross-module integration tests: aggregation over indexed data (the
+// ordinary HashAggExec over the indexed scan), multi-index tables, end-to-end SQL over indexed + appended
 // data, version trees under mixed workloads, and composed operator chains.
 #include <gtest/gtest.h>
 
-#include "core/indexed_agg.h"
 #include "core/indexed_dataframe.h"
 #include "workload/flights.h"
 
@@ -37,7 +36,7 @@ std::vector<RowVec> EventRows(int n) {
   return rows;
 }
 
-TEST(IntegrationTest, AggregateOverIndexedPlansRowAggExec) {
+TEST(IntegrationTest, AggregateOverIndexedPlansHashAggOverIndexedScan) {
   Session session(SmallOptions());
   auto df = *session.CreateTable("events", EventSchema(), EventRows(500));
   auto indexed = *IndexedDataFrame::Create(df, "user");
@@ -45,7 +44,7 @@ TEST(IntegrationTest, AggregateOverIndexedPlansRowAggExec) {
       {"kind"}, {AggSpec::Count("n"), AggSpec::Sum("amount")});
   auto plan = q.ExplainPhysical();
   ASSERT_TRUE(plan.ok());
-  EXPECT_NE(plan->find("RowAggExec"), std::string::npos) << *plan;
+  EXPECT_EQ(plan->rfind("HashAggExec\n  ScanExec indexed(", 0), 0u) << *plan;
   // And the result matches the vanilla aggregation.
   auto vanilla =
       df.Agg({"kind"}, {AggSpec::Count("n"), AggSpec::Sum("amount")})
@@ -56,7 +55,7 @@ TEST(IntegrationTest, AggregateOverIndexedPlansRowAggExec) {
   EXPECT_EQ(fast->SortedRowStrings(), vanilla->SortedRowStrings());
 }
 
-TEST(IntegrationTest, RowAggOverAppendedVersion) {
+TEST(IntegrationTest, AggregateOverAppendedVersion) {
   Session session(SmallOptions());
   auto df = *session.CreateTable("events", EventSchema(), EventRows(100));
   auto v0 = *IndexedDataFrame::Create(df, "user");

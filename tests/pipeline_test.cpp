@@ -1,13 +1,15 @@
 // Pipelined execution (sql/physical.h): narrow operators and the partial
 // aggregate run inside their producer's tasks, so nothing between a
 // producer and a fused Filter, Project or partial aggregate is
-// materialized; results stay byte-identical at every scheduler thread
-// count.
+// materialized; an indexed source's row blocks reach the partial aggregate
+// undecoded; results stay byte-identical at every scheduler thread count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <map>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -165,6 +167,121 @@ TEST(PipelineTest, FusedOperatorsMaterializeOnlyTheirResult) {
     EXPECT_EQ(added, result.num_partitions);
     EXPECT_EQ(metrics.totals.rows_written, result.num_rows);
     EXPECT_GT(result.num_rows, 0u);
+  }
+}
+
+// ---- row blocks ---------------------------------------------------------------
+
+/// Stands in for the partial aggregate at a pipeline's end and records what
+/// reaches it: row blocks, left undecoded, and columnar chunks.
+class RecordingPipe final : public Pipe {
+ public:
+  std::unique_ptr<ChunkConsumer> Open(TaskContext&, uint32_t) const override {
+    return std::make_unique<Consumer>(*this);
+  }
+
+  mutable std::atomic<uint64_t> row_blocks{0};
+  mutable std::atomic<uint64_t> block_rows{0};
+  mutable std::atomic<uint64_t> chunks{0};
+  mutable std::atomic<uint64_t> chunk_rows{0};
+  mutable std::mutex mutex;
+  mutable std::vector<size_t> fields;  // of the last row block
+  mutable size_t columns = 0;          // of the last row block's schema
+
+ private:
+  class Consumer final : public ChunkConsumer {
+   public:
+    explicit Consumer(const RecordingPipe& pipe) : pipe_(pipe) {}
+    void Consume(TaskContext&, ChunkPtr block) override {
+      ++pipe_.chunks;
+      pipe_.chunk_rows += block->num_rows();
+    }
+    void ConsumeRows(TaskContext&, const RowBlock& block) override {
+      ++pipe_.row_blocks;
+      pipe_.block_rows += block.rows.size();
+      std::lock_guard<std::mutex> lock(pipe_.mutex);
+      pipe_.fields.assign(block.fields.begin(), block.fields.end());
+      pipe_.columns = block.schema->num_fields();
+    }
+    Status Commit(TaskContext&) override { return Status::OK(); }
+
+   private:
+    const RecordingPipe& pipe_;
+  };
+};
+
+/// Plans `df`, an aggregate, and runs its input pipeline — what the
+/// partial aggregate folds — into `recorder`.
+void RunAggregateInput(Session& session, const DataFrame& df,
+                       const std::vector<std::string>& reads,
+                       const RecordingPipe& recorder) {
+  Result<PhysOpPtr> plan = session.planner().Plan(df.plan());
+  IDF_CHECK_OK(plan.status());
+  ASSERT_EQ((*plan)->Describe(), "HashAggExec");
+  QueryMetrics metrics;
+  Result<Pipeline> input =
+      (*plan)->children()[0]->Open(session, metrics, reads);
+  IDF_CHECK_OK(input.status());
+  IDF_CHECK_OK(input->run(recorder));
+}
+
+TEST(PipelineTest, IndexedProjectHandsRowBlocksAndFilterHandsChunks) {
+  Fixture fx(2);
+  {
+    SCOPED_TRACE("scan-project-aggregate");
+    RecordingPipe recorder;
+    RunAggregateInput(fx.session, fx.ProjectAgg(), {"weight"}, recorder);
+    EXPECT_GT(recorder.row_blocks.load(), 1u);
+    EXPECT_EQ(recorder.block_rows.load(), 6000u);
+    EXPECT_EQ(recorder.chunks.load(), 0u);
+    // Select({"edge_dest", "weight"}) names fields 1 and 3 of the rows.
+    EXPECT_EQ(recorder.fields, (std::vector<size_t>{1, 3}));
+    EXPECT_EQ(recorder.columns, 2u);
+  }
+  {
+    SCOPED_TRACE("scan-filter-project-aggregate");
+    RecordingPipe recorder;
+    RunAggregateInput(fx.session, fx.FilterProjectAgg(),
+                      {"label", "weight", "edge_dest"}, recorder);
+    EXPECT_EQ(recorder.row_blocks.load(), 0u);
+    EXPECT_GT(recorder.chunks.load(), 0u);
+    EXPECT_EQ(recorder.chunk_rows.load(), 6000u - 1501u);  // date > 2500
+  }
+}
+
+TEST(PipelineTest, IndexedAggregateProfileCountsEveryScannedRow) {
+  // EXPLAIN ANALYZE counts row blocks without decoding them: the scan's
+  // rows_out is the table's rows, and the profile is the same at 1 and 4
+  // scheduler threads.
+  auto profile = [](uint32_t threads, bool project) {
+    Fixture fx(threads);
+    const DataFrame df =
+        project ? fx.ProjectAgg()
+                : fx.indexed.AsDataFrame().Agg(
+                      {"label"}, {AggSpec::Count("n"), AggSpec::Sum("weight")});
+    QueryMetrics m;
+    m.op_profile = std::make_shared<std::map<const void*, OpProfile>>();
+    IDF_CHECK_OK(df.Collect(&m).status());
+    std::vector<std::string> ops;
+    int scans = 0;
+    for (const auto& [node, prof] : *m.op_profile) {
+      if (prof.label.rfind("ScanExec indexed(", 0) == 0) {
+        ++scans;
+        EXPECT_EQ(prof.rows_out, 6000u);
+        EXPECT_GT(prof.bytes_out, 0u);
+      }
+      ops.push_back(prof.label + "|" + std::to_string(prof.rows_out) + "|" +
+                    std::to_string(prof.bytes_out));
+    }
+    EXPECT_EQ(scans, 1);
+    std::sort(ops.begin(), ops.end());
+    return ops;
+  };
+  for (bool project : {false, true}) {
+    SCOPED_TRACE(project ? "scan-project-aggregate" : "scan-aggregate");
+    const std::vector<std::string> one = profile(1, project);
+    EXPECT_EQ(one.size(), project ? 3u : 2u);
+    EXPECT_EQ(profile(4, project), one);
   }
 }
 
