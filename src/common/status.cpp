@@ -7,13 +7,9 @@ std::string_view StatusCodeName(StatusCode code) {
     case StatusCode::kOk: return "OK";
     case StatusCode::kInvalidArgument: return "InvalidArgument";
     case StatusCode::kNotFound: return "NotFound";
-    case StatusCode::kAlreadyExists: return "AlreadyExists";
-    case StatusCode::kOutOfRange: return "OutOfRange";
     case StatusCode::kResourceExhausted: return "ResourceExhausted";
     case StatusCode::kFailedPrecondition: return "FailedPrecondition";
     case StatusCode::kUnavailable: return "Unavailable";
-    case StatusCode::kStale: return "Stale";
-    case StatusCode::kUnimplemented: return "Unimplemented";
     case StatusCode::kInternal: return "Internal";
     case StatusCode::kCancelled: return "Cancelled";
     case StatusCode::kDeadlineExceeded: return "DeadlineExceeded";

@@ -20,13 +20,9 @@ enum class StatusCode {
   kOk = 0,
   kInvalidArgument,   // caller passed something malformed (bad schema, key type)
   kNotFound,          // lookup key / block / column absent
-  kAlreadyExists,     // duplicate registration (table name, index)
-  kOutOfRange,        // offset past a batch, partition id out of bounds
   kResourceExhausted, // batch full, memory budget exceeded
   kFailedPrecondition,// operation on wrong state (uncached index, closed writer)
   kUnavailable,       // executor dead / block lost — retryable via lineage
-  kStale,             // versioned block older than required (consistency, §III-D)
-  kUnimplemented,
   kInternal,
   kCancelled,         // query cancelled by its client (server/query_service.h)
   kDeadlineExceeded,  // query deadline expired before completion
@@ -46,13 +42,9 @@ class [[nodiscard]] Status {
   static Status OK() { return Status(); }
   static Status InvalidArgument(std::string m) { return {StatusCode::kInvalidArgument, std::move(m)}; }
   static Status NotFound(std::string m) { return {StatusCode::kNotFound, std::move(m)}; }
-  static Status AlreadyExists(std::string m) { return {StatusCode::kAlreadyExists, std::move(m)}; }
-  static Status OutOfRange(std::string m) { return {StatusCode::kOutOfRange, std::move(m)}; }
   static Status ResourceExhausted(std::string m) { return {StatusCode::kResourceExhausted, std::move(m)}; }
   static Status FailedPrecondition(std::string m) { return {StatusCode::kFailedPrecondition, std::move(m)}; }
   static Status Unavailable(std::string m) { return {StatusCode::kUnavailable, std::move(m)}; }
-  static Status Stale(std::string m) { return {StatusCode::kStale, std::move(m)}; }
-  static Status Unimplemented(std::string m) { return {StatusCode::kUnimplemented, std::move(m)}; }
   static Status Internal(std::string m) { return {StatusCode::kInternal, std::move(m)}; }
   static Status Cancelled(std::string m) { return {StatusCode::kCancelled, std::move(m)}; }
   static Status DeadlineExceeded(std::string m) { return {StatusCode::kDeadlineExceeded, std::move(m)}; }

@@ -39,15 +39,4 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-void ThreadPool::ParallelFor(size_t count,
-                             const std::function<void(size_t)>& fn) {
-  if (count == 0) return;
-  std::vector<std::future<void>> futures;
-  futures.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    futures.push_back(Submit([&fn, i] { fn(i); }));
-  }
-  for (auto& f : futures) f.get();  // rethrows worker exceptions here
-}
-
 }  // namespace idf

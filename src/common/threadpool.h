@@ -40,9 +40,6 @@ class ThreadPool {
     return result;
   }
 
-  /// Runs fn(i) for i in [0, count) across the pool and waits for all.
-  void ParallelFor(size_t count, const std::function<void(size_t)>& fn);
-
   size_t num_threads() const { return workers_.size(); }
 
  private:

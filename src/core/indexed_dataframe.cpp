@@ -1,7 +1,6 @@
 #include "core/indexed_dataframe.h"
 
 #include "core/indexed_ops.h"
-#include "mem/governor.h"
 
 namespace idf {
 
@@ -29,17 +28,9 @@ Result<CollectedTable> IndexedDataFrame::GetRows(const Value& key,
   QueryMetrics local;
   QueryMetrics& m = metrics != nullptr ? *metrics : local;
   auto dataset = std::make_shared<IndexedDataset>(rdd_, version_);
-  IndexLookupExec lookup(std::move(dataset), key, /*residual=*/nullptr);
-  try {
-    IDF_ASSIGN_OR_RETURN(TableHandle handle,
-                         lookup.Execute(rdd_->session(), m));
-    return rdd_->session().Collect(handle);
-  } catch (const mem::ReloadFault& fault) {
-    // Lookup fast paths read partitions on the caller's thread; a failed
-    // reload there has no task boundary to catch it (see ExecuteTask), so
-    // convert it to the query's failure status here.
-    return fault.status();
-  }
+  IndexLookupExec lookup(std::move(dataset), key);
+  IDF_ASSIGN_OR_RETURN(TableHandle handle, lookup.Execute(rdd_->session(), m));
+  return rdd_->session().Collect(handle);
 }
 
 Result<IndexedDataFrame> IndexedDataFrame::AppendRows(

@@ -34,43 +34,20 @@ Status IndexedJoinExec::Run(Session& session, const TableHandle& probe,
   const uint32_t P = rdd->num_partitions();
   RowLayout probe_layout(probe.schema);
 
-  const Schema& indexed_schema = *rdd->schema();
-  const size_t key_col = rdd->key_column();
-  const bool verify =
-      KeyCodeNeedsVerify(indexed_schema.field(key_col).type) ||
-      KeyCodeNeedsVerify(probe.schema->field(probe_key).type);
-
-  // Zero-allocation key verification: string keys compare their raw bytes,
-  // everything else falls back to boxed Value equality (doubles).
-  const bool both_strings =
-      indexed_schema.field(key_col).type == TypeId::kString &&
-      probe.schema->field(probe_key).type == TypeId::kString;
-  auto keys_equal = [&](const RowLayout& ilayout, const uint8_t* irow,
-                        const uint8_t* prow) {
-    if (both_strings) {
-      return ilayout.GetString(irow, key_col) ==
-             probe_layout.GetString(prow, probe_key);
-    }
-    return ilayout.GetValue(irow, key_col) ==
-           probe_layout.GetValue(prow, probe_key);
-  };
-
   // Probes one encoded row against a partition; matched pairs collect in
   // `decoder`, whose left side is the join's left relation.
   auto probe_row = [&](TaskContext& ctx, const IndexedPartition& part,
                        const uint8_t* prow, JoinedRowDecoder& decoder) {
-    const uint64_t code = probe_layout.KeyCode(prow, probe_key);
     ++ctx.metrics().index_probes;
-    uint64_t matched = 0;
-    part.ForEachRowOfKey(code, [&](const uint8_t* irow) {
-      if (verify && !keys_equal(part.layout(), irow, prow)) return;
-      ++matched;
-      if (indexed_is_left_) {
-        decoder.Add(irow, prow);
-      } else {
-        decoder.Add(prow, irow);
-      }
-    });
+    const size_t matched =
+        part.ForEachMatch(probe_layout, prow, probe_key,
+                          [&](const uint8_t* irow) {
+                            if (indexed_is_left_) {
+                              decoder.Add(irow, prow);
+                            } else {
+                              decoder.Add(prow, irow);
+                            }
+                          });
     // A probe "hits" when it joins at least one verified row — the hit
     // rate the paper reports alongside probe counts.
     if (matched > 0) ++ctx.metrics().index_hits;
@@ -182,20 +159,16 @@ Result<Pipeline> IndexLookupExec::OpenImpl(Session& session,
   if (key_.is_null()) {
     return Status::InvalidArgument("index lookup with NULL key");
   }
-
-  ExprPtr residual;
-  if (residual_ != nullptr) {
-    IDF_ASSIGN_OR_RETURN(residual, residual_->Resolve(*rdd->schema()));
-  }
+  // The key, encoded once: the lookup is a probe batch of one. A key no
+  // stored row can hold (past the row bound) matches nothing.
   Pipeline out{rdd->schema(), 1, nullptr, std::nullopt};
-  out.run = [this, &session, &metrics, rdd, residual](const Pipe& down) {
+  out.run = [this, &session, &metrics, rdd,
+             probe = LookupKey::Encode(key_)](const Pipe& down) {
     Cluster& cluster = session.cluster();
     // The lookup runs on exactly one partition — the one owning the key
     // (§III-C: "a lookup operation is scheduled on the Spark partition
     // responsible for holding that key").
     const uint32_t p = rdd->PartitionOf(IndexKeyCode(key_));
-    const size_t key_col = rdd->key_column();
-    const bool verify = KeyCodeNeedsVerify(key_.type());
 
     StageSpec stage;
     stage.name = "index lookup";
@@ -209,21 +182,17 @@ Result<Pipeline> IndexLookupExec::OpenImpl(Session& session,
               rdd->GetPartition(p, indexed_->version(), ctx));
           std::unique_ptr<ChunkConsumer> consumer = down.Open(ctx, 0);
           mem::AccessScope lookup_scope;  // pin chain batches for the lookup
-          const RowLayout& layout = part->layout();
           ++ctx.metrics().index_probes;
 
           std::vector<const uint8_t*> matched;
-          part->ForEachRowOfKey(IndexKeyCode(key_), [&](const uint8_t* row) {
-            if (verify && !(layout.GetValue(row, key_col) == key_)) return;
-            if (residual != nullptr) {
-              BinaryRowAccessor accessor(layout, row);
-              const Value keep = residual->Eval(accessor);
-              if (keep.is_null() || !keep.bool_value()) return;
-            }
-            matched.push_back(row);
-          });
+          if (probe.has_value()) {
+            part->ForEachMatch(
+                probe->layout(), probe->row(), 0,
+                [&](const uint8_t* row) { matched.push_back(row); });
+          }
           if (!matched.empty()) {
             ++ctx.metrics().index_hits;
+            const RowLayout& layout = part->layout();
             const std::vector<size_t> fields = AllFields(layout);
             consumer->ConsumeRows(
                 ctx, RowBlock{layout, matched, fields, rdd->schema()});

@@ -8,8 +8,9 @@
 // push on through the pipeline (sql/physical.h).
 //
 // IndexLookupExec: an equality filter on the indexed column becomes a point
-// lookup on the single partition owning the key, plus a residual filter for
-// any remaining conjuncts. The matches go on as one row block.
+// lookup on the single partition owning the key: a probe batch of one through
+// the join's kernel (IndexedPartition::ForEachMatch). The matches go on as
+// one row block; any remaining conjuncts are a FilterExec above it.
 #pragma once
 
 #include <memory>
@@ -52,25 +53,19 @@ class IndexedJoinExec final : public PhysicalOp {
 
 class IndexLookupExec final : public PhysicalOp {
  public:
-  /// `residual` may be null; when set it is applied to matching rows.
-  IndexLookupExec(std::shared_ptr<const IndexedDataset> indexed, Value key,
-                  ExprPtr residual)
-      : indexed_(std::move(indexed)),
-        key_(std::move(key)),
-        residual_(std::move(residual)) {}
+  IndexLookupExec(std::shared_ptr<const IndexedDataset> indexed, Value key)
+      : indexed_(std::move(indexed)), key_(std::move(key)) {}
 
   Result<Pipeline> OpenImpl(Session& session, QueryMetrics& metrics,
                             const ColumnReads& reads) const override;
   std::string Describe() const override {
-    return "IndexLookupExec key=" + key_.ToString() +
-           (residual_ ? " residual=" + residual_->ToString() : "") + " on " +
+    return "IndexLookupExec key=" + key_.ToString() + " on " +
            indexed_->name();
   }
 
  private:
   std::shared_ptr<const IndexedDataset> indexed_;
   Value key_;
-  ExprPtr residual_;
 };
 
 }  // namespace idf

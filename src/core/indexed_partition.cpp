@@ -78,6 +78,18 @@ class KeyGroups {
 
 }  // namespace
 
+std::optional<LookupKey> LookupKey::Encode(const Value& key) {
+  if (key.is_null()) return std::nullopt;
+  LookupKey out(std::make_shared<Schema>(
+      Schema({{"key", key.type(), /*nullable=*/false}})));
+  const RowVec row{key};
+  Result<uint32_t> size = out.layout_.ComputeRowSize(row);
+  if (!size.ok()) return std::nullopt;
+  out.row_.resize(*size);
+  out.layout_.EncodeRow(row, out.row_.data(), PackedRowPtr::Null());
+  return out;
+}
+
 IndexedPartition::IndexedPartition(SchemaPtr schema, size_t key_column,
                                    uint32_t batch_capacity)
     : layout_(std::move(schema)),
@@ -174,30 +186,11 @@ Status IndexedPartition::InsertEncodedRows(std::span<const uint8_t*> rows) {
   return Status::OK();
 }
 
-size_t IndexedPartition::ForEachRowOfKey(
-    uint64_t key_code, const std::function<void(const uint8_t*)>& fn) const {
-  const std::optional<uint64_t> head = index_.Lookup(key_code);
-  if (!head.has_value()) return 0;
-  // The chain can cross many batches; pin each one until the walk is done.
-  mem::AccessScope scope;
-  size_t visited = 0;
-  PackedRowPtr ptr = PackedRowPtr::FromBits(*head);
-  while (!ptr.is_null()) {
-    const uint8_t* row = store_.RowAt(ptr);
-    fn(row);
-    ++visited;
-    ptr = RowLayout::BackPtr(row);
-  }
-  return visited;
-}
-
 std::vector<RowVec> IndexedPartition::LookupRows(const Value& key) const {
   std::vector<RowVec> rows;
-  if (key.is_null()) return rows;
-  mem::AccessScope scope;
-  const bool verify = KeyCodeNeedsVerify(key.type());
-  ForEachRowOfKey(IndexKeyCode(key), [&](const uint8_t* row) {
-    if (verify && !(layout_.GetValue(row, key_column_) == key)) return;
+  const std::optional<LookupKey> probe = LookupKey::Encode(key);
+  if (!probe.has_value()) return rows;
+  ForEachMatch(probe->layout(), probe->row(), 0, [&](const uint8_t* row) {
     rows.push_back(layout_.DecodeRow(row));
   });
   return rows;

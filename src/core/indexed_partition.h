@@ -23,11 +23,30 @@
 
 #include "ctrie/ctrie.h"
 #include "engine/block.h"
+#include "mem/governor.h"
 #include "storage/partition_store.h"
 #include "storage/row_layout.h"
 #include "types/schema.h"
 
 namespace idf {
+
+/// A point-lookup key encoded as a one-field row, so a lookup probes
+/// ForEachMatch exactly as one probe row of an indexed join does.
+class LookupKey {
+ public:
+  /// The encoded key, or nullopt when no stored row can equal it: a NULL
+  /// key, or one past the row bound.
+  static std::optional<LookupKey> Encode(const Value& key);
+
+  const RowLayout& layout() const { return layout_; }
+  const uint8_t* row() const { return row_.data(); }
+
+ private:
+  explicit LookupKey(SchemaPtr schema) : layout_(std::move(schema)) {}
+
+  RowLayout layout_;
+  std::vector<uint8_t> row_;
+};
 
 class IndexedPartition final : public Block {
  public:
@@ -77,13 +96,51 @@ class IndexedPartition final : public Block {
   // ---- reads ------------------------------------------------------------
 
   /// Walks the backward chain of `key_code`, newest to oldest, invoking `fn`
-  /// for each stored row. Returns the number of rows visited. Callers whose
-  /// key type hashes (strings/doubles) must verify the key column.
-  size_t ForEachRowOfKey(uint64_t key_code,
-                         const std::function<void(const uint8_t*)>& fn) const;
+  /// for each stored row. Returns the number of rows visited. The raw walk:
+  /// rows of a key that hashes (strings/doubles) may carry another key, so
+  /// engine probes go through ForEachMatch instead.
+  template <typename Fn>
+  size_t ForEachRowOfKey(uint64_t key_code, Fn&& fn) const {
+    const std::optional<uint64_t> head = index_.Lookup(key_code);
+    if (!head.has_value()) return 0;
+    // The chain can cross many batches; pin each one until the walk is done.
+    mem::AccessScope scope;
+    size_t visited = 0;
+    PackedRowPtr ptr = PackedRowPtr::FromBits(*head);
+    while (!ptr.is_null()) {
+      const uint8_t* row = store_.RowAt(ptr);
+      fn(row);
+      ++visited;
+      ptr = RowLayout::BackPtr(row);
+    }
+    return visited;
+  }
 
-  /// Convenience: all rows whose key column *equals* `key` (verification
-  /// included), decoded.
+  /// The probe (§III-C): walks the chain of the key in column `probe_col`
+  /// of `probe_row` (not null), invoking `fn` for each stored row whose key
+  /// equals it, newest first. When either side's key code hashes, a row
+  /// matches only if KeysEqual says so (§IV-E). Returns the matches.
+  template <typename Fn>
+  size_t ForEachMatch(const RowLayout& probe_layout, const uint8_t* probe_row,
+                      size_t probe_col, Fn&& fn) const {
+    const bool verify =
+        KeyCodeNeedsVerify(layout_.schema().field(key_column_).type) ||
+        KeyCodeNeedsVerify(probe_layout.schema().field(probe_col).type);
+    size_t matched = 0;
+    ForEachRowOfKey(
+        probe_layout.KeyCode(probe_row, probe_col), [&](const uint8_t* row) {
+          if (verify && !KeysEqual(layout_, row, key_column_, probe_layout,
+                                   probe_row, probe_col)) {
+            return;
+          }
+          ++matched;
+          fn(row);
+        });
+    return matched;
+  }
+
+  /// Convenience: all rows whose key column equals `key`, decoded — a probe
+  /// batch of one through ForEachMatch.
   std::vector<RowVec> LookupRows(const Value& key) const;
 
   /// Visits each row batch in order as (data, used bytes): the batch's rows

@@ -33,8 +33,8 @@ void FlattenConjuncts(const ExprPtr& expr, std::vector<ExprPtr>& out) {
   out.push_back(expr);
 }
 
+/// ANDs non-empty `conjuncts` back together.
 ExprPtr CombineConjuncts(const std::vector<ExprPtr>& conjuncts) {
-  if (conjuncts.empty()) return nullptr;
   ExprPtr combined = conjuncts[0];
   for (size_t i = 1; i < conjuncts.size(); ++i) {
     combined = And(combined, conjuncts[i]);
@@ -97,8 +97,11 @@ Result<PhysOpPtr> IndexLookupStrategy::TryPlan(const PlanPtr& plan,
     if (match->literal.is_null()) continue;  // key = NULL matches nothing
     std::vector<ExprPtr> residual = conjuncts;
     residual.erase(residual.begin() + static_cast<long>(i));
-    return PhysOpPtr(std::make_shared<IndexLookupExec>(
-        indexed, match->literal, CombineConjuncts(residual)));
+    PhysOpPtr lookup =
+        std::make_shared<IndexLookupExec>(indexed, match->literal);
+    if (residual.empty()) return lookup;
+    return PhysOpPtr(std::make_shared<FilterExec>(
+        std::move(lookup), CombineConjuncts(residual)));
   }
   return PhysOpPtr(nullptr);
 }

@@ -8,7 +8,7 @@
 //   - IndexedJoinStrategy: Join(Scan(indexed on k), probe) on k == probe_key
 //     -> IndexedJoinExec (works with the indexed side on either side).
 //   - IndexLookupStrategy: Filter(Scan(indexed on k), k == literal [AND ...])
-//     -> IndexLookupExec (+ residual predicate).
+//     -> IndexLookupExec, under a FilterExec for any other conjuncts.
 // Anything they decline flows to the vanilla strategies unchanged.
 #pragma once
 

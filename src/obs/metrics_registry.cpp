@@ -23,8 +23,6 @@ double BucketUpper(int bucket) {
 
 }  // namespace
 
-double Histogram::BucketUpperBound(int bucket) { return BucketUpper(bucket); }
-
 std::vector<std::pair<double, uint64_t>> Histogram::BucketCounts() const {
   std::vector<std::pair<double, uint64_t>> out;
   for (int b = 0; b < kNumBuckets; ++b) {
@@ -236,11 +234,6 @@ Status Registry::WriteJson(const std::string& path) const {
     return Status::Unavailable("short write to metrics file '" + path + "'");
   }
   return Status::OK();
-}
-
-void Registry::Clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  metrics_.clear();
 }
 
 // ---- snapshot diffing (per-phase bench reporting) ---------------------------

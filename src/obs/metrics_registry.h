@@ -82,11 +82,6 @@ class Histogram {
   /// Bucket-resolution quantile estimate, q in [0, 1].
   double Quantile(double q) const;
 
-  /// Inclusive upper bound of bucket `i`'s value range (2^(i + kMinExp)).
-  /// Exposed so exporters and diff tooling share the base-2 bucket math
-  /// instead of reimplementing it.
-  static double BucketUpperBound(int bucket);
-
   /// Non-cumulative per-bucket counts as (upper_bound, count) pairs, only
   /// buckets with count > 0, ascending by bound. The Prometheus exporter
   /// accumulates these into cumulative `le` buckets.
@@ -200,9 +195,6 @@ class Registry {
   std::string ToJson() const;
 
   Status WriteJson(const std::string& path) const;
-
-  /// Drops every registered metric (tests; references become invalid).
-  void Clear();
 
  private:
   struct Entry {

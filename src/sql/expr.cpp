@@ -49,14 +49,20 @@ Value CompareExpr::Eval(const RowAccessor& row) const {
   const Value l = left_->Eval(row);
   const Value r = right_->Eval(row);
   if (l.is_null() || r.is_null()) return Value::Null(TypeId::kBool);
-  const int cmp = l.Compare(r);
+  // Numbers compare as doubles under IEEE rules, as the vectorized filter
+  // does (NaN is unordered: only != holds for it); strings compare as
+  // Compare's sign against 0.
+  const bool numeric =
+      l.type() != TypeId::kString && r.type() != TypeId::kString;
+  const double a = numeric ? l.AsFloat64() : l.Compare(r);
+  const double b = numeric ? r.AsFloat64() : 0.0;
   switch (op_) {
-    case CompareOp::kEq: return Value::Bool(cmp == 0);
-    case CompareOp::kNe: return Value::Bool(cmp != 0);
-    case CompareOp::kLt: return Value::Bool(cmp < 0);
-    case CompareOp::kLe: return Value::Bool(cmp <= 0);
-    case CompareOp::kGt: return Value::Bool(cmp > 0);
-    case CompareOp::kGe: return Value::Bool(cmp >= 0);
+    case CompareOp::kEq: return Value::Bool(a == b);
+    case CompareOp::kNe: return Value::Bool(a != b);
+    case CompareOp::kLt: return Value::Bool(a < b);
+    case CompareOp::kLe: return Value::Bool(a <= b);
+    case CompareOp::kGt: return Value::Bool(a > b);
+    case CompareOp::kGe: return Value::Bool(a >= b);
   }
   return Value::Null(TypeId::kBool);
 }

@@ -285,10 +285,6 @@ std::shared_ptr<ColumnarChunk> Unshared(const ChunkPtr& block) {
   return std::const_pointer_cast<ColumnarChunk>(block);
 }
 
-/// Exact key equality for join verification when key codes can collide
-/// (strings and doubles hash into their code).
-bool KeysReallyEqual(const Value& a, const Value& b) { return a == b; }
-
 }  // namespace
 
 // ---- TableSink ------------------------------------------------------------
@@ -733,9 +729,8 @@ Status JoinExec::BroadcastHashJoin(Session& session, const TableHandle& lh,
           if (it != hash_table.end()) {
             for (const RowRef& ref : it->second) {
               if (verify &&
-                  !KeysReallyEqual(
-                      build_chunks[ref.chunk]->ValueAt(ref.row, build_key),
-                      probe_chunk.ValueAt(ri, probe_key))) {
+                  !(build_chunks[ref.chunk]->ValueAt(ref.row, build_key) ==
+                    probe_chunk.ValueAt(ri, probe_key))) {
                 continue;
               }
               matched = true;
@@ -757,8 +752,6 @@ Status JoinExec::ShuffledJoin(Session& session, const TableHandle& lh,
   const uint32_t R = std::max(lh.num_partitions, rh.num_partitions);
   RowLayout llayout(lh.schema);
   RowLayout rlayout(rh.schema);
-  const bool verify = KeyCodeNeedsVerify(lh.schema->field(lkey).type) ||
-                      KeyCodeNeedsVerify(rh.schema->field(rkey).type);
 
   const bool outer = join_type_ == JoinType::kLeftOuter;
   // Build on the smaller side (vanilla heuristic); outer joins must probe
@@ -887,9 +880,8 @@ Status JoinExec::ShuffledJoin(Session& session, const TableHandle& lh,
                 bool matched = false;
                 if (it != ht.end()) {
                   for (const uint8_t* brow : it->second) {
-                    if (verify &&
-                        !KeysReallyEqual(blayout.GetValue(brow, bkey),
-                                         playout.GetValue(prow, pkey))) {
+                    // Codes of strings and doubles hash: check the keys.
+                    if (!KeysEqual(blayout, brow, bkey, playout, prow, pkey)) {
                       continue;
                     }
                     matched = true;

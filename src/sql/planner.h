@@ -75,9 +75,6 @@ class Planner {
   Result<PhysOpPtr> PlanNode(const PlanPtr& plan);
 
   JoinExec::Mode default_join_mode() const { return default_join_mode_; }
-  void set_default_join_mode(JoinExec::Mode mode) {
-    default_join_mode_ = mode;
-  }
 
   std::vector<LogicalRule> rules() const {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -88,7 +85,7 @@ class Planner {
   mutable std::mutex mutex_;  // guards rules_ and strategies_
   std::vector<LogicalRule> rules_;
   std::vector<StrategyPtr> strategies_;
-  JoinExec::Mode default_join_mode_;
+  const JoinExec::Mode default_join_mode_;
 };
 
 /// Rebuilds a logical node with new children (used by rule application).

@@ -137,6 +137,39 @@ uint64_t RowLayout::KeyCode(const uint8_t* src, size_t col) const {
   return 0;
 }
 
+namespace {
+
+/// A non-null numeric column widened to double, as Value::AsFloat64 does.
+double WidenedAt(const RowLayout& layout, const uint8_t* row, size_t col) {
+  switch (layout.schema().field(col).type) {
+    case TypeId::kBool: return layout.GetBool(row, col) ? 1.0 : 0.0;
+    case TypeId::kInt32: return layout.GetInt32(row, col);
+    case TypeId::kInt64: return static_cast<double>(layout.GetInt64(row, col));
+    case TypeId::kFloat64: return layout.GetFloat64(row, col);
+    case TypeId::kString: break;
+  }
+  IDF_CHECK_MSG(false, "numeric widening of a string column");
+  return 0.0;
+}
+
+}  // namespace
+
+bool KeysEqual(const RowLayout& a, const uint8_t* arow, size_t acol,
+               const RowLayout& b, const uint8_t* brow, size_t bcol) {
+  if (a.IsNull(arow, acol) || b.IsNull(brow, bcol)) return false;
+  const TypeId at = a.schema().field(acol).type;
+  const TypeId bt = b.schema().field(bcol).type;
+  if (at == TypeId::kString || bt == TypeId::kString) {
+    return at == bt && a.GetString(arow, acol) == b.GetString(brow, bcol);
+  }
+  // Two int64s compare exactly; every other pair compares as doubles, which
+  // is exact for bools and int32s.
+  if (at == TypeId::kInt64 && bt == TypeId::kInt64) {
+    return a.GetInt64(arow, acol) == b.GetInt64(brow, bcol);
+  }
+  return WidenedAt(a, arow, acol) == WidenedAt(b, brow, bcol);
+}
+
 uint64_t IndexKeyCode(const Value& key) {
   IDF_CHECK_MSG(!key.is_null(), "null values are not indexable");
   switch (key.type()) {

@@ -141,6 +141,14 @@ class RowLayout {
   uint32_t fixed_size_ = 0;
 };
 
+/// Whether column `acol` of `arow` equals column `bcol` of `brow`: exactly
+/// `a.GetValue(arow, acol) == b.GetValue(brow, bcol)` without boxing either
+/// side. Nulls match nothing, a string matches only a string, mixed numeric
+/// types widen to double (NaN matches nothing; -0.0 equals +0.0). The one
+/// rule for verifying keys whose codes hash (§IV-E).
+bool KeysEqual(const RowLayout& a, const uint8_t* arow, size_t acol,
+               const RowLayout& b, const uint8_t* brow, size_t bcol);
+
 /// The 64-bit key code for indexing a Value of any supported type. Matches
 /// RowLayout::KeyCode for the same column value, so a user-supplied lookup
 /// key probes the slot the stored row occupies.

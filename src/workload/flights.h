@@ -51,16 +51,6 @@ class FlightsGenerator {
   /// Tail number of plane `i`, e.g. "N00042" — shared by both tables.
   static std::string TailNum(uint64_t plane);
 
-  /// Expected number of flights carrying one of the planted keys.
-  static uint64_t PlantedMatches(int32_t key) {
-    switch (key) {
-      case FlightsConfig::kKey10: return 10;
-      case FlightsConfig::kKey100: return 100;
-      case FlightsConfig::kKey1000: return 1000;
-      default: return 0;
-    }
-  }
-
  private:
   uint64_t planted_total() const { return 10 + 100 + 1000; }
 

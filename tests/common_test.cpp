@@ -254,22 +254,14 @@ TEST(ThreadPoolTest, ExecutesSubmittedTasks) {
   EXPECT_EQ(f.get(), 42);
 }
 
-TEST(ThreadPoolTest, ParallelForCoversAllIndices) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(100);
-  pool.ParallelFor(100, [&](size_t i) { hits[i]++; });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPoolTest, ParallelForZeroIsNoop) {
-  ThreadPool pool(2);
-  pool.ParallelFor(0, [](size_t) { FAIL(); });
-}
-
 TEST(ThreadPoolTest, ManyConcurrentIncrements) {
   ThreadPool pool(8);
   std::atomic<int> counter{0};
-  pool.ParallelFor(1000, [&](size_t) { counter++; });
+  std::vector<std::future<void>> done;
+  for (int i = 0; i < 1000; ++i) {
+    done.push_back(pool.Submit([&counter] { counter++; }));
+  }
+  for (std::future<void>& f : done) f.get();
   EXPECT_EQ(counter.load(), 1000);
 }
 

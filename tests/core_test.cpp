@@ -4,6 +4,7 @@
 // fallback scans, and fault tolerance with append replay.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <set>
 
@@ -504,12 +505,15 @@ TEST(IndexedPlanTest, CompoundFilterSplitsResidual) {
   auto edges = *session.CreateTable("edges", EdgeSchema(),
                                     PowerLawEdges(100, 16, 10));
   auto indexed = *IndexedDataFrame::Create(edges, "src");
+  const ExprPtr residual = Gt(Col("dst"), Lit(int64_t{10}));
   auto q = indexed.AsDataFrame().Filter(
-      And(Gt(Col("dst"), Lit(int64_t{10})), Eq(Col("src"), Lit(int64_t{3}))));
+      And(residual, Eq(Col("src"), Lit(int64_t{3}))));
   auto physical = q.ExplainPhysical();
   ASSERT_TRUE(physical.ok());
-  EXPECT_NE(physical->find("IndexLookupExec"), std::string::npos);
-  EXPECT_NE(physical->find("residual"), std::string::npos);
+  // The residual is an ordinary FilterExec over the lookup.
+  EXPECT_EQ(*physical, "FilterExec " + residual->ToString() +
+                           "\n  IndexLookupExec key=3 on " +
+                           IndexedDataset(indexed.rdd(), 0).name() + "\n");
 }
 
 TEST(IndexedPlanTest, NonEqualityFilterFallsBack) {
@@ -606,6 +610,69 @@ TEST(IndexedExecTest, LookupViaSqlFilterMatchesGetRows) {
   ASSERT_TRUE(via_filter.ok());
   ASSERT_TRUE(via_getrows.ok());
   EXPECT_EQ(via_filter->SortedRowStrings(), via_getrows->SortedRowStrings());
+
+  // Keys whose codes hash — strings (the empty one, one with a NUL byte)
+  // and doubles (NaN, -0.0) — with a residual conjunct, on v0 and on an
+  // appended v1: each lookup returns what the vanilla filter does.
+  auto schema = std::make_shared<Schema>(Schema({
+      {"name", TypeId::kString, false},
+      {"score", TypeId::kFloat64, false},
+      {"n", TypeId::kInt64, false},
+  }));
+  auto keyed_rows = [](int64_t from, int64_t to) {
+    std::vector<RowVec> rows;
+    for (int64_t i = from; i < to; ++i) {
+      std::string name = "k" + std::to_string(i % 23);
+      if (i % 23 == 0) name.clear();
+      if (i % 23 == 1) name = std::string("k\0z", 3);
+      double score = 0.5 * static_cast<double>(i % 7);
+      if (i % 11 == 0) score = -0.0;
+      if (i % 13 == 0) score = std::numeric_limits<double>::quiet_NaN();
+      rows.push_back({Value::String(std::move(name)), Value::Float64(score),
+                      Value::Int64(i)});
+    }
+    return rows;
+  };
+  std::vector<RowVec> all_rows = keyed_rows(0, 600);
+  const std::vector<RowVec> extra_rows = keyed_rows(600, 800);
+  auto base = *session.CreateTable("keyed", schema, all_rows);
+  auto extra = *session.CreateTable("keyed_extra", schema, extra_rows);
+  all_rows.insert(all_rows.end(), extra_rows.begin(), extra_rows.end());
+  auto appended = *session.CreateTable("keyed_all", schema, all_rows);
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::pair<std::string, ExprPtr>> lookups = {
+      {"name",
+       And(Eq(Col("name"), Lit("k5")), Gt(Col("n"), Lit(int64_t{100})))},
+      {"name", And(Lt(Col("n"), Lit(int64_t{500})), Eq(Col("name"), Lit("")))},
+      {"name", And(Eq(Col("name"), Lit(Value::String(std::string("k\0z", 3)))),
+                   Gt(Col("score"), Lit(0.5)))},
+      {"score",
+       And(Eq(Col("score"), Lit(0.0)), Gt(Col("n"), Lit(int64_t{200})))},
+      {"score",
+       And(Eq(Col("score"), Lit(1.5)), Lt(Col("n"), Lit(int64_t{700})))},
+      {"score", And(Eq(Col("score"), Lit(nan)), Gt(Col("n"), Lit(int64_t{0})))},
+  };
+  size_t matched_rows = 0;
+  for (const auto& [column, predicate] : lookups) {
+    auto v0 = *IndexedDataFrame::Create(base, column);
+    auto v1 = *v0.AppendRows(extra);
+    for (const auto& [index, plain] :
+         {std::pair{v0, base}, std::pair{v1, appended}}) {
+      auto q = index.AsDataFrame().Filter(predicate);
+      EXPECT_NE(q.ExplainPhysical()->find("IndexLookupExec"),
+                std::string::npos)
+          << predicate->ToString();
+      auto looked_up = q.Collect();
+      auto vanilla = plain.Filter(predicate).Collect();
+      ASSERT_TRUE(looked_up.ok());
+      ASSERT_TRUE(vanilla.ok());
+      EXPECT_EQ(looked_up->SortedRowStrings(), vanilla->SortedRowStrings())
+          << predicate->ToString();
+      matched_rows += looked_up->rows.size();
+    }
+  }
+  EXPECT_GT(matched_rows, 0u);
 }
 
 TEST(IndexedExecTest, FallbackScanMatchesSource) {

@@ -2,6 +2,8 @@
 // arithmetic, pattern matching helpers.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "sql/columnar.h"
 #include "sql/expr.h"
 #include "storage/partition_store.h"
@@ -76,6 +78,16 @@ TEST(ExprTest, CrossTypeNumericComparison) {
   EXPECT_EQ(EvalOn(Eq(Col("a"), Lit(10.0)), SampleRow()), Value::Bool(true));
   EXPECT_EQ(EvalOn(Lt(Col("b"), Lit(int64_t{3})), SampleRow()),
             Value::Bool(true));
+  // NaN is unordered, as in the vectorized filter: only != holds, and
+  // -0.0 equals +0.0.
+  RowVec nan_row = SampleRow();
+  nan_row[1] = Value::Float64(std::numeric_limits<double>::quiet_NaN());
+  EXPECT_EQ(EvalOn(Eq(Col("b"), Col("b")), nan_row), Value::Bool(false));
+  EXPECT_EQ(EvalOn(Ne(Col("b"), Lit(0.0)), nan_row), Value::Bool(true));
+  EXPECT_EQ(EvalOn(Le(Col("b"), Lit(0.0)), nan_row), Value::Bool(false));
+  EXPECT_EQ(EvalOn(Ge(Col("b"), Lit(0.0)), nan_row), Value::Bool(false));
+  nan_row[1] = Value::Float64(-0.0);
+  EXPECT_EQ(EvalOn(Eq(Col("b"), Lit(int64_t{0})), nan_row), Value::Bool(true));
 }
 
 TEST(ExprTest, StringComparison) {

@@ -7,17 +7,25 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/logging.h"
-#include "common/threadpool.h"
 #include "core/indexed_dataframe.h"
 #include "core/indexed_partition.h"
 #include "obs/metrics_registry.h"
 
 namespace idf {
 namespace {
+
+/// Runs fn(t) for t in [0, n) on n threads at once and joins them.
+void RunConcurrently(size_t n, const std::function<void(size_t)>& fn) {
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < n; ++t) threads.emplace_back(fn, t);
+  for (std::thread& thread : threads) thread.join();
+}
 
 // ---- minimal JSON syntax checker ------------------------------------------
 // Hand-rolled so the tests can assert "this is valid JSON" without a
@@ -138,8 +146,7 @@ TEST(MetricsRegistryTest, ConcurrentCounterUpdatesLandExactlyOnce) {
   obs::Counter& counter = registry.GetCounter("test.counter");
   constexpr size_t kThreads = 8;
   constexpr uint64_t kPerThread = 20000;
-  ThreadPool pool(kThreads);
-  pool.ParallelFor(kThreads, [&](size_t) {
+  RunConcurrently(kThreads, [&](size_t) {
     for (uint64_t i = 0; i < kPerThread; ++i) counter.Increment();
   });
   EXPECT_EQ(counter.value(), kThreads * kPerThread);
@@ -150,8 +157,7 @@ TEST(MetricsRegistryTest, ConcurrentHistogramObservationsLandExactlyOnce) {
   obs::Histogram& hist = registry.GetHistogram("test.hist");
   constexpr size_t kThreads = 8;
   constexpr uint64_t kPerThread = 5000;
-  ThreadPool pool(kThreads);
-  pool.ParallelFor(kThreads, [&](size_t t) {
+  RunConcurrently(kThreads, [&](size_t t) {
     for (uint64_t i = 0; i < kPerThread; ++i) {
       hist.Observe(static_cast<double>(t + 1));
     }
@@ -167,8 +173,7 @@ TEST(MetricsRegistryTest, ConcurrentGaugeAddIsLossless) {
   obs::Registry registry;
   obs::Gauge& gauge = registry.GetGauge("test.gauge");
   constexpr size_t kThreads = 4;
-  ThreadPool pool(kThreads);
-  pool.ParallelFor(kThreads, [&](size_t) {
+  RunConcurrently(kThreads, [&](size_t) {
     for (int i = 0; i < 10000; ++i) gauge.Add(1.0);
   });
   EXPECT_DOUBLE_EQ(gauge.value(), 40000.0);

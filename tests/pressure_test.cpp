@@ -11,10 +11,10 @@
 //    prefetch alike, with a global 1-based ordinal — failing the Nth reload
 //    or delaying every fault-in needs no filesystem tricks.
 // Scenarios: evict-everything-between-tasks, reload failure during
-// prefetch (demand path recovers), Nth-reload demand failure (query fails
-// kUnavailable, then succeeds once the fault passes), delayed fault-in
-// under concurrent scans, and double executor loss with forced eviction
-// (lineage recompute under maximum pressure).
+// prefetch (demand path recovers), Nth-reload demand failure (a scan and a
+// GetRows each fail kUnavailable, then succeed once the fault passes),
+// delayed fault-in under concurrent scans, and double executor loss with
+// forced eviction (lineage recompute under maximum pressure).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -184,11 +184,13 @@ TEST(PressureTest, NthDemandReloadFailureFailsQueryThenRecovers) {
   index_options.batch_capacity = 16 << 10;
 
   std::vector<std::string> expected;
+  std::vector<std::string> expected_lookup;
   {
     Session session(ClusterOptions());
     auto edges = *session.CreateTable("edges", EdgeSchema(), DenseEdges(kRows));
     auto indexed = *IndexedDataFrame::Create(edges, "src", index_options);
     expected = indexed.AsDataFrame().Collect()->SortedRowStrings();
+    expected_lookup = indexed.GetRows(Value::Int64(5))->SortedRowStrings();
   }
 
   Session session(ClusterOptions(128 << 10));
@@ -220,6 +222,16 @@ TEST(PressureTest, NthDemandReloadFailureFailsQueryThenRecovers) {
   // The fault was transient: the very next run reloads cleanly and matches
   // the unbudgeted reference.
   EXPECT_EQ(indexed.AsDataFrame().Collect()->SortedRowStrings(), expected);
+
+  // A point lookup walks its key's chain across the partition's batches,
+  // most of them evicted, inside the lookup's stage task: a failed reload
+  // there fails GetRows the same way, and the next lookup recovers.
+  demand_reloads = 0;
+  const auto failed_lookup = indexed.GetRows(Value::Int64(5));
+  ASSERT_FALSE(failed_lookup.ok());
+  EXPECT_EQ(failed_lookup.status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(indexed.GetRows(Value::Int64(5))->SortedRowStrings(),
+            expected_lookup);
 }
 
 TEST(PressureTest, DelayedFaultInUnderConcurrentScansStaysCorrect) {

@@ -2,6 +2,7 @@
 // batches, and the COW-versioned PartitionStore.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -219,6 +220,76 @@ TEST(RowLayoutTest, KeyCodeNeedsVerifyOnlyForInexactTypes) {
   EXPECT_FALSE(KeyCodeNeedsVerify(TypeId::kBool));
   EXPECT_TRUE(KeyCodeNeedsVerify(TypeId::kString));
   EXPECT_TRUE(KeyCodeNeedsVerify(TypeId::kFloat64));
+}
+
+TEST(RowLayoutTest, KeysEqualIsValueEqualityOnEveryPair) {
+  // KeysEqual must answer exactly what `==` on the two boxed GetValues does,
+  // for every pair across types: the reference is Value::operator==.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const int64_t two53 = int64_t{1} << 53;
+  const std::vector<Value> grid = {
+      Value::Int32(7),
+      Value::Int32(-7),
+      Value::Int32(0),
+      Value::Int64(7),
+      Value::Int64(-7),
+      Value::Int64(two53 - 1),
+      Value::Int64(two53),
+      Value::Int64(two53 + 1),
+      Value::Float64(static_cast<double>(two53 - 1)),
+      Value::Float64(static_cast<double>(two53)),
+      Value::Float64(7.0),
+      Value::Float64(nan),
+      Value::Float64(0.0),
+      Value::Float64(-0.0),
+      Value::Bool(true),
+      Value::Bool(false),
+      Value::String(""),
+      Value::String(std::string("a\0b", 3)),
+      Value::String("a"),
+      Value::String("7"),
+      Value::Null(TypeId::kInt64),
+      Value::Null(TypeId::kString),
+  };
+  // Each key sits behind a string column, so its slot and any string bytes
+  // are at a nonzero offset.
+  struct Encoded {
+    RowLayout layout;
+    std::vector<uint8_t> row;
+  };
+  std::vector<Encoded> encoded;
+  for (const Value& key : grid) {
+    RowLayout layout(std::make_shared<Schema>(Schema({
+        {"pad", TypeId::kString, false},
+        {"k", key.type(), true},
+    })));
+    const RowVec row{Value::String("pad"), key};
+    std::vector<uint8_t> buf(*layout.ComputeRowSize(row));
+    layout.EncodeRow(row, buf.data(), PackedRowPtr::Null());
+    encoded.push_back({std::move(layout), std::move(buf)});
+  }
+  for (const Encoded& a : encoded) {
+    for (const Encoded& b : encoded) {
+      const Value av = a.layout.GetValue(a.row.data(), 1);
+      const Value bv = b.layout.GetValue(b.row.data(), 1);
+      EXPECT_EQ(KeysEqual(a.layout, a.row.data(), 1, b.layout, b.row.data(), 1),
+                av == bv)
+          << av.ToString() << " vs " << bv.ToString();
+    }
+  }
+  // The rules the reference encodes, spelled out.
+  auto keys_equal = [&](size_t i, size_t j) {
+    return KeysEqual(encoded[i].layout, encoded[i].row.data(), 1,
+                     encoded[j].layout, encoded[j].row.data(), 1);
+  };
+  EXPECT_TRUE(keys_equal(0, 3));     // int32 7 == int64 7
+  EXPECT_TRUE(keys_equal(7, 9));     // 2^53 + 1 widens to 2^53
+  EXPECT_FALSE(keys_equal(5, 6));    // int64 compares exactly
+  EXPECT_FALSE(keys_equal(11, 11));  // NaN matches nothing
+  EXPECT_TRUE(keys_equal(12, 13));   // -0.0 == +0.0
+  EXPECT_FALSE(keys_equal(17, 18));  // the NUL byte counts
+  EXPECT_FALSE(keys_equal(19, 0));   // "7" is not 7
+  EXPECT_FALSE(keys_equal(20, 20));  // NULL matches nothing
 }
 
 // Property test: random schemas, random rows, round-trip.
