@@ -1,12 +1,16 @@
 #include "common/logging.h"
 
-#include <chrono>
+#include <atomic>
+#include <cstdio>
 #include <mutex>
-#include <vector>
+#include <string>
 
 namespace idf {
 namespace {
 std::atomic<LogLevel> g_level{LogLevel::kWarn};
+// Constant-initialized and trivially destructible (libstdc++), so logging
+// from static initializers and destructors is safe.
+std::mutex g_emit_mutex;
 
 const char* LevelName(LogLevel level) {
   switch (level) {
@@ -19,89 +23,11 @@ const char* LevelName(LogLevel level) {
   return "?";
 }
 
-class StderrSink final : public LogSink {
- public:
-  void Write(LogLevel level, const std::string& message) override {
-    std::fprintf(stderr, "[idf %s] %s\n", LevelName(level), message.c_str());
-  }
-};
-
-class JsonlFileSink final : public LogSink {
- public:
-  explicit JsonlFileSink(std::FILE* file) : file_(file) {}
-  ~JsonlFileSink() override { std::fclose(file_); }
-
-  void Write(LogLevel level, const std::string& message) override {
-    std::string escaped;
-    escaped.reserve(message.size() + 8);
-    for (const char c : message) {
-      switch (c) {
-        case '"': escaped += "\\\""; break;
-        case '\\': escaped += "\\\\"; break;
-        case '\n': escaped += "\\n"; break;
-        case '\r': escaped += "\\r"; break;
-        case '\t': escaped += "\\t"; break;
-        default:
-          if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-            escaped += buf;
-          } else {
-            escaped += c;
-          }
-      }
-    }
-    const auto now = std::chrono::duration<double>(
-                         std::chrono::system_clock::now().time_since_epoch())
-                         .count();
-    std::fprintf(file_, "{\"ts\":%.6f,\"level\":\"%s\",\"msg\":\"%s\"}\n", now,
-                 LevelName(level), escaped.c_str());
-    std::fflush(file_);
-  }
-
- private:
-  std::FILE* file_;
-};
-
-struct SinkState {
-  std::mutex mutex;
-  std::vector<std::shared_ptr<LogSink>> extra_sinks;
-  StderrSink stderr_sink;
-};
-
-SinkState& Sinks() {
-  static SinkState* state = new SinkState();
-  return *state;
-}
-
 }  // namespace
 
 LogLevel GetLogLevel() { return g_level.load(std::memory_order_relaxed); }
 void SetLogLevel(LogLevel level) {
   g_level.store(level, std::memory_order_relaxed);
-}
-
-void AddLogSink(std::shared_ptr<LogSink> sink) {
-  if (sink == nullptr) return;
-  SinkState& state = Sinks();
-  std::lock_guard<std::mutex> lock(state.mutex);
-  state.extra_sinks.push_back(std::move(sink));
-}
-
-void ClearLogSinks() {
-  SinkState& state = Sinks();
-  std::lock_guard<std::mutex> lock(state.mutex);
-  state.extra_sinks.clear();
-}
-
-std::shared_ptr<LogSink> MakeJsonlFileSink(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "a");
-  if (file == nullptr) {
-    std::fprintf(stderr, "[idf ERROR] cannot open log file '%s'\n",
-                 path.c_str());
-    return nullptr;
-  }
-  return std::make_shared<JsonlFileSink>(file);
 }
 
 void LogImpl(LogLevel level, const char* fmt, ...) {
@@ -128,10 +54,8 @@ void LogImpl(LogLevel level, const char* fmt, ...) {
     va_end(args_copy);
   }
 
-  SinkState& state = Sinks();
-  std::lock_guard<std::mutex> lock(state.mutex);
-  state.stderr_sink.Write(level, message);
-  for (const auto& sink : state.extra_sinks) sink->Write(level, message);
+  std::lock_guard<std::mutex> lock(g_emit_mutex);
+  std::fprintf(stderr, "[idf %s] %s\n", LevelName(level), message.c_str());
 }
 
 }  // namespace idf

@@ -1,19 +1,12 @@
-// Leveled logger with pluggable sinks. Off by default above WARN so
-// benchmarks stay quiet; tests flip the level to observe scheduler
-// decisions (recovery, staleness).
+// Leveled logger. Off by default above WARN so benchmarks stay quiet; tests
+// flip the level to observe scheduler decisions (recovery, staleness).
 //
 // Emission is thread-safe: the message is formatted into a local buffer,
-// then dispatched to every registered sink under one mutex, so concurrent
-// tasks cannot interleave partial lines. The default sink writes
-// "[idf LEVEL] msg" to stderr; AddLogSink() can add more (e.g. the JSONL
-// file sink for machine-readable logs).
+// then written as one "[idf LEVEL] msg" line to stderr under one mutex, so
+// concurrent tasks cannot interleave partial lines.
 #pragma once
 
-#include <atomic>
 #include <cstdarg>
-#include <cstdio>
-#include <memory>
-#include <string>
 
 namespace idf {
 
@@ -23,27 +16,7 @@ enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 LogLevel GetLogLevel();
 void SetLogLevel(LogLevel level);
 
-/// Receives fully formatted messages (no trailing newline). Write() is
-/// always called under the logger's emission mutex — sinks need no locking
-/// of their own.
-class LogSink {
- public:
-  virtual ~LogSink() = default;
-  virtual void Write(LogLevel level, const std::string& message) = 0;
-};
-
-/// Adds a sink alongside the default stderr sink.
-void AddLogSink(std::shared_ptr<LogSink> sink);
-
-/// Removes every added sink (the stderr default stays).
-void ClearLogSinks();
-
-/// Sink writing one JSON object per line:
-///   {"ts": <unix seconds>, "level": "WARN", "msg": "..."}
-/// Returns nullptr (and logs to stderr) if the file cannot be opened.
-std::shared_ptr<LogSink> MakeJsonlFileSink(const std::string& path);
-
-/// printf-style logging with a level prefix, fanned out to all sinks.
+/// printf-style logging to stderr with a level prefix.
 void LogImpl(LogLevel level, const char* fmt, ...)
     __attribute__((format(printf, 2, 3)));
 
@@ -51,17 +24,5 @@ void LogImpl(LogLevel level, const char* fmt, ...)
 #define IDF_LOG_INFO(...) ::idf::LogImpl(::idf::LogLevel::kInfo, __VA_ARGS__)
 #define IDF_LOG_WARN(...) ::idf::LogImpl(::idf::LogLevel::kWarn, __VA_ARGS__)
 #define IDF_LOG_ERROR(...) ::idf::LogImpl(::idf::LogLevel::kError, __VA_ARGS__)
-
-/// Rate limiter for hot-path warnings: emits on the 1st, (n+1)th, (2n+1)th …
-/// hit of this call site. `level` is a LogLevel enumerator name (Warn, …).
-#define IDF_LOG_EVERY_N(level, n, ...)                                        \
-  do {                                                                        \
-    static ::std::atomic<uint64_t> idf_log_every_n_counter_{0};               \
-    if (idf_log_every_n_counter_.fetch_add(1, ::std::memory_order_relaxed) %  \
-            static_cast<uint64_t>(n) ==                                       \
-        0) {                                                                  \
-      ::idf::LogImpl(::idf::LogLevel::k##level, __VA_ARGS__);                 \
-    }                                                                         \
-  } while (0)
 
 }  // namespace idf

@@ -127,16 +127,4 @@ class ZipfSampler {
   double threshold_;
 };
 
-/// Fisher–Yates shuffle of a vector with an explicit Rng (std::shuffle's
-/// algorithm is unspecified across standard libraries; this one is portable
-/// and therefore lineage-safe).
-template <typename T>
-void DeterministicShuffle(std::vector<T>& v, Rng& rng) {
-  for (size_t i = v.size(); i > 1; --i) {
-    size_t j = rng.Below(i);
-    using std::swap;
-    swap(v[i - 1], v[j]);
-  }
-}
-
 }  // namespace idf

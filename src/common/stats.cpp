@@ -39,30 +39,4 @@ std::string Sample::BoxplotString() {
   return buf;
 }
 
-std::string FormatBytes(double bytes) {
-  static const char* kUnits[] = {"B", "KB", "MB", "GB", "TB"};
-  int unit = 0;
-  while (bytes >= 1024.0 && unit < 4) {
-    bytes /= 1024.0;
-    ++unit;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.1f %s", bytes, kUnits[unit]);
-  return buf;
-}
-
-std::string FormatSeconds(double seconds) {
-  char buf[64];
-  if (seconds < 1e-6) {
-    std::snprintf(buf, sizeof(buf), "%.0f ns", seconds * 1e9);
-  } else if (seconds < 1e-3) {
-    std::snprintf(buf, sizeof(buf), "%.1f us", seconds * 1e6);
-  } else if (seconds < 1.0) {
-    std::snprintf(buf, sizeof(buf), "%.2f ms", seconds * 1e3);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.2f s", seconds);
-  }
-  return buf;
-}
-
 }  // namespace idf

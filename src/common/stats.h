@@ -41,10 +41,4 @@ class Sample {
   bool sorted_ = false;
 };
 
-/// Formats byte counts as "4.0 KB", "3.2 GB", ...
-std::string FormatBytes(double bytes);
-
-/// Formats seconds as "831 us", "1.24 s", ...
-std::string FormatSeconds(double seconds);
-
 }  // namespace idf

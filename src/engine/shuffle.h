@@ -1,8 +1,8 @@
 // Hash-partitioned shuffle — the data-movement primitive behind index
 // creation, appends, and indexed joins (§III-C "Scheduling Physical
 // Operators": rows are hash-partitioned on the indexed key and shuffled to
-// their indexed partitions), as well as the vanilla shuffled-hash and
-// sort-merge joins and two-phase aggregation.
+// their indexed partitions), as well as the vanilla shuffled-hash join and
+// two-phase aggregation.
 //
 // Every exchange runs through Cluster::RunExchange (engine/cluster.h): it
 // allocates the shuffles, hands each map task a ShuffleWriter, whose

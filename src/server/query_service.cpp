@@ -98,24 +98,6 @@ using detail::QueryRecord;
 
 namespace {
 
-/// IDF_SLOW_QUERY_MS: a query whose running phase takes at least this many
-/// milliseconds emits one structured `slow_query {...}` WARN line carrying
-/// its full resource profile (docs/OBSERVABILITY.md). Unset = disabled.
-int64_t SlowQueryThresholdMs() {
-  static const int64_t threshold = [] {
-    const char* env = std::getenv("IDF_SLOW_QUERY_MS");
-    if (env == nullptr || env[0] == '\0') return static_cast<int64_t>(-1);
-    char* end = nullptr;
-    const long long v = std::strtoll(env, &end, 10);
-    if (end == env || *end != '\0' || v < 0) {
-      IDF_LOG_WARN("ignoring unparsable IDF_SLOW_QUERY_MS='%s'", env);
-      return static_cast<int64_t>(-1);
-    }
-    return static_cast<int64_t>(v);
-  }();
-  return threshold;
-}
-
 /// One query's /queries row: the record's state machine plus a summary of
 /// its resource profile (the full profile, with per-stage rows and the
 /// query's recent events, is served at /queries/<id>).
@@ -241,6 +223,25 @@ QueryServiceConfig QueryServiceConfig::FromEnv() {
   return config;
 }
 
+namespace {
+
+/// IDF_SLOW_QUERY_MS: a query whose running phase takes at least this many
+/// milliseconds emits one structured `slow_query {...}` WARN line carrying
+/// its full resource profile (docs/OBSERVABILITY.md). Unset = disabled (-1).
+int64_t SlowQueryMsFromEnv() {
+  const char* env = std::getenv("IDF_SLOW_QUERY_MS");
+  if (env == nullptr || env[0] == '\0') return -1;
+  char* end = nullptr;
+  const long long v = std::strtoll(env, &end, 10);
+  if (end == env || *end != '\0' || v < 0) {
+    IDF_LOG_WARN("ignoring unparsable IDF_SLOW_QUERY_MS='%s'", env);
+    return -1;
+  }
+  return static_cast<int64_t>(v);
+}
+
+}  // namespace
+
 // ---- /queries introspection -------------------------------------------------
 
 namespace {
@@ -322,7 +323,9 @@ void UnregisterServiceForIntrospection(QueryService* service) {
 // ---- QueryService -----------------------------------------------------------
 
 QueryService::QueryService(Session& session, QueryServiceConfig config)
-    : session_(session), config_(config) {
+    : session_(session),
+      config_(config),
+      slow_query_ms_(SlowQueryMsFromEnv()) {
   IDF_CHECK_MSG(config_.workers > 0, "QueryService needs at least one worker");
   workers_.reserve(config_.workers);
   for (uint32_t i = 0; i < config_.workers; ++i) {
@@ -577,8 +580,8 @@ void QueryService::RunQuery(const std::shared_ptr<QueryRecord>& rec) {
   }
   fr.Record(obs::EventType::kQueryFinish, rec->name_id, rec->id,
             static_cast<uint64_t>(status.code()), run_us);
-  const int64_t slow_ms = SlowQueryThresholdMs();
-  if (slow_ms >= 0 && run_us >= static_cast<uint64_t>(slow_ms) * 1000) {
+  if (slow_query_ms_ >= 0 &&
+      run_us >= static_cast<uint64_t>(slow_query_ms_) * 1000) {
     // One structured line per slow query: grep for `slow_query ` and the
     // rest of the line is a JSON object (docs/OBSERVABILITY.md).
     rec->slow = true;

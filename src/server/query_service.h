@@ -32,7 +32,8 @@
 // their normal error paths, and shared state (catalog, versions, block
 // manager) is never poisoned.
 //
-// Knobs (environment, read by QueryServiceConfig::FromEnv):
+// Knobs (environment; the first two read by QueryServiceConfig::FromEnv,
+// the third when a service is constructed):
 //   IDF_SERVE_WORKERS      query driver threads            (default 4)
 //   IDF_ADMIT_RESERVATION  default per-query reservation   (default 16m)
 //   IDF_SLOW_QUERY_MS      slow-query log threshold        (default off)
@@ -214,6 +215,7 @@ class QueryService {
 
   Session& session_;
   QueryServiceConfig config_;
+  const int64_t slow_query_ms_;  // IDF_SLOW_QUERY_MS; -1 = off
 
   mutable std::mutex mu_;
   std::condition_variable work_cv_;       // queue became non-empty / stop

@@ -193,7 +193,7 @@ uint64_t ColumnVector::KeyCodeAt(size_t i) const {
     case TypeId::kInt32: return static_cast<uint64_t>(
         static_cast<int64_t>(Int32At(i)));
     case TypeId::kInt64: return static_cast<uint64_t>(Int64At(i));
-    case TypeId::kFloat64: return HashDouble(Float64At(i));
+    case TypeId::kFloat64: return DoubleKeyCode(Float64At(i));
     case TypeId::kString: return HashString(StringAt(i));
   }
   return 0;

@@ -573,7 +573,6 @@ std::string JoinExec::Describe() const {
     case Mode::kAuto: mode = "auto"; break;
     case Mode::kBroadcastHash: mode = "broadcast-hash"; break;
     case Mode::kShuffledHash: mode = "shuffled-hash"; break;
-    case Mode::kSortMerge: mode = "sort-merge"; break;
   }
   return std::string("JoinExec[") + mode +
          (join_type_ == JoinType::kLeftOuter ? ",left-outer" : "") + "] " +
@@ -613,9 +612,8 @@ Result<Pipeline> JoinExec::OpenImpl(Session& session, QueryMetrics& metrics,
       return BroadcastHashJoin(session, lh, rh, lkey, rkey, build_left,
                                out_schema, down, metrics);
     }
-    return ShuffledJoin(session, lh, rh, lkey, rkey,
-                        /*sort_merge=*/mode == Mode::kSortMerge, out_schema,
-                        down, metrics);
+    return ShuffledJoin(session, lh, rh, lkey, rkey, out_schema, down,
+                        metrics);
   };
   return out;
 }
@@ -746,8 +744,8 @@ Status JoinExec::BroadcastHashJoin(Session& session, const TableHandle& lh,
 
 Status JoinExec::ShuffledJoin(Session& session, const TableHandle& lh,
                               const TableHandle& rh, size_t lkey, size_t rkey,
-                              bool sort_merge, const SchemaPtr& out_schema,
-                              const Pipe& down, QueryMetrics& metrics) const {
+                              const SchemaPtr& out_schema, const Pipe& down,
+                              QueryMetrics& metrics) const {
   Cluster& cluster = session.cluster();
   const uint32_t R = std::max(lh.num_partitions, rh.num_partitions);
   RowLayout llayout(lh.schema);
@@ -773,7 +771,7 @@ Status JoinExec::ShuffledJoin(Session& session, const TableHandle& lh,
                         llayout, target(outer)),
            ShuffleByKey(cluster, metrics, "shuffle map (right)", rh, rkey,
                         rlayout, target(false))},
-          sort_merge ? "sort-merge reduce" : "shuffled-hash reduce",
+          "shuffled-hash reduce",
           R,
           cluster.NewRddId(),
           /*reduce_reads_rdd=*/false,
@@ -797,103 +795,45 @@ Status JoinExec::ShuffledJoin(Session& session, const TableHandle& lh,
                   consumer->Consume(ctx, std::move(block));
                 });
 
-            if (sort_merge) {
-              // Sort both sides by key value, then merge equal-key groups.
-              auto sort_side = [](std::vector<const uint8_t*>& rows,
-                                  const RowLayout& layout, size_t key) {
-                std::sort(rows.begin(), rows.end(),
-                          [&](const uint8_t* a, const uint8_t* b) {
-                            return layout.GetValue(a, key)
-                                       .Compare(layout.GetValue(b, key)) < 0;
-                          });
-              };
-              sort_side(lrows, llayout, lkey);
-              sort_side(rrows, rlayout, rkey);
-              size_t li = 0, ri = 0;
-              while (li < lrows.size() && ri < rrows.size()) {
-                const Value lv = llayout.GetValue(lrows[li], lkey);
-                const Value rv = rlayout.GetValue(rrows[ri], rkey);
-                // Null left keys sort first and never match.
-                if (lv.is_null()) {
-                  if (outer) decoder.Add(lrows[li], nullptr);
-                  ++li;
-                  continue;
-                }
-                if (rv.is_null()) {
-                  ++ri;
-                  continue;
-                }
-                const int cmp = lv.Compare(rv);
-                if (cmp < 0) {
-                  if (outer) decoder.Add(lrows[li], nullptr);
-                  ++li;
-                } else if (cmp > 0) {
-                  ++ri;
-                } else {
-                  size_t lend = li, rend = ri;
-                  while (lend < lrows.size() &&
-                         llayout.GetValue(lrows[lend], lkey).Compare(lv) == 0) {
-                    ++lend;
-                  }
-                  while (rend < rrows.size() &&
-                         rlayout.GetValue(rrows[rend], rkey).Compare(rv) == 0) {
-                    ++rend;
-                  }
-                  for (size_t a = li; a < lend; ++a) {
-                    for (size_t b = ri; b < rend; ++b) {
-                      decoder.Add(lrows[a], rrows[b]);
-                    }
-                  }
-                  li = lend;
-                  ri = rend;
-                }
-              }
-              if (outer) {
-                for (; li < lrows.size(); ++li) {
-                  decoder.Add(lrows[li], nullptr);
-                }
-              }
-            } else {
-              // Hash join: build on the configured build side.
-              const auto& build_rows = build_left ? lrows : rrows;
-              const auto& probe_rows = build_left ? rrows : lrows;
-              const RowLayout& blayout = build_left ? llayout : rlayout;
-              const RowLayout& playout = build_left ? rlayout : llayout;
-              const size_t bkey = build_left ? lkey : rkey;
-              const size_t pkey = build_left ? rkey : lkey;
+            // Hash join: build on the configured build side.
+            const auto& build_rows = build_left ? lrows : rrows;
+            const auto& probe_rows = build_left ? rrows : lrows;
+            const RowLayout& blayout = build_left ? llayout : rlayout;
+            const RowLayout& playout = build_left ? rlayout : llayout;
+            const size_t bkey = build_left ? lkey : rkey;
+            const size_t pkey = build_left ? rkey : lkey;
 
-              Stopwatch build_timer;
-              std::unordered_map<uint64_t, std::vector<const uint8_t*>> ht;
-              ht.reserve(build_rows.size());
-              for (const uint8_t* row : build_rows) {
-                ht[blayout.KeyCode(row, bkey)].push_back(row);
-              }
-              ctx.metrics().hash_build_seconds += build_timer.ElapsedSeconds();
+            Stopwatch build_timer;
+            std::unordered_map<uint64_t, std::vector<const uint8_t*>> ht;
+            ht.reserve(build_rows.size());
+            for (const uint8_t* row : build_rows) {
+              ht[blayout.KeyCode(row, bkey)].push_back(row);
+            }
+            ctx.metrics().hash_build_seconds += build_timer.ElapsedSeconds();
 
-              for (const uint8_t* prow : probe_rows) {
-                // With outer joins the probe side is always the left relation.
-                if (playout.IsNull(prow, pkey)) {
-                  if (outer) decoder.Add(prow, nullptr);
-                  continue;
-                }
-                auto it = ht.find(playout.KeyCode(prow, pkey));
-                bool matched = false;
-                if (it != ht.end()) {
-                  for (const uint8_t* brow : it->second) {
-                    // Codes of strings and doubles hash: check the keys.
-                    if (!KeysEqual(blayout, brow, bkey, playout, prow, pkey)) {
-                      continue;
-                    }
-                    matched = true;
-                    if (build_left) {
-                      decoder.Add(brow, prow);
-                    } else {
-                      decoder.Add(prow, brow);
-                    }
+            for (const uint8_t* prow : probe_rows) {
+              // With outer joins the probe side is always the left relation.
+              if (playout.IsNull(prow, pkey)) {
+                if (outer) decoder.Add(prow, nullptr);
+                continue;
+              }
+              auto it = ht.find(playout.KeyCode(prow, pkey));
+              bool matched = false;
+              if (it != ht.end()) {
+                for (const uint8_t* brow : it->second) {
+                  // Codes of strings and doubles hash: check the keys.
+                  if (!KeysEqual(blayout, brow, bkey, playout, prow, pkey)) {
+                    continue;
+                  }
+                  matched = true;
+                  if (build_left) {
+                    decoder.Add(brow, prow);
+                  } else {
+                    decoder.Add(prow, brow);
                   }
                 }
-                if (outer && !matched) decoder.Add(prow, nullptr);
               }
+              if (outer && !matched) decoder.Add(prow, nullptr);
             }
             decoder.Flush();
             return consumer->Commit(ctx);

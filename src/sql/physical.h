@@ -4,10 +4,11 @@
 //
 // The vanilla join algorithms here are the paper's baselines (§II):
 // BroadcastHash ("hash-tables are built for one of the dataframes, broadcast
-// and probed locally") and SortMerge ("data is sorted and then merged") plus
-// the shuffled-hash variant. Each query (re-)builds its hash tables and
-// (re-)shuffles its inputs — the recurring cost that the Indexed DataFrame's
-// pre-built index amortizes away (Fig. 1).
+// and probed locally") and the repartition join, shuffled-hash (both sides
+// shuffle on the key, then each reduce task builds and probes a hash table).
+// Each query (re-)builds its hash tables and (re-)shuffles its inputs — the
+// recurring cost that the Indexed DataFrame's pre-built index amortizes away
+// (Fig. 1).
 #pragma once
 
 #include <atomic>
@@ -190,13 +191,13 @@ class ProjectExec final : public UnaryExec {
 
 /// Inner equi-join with runtime algorithm selection (Spark-like):
 /// broadcast-hash when the build side is under the broadcast threshold,
-/// otherwise shuffled-hash; sort-merge on request.
+/// otherwise shuffled-hash.
 class JoinExec final : public PhysicalOp {
  public:
-  /// kShuffledHash and kSortMerge run one exchange (Cluster::RunExchange):
-  /// both sides shuffle on their key's code (ShuffleByKey), and each reduce
-  /// task hash-joins, or sorts and merges, what was routed to it.
-  enum class Mode { kAuto, kBroadcastHash, kShuffledHash, kSortMerge };
+  /// kShuffledHash runs one exchange (Cluster::RunExchange): both sides
+  /// shuffle on their key's code (ShuffleByKey), and each reduce task
+  /// hash-joins what was routed to it, verifying candidates by KeysEqual.
+  enum class Mode { kAuto, kBroadcastHash, kShuffledHash };
 
   JoinExec(PhysOpPtr left, PhysOpPtr right, std::string left_key,
            std::string right_key, Mode mode = Mode::kAuto,
@@ -219,8 +220,8 @@ class JoinExec final : public PhysicalOp {
                            const Pipe& down, QueryMetrics& metrics) const;
   Status ShuffledJoin(Session& session, const TableHandle& l,
                       const TableHandle& r, size_t lkey, size_t rkey,
-                      bool sort_merge, const SchemaPtr& out_schema,
-                      const Pipe& down, QueryMetrics& metrics) const;
+                      const SchemaPtr& out_schema, const Pipe& down,
+                      QueryMetrics& metrics) const;
 
   std::vector<PhysOpPtr> children_;
   std::string left_key_, right_key_;

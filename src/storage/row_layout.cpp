@@ -131,7 +131,7 @@ uint64_t RowLayout::KeyCode(const uint8_t* src, size_t col) const {
     case TypeId::kInt32: return static_cast<uint64_t>(
         static_cast<int64_t>(GetInt32(src, col)));
     case TypeId::kInt64: return static_cast<uint64_t>(GetInt64(src, col));
-    case TypeId::kFloat64: return HashDouble(GetFloat64(src, col));
+    case TypeId::kFloat64: return DoubleKeyCode(GetFloat64(src, col));
     case TypeId::kString: return HashString(GetString(src, col));
   }
   return 0;
@@ -177,7 +177,7 @@ uint64_t IndexKeyCode(const Value& key) {
     case TypeId::kInt32: return static_cast<uint64_t>(
         static_cast<int64_t>(key.int32_value()));
     case TypeId::kInt64: return static_cast<uint64_t>(key.int64_value());
-    case TypeId::kFloat64: return HashDouble(key.float64_value());
+    case TypeId::kFloat64: return DoubleKeyCode(key.float64_value());
     case TypeId::kString: return HashString(key.string_value());
   }
   return 0;

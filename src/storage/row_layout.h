@@ -121,8 +121,9 @@ class RowLayout {
 
   /// 64-bit key code of a column, consistent with IndexKeyCode(Value) below:
   /// integer columns use their value hashed by the trie (identity here,
-  /// Mix64 in the trie); strings hash their bytes — the lookup path then
-  /// verifies the actual bytes to resolve collisions (§IV-E).
+  /// Mix64 in the trie); doubles code through DoubleKeyCode; strings hash
+  /// their bytes — the lookup path then verifies the actual keys to resolve
+  /// collisions (§IV-E).
   uint64_t KeyCode(const uint8_t* src, size_t col) const;
 
   /// Fixed-section size (header + bitmap + slots); var data starts here.
@@ -153,6 +154,23 @@ bool KeysEqual(const RowLayout& a, const uint8_t* arow, size_t acol,
 /// RowLayout::KeyCode for the same column value, so a user-supplied lookup
 /// key probes the slot the stored row occupies.
 uint64_t IndexKeyCode(const Value& key);
+
+/// The key code of a double. An integral double in int64 range codes as
+/// that integer (-0.0 as 0), so it shares a code with the equal int64,
+/// int32 or bool key and a mixed numeric probe or join finds it; any other
+/// double (fractional, out of range, infinite, NaN) codes as HashDouble.
+/// Limit: above 2^53 `Value ==` widens an int64 to double with rounding, so
+/// int64 2^53 + 1 equals double 2^53 there while their codes differ — no
+/// code can agree with that equality.
+inline uint64_t DoubleKeyCode(double v) {
+  // 2^63 is exact as a double; the range check also rejects NaN.
+  constexpr double kTwo63 = 9223372036854775808.0;
+  if (v >= -kTwo63 && v < kTwo63) {
+    const auto i = static_cast<int64_t>(v);
+    if (static_cast<double>(i) == v) return static_cast<uint64_t>(i);
+  }
+  return HashDouble(v);
+}
 
 /// Whether key codes of this type are injective (no verify step needed).
 /// Strings and doubles hash, so equal codes require verifying the column.

@@ -76,7 +76,7 @@ class Value {
   bool operator==(const Value& other) const;
   bool operator!=(const Value& other) const { return !(*this == other); }
 
-  /// Total order within one type (nulls first); used by sort-merge join.
+  /// Total order within one type (nulls first); used by ORDER BY (SortExec).
   /// Comparing values of different numeric types compares as double.
   int Compare(const Value& other) const;
 

@@ -189,17 +189,6 @@ TEST(RngTest, NextStringHasRequestedLengthAndAlphabet) {
   }
 }
 
-TEST(RngTest, DeterministicShuffleIsAPermutationAndStable) {
-  std::vector<int> v1{1, 2, 3, 4, 5, 6, 7, 8};
-  std::vector<int> v2 = v1;
-  Rng r1(42), r2(42);
-  DeterministicShuffle(v1, r1);
-  DeterministicShuffle(v2, r2);
-  EXPECT_EQ(v1, v2);
-  std::multiset<int> elems(v1.begin(), v1.end());
-  EXPECT_EQ(elems, (std::multiset<int>{1, 2, 3, 4, 5, 6, 7, 8}));
-}
-
 // ---- Zipf -------------------------------------------------------------------
 
 TEST(ZipfTest, SamplesWithinDomain) {
@@ -290,18 +279,6 @@ TEST(StatsTest, SampleSingleElement) {
   EXPECT_DOUBLE_EQ(s.Median(), 3.5);
   EXPECT_DOUBLE_EQ(s.Quantile(0.0), 3.5);
   EXPECT_DOUBLE_EQ(s.Quantile(1.0), 3.5);
-}
-
-TEST(StatsTest, FormatBytes) {
-  EXPECT_EQ(FormatBytes(512), "512.0 B");
-  EXPECT_EQ(FormatBytes(4096), "4.0 KB");
-  EXPECT_EQ(FormatBytes(4.0 * 1024 * 1024), "4.0 MB");
-}
-
-TEST(StatsTest, FormatSeconds) {
-  EXPECT_EQ(FormatSeconds(0.5), "500.00 ms");
-  EXPECT_EQ(FormatSeconds(2.0), "2.00 s");
-  EXPECT_EQ(FormatSeconds(12e-6), "12.0 us");
 }
 
 TEST(TimerTest, StopwatchAdvances) {

@@ -528,6 +528,48 @@ TEST(IndexedPlanTest, NonEqualityFilterFallsBack) {
   EXPECT_NE(physical->find("FilterExec"), std::string::npos);
 }
 
+TEST(IndexedPlanTest, MixedNumericLookupKeepsTheVanillaFilterRows) {
+  // A literal of the other numeric type than the indexed column: the lookup
+  // must keep exactly the rows the vanilla filter keeps.
+  const auto schema = std::make_shared<Schema>(Schema({
+      {"dk", TypeId::kFloat64, false},
+      {"ik", TypeId::kInt64, false},
+      {"v", TypeId::kInt64, false},
+  }));
+  std::vector<RowVec> rows;
+  for (int64_t i = 0; i < 100; ++i) {
+    rows.push_back({Value::Float64(0.5 * static_cast<double>(i % 10)),
+                    Value::Int64(i % 10), Value::Int64(i)});
+  }
+  Session session(SmallOptions());
+  auto table = *session.CreateTable("t", schema, rows);
+  struct Case {
+    std::string column;
+    Value literal;
+    size_t rows;
+  };
+  const std::vector<Case> cases = {
+      {"dk", Value::Int64(3), 10},      {"dk", Value::Float64(3.0), 10},
+      {"dk", Value::Float64(-0.0), 10}, {"dk", Value::Int32(0), 10},
+      {"dk", Value::Int64(7), 0},       {"ik", Value::Float64(3.0), 10},
+      {"ik", Value::Float64(3.5), 0},   {"ik", Value::Float64(-0.0), 10},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.column + " = " + c.literal.ToString());
+    auto indexed = *IndexedDataFrame::Create(table, c.column);
+    const ExprPtr predicate = Eq(Col(c.column), Lit(c.literal));
+    const DataFrame lookup = indexed.AsDataFrame().Filter(predicate);
+    ASSERT_NE(lookup.ExplainPhysical()->find("IndexLookupExec"),
+              std::string::npos);
+    auto via_index = lookup.Collect();
+    auto vanilla = table.Filter(predicate).Collect();
+    ASSERT_TRUE(via_index.ok()) << via_index.status().ToString();
+    ASSERT_TRUE(vanilla.ok()) << vanilla.status().ToString();
+    EXPECT_EQ(vanilla->rows.size(), c.rows);
+    EXPECT_EQ(via_index->SortedRowStrings(), vanilla->SortedRowStrings());
+  }
+}
+
 // ---- indexed execution correctness ------------------------------------------------
 
 TEST(IndexedExecTest, IndexedJoinMatchesVanillaJoin) {

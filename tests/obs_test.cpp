@@ -1,12 +1,10 @@
 // Tests for the observability layer: metrics registry (concurrent updates,
-// JSON export), logging sinks, the new TaskMetrics fields, and EXPLAIN ANALYZE — including
-// the acceptance check that an indexed equi-join's reported per-operator
-// rows, probe/hit counts, and COW/snapshot work match a known-cardinality
-// input.
+// JSON export), logging, the new TaskMetrics fields, and EXPLAIN ANALYZE —
+// including the acceptance check that an indexed equi-join's reported
+// per-operator rows, probe/hit counts, and COW/snapshot work match a
+// known-cardinality input.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <functional>
 #include <string>
 #include <thread>
@@ -15,6 +13,7 @@
 #include "common/logging.h"
 #include "core/indexed_dataframe.h"
 #include "core/indexed_partition.h"
+#include "json_checker.h"
 #include "obs/metrics_registry.h"
 
 namespace idf {
@@ -26,109 +25,6 @@ void RunConcurrently(size_t n, const std::function<void(size_t)>& fn) {
   for (size_t t = 0; t < n; ++t) threads.emplace_back(fn, t);
   for (std::thread& thread : threads) thread.join();
 }
-
-// ---- minimal JSON syntax checker ------------------------------------------
-// Hand-rolled so the tests can assert "this is valid JSON" without a
-// dependency. Checks syntax only (no duplicate-key or semantic checks).
-
-class JsonChecker {
- public:
-  static bool Valid(const std::string& text) {
-    JsonChecker c(text);
-    c.SkipWs();
-    if (!c.Value()) return false;
-    c.SkipWs();
-    return c.pos_ == c.text_.size();
-  }
-
- private:
-  explicit JsonChecker(const std::string& text) : text_(text) {}
-
-  void SkipWs() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-  bool Literal(const char* word) {
-    const size_t len = std::strlen(word);
-    if (text_.compare(pos_, len, word) != 0) return false;
-    pos_ += len;
-    return true;
-  }
-  bool String() {
-    if (pos_ >= text_.size() || text_[pos_] != '"') return false;
-    ++pos_;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      if (text_[pos_] == '\\') {
-        ++pos_;
-        if (pos_ >= text_.size()) return false;
-      }
-      ++pos_;
-    }
-    if (pos_ >= text_.size()) return false;
-    ++pos_;  // closing quote
-    return true;
-  }
-  bool Number() {
-    const size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    return pos_ > start;
-  }
-  bool Value() {
-    SkipWs();
-    if (pos_ >= text_.size()) return false;
-    const char c = text_[pos_];
-    if (c == '{') return Object();
-    if (c == '[') return Array();
-    if (c == '"') return String();
-    if (c == 't') return Literal("true");
-    if (c == 'f') return Literal("false");
-    if (c == 'n') return Literal("null");
-    return Number();
-  }
-  bool Object() {
-    ++pos_;  // '{'
-    SkipWs();
-    if (pos_ < text_.size() && text_[pos_] == '}') { ++pos_; return true; }
-    while (true) {
-      SkipWs();
-      if (!String()) return false;
-      SkipWs();
-      if (pos_ >= text_.size() || text_[pos_] != ':') return false;
-      ++pos_;
-      if (!Value()) return false;
-      SkipWs();
-      if (pos_ >= text_.size()) return false;
-      if (text_[pos_] == ',') { ++pos_; continue; }
-      if (text_[pos_] == '}') { ++pos_; return true; }
-      return false;
-    }
-  }
-  bool Array() {
-    ++pos_;  // '['
-    SkipWs();
-    if (pos_ < text_.size() && text_[pos_] == ']') { ++pos_; return true; }
-    while (true) {
-      if (!Value()) return false;
-      SkipWs();
-      if (pos_ >= text_.size()) return false;
-      if (text_[pos_] == ',') { ++pos_; continue; }
-      if (text_[pos_] == ']') { ++pos_; return true; }
-      return false;
-    }
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
 
 TEST(JsonCheckerTest, SanityOnItself) {
   EXPECT_TRUE(JsonChecker::Valid("{\"a\": [1, 2.5, -3e4, \"x\\\"y\"], "
@@ -241,75 +137,35 @@ TEST(MetricsRegistryTest, SnapshotSortedByName) {
   EXPECT_EQ(snap[1].name, "zz");
 }
 
-// ---- logging sinks --------------------------------------------------------
-
-class CaptureSink final : public LogSink {
- public:
-  void Write(LogLevel level, const std::string& message) override {
-    levels.push_back(level);
-    lines.push_back(message);
-  }
-  std::vector<LogLevel> levels;
-  std::vector<std::string> lines;
-};
+// ---- logging ----------------------------------------------------------------
 
 class LoggingTest : public ::testing::Test {
  protected:
   void SetUp() override { previous_level_ = GetLogLevel(); }
-  void TearDown() override {
-    ClearLogSinks();
-    SetLogLevel(previous_level_);
-  }
+  void TearDown() override { SetLogLevel(previous_level_); }
   LogLevel previous_level_;
 };
 
-TEST_F(LoggingTest, AddedSinkReceivesFormattedMessages) {
-  auto sink = std::make_shared<CaptureSink>();
-  AddLogSink(sink);
+TEST_F(LoggingTest, MessagesBelowTheThresholdAreDropped) {
   SetLogLevel(LogLevel::kInfo);
+  ::testing::internal::CaptureStderr();
   IDF_LOG_INFO("hello %s %d", "world", 7);
   IDF_LOG_DEBUG("dropped: below threshold");
-  ASSERT_EQ(sink->lines.size(), 1u);
-  EXPECT_EQ(sink->lines[0], "hello world 7");
-  EXPECT_EQ(sink->levels[0], LogLevel::kInfo);
+  SetLogLevel(LogLevel::kOff);
+  IDF_LOG_ERROR("dropped: logging is off");
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+            "[idf INFO] hello world 7\n");
 }
 
-TEST_F(LoggingTest, EveryNEmitsFirstAndEveryNth) {
-  auto sink = std::make_shared<CaptureSink>();
-  AddLogSink(sink);
-  SetLogLevel(LogLevel::kInfo);
-  for (int i = 0; i < 10; ++i) {
-    IDF_LOG_EVERY_N(Info, 4, "hit %d", i);
-  }
-  // Emits on i = 0, 4, 8.
-  ASSERT_EQ(sink->lines.size(), 3u);
-  EXPECT_EQ(sink->lines[0], "hit 0");
-  EXPECT_EQ(sink->lines[1], "hit 4");
-  EXPECT_EQ(sink->lines[2], "hit 8");
-}
-
-TEST_F(LoggingTest, JsonlFileSinkWritesOneValidObjectPerLine) {
-  const std::string path =
-      ::testing::TempDir() + "/obs_test_log.jsonl";
-  std::remove(path.c_str());
-  auto sink = MakeJsonlFileSink(path);
-  ASSERT_NE(sink, nullptr);
-  AddLogSink(sink);
+TEST_F(LoggingTest, EachMessageIsOneLineWithItsLevelPrefix) {
   SetLogLevel(LogLevel::kWarn);
+  const std::string long_message(2000, 'x');  // past the stack buffer
+  ::testing::internal::CaptureStderr();
   IDF_LOG_WARN("watch \"out\": %s", "tab\there");
-  IDF_LOG_ERROR("second line");
-  ClearLogSinks();  // flushes via sink Write; file closed on sink release
-
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::string line;
-  int count = 0;
-  while (std::getline(in, line)) {
-    EXPECT_TRUE(JsonChecker::Valid(line)) << line;
-    EXPECT_NE(line.find("\"level\":"), std::string::npos);
-    ++count;
-  }
-  EXPECT_EQ(count, 2);
+  IDF_LOG_ERROR("%s", long_message.c_str());
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+            "[idf WARN] watch \"out\": tab\there\n[idf ERROR] " +
+                long_message + "\n");
 }
 
 // ---- TaskMetrics ----------------------------------------------------------

@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdlib>
 #include <map>
 #include <memory>
@@ -25,6 +24,7 @@
 #include "obs/metrics_registry.h"
 #include "sql/columnar.h"
 #include "sql/session.h"
+#include "typed_keys.h"
 #include "workload/snb.h"
 
 namespace idf {
@@ -647,10 +647,9 @@ std::vector<RowVec> NullableKeyRows(int64_t n) {
   return rows;
 }
 
-ShuffledJoin RunVanillaJoin(uint32_t scheduler_threads, JoinExec::Mode mode,
-                            JoinType join_type) {
+ShuffledJoin RunVanillaJoin(uint32_t scheduler_threads, JoinType join_type) {
   SessionOptions opts = SweepOptions(scheduler_threads, 0);
-  opts.join_mode = mode;
+  opts.join_mode = JoinExec::Mode::kShuffledHash;
   Session session(opts);
   auto left =
       *session.CreateTable("left", NullableKeySchema(), NullableKeyRows(3000));
@@ -668,57 +667,32 @@ ShuffledJoin RunVanillaJoin(uint32_t scheduler_threads, JoinExec::Mode mode,
 }
 
 TEST(ShuffleThreadSweepTest, VanillaShuffledJoinsAreIdenticalAtEveryThreadCount) {
-  for (JoinExec::Mode mode :
-       {JoinExec::Mode::kShuffledHash, JoinExec::Mode::kSortMerge}) {
-    for (JoinType join_type : {JoinType::kInner, JoinType::kLeftOuter}) {
-      SCOPED_TRACE(::testing::Message()
-                   << "mode " << static_cast<int>(mode) << ", "
-                   << (join_type == JoinType::kInner ? "inner" : "left outer"));
-      const ShuffledJoin reference = RunVanillaJoin(1, mode, join_type);
-      EXPECT_GT(reference.totals.shuffle_written, 0u);
-      ASSERT_FALSE(reference.rows.empty());
-      // A left-outer join keeps its null-key rows, routed to partition 0.
-      const bool has_null_key = std::any_of(
-          reference.rows.begin(), reference.rows.end(),
-          [](const std::string& row) { return row.starts_with("NULL|"); });
-      EXPECT_EQ(has_null_key, join_type == JoinType::kLeftOuter);
-      for (uint32_t threads = 2; threads <= kSweepMaxThreads; ++threads) {
-        const ShuffledJoin got = RunVanillaJoin(threads, mode, join_type);
-        EXPECT_EQ(got.rows, reference.rows) << threads << " threads";
-        EXPECT_TRUE(got.totals == reference.totals) << threads << " threads";
-      }
+  for (JoinType join_type : {JoinType::kInner, JoinType::kLeftOuter}) {
+    SCOPED_TRACE(join_type == JoinType::kInner ? "inner" : "left outer");
+    const ShuffledJoin reference = RunVanillaJoin(1, join_type);
+    EXPECT_GT(reference.totals.shuffle_written, 0u);
+    ASSERT_FALSE(reference.rows.empty());
+    // A left-outer join keeps its null-key rows, routed to partition 0.
+    const bool has_null_key = std::any_of(
+        reference.rows.begin(), reference.rows.end(),
+        [](const std::string& row) { return row.starts_with("NULL|"); });
+    EXPECT_EQ(has_null_key, join_type == JoinType::kLeftOuter);
+    for (uint32_t threads = 2; threads <= kSweepMaxThreads; ++threads) {
+      const ShuffledJoin got = RunVanillaJoin(threads, join_type);
+      EXPECT_EQ(got.rows, reference.rows) << threads << " threads";
+      EXPECT_TRUE(got.totals == reference.totals) << threads << " threads";
     }
   }
 }
 
-/// Rows keyed by strings (empty, shared prefixes, nulls) or by doubles
-/// (NaN, -0.0 and 0.0, nulls), with duplicates: the sort-merge reduce
-/// orders them by their typed keys.
-std::vector<RowVec> TypedKeyRows(bool strings, int64_t n, int64_t salt) {
-  const std::vector<std::string> words = {"", "a", "ab", "abc", "b", "ba",
-                                          "zz", "a\x01"};
-  const std::vector<double> numbers = {std::nan(""), -0.0, 0.0, 1.5, -2.25,
-                                       1e300, -1e-300};
-  std::vector<RowVec> rows;
-  for (int64_t i = 0; i < n; ++i) {
-    const int64_t k = (i * 5 + salt) % 9;
-    Value key = strings ? Value::String(words[k % words.size()])
-                        : Value::Float64(numbers[k % numbers.size()]);
-    if (k == 8) key = Value::Null(strings ? TypeId::kString : TypeId::kFloat64);
-    rows.push_back({std::move(key), Value::Int64(i + salt * 1000)});
-  }
-  return rows;
-}
-
-ShuffledJoin RunTypedKeySortMerge(uint32_t scheduler_threads, bool strings,
-                                  JoinType join_type) {
+/// The shuffled-hash join on typed keys (tests/typed_keys.h): its reduce
+/// buckets string and double keys by their codes and verifies each pair.
+ShuffledJoin RunTypedKeyShuffledHash(uint32_t scheduler_threads, bool strings,
+                                     JoinType join_type) {
   SessionOptions opts = SweepOptions(scheduler_threads, 0);
-  opts.join_mode = JoinExec::Mode::kSortMerge;
+  opts.join_mode = JoinExec::Mode::kShuffledHash;
   Session session(opts);
-  const auto schema = std::make_shared<Schema>(Schema({
-      {"key", strings ? TypeId::kString : TypeId::kFloat64, true},
-      {"v", TypeId::kInt64, false},
-  }));
+  const SchemaPtr schema = TypedKeySchema(strings);
   auto left = *session.CreateTable("left", schema, TypedKeyRows(strings, 30, 0));
   auto right =
       *session.CreateTable("right", schema, TypedKeyRows(strings, 24, 3));
@@ -734,18 +708,18 @@ ShuffledJoin RunTypedKeySortMerge(uint32_t scheduler_threads, bool strings,
   return out;
 }
 
-TEST(ShuffleThreadSweepTest, SortMergeOnStringAndDoubleKeysIsIdenticalAtEveryThreadCount) {
+TEST(ShuffleThreadSweepTest, ShuffledHashOnStringAndDoubleKeysIsIdenticalAtEveryThreadCount) {
   for (bool strings : {true, false}) {
     for (JoinType join_type : {JoinType::kInner, JoinType::kLeftOuter}) {
       SCOPED_TRACE(::testing::Message()
                    << (strings ? "string" : "double") << " keys, "
                    << (join_type == JoinType::kInner ? "inner" : "left outer"));
       const ShuffledJoin reference =
-          RunTypedKeySortMerge(1, strings, join_type);
+          RunTypedKeyShuffledHash(1, strings, join_type);
       ASSERT_FALSE(reference.rows.empty());
       for (uint32_t threads = 2; threads <= kSweepMaxThreads; ++threads) {
         const ShuffledJoin got =
-            RunTypedKeySortMerge(threads, strings, join_type);
+            RunTypedKeyShuffledHash(threads, strings, join_type);
         EXPECT_EQ(got.rows, reference.rows) << threads << " threads";
         EXPECT_TRUE(got.totals == reference.totals) << threads << " threads";
       }
@@ -780,8 +754,6 @@ TEST(ShuffleReleaseTest, FailedOrCancelledExchangesReleaseTheirShuffles) {
   const std::vector<Case> cases = {
       {"shuffled-hash join", JoinExec::Mode::kShuffledHash, true,
        StatusCode::kCancelled, join},
-      {"sort-merge join", JoinExec::Mode::kSortMerge, true,
-       StatusCode::kCancelled, join},
       {"indexed join, shuffle path", JoinExec::Mode::kAuto, true,
        StatusCode::kCancelled,
        [](const DataFrame& table, const IndexedDataFrame& indexed) {
@@ -800,7 +772,7 @@ TEST(ShuffleReleaseTest, FailedOrCancelledExchangesReleaseTheirShuffles) {
        [&](const DataFrame& table, const IndexedDataFrame&) {
          return table.Agg({"k"}, too_wide).Collect().status();
        }},
-      {"row aggregation", JoinExec::Mode::kAuto, false,
+      {"indexed-source aggregation", JoinExec::Mode::kAuto, false,
        StatusCode::kInvalidArgument,
        [&](const DataFrame&, const IndexedDataFrame& indexed) {
          return indexed.AsDataFrame().Agg({"k"}, too_wide).Collect().status();

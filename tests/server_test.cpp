@@ -7,9 +7,11 @@
 // queue-overflow), cooperative cancellation and deadline expiry mid-stage
 // and mid-shuffle, and the invariant that a cancelled query
 // releases its reservation, leaks no pins or orphan blocks, and leaves
-// shared state usable for every later query.
+// shared state usable for every later query. And the slow-query log: one
+// parsable `slow_query {...}` line per finished query.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
@@ -18,7 +20,9 @@
 #include <thread>
 #include <vector>
 
+#include "common/logging.h"
 #include "core/indexed_dataframe.h"
+#include "json_checker.h"
 #include "mem/governor.h"
 #include "obs/metrics_registry.h"
 #include "obs/query_profile.h"
@@ -610,6 +614,76 @@ TEST(ServerTest, QueriesJsonReportsStatesAndShutdownCancelsPending) {
   EXPECT_TRUE(running.Wait().ok()) << running.status().ToString();
   service.Shutdown(/*cancel_pending=*/true);
   EXPECT_EQ(mem::MemoryGovernor::Global().reserved_bytes(), 0u);
+}
+
+// ---- slow-query log ---------------------------------------------------------
+
+TEST(ServerTest, SlowQueryLogEmitsOneParsableLinePerQuery) {
+  // IDF_SLOW_QUERY_MS=0 makes every finished query slow; the service reads
+  // it when constructed.
+  const char* saved = std::getenv("IDF_SLOW_QUERY_MS");
+  const std::string saved_value = saved != nullptr ? saved : "";
+  ::setenv("IDF_SLOW_QUERY_MS", "0", 1);
+  const LogLevel saved_level = GetLogLevel();
+  SetLogLevel(LogLevel::kWarn);
+
+  Session session(ServeClusterOptions());
+  auto edges = *session.CreateTable("edges", EdgeSchema(), DenseEdges(2000));
+  auto indexed = *IndexedDataFrame::Create(edges, "src");
+  std::vector<QueryHandle> handles;
+  ::testing::internal::CaptureStderr();
+  {
+    QueryService service(session,
+                         ServeConfig(/*workers=*/2, AdmitPolicy::kQueue));
+    QueryOptions options;
+    options.label = "lookup \"quoted\"\tlabel";
+    for (int64_t key = 0; key < 3; ++key) {
+      handles.push_back(service.Submit(
+          [&, key](server::QueryContext& ctx) -> Status {
+            IDF_ASSIGN_OR_RETURN(ctx.result,
+                                 indexed.GetRows(Value::Int64(key)));
+            return Status::OK();
+          },
+          options));
+    }
+    handles.push_back(service.Submit([](server::QueryContext&) -> Status {
+      return Status::InvalidArgument("failing query");
+    }));
+    for (QueryHandle& h : handles) (void)h.Wait();
+    service.Shutdown(/*cancel_pending=*/false);
+  }
+  const std::string captured = ::testing::internal::GetCapturedStderr();
+  SetLogLevel(saved_level);
+  if (saved != nullptr) {
+    ::setenv("IDF_SLOW_QUERY_MS", saved_value.c_str(), 1);
+  } else {
+    ::unsetenv("IDF_SLOW_QUERY_MS");
+  }
+
+  EXPECT_TRUE(handles[0].status().ok()) << handles[0].status().ToString();
+  EXPECT_EQ(handles[3].state(), QueryState::kFailed);
+  const std::string prefix = "[idf WARN] slow_query ";
+  std::vector<std::string> payloads;
+  size_t begin = 0;
+  while (begin < captured.size()) {
+    size_t end = captured.find('\n', begin);
+    if (end == std::string::npos) end = captured.size();
+    const std::string line = captured.substr(begin, end - begin);
+    if (line.starts_with(prefix)) {
+      payloads.push_back(line.substr(prefix.size()));
+    }
+    begin = end + 1;
+  }
+  ASSERT_EQ(payloads.size(), handles.size()) << captured;
+  for (const QueryHandle& h : handles) {
+    const std::string id = "{\"query_id\":" + std::to_string(h.id()) + ",";
+    const auto it = std::find_if(
+        payloads.begin(), payloads.end(),
+        [&](const std::string& p) { return p.starts_with(id); });
+    ASSERT_NE(it, payloads.end()) << "no slow_query line for query " << h.id();
+    EXPECT_TRUE(JsonChecker::Valid(*it)) << *it;
+    EXPECT_NE(it->find("\"profile\":"), std::string::npos) << *it;
+  }
 }
 
 }  // namespace

@@ -1,12 +1,15 @@
 // End-to-end tests for the SQL layer: columnar chunks, planner rules,
 // physical execution of filter/project/join/aggregate/limit, and
-// cross-validation of the three vanilla join algorithms.
+// cross-validation of the two vanilla join algorithms and the indexed join.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
 
 #include "common/rng.h"
+#include "core/indexed_dataframe.h"
 #include "sql/session.h"
+#include "typed_keys.h"
 
 namespace idf {
 namespace {
@@ -281,11 +284,46 @@ TEST_P(JoinModeSweep, JoinMatchesExpectedCardinality) {
 
 INSTANTIATE_TEST_SUITE_P(Modes, JoinModeSweep,
                          ::testing::Values(JoinExec::Mode::kBroadcastHash,
-                                           JoinExec::Mode::kShuffledHash,
-                                           JoinExec::Mode::kSortMerge));
+                                           JoinExec::Mode::kShuffledHash));
+
+/// The inner join of `left` and `right` on `key` planned each way: the two
+/// vanilla algorithms, then the indexed join over an index on the left side
+/// (broadcast and shuffle probe paths). Returns one histogram per path.
+std::vector<std::map<std::string, int>> InnerJoinOnEveryPath(
+    const SchemaPtr& lschema, const std::vector<RowVec>& lrows,
+    const std::string& lkey, const SchemaPtr& rschema,
+    const std::vector<RowVec>& rrows, const std::string& rkey) {
+  std::vector<std::map<std::string, int>> results;
+  for (JoinExec::Mode mode :
+       {JoinExec::Mode::kBroadcastHash, JoinExec::Mode::kShuffledHash}) {
+    SessionOptions opts = SmallOptions();
+    opts.join_mode = mode;
+    Session session(opts);
+    auto left = *session.CreateTable("l", lschema, lrows);
+    auto right = *session.CreateTable("r", rschema, rrows);
+    auto collected = left.Join(right, lkey, rkey).Collect();
+    EXPECT_TRUE(collected.ok()) << collected.status().ToString();
+    if (collected.ok()) results.push_back(JoinResultHistogram(*collected));
+  }
+  for (uint64_t broadcast_threshold : {uint64_t{10} << 20, uint64_t{0}}) {
+    SessionOptions opts = SmallOptions();
+    opts.broadcast_threshold_bytes = broadcast_threshold;
+    Session session(opts);
+    auto left = *session.CreateTable("l", lschema, lrows);
+    auto right = *session.CreateTable("r", rschema, rrows);
+    auto indexed = *IndexedDataFrame::Create(left, lkey);
+    const DataFrame joined = indexed.AsDataFrame().Join(right, lkey, rkey);
+    EXPECT_NE(joined.ExplainPhysical()->find("IndexedJoinExec"),
+              std::string::npos);
+    auto collected = joined.Collect();
+    EXPECT_TRUE(collected.ok()) << collected.status().ToString();
+    if (collected.ok()) results.push_back(JoinResultHistogram(*collected));
+  }
+  return results;
+}
 
 TEST(SqlJoinTest, AllJoinModesProduceIdenticalResults) {
-  // Property: the three algorithms are interchangeable. Random datasets.
+  // Property: the join paths are interchangeable. Random datasets.
   Rng rng(77);
   for (int trial = 0; trial < 3; ++trial) {
     std::vector<RowVec> left_rows, right_rows;
@@ -300,11 +338,10 @@ TEST(SqlJoinTest, AllJoinModesProduceIdenticalResults) {
                             Value::Int64(static_cast<int64_t>(rng.Below(40))),
                             Value::Float64(rng.NextDouble())});
     }
-    std::map<std::string, int> results[3];
+    std::map<std::string, int> results[2];
     int idx = 0;
     for (JoinExec::Mode mode :
-         {JoinExec::Mode::kBroadcastHash, JoinExec::Mode::kShuffledHash,
-          JoinExec::Mode::kSortMerge}) {
+         {JoinExec::Mode::kBroadcastHash, JoinExec::Mode::kShuffledHash}) {
       SessionOptions opts = SmallOptions();
       opts.join_mode = mode;
       Session session(opts);
@@ -315,8 +352,96 @@ TEST(SqlJoinTest, AllJoinModesProduceIdenticalResults) {
       results[idx++] = JoinResultHistogram(*collected);
     }
     EXPECT_EQ(results[0], results[1]);
-    EXPECT_EQ(results[1], results[2]);
   }
+  // Typed keys (tests/typed_keys.h): NaN matches nothing, -0.0 matches 0.0,
+  // nulls match nothing, and strings match only byte-equal strings.
+  for (bool strings : {true, false}) {
+    SCOPED_TRACE(strings ? "string keys" : "double keys");
+    const std::vector<std::map<std::string, int>> results =
+        InnerJoinOnEveryPath(TypedKeySchema(strings),
+                             TypedKeyRows(strings, 30, 0), "key",
+                             TypedKeySchema(strings),
+                             TypedKeyRows(strings, 24, 3), "key");
+    ASSERT_EQ(results.size(), 4u);
+    EXPECT_FALSE(results[0].empty());
+    for (size_t i = 1; i < results.size(); ++i) {
+      EXPECT_EQ(results[i], results[0]) << "path " << i;
+    }
+  }
+}
+
+TEST(SqlJoinTest, MixedNumericKeysJoinAlikeOnEveryPath) {
+  // int64 keys against float64 keys: an integral double equals the int64
+  // of its value, so both code alike and meet in one bucket and partition.
+  const auto int_schema = std::make_shared<Schema>(Schema({
+      {"ik", TypeId::kInt64, true},
+      {"iv", TypeId::kInt64, false},
+  }));
+  const auto double_schema = std::make_shared<Schema>(Schema({
+      {"dk", TypeId::kFloat64, true},
+      {"dv", TypeId::kInt64, false},
+  }));
+  std::vector<RowVec> int_rows, double_rows;
+  for (int64_t i = 0; i < 60; ++i) {
+    int_rows.push_back({Value::Int64(i % 12 - 2), Value::Int64(i)});
+  }
+  int_rows.push_back({Value::Null(TypeId::kInt64), Value::Int64(60)});
+  const std::vector<double> keys = {0.0,  -0.0, 3.0,          3.5,
+                                    -2.0, 9.0,  std::nan(""), 1e300,
+                                    7.0,  0.25};
+  for (int64_t i = 0; i < 40; ++i) {
+    double_rows.push_back(
+        {Value::Float64(keys[static_cast<size_t>(i) % keys.size()]),
+         Value::Int64(i)});
+  }
+  double_rows.push_back({Value::Null(TypeId::kFloat64), Value::Int64(40)});
+
+  // What `==` on the boxed keys matches, pair by pair.
+  size_t expected = 0;
+  size_t unmatched_int_rows = 0;
+  for (const RowVec& a : int_rows) {
+    size_t matches = 0;
+    for (const RowVec& b : double_rows) matches += a[0] == b[0] ? 1 : 0;
+    expected += matches;
+    unmatched_int_rows += matches == 0 ? 1 : 0;
+  }
+  ASSERT_GT(expected, 0u);
+  ASSERT_GT(unmatched_int_rows, 0u);
+
+  for (bool int_indexed : {true, false}) {
+    SCOPED_TRACE(int_indexed ? "index on the int64 side"
+                             : "index on the float64 side");
+    const std::vector<std::map<std::string, int>> results =
+        int_indexed
+            ? InnerJoinOnEveryPath(int_schema, int_rows, "ik", double_schema,
+                                   double_rows, "dk")
+            : InnerJoinOnEveryPath(double_schema, double_rows, "dk",
+                                   int_schema, int_rows, "ik");
+    ASSERT_EQ(results.size(), 4u);
+    size_t rows = 0;
+    for (const auto& [row, count] : results[0]) rows += count;
+    EXPECT_EQ(rows, expected);
+    for (size_t i = 1; i < results.size(); ++i) {
+      EXPECT_EQ(results[i], results[0]) << "path " << i;
+    }
+  }
+
+  // Left outer: the two vanilla algorithms agree, and every int64 row
+  // appears, matched or padded.
+  std::vector<std::vector<std::string>> outer;
+  for (JoinExec::Mode mode :
+       {JoinExec::Mode::kBroadcastHash, JoinExec::Mode::kShuffledHash}) {
+    SessionOptions opts = SmallOptions();
+    opts.join_mode = mode;
+    Session session(opts);
+    auto left = *session.CreateTable("l", int_schema, int_rows);
+    auto right = *session.CreateTable("r", double_schema, double_rows);
+    auto collected = left.LeftJoin(right, "ik", "dk").Collect();
+    ASSERT_TRUE(collected.ok()) << collected.status().ToString();
+    EXPECT_EQ(collected->rows.size(), expected + unmatched_int_rows);
+    outer.push_back(collected->SortedRowStrings());
+  }
+  EXPECT_EQ(outer[0], outer[1]);
 }
 
 TEST(SqlJoinTest, StringKeyJoin) {

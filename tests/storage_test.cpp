@@ -2,6 +2,7 @@
 // batches, and the COW-versioned PartitionStore.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -212,6 +213,24 @@ TEST(RowLayoutTest, Int32AndInt64KeyCodesAgreeOnSameValue) {
   // key codes must be numeric-value based, not type based.
   EXPECT_EQ(IndexKeyCode(Value::Int32(12345)), IndexKeyCode(Value::Int64(12345)));
   EXPECT_EQ(IndexKeyCode(Value::Int32(-5)), IndexKeyCode(Value::Int64(-5)));
+}
+
+TEST(RowLayoutTest, IntegralDoublesCodeAsTheirInteger) {
+  // An integral double codes as the equal integer, so a mixed numeric probe
+  // or join meets its match; every other double hashes.
+  EXPECT_EQ(IndexKeyCode(Value::Float64(3.0)), IndexKeyCode(Value::Int64(3)));
+  EXPECT_EQ(IndexKeyCode(Value::Float64(-7.0)), IndexKeyCode(Value::Int32(-7)));
+  EXPECT_EQ(IndexKeyCode(Value::Float64(1.0)), IndexKeyCode(Value::Bool(true)));
+  EXPECT_EQ(DoubleKeyCode(-0.0), 0u);
+  EXPECT_EQ(DoubleKeyCode(0.0), 0u);
+  EXPECT_EQ(DoubleKeyCode(-9223372036854775808.0),
+            static_cast<uint64_t>(std::numeric_limits<int64_t>::min()));
+  for (const double v : {0.5, -2.25, 9223372036854775808.0, 1e300,
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()}) {
+    EXPECT_EQ(DoubleKeyCode(v), HashDouble(v)) << v;
+  }
+  EXPECT_EQ(DoubleKeyCode(std::nan("")), HashDouble(std::nan("")));
 }
 
 TEST(RowLayoutTest, KeyCodeNeedsVerifyOnlyForInexactTypes) {
