@@ -171,13 +171,16 @@ int main(int argc, char** argv) {
 
   auto report = indexed.MemoryReport().value();
   double min_pct = 1e9, max_pct = 0, sum_pct = 0;
-  uint64_t total_data = 0, total_index = 0;
+  uint64_t total_data = 0, total_allocated = 0, total_index = 0;
+  uint64_t total_batches = 0;
   for (const PartitionMemory& pm : report) {
     const double pct = pm.overhead_fraction() * 100.0;
     min_pct = std::min(min_pct, pct);
     max_pct = std::max(max_pct, pct);
     sum_pct += pct;
     total_data += pm.data_bytes;
+    total_allocated += pm.allocated_bytes;
+    total_batches += pm.num_batches;
     total_index += pm.index_bytes;
   }
 
@@ -185,14 +188,21 @@ int main(int argc, char** argv) {
               report.size(),
               static_cast<unsigned long long>(indexed.num_rows()),
               total_data / 1048576.0, total_index / 1048576.0);
+  std::printf("batches: %llu | allocated: %.1f MB | unused batch tails: "
+              "%.2f MB\n",
+              static_cast<unsigned long long>(total_batches),
+              total_allocated / 1048576.0,
+              (total_allocated - total_data) / 1048576.0);
   std::printf("per-partition overhead: min %.2f%%  mean %.2f%%  max %.2f%%\n",
               min_pct, sum_pct / static_cast<double>(report.size()), max_pct);
   std::printf("first 8 partitions:\n");
   for (size_t i = 0; i < std::min<size_t>(8, report.size()); ++i) {
     const PartitionMemory& pm = report[i];
-    std::printf("  p%-3u rows=%-8llu data=%-10llu index=%-9llu overhead=%.2f%%\n",
+    std::printf("  p%-3u rows=%-8llu data=%-10llu allocated=%-10llu "
+                "index=%-9llu overhead=%.2f%%\n",
                 pm.partition, static_cast<unsigned long long>(pm.num_rows),
                 static_cast<unsigned long long>(pm.data_bytes),
+                static_cast<unsigned long long>(pm.allocated_bytes),
                 static_cast<unsigned long long>(pm.index_bytes),
                 pm.overhead_fraction() * 100.0);
   }

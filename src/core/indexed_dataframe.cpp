@@ -72,6 +72,8 @@ Result<std::vector<PartitionMemory>> IndexedDataFrame::MemoryReport() const {
     PartitionMemory pm;
     pm.partition = p;
     pm.data_bytes = part->data_bytes();
+    pm.allocated_bytes = part->allocated_bytes();
+    pm.num_batches = part->num_batches();
     pm.index_bytes = part->IndexBytes();
     pm.num_rows = part->num_rows();
     report.push_back(pm);

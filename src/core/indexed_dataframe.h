@@ -23,9 +23,12 @@
 namespace idf {
 
 /// Per-partition index-vs-data footprint, for the Fig. 11 experiment.
+/// `allocated_bytes - data_bytes` is the batches' unused tail capacity.
 struct PartitionMemory {
   uint32_t partition = 0;
   uint64_t data_bytes = 0;
+  uint64_t allocated_bytes = 0;
+  uint32_t num_batches = 0;
   uint64_t index_bytes = 0;
   uint64_t num_rows = 0;
 

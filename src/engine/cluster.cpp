@@ -135,15 +135,15 @@ void WireIntrospectionOnce() {
 
 /// Records a finished stage under the query id its tasks carry, so the
 /// stage's trace slice groups with its task slices (tools/idf_events.py
-/// --chrome). Recorded right after the wall clock stops: the event's
-/// timestamp minus its wall micros covers every task event of the stage.
+/// --chrome). Its wall micros run on the recorder clock from `start_us`,
+/// stamped when the stage began: the event's timestamp minus its wall
+/// micros is that stamp, so the slice covers every task event of the stage.
 void RecordStageFinish(uint64_t query_id, uint32_t name_id,
-                       const StageMetrics& metrics) {
+                       const StageMetrics& metrics, uint64_t start_us) {
   obs::QueryScope query_scope(query_id);
-  obs::FlightRecorder::Global().Record(
+  obs::FlightRecorder::Global().RecordSpanEnd(
       obs::EventType::kStageFinish, name_id, metrics.num_tasks,
-      static_cast<uint64_t>(metrics.simulated_seconds * 1e6),
-      static_cast<uint64_t>(metrics.wall_seconds * 1e6));
+      static_cast<uint64_t>(metrics.simulated_seconds * 1e6), start_us);
 }
 
 }  // namespace
@@ -415,6 +415,7 @@ Result<StageMetrics> Cluster::RunStage(const StageSpec& stage) {
   // Interned once per stage (cold); tasks reuse the id on their hot path.
   const uint32_t stage_name_id =
       fr.enabled() ? fr.InternName(stage.name) : 0;
+  const uint64_t stage_start_us = fr.NowMicros();
   Stopwatch stage_timer;
   StageMetrics metrics;
   metrics.num_tasks = static_cast<uint32_t>(stage.tasks.size());
@@ -516,7 +517,7 @@ Result<StageMetrics> Cluster::RunStage(const StageSpec& stage) {
   metrics.simulated_seconds = outcome.makespan_seconds;
   metrics.network_seconds = outcome.network_seconds;
   metrics.wall_seconds = stage_timer.ElapsedSeconds();
-  RecordStageFinish(query_id, stage_name_id, metrics);
+  RecordStageFinish(query_id, stage_name_id, metrics, stage_start_us);
   em.stages.Increment();
   em.stage_real_seconds.Observe(metrics.real_seconds);
   em.stage_wall_seconds.Observe(metrics.wall_seconds);

@@ -290,6 +290,19 @@ const char* FlightRecorder::NameAt(uint32_t id) const {
 void FlightRecorder::Record(EventType type, uint32_t name_id, uint64_t a,
                             uint64_t b, uint64_t c) {
   if (!enabled_.load(std::memory_order_relaxed)) return;
+  RecordAt(NowMicros(), type, name_id, a, b, c);
+}
+
+void FlightRecorder::RecordSpanEnd(EventType type, uint32_t name_id,
+                                   uint64_t a, uint64_t b, uint64_t start_us) {
+  if (!enabled_.load(std::memory_order_relaxed)) return;
+  const uint64_t now = NowMicros();
+  RecordAt(now, type, name_id, a, b, now - start_us);
+}
+
+void FlightRecorder::RecordAt(uint64_t ts_us, EventType type,
+                              uint32_t name_id, uint64_t a, uint64_t b,
+                              uint64_t c) {
   const uint64_t ticket = head_.fetch_add(1, std::memory_order_relaxed);
   if (ticket >= capacity_) lapped_->Increment();  // overwrote an old event
   Slot& slot = slots_[ticket & mask_];
@@ -297,7 +310,7 @@ void FlightRecorder::Record(EventType type, uint32_t name_id, uint64_t a,
   // atomics: a lapping writer racing this slot produces a seq mismatch the
   // reader discards, never a torn word or a TSan race.
   slot.seq.store(0, std::memory_order_release);
-  slot.ts.store(NowMicros(), std::memory_order_relaxed);
+  slot.ts.store(ts_us, std::memory_order_relaxed);
   slot.meta.store(PackMeta(type, ThreadId(), name_id),
                   std::memory_order_relaxed);
   slot.q.store(CurrentQueryId(), std::memory_order_relaxed);

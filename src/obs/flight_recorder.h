@@ -155,6 +155,12 @@ class FlightRecorder {
   void Record(EventType type, uint32_t name_id, uint64_t a, uint64_t b,
               uint64_t c);
 
+  /// Records an event that ends a span begun at `start_us` (a NowMicros()
+  /// reading): c is the span's micros, taken from the same clock reading
+  /// as the event's timestamp, so ts_us - c == start_us exactly.
+  void RecordSpanEnd(EventType type, uint32_t name_id, uint64_t a, uint64_t b,
+                     uint64_t start_us);
+
   /// Microseconds since construction (the event clock).
   uint64_t NowMicros() const;
 
@@ -204,6 +210,10 @@ class FlightRecorder {
 
  private:
   FlightRecorder();
+
+  /// Record's body, with the timestamp given.
+  void RecordAt(uint64_t ts_us, EventType type, uint32_t name_id, uint64_t a,
+                uint64_t b, uint64_t c);
 
   /// One ring slot: a per-slot seqlock. seq == ticket+1 publishes the
   /// payload words; 0 means never written or mid-write.

@@ -34,6 +34,8 @@ namespace idf::agg_internal {
 
 /// Seed of every group code; a global aggregate's single group has it.
 inline constexpr uint64_t kGroupCodeSeed = 0x9e3779b97f4a7c15ULL;
+/// What a null group key folds into its group's code ("null" in ASCII).
+inline constexpr uint64_t kNullKeyHash = 0x6e756c6cULL;
 
 /// Resolved aggregation plan against an input schema: column indices, input
 /// types, the partial-row schema used on the shuffle wire and the output
@@ -98,7 +100,8 @@ using ::idf::VisitType;
 /// per-group partial state, then yields one partial row per group.
 ///
 /// Bit-identical to folding the rows one at a time through Value
-/// semantics: a group's code folds each key's Value::Hash into
+/// semantics: a group's code folds each key's hash (HashInt64 of an integer
+/// or bool, HashDouble, HashString, kNullKeyHash for a null) into
 /// kGroupCodeSeed with HashCombine, keys compare with Value equality and
 /// nulls equal to each other (so every NaN row opens its own group and
 /// -0.0 joins 0.0's group, which keeps the first-seen key), float sums add
@@ -354,13 +357,13 @@ class PartialAggregator {
     codes_.assign(n, kGroupCodeSeed);
     slots_.resize(n);
     check_.assign(n, kUnchecked);
-    const uint64_t null_hash = Value().Hash();
     for (size_t k = 0; k < keys_.size(); ++k) {
       VisitType(key_type(k), [&](auto tag) {
         const auto reader =
             run.template column<decltype(tag)>(resolved_.group_idx[k]);
         for (size_t i = begin; i < end; ++i) {
-          const uint64_t h = reader.IsNull(i) ? null_hash : HashOf(reader[i]);
+          const uint64_t h =
+              reader.IsNull(i) ? kNullKeyHash : HashOf(reader[i]);
           codes_[i - begin] = HashCombine(codes_[i - begin], h);
         }
       });

@@ -199,6 +199,18 @@ uint64_t ColumnVector::KeyCodeAt(size_t i) const {
   return 0;
 }
 
+bool KeysEqual(const ColumnVector& a, size_t ai, const ColumnVector& b,
+               size_t bi) {
+  if (a.IsNull(ai) || b.IsNull(bi)) return false;
+  if (a.type() == TypeId::kString || b.type() == TypeId::kString) {
+    return a.type() == b.type() && a.StringAt(ai) == b.StringAt(bi);
+  }
+  if (a.type() == TypeId::kInt64 && b.type() == TypeId::kInt64) {
+    return a.Int64At(ai) == b.Int64At(bi);
+  }
+  return a.NumericAt(ai) == b.NumericAt(bi);
+}
+
 uint64_t ColumnVector::ByteSize() const {
   uint64_t bytes = nulls_.size();
   switch (type_) {

@@ -154,6 +154,12 @@ class ColumnVector {
   std::variant<BoolData, Int32Data, Int64Data, Float64Data, StringData> data_;
 };
 
+/// Whether row `ai` of `a` equals row `bi` of `b`: KeysEqual's rules
+/// (storage/row_layout.h) on columns, so `a.ValueAt(ai) == b.ValueAt(bi)`
+/// without boxing either side.
+bool KeysEqual(const ColumnVector& a, size_t ai, const ColumnVector& b,
+               size_t bi);
+
 /// One cached partition of a table: a block the engine can store and ship.
 ///
 /// Under a memory budget a chunk is also an evictable payload: once sealed

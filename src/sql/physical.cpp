@@ -727,8 +727,8 @@ Status JoinExec::BroadcastHashJoin(Session& session, const TableHandle& lh,
           if (it != hash_table.end()) {
             for (const RowRef& ref : it->second) {
               if (verify &&
-                  !(build_chunks[ref.chunk]->ValueAt(ref.row, build_key) ==
-                    probe_chunk.ValueAt(ri, probe_key))) {
+                  !KeysEqual(build_chunks[ref.chunk]->column(build_key),
+                             ref.row, key_col, ri)) {
                 continue;
               }
               matched = true;
@@ -803,6 +803,11 @@ Status JoinExec::ShuffledJoin(Session& session, const TableHandle& lh,
             const size_t bkey = build_left ? lkey : rkey;
             const size_t pkey = build_left ? rkey : lkey;
 
+            // Codes of strings and doubles hash: check those keys.
+            const bool verify =
+                KeyCodeNeedsVerify(blayout.schema().field(bkey).type) ||
+                KeyCodeNeedsVerify(playout.schema().field(pkey).type);
+
             Stopwatch build_timer;
             std::unordered_map<uint64_t, std::vector<const uint8_t*>> ht;
             ht.reserve(build_rows.size());
@@ -821,8 +826,8 @@ Status JoinExec::ShuffledJoin(Session& session, const TableHandle& lh,
               bool matched = false;
               if (it != ht.end()) {
                 for (const uint8_t* brow : it->second) {
-                  // Codes of strings and doubles hash: check the keys.
-                  if (!KeysEqual(blayout, brow, bkey, playout, prow, pkey)) {
+                  if (verify &&
+                      !KeysEqual(blayout, brow, bkey, playout, prow, pkey)) {
                     continue;
                   }
                   matched = true;

@@ -69,7 +69,8 @@ Result<std::shared_ptr<RowBatch>> PartitionStore::WritableTail(uint32_t len) {
     return tail_;
   }
   // Tail missing, sealed by a snapshot, or full: open a fresh batch, sized
-  // to the pending-append hint when one is set (min len, max the default).
+  // to the hinted bytes still to come when a hint is set (min len, max the
+  // default).
   if (num_batches_ >= PackedRowPtr::kMaxBatch) {
     return Status::ResourceExhausted("partition reached max batch count");
   }
@@ -80,12 +81,10 @@ Result<std::shared_ptr<RowBatch>> PartitionStore::WritableTail(uint32_t len) {
     ++cow_batch_opens_;
     sm.cow_batch_opens.Increment();
   }
-  uint32_t capacity = batch_capacity_;
-  if (next_batch_hint_ > 0) {
-    capacity = static_cast<uint32_t>(std::clamp<uint64_t>(
-        next_batch_hint_, len, batch_capacity_));
-    next_batch_hint_ -= std::min<uint64_t>(next_batch_hint_, capacity);
-  }
+  const uint32_t capacity =
+      pending_bytes_ > 0 ? static_cast<uint32_t>(std::clamp<uint64_t>(
+                               pending_bytes_, len, batch_capacity_))
+                         : batch_capacity_;
   // The outgoing tail will never be written again — it becomes immutable
   // here, which is exactly when the governor may start evicting it.
   if (tail_ != nullptr && tail_exclusive_) {
@@ -107,15 +106,14 @@ Result<std::shared_ptr<RowBatch>> PartitionStore::WritableTail(uint32_t len) {
   return tail_;
 }
 
-Result<PackedRowPtr> PartitionStore::FinishAppend(RowBatch& tail,
-                                                  uint32_t offset,
+Result<PackedRowPtr> PartitionStore::FinishAppend(uint32_t offset,
                                                   PackedRowPtr back_ptr,
                                                   uint32_t len) {
   const uint32_t prev_size =
       back_ptr.is_null() ? 0 : RowSizeAt(back_ptr);
   ++num_rows_;
   data_bytes_ += len;
-  (void)tail;
+  pending_bytes_ -= std::min<uint64_t>(pending_bytes_, len);
   return PackedRowPtr::Make(num_batches_ - 1, offset, prev_size);
 }
 
@@ -131,7 +129,7 @@ Result<PackedRowPtr> PartitionStore::AppendRow(const RowLayout& layout,
   IDF_ASSIGN_OR_RETURN(std::shared_ptr<RowBatch> tail, WritableTail(len));
   IDF_ASSIGN_OR_RETURN(uint32_t offset, tail->Allocate(len));
   layout.EncodeRow(row, tail->MutableData() + offset, back_ptr);
-  return FinishAppend(*tail, offset, back_ptr, len);
+  return FinishAppend(offset, back_ptr, len);
 }
 
 Result<PackedRowPtr> PartitionStore::AppendEncoded(const uint8_t* bytes,
@@ -143,7 +141,7 @@ Result<PackedRowPtr> PartitionStore::AppendEncoded(const uint8_t* bytes,
   uint8_t* dst = tail->MutableData() + offset;
   std::memcpy(dst, bytes, len);
   RowLayout::SetBackPtr(dst, back_ptr);
-  return FinishAppend(*tail, offset, back_ptr, len);
+  return FinishAppend(offset, back_ptr, len);
 }
 
 const uint8_t* PartitionStore::RowAt(PackedRowPtr ptr) const {

@@ -42,11 +42,13 @@ class PartitionStore {
   /// "share the parent data and only store the deltas").
   PartitionStore Snapshot();
 
-  /// Hints that ~`bytes` of row data are about to be appended: freshly
-  /// opened batches are sized to the hint (capped at batch_capacity) instead
-  /// of the full default, so small appends after a snapshot do not allocate
-  /// a whole 4 MB batch for a handful of rows.
-  void ReserveHint(uint64_t bytes) { next_batch_hint_ += bytes; }
+  /// Hints that `bytes` more of row data are about to be appended. The hint
+  /// counts bytes still to come: each append takes its row's length off it,
+  /// and a freshly opened batch is sized to what is left (at least the row,
+  /// at most batch_capacity). So small appends after a snapshot do not
+  /// allocate a whole 4 MB batch for a handful of rows, and a hinted insert
+  /// spanning several batches ends in one right-sized tail.
+  void ReserveHint(uint64_t bytes) { pending_bytes_ += bytes; }
 
   /// Encodes and appends a row. `back_ptr` points at the previous row with
   /// the same key (null for first occurrence); its size is folded into the
@@ -93,9 +95,12 @@ class PartitionStore {
   /// this a freshly built partition would hold one unsealed (unevictable)
   /// tail per partition forever. Idempotent; the next append to *this*
   /// store (which never happens in practice) would open a fresh batch.
+  /// Clears any residual hint, so a failed insert cannot size the batches
+  /// of a later one.
   void SealTail() {
     if (tail_ != nullptr) tail_->Seal();
     tail_exclusive_ = false;
+    pending_bytes_ = 0;
   }
 
   /// Tags this store's batches for the memory governor: batch i is tagged
@@ -111,8 +116,8 @@ class PartitionStore {
   /// bytes; allocates/COWs as needed. Returns the writable tail.
   Result<std::shared_ptr<RowBatch>> WritableTail(uint32_t len);
 
-  Result<PackedRowPtr> FinishAppend(RowBatch& tail, uint32_t offset,
-                                    PackedRowPtr back_ptr, uint32_t len);
+  Result<PackedRowPtr> FinishAppend(uint32_t offset, PackedRowPtr back_ptr,
+                                    uint32_t len);
 
   // The batch directory: batch i is flat_[i]. Copied by Snapshot().
   std::vector<std::shared_ptr<RowBatch>> flat_;
@@ -121,7 +126,7 @@ class PartitionStore {
   uint64_t num_rows_ = 0;
   uint64_t data_bytes_ = 0;
   uint64_t allocated_bytes_ = 0;
-  uint64_t next_batch_hint_ = 0;
+  uint64_t pending_bytes_ = 0;  // hinted bytes still to be appended
   uint64_t cow_batch_opens_ = 0;
   uint64_t spill_owner_ = 0;  // 0 = batches are not tagged
   uint32_t spill_shard_ = 0;

@@ -79,18 +79,6 @@ int Value::Compare(const Value& other) const {
   return 0;
 }
 
-uint64_t Value::Hash() const {
-  if (null_) return 0x6e756c6cULL;  // any fixed tag; nulls never index-match
-  switch (type_) {
-    case TypeId::kBool: return HashInt64(bool_value() ? 1 : 0);
-    case TypeId::kInt32: return HashInt64(int32_value());
-    case TypeId::kInt64: return HashInt64(int64_value());
-    case TypeId::kFloat64: return HashDouble(float64_value());
-    case TypeId::kString: return HashString(string_value());
-  }
-  return 0;
-}
-
 std::string Value::ToString() const {
   if (null_) return "NULL";
   char buf[64];

@@ -11,7 +11,6 @@
 #include <string_view>
 #include <variant>
 
-#include "common/hash.h"
 #include "common/status.h"
 
 namespace idf {
@@ -79,11 +78,6 @@ class Value {
   /// Total order within one type (nulls first); used by ORDER BY (SortExec).
   /// Comparing values of different numeric types compares as double.
   int Compare(const Value& other) const;
-
-  /// Stable 64-bit hash consistent with operator== for same-typed values.
-  /// Matches the row-level key hashing in storage/row_layout.h so a Value key
-  /// probes the same cTrie slot as the row that stored it.
-  uint64_t Hash() const;
 
   std::string ToString() const;
 

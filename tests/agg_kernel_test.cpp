@@ -88,9 +88,22 @@ struct GroupState {
   std::vector<Accum> accums;
 };
 
+/// One group key's hash, written out per Value type.
+uint64_t KeyHash(const Value& v) {
+  if (v.is_null()) return agg_internal::kNullKeyHash;
+  switch (v.type()) {
+    case TypeId::kBool: return HashInt64(v.bool_value() ? 1 : 0);
+    case TypeId::kInt32: return HashInt64(v.int32_value());
+    case TypeId::kInt64: return HashInt64(v.int64_value());
+    case TypeId::kFloat64: return HashDouble(v.float64_value());
+    case TypeId::kString: return HashString(v.string_value());
+  }
+  return 0;
+}
+
 uint64_t GroupCode(const RowVec& group_values) {
   uint64_t code = agg_internal::kGroupCodeSeed;
-  for (const Value& v : group_values) code = HashCombine(code, v.Hash());
+  for (const Value& v : group_values) code = HashCombine(code, KeyHash(v));
   return code;
 }
 

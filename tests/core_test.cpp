@@ -13,6 +13,7 @@
 #include "core/indexed_ops.h"
 #include "core/indexed_partition.h"
 #include "core/indexed_rules.h"
+#include "mem/governor.h"
 #include "obs/query_profile.h"
 
 namespace idf {
@@ -331,6 +332,58 @@ TEST(IndexedDataFrameTest, GroupedGetRowsMatchesPerRowInsertReference) {
     EXPECT_EQ(appended.GetRows(k)->rows, reference_appended->LookupRows(k))
         << key;
   }
+}
+
+/// The batch sizing invariant on every partition of `idf`: unused batch
+/// tails come to less than one row per batch, and what the memory governor
+/// holds for the partition (resident plus spilled) is at most its data, its
+/// index and the batches' alignment pads.
+void ExpectBatchesSizedToTheirRows(const IndexedDataFrame& idf,
+                                   uint32_t row_size) {
+  constexpr uint64_t kAlignmentPad = 64;
+  auto report = idf.MemoryReport();
+  ASSERT_TRUE(report.ok());
+  const mem::ResidencyMap residency =
+      mem::MemoryGovernor::Global().ResidencySnapshot();
+  for (const PartitionMemory& pm : *report) {
+    SCOPED_TRACE("partition " + std::to_string(pm.partition));
+    ASSERT_GT(pm.num_batches, 2u);
+    EXPECT_LT(pm.allocated_bytes - pm.data_bytes,
+              uint64_t{pm.num_batches} * row_size);
+    auto it = residency.find({idf.rdd()->rdd_id(), pm.partition});
+    ASSERT_NE(it, residency.end());
+    EXPECT_LE(it->second.resident_bytes + it->second.spilled_bytes,
+              pm.data_bytes + pm.index_bytes +
+                  uint64_t{pm.num_batches} * kAlignmentPad);
+  }
+}
+
+TEST(IndexedDataFrameTest, BatchesFitTheirRowsAfterBuildAppendAndRecompute) {
+  // Fixed-size rows and a capacity of 100.5 rows: every full batch strands
+  // half a row of tail, so the rows after the last full batch exceed the
+  // hint minus the capacities granted. Sized to the bytes still to come,
+  // the last batch takes them all.
+  const uint32_t row_size =
+      *RowLayout(EdgeSchema()).ComputeRowSize(Edge(0, 0));
+  IndexOptions options;
+  options.batch_capacity = 100 * row_size + row_size / 2;
+  Session session(SmallOptions());
+  auto edges = *session.CreateTable("edges", EdgeSchema(),
+                                    PowerLawEdges(20000, 29, 2000));
+  auto v0 = *IndexedDataFrame::Create(edges, "src", options);
+  ExpectBatchesSizedToTheirRows(v0, row_size);
+
+  auto extra = *session.CreateTable("extra", EdgeSchema(),
+                                    PowerLawEdges(4000, 30, 2000));
+  auto v1 = *v0.AppendRows(extra);
+  ExpectBatchesSizedToTheirRows(v1, row_size);
+
+  // Losing two executors loses their partitions of both versions; the
+  // report recomputes version 1's from lineage.
+  ASSERT_GT(session.cluster().KillExecutor(1), 0u);
+  ASSERT_GT(session.cluster().KillExecutor(2), 0u);
+  ExpectBatchesSizedToTheirRows(v1, row_size);
+  EXPECT_EQ(v1.num_rows(), 24000u);
 }
 
 TEST(IndexedDataFrameTest, GetRowsOnStringColumn) {

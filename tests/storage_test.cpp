@@ -2,9 +2,11 @@
 // batches, and the COW-versioned PartitionStore.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -574,6 +576,64 @@ TEST(PartitionStoreTest, DataBytesAccounting) {
   EXPECT_EQ(store.data_bytes(), expected);
   EXPECT_EQ(store.allocated_bytes(),
             static_cast<uint64_t>(store.num_batches()) * 4096);
+}
+
+TEST(PartitionStoreTest, HintedInsertSizesEachBatchToTheBytesStillToCome) {
+  // A grouped insert hints all of its bytes, then appends row by row. Rows
+  // of mixed length leave each full batch a tail too short for the next
+  // row; the next batch must be sized to every byte still to come, those
+  // stranded ones included, so the insert ends in one right-sized tail and
+  // never opens a default batch for its last few rows.
+  auto schema = std::make_shared<Schema>(Schema({
+      {"key", TypeId::kInt64, false},
+      {"name", TypeId::kString, false},
+  }));
+  RowLayout layout(schema);
+  Rng rng(29);
+  std::vector<RowVec> rows;
+  uint64_t hinted = 0;
+  uint32_t max_row = 0;
+  for (int64_t i = 0; i < 400; ++i) {
+    RowVec row{Value::Int64(i),
+               Value::String(std::string(rng.Below(61), 'x'))};
+    const uint32_t len = *layout.ComputeRowSize(row);
+    hinted += len;
+    max_row = std::max(max_row, len);
+    rows.push_back(std::move(row));
+  }
+  constexpr uint32_t kCapacity = 4096;
+  PartitionStore store(kCapacity);
+  store.ReserveHint(hinted);
+  for (const RowVec& row : rows) {
+    ASSERT_TRUE(store.AppendRow(layout, row, PackedRowPtr::Null()).ok());
+  }
+  const uint32_t batches = store.num_batches();
+  ASSERT_GE(batches, 3u);
+  EXPECT_EQ(store.data_bytes(), hinted);
+  EXPECT_LT(store.allocated_bytes(),
+            store.data_bytes() + uint64_t{batches} * max_row);
+  for (uint32_t i = 0; i + 1 < batches; ++i) {
+    EXPECT_EQ(store.batch(i)->capacity(), kCapacity) << "batch " << i;
+    EXPECT_LT(store.batch(i)->remaining(), max_row) << "batch " << i;
+  }
+  EXPECT_EQ(store.batch(batches - 1)->remaining(), 0u);
+}
+
+TEST(PartitionStoreTest, SealTailClearsAResidualHint) {
+  // An insert that hinted more than it appended (it failed part way) must
+  // not size the batches of whatever is appended after its seal.
+  RowLayout layout(EdgeSchema());
+  constexpr uint32_t kCapacity = 4096;
+  PartitionStore store(kCapacity);
+  store.ReserveHint(kCapacity + 1000);
+  ASSERT_TRUE(store.AppendRow(layout, Edge(1, 1, 1.0), PackedRowPtr::Null())
+                  .ok());
+  EXPECT_EQ(store.batch(0)->capacity(), kCapacity);
+  store.SealTail();
+  ASSERT_TRUE(store.AppendRow(layout, Edge(2, 2, 1.0), PackedRowPtr::Null())
+                  .ok());
+  ASSERT_EQ(store.num_batches(), 2u);
+  EXPECT_EQ(store.batch(1)->capacity(), kCapacity);
 }
 
 TEST(PartitionStoreTest, StringsSurviveShuffleCopy) {

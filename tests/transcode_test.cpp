@@ -3,6 +3,7 @@
 // bytes, column values, null bitmaps, ByteSize() and row order must match.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
@@ -433,6 +434,40 @@ TEST(TranscodeTest, EncodeThenDecodeRestoresTheChunk) {
   DecodeRows(layout, rows, AllFields(layout), back, 0);
   back.SetRowCount(rows.size());
   ExpectSameChunk(*chunk, back);
+}
+
+// ---- key equality on columns ------------------------------------------------
+
+TEST(ColumnKeysEqualTest, IsValueEqualityOnEveryPair) {
+  // The broadcast-hash probe verifies candidates with the column KeysEqual;
+  // it must answer exactly what `==` on the two boxed values does.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const int64_t two53 = int64_t{1} << 53;
+  const std::vector<Value> grid = {
+      Value::Int32(7),         Value::Int32(-7),
+      Value::Int64(7),         Value::Int64(two53),
+      Value::Int64(two53 + 1), Value::Float64(static_cast<double>(two53)),
+      Value::Float64(7.0),     Value::Float64(nan),
+      Value::Float64(0.0),     Value::Float64(-0.0),
+      Value::Bool(true),       Value::Bool(false),
+      Value::String(""),       Value::String(std::string("a\0b", 3)),
+      Value::String("a"),      Value::String("7"),
+      Value::Null(TypeId::kInt64), Value::Null(TypeId::kString),
+  };
+  // Each key is row 1 of its column, behind a first row of its type.
+  std::vector<ColumnVector> columns;
+  for (const Value& key : grid) {
+    ColumnVector column(key.type());
+    column.AppendNull();
+    column.AppendValue(key);
+    columns.push_back(std::move(column));
+  }
+  for (size_t i = 0; i < grid.size(); ++i) {
+    for (size_t j = 0; j < grid.size(); ++j) {
+      EXPECT_EQ(KeysEqual(columns[i], 1, columns[j], 1), grid[i] == grid[j])
+          << grid[i].ToString() << " vs " << grid[j].ToString();
+    }
+  }
 }
 
 }  // namespace

@@ -59,21 +59,6 @@ TEST(ValueTest, CompareTotalOrder) {
             0);
 }
 
-TEST(ValueTest, HashConsistentWithEquality) {
-  EXPECT_EQ(Value::Int64(9).Hash(), Value::Int64(9).Hash());
-  EXPECT_EQ(Value::String("xyz").Hash(), Value::String("xyz").Hash());
-  EXPECT_NE(Value::Int64(9).Hash(), Value::Int64(10).Hash());
-}
-
-TEST(ValueTest, HashMatchesRawHashers) {
-  // The storage layer hashes raw column bytes with these functions; Value
-  // keys must probe identically (index lookup contract).
-  EXPECT_EQ(Value::Int64(123).Hash(), HashInt64(123));
-  EXPECT_EQ(Value::Int32(123).Hash(), HashInt64(123));
-  EXPECT_EQ(Value::String("tail42").Hash(), HashString("tail42"));
-  EXPECT_EQ(Value::Float64(2.5).Hash(), HashDouble(2.5));
-}
-
 TEST(ValueTest, ToString) {
   EXPECT_EQ(Value::Int64(7).ToString(), "7");
   EXPECT_EQ(Value::String("x").ToString(), "\"x\"");
