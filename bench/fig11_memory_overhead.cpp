@@ -71,24 +71,35 @@ void RunBudgetSweep(const IndexedDataFrame& indexed, int64_t max_key) {
 }
 
 /// --columnar sweep: a fixed filter query over the governed columnar cache
-/// at 100% / 50% / 25% of the measured working set. Chunks evict and fault
-/// back column-by-column; the scheduler prefers tasks whose partitions are
-/// still resident. Results must match the unbudgeted baseline exactly.
+/// at 100% / 50% / 25% of the query's working set: the cached table plus
+/// the query's own result chunks, which are governed too and share the
+/// budget with the table while the query runs. Chunks evict and fault back
+/// column-by-column; the scheduler prefers tasks whose partitions are still
+/// resident. Results must match the unbudgeted baseline exactly.
 void RunColumnarSweep(DataFrame& edges) {
   mem::MemoryGovernor& gov = mem::MemoryGovernor::Global();
-  const uint64_t working_set = gov.resident_bytes();
+  const uint64_t table_bytes = gov.resident_bytes();
   ExprPtr predicate = Gt(Col("weight"), Lit(0.5));
-  auto baseline = edges.Filter(predicate).Collect();
-  if (!baseline.ok()) {
-    std::printf("columnar sweep: baseline query failed: %s\n",
-                baseline.status().ToString().c_str());
-    return;
-  }
-  const std::vector<std::string> expected = baseline->SortedRowStrings();
+  uint64_t result_bytes = 0;
+  std::vector<std::string> expected;
+  {
+    auto baseline = edges.Filter(predicate).Execute();
+    auto collected = baseline.ok() ? edges.session()->Collect(*baseline)
+                                   : Result<CollectedTable>(baseline.status());
+    if (!collected.ok()) {
+      std::printf("columnar sweep: baseline query failed: %s\n",
+                  collected.status().ToString().c_str());
+      return;
+    }
+    result_bytes = baseline->total_bytes;
+    expected = collected->SortedRowStrings();
+  }  // the baseline's result chunks are freed here, before the first rung
+  const uint64_t working_set = table_bytes + result_bytes;
 
-  std::printf("\ncolumnar sweep (working set %.1f MB, filter weight > 0.5, "
-              "%zu matching rows):\n",
-              working_set / 1048576.0, expected.size());
+  std::printf("\ncolumnar sweep (working set %.1f MB = table %.1f MB + result "
+              "%.1f MB, filter weight > 0.5, %zu matching rows):\n",
+              working_set / 1048576.0, table_bytes / 1048576.0,
+              result_bytes / 1048576.0, expected.size());
   std::printf("  %-8s %-12s %-12s %-10s %-8s %-10s %-10s %-9s %s\n", "budget",
               "resident", "spilled", "evictions", "faults", "res.hits",
               "res.misses", "hit-rate", "identical");

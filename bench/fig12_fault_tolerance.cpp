@@ -5,11 +5,9 @@
 // to over 13s, but subsequent queries operate at regular speed and the
 // average execution time is only increased marginally".
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench/bench_util.h"
 #include "core/indexed_dataframe.h"
-#include "testing/chaos.h"
 #include "workload/snb.h"
 
 using namespace idf;
@@ -24,13 +22,6 @@ int main(int argc, char** argv) {
                      "run at normal speed",
                      options);
   Session session(options);
-
-  // IDF_CHAOS_SEED layers seeded cross-subsystem faults (IDF_CHAOS_* knobs,
-  // docs/TESTING.md) on top of the scripted executor kill below — the
-  // fault-tolerance story under compound failures, replayable from the seed.
-  if (std::getenv("IDF_CHAOS_SEED") != nullptr) {
-    chaos::ChaosEngine::Global().Arm(chaos::ChaosConfig::FromEnv());
-  }
 
   const SnbConfig snb = SnbConfig::ScaleFactor(1.0 * scale, 32);
   SnbGenerator generator(snb);
@@ -58,20 +49,7 @@ int main(int argc, char** argv) {
     }
     QueryMetrics metrics;
     Stopwatch timer;
-    Result<uint64_t> count = indexed.Join(probe, "edge_source").Count(&metrics);
-    uint32_t chaos_retries = 0;
-    while (!count.ok() && chaos::ChaosEngine::Active() && chaos_retries < 8) {
-      // Armed chaos makes individual queries fail cleanly (retryable by
-      // contract, docs/TESTING.md); retry like a client would and keep the
-      // retries in the reported time.
-      ++chaos_retries;
-      count = indexed.Join(probe, "edge_source").Count(&metrics);
-    }
-    if (chaos_retries > 0) {
-      std::printf("query %d: %u chaos retr%s\n", q, chaos_retries,
-                  chaos_retries == 1 ? "y" : "ies");
-    }
-    (void)count.value();
+    (void)indexed.Join(probe, "edge_source").Count(&metrics).value();
     const double elapsed = timer.ElapsedSeconds();
     if (metrics.recovered_tasks > 0) {
       failure_query_seconds = elapsed;

@@ -104,7 +104,6 @@ void AddCounters(obs::QueryProfileSnapshot& into,
   add(into.bytes_spilled, p.bytes_spilled);
   add(into.evictions, p.evictions);
   add(into.bytes_reloaded, p.bytes_reloaded);
-  add(into.bytes_prefetched, p.bytes_prefetched);
   add(into.shuffle_pushed_bytes, p.shuffle_pushed_bytes);
   add(into.admission_wait_us, p.admission_wait_us);
   into.peak_pinned_bytes =

@@ -276,10 +276,6 @@ void Cluster::ExecuteTask(const StageSpec& stage, uint32_t index,
   TaskContext ctx(this, executor);
   const bool was_in_task = t_in_stage_task;
   t_in_stage_task = true;
-  // Attribute mem.* events (evictions, reload faults) the body triggers to
-  // this simulated executor.
-  const int32_t prev_executor = mem::MemoryGovernor::CurrentExecutor();
-  mem::MemoryGovernor::SetCurrentExecutor(static_cast<int32_t>(executor));
   // Chaos task-boundary site: scripted hooks (deterministic pressure
   // harnesses evicting between tasks) and armed probability faults. One
   // relaxed load when inactive.
@@ -296,7 +292,6 @@ void Cluster::ExecuteTask(const StageSpec& stage, uint32_t index,
     out.status = fault.status();
   }
   out.elapsed = timer.ElapsedSeconds();
-  mem::MemoryGovernor::SetCurrentExecutor(prev_executor);
   t_in_stage_task = was_in_task;
   out.ran = true;
   em.tasks.Increment();
@@ -349,11 +344,12 @@ Cluster::StagePlan Cluster::BuildStagePlan(
 
   // Residency-preferred dispatch order. One snapshot of the governor's
   // residency map per stage; tasks whose declared inputs are fully resident
-  // dispatch ahead of tasks that would fault spilled bytes back in (stable
-  // on task index, so the order is deterministic and collapses to
-  // task-index order when residency is moot). Only the *claim* order
-  // changes — executor assignment (above) and the task-index merge are
-  // untouched, so results, metrics totals, and DES accounting stay
+  // dispatch ahead of tasks that would fault spilled bytes back in, so they
+  // run while their inputs are still in memory, before later fault-ins can
+  // evict them (stable on task index, so the order is deterministic and
+  // collapses to task-index order when residency is moot). Only the *claim*
+  // order changes — executor assignment (above) and the task-index merge
+  // are untouched, so results, metrics totals, and DES accounting stay
   // identical to a sequential run.
   plan.order.resize(n);
   std::iota(plan.order.begin(), plan.order.end(), 0u);
@@ -428,17 +424,8 @@ Result<StageMetrics> Cluster::RunStage(const StageSpec& stage) {
   const StagePlan plan = BuildStagePlan(stage, alive);
   std::vector<TaskResult> results(n);
 
-  // Runs one claimed task. `next` is the task that runs after it on the
-  // same lane (kNoTask at the end): its spilled inputs are faulted in while
-  // this task executes (prefetch spends only budget headroom, so it can
-  // never evict this task's pins). Returns false when the task failed.
-  auto run_task = [&](uint32_t index, uint32_t next) {
-    if (plan.have_residency && next != TaskLanes::kNoTask &&
-        !plan.resident[next]) {
-      for (const PartitionInput& in : stage.tasks[next].inputs) {
-        mem::MemoryGovernor::Global().PrefetchPartition(in.rdd, in.partition);
-      }
-    }
+  // Runs one claimed task; returns false when it failed.
+  auto run_task = [&](uint32_t index) {
     ExecuteTask(stage, index, plan.assigned[index], stage_name_id, control,
                 results[index]);
     if (plan.have_residency) {
@@ -456,9 +443,8 @@ Result<StageMetrics> Cluster::RunStage(const StageSpec& stage) {
   // launched from inside a task body (re-entrancy guard above).
   const size_t workers = std::min<size_t>(scheduler_threads_, n);
   if (workers <= 1 || t_in_stage_task) {
-    for (size_t k = 0; k < n; ++k) {
-      const uint32_t next = k + 1 < n ? plan.order[k + 1] : TaskLanes::kNoTask;
-      if (!run_task(plan.order[k], next)) break;
+    for (uint32_t index : plan.order) {
+      if (!run_task(index)) break;
     }
   } else {
     TaskLanes lanes(plan.lane_of, alive.size(), plan.order);
@@ -470,16 +456,15 @@ Result<StageMetrics> Cluster::RunStage(const StageSpec& stage) {
         obs::QueryScope query_scope(query_id);
         uint32_t index = 0;
         bool stolen = false;
-        uint32_t next_in_lane = TaskLanes::kNoTask;
         // First error wins: a failure flips `cancelled`, workers stop
         // claiming tasks, and already-running tasks finish undisturbed.
         while (!cancelled.load(std::memory_order_relaxed) &&
-               lanes.Pop(w % alive.size(), &index, &stolen, &next_in_lane)) {
+               lanes.Pop(w % alive.size(), &index, &stolen)) {
           if (stolen) {
             em.steals.Increment();
             fr.Record(obs::EventType::kSteal, stage_name_id, index, w, 0);
           }
-          if (!run_task(index, next_in_lane)) {
+          if (!run_task(index)) {
             cancelled.store(true, std::memory_order_relaxed);
           }
         }

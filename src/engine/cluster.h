@@ -63,8 +63,7 @@ class TaskContext {
 using TaskBody = std::function<Status(TaskContext&)>;
 
 /// One partition a task will read, declared up front so the scheduler can
-/// consult the memory governor's residency map (spill-aware dispatch) and
-/// the per-lane prefetcher can fault spilled inputs in ahead of the task.
+/// consult the memory governor's residency map (spill-aware dispatch).
 struct PartitionInput {
   uint64_t rdd = 0;
   uint32_t partition = 0;
@@ -79,8 +78,8 @@ struct TaskSpec {
   double extra_sim_seconds = 0;
   TaskBody body;
   /// Input partitions (optional). Tasks that declare them participate in
-  /// residency-preferred dispatch and input prefetch; tasks that don't are
-  /// treated as resident (no spill cost known).
+  /// residency-preferred dispatch; tasks that don't are treated as resident
+  /// (no spill cost known).
   std::vector<PartitionInput> inputs;
 };
 

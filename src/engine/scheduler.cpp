@@ -31,16 +31,12 @@ TaskLanes::TaskLanes(const std::vector<uint32_t>& lane_of, size_t num_lanes,
   }
 }
 
-bool TaskLanes::Pop(size_t home, uint32_t* task_index, bool* stolen,
-                    uint32_t* next_in_lane) {
+bool TaskLanes::Pop(size_t home, uint32_t* task_index, bool* stolen) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (home < lanes_.size() && !lanes_[home].empty()) {
     *task_index = lanes_[home].front();
     lanes_[home].pop_front();
     *stolen = false;
-    if (next_in_lane != nullptr) {
-      *next_in_lane = lanes_[home].empty() ? kNoTask : lanes_[home].front();
-    }
     return true;
   }
   // Steal from the most backlogged lane — evens out skew and keeps the
@@ -56,9 +52,6 @@ bool TaskLanes::Pop(size_t home, uint32_t* task_index, bool* stolen,
   *task_index = lanes_[victim].front();
   lanes_[victim].pop_front();
   *stolen = true;
-  if (next_in_lane != nullptr) {
-    *next_in_lane = lanes_[victim].empty() ? kNoTask : lanes_[victim].front();
-  }
   return true;
 }
 

@@ -32,10 +32,6 @@ uint32_t ResolveSchedulerThreads(const ClusterConfig& config);
 /// by the driver before workers start, drained concurrently.
 class TaskLanes {
  public:
-  /// Returned by Pop when the lane a task came from has no further queued
-  /// task (nothing to prefetch for).
-  static constexpr uint32_t kNoTask = 0xffffffffu;
-
   /// `lane_of[i]` is the lane (dense alive-executor index) of task i.
   /// Tasks enqueue in `dispatch_order` (the driver's residency-preferred
   /// ordering; task-index order when residency is moot, the default), so
@@ -46,12 +42,8 @@ class TaskLanes {
   /// Claims the next task for a worker homed on lane `home`: the home lane
   /// if non-empty, else the longest other lane (work stealing). Returns
   /// false when every lane is empty. `*stolen` reports whether the task
-  /// came from a foreign lane; `*next_in_lane` is the task now at the head
-  /// of the lane the claim came from (kNoTask when the lane drained) — the
-  /// per-lane prefetch hint: that task runs next on this lane, so its
-  /// spilled inputs can be faulted in while the claimed task executes.
-  bool Pop(size_t home, uint32_t* task_index, bool* stolen,
-           uint32_t* next_in_lane = nullptr);
+  /// came from a foreign lane.
+  bool Pop(size_t home, uint32_t* task_index, bool* stolen);
 
  private:
   std::mutex mutex_;

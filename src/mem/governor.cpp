@@ -31,16 +31,6 @@ struct MemMetrics {
       obs::Registry::Global().GetCounter("mem.spill.write_bytes");
   obs::Counter& reload_read_bytes =
       obs::Registry::Global().GetCounter("mem.reload.read_bytes");
-  obs::Counter& prefetch_requests =
-      obs::Registry::Global().GetCounter("mem.prefetch.requests");
-  obs::Counter& prefetch_reloads =
-      obs::Registry::Global().GetCounter("mem.prefetch.reloads");
-  obs::Counter& prefetch_read_bytes =
-      obs::Registry::Global().GetCounter("mem.prefetch.read_bytes");
-  obs::Counter& prefetch_skipped =
-      obs::Registry::Global().GetCounter("mem.prefetch.skipped");
-  obs::Counter& prefetch_failures =
-      obs::Registry::Global().GetCounter("mem.prefetch.failures");
   obs::Gauge& reserved =
       obs::Registry::Global().GetGauge("mem.reserved_bytes");
 
@@ -51,17 +41,15 @@ struct MemMetrics {
 };
 
 thread_local AccessScope* t_current_scope = nullptr;
-thread_local int32_t t_current_executor = -1;
 
 /// Chaos-bus reload site (src/testing/chaos.h): scripted hooks and armed
 /// probability faults, consulted before every payload reload. Production
 /// cost is one relaxed load. Called with the governor mutex held — an
 /// injected delay therefore widens the eviction/reload race exactly where
 /// concurrent readers of the same payload queue up.
-Status RunReloadChaos(const SpillIdentity& id, bool prefetch) {
+Status RunReloadChaos(const SpillIdentity& id) {
   if (!chaos::ChaosEngine::Active()) return Status::OK();
-  return chaos::ChaosEngine::Global().OnReload(id.owner, id.shard, id.index,
-                                               prefetch);
+  return chaos::ChaosEngine::Global().OnReload(id.owner, id.shard, id.index);
 }
 
 }  // namespace
@@ -182,12 +170,6 @@ void MemoryGovernor::ReleaseReservation(uint64_t bytes) {
     }
   }
 }
-
-void MemoryGovernor::SetCurrentExecutor(int32_t executor) {
-  t_current_executor = executor;
-}
-
-int32_t MemoryGovernor::CurrentExecutor() { return t_current_executor; }
 
 void MemoryGovernor::OnAllocated(Evictable* e, uint64_t bytes) {
   (void)e;
@@ -330,13 +312,6 @@ bool MemoryGovernor::EvictLocked(Evictable* victim) {
   obs::FlightRecorder::Global().Record(obs::EventType::kEvict, 0, bytes,
                                        victim->identity_.owner,
                                        victim->identity_.shard);
-  if (t_current_executor >= 0) {
-    obs::Registry::Global()
-        .GetCounter(obs::TaggedName(
-            "mem.evictions",
-            {{"executor", std::to_string(t_current_executor)}}))
-        .Increment();
-  }
   return true;
 }
 
@@ -346,7 +321,7 @@ Status MemoryGovernor::FaultIn(Evictable* e) {
     return Status::OK();  // raced with another reloader (or evict aborted)
   }
   IDF_CHECK_MSG(e->spill_file_ != nullptr, "evicted payload has no spill file");
-  IDF_RETURN_IF_ERROR(RunReloadChaos(e->identity_, /*prefetch=*/false));
+  IDF_RETURN_IF_ERROR(RunReloadChaos(e->identity_));
   IDF_RETURN_IF_ERROR(e->ReloadPayload(e->spill_file_->path()));
   e->state_.store(Evictable::kResident, std::memory_order_seq_cst);
   const uint64_t bytes = e->PayloadBytes();
@@ -360,13 +335,6 @@ Status MemoryGovernor::FaultIn(Evictable* e) {
   obs::FlightRecorder::Global().Record(obs::EventType::kReloadDemand, 0,
                                        e->spill_bytes_, e->identity_.owner,
                                        e->identity_.shard);
-  if (t_current_executor >= 0) {
-    obs::Registry::Global()
-        .GetCounter(obs::TaggedName(
-            "mem.reload_faults",
-            {{"executor", std::to_string(t_current_executor)}}))
-        .Increment();
-  }
   // Reloading may push residency over budget; the caller holds a pin on
   // `e`, so enforcement will pick other victims.
   EnforceBudgetLocked();
@@ -443,101 +411,6 @@ size_t MemoryGovernor::ScrubTransientPinsForTesting() {
     ++released;
   }
   return released;
-}
-
-void MemoryGovernor::PrefetchPartition(uint64_t owner, uint32_t shard) {
-  if (!Engaged() || budget_bytes() == 0 || owner == 0) return;
-  MemMetrics::Get().prefetch_requests.Increment();
-  std::lock_guard<std::mutex> lock(prefetch_mutex_);
-  for (const auto& queued : prefetch_queue_) {
-    if (queued.owner == owner && queued.shard == shard) return;  // coalesce
-  }
-  // Stamp the enqueuer's query id: the prefetch thread re-installs it so
-  // the reload is charged to the query whose stage asked for it.
-  prefetch_queue_.push_back({owner, shard, obs::CurrentQueryId()});
-  if (!prefetch_thread_started_) {
-    prefetch_thread_started_ = true;
-    // Detached on purpose: the governor is a leaky singleton, and the
-    // thread parks on prefetch_cv_ whenever the queue is empty.
-    std::thread(&MemoryGovernor::PrefetchLoop, this).detach();
-  }
-  prefetch_cv_.notify_one();
-}
-
-void MemoryGovernor::PrefetchLoop() {
-  for (;;) {
-    PrefetchRequest target;
-    {
-      std::unique_lock<std::mutex> lock(prefetch_mutex_);
-      prefetch_active_ = false;
-      prefetch_idle_cv_.notify_all();
-      prefetch_cv_.wait(lock, [&] { return !prefetch_queue_.empty(); });
-      target = prefetch_queue_.front();
-      prefetch_queue_.pop_front();
-      prefetch_active_ = true;
-    }
-    // Attribute the reload (kReloadPrefetch / kPrefetchSkip events and the
-    // profile bytes they feed) to the query that requested the prefetch.
-    obs::QueryScope query_scope(target.query_id);
-    PrefetchPartitionSync(target.owner, target.shard);
-  }
-}
-
-void MemoryGovernor::DrainPrefetchForTesting() {
-  std::unique_lock<std::mutex> lock(prefetch_mutex_);
-  prefetch_idle_cv_.wait(
-      lock, [&] { return prefetch_queue_.empty() && !prefetch_active_; });
-}
-
-void MemoryGovernor::PrefetchPartitionSync(uint64_t owner, uint32_t shard) {
-  MemMetrics& mm = MemMetrics::Get();
-  uint64_t reloads = 0;
-  uint64_t bytes = 0;
-  std::lock_guard<std::mutex> lock(mutex_);
-  const uint64_t budget = budget_.load(std::memory_order_relaxed);
-  for (Evictable* e : registry_) {
-    if (e->identity_.owner != owner || e->identity_.shard != shard) continue;
-    if (e->state_.load(std::memory_order_seq_cst) != Evictable::kEvicted) {
-      continue;
-    }
-    // Headroom-only: a reload that would overflow the budget is skipped
-    // rather than letting enforcement evict on the prefetcher's behalf —
-    // prefetch must never push out the running task's working set.
-    if (budget == 0 || resident_bytes() + e->spill_bytes_ > budget) {
-      mm.prefetch_skipped.Increment();
-      obs::FlightRecorder::Global().Record(obs::EventType::kPrefetchSkip, 0,
-                                           e->spill_bytes_, owner, shard);
-      continue;
-    }
-    Status loaded = RunReloadChaos(e->identity_, /*prefetch=*/true);
-    if (loaded.ok()) loaded = e->ReloadPayload(e->spill_file_->path());
-    if (!loaded.ok()) {
-      // Leave the payload evicted: the demand fault-in path will retry the
-      // read and surface a persistent failure to the task.
-      mm.prefetch_failures.Increment();
-      IDF_LOG_DEBUG("prefetch reload failed (demand path will retry): %s",
-                    loaded.message().c_str());
-      continue;
-    }
-    e->state_.store(Evictable::kResident, std::memory_order_seq_cst);
-    // Freshen the LRU tick so the payload is not the next victim before the
-    // task it was prefetched for gets to touch it.
-    e->last_access_.store(clock_.fetch_add(1, std::memory_order_relaxed),
-                          std::memory_order_relaxed);
-    const uint64_t payload = e->PayloadBytes();
-    resident_bytes_.fetch_add(payload, std::memory_order_relaxed);
-    spilled_bytes_.fetch_sub(e->spill_bytes_, std::memory_order_relaxed);
-    obs::FlightRecorder::Global().Record(obs::EventType::kReloadPrefetch, 0,
-                                         e->spill_bytes_, owner, shard);
-    bytes += e->spill_bytes_;
-    ++reloads;
-  }
-  if (reloads > 0) {
-    mm.prefetch_reloads.Add(reloads);
-    mm.prefetch_read_bytes.Add(bytes);
-    mm.resident.Set(static_cast<double>(resident_bytes()));
-    mm.spilled.Set(static_cast<double>(spilled_bytes()));
-  }
 }
 
 // ---- AccessScope ------------------------------------------------------------

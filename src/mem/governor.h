@@ -37,11 +37,8 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <exception>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -95,8 +92,8 @@ class ReloadFault : public std::exception {
 };
 
 /// Identity of a governed payload: batch `index` of (owner rdd, shard
-/// partition). The residency map, prefetch, the flight recorder and the
-/// chaos reload key read it.
+/// partition). The residency map, the flight recorder and the chaos reload
+/// key read it.
 struct SpillIdentity {
   uint64_t owner = 0;  // e.g. rdd id; 0 = anonymous
   uint32_t shard = 0;  // e.g. partition number
@@ -238,26 +235,12 @@ class MemoryGovernor {
     return reserved_bytes_.load(std::memory_order_relaxed);
   }
 
-  // ---- residency map & prefetch (spill-aware scheduling) ----------------
+  // ---- residency map (spill-aware scheduling) ---------------------------
 
   /// Per-(owner, shard) aggregate of where governed payloads live right
   /// now. The stage scheduler snapshots this once per stage to order
   /// dispatch by residency; O(#sealed payloads) under the governor lock.
   ResidencyMap ResidencySnapshot();
-
-  /// Asynchronously reloads the spilled payloads of (owner, shard) on the
-  /// prefetch thread. Prefetch spends only budget *headroom*: it reloads a
-  /// payload only while resident + payload fits under the budget and never
-  /// calls EnforceBudget, so it cannot evict anything — in particular not
-  /// the running task's pinned working set (the scoped-budget bound). A
-  /// reload failure is swallowed (counted in mem.prefetch.failures); the
-  /// demand fault-in path retries and surfaces the error. No-op until the
-  /// governor is engaged with a nonzero budget.
-  void PrefetchPartition(uint64_t owner, uint32_t shard);
-
-  /// Blocks until the prefetch queue is drained and the prefetch thread is
-  /// idle. Test-only: makes prefetch effects observable deterministically.
-  void DrainPrefetchForTesting();
 
   /// Force-evicts every sealed, unpinned, resident payload of (owner,
   /// shard); returns how many were evicted. Test/bench hook for
@@ -280,11 +263,6 @@ class MemoryGovernor {
   /// release.
   size_t ScrubTransientPinsForTesting();
 
-  /// Executor attribution for mem.* metrics: tasks set this around their
-  /// body so evictions/reloads they trigger are tagged per executor.
-  static void SetCurrentExecutor(int32_t executor);
-  static int32_t CurrentExecutor();
-
   // ---- hooks used by Evictable / AccessScope ----------------------------
 
   void OnAllocated(Evictable* e, uint64_t bytes);
@@ -293,6 +271,7 @@ class MemoryGovernor {
 
   /// Slow path of AccessScope::Pin: the payload is (or may be) evicted.
   /// Reloads it under the governor lock. The caller already holds a pin.
+  /// This is the only way a spilled payload comes back into memory.
   Status FaultIn(Evictable* e);
 
  private:
@@ -303,11 +282,6 @@ class MemoryGovernor {
   void EnforceBudgetLocked();
   bool EvictLocked(Evictable* victim);
   const std::string& SpillDirLocked();
-
-  /// Body of the detached prefetch thread: drains prefetch_queue_.
-  void PrefetchLoop();
-  /// Reloads (owner, shard)'s evicted payloads within budget headroom.
-  void PrefetchPartitionSync(uint64_t owner, uint32_t shard);
 
   /// Scope-less pin (see AccessScope::Pin): pins `e` and releases the
   /// thread's previous transient pin. Serialized with eviction and retire
@@ -331,23 +305,6 @@ class MemoryGovernor {
   std::atomic<uint64_t> spilled_bytes_{0};
   std::atomic<uint64_t> reserved_bytes_{0};  // admission reservations
   std::atomic<uint64_t> clock_{1};  // LRU tick, bumped per pin
-
-  // Prefetch queue, drained by a lazily-started detached thread. The thread
-  // is never joined: the governor is a leaky singleton and the thread parks
-  // on prefetch_cv_ whenever the queue is empty. Each request carries the
-  // enqueueing thread's query id so the prefetch thread can attribute the
-  // reload (bytes, skips) to the query that asked for it (obs/query_profile.h).
-  struct PrefetchRequest {
-    uint64_t owner;
-    uint32_t shard;
-    uint64_t query_id;
-  };
-  std::mutex prefetch_mutex_;
-  std::condition_variable prefetch_cv_;       // queue became non-empty
-  std::condition_variable prefetch_idle_cv_;  // queue drained & thread idle
-  std::deque<PrefetchRequest> prefetch_queue_;
-  bool prefetch_thread_started_ = false;  // guarded by prefetch_mutex_
-  bool prefetch_active_ = false;          // guarded by prefetch_mutex_
 };
 
 /// RAII pin scope. The outermost scope on a thread collects every payload

@@ -186,8 +186,6 @@ const char* EventTypeName(EventType type) {
     case EventType::kEvict: return "evict";
     case EventType::kSpillWrite: return "spill_write";
     case EventType::kReloadDemand: return "reload_demand";
-    case EventType::kReloadPrefetch: return "reload_prefetch";
-    case EventType::kPrefetchSkip: return "prefetch_skip";
     case EventType::kBatchSeal: return "batch_seal";
     case EventType::kRecoveryBlock: return "recovery_block";
     case EventType::kExecutorKill: return "executor_kill";
@@ -352,14 +350,6 @@ void FlightRecorder::RecordAt(uint64_t ts_us, EventType type,
     case EventType::kReloadDemand:
       CurrentQueryProfile()->bytes_reloaded.fetch_add(
           a, std::memory_order_relaxed);
-      break;
-    case EventType::kReloadPrefetch:
-      CurrentQueryProfile()->bytes_prefetched.fetch_add(
-          a, std::memory_order_relaxed);
-      break;
-    case EventType::kPrefetchSkip:
-      CurrentQueryProfile()->prefetch_skips.fetch_add(
-          1, std::memory_order_relaxed);
       break;
     case EventType::kShufflePush:
       CurrentQueryProfile()->shuffle_pushed_bytes.fetch_add(

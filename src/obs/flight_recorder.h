@@ -65,8 +65,7 @@ enum class EventType : uint8_t {
   kEvict = 7,          //             a=payload B   b=owner rdd    c=shard
   kSpillWrite = 8,     //             a=bytes       b=owner rdd    c=shard
   kReloadDemand = 9,   //             a=bytes       b=owner rdd    c=shard
-  kReloadPrefetch = 10,//             a=bytes       b=owner rdd    c=shard
-  kPrefetchSkip = 11,  //             a=bytes       b=owner rdd    c=shard
+  // 10 and 11 (the deleted prefetcher's reload and skip) are retired.
   kBatchSeal = 12,     //             a=payload B   b=owner rdd    c=shard
   kRecoveryBlock = 13, //             a=rdd         b=partition    c=micros
   kExecutorKill = 14,  //             a=executor    b=blocks lost  c=0

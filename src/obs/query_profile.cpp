@@ -69,8 +69,6 @@ void QueryProfile::Absorb(const QueryProfile& other) {
   add(bytes_spilled, other.bytes_spilled);
   add(evictions, other.evictions);
   add(bytes_reloaded, other.bytes_reloaded);
-  add(bytes_prefetched, other.bytes_prefetched);
-  add(prefetch_skips, other.prefetch_skips);
   add(shuffle_pushed_bytes, other.shuffle_pushed_bytes);
   add(admission_wait_us, other.admission_wait_us);
   add(current_pinned_bytes, other.current_pinned_bytes);
@@ -160,8 +158,6 @@ QueryProfileSnapshot CopyCounters(
   out.bytes_spilled = p.bytes_spilled.load(std::memory_order_relaxed);
   out.evictions = p.evictions.load(std::memory_order_relaxed);
   out.bytes_reloaded = p.bytes_reloaded.load(std::memory_order_relaxed);
-  out.bytes_prefetched = p.bytes_prefetched.load(std::memory_order_relaxed);
-  out.prefetch_skips = p.prefetch_skips.load(std::memory_order_relaxed);
   out.shuffle_pushed_bytes =
       p.shuffle_pushed_bytes.load(std::memory_order_relaxed);
   out.admission_wait_us = p.admission_wait_us.load(std::memory_order_relaxed);
@@ -233,8 +229,6 @@ std::string QueryProfileJson(const QueryProfileSnapshot& snap) {
   out += ",\"bytes_spilled\":" + std::to_string(snap.bytes_spilled);
   out += ",\"evictions\":" + std::to_string(snap.evictions);
   out += ",\"bytes_reloaded\":" + std::to_string(snap.bytes_reloaded);
-  out += ",\"bytes_prefetched\":" + std::to_string(snap.bytes_prefetched);
-  out += ",\"prefetch_skips\":" + std::to_string(snap.prefetch_skips);
   out += ",\"shuffle_pushed_bytes\":" +
          std::to_string(snap.shuffle_pushed_bytes);
   out += ",\"admission_wait_us\":" + std::to_string(snap.admission_wait_us);

@@ -8,9 +8,7 @@
 //
 // Identity: QueryScope installs a query id on the current thread (RAII,
 // nestable, save/restore). The query service installs it around each
-// driver's work; the engine re-installs it on every scheduler worker lane
-// and the governor's background prefetcher (the prefetch queue carries the
-// id of the query that enqueued the request).
+// driver's work; the engine re-installs it on every scheduler worker lane.
 // Everything recorded while a scope is active — flight-recorder events and
 // the profile feeds below — is attributed to that query. Id 0 is the
 // "unattributed" bucket: work done outside any query (table builds, bench
@@ -70,8 +68,6 @@ struct QueryProfile {
   std::atomic<uint64_t> bytes_spilled{0};     // spill writes this query forced
   std::atomic<uint64_t> evictions{0};         // evictions this query forced
   std::atomic<uint64_t> bytes_reloaded{0};    // demand fault-ins
-  std::atomic<uint64_t> bytes_prefetched{0};  // prefetcher reloads it enqueued
-  std::atomic<uint64_t> prefetch_skips{0};
   std::atomic<uint64_t> shuffle_pushed_bytes{0};
 
   // Fed directly by the query service / governor access scopes.
@@ -123,8 +119,6 @@ struct QueryProfileSnapshot {
   uint64_t bytes_spilled = 0;
   uint64_t evictions = 0;
   uint64_t bytes_reloaded = 0;
-  uint64_t bytes_prefetched = 0;
-  uint64_t prefetch_skips = 0;
   uint64_t shuffle_pushed_bytes = 0;
   uint64_t admission_wait_us = 0;
   uint64_t current_pinned_bytes = 0;

@@ -1,7 +1,6 @@
 #include "sql/expr.h"
 
 #include "sql/columnar.h"
-#include "storage/row_layout.h"
 
 namespace idf {
 
@@ -275,10 +274,6 @@ bool IsConstant(const Expr& expr) {
 
 Value ChunkRowAccessor::Get(size_t col) const {
   return chunk_.ValueAt(row_, col);
-}
-
-Value BinaryRowAccessor::Get(size_t col) const {
-  return layout_.GetValue(row_, col);
 }
 
 }  // namespace idf

@@ -3,7 +3,7 @@
 // SQL three-valued logic: comparisons involving NULL yield NULL; a filter
 // keeps a row only when its predicate evaluates to TRUE. Expressions resolve
 // column names against a schema once, then evaluate against row accessors
-// (columnar rows, binary rows, or joined row pairs).
+// over columnar chunks (binary rows are decoded into chunks first).
 //
 // The optimizer inspects expression shapes — in particular
 // `column == literal` (MatchColumnEqualsLiteral), the pattern the indexed
@@ -276,23 +276,6 @@ class ChunkRowAccessor final : public RowAccessor {
  private:
   const ColumnarChunk& chunk_;
   size_t row_;
-};
-
-class RowLayout;  // storage/row_layout.h
-
-/// Accessor over a binary row in a row batch (the Indexed DataFrame's
-/// storage). Used by the fallback path when non-indexed operators run on
-/// indexed data.
-class BinaryRowAccessor final : public RowAccessor {
- public:
-  BinaryRowAccessor(const RowLayout& layout, const uint8_t* row)
-      : layout_(layout), row_(row) {}
-  void set_row(const uint8_t* row) { row_ = row; }
-  Value Get(size_t col) const override;
-
- private:
-  const RowLayout& layout_;
-  const uint8_t* row_;
 };
 
 }  // namespace idf

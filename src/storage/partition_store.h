@@ -104,8 +104,8 @@ class PartitionStore {
   }
 
   /// Tags this store's batches for the memory governor: batch i is tagged
-  /// SpillIdentity{owner, shard, i}, the key of the residency map, prefetch,
-  /// reload events and the chaos reload site. Applied retroactively to
+  /// SpillIdentity{owner, shard, i}, the key of the residency map, reload
+  /// events and the chaos reload site. Applied retroactively to
   /// existing batches and to every batch opened later. Snapshots do NOT
   /// inherit the tag: divergent versions of one partition would number
   /// their own batches alike, so the tag stays on the batches they share.

@@ -57,7 +57,7 @@ class RowBatch final : public mem::Evictable {
   void EnsureReadable() const { mem::AccessScope::Pin(const_cast<RowBatch*>(this)); }
 
   /// Tags this batch as batch `index` of (owner, shard) for the governor's
-  /// residency map, prefetch and reload events.
+  /// residency map and reload events.
   void SetSpillIdentity(const mem::SpillIdentity& id) {
     mem::Evictable::SetSpillIdentity(id);
   }

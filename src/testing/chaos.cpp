@@ -1,41 +1,14 @@
 #include "testing/chaos.h"
 
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
 
 #include "common/hash.h"
-#include "common/logging.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics_registry.h"
 
 namespace idf::chaos {
 
 namespace {
-
-double EnvProbability(const char* name, double fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  char* end = nullptr;
-  const double p = std::strtod(value, &end);
-  if (end == value || p < 0.0 || p > 1.0) {
-    IDF_LOG_WARN("ignoring unparsable %s='%s'", name, value);
-    return fallback;
-  }
-  return p;
-}
-
-uint64_t EnvUint64(const char* name, uint64_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(value, &end, 10);
-  if (end == value) {
-    IDF_LOG_WARN("ignoring unparsable %s='%s'", name, value);
-    return fallback;
-  }
-  return static_cast<uint64_t>(v);
-}
 
 /// The one upward dependency: "evict every governed payload", wired by the
 /// engine at startup (Cluster construction). Guarded by its own mutex so
@@ -62,27 +35,6 @@ obs::Counter& FaultCounter() {
 
 std::atomic<bool> ChaosEngine::active_{false};
 
-ChaosConfig ChaosConfig::FromEnv() {
-  ChaosConfig config;
-  config.seed = EnvUint64("IDF_CHAOS_SEED", config.seed);
-  config.task_delay_p = EnvProbability("IDF_CHAOS_TASK_DELAY_P", 0);
-  config.task_evict_p = EnvProbability("IDF_CHAOS_TASK_EVICT_P", 0);
-  config.task_kill_p = EnvProbability("IDF_CHAOS_TASK_KILL_P", 0);
-  config.task_cancel_p = EnvProbability("IDF_CHAOS_TASK_CANCEL_P", 0);
-  config.task_deadline_p = EnvProbability("IDF_CHAOS_TASK_DEADLINE_P", 0);
-  config.budget_squeeze_p = EnvProbability("IDF_CHAOS_SQUEEZE_P", 0);
-  config.reload_fail_p = EnvProbability("IDF_CHAOS_RELOAD_FAIL_P", 0);
-  config.reload_delay_p = EnvProbability("IDF_CHAOS_RELOAD_DELAY_P", 0);
-  config.prefetch_fail_p = EnvProbability("IDF_CHAOS_PREFETCH_FAIL_P", 0);
-  config.reload_fail_nth = EnvUint64("IDF_CHAOS_RELOAD_FAIL_NTH", 0);
-  config.admit_delay_p = EnvProbability("IDF_CHAOS_ADMIT_DELAY_P", 0);
-  config.max_delay_us = static_cast<uint32_t>(
-      EnvUint64("IDF_CHAOS_MAX_DELAY_US", config.max_delay_us));
-  config.evictor_period_us = static_cast<uint32_t>(
-      EnvUint64("IDF_CHAOS_EVICTOR_PERIOD_US", 0));
-  return config;
-}
-
 ChaosConfig ChaosConfig::Mixed(uint64_t seed) {
   ChaosConfig config;
   config.seed = seed;
@@ -94,7 +46,6 @@ ChaosConfig ChaosConfig::Mixed(uint64_t seed) {
   config.budget_squeeze_p = 0.03;
   config.reload_fail_p = 0.03;
   config.reload_delay_p = 0.10;
-  config.prefetch_fail_p = 0.10;
   config.admit_delay_p = 0.10;
   config.max_delay_us = 300;
   return config;
@@ -264,8 +215,7 @@ TaskAction ChaosEngine::OnTaskStart(uint64_t stage_hash, uint32_t task_index) {
   return action;
 }
 
-Status ChaosEngine::OnReload(uint64_t owner, uint32_t shard, uint32_t index,
-                             bool prefetch) {
+Status ChaosEngine::OnReload(uint64_t owner, uint32_t shard, uint32_t index) {
   {
     std::shared_ptr<const ChaosHooks> hooks;
     {
@@ -275,8 +225,7 @@ Status ChaosEngine::OnReload(uint64_t owner, uint32_t shard, uint32_t index,
     if (hooks != nullptr && hooks->on_reload) {
       const uint64_t ordinal =
           hook_reload_ordinal_.fetch_add(1, std::memory_order_relaxed) + 1;
-      IDF_RETURN_IF_ERROR(
-          hooks->on_reload(owner, shard, index, ordinal, prefetch));
+      IDF_RETURN_IF_ERROR(hooks->on_reload(owner, shard, index, ordinal));
     }
   }
   if (!armed()) return Status::OK();
@@ -293,23 +242,11 @@ Status ChaosEngine::OnReload(uint64_t owner, uint32_t shard, uint32_t index,
     RecordFault(Site::kReload, Fault::kReloadDelay, key, delay_us);
     std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
   }
-  // The armed ordinal counts every reload since Arm(); "exactly the Nth
-  // reload fails" reproduces the lost-spill-file scenario at a seeded spot.
+  // The armed ordinal counts every reload since Arm(); a failure's journal
+  // event carries it.
   const uint64_t ordinal =
       reload_ordinal_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (config.reload_fail_nth != 0 && ordinal == config.reload_fail_nth) {
-    RecordFault(Site::kReload,
-                prefetch ? Fault::kPrefetchFail : Fault::kReloadFail, key,
-                ordinal);
-    return Status::Unavailable("chaos: reload " + std::to_string(ordinal) +
-                               " failed (Nth-reload fault)");
-  }
-  if (prefetch) {
-    if (Roll(h, Fault::kPrefetchFail, config.prefetch_fail_p)) {
-      RecordFault(Site::kReload, Fault::kPrefetchFail, key, ordinal);
-      return Status::Unavailable("chaos: prefetch reload failed");
-    }
-  } else if (Roll(h, Fault::kReloadFail, config.reload_fail_p)) {
+  if (Roll(h, Fault::kReloadFail, config.reload_fail_p)) {
     RecordFault(Site::kReload, Fault::kReloadFail, key, ordinal);
     return Status::Unavailable("chaos: demand reload failed");
   }

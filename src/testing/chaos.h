@@ -7,9 +7,7 @@
 //     forces steals by the other lanes), force-evict the world between
 //     tasks, kill an executor mid-stage, squeeze the budget, or fire the
 //     owning query's cancel/deadline at a task boundary;
-//   - the memory governor (FaultIn / PrefetchPartitionSync): fail or delay
-//     a payload reload — demand and prefetch distinguished — including
-//     "exactly the Nth reload fails";
+//   - the memory governor (FaultIn): fail or delay a payload reload;
 //   - the query service (WorkerLoop): admission-queue churn delays.
 //
 // Determinism contract: every fault decision is a pure function of
@@ -26,12 +24,11 @@
 // tolerate the residue: a chaos run must be byte-identical to clean OR
 // fail with a retryable status and zero leaks, for ANY schedule.
 //
-// Arming: ChaosEngine::Global().Arm(config) (tests) or
-// ChaosConfig::FromEnv() driven by IDF_CHAOS_SEED / IDF_CHAOS_* (benches,
-// replay). Every armed fault is recorded as a flight-recorder event
-// (kChaosArm carries the seed; kChaosFault one line per injected fault), so
-// a failing run's schedule is in the journal and replayable from the seed
-// alone.
+// Arming: ChaosEngine::Global().Arm(config), from code only (the ChaosTest
+// sweep arms ChaosConfig::Mixed(seed)). Every armed fault is recorded as a
+// flight-recorder event (kChaosArm carries the seed; kChaosFault one line
+// per injected fault), so a failing run's schedule is in the journal and
+// replayable from the seed alone.
 //
 // Test hooks: SetHooks installs deterministic scripted callbacks on the
 // same bus (the successor of the deleted mem::GovernorHooks) — on_reload is
@@ -64,12 +61,13 @@ namespace idf::chaos {
 /// Values are journal-stable: 3 and 4 are retired and stay unused.
 enum class Site : uint8_t {
   kTask = 1,         // Cluster::ExecuteTask, before the task body
-  kReload = 2,       // MemoryGovernor reload (demand fault-in or prefetch)
+  kReload = 2,       // MemoryGovernor::FaultIn, before the payload read
   kAdmission = 5,    // QueryService::WorkerLoop, after dequeue
 };
 
 /// Fault kinds (flight-recorder payload `b` of chaos_fault events). Values
-/// are journal-stable: 10 and 11 are retired and stay unused.
+/// are journal-stable: 9 (the deleted prefetcher's reload failure), 10 and
+/// 11 are retired and stay unused.
 enum class Fault : uint8_t {
   kTaskDelay = 1,      // sleep before the task body (forces steals)
   kEvictWorld = 2,     // force-evict every governed payload
@@ -77,9 +75,8 @@ enum class Fault : uint8_t {
   kCancelQuery = 4,    // fire the owning query's cancel at a task boundary
   kExpireQuery = 5,    // fire the owning query's deadline at a task boundary
   kBudgetSqueeze = 6,  // halve the budget, enforce, restore
-  kReloadFail = 7,     // fail a demand reload (kUnavailable)
+  kReloadFail = 7,     // fail a reload (kUnavailable)
   kReloadDelay = 8,    // sleep inside the reload (governor lock held)
-  kPrefetchFail = 9,   // fail a prefetch reload (demand path retries)
   kAdmitDelay = 12,    // admission-queue churn delay
   kMaxFault = 13,
 };
@@ -99,10 +96,8 @@ struct ChaosConfig {
   double budget_squeeze_p = 0;
 
   // Memory-governor reloads.
-  double reload_fail_p = 0;    // demand reloads
-  double reload_delay_p = 0;   // demand + prefetch reloads
-  double prefetch_fail_p = 0;  // prefetch reloads
-  uint64_t reload_fail_nth = 0;  // exactly the Nth reload fails (0 = off)
+  double reload_fail_p = 0;
+  double reload_delay_p = 0;
 
   // Query service admission.
   double admit_delay_p = 0;
@@ -113,14 +108,6 @@ struct ChaosConfig {
   /// governed payload *while tasks run* (not just between them). 0 = off.
   /// Its decisions are seeded; its timing is wall-clock by design.
   uint32_t evictor_period_us = 0;
-
-  /// Reads IDF_CHAOS_SEED plus the IDF_CHAOS_* knobs (see docs/TESTING.md):
-  /// TASK_DELAY_P, TASK_EVICT_P, TASK_KILL_P, TASK_CANCEL_P,
-  /// TASK_DEADLINE_P, SQUEEZE_P, RELOAD_FAIL_P, RELOAD_DELAY_P,
-  /// PREFETCH_FAIL_P, RELOAD_FAIL_NTH, ADMIT_DELAY_P, MAX_DELAY_US,
-  /// EVICTOR_PERIOD_US. Unset knobs keep the
-  /// defaults above (all faults off).
-  static ChaosConfig FromEnv();
 
   /// A moderate everything-on mix used by the ChaosTest sweep and the CI
   /// chaos leg: every fault class armed at a probability low enough that
@@ -144,16 +131,15 @@ struct TaskAction {
 /// mem::GovernorHooks; tests/pressure_test.cpp). Install with SetHooks;
 /// pass {} to clear.
 struct ChaosHooks {
-  /// Consulted before every payload reload — demand fault-in and prefetch
-  /// alike. (owner, shard, index) are the payload's SpillIdentity
-  /// coordinates; `ordinal` counts reloads since the hooks were installed
-  /// (1-based); `prefetch` distinguishes the prefetcher's reloads from
-  /// demand faults. Returning non-OK fails the reload exactly as a disk
-  /// error would; sleeping inside delays the fault-in (the governor lock is
-  /// held, so concurrent readers of the same payload queue behind it).
-  /// Must not call back into the governor.
+  /// Consulted before every payload reload (MemoryGovernor::FaultIn).
+  /// (owner, shard, index) are the payload's SpillIdentity coordinates;
+  /// `ordinal` counts reloads since the hooks were installed (1-based).
+  /// Returning non-OK fails the reload exactly as a disk error would;
+  /// sleeping inside delays the fault-in (the governor lock is held, so
+  /// concurrent readers of the same payload queue behind it). Must not call
+  /// back into the governor.
   std::function<Status(uint64_t owner, uint32_t shard, uint32_t index,
-                       uint64_t ordinal, bool prefetch)>
+                       uint64_t ordinal)>
       on_reload;
   /// Invoked at every task boundary (Cluster::ExecuteTask, before the task
   /// body), without governor locks held — may call EvictPartition etc. to
@@ -194,8 +180,7 @@ class ChaosEngine {
   /// Reload of payload (owner, shard, index). Runs the on_reload hook,
   /// then the armed reload faults; sleeps armed delays in place (governor
   /// lock held — that is the point). Non-OK fails the reload.
-  Status OnReload(uint64_t owner, uint32_t shard, uint32_t index,
-                  bool prefetch);
+  Status OnReload(uint64_t owner, uint32_t shard, uint32_t index);
 
   uint32_t OnAdmissionDelayUs(uint64_t query_id);
 
@@ -241,7 +226,7 @@ class ChaosEngine {
   std::atomic<bool> armed_{false};
   ChaosConfig config_;
   std::map<uint64_t, uint64_t> visits_;       // visit count per (site, key)
-  std::atomic<uint64_t> reload_ordinal_{0};   // armed Nth-reload counter
+  std::atomic<uint64_t> reload_ordinal_{0};   // reloads since Arm()
   std::atomic<uint64_t> total_faults_{0};
   std::atomic<uint64_t> fault_counts_[static_cast<size_t>(Fault::kMaxFault)] =
       {};

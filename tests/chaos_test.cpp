@@ -10,8 +10,8 @@
 // seeds (default 20) of ChaosConfig::Mixed — every fault class armed:
 // task delays (forced steals), forced world evictions between AND during
 // tasks (background evictor on every 4th seed), executor kills mid-stage,
-// budget squeezes, demand/prefetch reload failures and delays, admission
-// delays. Every failing expectation names the seed; export
+// budget squeezes, reload failures and delays, admission delays. Every
+// failing expectation names the seed; export
 // IDF_CHAOS_SEED=<seed> to replay exactly that schedule (the sweep then
 // runs only that seed), and the flight-recorder journal of the failing run
 // is dumped to $IDF_EVENTS_DIR for post-mortem (tools/idf_events.py).
@@ -269,8 +269,7 @@ TEST(ChaosTest, DecisionScheduleIsAPureFunctionOfTheSeed) {
     for (uint32_t i = 0; i < 300; ++i) {
       trace.push_back(Pack(engine.OnTaskStart(0xabcd, i % 16)));
       trace.push_back(static_cast<uint64_t>(
-          engine.OnReload(42, i % 8, i % 3, /*prefetch=*/(i % 5) == 0)
-              .code()));
+          engine.OnReload(42, i % 8, i % 3).code()));
       trace.push_back(engine.OnAdmissionDelayUs(1000 + i % 10));
     }
     engine.Disarm();

@@ -1,7 +1,9 @@
 // Cross-representation property tests: the engine stores the same logical
 // rows in two physical forms — columnar chunks (vanilla cache) and binary
-// rows in batches (Indexed Batch RDD). Every expression must evaluate to the
-// same value over both, and every filter must select the same rows through
+// rows in batches (Indexed Batch RDD). Expressions only ever evaluate over
+// columns: binary rows reach them through the decoder (DecodeRows). Every
+// expression must evaluate to the same value over a chunk and over its
+// stored rows decoded, and every filter must select the same rows through
 // the vectorized columnar path, the generic columnar path, and the indexed
 // fallback path. This is the invariant behind all indexed-vs-vanilla result
 // equality in the benches.
@@ -94,13 +96,19 @@ TEST_P(CrossEvalProperty, ExpressionsAgreeAcrossRepresentations) {
     rows.push_back(std::move(row));
   }
 
+  std::vector<const uint8_t*> stored;
+  for (const PackedRowPtr& ptr : ptrs) stored.push_back(store.RowAt(ptr));
+  ColumnarChunk decoded(schema);
+  DecodeRows(layout, stored, AllFields(layout), decoded, 0);
+  decoded.SetRowCount(stored.size());
+
   for (int trial = 0; trial < 30; ++trial) {
     ExprPtr expr = RandomExpr(rng, 3);
     auto resolved = expr->Resolve(*schema);
     ASSERT_TRUE(resolved.ok()) << expr->ToString();
     for (size_t i = 0; i < rows.size(); ++i) {
       ChunkRowAccessor columnar(chunk, i);
-      BinaryRowAccessor binary(layout, store.RowAt(ptrs[i]));
+      ChunkRowAccessor binary(decoded, i);
       const Value via_columnar = (*resolved)->Eval(columnar);
       const Value via_binary = (*resolved)->Eval(binary);
       ASSERT_EQ(ValueKey(via_columnar), ValueKey(via_binary))

@@ -6,8 +6,6 @@
 
 #include "sql/columnar.h"
 #include "sql/expr.h"
-#include "storage/partition_store.h"
-#include "storage/row_layout.h"
 
 namespace idf {
 namespace {
@@ -210,18 +208,6 @@ TEST(ExprTest, ChunkRowAccessor) {
   EXPECT_EQ(accessor.Get(0), Value::Int64(10));
   EXPECT_EQ(accessor.Get(2), Value::String("xyz"));
   auto resolved = Resolved(Gt(Col("a"), Lit(int64_t{5})));
-  EXPECT_EQ(resolved->Eval(accessor), Value::Bool(true));
-}
-
-TEST(ExprTest, BinaryRowAccessor) {
-  RowLayout layout(TestSchema());
-  PartitionStore store(4096);
-  auto ptr = store.AppendRow(layout, SampleRow(), PackedRowPtr::Null());
-  ASSERT_TRUE(ptr.ok());
-  BinaryRowAccessor accessor(layout, store.RowAt(*ptr));
-  EXPECT_EQ(accessor.Get(0), Value::Int64(10));
-  EXPECT_EQ(accessor.Get(3), Value::Bool(true));
-  auto resolved = Resolved(Eq(Col("s"), Lit("xyz")));
   EXPECT_EQ(resolved->Eval(accessor), Value::Bool(true));
 }
 

@@ -7,14 +7,14 @@
 //  - on_task_start fires at every task boundary (Cluster::ExecuteTask),
 //    without governor locks — force-evicting between tasks is deterministic
 //    no matter how the scheduler interleaves threads;
-//  - on_reload is consulted before every payload reload, demand and
-//    prefetch alike, with a global 1-based ordinal — failing the Nth reload
-//    or delaying every fault-in needs no filesystem tricks.
-// Scenarios: evict-everything-between-tasks, reload failure during
-// prefetch (demand path recovers), Nth-reload demand failure (a scan and a
-// GetRows each fail kUnavailable, then succeed once the fault passes),
-// delayed fault-in under concurrent scans, and double executor loss with
-// forced eviction (lineage recompute under maximum pressure).
+//  - on_reload is consulted before every payload reload (the demand
+//    fault-in, the only reload path), with a global 1-based ordinal —
+//    failing the Nth reload or delaying every fault-in needs no filesystem
+//    tricks.
+// Scenarios: evict-everything-between-tasks, Nth-reload demand failure (a
+// scan and a GetRows each fail kUnavailable, then succeed once the fault
+// passes), delayed fault-in under concurrent scans, and double executor
+// loss with forced eviction (lineage recompute under maximum pressure).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -27,7 +27,6 @@
 #include "core/indexed_partition.h"
 #include "mem/governor.h"
 #include "obs/metrics_registry.h"
-#include "sql/columnar.h"
 #include "sql/session.h"
 #include "testing/chaos.h"
 
@@ -133,46 +132,6 @@ TEST(PressureTest, EvictEverythingBetweenTasksKeepsResultsIdentical) {
   EXPECT_GT(forced.load(), 0u);
 }
 
-TEST(PressureTest, PrefetchReloadFailureFallsBackToDemandPath) {
-  // A reload that fails during prefetch is swallowed (counted, payload
-  // stays evicted); the demand path then reloads it and surfaces the data.
-  ::unsetenv("IDF_MEMORY_BUDGET");
-  mem::MemoryGovernor& gov = mem::MemoryGovernor::Global();
-  mem::ScopedBudget engage(gov.resident_bytes() + (64 << 20));
-  constexpr uint64_t kOwner = 770001;
-  auto chunk = std::make_shared<ColumnarChunk>(EdgeSchema());
-  for (int64_t i = 0; i < 128; ++i) {
-    IDF_CHECK_OK(chunk->AppendRow(Edge(i, i)));
-  }
-  chunk->SealForCache(kOwner, 0);
-  ASSERT_EQ(gov.EvictPartition(kOwner, 0), 1u);
-
-  std::atomic<uint64_t> prefetch_attempts{0};
-  chaos::ChaosHooks hooks;
-  hooks.on_reload = [&prefetch_attempts](uint64_t, uint32_t, uint32_t,
-                                         uint64_t, bool prefetch) {
-    if (prefetch) {
-      prefetch_attempts++;
-      return Status::Unavailable("injected prefetch reload failure");
-    }
-    return Status::OK();
-  };
-  ScopedHooks guard(std::move(hooks));
-
-  const uint64_t failures_before = CounterValue("mem.prefetch.failures");
-  gov.PrefetchPartition(kOwner, 0);
-  gov.DrainPrefetchForTesting();
-  EXPECT_EQ(prefetch_attempts.load(), 1u);
-  EXPECT_GT(CounterValue("mem.prefetch.failures"), failures_before);
-  EXPECT_FALSE(chunk->resident());
-
-  // Demand fault-in retries the reload (hook passes non-prefetch reloads).
-  const uint64_t faults_before = CounterValue("mem.reload_faults");
-  EXPECT_EQ(chunk->RowAt(5)[0], Value::Int64(5));
-  EXPECT_TRUE(chunk->resident());
-  EXPECT_GT(CounterValue("mem.reload_faults"), faults_before);
-}
-
 TEST(PressureTest, NthDemandReloadFailureFailsQueryThenRecovers) {
   // Port of MemGovernorTest.LostSpillFileFailsTheQueryInsteadOfAborting onto
   // the harness: instead of truncating spill files on disk, fail one demand
@@ -198,15 +157,13 @@ TEST(PressureTest, NthDemandReloadFailureFailsQueryThenRecovers) {
   auto indexed = *IndexedDataFrame::Create(edges, "src", index_options);
   ASSERT_GT(CounterValue("mem.evictions"), 0u);
 
-  // Ordinals count from hook installation but are shared with the prefetch
-  // thread (whose reloads the scan stage now triggers and this hook lets
-  // pass), so the Nth *demand* reload is selected by the hook's own count:
-  // exactly the first demand fault-in fails.
+  // The hook keeps its own count beside the ordinal so the lookup below can
+  // re-arm it: exactly the first fault-in after each arming fails.
   std::atomic<uint64_t> demand_reloads{0};
   chaos::ChaosHooks hooks;
   hooks.on_reload = [&demand_reloads](uint64_t, uint32_t, uint32_t,
-                                      uint64_t ordinal, bool prefetch) {
-    if (!prefetch && demand_reloads.fetch_add(1) == 0) {
+                                      uint64_t ordinal) {
+    if (demand_reloads.fetch_add(1) == 0) {
       return Status::Unavailable("injected reload failure (ordinal " +
                                  std::to_string(ordinal) + ")");
     }
@@ -252,7 +209,7 @@ TEST(PressureTest, DelayedFaultInUnderConcurrentScansStaysCorrect) {
   std::shared_ptr<IndexedPartition> snap = part.Snapshot();
 
   chaos::ChaosHooks hooks;
-  hooks.on_reload = [](uint64_t, uint32_t, uint32_t, uint64_t, bool) {
+  hooks.on_reload = [](uint64_t, uint32_t, uint32_t, uint64_t) {
     std::this_thread::sleep_for(std::chrono::microseconds(200));
     return Status::OK();
   };

@@ -257,8 +257,7 @@ TEST(QueryProfileTest, ProfileJsonCarriesEveryField) {
   for (const char* key :
        {"\"query_id\":42", "\"tasks\":7", "\"task_wall_us\"", "\"steals\"",
         "\"resident_hits\"", "\"resident_misses\"", "\"bytes_spilled\"",
-        "\"evictions\"", "\"bytes_reloaded\"", "\"bytes_prefetched\"",
-        "\"shuffle_pushed_bytes\"",
+        "\"evictions\"", "\"bytes_reloaded\"", "\"shuffle_pushed_bytes\"",
         "\"admission_wait_us\"", "\"peak_pinned_bytes\"", "\"stages\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << key << " in " << json;
   }
@@ -307,9 +306,6 @@ TEST(QueryProfileTest, ConservationUnderBudgetedConcurrentServe) {
         << workload[i].name << ": " << handles[i].status().ToString();
   }
   service.Shutdown(/*cancel_pending=*/false);
-  // The prefetch thread charges its reloads to the enqueueing query
-  // asynchronously; drain it so the final snapshot is complete.
-  gov.DrainPrefetchForTesting();
 
   obs::QueryProfileSnapshot sum;
   for (const obs::QueryProfileSnapshot& snap :
@@ -324,8 +320,6 @@ TEST(QueryProfileTest, ConservationUnderBudgetedConcurrentServe) {
     sum.bytes_spilled += snap.bytes_spilled - base.bytes_spilled;
     sum.evictions += snap.evictions - base.evictions;
     sum.bytes_reloaded += snap.bytes_reloaded - base.bytes_reloaded;
-    sum.bytes_prefetched += snap.bytes_prefetched - base.bytes_prefetched;
-    sum.prefetch_skips += snap.prefetch_skips - base.prefetch_skips;
     sum.shuffle_pushed_bytes +=
         snap.shuffle_pushed_bytes - base.shuffle_pushed_bytes;
   }
@@ -339,8 +333,6 @@ TEST(QueryProfileTest, ConservationUnderBudgetedConcurrentServe) {
   EXPECT_EQ(sum.bytes_spilled, delta.Counter("mem.spill.write_bytes"));
   EXPECT_EQ(sum.evictions, delta.Counter("mem.evictions"));
   EXPECT_EQ(sum.bytes_reloaded, delta.Counter("mem.reload.read_bytes"));
-  EXPECT_EQ(sum.bytes_prefetched, delta.Counter("mem.prefetch.read_bytes"));
-  EXPECT_EQ(sum.prefetch_skips, delta.Counter("mem.prefetch.skipped"));
   EXPECT_EQ(sum.shuffle_pushed_bytes,
             delta.Counter("engine.shuffle.pushed_bytes"));
 

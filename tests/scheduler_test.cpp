@@ -343,10 +343,10 @@ TEST(ResidencySchedulingTest, EvictedInputTasksDispatchLast) {
   EXPECT_EQ(MemCounter("sched.resident_misses") - misses_before, 2u);
 }
 
-TEST(ResidencySchedulingTest, PrefetchNeverEvictsPinnedWorkingSet) {
-  // Prefetch spends only budget headroom: with zero headroom and the
-  // running task's chunk pinned, a prefetch of an evicted partition must be
-  // skipped — never traded against the pin.
+TEST(ResidencySchedulingTest, DemandFaultInNeverEvictsPinnedWorkingSet) {
+  // With zero headroom and the running task's chunk pinned, reading an
+  // evicted partition faults it in (overcommitting if it must) and never
+  // trades it against the pin.
   ::unsetenv("IDF_MEMORY_BUDGET");
   mem::MemoryGovernor& gov = mem::MemoryGovernor::Global();
   mem::ScopedBudget engage(gov.resident_bytes() + (64 << 20));
@@ -355,31 +355,12 @@ TEST(ResidencySchedulingTest, PrefetchNeverEvictsPinnedWorkingSet) {
   auto b = GovernedChunk(kOwner, 1);
   ASSERT_EQ(gov.EvictPartition(kOwner, 1), 1u);
   ASSERT_FALSE(b->resident());
-  {
-    mem::AccessScope scope;
-    (void)a->RowAt(0);  // pins a for the scope: the "running task" working set
-    mem::ScopedBudget zero_headroom(gov.resident_bytes());
-    const uint64_t skipped_before = MemCounter("mem.prefetch.skipped");
-    gov.PrefetchPartition(kOwner, 1);
-    gov.DrainPrefetchForTesting();
-    EXPECT_GT(MemCounter("mem.prefetch.skipped"), skipped_before);
-    EXPECT_TRUE(a->resident());
-    EXPECT_FALSE(b->resident());
-
-    // The demand path still faults b in (overcommitting if it must) —
-    // prefetch being bounded never makes data unreachable.
-    EXPECT_EQ(b->RowAt(0)[0], Value::Int64(0));
-    EXPECT_TRUE(b->resident());
-    EXPECT_TRUE(a->resident());  // pinned throughout
-  }
-  // With headroom restored, the same prefetch reloads the partition.
-  gov.EnforceBudget();
-  ASSERT_EQ(gov.EvictPartition(kOwner, 1), 1u);
-  const uint64_t reloads_before = MemCounter("mem.prefetch.reloads");
-  gov.PrefetchPartition(kOwner, 1);
-  gov.DrainPrefetchForTesting();
-  EXPECT_GT(MemCounter("mem.prefetch.reloads"), reloads_before);
+  mem::AccessScope scope;
+  (void)a->RowAt(0);  // pins a for the scope: the "running task" working set
+  mem::ScopedBudget zero_headroom(gov.resident_bytes());
+  EXPECT_EQ(b->RowAt(0)[0], Value::Int64(0));
   EXPECT_TRUE(b->resident());
+  EXPECT_TRUE(a->resident());  // pinned throughout
 }
 
 TEST(ResidencySchedulingTest, QuarterBudgetParallelMatchesSequential) {

@@ -4,7 +4,7 @@
 The flight recorder (src/obs/flight_recorder.h) dumps JSONL events — one
 object per line with fields seq, ts_us, type, tid, name, a, b, c. This tool
 groups task events by stage and interleaves governor/storage activity
-(spills, evictions, reloads, prefetch decisions) by timestamp, so a single
+(spills, evictions, reloads) by timestamp, so a single
 journal reads as "what the scheduler and the memory governor were doing to
 each other" during a run.
 
@@ -40,8 +40,7 @@ from collections import Counter, defaultdict
 # Payload-field meaning per event type (see obs::EventType).
 TASK_EVENTS = {"task_start", "task_finish", "task_fail", "steal",
                "resident_hit", "resident_miss"}
-GOVERNOR_EVENTS = {"evict", "spill_write", "reload_demand", "reload_prefetch",
-                   "prefetch_skip", "batch_seal"}
+GOVERNOR_EVENTS = {"evict", "spill_write", "reload_demand", "batch_seal"}
 ENGINE_EVENTS = {"stage_finish", "recovery_block", "executor_kill"}
 SHUFFLE_EVENTS = {"shuffle_push"}
 QUERY_EVENTS = {"query_submit", "query_admit", "query_reject", "query_start",
@@ -61,8 +60,7 @@ DURATION_FIELD = {"task_finish": "c", "task_fail": "c", "stage_finish": "c",
 CHAOS_SITES = {1: "task", 2: "reload", 5: "admission"}
 CHAOS_FAULTS = {1: "task-delay", 2: "evict-world", 3: "kill-executor",
                 4: "cancel-query", 5: "expire-query", 6: "budget-squeeze",
-                7: "reload-fail", 8: "reload-delay", 9: "prefetch-fail",
-                12: "admit-delay"}
+                7: "reload-fail", 8: "reload-delay", 12: "admit-delay"}
 
 
 def load_events(path):
@@ -123,10 +121,6 @@ def describe(ev):
         return f"spill write {fmt_bytes(a)} rdd={b} shard={c}"
     if t == "reload_demand":
         return f"demand reload {fmt_bytes(a)} rdd={b} shard={c}"
-    if t == "reload_prefetch":
-        return f"prefetch reload {fmt_bytes(a)} rdd={b} shard={c}"
-    if t == "prefetch_skip":
-        return f"prefetch skipped (no headroom) {fmt_bytes(a)} rdd={b} shard={c}"
     if t == "batch_seal":
         return f"batch sealed {fmt_bytes(a)} rdd={b} shard={c}"
     if t == "shuffle_push":
@@ -169,7 +163,7 @@ def describe(ev):
             aux = f" ({c} us)"
         elif kind == "evict-world":
             aux = f" ({c} evicted)"
-        elif kind in ("reload-fail", "prefetch-fail"):
+        elif kind == "reload-fail":
             aux = f" (reload #{c})"
         elif kind == "kill-executor":
             aux = f" (executor {c})"
@@ -267,7 +261,7 @@ def print_summary(events, out=sys.stdout):
         print(f"  {t:<16} {n}", file=out)
     spilled = sum(e.get("a", 0) for e in events if e["type"] == "spill_write")
     reloaded = sum(e.get("a", 0) for e in events
-                   if e["type"] in ("reload_demand", "reload_prefetch"))
+                   if e["type"] == "reload_demand")
     if spilled or reloaded:
         print(f"  bytes spilled={fmt_bytes(spilled)} "
               f"reloaded={fmt_bytes(reloaded)}", file=out)
@@ -322,7 +316,7 @@ def print_query_table(events, out=sys.stdout):
         by_q[q][t] += 1
         if t == "spill_write":
             by_q[q]["spilled_bytes"] += e.get("a", 0)
-        elif t in ("reload_demand", "reload_prefetch"):
+        elif t == "reload_demand":
             by_q[q]["reloaded_bytes"] += e.get("a", 0)
     if set(by_q) <= {0}:
         return
