@@ -19,6 +19,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <map>
+#include <memory>
 #include <optional>
 
 #include "bench/bench_util.h"
@@ -32,21 +34,39 @@ using namespace idf;
 namespace {
 
 /// Fixed probe workload: point lookups across the key range. Returns total
-/// rows matched (sanity: must be identical at every budget).
-uint64_t RunLookups(const IndexedDataFrame& indexed, int64_t max_key) {
+/// rows matched (sanity: must be identical at every budget). With
+/// `largest_result` set, also reports the bytes of the largest single
+/// lookup result (its operator's bytes_out): each result is governed while
+/// its lookup runs and freed before the next one starts.
+uint64_t RunLookups(const IndexedDataFrame& indexed, int64_t max_key,
+                    uint64_t* largest_result = nullptr) {
   uint64_t matched = 0;
   for (int64_t k = 1; k <= max_key; k += max_key / 64) {
-    auto rows = indexed.GetRows(Value::Int64(k));
+    QueryMetrics metrics;
+    if (largest_result != nullptr) {
+      metrics.op_profile = std::make_shared<std::map<const void*, OpProfile>>();
+    }
+    auto rows = indexed.GetRows(Value::Int64(k), &metrics);
     if (rows.ok()) matched += rows->rows.size();
+    if (largest_result == nullptr) continue;
+    for (const auto& [node, profile] : *metrics.op_profile) {
+      *largest_result = std::max(*largest_result, profile.bytes_out);
+    }
   }
   return matched;
 }
 
 void RunBudgetSweep(const IndexedDataFrame& indexed, int64_t max_key) {
   mem::MemoryGovernor& gov = mem::MemoryGovernor::Global();
-  const uint64_t working_set = gov.resident_bytes();
-  std::printf("\nbudget sweep (working set %.1f MB, fixed lookup workload):\n",
-              working_set / 1048576.0);
+  const uint64_t index_bytes = gov.resident_bytes();
+  uint64_t result_bytes = 0;
+  const uint64_t baseline_rows = RunLookups(indexed, max_key, &result_bytes);
+  const uint64_t working_set = index_bytes + result_bytes;
+  std::printf("\nbudget sweep (working set %.1f MB = index %.1f MB + largest "
+              "lookup result %.1f KB, fixed lookup workload of %llu rows):\n",
+              working_set / 1048576.0, index_bytes / 1048576.0,
+              result_bytes / 1024.0,
+              static_cast<unsigned long long>(baseline_rows));
   std::printf("  %-10s %-12s %-12s %-10s %-10s %-8s\n", "budget", "resident",
               "spilled", "evictions", "faults", "rows");
   // 100% (unbounded) down to 12.5% of the working set. One RegistryDelta per

@@ -1,12 +1,14 @@
 // Micro-benchmarks (google-benchmark) for the storage layer: binary row
 // encode/decode, packed pointers, partition-store appends and row access,
 // the point-lookup path through an IndexedPartition, partial aggregation
-// over columnar chunks and row batches, and row <-> column transcoding.
+// over columnar chunks and row batches, row <-> column transcoding, and
+// the flight recorder's per-event cost.
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
 #include "core/indexed_dataframe.h"
 #include "core/indexed_partition.h"
+#include "obs/flight_recorder.h"
 #include "storage/partition_store.h"
 #include "storage/row_layout.h"
 
@@ -310,6 +312,24 @@ void BM_Transcode(benchmark::State& state) {
   state.SetLabel(label);
 }
 BENCHMARK(BM_Transcode)->DenseRange(0, 2)->Unit(benchmark::kMillisecond);
+
+// Flight-recorder rung: ns per Record call on the process-wide recorder,
+// from 1 and 4 threads sharing its ring. Arg 0 records kEvict, a counted
+// kind (ring write + its registry counter + its query-profile field); arg 1
+// records kTaskStart, which only writes the ring.
+void BM_FlightRecorderRecord(benchmark::State& state) {
+  obs::FlightRecorder& fr = obs::FlightRecorder::Global();
+  const obs::EventType type = state.range(0) == 0 ? obs::EventType::kEvict
+                                                  : obs::EventType::kTaskStart;
+  uint64_t a = 0;
+  for (auto _ : state) {
+    fr.Record(type, 0, ++a, 0, 0);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+  state.SetLabel(state.range(0) == 0 ? "evict (counted)"
+                                     : "task_start (ring only)");
+}
+BENCHMARK(BM_FlightRecorderRecord)->Arg(0)->Arg(1)->Threads(1)->Threads(4);
 
 }  // namespace
 }  // namespace idf

@@ -29,17 +29,6 @@ namespace {
 /// resolved once, then one relaxed atomic op per update.
 struct EngineMetrics {
   obs::Counter& stages = obs::Registry::Global().GetCounter("engine.stages");
-  obs::Counter& tasks = obs::Registry::Global().GetCounter("engine.tasks");
-  obs::Counter& steals =
-      obs::Registry::Global().GetCounter("engine.scheduler.steals");
-  obs::Counter& resident_hits =
-      obs::Registry::Global().GetCounter("sched.resident_hits");
-  obs::Counter& resident_misses =
-      obs::Registry::Global().GetCounter("sched.resident_misses");
-  obs::Counter& recovered_blocks =
-      obs::Registry::Global().GetCounter("engine.recovery.blocks");
-  obs::Counter& killed_executors =
-      obs::Registry::Global().GetCounter("engine.executors.killed");
   obs::Histogram& task_seconds =
       obs::Registry::Global().GetHistogram("engine.task.seconds");
   obs::Histogram& stage_real_seconds =
@@ -259,7 +248,8 @@ void Cluster::ExecuteTask(const StageSpec& stage, uint32_t index,
   // fails this task before its body runs, and first-error-wins unwinds the
   // rest of the stage. Cheap (two relaxed-ish atomic loads) and it runs on
   // the host thread that claimed the task, so every lane observes a cancel
-  // within one task of it being requested.
+  // within one task of it being requested. Its task_fail counts the task in
+  // engine.tasks and the query's profile, like a body that failed.
   if (control != nullptr) {
     Status check = control->Check();
     if (!check.ok()) {
@@ -294,11 +284,6 @@ void Cluster::ExecuteTask(const StageSpec& stage, uint32_t index,
   out.elapsed = timer.ElapsedSeconds();
   t_in_stage_task = was_in_task;
   out.ran = true;
-  em.tasks.Increment();
-  // Direct feed, not event-derived: the pre-body cancellation path above
-  // records task_fail without counting a task, so deriving counts from
-  // events would break conservation against engine.tasks.
-  obs::CurrentQueryProfile()->tasks.fetch_add(1, std::memory_order_relaxed);
   em.task_seconds.Observe(out.elapsed);
   fr.Record(out.status.ok() ? obs::EventType::kTaskFinish
                             : obs::EventType::kTaskFail,
@@ -409,8 +394,7 @@ Result<StageMetrics> Cluster::RunStage(const StageSpec& stage) {
                                 ? control->query_id()
                                 : obs::CurrentQueryId();
   // Interned once per stage (cold); tasks reuse the id on their hot path.
-  const uint32_t stage_name_id =
-      fr.enabled() ? fr.InternName(stage.name) : 0;
+  const uint32_t stage_name_id = fr.InternName(stage.name);
   const uint64_t stage_start_us = fr.NowMicros();
   Stopwatch stage_timer;
   StageMetrics metrics;
@@ -429,10 +413,8 @@ Result<StageMetrics> Cluster::RunStage(const StageSpec& stage) {
     ExecuteTask(stage, index, plan.assigned[index], stage_name_id, control,
                 results[index]);
     if (plan.have_residency) {
-      const bool hit = plan.resident[index];
-      (hit ? em.resident_hits : em.resident_misses).Increment();
-      fr.Record(hit ? obs::EventType::kResidentHit
-                    : obs::EventType::kResidentMiss,
+      fr.Record(plan.resident[index] ? obs::EventType::kResidentHit
+                                     : obs::EventType::kResidentMiss,
                 stage_name_id, index, 0, 0);
     }
     return results[index].status.ok();
@@ -461,7 +443,6 @@ Result<StageMetrics> Cluster::RunStage(const StageSpec& stage) {
         while (!cancelled.load(std::memory_order_relaxed) &&
                lanes.Pop(w % alive.size(), &index, &stolen)) {
           if (stolen) {
-            em.steals.Increment();
             fr.Record(obs::EventType::kSteal, stage_name_id, index, w, 0);
           }
           if (!run_task(index)) {
@@ -618,7 +599,6 @@ bool Cluster::TryKillExecutor(ExecutorId e) {
 
 size_t Cluster::DropKilledExecutor(ExecutorId e) {
   const size_t lost = blocks_.DropExecutor(e);
-  EngineMetrics::Get().killed_executors.Increment();
   obs::FlightRecorder::Global().Record(obs::EventType::kExecutorKill, 0, e,
                                        lost, 0);
   IDF_LOG_INFO("killed executor %u (%zu blocks lost)", e, lost);
@@ -686,9 +666,7 @@ Result<BlockPtr> Cluster::GetOrCompute(const BlockId& id, TaskContext& ctx) {
   IDF_RETURN_IF_ERROR(recomputed.status());
   const double elapsed = timer.ElapsedSeconds();
   ctx.metrics().recovery_seconds += elapsed;
-  EngineMetrics& em = EngineMetrics::Get();
-  em.recovered_blocks.Increment();
-  em.recovery_seconds.Observe(elapsed);
+  EngineMetrics::Get().recovery_seconds.Observe(elapsed);
   obs::FlightRecorder::Global().Record(
       obs::EventType::kRecoveryBlock, 0, id.rdd, id.partition,
       static_cast<uint64_t>(elapsed * 1e6));

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/flight_recorder.h"
-#include "obs/metrics_registry.h"
 
 namespace idf {
 
@@ -50,10 +49,6 @@ void ShuffleService::PutMapOutput(uint64_t shuffle, uint32_t map_task,
         std::make_shared<ShuffleBuffer>(std::move(buffer));
   }
   if (!non_empty) return;
-  // Cached: map tasks publish one buffer per non-empty reduce partition.
-  static obs::Counter& pushed_bytes =
-      obs::Registry::Global().GetCounter("engine.shuffle.pushed_bytes");
-  pushed_bytes.Add(size);
   obs::FlightRecorder::Global().Record(obs::EventType::kShufflePush,
                                        /*name_id=*/0, size, map_task,
                                        reduce_part);

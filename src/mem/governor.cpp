@@ -22,15 +22,8 @@ struct MemMetrics {
   obs::Gauge& resident = obs::Registry::Global().GetGauge("mem.resident_bytes");
   obs::Gauge& spilled = obs::Registry::Global().GetGauge("mem.spilled_bytes");
   obs::Gauge& budget = obs::Registry::Global().GetGauge("mem.budget_bytes");
-  obs::Counter& evictions = obs::Registry::Global().GetCounter("mem.evictions");
-  obs::Counter& reload_faults =
-      obs::Registry::Global().GetCounter("mem.reload_faults");
   obs::Counter& pin_blocks =
       obs::Registry::Global().GetCounter("mem.pin_blocks");
-  obs::Counter& spill_write_bytes =
-      obs::Registry::Global().GetCounter("mem.spill.write_bytes");
-  obs::Counter& reload_read_bytes =
-      obs::Registry::Global().GetCounter("mem.reload.read_bytes");
   obs::Gauge& reserved =
       obs::Registry::Global().GetGauge("mem.reserved_bytes");
 
@@ -294,7 +287,6 @@ bool MemoryGovernor::EvictLocked(Evictable* victim) {
     }
     victim->spill_bytes_ = *written;
     victim->spill_file_ = std::make_unique<SpillFile>(path);
-    mm.spill_write_bytes.Add(*written);
     obs::FlightRecorder::Global().Record(obs::EventType::kSpillWrite, 0,
                                          *written, victim->identity_.owner,
                                          victim->identity_.shard);
@@ -306,7 +298,6 @@ bool MemoryGovernor::EvictLocked(Evictable* victim) {
   victim->state_.store(Evictable::kEvicted, std::memory_order_seq_cst);
   resident_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
   spilled_bytes_.fetch_add(victim->spill_bytes_, std::memory_order_relaxed);
-  mm.evictions.Increment();
   mm.resident.Set(static_cast<double>(resident_bytes()));
   mm.spilled.Set(static_cast<double>(spilled_bytes()));
   obs::FlightRecorder::Global().Record(obs::EventType::kEvict, 0, bytes,
@@ -328,8 +319,6 @@ Status MemoryGovernor::FaultIn(Evictable* e) {
   resident_bytes_.fetch_add(bytes, std::memory_order_relaxed);
   spilled_bytes_.fetch_sub(e->spill_bytes_, std::memory_order_relaxed);
   MemMetrics& mm = MemMetrics::Get();
-  mm.reload_faults.Increment();
-  mm.reload_read_bytes.Add(e->spill_bytes_);
   mm.resident.Set(static_cast<double>(resident_bytes()));
   mm.spilled.Set(static_cast<double>(spilled_bytes()));
   obs::FlightRecorder::Global().Record(obs::EventType::kReloadDemand, 0,

@@ -220,33 +220,21 @@ FlightRecorder& FlightRecorder::Global() {
   return *recorder;
 }
 
-size_t FlightRecorder::RingCapacityFromEnv() {
-  const char* env = std::getenv("IDF_EVENTS_RING_POW2");
-  if (env == nullptr || env[0] == '\0') return kCapacity;
-  char* end = nullptr;
-  const long pow2 = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0' || pow2 < 10 || pow2 > 24) {
-    IDF_LOG_WARN("ignoring IDF_EVENTS_RING_POW2='%s' (want 10..24)", env);
-    return kCapacity;
-  }
-  return static_cast<size_t>(1) << pow2;
-}
-
 FlightRecorder::FlightRecorder()
-    : capacity_(RingCapacityFromEnv()),
-      mask_(capacity_ - 1),
-      slots_(capacity_),
-      dump_buffer_(new RawEvent[capacity_]) {
+    : slots_(kCapacity), dump_buffer_(new RawEvent[kCapacity]) {
   epoch_ns_ = SteadyNowNs();
-  if (const char* env = std::getenv("IDF_FLIGHT_RECORDER")) {
-    if (env[0] == '0' && env[1] == '\0') {
-      enabled_.store(false, std::memory_order_relaxed);
-    }
-  }
   pool_full_id_ = InternName("<pool-full>");
-  // Resolved here, never in Record: the lapped counter makes journal
-  // truncation visible on /metrics instead of silent.
-  lapped_ = &Registry::Global().GetCounter("obs.ring.lapped");
+  // Counters are resolved here, never in Record. The lapped counter makes
+  // journal truncation visible on /metrics instead of silent.
+  Registry& registry = Registry::Global();
+  lapped_ = &registry.GetCounter("obs.ring.lapped");
+  auto counter = [&registry](const char* name) {
+    return name != nullptr ? &registry.GetCounter(name) : nullptr;
+  };
+  for (const CountedKind& kind : kCountedKinds) {
+    feeds_[static_cast<size_t>(kind.type)] = {
+        counter(kind.per_event), counter(kind.per_a), kind.field};
+  }
   build_info_name_id_ = InternName(BuildInfoSummary());
   RecordBuildInfo();
 }
@@ -287,13 +275,11 @@ const char* FlightRecorder::NameAt(uint32_t id) const {
 
 void FlightRecorder::Record(EventType type, uint32_t name_id, uint64_t a,
                             uint64_t b, uint64_t c) {
-  if (!enabled_.load(std::memory_order_relaxed)) return;
   RecordAt(NowMicros(), type, name_id, a, b, c);
 }
 
 void FlightRecorder::RecordSpanEnd(EventType type, uint32_t name_id,
                                    uint64_t a, uint64_t b, uint64_t start_us) {
-  if (!enabled_.load(std::memory_order_relaxed)) return;
   const uint64_t now = NowMicros();
   RecordAt(now, type, name_id, a, b, now - start_us);
 }
@@ -302,8 +288,8 @@ void FlightRecorder::RecordAt(uint64_t ts_us, EventType type,
                               uint32_t name_id, uint64_t a, uint64_t b,
                               uint64_t c) {
   const uint64_t ticket = head_.fetch_add(1, std::memory_order_relaxed);
-  if (ticket >= capacity_) lapped_->Increment();  // overwrote an old event
-  Slot& slot = slots_[ticket & mask_];
+  if (ticket >= kCapacity) lapped_->Increment();  // overwrote an old event
+  Slot& slot = slots_[ticket & (kCapacity - 1)];
   // Invalidate, write payload, publish. All payload words are relaxed
   // atomics: a lapping writer racing this slot produces a seq mismatch the
   // reader discards, never a torn word or a TSan race.
@@ -317,57 +303,29 @@ void FlightRecorder::RecordAt(uint64_t ts_us, EventType type,
   slot.c.store(c, std::memory_order_relaxed);
   slot.seq.store(ticket + 1, std::memory_order_release);
 
-  // Per-query attribution rides the event stream: every branch below has a
-  // 1:1 co-located metric increment at its Record call site, which is what
-  // the conservation gate (tests/query_profile_test.cpp) checks. Types not
-  // listed (query lifecycle, crash, build info, chaos) cost nothing here —
-  // in particular the crash path never resolves a profile (mutex).
-  switch (type) {
-    case EventType::kTaskFinish:
-      CurrentQueryProfile()->OnTaskDone(name_id, c, /*failed=*/false);
-      break;
-    case EventType::kTaskFail:
-      CurrentQueryProfile()->OnTaskDone(name_id, c, /*failed=*/true);
-      break;
-    case EventType::kSteal:
-      CurrentQueryProfile()->steals.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case EventType::kResidentHit:
-      CurrentQueryProfile()->resident_hits.fetch_add(
-          1, std::memory_order_relaxed);
-      break;
-    case EventType::kResidentMiss:
-      CurrentQueryProfile()->resident_misses.fetch_add(
-          1, std::memory_order_relaxed);
-      break;
-    case EventType::kEvict:
-      CurrentQueryProfile()->evictions.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case EventType::kSpillWrite:
-      CurrentQueryProfile()->bytes_spilled.fetch_add(
-          a, std::memory_order_relaxed);
-      break;
-    case EventType::kReloadDemand:
-      CurrentQueryProfile()->bytes_reloaded.fetch_add(
-          a, std::memory_order_relaxed);
-      break;
-    case EventType::kShufflePush:
-      CurrentQueryProfile()->shuffle_pushed_bytes.fetch_add(
-          a, std::memory_order_relaxed);
-      break;
-    default:
-      break;
+  // Counting (kCountedKinds): the registry totals and the query's profile
+  // move together here, and nowhere else. Kinds without a row — among them
+  // the crash path's — stop here without resolving a profile (mutex).
+  const Feed& feed = feeds_[static_cast<size_t>(type)];
+  if (feed.per_event != nullptr) feed.per_event->Increment();
+  if (feed.per_a != nullptr) feed.per_a->Add(a);
+  if (feed.field == nullptr) return;
+  QueryProfile* profile = CurrentQueryProfile();
+  (profile->*feed.field)
+      .fetch_add(feed.per_a != nullptr ? a : 1, std::memory_order_relaxed);
+  if (type == EventType::kTaskFinish || type == EventType::kTaskFail) {
+    profile->OnTaskDone(name_id, c, type == EventType::kTaskFail);
   }
 }
 
 size_t FlightRecorder::CopyValid(RawEvent* out, size_t max_events) const {
   const uint64_t head = head_.load(std::memory_order_acquire);
-  const uint64_t window = std::min<uint64_t>(head, capacity_);
+  const uint64_t window = std::min<uint64_t>(head, kCapacity);
   uint64_t want = window;
   if (max_events > 0) want = std::min<uint64_t>(want, max_events);
   size_t n = 0;
   for (uint64_t ticket = head - want; ticket < head; ++ticket) {
-    const Slot& slot = slots_[ticket & mask_];
+    const Slot& slot = slots_[ticket & (kCapacity - 1)];
     const uint64_t seq_before = slot.seq.load(std::memory_order_acquire);
     RawEvent raw;
     raw.ts = slot.ts.load(std::memory_order_relaxed);
@@ -389,7 +347,7 @@ size_t FlightRecorder::CopyValid(RawEvent* out, size_t max_events) const {
 
 std::vector<FlightEvent> FlightRecorder::Snapshot(size_t max_events) const {
   std::vector<RawEvent> raw(std::min<size_t>(
-      max_events == 0 ? capacity_ : max_events, capacity_));
+      max_events == 0 ? kCapacity : max_events, kCapacity));
   const size_t n = CopyValid(raw.data(), raw.size());
   std::vector<FlightEvent> out;
   out.reserve(n);
@@ -444,7 +402,7 @@ size_t FlightRecorder::DumpToFd(int fd, size_t max_events) const {
   // dumping flag in CrashSignalHandler (and single-threaded test use)
   // keeps this exclusive.
   RawEvent* raw = dump_buffer_.get();
-  const size_t n = CopyValid(raw, max_events == 0 ? capacity_ : max_events);
+  const size_t n = CopyValid(raw, max_events == 0 ? kCapacity : max_events);
   char line[1024];
   for (size_t i = 0; i < n; ++i) {
     const EventType type = static_cast<EventType>(raw[i].meta & 0xFF);

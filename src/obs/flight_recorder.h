@@ -27,9 +27,16 @@
 // the heap. The per-type payload conventions are listed next to EventType
 // below and mirrored in tools/idf_events.py.
 //
-// Ring size: 1 << IDF_EVENTS_RING_POW2 events (default 1 << 16), read once
-// at construction. Overwrites of not-yet-dumped slots count into the
-// obs.ring.lapped metric so journal truncation is visible on /metrics.
+// Counting: Record() is the one call for each counted fact. The kind table
+// below (kCountedKinds) says which registry counter an event kind bumps and
+// which QueryProfile field it feeds; both move in the same call, so the
+// process-wide /metrics totals and the per-query /queries/<id> profiles
+// cannot disagree. Call sites record the event and count nothing
+// themselves. The counters are resolved once, at construction.
+//
+// Ring size: kCapacity events. Overwrites of not-yet-dumped slots count
+// into the obs.ring.lapped metric so journal truncation is visible on
+// /metrics.
 //
 // Crash dumps: InstallCrashHandler() (done automatically by the Cluster
 // constructor when IDF_EVENTS_DIR is set) registers handlers for the fatal
@@ -37,9 +44,6 @@
 // JSONL to IDF_EVENTS_DIR/idf-crash-<pid>.events.jsonl using only
 // async-signal-safe calls (open/write, hand-rolled formatting), then the
 // default disposition is restored and the signal re-raised.
-//
-// IDF_FLIGHT_RECORDER=0 disables recording (for A/B overhead measurements;
-// see EXPERIMENTS.md — the recorder-on cost is within noise).
 #pragma once
 
 #include <atomic>
@@ -51,6 +55,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "obs/query_profile.h"
 
 namespace idf::obs {
 
@@ -95,6 +100,43 @@ enum class EventType : uint8_t {
   kStageFinish = 29,   // name=stage  a=task count  b=DES micros   c=wall micros
 };
 
+/// One row of the counting table: what recording one event of `type`
+/// counts. Each named registry counter and the current query's profile
+/// field move in the Record() call that writes the event. The field moves
+/// by a when the row has a per_a counter, else by 1.
+struct CountedKind {
+  EventType type;
+  const char* per_event;  // registry counter bumped by 1, or nullptr
+  const char* per_a;      // registry counter bumped by the a word, or nullptr
+  std::atomic<uint64_t> QueryProfile::*field;  // profile field, or nullptr
+};
+
+/// The counting table. Kinds without a row count nothing. The task kinds
+/// also fold the task's wall micros (c), its failure and its stage row into
+/// the profile (QueryProfile::OnTaskDone).
+inline constexpr CountedKind kCountedKinds[] = {
+    {EventType::kTaskFinish, "engine.tasks", nullptr, &QueryProfile::tasks},
+    {EventType::kTaskFail, "engine.tasks", nullptr, &QueryProfile::tasks},
+    {EventType::kSteal, "engine.scheduler.steals", nullptr,
+     &QueryProfile::steals},
+    {EventType::kResidentHit, "sched.resident_hits", nullptr,
+     &QueryProfile::resident_hits},
+    {EventType::kResidentMiss, "sched.resident_misses", nullptr,
+     &QueryProfile::resident_misses},
+    {EventType::kEvict, "mem.evictions", nullptr, &QueryProfile::evictions},
+    {EventType::kSpillWrite, nullptr, "mem.spill.write_bytes",
+     &QueryProfile::bytes_spilled},
+    {EventType::kReloadDemand, "mem.reload_faults", "mem.reload.read_bytes",
+     &QueryProfile::bytes_reloaded},
+    {EventType::kShufflePush, nullptr, "engine.shuffle.pushed_bytes",
+     &QueryProfile::shuffle_pushed_bytes},
+    {EventType::kRecoveryBlock, "engine.recovery.blocks", nullptr, nullptr},
+    {EventType::kExecutorKill, "engine.executors.killed", nullptr, nullptr},
+    {EventType::kChaosFault, "chaos.faults", nullptr, nullptr},
+    {EventType::kQuerySubmit, "server.submitted", nullptr, nullptr},
+    {EventType::kQueryAdmit, "server.admitted", nullptr, nullptr},
+};
+
 /// Stable wire name for an event type ("task_start", "evict", ...); used by
 /// the JSONL dump and tools/idf_events.py. Unknown types render as "event".
 const char* EventTypeName(EventType type);
@@ -118,25 +160,11 @@ class Counter;
 
 class FlightRecorder {
  public:
-  /// Default ring capacity in events (~4 MB resident). The actual capacity
-  /// is set once at construction from IDF_EVENTS_RING_POW2 (see
-  /// RingCapacityFromEnv); this constant is the fallback.
+  /// Ring capacity in events (~4 MB resident).
   static constexpr size_t kCapacity = 1u << 16;
 
-  /// Capacity the recorder would use given the current environment:
-  /// 1 << IDF_EVENTS_RING_POW2, clamped to [10, 24]; kCapacity when the
-  /// variable is unset or unparsable. Exposed for tests — the global
-  /// recorder reads it exactly once.
-  static size_t RingCapacityFromEnv();
-
-  /// The process-wide recorder. Recording starts enabled unless
-  /// IDF_FLIGHT_RECORDER=0 was exported before first use.
+  /// The process-wide recorder.
   static FlightRecorder& Global();
-
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-  void SetEnabled(bool enabled) {
-    enabled_.store(enabled, std::memory_order_relaxed);
-  }
 
   /// Interns `name` into the fixed pool, returning its id (0 = no name).
   /// Idempotent per string; cold path (mutex + map). Callers cache the id —
@@ -144,13 +172,12 @@ class FlightRecorder {
   /// the id of the sentinel name "<pool-full>" rather than failing.
   uint32_t InternName(const std::string& name);
 
-  /// Records one event. Lock-free, allocation-free, ~10ns: a relaxed
-  /// fetch_add to claim a slot plus relaxed stores. Safe from any thread.
-  /// The event is stamped with the thread's current query id and, for
-  /// cost-shaped types (steal, residency, spill/reload bytes, shuffle
-  /// pushes, task finish), also folded into the thread's QueryProfile —
-  /// attribution rides the existing event stream instead of a second set
-  /// of instrumentation sites.
+  /// Records one event. Lock-free and allocation-free: a relaxed fetch_add
+  /// to claim a slot plus relaxed stores (BM_FlightRecorderRecord in
+  /// bench/micro_storage.cpp measures it). Safe from any thread.
+  /// The event is stamped with the thread's current query id, and a kind
+  /// with a kCountedKinds row bumps its registry counters and the thread's
+  /// QueryProfile in the same call.
   void Record(EventType type, uint32_t name_id, uint64_t a, uint64_t b,
               uint64_t c);
 
@@ -163,11 +190,8 @@ class FlightRecorder {
   /// Microseconds since construction (the event clock).
   uint64_t NowMicros() const;
 
-  /// Actual ring capacity (power of two; see RingCapacityFromEnv).
-  size_t capacity() const { return capacity_; }
-
   /// Events recorded since process start (monotonic; ring keeps the last
-  /// capacity() of them).
+  /// kCapacity of them).
   uint64_t total_recorded() const {
     return head_.load(std::memory_order_relaxed);
   }
@@ -237,13 +261,21 @@ class FlightRecorder {
 
   const char* NameAt(uint32_t id) const;  // "" for 0 / out of range
 
-  std::atomic<bool> enabled_{true};
+  /// A kCountedKinds row with its counters resolved (all null for a kind
+  /// without a row).
+  struct Feed {
+    Counter* per_event = nullptr;
+    Counter* per_a = nullptr;
+    std::atomic<uint64_t> QueryProfile::*field = nullptr;
+  };
+  static constexpr size_t kEventKinds = 32;
+  static_assert(static_cast<size_t>(EventType::kStageFinish) < kEventKinds);
+
   std::atomic<uint64_t> head_{0};
   uint64_t epoch_ns_ = 0;  // steady_clock at construction
-  size_t capacity_ = kCapacity;  // power of two, fixed at construction
-  uint64_t mask_ = kCapacity - 1;
   std::vector<Slot> slots_;
   Counter* lapped_ = nullptr;  // obs.ring.lapped — overwritten-slot count
+  Feed feeds_[kEventKinds];    // indexed by EventType
   uint32_t build_info_name_id_ = 0;  // interned at ctor for the crash path
   // Preallocated CopyValid buffer for the signal-safe dump (the crash path
   // must not allocate; exclusivity via the crash handler's dumping flag).

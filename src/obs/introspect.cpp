@@ -278,7 +278,7 @@ void IntrospectionServer::HandleConnection(int fd) {
       const long parsed = std::strtol(query.c_str() + 2, nullptr, 10);
       if (parsed > 0) limit = static_cast<size_t>(parsed);
     }
-    limit = std::min(limit, FlightRecorder::Global().capacity());
+    limit = std::min(limit, FlightRecorder::kCapacity);
     content_type = "application/x-ndjson";
     body = FlightRecorder::Global().ToJsonl(limit);
   } else {

@@ -19,15 +19,14 @@
 // whose data was evicted. That is the actionable number — it is the
 // pressure a query exerts on the shared budget.
 //
-// Accumulation: FlightRecorder::Record() feeds the current thread's profile
-// as a side effect of recording (steals, residency, spill/reload bytes,
-// shuffle pushes — every fed field has a 1:1 co-located metric increment,
-// which is what the conservation gate in tests/query_profile_test.cpp
-// checks). Task counts are fed directly by the engine next to the
-// `engine.tasks` counter (the one site where events and the metric
-// intentionally disagree: a pre-body cancellation records task_fail without
-// counting a task). Disabling the recorder (IDF_FLIGHT_RECORDER=0) disables
-// event-fed attribution too — that is the documented A/B lever.
+// Accumulation: FlightRecorder::Record() is the one feed. Its kind table
+// (kCountedKinds, obs/flight_recorder.h) names, per event kind, the
+// registry counter and the profile field it moves; both move in the same
+// call (tasks and their failures, steals, residency, evictions, spill and
+// reload bytes, shuffle pushes), so the profiles sum to the global counters
+// by construction. tests/query_profile_test.cpp checks that sum. Only
+// admission wait and pinned bytes are fed directly (query service,
+// governor access scopes); they have no registry counter.
 //
 // Everything here is allocation-free and lock-free on the hot path: profile
 // fields are relaxed atomics, and feeds go through a per-thread cached
@@ -56,10 +55,9 @@ struct QueryProfile {
 
   const uint64_t id;
 
-  // Fed directly by the engine (co-located with engine.tasks).
+  // Fed by FlightRecorder::Record, with the registry counter of the same
+  // event kind (kCountedKinds in obs/flight_recorder.h).
   std::atomic<uint64_t> tasks{0};
-
-  // Event-fed (FlightRecorder::Record side effect).
   std::atomic<uint64_t> task_fails{0};
   std::atomic<uint64_t> task_wall_us{0};      // summed per-task body wall
   std::atomic<uint64_t> steals{0};
@@ -201,8 +199,9 @@ uint64_t AllocateQueryId();
 uint64_t CurrentQueryId();
 
 /// The current thread's profile — the one for CurrentQueryId(), resolved
-/// lazily (bucket 0 included). Never null. Intended for co-located direct
-/// feeds (engine.tasks); event-shaped costs flow through the recorder.
+/// lazily (bucket 0 included). Never null. Counted costs flow through the
+/// recorder's kind table; direct feeds are for uncounted fields (pinned
+/// bytes).
 QueryProfile* CurrentQueryProfile();
 
 /// RAII install of a query identity on the current thread. Nestable;

@@ -22,9 +22,6 @@ struct ServerMetrics {
   obs::Gauge& queue_depth =
       obs::Registry::Global().GetGauge("server.queue_depth");
   obs::Gauge& running = obs::Registry::Global().GetGauge("server.running");
-  obs::Counter& submitted =
-      obs::Registry::Global().GetCounter("server.submitted");
-  obs::Counter& admitted = obs::Registry::Global().GetCounter("server.admitted");
   obs::Counter& rejected = obs::Registry::Global().GetCounter("server.rejected");
   obs::Counter& cancelled =
       obs::Registry::Global().GetCounter("server.cancelled");
@@ -351,8 +348,7 @@ QueryHandle QueryService::Submit(QueryWork work, QueryOptions options) {
   rec->id = obs::AllocateQueryId();
   rec->control.set_query_id(rec->id);
   rec->label = std::move(options.label);
-  rec->name_id =
-      fr.enabled() && !rec->label.empty() ? fr.InternName(rec->label) : 0;
+  rec->name_id = fr.InternName(rec->label);
   rec->priority = options.priority;
   rec->reservation = options.reservation_bytes != 0
                          ? options.reservation_bytes
@@ -365,7 +361,6 @@ QueryHandle QueryService::Submit(QueryWork work, QueryOptions options) {
   }
   rec->work = std::move(work);
 
-  sm.submitted.Increment();
   Status reject;
   {
     std::lock_guard<std::mutex> lk(mu_);
@@ -465,7 +460,6 @@ void QueryService::WorkerLoop() {
     if (budget > 0 && rec->reservation > budget) {
       fr.Record(obs::EventType::kQueryReject, rec->name_id, rec->id,
                 rec->reservation, 1);
-      sm.rejected.Increment();
       Finish(rec, QueryState::kRejected,
              Status::ResourceExhausted(
                  "reservation of " + std::to_string(rec->reservation) +
@@ -477,7 +471,6 @@ void QueryService::WorkerLoop() {
     if (!admit.ok() && config_.policy == AdmitPolicy::kReject) {
       fr.Record(obs::EventType::kQueryReject, rec->name_id, rec->id,
                 rec->reservation, 1);
-      sm.rejected.Increment();
       Finish(rec, QueryState::kRejected, std::move(admit));
       continue;
     }
@@ -523,7 +516,6 @@ void QueryService::WorkerLoop() {
         static_cast<uint64_t>(admitted_at - rec->submit_us);
     fr.Record(obs::EventType::kQueryAdmit, rec->name_id, rec->id,
               rec->reservation, queued_us);
-    sm.admitted.Increment();
     sm.queued_seconds.Observe(static_cast<double>(queued_us) * 1e-6);
     obs::QueryProfileRegistry::Global().Get(rec->id)->admission_wait_us
         .fetch_add(queued_us, std::memory_order_relaxed);
@@ -614,6 +606,14 @@ void QueryService::Finish(const std::shared_ptr<QueryRecord>& rec,
   {
     std::lock_guard<std::mutex> lk(rec->mu);
     if (Terminal(rec->state)) return;
+    // The one count of a terminal outcome, made before the state is
+    // published: a client whose Wait() returned already sees it.
+    switch (state) {
+      case QueryState::kCancelled: sm.cancelled.Increment(); break;
+      case QueryState::kExpired: sm.expired.Increment(); break;
+      case QueryState::kRejected: sm.rejected.Increment(); break;
+      default: break;
+    }
     rec->state = state;
     rec->status = std::move(status);
     rec->finish_us = QueryControl::NowMicros();
@@ -623,12 +623,6 @@ void QueryService::Finish(const std::shared_ptr<QueryRecord>& rec,
   if (release) {
     mem::MemoryGovernor::Global().ReleaseReservation(rec->reservation);
     admission_cv_.notify_all();
-  }
-  switch (state) {
-    case QueryState::kCancelled: sm.cancelled.Increment(); break;
-    case QueryState::kExpired: sm.expired.Increment(); break;
-    case QueryState::kRejected: sm.rejected.Increment(); break;
-    default: break;
   }
   std::vector<uint64_t> retired;
   {

@@ -4,7 +4,6 @@
 
 #include "common/hash.h"
 #include "obs/flight_recorder.h"
-#include "obs/metrics_registry.h"
 
 namespace idf::chaos {
 
@@ -23,12 +22,6 @@ size_t RunEvictWorld() {
     actuator = g_evict_world;
   }
   return actuator ? actuator() : 0;
-}
-
-obs::Counter& FaultCounter() {
-  static obs::Counter* counter =
-      &obs::Registry::Global().GetCounter("chaos.faults");
-  return *counter;
 }
 
 }  // namespace
@@ -137,7 +130,6 @@ void ChaosEngine::RecordFault(Site site, Fault kind, uint64_t key,
   total_faults_.fetch_add(1, std::memory_order_relaxed);
   fault_counts_[static_cast<size_t>(kind)].fetch_add(
       1, std::memory_order_relaxed);
-  FaultCounter().Increment();
   obs::FlightRecorder::Global().Record(obs::EventType::kChaosFault, 0,
                                        static_cast<uint64_t>(site) << 8 |
                                            static_cast<uint64_t>(kind),

@@ -1,9 +1,10 @@
 // Tests for observability v2: the flight recorder ring (wraparound under
 // concurrent writers, JSONL encoding, crash-dump round trip through the
-// signal-safe encoder and the python decoder) and the introspection
-// endpoint (Prometheus /metrics with explicit buckets, /residency JSON,
-// /events tail — all fetched over a real loopback socket while a budgeted
-// query has actually exercised the governor).
+// signal-safe encoder and the python decoder), its counting table (each
+// counted kind moves its registry counters and profile field once) and the
+// introspection endpoint (Prometheus /metrics with explicit buckets,
+// /residency JSON, /events tail — all fetched over a real loopback socket
+// while a budgeted query has actually exercised the governor).
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -21,6 +22,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -47,7 +49,6 @@ using obs::FlightRecorder;
 
 TEST(FlightRecorderTest, RecordsAndSnapshotsInOrder) {
   FlightRecorder& fr = FlightRecorder::Global();
-  fr.SetEnabled(true);
   const uint32_t name = fr.InternName("fr-order-stage");
   const uint64_t base = fr.total_recorded();
   for (uint64_t i = 0; i < 100; ++i) {
@@ -75,15 +76,6 @@ TEST(FlightRecorderTest, RecordsAndSnapshotsInOrder) {
   EXPECT_EQ(matched, 100u);
 }
 
-TEST(FlightRecorderTest, DisabledRecorderDropsEvents) {
-  FlightRecorder& fr = FlightRecorder::Global();
-  fr.SetEnabled(false);
-  const uint64_t before = fr.total_recorded();
-  fr.Record(EventType::kEvict, 0, 1, 2, 3);
-  EXPECT_EQ(fr.total_recorded(), before);
-  fr.SetEnabled(true);
-}
-
 TEST(FlightRecorderTest, InternNameIsIdempotent) {
   FlightRecorder& fr = FlightRecorder::Global();
   const uint32_t a = fr.InternName("fr-intern-x");
@@ -101,7 +93,6 @@ TEST(FlightRecorderTest, InternNameIsIdempotent) {
 // the per-slot seqlock is exactly the kind of code a race detector eats.
 TEST(FlightRecorderTest, WraparoundUnderConcurrentWriters) {
   FlightRecorder& fr = FlightRecorder::Global();
-  fr.SetEnabled(true);
   const uint32_t name = fr.InternName("fr-wrap-stage");
   constexpr int kThreads = 8;
   const uint64_t per_thread = (FlightRecorder::kCapacity / kThreads) * 2;
@@ -154,7 +145,6 @@ TEST(FlightRecorderTest, WraparoundUnderConcurrentWriters) {
 
 TEST(FlightRecorderTest, JsonlLinesAreWellFormed) {
   FlightRecorder& fr = FlightRecorder::Global();
-  fr.SetEnabled(true);
   const uint32_t name = fr.InternName("fr-jsonl \"quoted\\stage\"");
   fr.Record(EventType::kEvict, name, 123, 456, 789);
   const std::string jsonl = fr.ToJsonl(4);
@@ -188,7 +178,6 @@ TEST(FlightRecorderTest, JsonlLinesAreWellFormed) {
 // normal path does — verified byte-for-byte here, no dying required.
 TEST(FlightRecorderTest, SignalSafeDumpMatchesToJsonl) {
   FlightRecorder& fr = FlightRecorder::Global();
-  fr.SetEnabled(true);
   const uint32_t name = fr.InternName("fr-dump-stage");
   for (uint64_t i = 0; i < 16; ++i) {
     fr.Record(EventType::kSpillWrite, name, i * 4096, 7, i);
@@ -241,7 +230,6 @@ TEST(FlightRecorderDeathTest, CrashHandlerDumpsDecodableJournal) {
   EXPECT_EXIT(
       {
         FlightRecorder& fr = FlightRecorder::Global();
-        fr.SetEnabled(true);
         const uint32_t name = fr.InternName("doomed-stage");
         fr.Record(EventType::kTaskStart, name, 3, 1, 0);
         fr.Record(EventType::kEvict, 0, 65536, 42, 5);
@@ -486,7 +474,6 @@ std::vector<FlightEvent> EventsSince(uint64_t first_seq, EventType type) {
 
 TEST(FlightRecorderTest, StageFinishOncePerStageAndChromeRoundTrip) {
   FlightRecorder& fr = FlightRecorder::Global();
-  fr.SetEnabled(true);
   const uint64_t first_seq = fr.total_recorded();
 
   // A plain stage on the pool: one stage_finish carrying its task count.
@@ -560,11 +547,10 @@ TEST(FlightRecorderTest, StageFinishOncePerStageAndChromeRoundTrip) {
   std::remove((base + ".trace.json").c_str());
 }
 
-// ---- query-id stamping, ring sizing, build identity -----------------------
+// ---- query-id stamping, counting, ring lapping, build identity ------------
 
 TEST(FlightRecorderTest, EventsCarryCurrentQueryId) {
   FlightRecorder& fr = FlightRecorder::Global();
-  fr.SetEnabled(true);
   const uint32_t name = fr.InternName("fr-q-stage");
   const uint64_t qid = obs::AllocateQueryId();
   {
@@ -589,29 +575,142 @@ TEST(FlightRecorderTest, EventsCarryCurrentQueryId) {
   EXPECT_TRUE(saw_unscoped);
 }
 
-TEST(FlightRecorderTest, RingCapacityFromEnvParsesAndRejects) {
-  ::unsetenv("IDF_EVENTS_RING_POW2");
-  EXPECT_EQ(FlightRecorder::RingCapacityFromEnv(), FlightRecorder::kCapacity);
-  ::setenv("IDF_EVENTS_RING_POW2", "12", 1);
-  EXPECT_EQ(FlightRecorder::RingCapacityFromEnv(), size_t{1} << 12);
-  ::setenv("IDF_EVENTS_RING_POW2", "10", 1);
-  EXPECT_EQ(FlightRecorder::RingCapacityFromEnv(), size_t{1} << 10);
-  // Out-of-range or malformed values fall back to the default capacity.
-  for (const char* bad : {"9", "25", "abc", "12x", "", "-3"}) {
-    ::setenv("IDF_EVENTS_RING_POW2", bad, 1);
-    EXPECT_EQ(FlightRecorder::RingCapacityFromEnv(), FlightRecorder::kCapacity)
-        << "value '" << bad << "'";
+using Amounts = std::map<std::string, uint64_t>;
+
+/// The nonzero fields of one profile snapshot, by name ("stage_tasks" sums
+/// the stage rows).
+Amounts ProfileAmounts(const obs::QueryProfileSnapshot& snap) {
+  uint64_t stage_tasks = 0;
+  for (const auto& stage : snap.stages) stage_tasks += stage.tasks;
+  const Amounts all = {
+      {"tasks", snap.tasks},
+      {"task_fails", snap.task_fails},
+      {"task_wall_us", snap.task_wall_us},
+      {"steals", snap.steals},
+      {"resident_hits", snap.resident_hits},
+      {"resident_misses", snap.resident_misses},
+      {"bytes_spilled", snap.bytes_spilled},
+      {"evictions", snap.evictions},
+      {"bytes_reloaded", snap.bytes_reloaded},
+      {"shuffle_pushed_bytes", snap.shuffle_pushed_bytes},
+      {"admission_wait_us", snap.admission_wait_us},
+      {"current_pinned_bytes", snap.current_pinned_bytes},
+      {"peak_pinned_bytes", snap.peak_pinned_bytes},
+      {"stage_tasks", stage_tasks},
+  };
+  Amounts nonzero;
+  for (const auto& [field, value] : all) {
+    if (value != 0) nonzero[field] = value;
   }
-  ::unsetenv("IDF_EVENTS_RING_POW2");
+  return nonzero;
+}
+
+/// Every profile field summed over every profile in the registry.
+Amounts AllProfilesAmounts() {
+  Amounts total;
+  for (const obs::QueryProfileSnapshot& snap :
+       obs::QueryProfileRegistry::Global().SnapshotAll()) {
+    for (const auto& [field, value] : ProfileAmounts(snap)) {
+      total[field] += value;
+    }
+  }
+  return total;
+}
+
+// One event of each kind under a fresh query: a counted kind moves its
+// registry counters and that query's profile by exactly 1 or a, and no
+// other counter or profile; every other kind moves nothing. The expected
+// rows are spelled out here rather than read from kCountedKinds, so a
+// wrong or missing table row fails.
+TEST(FlightRecorderTest, EachCountedKindFeedsItsCounterAndProfileOnce) {
+  FlightRecorder& fr = FlightRecorder::Global();
+  const uint32_t name = fr.InternName("fr-count-stage");
+  constexpr uint64_t kA = 4099, kB = 7, kC = 31;
+  struct Row {
+    Amounts counters;
+    Amounts profile;
+  };
+  const std::map<EventType, Row> counted = {
+      {EventType::kTaskFinish,
+       {{{"engine.tasks", 1}},
+        {{"tasks", 1}, {"task_wall_us", kC}, {"stage_tasks", 1}}}},
+      {EventType::kTaskFail,
+       {{{"engine.tasks", 1}},
+        {{"tasks", 1},
+         {"task_fails", 1},
+         {"task_wall_us", kC},
+         {"stage_tasks", 1}}}},
+      {EventType::kSteal, {{{"engine.scheduler.steals", 1}}, {{"steals", 1}}}},
+      {EventType::kResidentHit,
+       {{{"sched.resident_hits", 1}}, {{"resident_hits", 1}}}},
+      {EventType::kResidentMiss,
+       {{{"sched.resident_misses", 1}}, {{"resident_misses", 1}}}},
+      {EventType::kEvict, {{{"mem.evictions", 1}}, {{"evictions", 1}}}},
+      {EventType::kSpillWrite,
+       {{{"mem.spill.write_bytes", kA}}, {{"bytes_spilled", kA}}}},
+      {EventType::kReloadDemand,
+       {{{"mem.reload_faults", 1}, {"mem.reload.read_bytes", kA}},
+        {{"bytes_reloaded", kA}}}},
+      {EventType::kShufflePush,
+       {{{"engine.shuffle.pushed_bytes", kA}},
+        {{"shuffle_pushed_bytes", kA}}}},
+      {EventType::kRecoveryBlock, {{{"engine.recovery.blocks", 1}}, {}}},
+      {EventType::kExecutorKill, {{{"engine.executors.killed", 1}}, {}}},
+      {EventType::kChaosFault, {{{"chaos.faults", 1}}, {}}},
+      {EventType::kQuerySubmit, {{{"server.submitted", 1}}, {}}},
+      {EventType::kQueryAdmit, {{{"server.admitted", 1}}, {}}},
+  };
+
+  size_t kinds = 0;
+  for (int raw = 1; raw <= static_cast<int>(EventType::kStageFinish); ++raw) {
+    const EventType type = static_cast<EventType>(raw);
+    if (std::string(obs::EventTypeName(type)) == "event") continue;  // retired
+    ++kinds;
+    auto it = counted.find(type);
+    const Row expected = it != counted.end() ? it->second : Row{};
+
+    const uint64_t qid = obs::AllocateQueryId();
+    const Amounts profiles_before = AllProfilesAmounts();
+    obs::RegistryDelta delta;
+    {
+      obs::QueryScope scope(qid);
+      fr.Record(type, name, kA, kB, kC);
+    }
+
+    Amounts counters;
+    for (const obs::MetricSnapshot& m : delta.Deltas()) {
+      // The ring's own lap count is not a counted fact of the event.
+      if (m.kind != obs::MetricKind::kCounter || m.counter_value == 0 ||
+          m.name == "obs.ring.lapped") {
+        continue;
+      }
+      counters[m.name] = m.counter_value;
+    }
+    EXPECT_EQ(counters, expected.counters) << obs::EventTypeName(type);
+
+    obs::QueryProfileSnapshot snap;
+    ASSERT_TRUE(obs::QueryProfileRegistry::Global().Snapshot(qid, &snap));
+    EXPECT_EQ(ProfileAmounts(snap), expected.profile)
+        << obs::EventTypeName(type);
+    // Nothing landed in any other profile.
+    Amounts moved;
+    for (const auto& [field, value] : AllProfilesAmounts()) {
+      auto before = profiles_before.find(field);
+      const uint64_t base = before != profiles_before.end() ? before->second : 0;
+      if (value != base) moved[field] = value - base;
+    }
+    EXPECT_EQ(moved, expected.profile) << obs::EventTypeName(type);
+  }
+  EXPECT_EQ(kinds, 25u);  // 29 numbers, 4 retired
+  EXPECT_EQ(std::size(obs::kCountedKinds), counted.size());
 }
 
 TEST(FlightRecorderTest, LappedCounterTracksRingOverwrites) {
   FlightRecorder& fr = FlightRecorder::Global();
-  fr.SetEnabled(true);
   const uint32_t name = fr.InternName("fr-lap-stage");
   // Make sure the ring has wrapped at least once before the baseline so
   // every further Record is an overwrite.
-  for (size_t i = 0; i < fr.capacity(); ++i) {
+  for (size_t i = 0; i < FlightRecorder::kCapacity; ++i) {
     fr.Record(EventType::kSteal, name, i, 0, 0);
   }
   obs::RegistryDelta delta;
@@ -647,7 +746,7 @@ TEST(BuildInfoTest, SummaryAndJsonAgree) {
   // The ring may have lapped past it in long-running suites; only assert
   // when the recorder has not wrapped yet.
   if (FlightRecorder::Global().total_recorded() <
-      FlightRecorder::Global().capacity()) {
+      FlightRecorder::kCapacity) {
     EXPECT_TRUE(saw_build_info);
   }
 }
@@ -683,7 +782,7 @@ TEST(IntrospectionServerTest, ErrorPathsAndBoundsAreSafe) {
   const std::string body = oversize.substr(oversize.find("\r\n\r\n") + 4);
   size_t lines = 0;
   for (const char ch : body) lines += ch == '\n';
-  EXPECT_LE(lines, obs::FlightRecorder::Global().capacity());
+  EXPECT_LE(lines, obs::FlightRecorder::kCapacity);
 
   server.Stop();
 }

@@ -6,7 +6,8 @@
 // gate, the sum over all profiles (including the unattributed bucket 0) of
 // spilled/reloaded bytes, evictions, tasks, steals, and residency hits/
 // misses must equal the corresponding global mem.*/engine.*/sched.* metric
-// deltas exactly. Plus: attribution determinism across reruns (label-keyed
+// deltas exactly, with one query cancelled mid-stage so that tasks failing
+// their cancellation check before their body runs are counted too. Plus: attribution determinism across reruns (label-keyed
 // task counts), QueryScope semantics, and the /queries/<id> endpoint.
 #include <gtest/gtest.h>
 
@@ -15,10 +16,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/indexed_dataframe.h"
@@ -29,6 +33,7 @@
 #include "server/query_service.h"
 #include "sql/columnar.h"
 #include "sql/session.h"
+#include "testing/chaos.h"
 
 namespace idf {
 namespace {
@@ -279,6 +284,10 @@ TEST(QueryProfileTest, ConservationUnderBudgetedConcurrentServe) {
       *session.CreateTable("extra_a", EdgeSchema(), DenseEdges(1200, 7));
   auto extra_b =
       *session.CreateTable("extra_b", EdgeSchema(), DenseEdges(900, 31));
+  // More partitions than scheduler threads, so the cancelled filter below
+  // always claims a task after its cancel lands.
+  auto wide = *session.CreateTable("wide", EdgeSchema(), DenseEdges(2000),
+                                   /*partitions=*/32);
   std::vector<Mixed> workload =
       BuildWorkload(indexed, "indexed_edges", probe, extra_a, extra_b);
 
@@ -295,6 +304,44 @@ TEST(QueryProfileTest, ConservationUnderBudgetedConcurrentServe) {
 
   QueryService service(session,
                        ServeConfig(/*workers=*/4, budget_bytes / 8));
+
+  // One more query, a filtered scan cancelled by the task-start hook at its first
+  // task: the tasks its stage claims afterwards fail their cancellation
+  // check before the body runs (task_fail with no body), and must count in
+  // engine.tasks and its profile alike. The flag holds the scan until the
+  // hook knows its id.
+  std::atomic<uint64_t> victim_id{0};
+  std::atomic<int> victim_starts{0};
+  QueryHandle victim;
+  std::mutex victim_mu;
+  chaos::ChaosHooks hooks;
+  hooks.on_task_start = [&] {
+    if (obs::CurrentQueryId() != victim_id.load() ||
+        victim_starts.fetch_add(1) != 0) {
+      return;
+    }
+    std::lock_guard<std::mutex> lk(victim_mu);
+    victim.Cancel();
+  };
+  chaos::ChaosEngine::SetHooks(std::move(hooks));
+  std::atomic<bool> victim_go{false};
+  {
+    std::lock_guard<std::mutex> lk(victim_mu);
+    QueryOptions options;
+    options.label = "scan_cancelled";
+    victim = service.Submit(
+        [&](server::QueryContext& ctx) -> Status {
+          while (!victim_go.load()) std::this_thread::yield();
+          IDF_ASSIGN_OR_RETURN(
+              ctx.result,
+              wide.Filter(Gt(Col("dst"), Lit(int64_t{-1}))).Collect());
+          return Status::OK();
+        },
+        options);
+    victim_id.store(victim.id());
+  }
+  victim_go.store(true);
+
   std::vector<QueryHandle> handles;
   for (Mixed& m : workload) {
     QueryOptions options;
@@ -305,7 +352,10 @@ TEST(QueryProfileTest, ConservationUnderBudgetedConcurrentServe) {
     ASSERT_TRUE(handles[i].Wait().ok())
         << workload[i].name << ": " << handles[i].status().ToString();
   }
+  EXPECT_EQ(victim.Wait().code(), StatusCode::kCancelled)
+      << victim.status().ToString();
   service.Shutdown(/*cancel_pending=*/false);
+  chaos::ChaosEngine::SetHooks({});
 
   obs::QueryProfileSnapshot sum;
   for (const obs::QueryProfileSnapshot& snap :
@@ -347,6 +397,17 @@ TEST(QueryProfileTest, ConservationUnderBudgetedConcurrentServe) {
     EXPECT_GT(snap.task_wall_us, 0u) << "query " << h.id();
     EXPECT_FALSE(snap.stages.empty()) << "query " << h.id();
   }
+  // The cancelled filter started a task and then failed one at the
+  // cancellation check, before its body; that task is in its profile's
+  // task count as in its stage row.
+  obs::QueryProfileSnapshot cancelled;
+  ASSERT_TRUE(
+      obs::QueryProfileRegistry::Global().Snapshot(victim.id(), &cancelled));
+  EXPECT_GE(victim_starts.load(), 1);
+  EXPECT_GT(cancelled.task_fails, 0u);
+  uint64_t stage_tasks = 0;
+  for (const auto& stage : cancelled.stages) stage_tasks += stage.tasks;
+  EXPECT_EQ(cancelled.tasks, stage_tasks);
 }
 
 // ---- determinism across reruns ----------------------------------------------

@@ -225,7 +225,6 @@ TEST(SchedulerStressTest, ConcurrentQueriesOnSharedCachedIndexedTable) {
 // draws around the task slices.
 TEST(SchedulerStressTest, TaskSpansNestUnderStageAcrossThreads) {
   obs::FlightRecorder& fr = obs::FlightRecorder::Global();
-  fr.SetEnabled(true);
   const uint64_t first_seq = fr.total_recorded();
   ClusterConfig config;
   config.num_workers = 2;

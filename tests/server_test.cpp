@@ -15,6 +15,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -356,6 +357,88 @@ TEST(ServerTest, FullAdmissionQueueRejectsNewWork) {
   EXPECT_TRUE(running.Wait().ok());
   EXPECT_TRUE(queued.Wait().ok());
   service.Shutdown(/*cancel_pending=*/false);
+}
+
+// Each terminal outcome counts once, in QueryService::Finish: a rejection
+// for a full queue, under the reject policy, for a reservation larger than
+// the budget, or by a shut-down service each move server.rejected by
+// exactly 1, and a cancelled queued query moves server.cancelled by 1.
+TEST(ServerTest, EachRejectionAndCancelCountsOnce) {
+  Session session(ServeClusterOptions());
+  mem::MemoryGovernor& gov = mem::MemoryGovernor::Global();
+  const uint64_t budget_bytes = gov.resident_bytes() + (64 << 20);
+  mem::ScopedBudget budget(budget_bytes);
+  Gate gate;
+  auto blocking = [&gate](server::QueryContext&) -> Status {
+    gate.Wait();
+    return Status::OK();
+  };
+  // server.rejected's move across one Submit and the Wait for its outcome.
+  auto rejections = [](const std::function<QueryHandle()>& submit) {
+    obs::RegistryDelta delta;
+    QueryHandle handle = submit();
+    EXPECT_FALSE(handle.Wait().ok());
+    EXPECT_EQ(handle.state(), QueryState::kRejected);
+    return delta.Counter("server.rejected");
+  };
+
+  {
+    // Queue full; then a cancel of the query left waiting in the queue.
+    QueryService service(session,
+                         ServeConfig(/*workers=*/1, AdmitPolicy::kQueue,
+                                     /*reservation=*/1 << 20,
+                                     /*max_queue=*/1));
+    QueryHandle running = service.Submit(blocking, {});
+    while (running.state() == QueryState::kQueued) {
+      std::this_thread::yield();
+    }
+    QueryHandle queued = service.Submit(blocking, {});
+    EXPECT_EQ(rejections([&] { return service.Submit(blocking, {}); }), 1u);
+
+    obs::RegistryDelta cancel;
+    queued.Cancel();
+    gate.Open();
+    EXPECT_EQ(queued.Wait().code(), StatusCode::kCancelled);
+    EXPECT_EQ(cancel.Counter("server.cancelled"), 1u);
+    EXPECT_TRUE(running.Wait().ok());
+    service.Shutdown(/*cancel_pending=*/false);
+  }
+
+  Gate held;
+  auto holding = [&held](server::QueryContext&) -> Status {
+    held.Wait();
+    return Status::OK();
+  };
+  {
+    // Reject policy with the budget reserved; then a reservation larger
+    // than the whole budget.
+    const uint64_t reservation = budget_bytes / 2;
+    QueryService service(
+        session,
+        ServeConfig(/*workers=*/3, AdmitPolicy::kReject, reservation));
+    QueryHandle a = service.Submit(holding, {});
+    QueryHandle b = service.Submit(holding, {});
+    while (gov.reserved_bytes() < 2 * reservation) {
+      std::this_thread::yield();
+    }
+    EXPECT_EQ(rejections([&] { return service.Submit(holding, {}); }), 1u);
+    QueryOptions oversized;
+    oversized.reservation_bytes = budget_bytes + 1;
+    EXPECT_EQ(rejections([&] { return service.Submit(holding, oversized); }),
+              1u);
+    held.Open();
+    EXPECT_TRUE(a.Wait().ok());
+    EXPECT_TRUE(b.Wait().ok());
+    service.Shutdown(/*cancel_pending=*/false);
+  }
+
+  {
+    QueryService service(session, ServeConfig(/*workers=*/1,
+                                              AdmitPolicy::kQueue));
+    service.Shutdown(/*cancel_pending=*/false);
+    EXPECT_EQ(rejections([&] { return service.Submit(blocking, {}); }), 1u);
+  }
+  EXPECT_EQ(gov.reserved_bytes(), 0u);
 }
 
 // ---- cancellation & deadlines ----------------------------------------------
