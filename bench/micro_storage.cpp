@@ -1,14 +1,15 @@
 // Micro-benchmarks (google-benchmark) for the storage layer: binary row
 // encode/decode, packed pointers, partition-store appends and row access,
 // the point-lookup path through an IndexedPartition, partial aggregation
-// over columnar chunks and row batches, row <-> column transcoding, and
-// the flight recorder's per-event cost.
+// over columnar chunks and row batches, row <-> column transcoding, the
+// vanilla joins' hash table, and the flight recorder's per-event cost.
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
 #include "core/indexed_dataframe.h"
 #include "core/indexed_partition.h"
 #include "obs/flight_recorder.h"
+#include "sql/join_table.h"
 #include "storage/partition_store.h"
 #include "storage/row_layout.h"
 
@@ -238,12 +239,15 @@ BENCHMARK(BM_PartialAggregate)
 //   0 encode: a shuffled-hash join against a one-row table that matches
 //     nothing, so the map side encodes every row and the reduce decodes none;
 //   1 decode: an indexed table's fallback scan, projected to every column;
-//   2 gather: a filter that keeps every other row of a columnar table.
+//   2 gather: a filter that keeps every other row of a columnar table;
+//   3 fixed-width encode: 0 over the table without its string column, so
+//     every row is the layout's fixed section.
 constexpr int64_t kTranscodeRows = 200000;
 
 struct TranscodeBenchTables {
   std::unique_ptr<Session> session;
   DataFrame columnar;
+  DataFrame fixed;  // columnar without "tag"
   DataFrame miss;
   IndexedDataFrame indexed;
 };
@@ -280,6 +284,12 @@ const TranscodeBenchTables& TranscodeTables() {
            Value::Bool(rng.Below(2) == 0)});
     }
     t->columnar = *t->session->CreateTable("transcode_bench", schema, rows);
+    std::vector<Field> fixed_fields = schema->fields();
+    fixed_fields.erase(fixed_fields.begin() + 4);
+    for (RowVec& row : rows) row.erase(row.begin() + 4);
+    t->fixed = *t->session->CreateTable(
+        "transcode_fixed", std::make_shared<Schema>(std::move(fixed_fields)),
+        rows);
     t->miss = *t->session->CreateTable(
         "transcode_miss",
         std::make_shared<Schema>(Schema({{"mk", TypeId::kInt64, false}})),
@@ -301,6 +311,9 @@ void BM_Transcode(benchmark::State& state) {
     query = t.indexed.AsDataFrame().Select(
         {"id", "half", "qty", "price", "tag", "flag"});
     label = "decode";
+  } else if (state.range(0) == 3) {
+    query = t.fixed.Join(t.miss, "id", "mk");
+    label = "fixed-width encode";
   }
   for (auto _ : state) {
     auto result = query.Execute();
@@ -311,7 +324,39 @@ void BM_Transcode(benchmark::State& state) {
                           kTranscodeRows);
   state.SetLabel(label);
 }
-BENCHMARK(BM_Transcode)->DenseRange(0, 2)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Transcode)->DenseRange(0, 3)->Unit(benchmark::kMillisecond);
+
+// Join-table rung: each iteration builds a JoinHashTable of kJoinBuildKeys
+// keys (one row each) and probes it with kJoinProbeRows codes, half of them
+// misses, as a shuffled-hash reduce task does; 1 and 4 threads, each with
+// its own table. Items are probes.
+constexpr uint32_t kJoinBuildKeys = 10000;
+constexpr uint32_t kJoinProbeRows = 1000000;
+
+void BM_JoinHashTable(benchmark::State& state) {
+  Rng rng(static_cast<uint64_t>(state.thread_index()) + 11);
+  std::vector<uint64_t> build(kJoinBuildKeys);
+  for (uint64_t& code : build) code = rng.Below(2 * kJoinBuildKeys);
+  std::vector<uint64_t> probes(kJoinProbeRows);
+  for (uint64_t& code : probes) code = rng.Below(4 * kJoinBuildKeys);
+  uint64_t matched = 0;
+  for (auto _ : state) {
+    JoinHashTable<uint32_t> table;
+    table.Reserve(build.size());
+    for (uint32_t i = 0; i < build.size(); ++i) table.Add(build[i], i);
+    table.Build();
+    for (const uint64_t code : probes) {
+      for (const uint32_t row : table.Find(code)) matched += row;
+    }
+    benchmark::DoNotOptimize(matched);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          kJoinProbeRows);
+}
+BENCHMARK(BM_JoinHashTable)
+    ->Threads(1)
+    ->Threads(4)
+    ->Unit(benchmark::kMillisecond);
 
 // Flight-recorder rung: ns per Record call on the process-wide recorder,
 // from 1 and 4 threads sharing its ring. Arg 0 records kEvict, a counted

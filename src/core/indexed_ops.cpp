@@ -8,25 +8,29 @@ namespace idf {
 
 Result<Pipeline> IndexedJoinExec::OpenImpl(Session& session,
                                            QueryMetrics& metrics,
-                                           const ColumnReads&) const {
+                                           const ColumnReads& reads) const {
   const std::shared_ptr<IndexedRdd>& rdd = indexed_->rdd();
   IDF_ASSIGN_OR_RETURN(TableHandle probe,
                        children_[0]->Execute(session, metrics));
   IDF_ASSIGN_OR_RETURN(size_t probe_key, probe.schema->FieldIndex(probe_key_));
   const Schema& indexed_schema = *rdd->schema();
-  auto out_schema = std::make_shared<Schema>(
-      indexed_is_left_ ? indexed_schema.ConcatForJoin(*probe.schema)
-                       : probe.schema->ConcatForJoin(indexed_schema));
-  Pipeline out{out_schema, rdd->num_partitions(), nullptr, std::nullopt};
+  JoinColumns columns =
+      indexed_is_left_
+          ? NarrowJoinColumns(indexed_schema, rdd->key_column(),
+                              *probe.schema, probe_key, JoinType::kInner,
+                              reads)
+          : NarrowJoinColumns(*probe.schema, probe_key, indexed_schema,
+                              rdd->key_column(), JoinType::kInner, reads);
+  Pipeline out{columns.schema, rdd->num_partitions(), nullptr, std::nullopt};
   out.run = [this, &session, &metrics, probe, probe_key,
-             out_schema](const Pipe& down) {
-    return Run(session, probe, probe_key, out_schema, down, metrics);
+             columns = std::move(columns)](const Pipe& down) {
+    return Run(session, probe, probe_key, columns, down, metrics);
   };
   return out;
 }
 
 Status IndexedJoinExec::Run(Session& session, const TableHandle& probe,
-                            size_t probe_key, const SchemaPtr& out_schema,
+                            size_t probe_key, const JoinColumns& out,
                             const Pipe& down, QueryMetrics& metrics) const {
   Cluster& cluster = session.cluster();
   const std::shared_ptr<IndexedRdd>& rdd = indexed_->rdd();
@@ -59,9 +63,10 @@ Status IndexedJoinExec::Run(Session& session, const TableHandle& probe,
       consumer.Consume(ctx, std::move(block));
     };
     return indexed_is_left_
-               ? JoinedRowDecoder(part.layout(), probe_layout, out_schema, emit)
-               : JoinedRowDecoder(probe_layout, part.layout(), out_schema,
-                                  emit);
+               ? JoinedRowDecoder(part.layout(), out.left, probe_layout,
+                                  out.right, out.schema, emit)
+               : JoinedRowDecoder(probe_layout, out.left, part.layout(),
+                                  out.right, out.schema, emit);
   };
   // Probe rows go to the partition owning their key; a null key matches
   // nothing.
@@ -134,17 +139,14 @@ Status IndexedJoinExec::Run(Session& session, const TableHandle& probe,
                                  rdd->GetPartition(p, version, ctx));
             std::unique_ptr<ChunkConsumer> consumer = down.Open(ctx, p);
             JoinedRowDecoder decoder = make_decoder(ctx, *part, *consumer);
-            std::vector<const uint8_t*> rows;
             for (const auto& buf : inputs[0]) {
               ctx.metrics().rows_read += buf->num_rows;
               // Per-buffer pin scope: probed chain batches stay resident
               // across this buffer's rows until their matches are decoded.
               mem::AccessScope probe_scope;
-              rows.clear();
-              buf->SplitRows(rows);
-              for (const uint8_t* prow : rows) {
+              buf->ForEachRow([&](const uint8_t* prow) {
                 probe_row(ctx, *part, prow, decoder);
-              }
+              });
               decoder.Flush();
             }
             return consumer->Commit(ctx);
@@ -193,7 +195,7 @@ Result<Pipeline> IndexLookupExec::OpenImpl(Session& session,
           if (!matched.empty()) {
             ++ctx.metrics().index_hits;
             const RowLayout& layout = part->layout();
-            const std::vector<size_t> fields = AllFields(layout);
+            const std::vector<size_t> fields = AllFields(layout.schema());
             consumer->ConsumeRows(
                 ctx, RowBlock{layout, matched, fields, rdd->schema()});
           }

@@ -4,8 +4,9 @@
 // actually pre-built due to the index), while the probe side is the
 // non-indexed relation." Probe rows are shuffled (or broadcast, when small)
 // to the indexed partitions and probed against the local cTrie — no hash
-// table is built at query time. Matched rows decode a block at a time and
-// push on through the pipeline (sql/physical.h).
+// table is built at query time. Matched rows decode a block at a time, only
+// the columns the consumer reads (NarrowJoinColumns), and push on through the
+// pipeline (sql/physical.h).
 //
 // IndexLookupExec: an equality filter on the indexed column becomes a point
 // lookup on the single partition owning the key: a probe batch of one through
@@ -42,7 +43,7 @@ class IndexedJoinExec final : public PhysicalOp {
  private:
   /// Probes the materialized `probe` table and pushes the matches.
   Status Run(Session& session, const TableHandle& probe, size_t probe_key,
-             const SchemaPtr& out_schema, const Pipe& down,
+             const JoinColumns& out, const Pipe& down,
              QueryMetrics& metrics) const;
 
   std::shared_ptr<const IndexedDataset> indexed_;

@@ -7,7 +7,9 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <vector>
 
 namespace idf {
 
@@ -80,6 +82,9 @@ struct OpProfile {
   uint64_t bytes_out = 0;
   double wall_seconds = 0;   // inclusive driver-side wall time
   TaskMetrics inclusive;     // inclusive TaskMetrics delta
+  /// The columns the operator emits, when its consumer named the ones it
+  /// reads (a producer may leave the others out).
+  std::optional<std::vector<std::string>> columns;
 };
 
 struct QueryMetrics {

@@ -45,11 +45,16 @@ struct ShuffleBuffer {
     ++num_rows;
   }
 
-  /// Appends a pointer to each of the buffer's rows to `rows`. Rows are
+  /// Calls fn(row) for each of the buffer's rows, in order. Rows are
   /// self-delimiting: their first 4 bytes hold the row size.
-  void SplitRows(std::vector<const uint8_t*>& rows) const {
-    IDF_CHECK_MSG(RowLayout::SplitRows(bytes.data(), bytes.size(), rows),
+  template <typename Fn>
+  void ForEachRow(Fn&& fn) const {
+    IDF_CHECK_MSG(RowLayout::ForEachRow(bytes.data(), bytes.size(), fn),
                   "corrupt shuffle buffer");
+  }
+  /// Appends a pointer to each of the buffer's rows to `rows`.
+  void SplitRows(std::vector<const uint8_t*>& rows) const {
+    ForEachRow([&rows](const uint8_t* row) { rows.push_back(row); });
   }
 };
 

@@ -160,7 +160,7 @@ class Counter;
 
 class FlightRecorder {
  public:
-  /// Ring capacity in events (~4 MB resident).
+  /// Ring capacity in events (4 MB resident: 64-byte slots).
   static constexpr size_t kCapacity = 1u << 16;
 
   /// The process-wide recorder.
@@ -239,8 +239,9 @@ class FlightRecorder {
                 uint64_t b, uint64_t c);
 
   /// One ring slot: a per-slot seqlock. seq == ticket+1 publishes the
-  /// payload words; 0 means never written or mid-write.
-  struct Slot {
+  /// payload words; 0 means never written or mid-write. A slot fills its
+  /// own cache line, so writers of consecutive tickets never share one.
+  struct alignas(64) Slot {
     std::atomic<uint64_t> seq{0};
     std::atomic<uint64_t> ts{0};
     std::atomic<uint64_t> meta{0};  // type(8) | tid(24) | name(32)
@@ -271,8 +272,10 @@ class FlightRecorder {
   static constexpr size_t kEventKinds = 32;
   static_assert(static_cast<size_t>(EventType::kStageFinish) < kEventKinds);
 
-  std::atomic<uint64_t> head_{0};
-  uint64_t epoch_ns_ = 0;  // steady_clock at construction
+  // The one word every writer increments has its cache line to itself:
+  // the fields next to it are read by every writer.
+  alignas(64) std::atomic<uint64_t> head_{0};
+  alignas(64) uint64_t epoch_ns_ = 0;  // steady_clock at construction
   std::vector<Slot> slots_;
   Counter* lapped_ = nullptr;  // obs.ring.lapped — overwritten-slot count
   Feed feeds_[kEventKinds];    // indexed by EventType

@@ -327,8 +327,10 @@ Status ColumnarChunk::EncodeRows(std::span<const uint32_t> rows,
                                  std::vector<uint8_t>& out) const {
   const Schema& schema = layout.schema();
   bool types_match = schema.num_fields() == columns_.size();
+  bool has_strings = false;
   for (size_t c = 0; types_match && c < columns_.size(); ++c) {
     types_match = columns_[c].type() == schema.field(c).type;
+    has_strings = has_strings || schema.field(c).type == TypeId::kString;
   }
   if (!types_match) {
     return Status::InvalidArgument("chunk columns do not match the layout " +
@@ -336,56 +338,80 @@ Status ColumnarChunk::EncodeRows(std::span<const uint32_t> rows,
   }
   EnsureReadable();
   const size_t n = rows.size();
+  const uint32_t fixed = layout.fixed_size();
+  auto row_bound_error = [](uint64_t size) {
+    return Status::InvalidArgument(
+        "row of " + std::to_string(size) + " bytes exceeds the " +
+        std::to_string(PackedRowPtr::kMaxRowSize) + "-byte row bound");
+  };
 
-  // Row sizes: the fixed section plus the bytes of each non-null string.
-  std::vector<uint64_t> sizes(n, layout.fixed_size());
+  // A column without a null bitmap holds no null: it needs no null tests.
   for (size_t c = 0; c < columns_.size(); ++c) {
-    const ColumnVector& col = columns_[c];
     const Field& f = schema.field(c);
-    if (f.nullable && f.type != TypeId::kString) continue;
+    if (f.nullable || columns_[c].null_bitmap().empty()) continue;
     for (size_t k = 0; k < n; ++k) {
-      if (!col.IsNull(rows[k])) {
-        if (f.type == TypeId::kString) sizes[k] += col.StringAt(rows[k]).size();
-      } else if (!f.nullable) {
+      if (columns_[c].IsNull(rows[k])) {
         return Status::InvalidArgument("null in NOT NULL field '" + f.name +
                                        "'");
       }
     }
   }
-  std::vector<size_t> starts(n);
-  size_t total = 0;
-  for (size_t k = 0; k < n; ++k) {
-    if (sizes[k] > PackedRowPtr::kMaxRowSize) {
-      return Status::InvalidArgument(
-          "row of " + std::to_string(sizes[k]) + " bytes exceeds the " +
-          std::to_string(PackedRowPtr::kMaxRowSize) + "-byte row bound");
+
+  // Row sizes: the fixed section plus the bytes of each non-null string.
+  // Without strings every row is the fixed section, and row k starts at
+  // k * fixed.
+  std::vector<uint64_t> sizes;
+  std::vector<size_t> starts;
+  size_t total = n * fixed;
+  if (has_strings) {
+    sizes.assign(n, fixed);
+    for (size_t c = 0; c < columns_.size(); ++c) {
+      const ColumnVector& col = columns_[c];
+      if (col.type() != TypeId::kString) continue;
+      for (size_t k = 0; k < n; ++k) {
+        if (!col.IsNull(rows[k])) sizes[k] += col.StringAt(rows[k]).size();
+      }
     }
-    starts[k] = total;
-    total += sizes[k];
+    starts.resize(n);
+    total = 0;
+    for (size_t k = 0; k < n; ++k) {
+      if (sizes[k] > PackedRowPtr::kMaxRowSize) {
+        return row_bound_error(sizes[k]);
+      }
+      starts[k] = total;
+      total += sizes[k];
+    }
+  } else if (n > 0 && fixed > PackedRowPtr::kMaxRowSize) {
+    return row_bound_error(fixed);
   }
 
   // Fixed sections: size, zeroed pad, null back pointer, bitmap and slots.
   out.resize(total);
   uint8_t* const base = out.data();
+  if (total > 0) std::memset(base, 0, total);
+  auto row_at = [&](size_t k) {
+    return base + (has_strings ? starts[k] : k * fixed);
+  };
   for (size_t k = 0; k < n; ++k) {
-    uint8_t* row = base + starts[k];
-    std::memset(row, 0, layout.fixed_size());
-    const uint32_t size = static_cast<uint32_t>(sizes[k]);
+    uint8_t* row = row_at(k);
+    const uint32_t size =
+        has_strings ? static_cast<uint32_t>(sizes[k]) : fixed;
     std::memcpy(row, &size, sizeof(size));
     RowLayout::SetBackPtr(row, PackedRowPtr::Null());
   }
   // Strings append to their row's var section in column order.
-  std::vector<uint32_t> var(n, layout.fixed_size());
+  std::vector<uint32_t> var(has_strings ? n : 0, fixed);
   for (size_t c = 0; c < columns_.size(); ++c) {
     const uint32_t slot = layout.slot_offset(c);
     const size_t null_byte = RowLayout::kNullBitmapOffset + c / 8;
     const uint8_t null_mask = static_cast<uint8_t>(1u << (c % 8));
+    const bool may_be_null = !columns_[c].null_bitmap().empty();
     VisitType(columns_[c].type(), [&](auto tag) {
       using T = decltype(tag);
       const ChunkRun::Column<T> col(columns_[c]);
       for (size_t k = 0; k < n; ++k) {
-        uint8_t* row = base + starts[k];
-        if (col.IsNull(rows[k])) {
+        uint8_t* row = row_at(k);
+        if (may_be_null && col.IsNull(rows[k])) {
           row[null_byte] |= null_mask;  // the slot stays zeroed
           continue;
         }
@@ -546,8 +572,8 @@ void DecodeRows(const RowLayout& layout, std::span<const uint8_t* const> rows,
   });
 }
 
-std::vector<size_t> AllFields(const RowLayout& layout) {
-  std::vector<size_t> fields(layout.schema().num_fields());
+std::vector<size_t> AllFields(const Schema& schema) {
+  std::vector<size_t> fields(schema.num_fields());
   std::iota(fields.begin(), fields.end(), size_t{0});
   return fields;
 }
@@ -566,17 +592,17 @@ void AppendChunks(std::span<const ChunkPtr> srcs, ColumnarChunk& out) {
 }
 
 void GatherRows(std::span<const ChunkPtr> sources,
-                std::span<const RowRef> refs, ColumnarChunk& out,
-                size_t offset) {
+                std::span<const RowRef> refs, std::span<const size_t> fields,
+                ColumnarChunk& out, size_t offset) {
   IDF_CHECK(!sources.empty());
-  for (size_t c = 0; c < sources[0]->num_columns(); ++c) {
+  for (size_t c = 0; c < fields.size(); ++c) {
     ColumnVector& dst = out.mutable_column(offset + c);
     VisitType(dst.type(), [&](auto tag) {
       using T = decltype(tag);
       std::vector<ChunkRun::Column<T>> columns;
       columns.reserve(sources.size());
       for (const ChunkPtr& source : sources) {
-        const ColumnVector& column = source->column(c);
+        const ColumnVector& column = source->column(fields[c]);
         IDF_CHECK_MSG(column.type() == dst.type(), "column type mismatch");
         columns.emplace_back(column);
       }

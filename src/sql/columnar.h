@@ -478,9 +478,9 @@ void DecodeRows(const RowLayout& layout, std::span<const uint8_t* const> rows,
                 std::span<const size_t> fields, ColumnarChunk& out,
                 size_t offset);
 
-/// Every field of `layout`, in order: the field list that decodes whole
-/// rows.
-std::vector<size_t> AllFields(const RowLayout& layout);
+/// Every field of `schema`, in order: the field list that decodes or
+/// gathers whole rows.
+std::vector<size_t> AllFields(const Schema& schema);
 
 /// Appends every row of each chunk of `srcs`, in order, to `out`, whose
 /// column types they share, and sets out's row count: the concatenation of
@@ -495,30 +495,33 @@ struct RowRef {
   uint32_t row = 0;
 };
 
-/// The gather: appends row refs[i].row of sources[refs[i].chunk] to columns
-/// [offset, offset + source columns) of `out`, in order. `sources` is not
-/// empty and its chunks share one schema. The caller keeps the sources
-/// pinned (an AccessScope) for the call, and sets the row count once every
-/// column of `out` is filled.
+/// The gather: appends column fields[c] of row refs[i].row of
+/// sources[refs[i].chunk] to column offset + c of `out`, in order. `sources`
+/// is not empty and its chunks share one schema. The caller keeps the
+/// sources pinned (an AccessScope) for the call, and sets the row count once
+/// every column of `out` is filled.
 void GatherRows(std::span<const ChunkPtr> sources,
-                std::span<const RowRef> refs, ColumnarChunk& out,
-                size_t offset);
+                std::span<const RowRef> refs, std::span<const size_t> fields,
+                ColumnarChunk& out, size_t offset);
 
 /// Collects joined pairs of encoded rows and decodes them a block of up to
 /// kTranscodeBlockRows pairs at a time into a chunk of `schema`, which
-/// `emit` takes: left rows fill its first columns, right rows the rest, and
-/// a null right row pads them with nulls. Call Flush() before the scope
-/// that pins the rows closes.
+/// `emit` takes: fields `left_fields` of the left rows fill its first
+/// columns, fields `right_fields` of the right rows the rest, and a null
+/// right row pads them with nulls. The field lists outlive the decoder.
+/// Call Flush() before the scope that pins the rows closes.
 class JoinedRowDecoder {
  public:
   using Emit = std::function<void(std::shared_ptr<ColumnarChunk>)>;
 
-  JoinedRowDecoder(const RowLayout& left, const RowLayout& right,
-                   SchemaPtr schema, Emit emit)
+  JoinedRowDecoder(const RowLayout& left, std::span<const size_t> left_fields,
+                   const RowLayout& right,
+                   std::span<const size_t> right_fields, SchemaPtr schema,
+                   Emit emit)
       : left_(left),
         right_(right),
-        left_fields_(AllFields(left)),
-        right_fields_(AllFields(right)),
+        left_fields_(left_fields),
+        right_fields_(right_fields),
         schema_(std::move(schema)),
         emit_(std::move(emit)) {}
 
@@ -533,8 +536,8 @@ class JoinedRowDecoder {
  private:
   const RowLayout& left_;
   const RowLayout& right_;
-  std::vector<size_t> left_fields_;
-  std::vector<size_t> right_fields_;
+  std::span<const size_t> left_fields_;
+  std::span<const size_t> right_fields_;
   SchemaPtr schema_;
   Emit emit_;
   std::vector<const uint8_t*> left_rows_;

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <unordered_map>
 
 #include "common/timer.h"
 #include "mem/governor.h"
 #include "sql/agg_internal.h"
+#include "sql/join_table.h"
 #include "sql/session.h"
 #include "storage/row_layout.h"
 
@@ -101,6 +101,12 @@ Result<Pipeline> PhysicalOp::Open(Session& session, QueryMetrics& metrics,
       profiled([&] { return OpenImpl(session, metrics, reads); });
   ++(*metrics.op_profile)[this].executions;
   if (!pipeline.ok()) return pipeline;
+  if (reads) {
+    auto& columns = (*metrics.op_profile)[this].columns.emplace();
+    for (const Field& field : pipeline->schema->fields()) {
+      columns.push_back(field.name);
+    }
+  }
   pipeline->run = [this, &metrics, profiled,
                    run = std::move(pipeline->run)](const Pipe& down) {
     // Tasks push concurrently: count into atomics, add once they are done.
@@ -206,6 +212,14 @@ std::string PhysicalOp::ExplainAnalyze(const QueryMetrics& metrics,
       std::snprintf(buf, sizeof(buf), " recovery=%.3fms",
                     self.recovery_seconds * 1e3);
       out += buf;
+    }
+    if (prof->columns) {
+      out += " columns=[";
+      for (size_t c = 0; c < prof->columns->size(); ++c) {
+        if (c > 0) out += ", ";
+        out += (*prof->columns)[c];
+      }
+      out += "]";
     }
     out += ")";
   }
@@ -480,7 +494,7 @@ ChunkPtr FilterBlock(const Expr& predicate, ChunkPtr block) {
   if (selected.size() == input.num_rows()) return block;
   if (selected.empty()) return nullptr;
   auto out = std::make_shared<ColumnarChunk>(input.schema_ptr());
-  GatherRows({&block, 1}, selected, *out, 0);
+  GatherRows({&block, 1}, selected, AllFields(input.schema()), *out, 0);
   out->SetRowCount(selected.size());
   return out;
 }
@@ -579,8 +593,33 @@ std::string JoinExec::Describe() const {
          left_key_ + " = " + right_key_;
 }
 
+JoinColumns NarrowJoinColumns(const Schema& left, size_t left_key,
+                              const Schema& right, size_t right_key,
+                              JoinType join_type, const ColumnReads& reads) {
+  const Schema full = JoinOutputSchema(left, right, join_type);
+  const size_t nl = left.num_fields();
+  JoinColumns out;
+  std::vector<Field> kept;
+  for (size_t c = 0; c < full.num_fields(); ++c) {
+    const bool key = c == left_key || c == nl + right_key;
+    if (!key && reads &&
+        std::find(reads->begin(), reads->end(), full.field(c).name) ==
+            reads->end()) {
+      continue;
+    }
+    if (c < nl) {
+      out.left.push_back(c);
+    } else {
+      out.right.push_back(c - nl);
+    }
+    kept.push_back(full.field(c));
+  }
+  out.schema = std::make_shared<Schema>(std::move(kept));
+  return out;
+}
+
 Result<Pipeline> JoinExec::OpenImpl(Session& session, QueryMetrics& metrics,
-                                    const ColumnReads&) const {
+                                    const ColumnReads& reads) const {
   IDF_ASSIGN_OR_RETURN(TableHandle lh,
                        children_[0]->Execute(session, metrics));
   IDF_ASSIGN_OR_RETURN(TableHandle rh,
@@ -599,21 +638,20 @@ Result<Pipeline> JoinExec::OpenImpl(Session& session, QueryMetrics& metrics,
                ? Mode::kBroadcastHash
                : Mode::kShuffledHash;
   }
-  auto out_schema = std::make_shared<Schema>(
-      JoinOutputSchema(*lh.schema, *rh.schema, join_type_));
+  JoinColumns columns = NarrowJoinColumns(*lh.schema, lkey, *rh.schema, rkey,
+                                          join_type_, reads);
   const uint32_t partitions =
       mode == Mode::kBroadcastHash
           ? (build_left ? rh : lh).num_partitions
           : std::max(lh.num_partitions, rh.num_partitions);
-  Pipeline out{out_schema, partitions, nullptr, std::nullopt};
+  Pipeline out{columns.schema, partitions, nullptr, std::nullopt};
   out.run = [this, &session, &metrics, lh, rh, lkey, rkey, build_left, mode,
-             out_schema](const Pipe& down) {
+             columns = std::move(columns)](const Pipe& down) {
     if (mode == Mode::kBroadcastHash) {
       return BroadcastHashJoin(session, lh, rh, lkey, rkey, build_left,
-                               out_schema, down, metrics);
+                               columns, down, metrics);
     }
-    return ShuffledJoin(session, lh, rh, lkey, rkey, out_schema, down,
-                        metrics);
+    return ShuffledJoin(session, lh, rh, lkey, rkey, columns, down, metrics);
   };
   return out;
 }
@@ -621,8 +659,7 @@ Result<Pipeline> JoinExec::OpenImpl(Session& session, QueryMetrics& metrics,
 Status JoinExec::BroadcastHashJoin(Session& session, const TableHandle& lh,
                                    const TableHandle& rh, size_t lkey,
                                    size_t rkey, bool build_left,
-                                   const SchemaPtr& out_schema,
-                                   const Pipe& down,
+                                   const JoinColumns& out, const Pipe& down,
                                    QueryMetrics& metrics) const {
   Cluster& cluster = session.cluster();
   const TableHandle& build = build_left ? lh : rh;
@@ -646,17 +683,18 @@ Status JoinExec::BroadcastHashJoin(Session& session, const TableHandle& lh,
   }
 
   Stopwatch build_timer;
-  std::unordered_map<uint64_t, std::vector<RowRef>> hash_table;
-  hash_table.reserve(build.num_rows);
+  JoinHashTable<RowRef> hash_table;
+  hash_table.Reserve(build.num_rows);
   for (size_t ci = 0; ci < build_chunks.size(); ++ci) {
     const ColumnarChunk& chunk = *build_chunks[ci];
     const ColumnVector& key_col = chunk.column(build_key);
     for (size_t ri = 0; ri < chunk.num_rows(); ++ri) {
       if (key_col.IsNull(ri)) continue;  // inner join drops null keys
-      hash_table[key_col.KeyCodeAt(ri)].push_back(
-          {static_cast<uint32_t>(ci), static_cast<uint32_t>(ri)});
+      hash_table.Add(key_col.KeyCodeAt(ri), {static_cast<uint32_t>(ci),
+                                             static_cast<uint32_t>(ri)});
     }
   }
+  hash_table.Build();
   const double build_seconds = build_timer.ElapsedSeconds();
   metrics.totals.hash_build_seconds += build_seconds;
   metrics.real_seconds += build_seconds;
@@ -681,8 +719,11 @@ Status JoinExec::BroadcastHashJoin(Session& session, const TableHandle& lh,
   metrics.MergeStage(replica_metrics);
 
   // Probe stage: one task per probe partition, local to the probe block;
-  // matched pairs gather a block at a time and push on.
+  // matched pairs gather a block at a time, only the output's columns, and
+  // push on.
   const bool outer = join_type_ == JoinType::kLeftOuter;
+  const std::vector<size_t>& build_fields = build_left ? out.left : out.right;
+  const std::vector<size_t>& probe_fields = build_left ? out.right : out.left;
   return ForEachBlock(
       cluster, metrics, "broadcast hash probe", {&probe, 1},
       [&](TaskContext& ctx, uint32_t p, const ChunkPtr& chunk) -> Status {
@@ -700,13 +741,13 @@ Status JoinExec::BroadcastHashJoin(Session& session, const TableHandle& lh,
         std::vector<RowRef> probe_refs;
         auto flush = [&] {
           if (probe_refs.empty()) return;
-          const size_t build_offset =
-              build_left ? 0 : probe.schema->num_fields();
-          const size_t probe_offset =
-              build_left ? build.schema->num_fields() : 0;
-          auto block = std::make_shared<ColumnarChunk>(out_schema);
-          GatherRows(build_chunks, build_refs, *block, build_offset);
-          GatherRows({&chunk, 1}, probe_refs, *block, probe_offset);
+          const size_t build_offset = build_left ? 0 : probe_fields.size();
+          const size_t probe_offset = build_left ? build_fields.size() : 0;
+          auto block = std::make_shared<ColumnarChunk>(out.schema);
+          GatherRows(build_chunks, build_refs, build_fields, *block,
+                     build_offset);
+          GatherRows({&chunk, 1}, probe_refs, probe_fields, *block,
+                     probe_offset);
           block->SetRowCount(probe_refs.size());
           build_refs.clear();
           probe_refs.clear();
@@ -722,18 +763,15 @@ Status JoinExec::BroadcastHashJoin(Session& session, const TableHandle& lh,
             if (outer) emit({RowRef::kNull, 0}, ri);
             continue;
           }
-          auto it = hash_table.find(key_col.KeyCodeAt(ri));
           bool matched = false;
-          if (it != hash_table.end()) {
-            for (const RowRef& ref : it->second) {
-              if (verify &&
-                  !KeysEqual(build_chunks[ref.chunk]->column(build_key),
-                             ref.row, key_col, ri)) {
-                continue;
-              }
-              matched = true;
-              emit(ref, ri);
+          for (const RowRef& ref : hash_table.Find(key_col.KeyCodeAt(ri))) {
+            if (verify &&
+                !KeysEqual(build_chunks[ref.chunk]->column(build_key),
+                           ref.row, key_col, ri)) {
+              continue;
             }
+            matched = true;
+            emit(ref, ri);
           }
           if (outer && !matched) emit({RowRef::kNull, 0}, ri);
         }
@@ -744,7 +782,7 @@ Status JoinExec::BroadcastHashJoin(Session& session, const TableHandle& lh,
 
 Status JoinExec::ShuffledJoin(Session& session, const TableHandle& lh,
                               const TableHandle& rh, size_t lkey, size_t rkey,
-                              const SchemaPtr& out_schema, const Pipe& down,
+                              const JoinColumns& out, const Pipe& down,
                               QueryMetrics& metrics) const {
   Cluster& cluster = session.cluster();
   const uint32_t R = std::max(lh.num_partitions, rh.num_partitions);
@@ -777,55 +815,49 @@ Status JoinExec::ShuffledJoin(Session& session, const TableHandle& lh,
           /*reduce_reads_rdd=*/false,
           [&](TaskContext& ctx, uint32_t rp,
               const std::vector<ShuffleInputs>& inputs) -> Status {
-            // Collect row pointers per side.
-            auto rows_of = [](const ShuffleInputs& side) {
-              std::vector<const uint8_t*> rows;
-              for (const auto& buf : side) buf->SplitRows(rows);
-              return rows;
-            };
-            std::vector<const uint8_t*> lrows = rows_of(inputs[0]);
-            std::vector<const uint8_t*> rrows = rows_of(inputs[1]);
-            ctx.metrics().rows_read += lrows.size() + rrows.size();
-
-            std::unique_ptr<ChunkConsumer> consumer = down.Open(ctx, rp);
-            // A null right row pads an unmatched left row.
-            JoinedRowDecoder decoder(
-                llayout, rlayout, out_schema,
-                [&](std::shared_ptr<ColumnarChunk> block) {
-                  consumer->Consume(ctx, std::move(block));
-                });
-
-            // Hash join: build on the configured build side.
-            const auto& build_rows = build_left ? lrows : rrows;
-            const auto& probe_rows = build_left ? rrows : lrows;
+            const ShuffleInputs& build_side = inputs[build_left ? 0 : 1];
+            const ShuffleInputs& probe_side = inputs[build_left ? 1 : 0];
             const RowLayout& blayout = build_left ? llayout : rlayout;
             const RowLayout& playout = build_left ? rlayout : llayout;
             const size_t bkey = build_left ? lkey : rkey;
             const size_t pkey = build_left ? rkey : lkey;
-
             // Codes of strings and doubles hash: check those keys.
             const bool verify =
                 KeyCodeNeedsVerify(blayout.schema().field(bkey).type) ||
                 KeyCodeNeedsVerify(playout.schema().field(pkey).type);
 
+            // The table holds the build side's rows; the probe side's
+            // buffers stream through it, a row at a time.
             Stopwatch build_timer;
-            std::unordered_map<uint64_t, std::vector<const uint8_t*>> ht;
-            ht.reserve(build_rows.size());
-            for (const uint8_t* row : build_rows) {
-              ht[blayout.KeyCode(row, bkey)].push_back(row);
+            JoinHashTable<const uint8_t*> table;
+            for (const auto& buf : build_side) {
+              ctx.metrics().rows_read += buf->num_rows;
+              buf->ForEachRow([&](const uint8_t* row) {
+                table.Add(blayout.KeyCode(row, bkey), row);
+              });
             }
+            table.Build();
             ctx.metrics().hash_build_seconds += build_timer.ElapsedSeconds();
 
-            for (const uint8_t* prow : probe_rows) {
-              // With outer joins the probe side is always the left relation.
-              if (playout.IsNull(prow, pkey)) {
-                if (outer) decoder.Add(prow, nullptr);
-                continue;
-              }
-              auto it = ht.find(playout.KeyCode(prow, pkey));
-              bool matched = false;
-              if (it != ht.end()) {
-                for (const uint8_t* brow : it->second) {
+            std::unique_ptr<ChunkConsumer> consumer = down.Open(ctx, rp);
+            // A null right row pads an unmatched left row.
+            JoinedRowDecoder decoder(
+                llayout, out.left, rlayout, out.right, out.schema,
+                [&](std::shared_ptr<ColumnarChunk> block) {
+                  consumer->Consume(ctx, std::move(block));
+                });
+            for (const auto& buf : probe_side) {
+              ctx.metrics().rows_read += buf->num_rows;
+              buf->ForEachRow([&](const uint8_t* prow) {
+                // With outer joins the probe side is always the left
+                // relation.
+                if (playout.IsNull(prow, pkey)) {
+                  if (outer) decoder.Add(prow, nullptr);
+                  return;
+                }
+                bool matched = false;
+                for (const uint8_t* brow :
+                     table.Find(playout.KeyCode(prow, pkey))) {
                   if (verify &&
                       !KeysEqual(blayout, brow, bkey, playout, prow, pkey)) {
                     continue;
@@ -837,8 +869,8 @@ Status JoinExec::ShuffledJoin(Session& session, const TableHandle& lh,
                     decoder.Add(prow, brow);
                   }
                 }
-              }
-              if (outer && !matched) decoder.Add(prow, nullptr);
+                if (outer && !matched) decoder.Add(prow, nullptr);
+              });
             }
             decoder.Flush();
             return consumer->Commit(ctx);
@@ -1090,7 +1122,9 @@ Result<Pipeline> SortExec::OpenImpl(Session& session, QueryMetrics& metrics,
                 return false;
               });
 
-          if (!chunks.empty()) GatherRows(chunks, refs, sorted, 0);
+          if (!chunks.empty()) {
+            GatherRows(chunks, refs, AllFields(*in.schema), sorted, 0);
+          }
           sorted.SetRowCount(refs.size());
           return Status::OK();
         });
@@ -1118,7 +1152,7 @@ Result<Pipeline> LimitExec::OpenImpl(Session& session, QueryMetrics& metrics,
             for (size_t i = 0; i < refs.size(); ++i) {
               refs[i].row = static_cast<uint32_t>(i);
             }
-            GatherRows({&chunk, 1}, refs, taken, 0);
+            GatherRows({&chunk, 1}, refs, AllFields(*in.schema), taken, 0);
             n += refs.size();
           }
           taken.SetRowCount(n);

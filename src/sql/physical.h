@@ -189,14 +189,30 @@ class ProjectExec final : public UnaryExec {
   std::vector<std::string> columns_;
 };
 
+/// The part of a join's output that a consumer reading `reads` needs: the
+/// two key columns and the columns read, in output order. Fields `left` of
+/// the left relation and `right` of the right one fill them; `schema`, the
+/// join's pipeline schema, names them as the full output
+/// (JoinOutputSchema) does.
+struct JoinColumns {
+  SchemaPtr schema;
+  std::vector<size_t> left;
+  std::vector<size_t> right;
+};
+JoinColumns NarrowJoinColumns(const Schema& left, size_t left_key,
+                              const Schema& right, size_t right_key,
+                              JoinType join_type, const ColumnReads& reads);
+
 /// Inner equi-join with runtime algorithm selection (Spark-like):
 /// broadcast-hash when the build side is under the broadcast threshold,
-/// otherwise shuffled-hash.
+/// otherwise shuffled-hash. Either hash-joins through a JoinHashTable and
+/// emits only the columns its consumer reads (NarrowJoinColumns).
 class JoinExec final : public PhysicalOp {
  public:
   /// kShuffledHash runs one exchange (Cluster::RunExchange): both sides
   /// shuffle on their key's code (ShuffleByKey), and each reduce task
-  /// hash-joins what was routed to it, verifying candidates by KeysEqual.
+  /// builds a table of its build-side rows and streams its probe-side
+  /// buffers through it row by row, verifying candidates by KeysEqual.
   enum class Mode { kAuto, kBroadcastHash, kShuffledHash };
 
   JoinExec(PhysOpPtr left, PhysOpPtr right, std::string left_key,
@@ -216,11 +232,11 @@ class JoinExec final : public PhysicalOp {
  private:
   Status BroadcastHashJoin(Session& session, const TableHandle& l,
                            const TableHandle& r, size_t lkey, size_t rkey,
-                           bool build_left, const SchemaPtr& out_schema,
+                           bool build_left, const JoinColumns& out,
                            const Pipe& down, QueryMetrics& metrics) const;
   Status ShuffledJoin(Session& session, const TableHandle& l,
                       const TableHandle& r, size_t lkey, size_t rkey,
-                      const SchemaPtr& out_schema, const Pipe& down,
+                      const JoinColumns& out, const Pipe& down,
                       QueryMetrics& metrics) const;
 
   std::vector<PhysOpPtr> children_;

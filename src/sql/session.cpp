@@ -308,8 +308,10 @@ Result<CollectedTable> DataFrame::Collect(QueryMetrics* metrics) const {
 }
 
 Result<uint64_t> DataFrame::Count(QueryMetrics* metrics) const {
-  IDF_ASSIGN_OR_RETURN(TableHandle handle, Execute(metrics));
-  return handle.num_rows;
+  IDF_ASSIGN_OR_RETURN(CollectedTable counted,
+                       Agg({}, {AggSpec::Count()}).Collect(metrics));
+  IDF_CHECK(counted.rows.size() == 1);
+  return static_cast<uint64_t>(counted.rows[0][0].int64_value());
 }
 
 Result<DataFrame> DataFrame::Distinct() const {

@@ -185,7 +185,9 @@ class DataFrame {
 
   Result<CollectedTable> Collect(QueryMetrics* metrics = nullptr) const;
 
-  /// Row count of the executed query.
+  /// Row count of the query, as COUNT(*) over it: nothing above the
+  /// aggregate materializes, and its input decodes no column it does not
+  /// read.
   Result<uint64_t> Count(QueryMetrics* metrics = nullptr) const;
 
   /// Rendered optimized logical plan (for tests asserting rule behaviour).

@@ -51,20 +51,26 @@ class RowLayout {
     std::memcpy(&s, src, sizeof(s));
     return s;
   }
-  /// Appends to `rows` a pointer to each row of a buffer of back-to-back
-  /// encoded rows. Returns false if a row is shorter than its header or
-  /// overruns the buffer.
-  static bool SplitRows(const uint8_t* data, size_t size,
-                        std::vector<const uint8_t*>& rows) {
+  /// Calls fn(row) for each row of a buffer of back-to-back encoded rows, in
+  /// order. Returns false, after visiting the rows before it, if a row is
+  /// shorter than its header or overruns the buffer.
+  template <typename Fn>
+  static bool ForEachRow(const uint8_t* data, size_t size, Fn&& fn) {
     size_t cursor = 0;
     while (cursor < size) {
       if (size - cursor < 16) return false;
       const uint32_t row_size = RowSize(data + cursor);
       if (row_size < 16 || row_size > size - cursor) return false;
-      rows.push_back(data + cursor);
+      fn(data + cursor);
       cursor += row_size;
     }
     return true;
+  }
+  /// Appends to `rows` a pointer to each row of a buffer (ForEachRow).
+  static bool SplitRows(const uint8_t* data, size_t size,
+                        std::vector<const uint8_t*>& rows) {
+    return ForEachRow(data, size,
+                      [&rows](const uint8_t* row) { rows.push_back(row); });
   }
   static PackedRowPtr BackPtr(const uint8_t* src) {
     uint64_t bits;

@@ -99,7 +99,7 @@ TEST_P(CrossEvalProperty, ExpressionsAgreeAcrossRepresentations) {
   std::vector<const uint8_t*> stored;
   for (const PackedRowPtr& ptr : ptrs) stored.push_back(store.RowAt(ptr));
   ColumnarChunk decoded(schema);
-  DecodeRows(layout, stored, AllFields(layout), decoded, 0);
+  DecodeRows(layout, stored, AllFields(layout.schema()), decoded, 0);
   decoded.SetRowCount(stored.size());
 
   for (int trial = 0; trial < 30; ++trial) {

@@ -408,6 +408,30 @@ TEST(ShuffleServiceTest, ReaderWalksRows) {
   EXPECT_EQ(sizes, (std::vector<uint32_t>{24, 40, 16}));
 }
 
+TEST(ShuffleServiceTest, TruncatedRowFailsTheWalkAsItFailsSplitRows) {
+  // The shuffled-hash join walks its probe side with ForEachRow and splits
+  // its build side with SplitRows: one iterator, so one check.
+  ShuffleBuffer truncated = MakeBuffer({24, 40, 16}, 0);
+  truncated.bytes.resize(truncated.bytes.size() - 5);  // the last row overruns
+  ShuffleBuffer short_header = MakeBuffer({24, 40}, 0);
+  const uint32_t bad_size = 8;  // shorter than the 16-byte row header
+  std::memcpy(short_header.bytes.data() + 24, &bad_size, sizeof(bad_size));
+  for (const ShuffleBuffer* buf : {&truncated, &short_header}) {
+    std::vector<const uint8_t*> split;
+    std::vector<const uint8_t*> walked;
+    EXPECT_FALSE(
+        RowLayout::SplitRows(buf->bytes.data(), buf->bytes.size(), split));
+    EXPECT_FALSE(RowLayout::ForEachRow(
+        buf->bytes.data(), buf->bytes.size(),
+        [&](const uint8_t* row) { walked.push_back(row); }));
+    EXPECT_EQ(walked, split);
+    EXPECT_EQ(split.size(), buf == &truncated ? 2u : 1u);
+    EXPECT_DEATH(buf->SplitRows(split), "corrupt shuffle buffer");
+    EXPECT_DEATH(buf->ForEachRow([](const uint8_t*) {}),
+                 "corrupt shuffle buffer");
+  }
+}
+
 TEST(ShuffleServiceTest, ReleaseFreesShuffle) {
   ShuffleService svc;
   const uint64_t id = svc.NewShuffle(1, 1);

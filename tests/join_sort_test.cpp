@@ -1,10 +1,11 @@
-// Tests for left-outer joins (both vanilla algorithms: broadcast-hash and
-// shuffled-hash) and ORDER BY.
+// Tests for the vanilla joins' hash table, left-outer joins (both vanilla
+// algorithms: broadcast-hash and shuffled-hash) and ORDER BY.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "core/indexed_dataframe.h"
+#include "sql/join_table.h"
 #include "sql/session.h"
 #include "typed_keys.h"
 
@@ -340,6 +341,94 @@ TEST(SortTest, UnknownSortColumnFails) {
   auto df = *session.CreateTable("t", NumSchema(),
                                  {{Value::Int64(1), Value::String("a")}});
   EXPECT_FALSE(df.OrderBy({{"zzz", false}}).Collect().ok());
+}
+
+// ---- JoinHashTable ----------------------------------------------------------
+
+std::vector<int> Rows(std::span<const int> rows) {
+  return std::vector<int>(rows.begin(), rows.end());
+}
+
+TEST(JoinHashTableTest, EmptyBuildFindsNothing) {
+  JoinHashTable<int> table;
+  table.Build();
+  for (uint64_t code : {uint64_t{0}, uint64_t{1}, ~uint64_t{0}}) {
+    EXPECT_TRUE(table.Find(code).empty());
+  }
+}
+
+TEST(JoinHashTableTest, ReturnsEachKeysRowsInBuildOrder) {
+  // 3000 codes, interleaved: code c gets rows c, c + 3000, c + 6000, ...,
+  // and codes that differ only in their high bits or low bits.
+  JoinHashTable<int> table;
+  std::vector<uint64_t> codes;
+  for (uint64_t c = 0; c < 1000; ++c) {
+    codes.push_back(c);
+    codes.push_back((c + 1) << 40);
+    codes.push_back(~c);
+  }
+  const int copies = 4;
+  for (int copy = 0; copy < copies; ++copy) {
+    for (size_t i = 0; i < codes.size(); ++i) {
+      if (copy > static_cast<int>(i % copies)) continue;  // 1..4 rows a code
+      table.Add(codes[i], copy * 10000 + static_cast<int>(i));
+    }
+  }
+  table.Build();
+  for (size_t i = 0; i < codes.size(); ++i) {
+    std::vector<int> want;
+    for (int copy = 0; copy <= static_cast<int>(i % copies); ++copy) {
+      want.push_back(copy * 10000 + static_cast<int>(i));
+    }
+    EXPECT_EQ(Rows(table.Find(codes[i])), want) << "code " << codes[i];
+  }
+  EXPECT_TRUE(table.Find(1000).empty());
+  EXPECT_TRUE(table.Find(uint64_t{5000} << 40).empty());
+}
+
+TEST(JoinHashTableTest, OneKeyHoldsEveryRowInBuildOrder) {
+  JoinHashTable<int> table;
+  std::vector<int> want;
+  for (int i = 0; i < 5000; ++i) {
+    table.Add(77, i);
+    want.push_back(i);
+  }
+  table.Build();
+  EXPECT_EQ(Rows(table.Find(77)), want);
+  EXPECT_TRUE(table.Find(78).empty());
+}
+
+TEST(JoinHashTableTest, CollidingStringCodesAreSeparatedByKeysEqual) {
+  // Two strings stored under one code, as two strings whose hashes collide
+  // would be: the probe gets both rows, and KeysEqual keeps the equal one.
+  const auto schema = std::make_shared<Schema>(
+      Schema({{"s", TypeId::kString, false}, {"n", TypeId::kInt64, false}}));
+  const RowLayout layout(schema);
+  std::vector<std::vector<uint8_t>> rows;
+  for (const RowVec& row : std::vector<RowVec>{
+           {Value::String("apple"), Value::Int64(1)},
+           {Value::String("pear"), Value::Int64(2)},
+           {Value::String("apple"), Value::Int64(3)}}) {
+    rows.emplace_back(*layout.ComputeRowSize(row));
+    layout.EncodeRow(row, rows.back().data(), PackedRowPtr::Null());
+  }
+  JoinHashTable<const uint8_t*> table;
+  for (const auto& row : rows) table.Add(42, row.data());
+  table.Build();
+
+  std::vector<uint8_t> probe(*layout.ComputeRowSize(
+      {Value::String("apple"), Value::Int64(0)}));
+  layout.EncodeRow({Value::String("apple"), Value::Int64(0)}, probe.data(),
+                   PackedRowPtr::Null());
+  const std::span<const uint8_t* const> candidates = table.Find(42);
+  ASSERT_EQ(candidates.size(), 3u);
+  std::vector<int64_t> matched;
+  for (const uint8_t* row : candidates) {
+    if (KeysEqual(layout, row, 0, layout, probe.data(), 0)) {
+      matched.push_back(layout.GetInt64(row, 1));
+    }
+  }
+  EXPECT_EQ(matched, (std::vector<int64_t>{1, 3}));
 }
 
 }  // namespace

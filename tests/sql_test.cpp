@@ -84,7 +84,7 @@ TEST(ColumnarTest, DecodeRowsFromEncodedRows) {
   }
   for (const auto& buf : bufs) rows.push_back(buf.data());
   ColumnarChunk chunk(schema);
-  DecodeRows(layout, rows, AllFields(layout), chunk, 0);
+  DecodeRows(layout, rows, AllFields(layout.schema()), chunk, 0);
   chunk.SetRowCount(rows.size());
   EXPECT_EQ(chunk.num_rows(), 10u);
   EXPECT_EQ(chunk.RowAt(7)[1], Value::String("hal"));
@@ -559,6 +559,130 @@ TEST(SqlAggTest, GroupedAggregateAfterJoin) {
                     .Collect();
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->rows.size(), 9u);
+}
+
+// ---- Count() and column reads ---------------------------------------------------
+
+TEST(SqlCountTest, CountEqualsExecutedRowsOnEveryShape) {
+  // Count() plans COUNT(*) over the query; it must count what Execute()
+  // materializes, whatever the plan below the aggregate.
+  SessionOptions base = SmallOptions();
+  Session session(base);
+  auto people = *session.CreateTable("people", PeopleSchema(), PeopleRows());
+  auto orders = *session.CreateTable("orders", OrdersSchema(), OrdersRows());
+  auto indexed = *IndexedDataFrame::Create(orders, "person");
+  auto expect_count = [](const DataFrame& df, uint64_t want,
+                         const std::string& what) {
+    SCOPED_TRACE(what);
+    auto executed = df.Execute();
+    ASSERT_TRUE(executed.ok()) << executed.status().ToString();
+    auto counted = df.Count();
+    ASSERT_TRUE(counted.ok()) << counted.status().ToString();
+    EXPECT_EQ(*counted, executed->num_rows);
+    EXPECT_EQ(*counted, want);
+  };
+  expect_count(people.Filter(Gt(Col("age"), Lit(int32_t{24}))), 5, "filter");
+  expect_count(people.Filter(Gt(Col("age"), Lit(int32_t{99}))), 0, "empty");
+  expect_count(people.Limit(4), 4, "limit");
+  expect_count(people.UnionAll(people), 20, "union");
+  expect_count(indexed.AsDataFrame(), 45, "indexed scan");
+  expect_count(indexed.AsDataFrame().Filter(Gt(Col("amount"), Lit(50.0))),
+               34, "indexed scan with a filter");
+  expect_count(indexed.AsDataFrame().Select({"order_id"}), 45,
+               "indexed scan, projected");
+  for (uint64_t threshold : {uint64_t{10} << 20, uint64_t{0}}) {
+    SessionOptions opts = base;
+    opts.broadcast_threshold_bytes = threshold;
+    Session s(opts);
+    auto p = *s.CreateTable("people", PeopleSchema(), PeopleRows());
+    auto o = *s.CreateTable("orders", OrdersSchema(), OrdersRows());
+    auto io = *IndexedDataFrame::Create(o, "person");
+    const DataFrame joined = io.AsDataFrame().Join(p, "person", "id");
+    ASSERT_NE(joined.ExplainPhysical()->find("IndexedJoinExec"),
+              std::string::npos);
+    expect_count(joined, 45,
+                 threshold > 0 ? "indexed join (broadcast probe)"
+                               : "indexed join (shuffled probe)");
+  }
+  for (JoinExec::Mode mode :
+       {JoinExec::Mode::kBroadcastHash, JoinExec::Mode::kShuffledHash}) {
+    SessionOptions opts = base;
+    opts.join_mode = mode;
+    Session s(opts);
+    auto p = *s.CreateTable("people", PeopleSchema(), PeopleRows());
+    auto o = *s.CreateTable("orders", OrdersSchema(), OrdersRows());
+    const std::string name =
+        mode == JoinExec::Mode::kBroadcastHash ? "broadcast" : "shuffled";
+    expect_count(p.Join(o, "id", "person"), 45, name + " inner join");
+    // Person 0 has no order: left-outer pads it.
+    expect_count(p.LeftJoin(o, "id", "person"), 46, name + " left join");
+  }
+}
+
+TEST(SqlJoinTest, ExplainAnalyzeShowsNarrowedJoinColumns) {
+  // A join under an aggregate emits its keys and the columns read above,
+  // and the aggregate over them is the one over the full join.
+  const double amount_sum = [] {
+    double sum = 0;
+    for (const RowVec& row : OrdersRows()) sum += row[2].float64_value();
+    return sum;
+  }();
+  auto annotated_line = [](const std::string& text, const std::string& op) {
+    const size_t at = text.find(op);
+    if (at == std::string::npos) return std::string();
+    return text.substr(at, text.find('\n', at) - at);
+  };
+  for (JoinExec::Mode mode :
+       {JoinExec::Mode::kBroadcastHash, JoinExec::Mode::kShuffledHash}) {
+    SessionOptions opts = SmallOptions();
+    opts.join_mode = mode;
+    Session session(opts);
+    auto people = *session.CreateTable("people", PeopleSchema(), PeopleRows());
+    auto orders = *session.CreateTable("orders", OrdersSchema(), OrdersRows());
+    const DataFrame summed = people.Join(orders, "id", "person")
+                                 .Agg({}, {AggSpec::Sum("amount", "total")});
+    auto text = summed.ExplainAnalyze();
+    ASSERT_TRUE(text.ok()) << text.status().ToString();
+    EXPECT_NE(annotated_line(*text, "JoinExec[")
+                  .find("columns=[id, person, amount])"),
+              std::string::npos)
+        << *text;
+    auto result = summed.Collect();
+    ASSERT_TRUE(result.ok());
+    EXPECT_DOUBLE_EQ(result->rows[0][0].float64_value(), amount_sum);
+
+    auto counted = people.Join(orders, "id", "person")
+                       .Agg({}, {AggSpec::Count()})
+                       .ExplainAnalyze();
+    ASSERT_TRUE(counted.ok());
+    const std::string join_line = annotated_line(*counted, "JoinExec[");
+    EXPECT_NE(join_line.find("rows=45 "), std::string::npos) << *counted;
+    EXPECT_NE(join_line.find("columns=[id, person])"), std::string::npos)
+        << *counted;
+  }
+  for (uint64_t threshold : {uint64_t{10} << 20, uint64_t{0}}) {
+    SessionOptions opts = SmallOptions();
+    opts.broadcast_threshold_bytes = threshold;
+    Session session(opts);
+    auto people = *session.CreateTable("people", PeopleSchema(), PeopleRows());
+    auto orders = *session.CreateTable("orders", OrdersSchema(), OrdersRows());
+    auto indexed = *IndexedDataFrame::Create(people, "id");
+    const DataFrame summed =
+        indexed.AsDataFrame()
+            .Join(orders, "id", "person")
+            .Agg({"name"}, {AggSpec::Sum("amount", "total")});
+    auto text = summed.ExplainAnalyze();
+    ASSERT_TRUE(text.ok()) << text.status().ToString();
+    EXPECT_NE(annotated_line(*text, "IndexedJoinExec")
+                  .find("columns=[id, name, person, amount])"),
+              std::string::npos)
+        << *text;
+    auto result = summed.Collect();
+    ASSERT_TRUE(result.ok());
+    double total = 0;
+    for (const RowVec& row : result->rows) total += row[1].float64_value();
+    EXPECT_DOUBLE_EQ(total, amount_sum);
+  }
 }
 
 // ---- lineage integration ------------------------------------------------------

@@ -86,6 +86,17 @@ SchemaPtr WideSchema() {
   }));
 }
 
+/// No strings: every row is the layout's fixed section.
+SchemaPtr FixedSchema() {
+  return std::make_shared<Schema>(Schema({
+      {"id", TypeId::kInt64, false},
+      {"b", TypeId::kBool, true},
+      {"i32", TypeId::kInt32, true},
+      {"i64", TypeId::kInt64, true},
+      {"f", TypeId::kFloat64, true},
+  }));
+}
+
 SchemaPtr NarrowSchema() {
   return std::make_shared<Schema>(Schema({
       {"k", TypeId::kInt32, true},
@@ -205,6 +216,65 @@ TEST(TranscodeTest, EncodeMatchesPerRowEncoder) {
   }
 }
 
+TEST(TranscodeTest, FixedWidthEncodeMatchesPerRowEncoder) {
+  // Without strings the encoder sizes every row as the fixed section. The
+  // nullable columns hold nulls, except "f", whose null bitmap stays empty.
+  const SchemaPtr schema = FixedSchema();
+  const RowLayout layout(schema);
+  for (size_t n : kRunSizes) {
+    std::vector<RowVec> rows = MakeRows(*schema, n, 13 + n);
+    for (RowVec& row : rows) {
+      if (row[4].is_null()) row[4] = Value::Float64(0.5);
+    }
+    const auto chunk = MakeChunk(schema, rows);
+    EXPECT_TRUE(chunk->column(4).null_bitmap().empty());
+    if (n > 1) {
+      EXPECT_FALSE(chunk->column(1).null_bitmap().empty());
+    }
+    std::vector<uint32_t> sel;
+    for (size_t i = n; i-- > 0;) sel.push_back(static_cast<uint32_t>(i));
+    std::vector<uint8_t> got = {9, 9};  // replaced, not appended to
+    ASSERT_TRUE(chunk->EncodeRows(sel, layout, got).ok());
+    std::vector<uint8_t> want;
+    for (uint32_t i : sel) {
+      auto row = ReferenceEncode(*chunk, layout, i);
+      ASSERT_TRUE(row.ok());
+      EXPECT_EQ(row->size(), layout.fixed_size());
+      want.insert(want.end(), row->begin(), row->end());
+    }
+    EXPECT_EQ(want, got) << "n=" << n;
+  }
+}
+
+TEST(TranscodeTest, FixedWidthEncodeRejectsNullInNotNullField) {
+  // The chunk allows nulls in "v"; the layout it is encoded with does not.
+  const auto nullable = std::make_shared<Schema>(Schema({
+      {"k", TypeId::kInt32, true},
+      {"v", TypeId::kInt64, true},
+  }));
+  const auto strict = std::make_shared<Schema>(Schema({
+      {"k", TypeId::kInt32, true},
+      {"v", TypeId::kInt64, false},
+  }));
+  const RowLayout layout(strict);
+  const auto chunk = MakeChunk(
+      nullable, {{Value::Int32(1), Value::Int64(10)},
+                 {Value::Null(TypeId::kInt32), Value::Null(TypeId::kInt64)}});
+  const auto want = ReferenceEncode(*chunk, layout, 1);
+  ASSERT_FALSE(want.ok());
+
+  const std::vector<uint32_t> sel = {0, 1};
+  std::vector<uint8_t> out;
+  const Status got = chunk->EncodeRows(sel, layout, out);
+  EXPECT_EQ(got.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(got.ToString(), want.status().ToString());
+  const std::vector<uint32_t> first = {0};
+  EXPECT_TRUE(chunk->EncodeRows(first, layout, out).ok());
+  auto row = ReferenceEncode(*chunk, layout, 0);
+  ASSERT_TRUE(row.ok());
+  EXPECT_EQ(*row, out);
+}
+
 TEST(TranscodeTest, EncodeRowsWritesRowsBackToBack) {
   const SchemaPtr schema = WideSchema();
   const RowLayout layout(schema);
@@ -293,7 +363,7 @@ TEST(TranscodeTest, DecodeMatchesPerRowDecoder) {
     for (const uint8_t* row : rows) ReferenceDecode(want, 0, layout, row);
     want.SetRowCount(n);
     ColumnarChunk got(schema);
-    DecodeRows(layout, rows, AllFields(layout), got, 0);
+    DecodeRows(layout, rows, AllFields(layout.schema()), got, 0);
     got.SetRowCount(n);
     ExpectSameChunk(want, got);
   }
@@ -326,8 +396,8 @@ TEST(TranscodeTest, DecodeJoinedSidesWithNullPadding) {
     want.SetRowCount(n);
 
     ColumnarChunk got(out_schema);
-    DecodeRows(llayout, lrows, AllFields(llayout), got, 0);
-    DecodeRows(rlayout, rrows, AllFields(rlayout), got,
+    DecodeRows(llayout, lrows, AllFields(llayout.schema()), got, 0);
+    DecodeRows(rlayout, rrows, AllFields(rlayout.schema()), got,
                left->num_fields());
     got.SetRowCount(n);
     ExpectSameChunk(want, got);
@@ -335,7 +405,9 @@ TEST(TranscodeTest, DecodeJoinedSidesWithNullPadding) {
     // The pair decoder emits blocks of at most kTranscodeBlockRows rows;
     // appended back to back they are the chunk decoded in one go.
     std::vector<ChunkPtr> blocks;
-    JoinedRowDecoder decoder(llayout, rlayout, out_schema,
+    const std::vector<size_t> lfields = AllFields(*left);
+    const std::vector<size_t> rfields = AllFields(*right);
+    JoinedRowDecoder decoder(llayout, lfields, rlayout, rfields, out_schema,
                              [&](std::shared_ptr<ColumnarChunk> block) {
                                EXPECT_GT(block->num_rows(), 0u);
                                EXPECT_LE(block->num_rows(), kTranscodeBlockRows);
@@ -374,7 +446,7 @@ TEST(TranscodeTest, GatherMatchesPerRowCopy) {
     }
     want.SetRowCount(n);
     ColumnarChunk got(schema);
-    GatherRows(sources, refs, got, 0);
+    GatherRows(sources, refs, AllFields(*schema), got, 0);
     got.SetRowCount(n);
     ExpectSameChunk(want, got);
   }
@@ -411,8 +483,9 @@ TEST(TranscodeTest, GatherPadsNullRefsAtAnOffset) {
   want.SetRowCount(probe_refs.size());
 
   ColumnarChunk got(out_schema);
-  GatherRows(probe, probe_refs, got, 0);
-  GatherRows(build, build_refs, got, probe_schema->num_fields());
+  GatherRows(probe, probe_refs, AllFields(*probe_schema), got, 0);
+  GatherRows(build, build_refs, AllFields(*build_schema), got,
+             probe_schema->num_fields());
   got.SetRowCount(probe_refs.size());
   ExpectSameChunk(want, got);
 }
@@ -431,7 +504,7 @@ TEST(TranscodeTest, EncodeThenDecodeRestoresTheChunk) {
   std::vector<const uint8_t*> rows;
   ASSERT_TRUE(RowLayout::SplitRows(bytes.data(), bytes.size(), rows));
   ColumnarChunk back(schema);
-  DecodeRows(layout, rows, AllFields(layout), back, 0);
+  DecodeRows(layout, rows, AllFields(layout.schema()), back, 0);
   back.SetRowCount(rows.size());
   ExpectSameChunk(*chunk, back);
 }
